@@ -6,7 +6,6 @@ sweeps reward-scheme and stake-reshaping interventions. See the module
 docstrings for details; `yumalab.cli` provides the command-line interface.
 """
 
-from yumalab._kernels import BACKEND
 from yumalab.model import (
     EmissionOutcome,
     EmissionParams,
@@ -21,7 +20,6 @@ from yumalab.model import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "EmissionOutcome",
     "EmissionParams",
     "Role",

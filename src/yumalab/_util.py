@@ -1,16 +1,8 @@
-"""Small shared helpers: timestamp handling, formatting, worker pools."""
+"""Small shared helpers: timestamp parsing and formatting."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
-from typing import Callable, Iterable, Sequence, TypeVar
-
-T = TypeVar("T")
-U = TypeVar("U")
-
-THREADS_ENV = "YUMALAB_THREADS"
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -35,22 +27,3 @@ def parse_timestamp(text: str) -> datetime:
 def format_timestamp(dt: datetime) -> str:
     """Render an aware datetime as ISO-8601 UTC with a 'Z' suffix."""
     return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
-
-
-def worker_count() -> int:
-    """Worker cap from the YUMALAB_THREADS environment variable (min 1)."""
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def pmap(fn: Callable[[T], U], items: Sequence[T]) -> list[U]:
-    """Order-preserving map, threaded when YUMALAB_THREADS allows it."""
-    workers = min(worker_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))

@@ -17,7 +17,6 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from yumalab import _kernels
 from yumalab.interventions import composite_ranks, unit_rescale
 from yumalab.model import (
     EmissionOutcome,
@@ -33,6 +32,7 @@ __all__ = [
     "BondState",
     "Delegation",
     "split_block_emission",
+    "clip_benchmarks",
     "consensus_clip",
     "miner_emission_shares",
     "validator_bonds",
@@ -97,6 +97,31 @@ def split_block_emission(total: float, params: EmissionParams) -> tuple[float, f
     )
 
 
+def clip_benchmarks(weights: np.ndarray, stakes: np.ndarray, kappa: float) -> np.ndarray:
+    """Per-miner consensus benchmark: the largest observed weight backed by
+    at least a kappa fraction of total validator stake.
+
+    The whole matrix is handled in one pass. Each column is sorted by
+    descending weight (stable, so equal weights keep validator order) and
+    its stake accumulated down the column; the backing of a weight is the
+    accumulated stake at the last row of its run of equal weights. Backing
+    never decreases down a column, so the first row that reaches the
+    target lies in the run of the benchmark, and its index is the number
+    of rows below the target. Candidates tied on backing (only possible
+    via zero-stake validators) thus resolve to the larger weight. A column
+    whose full backing falls a rounding error short of the target gets its
+    smallest weight.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    s = np.asarray(stakes, dtype=np.float64)
+    target = kappa * float(np.sum(s))
+    order = np.argsort(-w, axis=0, kind="stable")
+    sorted_w = np.take_along_axis(w, order, axis=0)
+    backing = np.cumsum(s[order], axis=0)
+    pick = np.minimum(np.count_nonzero(backing < target, axis=0), w.shape[0] - 1)
+    return sorted_w[pick, np.arange(w.shape[1])]
+
+
 def consensus_clip(wm: WeightMatrix, kappa: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
     """Clip weights at the per-miner consensus benchmark.
 
@@ -111,7 +136,7 @@ def consensus_clip(wm: WeightMatrix, kappa: float = 0.5) -> tuple[np.ndarray, np
     stakes = wm.stakes
     if float(np.sum(stakes)) <= 0.0:
         raise ValidationError("benchmark undefined: all validator stakes are zero")
-    benchmarks = np.asarray(_kernels.clip_benchmarks(wm.weights, stakes, kappa))
+    benchmarks = clip_benchmarks(wm.weights, stakes, kappa)
     clipped = np.minimum(wm.weights, benchmarks[np.newaxis, :])
     return benchmarks, clipped
 

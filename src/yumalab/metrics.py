@@ -1,7 +1,6 @@
 """Concentration, correlation, and attack-resilience metrics.
 
-Thin validating wrappers around the numeric kernels, plus snapshot-level
-report builders. Degenerate inputs split two ways: concentration metrics
+Validating NumPy metric functions, plus snapshot-level report builders. Degenerate inputs split two ways: concentration metrics
 on zero-mass vectors raise ValidationError, while a Pearson coefficient
 with a zero-variance input is a legitimate "undefined" outcome and comes
 back as None so callers can render gaps instead of crashing.
@@ -15,7 +14,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from yumalab import _kernels
 from yumalab.model import Role, SubnetSnapshot, ValidationError
 
 __all__ = [
@@ -46,19 +44,25 @@ def _as_nonneg_vector(values, name: str) -> np.ndarray:
 
 
 def gini(values) -> float:
-    """Discrete Gini coefficient (mean absolute pairwise difference form)."""
-    x = _as_nonneg_vector(values, "values")
-    if float(np.sum(x)) <= 0.0:
+    """Discrete Gini coefficient (mean absolute pairwise difference form),
+    computed via the sorted-rank identity in O(n log n)."""
+    x = np.sort(_as_nonneg_vector(values, "values"))
+    total = float(np.sum(x))
+    if total <= 0.0:
         raise ValidationError("gini is undefined for an all-zero vector")
-    return float(_kernels.gini(x))
+    n = x.shape[0]
+    ranks = np.arange(1.0, n + 1.0)
+    return (2.0 * float(np.dot(ranks, x)) - (n + 1.0) * total) / (n * total)
 
 
 def hhi(values) -> float:
     """Herfindahl-Hirschman index: sum of squared shares."""
     x = _as_nonneg_vector(values, "values")
-    if float(np.sum(x)) <= 0.0:
+    total = float(np.sum(x))
+    if total <= 0.0:
         raise ValidationError("hhi is undefined for a zero-sum vector")
-    return float(_kernels.hhi(x))
+    shares = x / total
+    return float(np.dot(shares, shares))
 
 
 def top_share(values, fraction: float = 0.01) -> float:
@@ -70,8 +74,10 @@ def top_share(values, fraction: float = 0.01) -> float:
     total = float(np.sum(x))
     if total <= 0.0:
         raise ValidationError("top_share is undefined for a zero-sum vector")
-    k = math.ceil(fraction * x.shape[0])
-    return float(_kernels.topk_sum(x, k)) / total
+    n = x.shape[0]
+    k = math.ceil(fraction * n)
+    top = x if k >= n else np.partition(x, n - k)[n - k:]
+    return float(np.sum(top)) / total
 
 
 def coalition_fraction(stakes, threshold: float = 0.51) -> float:
@@ -87,7 +93,10 @@ def coalition_fraction(stakes, threshold: float = 0.51) -> float:
         raise ValidationError(f"threshold must lie in (0, 1], got {threshold}")
     if float(np.sum(x)) <= 0.0:
         raise ValidationError("coalition_fraction is undefined for a zero-sum vector")
-    return int(_kernels.coalition_count(x, threshold)) / x.shape[0]
+    cumulative = np.cumsum(np.sort(x)[::-1])
+    target = threshold * float(cumulative[-1])
+    m = int(np.searchsorted(cumulative, target, side="left")) + 1
+    return min(m, x.shape[0]) / x.shape[0]
 
 
 def pearson(x, y) -> Optional[float]:
@@ -100,8 +109,14 @@ def pearson(x, y) -> Optional[float]:
         raise ValidationError("pearson requires at least 2 observations")
     if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
         raise ValidationError("pearson inputs must be finite")
-    r = float(_kernels.pearson(xa, ya))
-    return None if math.isnan(r) else r
+    dx = xa - float(np.mean(xa))
+    dy = ya - float(np.mean(ya))
+    sxx = float(np.dot(dx, dx))
+    syy = float(np.dot(dy, dy))
+    if sxx == 0.0 or syy == 0.0:
+        return None
+    r = float(np.dot(dx, dy)) / math.sqrt(sxx * syy)
+    return min(1.0, max(-1.0, r))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from yumalab._util import pmap
 from yumalab.ingest import FREQUENCIES, Dataset, resample
 from yumalab.interventions import (
     SchemeParams,
@@ -270,13 +269,11 @@ def sweep_scheme(
     ordered = sorted(snapshots, key=lambda s: s.netuid)
     prepared = [_SnapshotArrays(snap) for snap in ordered]
 
-    def correlations_at(value: float):
-        return [
-            _point_correlations(arrays, _scheme_rewards(arrays, scheme, value, params))
-            for arrays in prepared
-        ]
-
-    by_value = pmap(correlations_at, grid_values)
+    by_value = [
+        [_point_correlations(arrays, _scheme_rewards(arrays, scheme, value, params))
+         for arrays in prepared]
+        for value in grid_values
+    ]
     baseline = by_value[grid_values.index(null_param)]
 
     points: list[SweepPoint] = []

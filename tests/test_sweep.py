@@ -178,13 +178,6 @@ class TestSweepScheme:
                 for p in result.per_point]
         assert keys == sorted(keys)
 
-    def test_thread_env_does_not_change_results(self, monkeypatch):
-        snaps = seeded_snapshots()
-        sequential = sweep_scheme(snaps, "bonus")
-        monkeypatch.setenv("YUMALAB_THREADS", "4")
-        threaded = sweep_scheme(snaps, "bonus")
-        assert sequential == threaded
-
 
 class TestTradeoffFrontier:
     def test_identity_point_is_baseline(self):
