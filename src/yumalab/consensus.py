@@ -102,15 +102,16 @@ def clip_benchmarks(weights: np.ndarray, stakes: np.ndarray, kappa: float) -> np
     at least a kappa fraction of total validator stake.
 
     The whole matrix is handled in one pass. Each column is sorted by
-    descending weight (stable, so equal weights keep validator order) and
-    its stake accumulated down the column; the backing of a weight is the
+    descending weight and its stake accumulated down the column; the sort
+    is stable, so equal weights keep validator order and the sums do not
+    depend on the sort algorithm. The backing of a weight is the
     accumulated stake at the last row of its run of equal weights. Backing
     never decreases down a column, so the first row that reaches the
-    target lies in the run of the benchmark, and its index is the number
-    of rows below the target. Candidates tied on backing (only possible
-    via zero-stake validators) thus resolve to the larger weight. A column
-    whose full backing falls a rounding error short of the target gets its
-    smallest weight.
+    target lies in the run of the benchmark, and its index is the count of
+    rows whose backing is below the target. Candidates tied on backing
+    (only possible via zero-stake validators) thus resolve to the larger
+    weight. A column whose full backing falls a rounding error short of
+    the target gets its smallest weight.
     """
     w = np.asarray(weights, dtype=np.float64)
     s = np.asarray(stakes, dtype=np.float64)

@@ -1,7 +1,8 @@
 """Concentration, correlation, and attack-resilience metrics.
 
-Validating NumPy metric functions, plus snapshot-level report builders. Degenerate inputs split two ways: concentration metrics
-on zero-mass vectors raise ValidationError, while a Pearson coefficient
+Validating NumPy metric functions, plus snapshot-level report builders.
+Degenerate inputs split two ways: concentration metrics on zero-mass
+vectors raise ValidationError, while a Pearson coefficient
 with a zero-variance input is a legitimate "undefined" outcome and comes
 back as None so callers can render gaps instead of crashing.
 """

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 
 import pytest
 
@@ -64,8 +65,6 @@ def test_output_bytes_match_golden_digests(name, tmp_path):
 
 
 if __name__ == "__main__":
-    import tempfile
-
     with tempfile.TemporaryDirectory() as root:
         table = {name: output_digests(name, os.path.join(root, name))
                  for name in sorted(INVOCATIONS)}
