@@ -1,8 +1,11 @@
-"""Small shared helpers: timestamp parsing and formatting."""
+"""Small shared helpers: timestamp parsing, formatting and epoch microseconds."""
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
 
 def parse_timestamp(text: str) -> datetime:
@@ -21,9 +24,22 @@ def parse_timestamp(text: str) -> datetime:
         raise ValueError(f"invalid timestamp {text!r}") from None
     if dt.tzinfo is None:
         return dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp {text!r} is out of range in UTC") from None
 
 
 def format_timestamp(dt: datetime) -> str:
     """Render an aware datetime as ISO-8601 UTC with a 'Z' suffix."""
     return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
+
+
+def to_epoch_us(dt: datetime) -> int:
+    """Exact microseconds from the Unix epoch to an aware datetime."""
+    return (dt - EPOCH) // _MICROSECOND
+
+
+def from_epoch_us(us: int) -> datetime:
+    """The aware UTC datetime `us` microseconds after the Unix epoch."""
+    return EPOCH + timedelta(microseconds=int(us))

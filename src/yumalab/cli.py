@@ -23,13 +23,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from yumalab._util import format_timestamp, parse_timestamp
+from yumalab._util import format_timestamp, from_epoch_us, parse_timestamp
 from yumalab.consensus import BondState, Delegation, run_tempo
 from yumalab.ingest import (
     DTAO_CUTOFF,
     FREQUENCIES,
     Dataset,
-    apply_cutoff,
     history_snapshots,
     load_events,
     resample,
@@ -167,7 +166,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 def _load_dataset(config: RunConfig) -> Dataset:
     if not config.inputs:
         raise ValidationError("at least one --input file is required")
-    events = []
+    parts = []
     for path in config.inputs:
         if not os.path.exists(path):
             raise ValidationError(f"input file not found: {path}")
@@ -175,11 +174,9 @@ def _load_dataset(config: RunConfig) -> Dataset:
         # format and only disambiguates inputs with unrecognized suffixes.
         suffix = os.path.splitext(path)[1].lower()
         fmt = None if suffix in (".jsonl", ".csv") else config.format
-        events.extend(load_events(path, format=fmt).events)
-    dataset = Dataset.from_events(events)
-    if config.cutoff is not None:
-        dataset = apply_cutoff(dataset, config.cutoff)
-    if not dataset.events:
+        parts.append(load_events(path, format=fmt))
+    dataset = Dataset.concat(parts, cutoff=config.cutoff)
+    if not len(dataset):
         raise ValidationError("no events remain after parsing and cutoff")
     return dataset
 
@@ -198,14 +195,14 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     dataset = _load_dataset(config)
     out_format = config.format or "jsonl"
     events_path = _out(config, f"events.{'csv' if out_format == 'csv' else 'jsonl'}")
-    save_events(dataset.events, events_path, format=out_format)
-    pairs = {(event.wallet, event.netuid) for event in dataset.events}
+    save_events(dataset, events_path, format=out_format)
+    pairs = set(zip(dataset.wallet.tolist(), dataset.netuid.tolist()))
     summary = {
-        "events": len(dataset.events),
+        "events": len(dataset),
         "wallets": len(pairs),
         "netuids": dataset.netuids(),
-        "first_event": format_timestamp(dataset.events[0].timestamp),
-        "last_event": format_timestamp(max(e.timestamp for e in dataset.events)),
+        "first_event": format_timestamp(from_epoch_us(dataset.timestamp[0])),
+        "last_event": format_timestamp(from_epoch_us(dataset.timestamp[-1])),
         "cutoff": format_timestamp(config.cutoff) if config.cutoff else None,
         "events_file": os.path.basename(events_path),
     }
@@ -613,7 +610,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     dataset = generate(cfg)
     out_format = config.format or "jsonl"
     path = _out(config, f"synth.{'csv' if out_format == 'csv' else 'jsonl'}")
-    save_events(dataset.events, path, format=out_format)
+    save_events(dataset, path, format=out_format)
     return 0
 
 

@@ -1,11 +1,13 @@
 """Snapshot-event ingestion: parsing, validation, cutoff, resampling.
 
 Event files are JSON Lines (one object per line) or CSV with a fixed
-header. A Dataset keeps events sorted by (timestamp, netuid, wallet) and
-enforces that every (wallet, netuid) pair holds a single role across the
-whole file. Resampling aggregates events into calendar-aligned UTC windows
-where stake and perf are the last observation in the window and reward is
-the sum over the window.
+header, in UTF-8 with an optional byte-order mark. A Dataset is a table of
+NumPy columns with one row per event, sorted by (timestamp, netuid,
+wallet), holding at most one row per such key, and it enforces that every
+(wallet, netuid) pair holds a single role across the whole table.
+Resampling aggregates rows into calendar-aligned UTC windows where stake
+and perf are the last observation in the window and reward is the sum
+over the window.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import BinaryIO, Iterable, Optional
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from yumalab._util import format_timestamp, parse_timestamp
+import numpy as np
+
+from yumalab._util import EPOCH, format_timestamp, from_epoch_us, parse_timestamp, to_epoch_us
 from yumalab.model import (
     Role,
     SnapshotEntry,
@@ -61,6 +65,25 @@ DTAO_CUTOFF = datetime(2025, 2, 13, tzinfo=timezone.utc)
 
 FREQUENCIES = ("daily", "weekly", "monthly")
 
+# Row columns of a Dataset and their dtypes, in EVENT_COLUMNS order; the
+# `miner` column stands for `role`.
+_COLUMN_TYPES = {
+    "timestamp": np.int64,
+    "block_number": np.int64,
+    "netuid": np.int64,
+    "wallet": np.int64,
+    "miner": np.bool_,
+    "stake": np.float64,
+    "reward": np.float64,
+    "trust": np.float64,
+    "validator_trust": np.float64,
+}
+
+_ROLES = (Role.VALIDATOR, Role.MINER)  # indexed by the miner flag
+_DAY_US = 86_400_000_000
+_CHUNK_ROWS = 4096
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
 
 class ParseError(ValidationError):
     """A malformed input line, carrying its 1-based line number."""
@@ -79,73 +102,342 @@ class RoleConsistencyError(ValidationError):
         super().__init__(f"role conflicts for {len(self.pairs)} (wallet, netuid) pair(s): {listing}")
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """An immutable, validated collection of snapshot events.
+class _Memo(dict):
+    """A dict that fills a missing key with `func(key)`, computed once."""
 
-    `cutoff` records the exclusion bound applied to the data; None means
-    no cutoff has been applied yet.
+    def __init__(self, func: Callable):
+        super().__init__()
+        self.func = func
+
+    def __missing__(self, key):
+        value = self[key] = self.func(key)
+        return value
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """An immutable, validated table of snapshot events, one row per event.
+
+    Rows are sorted by (timestamp, netuid, wallet), with at most one row
+    per key. `timestamp` holds int64 microseconds since the Unix epoch
+    (UTC). `wallet` holds int64 codes into `wallet_names`, a strictly
+    increasing tuple of names, so code order is name order. `miner` is
+    True where the role is miner. An absent score is NaN. Construction
+    makes the column arrays read-only. `cutoff` records the exclusion
+    bound applied to the data; None means no cutoff has been applied yet.
     """
 
-    events: tuple[SnapshotEvent, ...]
+    timestamp: np.ndarray
+    block_number: np.ndarray
+    netuid: np.ndarray
+    wallet: np.ndarray
+    miner: np.ndarray
+    stake: np.ndarray
+    reward: np.ndarray
+    trust: np.ndarray
+    validator_trust: np.ndarray
+    wallet_names: tuple[str, ...]
     cutoff: Optional[datetime] = None
 
     def __post_init__(self) -> None:
-        events = tuple(self.events)
-        object.__setattr__(self, "events", events)
-        previous_key = None
-        for event in events:
-            if not isinstance(event, SnapshotEvent):
-                raise ValidationError("events must be SnapshotEvent instances")
-            key = (event.timestamp, event.netuid, event.wallet)
-            if previous_key is not None and key < previous_key:
-                raise ValidationError(
-                    "events must be sorted by (timestamp, netuid, wallet); "
-                    f"{key} follows {previous_key}"
-                )
-            previous_key = key
+        for name, dtype in _COLUMN_TYPES.items():
+            column = np.asarray(getattr(self, name), dtype=dtype)
+            if column.ndim != 1:
+                raise ValidationError(f"{name} must be a one-dimensional column")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if len({len(getattr(self, name)) for name in _COLUMN_TYPES}) != 1:
+            raise ValidationError("columns must have equal lengths")
+        object.__setattr__(self, "wallet_names", tuple(self.wallet_names))
+        _check_fields(self)
+        ts, netuid, wallet = self.timestamp, self.netuid, self.wallet
+        same_ts, same_netuid = ts[1:] == ts[:-1], netuid[1:] == netuid[:-1]
+        backwards = (ts[1:] < ts[:-1]) | same_ts & (
+            (netuid[1:] < netuid[:-1]) | same_netuid & (wallet[1:] < wallet[:-1])
+        )
+        _reject(
+            backwards,
+            lambda i: "events must be sorted by (timestamp, netuid, wallet); "
+            f"{self._key(i + 1)} follows {self._key(i)}",
+        )
+        _reject(
+            same_ts & same_netuid & (wallet[1:] == wallet[:-1]),
+            lambda i: f"duplicate events for (timestamp, netuid, wallet) {self._key(i)}",
+        )
         if self.cutoff is not None:
-            cutoff = self.cutoff
-            if cutoff.tzinfo is None:
+            if self.cutoff.tzinfo is None:
                 raise ValidationError("cutoff must be timezone-aware")
-            cutoff = cutoff.astimezone(timezone.utc)
+            cutoff = self.cutoff.astimezone(timezone.utc)
             object.__setattr__(self, "cutoff", cutoff)
-            for event in events:
-                if event.timestamp >= cutoff:
-                    raise ValidationError(
-                        f"event at {format_timestamp(event.timestamp)} is not before "
-                        f"the cutoff {format_timestamp(cutoff)}"
-                    )
-        _check_role_consistency(events)
+            _reject(
+                ts >= to_epoch_us(cutoff),
+                lambda i: f"event at {format_timestamp(from_epoch_us(ts[i]))} is not before "
+                f"the cutoff {format_timestamp(cutoff)}",
+            )
+        _check_role_consistency(self)
 
     @classmethod
     def from_events(cls, events: Iterable[SnapshotEvent], cutoff: Optional[datetime] = None) -> "Dataset":
         """Sort events into canonical order and validate."""
-        ordered = sorted(events, key=lambda e: (e.timestamp, e.netuid, e.wallet))
-        return cls(events=tuple(ordered), cutoff=cutoff)
+        events = list(events)
+        if not all(isinstance(event, SnapshotEvent) for event in events):
+            raise ValidationError("events must be SnapshotEvent instances")
+        names = sorted({event.wallet for event in events})
+        code = {name: i for i, name in enumerate(names)}
+        micros = _Memo(to_epoch_us)
+        # np.fromiter fills each column without an intermediate list, so
+        # the events and the columns are the only copies alive at once.
+        values = {
+            "timestamp": lambda e: micros[e.timestamp],
+            "block_number": lambda e: e.block_number,
+            "netuid": lambda e: e.netuid,
+            "wallet": lambda e: code[e.wallet],
+            "miner": lambda e: e.role is Role.MINER,
+            "stake": lambda e: e.stake,
+            "reward": lambda e: e.reward,
+            "trust": lambda e: math.nan if e.trust is None else e.trust,
+            "validator_trust": lambda e: math.nan if e.validator_trust is None else e.validator_trust,
+        }
+        try:
+            columns = {
+                name: np.fromiter(map(value, events), dtype=_COLUMN_TYPES[name], count=len(events))
+                for name, value in values.items()
+            }
+        except OverflowError:
+            raise ValidationError("block_number and netuid must fit in int64") from None
+        return _sorted_dataset(columns, names, cutoff)
+
+    @classmethod
+    def concat(cls, datasets: Sequence["Dataset"], cutoff: Optional[datetime] = None) -> "Dataset":
+        """Merge one or more datasets into one, keeping only rows strictly
+        before `cutoff` when it is given.
+
+        The wallet tables are merged and the rows sorted again, so rows
+        from different datasets may interleave; a key present in two of
+        them is a duplicate and rejected.
+        """
+        names = sorted(set().union(*(dataset.wallet_names for dataset in datasets)))
+        code = {name: i for i, name in enumerate(names)}
+        columns = {
+            name: np.concatenate([getattr(dataset, name) for dataset in datasets])
+            for name in _COLUMN_TYPES
+            if name != "wallet"
+        }
+        columns["wallet"] = np.concatenate([
+            np.array([code[name] for name in dataset.wallet_names], dtype=np.int64)[dataset.wallet]
+            for dataset in datasets
+        ])
+        if cutoff is not None:
+            if cutoff.tzinfo is None:
+                raise ValidationError("cutoff must be timezone-aware")
+            cutoff = cutoff.astimezone(timezone.utc)
+            keep = columns["timestamp"] < to_epoch_us(cutoff)
+            columns = {name: column[keep] for name, column in columns.items()}
+        return _sorted_dataset(columns, names, cutoff)
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.timestamp)
 
     def netuids(self) -> list[int]:
-        return sorted({event.netuid for event in self.events})
+        return np.unique(self.netuid).tolist()
+
+    @property
+    def events(self) -> tuple[SnapshotEvent, ...]:
+        """The rows as SnapshotEvent objects, built anew on each access."""
+        return tuple(SnapshotEvent(*record) for record in self._records(from_epoch_us))
+
+    def _records(self, stamp: Callable[[int], object]) -> Iterator[tuple]:
+        """Row tuples in EVENT_COLUMNS order, with the timestamp as
+        `stamp(microseconds)`, the role as a Role and None for an absent score."""
+        stamps = _Memo(stamp)
+        names = self.wallet_names
+        # Python values for one chunk of rows at a time bound the memory.
+        for first in range(0, len(self), _CHUNK_ROWS):
+            chunk = (getattr(self, name)[first:first + _CHUNK_ROWS].tolist() for name in _COLUMN_TYPES)
+            for ts, block, netuid, wallet, miner, stake, reward, trust, vtrust in zip(*chunk):
+                yield (
+                    stamps[ts],
+                    block,
+                    netuid,
+                    names[wallet],
+                    _ROLES[miner],
+                    stake,
+                    reward,
+                    None if trust != trust else trust,
+                    None if vtrust != vtrust else vtrust,
+                )
+
+    def _key(self, row: int) -> tuple[str, int, str]:
+        return (
+            format_timestamp(from_epoch_us(self.timestamp[row])),
+            int(self.netuid[row]),
+            self.wallet_names[self.wallet[row]],
+        )
 
 
-def _check_role_consistency(events: Iterable[SnapshotEvent]) -> None:
-    roles: dict[tuple[str, int], Role] = {}
-    conflicts: set[tuple[str, int]] = set()
-    for event in events:
-        key = (event.wallet, event.netuid)
-        known = roles.setdefault(key, event.role)
-        if known is not event.role:
-            conflicts.add(key)
-    if conflicts:
-        raise RoleConsistencyError(conflicts)
+def _reject(bad: np.ndarray, message: Callable[[int], str]) -> None:
+    """Raise ValidationError(message(i)) for the first row i flagged in `bad`."""
+    if bad.any():
+        raise ValidationError(message(int(np.argmax(bad))))
+
+
+def _check_fields(dataset: Dataset) -> None:
+    """The per-event rules of SnapshotEvent, checked on whole columns."""
+    names = dataset.wallet_names
+    if not all(type(name) is str and name for name in names):
+        raise ValidationError("wallet must be a non-empty string")
+    if any(a >= b for a, b in zip(names, names[1:])):
+        raise ValidationError("wallet_names must be strictly increasing")
+    wallet = dataset.wallet
+    _reject((wallet < 0) | (wallet >= len(names)), lambda i: f"wallet code {wallet[i]} is not in wallet_names")
+    for name in ("block_number", "netuid"):
+        column = getattr(dataset, name)
+        _reject(column < 0, lambda i: f"{name} must be >= 0, got {column[i]}")
+    for name in ("stake", "reward"):
+        column = getattr(dataset, name)
+        _reject(~np.isfinite(column), lambda i: f"{name} must be finite, got {column[i].item()!r}")
+        _reject(column < 0.0, lambda i: f"{name} must be >= 0, got {column[i].item()}")
+    for name, holder, other in (
+        ("trust", dataset.miner, "non-miner"),
+        ("validator_trust", ~dataset.miner, "non-validator"),
+    ):
+        score = getattr(dataset, name)
+        _reject(~np.isnan(score) & ~holder, lambda i: f"{name} set on {other} wallet {names[wallet[i]]!r}")
+        _reject(np.isinf(score), lambda i: f"{name} must be finite, got {score[i].item()!r}")
+        _reject((score < 0.0) | (score > 1.0), lambda i: f"{name} must lie in [0, 1], got {score[i].item()}")
+
+
+def _check_role_consistency(dataset: Dataset) -> None:
+    order = np.lexsort((dataset.netuid, dataset.wallet))
+    wallet, netuid, miner = dataset.wallet[order], dataset.netuid[order], dataset.miner[order]
+    flips = (wallet[1:] == wallet[:-1]) & (netuid[1:] == netuid[:-1]) & (miner[1:] != miner[:-1])
+    if flips.any():
+        names = dataset.wallet_names
+        raise RoleConsistencyError(
+            {(names[w], n) for w, n in zip(wallet[1:][flips].tolist(), netuid[1:][flips].tolist())}
+        )
+
+
+def _sorted_dataset(columns: dict[str, np.ndarray], wallet_names: Sequence[str],
+                    cutoff: Optional[datetime] = None) -> Dataset:
+    """A validated Dataset of `columns` in canonical row order.
+
+    Empties `columns`: each unsorted column is released once its sorted
+    copy exists, so at most one extra column is alive at a time.
+    """
+    order = np.lexsort((columns["wallet"], columns["netuid"], columns["timestamp"]))
+    return Dataset(
+        **{name: columns.pop(name)[order] for name in _COLUMN_TYPES},
+        wallet_names=tuple(wallet_names),
+        cutoff=cutoff,
+    )
 
 
 # ---------------------------------------------------------------------------
-# Parsing and serialization
+# Parsing
+#
+# Files are read twice only when they are malformed: the columnar readers
+# stream rows into one list per column and leave every check they do not
+# make themselves to Dataset validation. When either fails, the per-line
+# readers below read the file again and raise the ParseError that names
+# the line; they also read correctly the few valid inputs the columnar
+# readers are stricter about, such as "" for a JSONL score.
 # ---------------------------------------------------------------------------
+
+
+# Every error the columnar readers raise for malformed input.
+_COLUMNAR_FAILURES = (ValueError, TypeError, LookupError, ArithmeticError, csv.Error)
+_NUMBER = {int, float}
+_SCORE = {int, float, type(None)}
+
+
+def _timestamp_us(raw) -> int:
+    if type(raw) is not str:
+        raise TypeError("timestamp must be a string")
+    return to_epoch_us(parse_timestamp(raw))
+
+
+def _is_miner(raw) -> bool:
+    if type(raw) is not str:
+        raise TypeError("role must be a string")
+    return Role.parse(raw) is Role.MINER
+
+
+def _read_jsonl_columns(text: io.TextIOWrapper) -> Dataset:
+    columns = {name: [] for name in _COLUMN_TYPES}
+    add_ts, add_block, add_netuid, add_wallet, add_miner, add_stake, add_reward, add_trust, add_vtrust = (
+        column.append for column in columns.values()
+    )
+    times, roles, codes = _Memo(_timestamp_us), _Memo(_is_miner), {}
+    loads = json.loads
+    for line in text:
+        if line.isspace():
+            continue
+        record = loads(line)
+        add_ts(times[record["timestamp"]])
+        add_block(record["block_number"])
+        add_netuid(record["netuid"])
+        add_wallet(codes.setdefault(record["wallet"], len(codes)))
+        add_miner(roles[record["role"]])
+        add_stake(record["stake"])
+        add_reward(record["reward"])
+        add_trust(record.get("trust"))
+        add_vtrust(record.get("validator_trust"))
+    return _pack(columns, codes)
+
+
+def _read_csv_columns(text: io.TextIOWrapper) -> Dataset:
+    columns = {name: [] for name in _COLUMN_TYPES}
+    add_ts, add_block, add_netuid, add_wallet, add_miner, add_stake, add_reward, add_trust, add_vtrust = (
+        column.append for column in columns.values()
+    )
+    times, roles, codes = _Memo(_timestamp_us), _Memo(_is_miner), {}
+    reader = csv.reader(text)
+    header = next(reader, None)
+    if header is not None and tuple(header) != EVENT_COLUMNS:
+        raise ValueError("unexpected CSV header")
+    for row in reader:
+        if not row:
+            continue
+        stamp, block, netuid, wallet, role, stake, reward, trust, vtrust = row
+        add_ts(times[stamp])
+        add_block(int(block))
+        add_netuid(int(netuid))
+        add_wallet(codes.setdefault(wallet, len(codes)))
+        add_miner(roles[role])
+        add_stake(float(stake))
+        add_reward(float(reward))
+        add_trust(float(trust) if trust else None)
+        add_vtrust(float(vtrust) if vtrust else None)
+    return _pack(columns, codes)
+
+
+def _pack(columns: dict[str, list], codes: dict) -> Dataset:
+    """Check the value types the JSONL rules require, then build the Dataset.
+
+    `codes` maps each wallet to its code in order of first appearance.
+    None marks an absent score; a score that is NaN itself is rejected.
+    """
+    def kinds(*names: str) -> set[type]:
+        return set().union(*(map(type, columns[name]) for name in names))
+
+    if not (
+        kinds("block_number", "netuid") <= {int}
+        and kinds("stake", "reward") <= _NUMBER
+        and kinds("trust", "validator_trust") <= _SCORE
+        and all(type(name) is str and name for name in codes)
+    ):
+        raise TypeError("a value has the wrong type")
+    for name in ("trust", "validator_trust"):
+        if any(score != score for score in columns[name]):
+            raise ValueError(f"{name} is NaN")
+    names = sorted(codes)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[[codes[name] for name in names]] = np.arange(len(names))
+    # Each list is released as soon as its array exists.
+    arrays = {name: np.array(columns.pop(name), dtype=dtype) for name, dtype in _COLUMN_TYPES.items()}
+    arrays["wallet"] = rank[arrays["wallet"]]
+    return _sorted_dataset(arrays, names)
 
 
 def _optional_score(raw, field: str, line: int) -> Optional[float]:
@@ -166,9 +458,12 @@ def _required_float(raw, field: str, line: int) -> float:
 
 def _required_int(raw, field: str, line: int) -> int:
     try:
-        return int(raw)
+        value = int(raw)
     except (TypeError, ValueError):
         raise ParseError(line, f"invalid {field}: {raw!r}") from None
+    if not _INT64_MIN <= value <= _INT64_MAX:
+        raise ParseError(line, f"{field} does not fit in 64 bits: {raw!r}")
+    return value
 
 
 def _event_from_fields(fields: dict, line: int) -> SnapshotEvent:
@@ -197,27 +492,31 @@ def _event_from_fields(fields: dict, line: int) -> SnapshotEvent:
         raise ParseError(line, str(exc)) from None
 
 
-def parse_events(source: BinaryIO, format: str = "jsonl") -> Dataset:
-    """Parse an event stream into a validated Dataset.
-
-    Raises ParseError (with the offending 1-based line number) on malformed
-    input and RoleConsistencyError when a (wallet, netuid) pair appears
-    under both roles.
-    """
-    if format not in ("jsonl", "csv"):
-        raise ValidationError(f"unknown format {format!r} (expected jsonl or csv)")
-    text = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    try:
-        if format == "jsonl":
-            events = _parse_jsonl(text)
-        else:
-            events = _parse_csv(text)
-    finally:
-        text.detach()
-    return Dataset.from_events(events)
+# The JSON type each JSONL field must have; a bool is not a JSON integer
+# or number here.
+_JSON_TYPES = {
+    "timestamp": ((str,), "string"),
+    "block_number": ((int,), "integer"),
+    "netuid": ((int,), "integer"),
+    "wallet": ((str,), "string"),
+    "role": ((str,), "string"),
+    "stake": ((int, float), "number"),
+    "reward": ((int, float), "number"),
+    "trust": ((int, float), "number"),
+    "validator_trust": ((int, float), "number"),
+}
 
 
-def _parse_jsonl(text: io.TextIOWrapper) -> list[SnapshotEvent]:
+def _check_json_types(record: dict, line: int) -> None:
+    """Reject a JSONL value of the wrong JSON type. null and "" are left
+    to the missing-field and absent-score rules, as in CSV."""
+    for field, (types, kind) in _JSON_TYPES.items():
+        value = record.get(field)
+        if value is not None and value != "" and type(value) not in types:
+            raise ParseError(line, f"{field} must be a JSON {kind}, got {value!r}")
+
+
+def _read_jsonl_events(text: io.TextIOWrapper) -> list[SnapshotEvent]:
     events: list[SnapshotEvent] = []
     for line_number, line in enumerate(text, start=1):
         stripped = line.strip()
@@ -229,11 +528,12 @@ def _parse_jsonl(text: io.TextIOWrapper) -> list[SnapshotEvent]:
             raise ParseError(line_number, f"invalid JSON: {exc.msg}") from None
         if not isinstance(obj, dict):
             raise ParseError(line_number, "expected a JSON object")
+        _check_json_types(obj, line_number)
         events.append(_event_from_fields(obj, line_number))
     return events
 
 
-def _parse_csv(text: io.TextIOWrapper) -> list[SnapshotEvent]:
+def _read_csv_events(text: io.TextIOWrapper) -> list[SnapshotEvent]:
     reader = csv.reader(text)
     try:
         header = next(reader)
@@ -251,6 +551,39 @@ def _parse_csv(text: io.TextIOWrapper) -> list[SnapshotEvent]:
     return events
 
 
+_READERS = {
+    "jsonl": (_read_jsonl_columns, _read_jsonl_events),
+    "csv": (_read_csv_columns, _read_csv_events),
+}
+
+
+def _read_text(source: BinaryIO, reader: Callable):
+    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
+    try:
+        return reader(text)
+    finally:
+        text.detach()
+
+
+def parse_events(source: BinaryIO, format: str = "jsonl") -> Dataset:
+    """Parse a seekable event stream into a validated Dataset.
+
+    Raises ParseError (with the offending 1-based line number) on malformed
+    input, RoleConsistencyError when a (wallet, netuid) pair appears under
+    both roles and ValidationError when a (timestamp, netuid, wallet) key
+    appears twice.
+    """
+    if format not in _READERS:
+        raise ValidationError(f"unknown format {format!r} (expected jsonl or csv)")
+    columnar, per_line = _READERS[format]
+    start = source.tell()
+    try:
+        return _read_text(source, columnar)
+    except _COLUMNAR_FAILURES:
+        source.seek(start)
+    return Dataset.from_events(_read_text(source, per_line))
+
+
 def load_events(path, format: Optional[str] = None) -> Dataset:
     """Parse a file path, inferring the format from the suffix by default."""
     path = str(path)
@@ -260,64 +593,75 @@ def load_events(path, format: Optional[str] = None) -> Dataset:
         return parse_events(handle, format=format)
 
 
-def _event_to_mapping(event: SnapshotEvent) -> dict:
-    obj = {
-        "timestamp": format_timestamp(event.timestamp),
-        "block_number": event.block_number,
-        "netuid": event.netuid,
-        "wallet": event.wallet,
-        "role": event.role.value,
-        "stake": event.stake,
-        "reward": event.reward,
-    }
-    if event.trust is not None:
-        obj["trust"] = event.trust
-    if event.validator_trust is not None:
-        obj["validator_trust"] = event.validator_trust
-    return obj
+# ---------------------------------------------------------------------------
+# Serialization
+# ---------------------------------------------------------------------------
 
 
-def _score_cell(score: Optional[float]) -> str:
-    return "" if score is None else repr(score)
+def _format_epoch_us(us: int) -> str:
+    return format_timestamp(from_epoch_us(us))
 
 
-def write_events(events: Iterable[SnapshotEvent], sink: BinaryIO, format: str = "jsonl") -> None:
-    """Serialize events in a form parse_events reads back losslessly.
+def _event_records(events: Iterable[SnapshotEvent]) -> Iterator[tuple]:
+    """Row tuples of `events` in the form of Dataset._records, timestamps as text."""
+    stamps = _Memo(format_timestamp)
+    for e in events:
+        yield (stamps[e.timestamp], e.block_number, e.netuid, e.wallet, e.role,
+               e.stake, e.reward, e.trust, e.validator_trust)
+
+
+def _jsonl_line(record: tuple, quote: _Memo) -> str:
+    # The bytes json.dump(..., separators=(",", ":")) writes for the
+    # record's mapping: JSON-quoted strings, repr for floats and ints.
+    stamp, block, netuid, wallet, role, stake, reward, trust, vtrust = record
+    line = (
+        f'{{"timestamp":{quote[stamp]},"block_number":{block!r},"netuid":{netuid!r},'
+        f'"wallet":{quote[wallet]},"role":{quote[role.value]},"stake":{stake!r},"reward":{reward!r}'
+    )
+    if trust is not None:
+        line += f',"trust":{trust!r}'
+    if vtrust is not None:
+        line += f',"validator_trust":{vtrust!r}'
+    return line + "}\n"
+
+
+def _csv_row(record: tuple) -> tuple:
+    stamp, block, netuid, wallet, role, stake, reward, trust, vtrust = record
+    return (
+        stamp, block, netuid, wallet, role.value, repr(stake), repr(reward),
+        "" if trust is None else repr(trust),
+        "" if vtrust is None else repr(vtrust),
+    )
+
+
+def write_events(events: Union[Dataset, Iterable[SnapshotEvent]], sink: BinaryIO, format: str = "jsonl") -> None:
+    """Serialize a Dataset's rows, or events in the given order, in a form
+    parse_events reads back losslessly.
 
     Floats are written with full round-trip precision (repr), so a
     write/parse cycle reproduces the exact same values.
     """
-    if format not in ("jsonl", "csv"):
+    if format not in _READERS:
         raise ValidationError(f"unknown format {format!r} (expected jsonl or csv)")
+    if isinstance(events, Dataset):
+        records = events._records(_format_epoch_us)
+    else:
+        records = _event_records(events)
     text = io.TextIOWrapper(sink, encoding="utf-8", newline="")
     try:
         if format == "jsonl":
-            for event in events:
-                json.dump(_event_to_mapping(event), text, separators=(",", ":"))
-                text.write("\n")
+            quote = _Memo(json.dumps)
+            text.writelines(_jsonl_line(record, quote) for record in records)
         else:
             writer = csv.writer(text, lineterminator="\n")
             writer.writerow(EVENT_COLUMNS)
-            for event in events:
-                writer.writerow(
-                    (
-                        format_timestamp(event.timestamp),
-                        event.block_number,
-                        event.netuid,
-                        event.wallet,
-                        event.role.value,
-                        repr(event.stake),
-                        repr(event.reward),
-                        _score_cell(event.trust),
-                        _score_cell(event.validator_trust),
-                    )
-                )
+            writer.writerows(_csv_row(record) for record in records)
         text.flush()
     finally:
         text.detach()
 
 
-def save_events(events: Iterable[SnapshotEvent], path, format: Optional[str] = None) -> None:
+def save_events(events: Union[Dataset, Iterable[SnapshotEvent]], path, format: Optional[str] = None) -> None:
     path = str(path)
     if format is None:
         format = "csv" if path.endswith(".csv") else "jsonl"
@@ -332,20 +676,18 @@ def save_events(events: Iterable[SnapshotEvent], path, format: Optional[str] = N
 
 def apply_cutoff(dataset: Dataset, cutoff: datetime = DTAO_CUTOFF) -> Dataset:
     """Keep exactly the events with timestamp strictly before the cutoff."""
-    if cutoff.tzinfo is None:
-        raise ValidationError("cutoff must be timezone-aware")
-    cutoff = cutoff.astimezone(timezone.utc)
-    kept = tuple(event for event in dataset.events if event.timestamp < cutoff)
-    return Dataset(events=kept, cutoff=cutoff)
+    return Dataset.concat((dataset,), cutoff=cutoff)
 
 
-def _window_start(ts: datetime, freq: str) -> datetime:
-    day = datetime(ts.year, ts.month, ts.day, tzinfo=timezone.utc)
-    if freq == "daily":
-        return day
+def _window_keys(timestamp: np.ndarray, freq: str) -> tuple[np.ndarray, Callable[[int], datetime]]:
+    """Each row's window as an int64 key, and the window start of a key."""
+    if freq == "monthly":
+        months = timestamp.astype("datetime64[us]").astype("datetime64[M]").astype(np.int64)
+        return months, lambda key: datetime(1970 + key // 12, key % 12 + 1, 1, tzinfo=timezone.utc)
+    days = timestamp // _DAY_US
     if freq == "weekly":
-        return day - timedelta(days=day.weekday())
-    return datetime(ts.year, ts.month, 1, tzinfo=timezone.utc)
+        days = days - (days + 3) % 7  # back to Monday; 1970-01-01 was a Thursday
+    return days, lambda key: EPOCH + timedelta(days=key)
 
 
 def _window_end(start: datetime, freq: str) -> datetime:
@@ -358,29 +700,59 @@ def _window_end(start: datetime, freq: str) -> datetime:
     return datetime(start.year, start.month + 1, 1, tzinfo=timezone.utc)
 
 
-def _build_snapshots(
-    groups: dict[tuple[int, datetime], dict[str, tuple[SnapshotEvent, list[float]]]],
-    window_end,
+def _aggregate(
+    dataset: Dataset,
+    window: np.ndarray,
+    bounds: Callable[[int], tuple[datetime, datetime]],
 ) -> list[SubnetSnapshot]:
-    snapshots = []
-    for (netuid, start) in sorted(groups):
-        per_wallet = groups[(netuid, start)]
-        entries = tuple(
-            SnapshotEntry(
-                wallet=wallet,
-                role=last.role,
-                stake=last.stake,
-                reward=math.fsum(rewards),
-                perf=last.perf,
-            )
-            for wallet, (last, rewards) in sorted(per_wallet.items())
+    """One snapshot per (netuid, window) with one entry per wallet.
+
+    A stable lexsort groups rows by (netuid, window, wallet) and keeps each
+    group's rows in time order, so a group's last row gives stake and perf.
+    `bounds(key)` is the (start, end) of window `key`.
+    """
+    order = np.lexsort((dataset.wallet, window, dataset.netuid))
+    netuid, window, wallet = dataset.netuid[order], window[order], dataset.wallet[order]
+    new_snapshot = np.ones(len(order), dtype=bool)
+    new_snapshot[1:] = (netuid[1:] != netuid[:-1]) | (window[1:] != window[:-1])
+    new_entry = new_snapshot.copy()
+    new_entry[1:] |= wallet[1:] != wallet[:-1]
+    starts = np.flatnonzero(new_entry)
+    ends = np.append(starts[1:], len(order))
+    last = order[ends - 1]
+    miner = dataset.miner[last]
+    perf = np.where(miner, dataset.trust[last], dataset.validator_trust[last])
+    perf[np.isnan(perf)] = 0.0
+    rewards = dataset.reward[order].tolist()
+    names = dataset.wallet_names
+    entries = [
+        SnapshotEntry(
+            wallet=names[code],
+            role=_ROLES[is_miner],
+            stake=stake,
+            reward=math.fsum(rewards[start:end]),
+            perf=score,
         )
+        for code, is_miner, stake, score, start, end in zip(
+            dataset.wallet[last].tolist(),
+            miner.tolist(),
+            dataset.stake[last].tolist(),
+            perf.tolist(),
+            starts.tolist(),
+            ends.tolist(),
+        )
+    ]
+    firsts = np.flatnonzero(new_snapshot[starts]).tolist()
+    snapshots = []
+    for first, stop in zip(firsts, firsts[1:] + [len(entries)]):
+        row = starts[first]
+        window_start, window_end = bounds(int(window[row]))
         snapshots.append(
             SubnetSnapshot(
-                netuid=netuid,
-                window_start=start,
-                window_end=window_end(start),
-                entries=entries,
+                netuid=int(netuid[row]),
+                window_start=window_start,
+                window_end=window_end,
+                entries=tuple(entries[first:stop]),
             )
         )
     return snapshots
@@ -395,17 +767,15 @@ def resample(dataset: Dataset, freq: str = "daily") -> list[SubnetSnapshot]:
     """
     if freq not in FREQUENCIES:
         raise ValidationError(f"unknown frequency {freq!r} (expected one of {FREQUENCIES})")
-    if not dataset.events:
+    if not len(dataset):
         raise ValidationError("cannot resample an empty dataset")
-    groups: dict[tuple[int, datetime], dict[str, tuple[SnapshotEvent, list[float]]]] = {}
-    for event in dataset.events:
-        key = (event.netuid, _window_start(event.timestamp, freq))
-        per_wallet = groups.setdefault(key, {})
-        previous = per_wallet.get(event.wallet)
-        rewards = previous[1] if previous is not None else []
-        rewards.append(event.reward)
-        per_wallet[event.wallet] = (event, rewards)
-    return _build_snapshots(groups, lambda start: _window_end(start, freq))
+    window, start_of = _window_keys(dataset.timestamp, freq)
+
+    def bounds(key: int) -> tuple[datetime, datetime]:
+        start = start_of(key)
+        return start, _window_end(start, freq)
+
+    return _aggregate(dataset, window, bounds)
 
 
 def history_snapshots(dataset: Dataset) -> list[SubnetSnapshot]:
@@ -415,17 +785,8 @@ def history_snapshots(dataset: Dataset) -> list[SubnetSnapshot]:
     event's day, shared by all subnets; aggregation follows the resample
     rules (last stake/perf, summed reward).
     """
-    if not dataset.events:
+    if not len(dataset):
         raise ValidationError("cannot aggregate an empty dataset")
-    first = _window_start(dataset.events[0].timestamp, "daily")
-    last = max(event.timestamp for event in dataset.events)
-    end = _window_start(last, "daily") + timedelta(days=1)
-    groups: dict[tuple[int, datetime], dict[str, tuple[SnapshotEvent, list[float]]]] = {}
-    for event in dataset.events:
-        key = (event.netuid, first)
-        per_wallet = groups.setdefault(key, {})
-        previous = per_wallet.get(event.wallet)
-        rewards = previous[1] if previous is not None else []
-        rewards.append(event.reward)
-        per_wallet[event.wallet] = (event, rewards)
-    return _build_snapshots(groups, lambda start: end)
+    first, last = int(dataset.timestamp[0]), int(dataset.timestamp[-1])
+    span = (from_epoch_us(first - first % _DAY_US), from_epoch_us(last - last % _DAY_US + _DAY_US))
+    return _aggregate(dataset, np.zeros(len(dataset), dtype=np.int64), lambda _: span)

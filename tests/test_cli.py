@@ -135,6 +135,27 @@ class TestAttack:
         assert all(h >= l for l, h in zip(low, high))
 
 
+    @pytest.mark.parametrize("first", ["a", "b"])
+    def test_duplicate_row_across_inputs_fails_in_either_order(self, tmp_path, capsys, first):
+        rows = [
+            ("2024-01-01T00:00:00Z", "w1", 10.0),
+            ("2024-01-01T00:00:00Z", "w2", 20.0),
+            ("2024-01-01T00:00:00Z", "w3", 30.0),
+        ]
+        paths = {}
+        for name, chosen in (("a", rows), ("b", rows[:1])):
+            paths[name] = tmp_path / f"{name}.jsonl"
+            paths[name].write_text("".join(
+                json.dumps({"timestamp": stamp, "block_number": 1, "netuid": 1, "wallet": wallet,
+                            "role": "validator", "stake": stake, "reward": 1.0}) + "\n"
+                for stamp, wallet, stake in chosen
+            ))
+        order = [str(paths[first]), str(paths["b" if first == "a" else "a"])]
+        assert run_cli("attack", "--input", *order, "--out", str(tmp_path / "out")) == 1
+        assert "duplicate events for (timestamp, netuid, wallet) ('2024-01-01T00:00:00Z', 1, 'w1')" \
+            in capsys.readouterr().err
+
+
 class TestTempo:
     def test_emission_output(self, tmp_path, tempo_instance_path):
         assert run_cli("tempo", "--input", tempo_instance_path, "--out", str(tmp_path)) == 0

@@ -1,12 +1,19 @@
 """Event parsing, serialization round-trips, cutoff, and resampling."""
 
+import csv
 import io
 import json
 import math
+import os
+import tempfile
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from yumalab import ingest
+from yumalab.cli import run as run_cli
 from yumalab.ingest import (
     DTAO_CUTOFF,
     Dataset,
@@ -72,6 +79,13 @@ class TestParsing:
             parse_events(io.BytesIO(good + b"{not json}\n"))
         assert exc_info.value.line == 2
 
+    @pytest.mark.parametrize("line", [b"[1, 2]", b'"text"', b"null", b"7"])
+    def test_non_object_line_reports_line(self, line):
+        buffer = io.BytesIO()
+        write_events([event()], buffer)
+        with pytest.raises(ParseError, match="line 2: expected a JSON object"):
+            parse_events(io.BytesIO(buffer.getvalue() + line + b"\n"))
+
     def test_missing_field_reports_line(self):
         record = {"timestamp": "2024-01-01T00:00:00Z", "netuid": 1}
         data = (json.dumps(record) + "\n").encode()
@@ -85,6 +99,15 @@ class TestParsing:
             "wallet": "w", "role": "miner", "stake": 1.0, "reward": 0.0,
         }
         with pytest.raises(ParseError):
+            parse_events(io.BytesIO((json.dumps(record) + "\n").encode()))
+
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:00:00-05:00"])
+    def test_timestamp_out_of_range_in_utc_is_parse_error(self, stamp):
+        record = {
+            "timestamp": stamp, "block_number": 1, "netuid": 1,
+            "wallet": "w", "role": "miner", "stake": 1.0, "reward": 0.0,
+        }
+        with pytest.raises(ParseError, match="line 1: timestamp .* is out of range in UTC"):
             parse_events(io.BytesIO((json.dumps(record) + "\n").encode()))
 
     def test_csv_requires_exact_header(self):
@@ -103,6 +126,41 @@ class TestParsing:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValidationError):
             parse_events(io.BytesIO(b""), format="xml")
+
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    def test_utf8_byte_order_mark_is_accepted(self, format):
+        buffer = io.BytesIO()
+        write_events([event(wallet="a"), event(wallet="b")], buffer, format=format)
+        with_bom = parse_events(io.BytesIO(b"\xef\xbb\xbf" + buffer.getvalue()), format=format)
+        assert [e.wallet for e in with_bom.events] == ["a", "b"]
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("block_number", 1.7, "integer"),
+        ("netuid", True, "integer"),
+        ("wallet", 123, "string"),
+        ("stake", "1", "number"),
+    ])
+    def test_jsonl_values_need_their_json_type(self, field, value, kind):
+        record = {
+            "timestamp": "2024-01-01T00:00:00Z", "block_number": 1, "netuid": 1,
+            "wallet": "w", "role": "miner", "stake": 1.0, "reward": 0.0,
+        }
+        good = json.dumps(record) + "\n"
+        record[field] = value
+        with pytest.raises(ParseError) as exc_info:
+            parse_events(io.BytesIO((good + json.dumps(record) + "\n").encode()))
+        assert exc_info.value.line == 2
+        assert f"{field} must be a JSON {kind}, got {value!r}" in str(exc_info.value)
+
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    def test_integer_beyond_int64_is_parse_error(self, format):
+        buffer = io.BytesIO()
+        write_events([event()], buffer, format=format)
+        data = buffer.getvalue().replace(b"7200", str(2**63).encode())
+        with pytest.raises(ParseError) as exc_info:
+            parse_events(io.BytesIO(data), format=format)
+        assert exc_info.value.line == (1 if format == "jsonl" else 2)
+        assert "block_number does not fit in 64 bits" in str(exc_info.value)
 
 
 class TestRoundTrip:
@@ -167,6 +225,18 @@ class TestDataset:
         ]
         ds = Dataset.from_events(events)
         assert len(ds) == 2
+
+    def test_duplicate_key_rejected(self):
+        events = [event(wallet="w", reward=1.0), event(wallet="w", reward=2.0)]
+        with pytest.raises(ValidationError, match="duplicate events .*'2024-01-01T00:00:00Z', 1, 'w'"):
+            Dataset.from_events(events)
+
+    def test_concat_merges_wallet_tables_and_applies_cutoff(self):
+        first = Dataset.from_events([event(day=2, wallet="b"), event(day=20, wallet="c")])
+        second = Dataset.from_events([event(day=1, wallet="a"), event(day=3, wallet="c")])
+        merged = Dataset.concat([first, second], cutoff=ts(10))
+        assert [(e.timestamp.day, e.wallet) for e in merged.events] == [(1, "a"), (2, "b"), (3, "c")]
+        assert merged.cutoff == ts(10)
 
     def test_netuids_sorted_unique(self):
         events = [event(netuid=5, wallet="a"), event(netuid=2, wallet="b"), event(netuid=5, wallet="c")]
@@ -236,37 +306,12 @@ class TestResample:
         assert keys == sorted(keys)
 
     def test_brute_force_grouping_oracle(self):
-        # Independent grouping: bucket events by calendar key, keep the last
-        # stake and the fsum of rewards per wallet, compare with resample().
         events = []
         for day in range(1, 25):
             for wallet in ("a", "b", "c"):
                 events.append(event(day=day, hour=(day * 7) % 24, wallet=wallet,
                                     stake=float(day), reward=0.1 * day))
-        ds = Dataset.from_events(events)
-
-        def calendar_key(stamp, freq):
-            if freq == "daily":
-                return (stamp.year, stamp.month, stamp.day)
-            if freq == "weekly":
-                return stamp.isocalendar()[:2]
-            return (stamp.year, stamp.month)
-
-        for freq in ("daily", "weekly", "monthly"):
-            buckets = {}
-            for ev in ds.events:
-                key = (ev.netuid, calendar_key(ev.timestamp, freq))
-                buckets.setdefault(key, {}).setdefault(ev.wallet, []).append(ev)
-            snaps = resample(ds, freq)
-            assert len(snaps) == len(buckets)
-            for snap in snaps:
-                bucket = buckets[(snap.netuid, calendar_key(snap.window_start, freq))]
-                assert {e.wallet for e in snap.entries} == set(bucket)
-                for entry in snap.entries:
-                    history = bucket[entry.wallet]
-                    assert entry.stake == history[-1].stake
-                    assert entry.reward == math.fsum(e.reward for e in history)
-                    assert entry.perf == history[-1].perf
+        assert_matches_grouping_oracle(Dataset.from_events(events))
 
 
 class TestHistory:
@@ -284,3 +329,211 @@ class TestHistory:
         snap = history_snapshots(Dataset.from_events(events))[0]
         assert snap.entries[0].reward == 7.0
         assert snap.entries[0].stake == 7.0
+
+
+# ---------------------------------------------------------------------------
+# Oracles and property tests
+# ---------------------------------------------------------------------------
+
+
+def oracle_window(stamp, freq):
+    """Calendar window of an instant, by datetime arithmetic alone."""
+    day = datetime(stamp.year, stamp.month, stamp.day, tzinfo=UTC)
+    if freq == "daily":
+        return day, day + timedelta(days=1)
+    if freq == "weekly":
+        monday = day - timedelta(days=day.weekday())
+        return monday, monday + timedelta(days=7)
+    start = datetime(stamp.year, stamp.month, 1, tzinfo=UTC)
+    following = start + timedelta(days=32)
+    return start, datetime(following.year, following.month, 1, tzinfo=UTC)
+
+
+def grouped(events, window_of):
+    """Snapshots by brute force: bucket events per (netuid, window) and
+    wallet, keep the last stake, role and perf, and fsum the rewards."""
+    buckets = {}
+    for ev in events:
+        key = (ev.netuid, window_of(ev.timestamp))
+        buckets.setdefault(key, {}).setdefault(ev.wallet, []).append(ev)
+    return [
+        (netuid, start, end, [
+            (wallet, history[-1].role, history[-1].stake,
+             math.fsum(e.reward for e in history), history[-1].perf)
+            for wallet, history in sorted(buckets[(netuid, (start, end))].items())
+        ])
+        for netuid, (start, end) in sorted(buckets)
+    ]
+
+
+def as_tuples(snapshots):
+    return [
+        (snap.netuid, snap.window_start, snap.window_end,
+         [(e.wallet, e.role, e.stake, e.reward, e.perf) for e in snap.entries])
+        for snap in snapshots
+    ]
+
+
+def assert_matches_grouping_oracle(ds):
+    events = ds.events
+    for freq in ("daily", "weekly", "monthly"):
+        expected = grouped(events, lambda stamp: oracle_window(stamp, freq))
+        assert as_tuples(resample(ds, freq)) == expected
+    first = oracle_window(events[0].timestamp, "daily")[0]
+    end = oracle_window(max(e.timestamp for e in events), "daily")[1]
+    assert as_tuples(history_snapshots(ds)) == grouped(events, lambda stamp: (first, end))
+
+
+WALLETS = ("a", "b", "sn01-m001", "w,1", 'q"x', "\u00e9t\u00e9")
+ZONES = ("Z", "naive", timezone.utc, timezone(timedelta(hours=5, minutes=30)),
+         timezone(timedelta(hours=-8)))
+INSTANTS = st.datetimes(min_value=datetime(1950, 1, 1), max_value=datetime(2030, 12, 31),
+                        timezones=st.just(UTC))
+AMOUNTS = st.floats(min_value=0.0, max_value=1e12) | st.integers(0, 10**6)
+SCORES = st.none() | st.floats(min_value=0.0, max_value=1.0)
+
+
+def render_timestamp(instant, zone):
+    if zone == "Z":
+        return instant.isoformat().replace("+00:00", "Z")
+    if zone == "naive":
+        return instant.replace(tzinfo=None).isoformat()
+    return instant.astimezone(zone).isoformat()
+
+
+@st.composite
+def event_records(draw, min_size=1, max_size=30):
+    """Valid event records with shared, sub-second, pre-1970 and non-UTC
+    timestamps, absent scores, and one role per (wallet, netuid)."""
+    instants = draw(st.lists(INSTANTS, min_size=1, max_size=6, unique=True))
+    keys = draw(st.lists(
+        st.tuples(st.integers(0, len(instants) - 1), st.integers(0, 3), st.sampled_from(WALLETS)),
+        min_size=min_size, max_size=max_size, unique=True,
+    ))
+    roles = {}
+    records = []
+    for instant, netuid, wallet in keys:
+        if (wallet, netuid) not in roles:
+            roles[(wallet, netuid)] = draw(st.booleans())
+        is_miner = roles[(wallet, netuid)]
+        score = draw(SCORES)
+        records.append({
+            "timestamp": render_timestamp(instants[instant], draw(st.sampled_from(ZONES))),
+            "block_number": draw(st.integers(0, 2**62)),
+            "netuid": netuid,
+            "wallet": wallet,
+            "role": draw(st.sampled_from(["miner", "Miner", " MINER "] if is_miner
+                                         else ["validator", "VALIDATOR"])),
+            "stake": draw(AMOUNTS),
+            "reward": draw(AMOUNTS),
+            "trust": score if is_miner else None,
+            "validator_trust": None if is_miner else score,
+        })
+    return records
+
+
+def event_file(records, format, bom=False):
+    if format == "jsonl":
+        text = "".join(
+            json.dumps({k: v for k, v in record.items() if v is not None}) + "\n"
+            for record in records
+        )
+    else:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(ingest.EVENT_COLUMNS)
+        for record in records:
+            writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v
+                             for v in record.values()])
+        text = buffer.getvalue()
+    return ("\ufeff" if bom else "") + text
+
+
+def read_both(data, format):
+    """(columnar reader, per-line reader) applied to the same bytes."""
+    columnar, per_line = ingest._READERS[format]
+    return (
+        lambda: ingest._read_text(io.BytesIO(data), columnar),
+        lambda: Dataset.from_events(ingest._read_text(io.BytesIO(data), per_line)),
+    )
+
+
+FORMATS = st.sampled_from(["jsonl", "csv"])
+
+CORRUPTIONS = (
+    {"block_number": -1},
+    {"block_number": 2**64},
+    {"netuid": -3},
+    {"netuid": True},
+    {"wallet": ""},
+    {"role": "owner"},
+    {"timestamp": "yesterday"},
+    {"stake": -1.5},
+    {"stake": math.inf},
+    {"reward": "abc"},
+    {"trust": 1.5},
+    {"validator_trust": math.nan},
+    {"trust": math.nan},
+)
+
+
+class TestColumnarAgainstPerLineOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(records=event_records(), format=FORMATS, bom=st.booleans())
+    def test_valid_files_give_equal_events(self, records, format, bom):
+        data = event_file(records, format, bom).encode()
+        columnar, per_line = read_both(data, format)
+        expected = per_line().events
+        assert columnar().events == expected
+        assert parse_events(io.BytesIO(data), format).events == expected
+
+    @pytest.mark.parametrize("corruption", CORRUPTIONS, ids=lambda c: "{}={!r}".format(*next(iter(c.items()))))
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    @settings(max_examples=8, deadline=None)
+    @given(records=event_records(), data=st.data())
+    def test_corrupted_line_gives_the_oracle_parse_error(self, corruption, format, records, data):
+        row = data.draw(st.integers(0, len(records) - 1))
+        records[row].update(corruption)
+        raw = event_file(records, format).encode()
+        columnar, per_line = read_both(raw, format)
+        with pytest.raises(ParseError) as expected:
+            per_line()
+        with pytest.raises(ingest._COLUMNAR_FAILURES):
+            columnar()
+        with pytest.raises(ParseError) as parsed:
+            parse_events(io.BytesIO(raw), format)
+        assert expected.value.line == row + (1 if format == "jsonl" else 2)
+        assert (parsed.value.line, str(parsed.value)) == (expected.value.line, str(expected.value))
+
+
+class TestAggregationAgainstGroupingOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(records=event_records(max_size=40))
+    def test_resample_and_history(self, records):
+        data = event_file(records, "jsonl").encode()
+        assert_matches_grouping_oracle(parse_events(io.BytesIO(data)))
+
+
+class TestInputOrder:
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(records=event_records(min_size=2), data=st.data())
+    def test_reports_do_not_depend_on_input_order(self, records, data):
+        in_a = data.draw(st.lists(st.booleans(), min_size=len(records), max_size=len(records)))
+        with tempfile.TemporaryDirectory() as root:
+            a, b = os.path.join(root, "a.jsonl"), os.path.join(root, "b.csv")
+            with open(a, "w", encoding="utf-8") as handle:
+                handle.write(event_file([r for r, x in zip(records, in_a) if x], "jsonl"))
+            with open(b, "w", encoding="utf-8") as handle:
+                handle.write(event_file([r for r, x in zip(records, in_a) if not x], "csv"))
+            for command in ("attack", "metrics"):
+                outputs = []
+                for order in ((a, b), (b, a)):
+                    out = os.path.join(root, f"{command}-{os.path.basename(order[0])}")
+                    code = run_cli([command, "--input", *order, "--cutoff", "none", "--out", out])
+                    files = {}
+                    for name in sorted(os.listdir(out)):
+                        with open(os.path.join(out, name), "rb") as handle:
+                            files[name] = handle.read()
+                    outputs.append((code, files))
+                assert outputs[0] == outputs[1]
