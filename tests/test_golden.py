@@ -24,13 +24,17 @@ FIXTURE = os.path.join(DATA_DIR, "fixture.jsonl")
 TEMPO_INSTANCE = os.path.join(DATA_DIR, "tempo_instance.json")
 
 # The eight invocations of acceptance criterion 10, plus a yuma_replay synth
-# corpus, which drives the consensus clip on non-trivial weight matrices.
+# corpus, which drives the consensus clip on non-trivial weight matrices,
+# the other two sweep schemes and weekly metrics.
 INVOCATIONS = {
     "ingest": ["ingest", "--input", FIXTURE],
     "metrics": ["metrics", "--input", FIXTURE],
+    "metrics_weekly": ["metrics", "--input", FIXTURE, "--freq", "weekly"],
     "attack": ["attack", "--input", FIXTURE],
     "tempo": ["tempo", "--input", TEMPO_INSTANCE],
     "sweep": ["sweep", "--input", FIXTURE, "--scheme", "composite"],
+    "sweep_bonus": ["sweep", "--input", FIXTURE, "--scheme", "bonus"],
+    "sweep_split": ["sweep", "--input", FIXTURE, "--scheme", "split"],
     "frontier": ["frontier", "--input", FIXTURE],
     "robustness": ["robustness", "--input", FIXTURE],
     "synth": ["synth", "--seed", "5", "--subnets", "2", "--wallets", "12", "--days", "3"],
