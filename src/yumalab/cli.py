@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from datetime import datetime
 from typing import Optional, Sequence
 
@@ -210,24 +210,9 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_row(report) -> tuple:
-    return (
-        report.netuid,
-        report.role_filter,
-        report.n_wallets,
-        report.gini_stake,
-        report.gini_reward,
-        report.hhi_stake,
-        report.hhi_reward,
-        report.top1_stake_share,
-        report.top1_reward_share,
-    )
-
-
 def _metric_value(report, metric: str, resource: str) -> Optional[float]:
-    field = {"gini": "gini", "hhi": "hhi", "top1": "top1"}[metric]
     suffix = "_share" if metric == "top1" else ""
-    return getattr(report, f"{field}_{resource}{suffix}")
+    return getattr(report, f"{metric}_{resource}{suffix}")
 
 
 def _summary_rows(variant: str, reports) -> list[tuple]:
@@ -268,7 +253,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     _write_csv(
         _out(config, "concentration.csv"),
         CONCENTRATION_COLUMNS,
-        (_report_row(report) for report in history_reports),
+        (astuple(report) for report in history_reports),
     )
 
     # Per-window reports averaged per (netuid, role_filter) at the chosen
@@ -283,20 +268,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     for (netuid, role_filter) in sorted(window_reports):
         group = window_reports[(netuid, role_filter)]
         cells: list = [netuid, role_filter, len(group)]
-        for metric, resource in (
-            ("gini", "stake"),
-            ("gini", "reward"),
-            ("hhi", "stake"),
-            ("hhi", "reward"),
-            ("top1", "stake"),
-            ("top1", "reward"),
-        ):
-            values = [
-                value
-                for report in group
-                if (value := _metric_value(report, metric, resource)) is not None
-            ]
-            cells.append(float(np.mean(values)) if values else None)
+        for metric in _METRIC_FIELDS:
+            for resource in _RESOURCES:
+                values = [
+                    value
+                    for report in group
+                    if (value := _metric_value(report, metric, resource)) is not None
+                ]
+                cells.append(float(np.mean(values)) if values else None)
         mean_rows.append(tuple(cells))
     _write_csv(
         _out(config, "concentration_snapshot_mean.csv"),
@@ -343,10 +322,9 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     threshold = float(args.threshold)
     rows = []
     for snap in history_snapshots(dataset):
-        stakes = snap.stakes()
-        if float(np.sum(stakes)) <= 0.0:
+        if float(np.sum(snap.stake)) <= 0.0:
             continue
-        rows.append((snap.netuid, snap.count(), coalition_fraction(stakes, threshold)))
+        rows.append((snap.netuid, snap.count(), coalition_fraction(snap.stake, threshold)))
     _write_csv(_out(config, "coalition.csv"), ("netuid", "n_wallets", "coalition_fraction"), rows)
     return 0
 
@@ -357,6 +335,8 @@ def _tempo_instance(path: str):
             payload = json.load(handle)
     except FileNotFoundError:
         raise ValidationError(f"input file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"invalid UTF-8 in {path}: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON in {path}: {exc.msg} (line {exc.lineno})") from None
     try:
@@ -381,14 +361,14 @@ def _tempo_instance(path: str):
             for d in payload.get("delegations", ())
         )
         tempos = int(payload.get("tempos", 1))
-    except (KeyError, TypeError, ValueError) as exc:
+        if "bonds" in payload:
+            bond_matrix = np.asarray(payload["bonds"], dtype=np.float64)
+            tempo_index = int(payload.get("tempo_index", 0))
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"malformed tempo instance {path}: {exc!r}") from None
     wm = WeightMatrix(validators=validators, miners=miners, weights=weights)
     if "bonds" in payload:
-        bonds = BondState(
-            bonds=np.asarray(payload["bonds"], dtype=np.float64),
-            tempo_index=int(payload.get("tempo_index", 0)),
-        )
+        bonds = BondState(bonds=bond_matrix, tempo_index=tempo_index)
     else:
         bonds = BondState.initial(wm.n_validators, wm.n_miners)
     if tempos < 1:

@@ -24,11 +24,14 @@ import numpy as np
 
 from yumalab._util import EPOCH, format_timestamp, from_epoch_us, parse_timestamp, to_epoch_us
 from yumalab.model import (
+    _ROLES,
     Role,
-    SnapshotEntry,
     SnapshotEvent,
     SubnetSnapshot,
     ValidationError,
+    _check_wallet_columns,
+    _reject,
+    _set_columns,
 )
 
 __all__ = [
@@ -79,7 +82,6 @@ _COLUMN_TYPES = {
     "validator_trust": np.float64,
 }
 
-_ROLES = (Role.VALIDATOR, Role.MINER)  # indexed by the miner flag
 _DAY_US = 86_400_000_000
 _CHUNK_ROWS = 4096
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
@@ -140,14 +142,7 @@ class Dataset:
     cutoff: Optional[datetime] = None
 
     def __post_init__(self) -> None:
-        for name, dtype in _COLUMN_TYPES.items():
-            column = np.asarray(getattr(self, name), dtype=dtype)
-            if column.ndim != 1:
-                raise ValidationError(f"{name} must be a one-dimensional column")
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
-        if len({len(getattr(self, name)) for name in _COLUMN_TYPES}) != 1:
-            raise ValidationError("columns must have equal lengths")
+        _set_columns(self, _COLUMN_TYPES)
         object.__setattr__(self, "wallet_names", tuple(self.wallet_names))
         _check_fields(self)
         ts, netuid, wallet = self.timestamp, self.netuid, self.wallet
@@ -275,17 +270,10 @@ class Dataset:
         )
 
 
-def _reject(bad: np.ndarray, message: Callable[[int], str]) -> None:
-    """Raise ValidationError(message(i)) for the first row i flagged in `bad`."""
-    if bad.any():
-        raise ValidationError(message(int(np.argmax(bad))))
-
-
 def _check_fields(dataset: Dataset) -> None:
     """The per-event rules of SnapshotEvent, checked on whole columns."""
     names = dataset.wallet_names
-    if not all(type(name) is str and name for name in names):
-        raise ValidationError("wallet must be a non-empty string")
+    _check_wallet_columns(names, dataset.stake, dataset.reward)
     if any(a >= b for a, b in zip(names, names[1:])):
         raise ValidationError("wallet_names must be strictly increasing")
     wallet = dataset.wallet
@@ -293,10 +281,6 @@ def _check_fields(dataset: Dataset) -> None:
     for name in ("block_number", "netuid"):
         column = getattr(dataset, name)
         _reject(column < 0, lambda i: f"{name} must be >= 0, got {column[i]}")
-    for name in ("stake", "reward"):
-        column = getattr(dataset, name)
-        _reject(~np.isfinite(column), lambda i: f"{name} must be finite, got {column[i].item()!r}")
-        _reject(column < 0.0, lambda i: f"{name} must be >= 0, got {column[i].item()}")
     for name, holder, other in (
         ("trust", dataset.miner, "non-miner"),
         ("validator_trust", ~dataset.miner, "non-validator"),
@@ -581,7 +565,23 @@ def parse_events(source: BinaryIO, format: str = "jsonl") -> Dataset:
         return _read_text(source, columnar)
     except _COLUMNAR_FAILURES:
         source.seek(start)
-    return Dataset.from_events(_read_text(source, per_line))
+    try:
+        return Dataset.from_events(_read_text(source, per_line))
+    except UnicodeDecodeError:
+        source.seek(start)
+    raise _utf8_error(source.read())
+
+
+def _utf8_error(data: bytes) -> ParseError:
+    """The ParseError for the first byte of `data` that is not UTF-8, on
+    its line as the readers split lines: after each LF, CR or CR LF."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start]
+        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        return ParseError(line, f"invalid UTF-8 byte {data[exc.start]:#04x}")
+    raise AssertionError("a reader failed to decode valid UTF-8")
 
 
 def load_events(path, format: Optional[str] = None) -> Dataset:
@@ -705,7 +705,7 @@ def _aggregate(
     window: np.ndarray,
     bounds: Callable[[int], tuple[datetime, datetime]],
 ) -> list[SubnetSnapshot]:
-    """One snapshot per (netuid, window) with one entry per wallet.
+    """One snapshot per (netuid, window) with one row per wallet.
 
     A stable lexsort groups rows by (netuid, window, wallet) and keeps each
     group's rows in time order, so a group's last row gives stake and perf.
@@ -721,30 +721,19 @@ def _aggregate(
     ends = np.append(starts[1:], len(order))
     last = order[ends - 1]
     miner = dataset.miner[last]
+    stake = dataset.stake[last]
     perf = np.where(miner, dataset.trust[last], dataset.validator_trust[last])
     perf[np.isnan(perf)] = 0.0
     rewards = dataset.reward[order].tolist()
+    reward = np.array(
+        [math.fsum(rewards[start:end]) for start, end in zip(starts.tolist(), ends.tolist())],
+        dtype=np.float64,
+    )
     names = dataset.wallet_names
-    entries = [
-        SnapshotEntry(
-            wallet=names[code],
-            role=_ROLES[is_miner],
-            stake=stake,
-            reward=math.fsum(rewards[start:end]),
-            perf=score,
-        )
-        for code, is_miner, stake, score, start, end in zip(
-            dataset.wallet[last].tolist(),
-            miner.tolist(),
-            dataset.stake[last].tolist(),
-            perf.tolist(),
-            starts.tolist(),
-            ends.tolist(),
-        )
-    ]
+    wallet_names = [names[code] for code in dataset.wallet[last].tolist()]
     firsts = np.flatnonzero(new_snapshot[starts]).tolist()
     snapshots = []
-    for first, stop in zip(firsts, firsts[1:] + [len(entries)]):
+    for first, stop in zip(firsts, firsts[1:] + [len(starts)]):
         row = starts[first]
         window_start, window_end = bounds(int(window[row]))
         snapshots.append(
@@ -752,7 +741,11 @@ def _aggregate(
                 netuid=int(netuid[row]),
                 window_start=window_start,
                 window_end=window_end,
-                entries=tuple(entries[first:stop]),
+                wallet_names=tuple(wallet_names[first:stop]),
+                miner=miner[first:stop],
+                stake=stake[first:stop],
+                reward=reward[first:stop],
+                perf=perf[first:stop],
             )
         )
     return snapshots

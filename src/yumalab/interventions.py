@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from yumalab.model import Role, ValidationError, _require_unit
+from yumalab.model import ValidationError, _require_unit
 
 __all__ = [
     "SchemeParams",
@@ -128,32 +128,42 @@ def _as_vector(values, name: str) -> np.ndarray:
     return x
 
 
+def _reward_perf_vectors(rewards, perfs) -> tuple[np.ndarray, np.ndarray]:
+    """Rewards (>= 0) and perf scores (in [0, 1]) as vectors of equal length."""
+    reward_vec = _as_vector(rewards, "rewards")
+    perf_vec = _as_vector(perfs, "perfs")
+    if reward_vec.shape != perf_vec.shape:
+        raise ValidationError("rewards and perfs must have equal length")
+    if np.any(reward_vec < 0.0):
+        raise ValidationError("rewards must be nonnegative")
+    if np.any(perf_vec < 0.0) or np.any(perf_vec > 1.0):
+        raise ValidationError("perfs must lie in [0, 1]")
+    return reward_vec, perf_vec
+
+
 def perf_weighted_rewards(
-    entries: Iterable[tuple[Role, float, float]],
+    rewards,
+    perfs,
+    miners,
     base_validator_share: float = 0.25,
     sensitivity: float = 0.0,
 ) -> np.ndarray:
     """Performance-weighted split of each wallet's reward.
 
-    A validator's reward is scaled by (base + sensitivity * perf), a
-    miner's by ((1 - base) + sensitivity * perf). At sensitivity 0 this is
-    a uniform within-role rescaling, leaving correlations unchanged.
+    `miners` flags the miner wallets. A validator's reward is scaled by
+    (base + sensitivity * perf), a miner's by ((1 - base) + sensitivity *
+    perf). At sensitivity 0 this is a uniform within-role rescaling,
+    leaving correlations unchanged.
     """
     base = _require_unit("base_validator_share", base_validator_share)
     sensitivity = float(sensitivity)
     if not math.isfinite(sensitivity) or sensitivity < 0.0:
         raise ValidationError(f"sensitivity must be >= 0, got {sensitivity}")
-    adjusted = []
-    for role, reward, perf in entries:
-        if reward < 0.0:
-            raise ValidationError(f"reward must be >= 0, got {reward}")
-        perf = _require_unit("perf", perf)
-        if role is Role.VALIDATOR:
-            multiplier = base + sensitivity * perf
-        else:
-            multiplier = (1.0 - base) + sensitivity * perf
-        adjusted.append(reward * multiplier)
-    return np.asarray(adjusted, dtype=np.float64)
+    reward_vec, perf_vec = _reward_perf_vectors(rewards, perfs)
+    miner_vec = np.asarray(miners, dtype=bool)
+    if miner_vec.shape != reward_vec.shape:
+        raise ValidationError("rewards and miners must have equal length")
+    return reward_vec * (np.where(miner_vec, 1.0 - base, base) + sensitivity * perf_vec)
 
 
 def composite_ranks(base_ranks, perfs, rank_weight: float) -> np.ndarray:
@@ -183,14 +193,7 @@ def bonus_rewards(rewards, perfs, bonus_rate: float) -> np.ndarray:
     rate = float(bonus_rate)
     if not math.isfinite(rate) or rate < 0.0:
         raise ValidationError(f"bonus_rate must be >= 0, got {rate}")
-    reward_vec = _as_vector(rewards, "rewards")
-    perf_vec = _as_vector(perfs, "perfs")
-    if reward_vec.shape != perf_vec.shape:
-        raise ValidationError("rewards and perfs must have equal length")
-    if np.any(reward_vec < 0.0):
-        raise ValidationError("rewards must be nonnegative")
-    if np.any(perf_vec < 0.0) or np.any(perf_vec > 1.0):
-        raise ValidationError("perfs must lie in [0, 1]")
+    reward_vec, perf_vec = _reward_perf_vectors(rewards, perfs)
     if rate == 0.0:
         return reward_vec.copy()
     return reward_vec * (1.0 + rate * perf_vec)

@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import compress
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +47,9 @@ class Role(str, Enum):
             raise ValidationError(f"unknown role {text!r}") from None
 
 
+_ROLES = (Role.VALIDATOR, Role.MINER)  # indexed by a miner flag
+
+
 def _require_finite(name: str, value: float) -> float:
     value = float(value)
     if not math.isfinite(value):
@@ -77,6 +81,35 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(array, dtype=np.float64)
     out.setflags(write=False)
     return out
+
+
+def _reject(bad: np.ndarray, message: Callable[[int], str]) -> None:
+    """Raise ValidationError(message(i)) for the first row i flagged in `bad`."""
+    if bad.any():
+        raise ValidationError(message(int(np.argmax(bad))))
+
+
+def _set_columns(obj, dtypes: Mapping[str, type]) -> None:
+    """Replace each named field of the frozen dataclass `obj` by a
+    read-only one-dimensional array of its dtype, all of equal length."""
+    for name, dtype in dtypes.items():
+        column = np.asarray(getattr(obj, name), dtype=dtype)
+        if column.ndim != 1:
+            raise ValidationError(f"{name} must be a one-dimensional column")
+        column.setflags(write=False)
+        object.__setattr__(obj, name, column)
+    if len({len(getattr(obj, name)) for name in dtypes}) != 1:
+        raise ValidationError("columns must have equal lengths")
+
+
+def _check_wallet_columns(wallet_names: Sequence[str], stake: np.ndarray, reward: np.ndarray) -> None:
+    """The wallet, stake and reward rules of SnapshotEvent and SnapshotEntry,
+    checked on whole columns."""
+    if not all(type(name) is str and name for name in wallet_names):
+        raise ValidationError("wallet must be a non-empty string")
+    for name, column in (("stake", stake), ("reward", reward)):
+        _reject(~np.isfinite(column), lambda i: f"{name} must be finite, got {column[i].item()!r}")
+        _reject(column < 0.0, lambda i: f"{name} must be >= 0, got {column[i].item()}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,14 +186,26 @@ class SnapshotEntry:
         object.__setattr__(self, "perf", _require_unit("perf", self.perf))
 
 
-@dataclass(frozen=True)
+_SNAPSHOT_COLUMNS = {"miner": np.bool_, "stake": np.float64, "reward": np.float64, "perf": np.float64}
+
+
+@dataclass(frozen=True, eq=False)
 class SubnetSnapshot:
-    """All wallets of one subnet aggregated over one time window."""
+    """All wallets of one subnet aggregated over one time window, as columns.
+
+    Row i is the wallet `wallet_names[i]`: `miner[i]` is True where its
+    role is miner, and `stake`, `reward` and `perf` hold its aggregated
+    values. Construction makes the arrays read-only.
+    """
 
     netuid: int
     window_start: datetime
     window_end: datetime
-    entries: tuple[SnapshotEntry, ...]
+    wallet_names: tuple[str, ...]
+    miner: np.ndarray
+    stake: np.ndarray
+    reward: np.ndarray
+    perf: np.ndarray
 
     def __post_init__(self) -> None:
         if int(self.netuid) < 0:
@@ -172,36 +217,46 @@ class SubnetSnapshot:
             raise ValidationError("window_start must precede window_end")
         object.__setattr__(self, "window_start", start)
         object.__setattr__(self, "window_end", end)
-        object.__setattr__(self, "entries", tuple(self.entries))
-        seen: set[str] = set()
-        for entry in self.entries:
-            if not isinstance(entry, SnapshotEntry):
-                raise ValidationError("entries must be SnapshotEntry instances")
-            if entry.wallet in seen:
-                raise ValidationError(
-                    f"duplicate wallet {entry.wallet!r} in snapshot for netuid {self.netuid}"
-                )
-            seen.add(entry.wallet)
+        names = tuple(self.wallet_names)
+        object.__setattr__(self, "wallet_names", names)
+        _set_columns(self, _SNAPSHOT_COLUMNS)
+        if len(names) != len(self.miner):
+            raise ValidationError("columns must have equal lengths")
+        _check_wallet_columns(names, self.stake, self.reward)
+        perf = self.perf
+        _reject(~np.isfinite(perf), lambda i: f"perf must be finite, got {perf[i].item()!r}")
+        _reject((perf < 0.0) | (perf > 1.0), lambda i: f"perf must lie in [0, 1], got {perf[i].item()}")
+        if len(set(names)) != len(names):
+            duplicate = next(name for i, name in enumerate(names) if name in names[:i])
+            raise ValidationError(f"duplicate wallet {duplicate!r} in snapshot for netuid {self.netuid}")
 
-    def _select(self, role: Optional[Role]) -> list[SnapshotEntry]:
+    @property
+    def entries(self) -> tuple[SnapshotEntry, ...]:
+        """The rows as SnapshotEntry objects, built anew on each access."""
+        roles = [_ROLES[miner] for miner in self.miner.tolist()]
+        values = (self.stake.tolist(), self.reward.tolist(), self.perf.tolist())
+        return tuple(map(SnapshotEntry, self.wallet_names, roles, *values))
+
+    def _rows(self, role: Optional[Role]) -> np.ndarray:
+        """Mask of the wallets holding `role`; every wallet when None."""
         if role is None:
-            return list(self.entries)
-        return [e for e in self.entries if e.role is role]
+            return np.ones(len(self.wallet_names), dtype=bool)
+        return self.miner == (Role(role) is Role.MINER)
 
     def wallets(self, role: Optional[Role] = None) -> list[str]:
-        return [e.wallet for e in self._select(role)]
+        return list(compress(self.wallet_names, self._rows(role)))
 
     def stakes(self, role: Optional[Role] = None) -> np.ndarray:
-        return np.array([e.stake for e in self._select(role)], dtype=np.float64)
+        return self.stake[self._rows(role)]
 
     def rewards(self, role: Optional[Role] = None) -> np.ndarray:
-        return np.array([e.reward for e in self._select(role)], dtype=np.float64)
+        return self.reward[self._rows(role)]
 
     def perfs(self, role: Optional[Role] = None) -> np.ndarray:
-        return np.array([e.perf for e in self._select(role)], dtype=np.float64)
+        return self.perf[self._rows(role)]
 
     def count(self, role: Optional[Role] = None) -> int:
-        return len(self._select(role))
+        return int(np.count_nonzero(self._rows(role)))
 
 
 @dataclass(frozen=True)

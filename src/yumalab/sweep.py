@@ -10,7 +10,7 @@ resampling windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Optional, Sequence
 
@@ -165,41 +165,27 @@ class RobustnessSeries:
 # ---------------------------------------------------------------------------
 
 
-class _SnapshotArrays:
-    """Cached vector views of one snapshot, shared across grid points."""
-
-    def __init__(self, snap: SubnetSnapshot):
-        self.netuid = snap.netuid
-        self.stakes = snap.stakes()
-        self.rewards = snap.rewards()
-        self.perfs = snap.perfs()
-        self.split_entries = [(e.role, e.reward, e.perf) for e in snap.entries]
-        self.miner_mask = np.array([e.role is Role.MINER for e in snap.entries], dtype=bool)
-        self.role_indices = {
-            Role.MINER: np.nonzero(self.miner_mask)[0],
-            Role.VALIDATOR: np.nonzero(~self.miner_mask)[0],
-        }
-
-
 def _scheme_rewards(
-    arrays: _SnapshotArrays, scheme: str, value: float, params: SchemeParams
+    snap: SubnetSnapshot, scheme: str, value: float, params: SchemeParams
 ) -> np.ndarray:
     if scheme == "split":
         return perf_weighted_rewards(
-            arrays.split_entries,
+            snap.reward,
+            snap.perf,
+            snap.miner,
             base_validator_share=params.base_validator_share,
             sensitivity=value,
         )
     if scheme == "bonus":
-        return bonus_rewards(arrays.rewards, arrays.perfs, value)
+        return bonus_rewards(snap.reward, snap.perf, value)
     # composite: re-allocate the miner reward pool along mixed ranks;
     # validator rewards stay untouched.
-    adjusted = arrays.rewards.copy()
-    miners = arrays.role_indices[Role.MINER]
-    if miners.size > 0:
-        miner_rewards = arrays.rewards[miners]
+    adjusted = snap.reward.copy()
+    miners = snap.miner
+    if miners.any():
+        miner_rewards = snap.reward[miners]
         pool = float(np.sum(miner_rewards))
-        mixed = composite_ranks(unit_rescale(miner_rewards), arrays.perfs[miners], value)
+        mixed = composite_ranks(unit_rescale(miner_rewards), snap.perf[miners], value)
         mass = float(np.sum(mixed))
         if mass > 0.0:
             adjusted[miners] = pool * (mixed / mass)
@@ -209,15 +195,15 @@ def _scheme_rewards(
 
 
 def _point_correlations(
-    arrays: _SnapshotArrays, adjusted: np.ndarray
+    snap: SubnetSnapshot, adjusted: np.ndarray
 ) -> dict[Role, tuple[Optional[float], Optional[float]]]:
     out = {}
-    for role, idx in arrays.role_indices.items():
-        if idx.size < 2:
+    for role, rows in ((Role.MINER, snap.miner), (Role.VALIDATOR, ~snap.miner)):
+        if np.count_nonzero(rows) < 2:
             continue
         out[role] = (
-            pearson(arrays.stakes[idx], adjusted[idx]),
-            pearson(arrays.perfs[idx], adjusted[idx]),
+            pearson(snap.stake[rows], adjusted[rows]),
+            pearson(snap.perf[rows], adjusted[rows]),
         )
     return out
 
@@ -267,11 +253,9 @@ def sweep_scheme(
         params = SchemeParams()
 
     ordered = sorted(snapshots, key=lambda s: s.netuid)
-    prepared = [_SnapshotArrays(snap) for snap in ordered]
-
     by_value = [
-        [_point_correlations(arrays, _scheme_rewards(arrays, scheme, value, params))
-         for arrays in prepared]
+        [_point_correlations(snap, _scheme_rewards(snap, scheme, value, params))
+         for snap in ordered]
         for value in grid_values
     ]
     baseline = by_value[grid_values.index(null_param)]
@@ -283,7 +267,7 @@ def sweep_scheme(
             deltas_sr: list[float] = []
             deltas_pr: list[float] = []
             excluded = 0
-            for arrays, corr, base in zip(prepared, per_snap, baseline):
+            for snap, corr, base in zip(ordered, per_snap, baseline):
                 if role not in corr:
                     continue
                 r_sr, r_pr = corr[role]
@@ -293,7 +277,7 @@ def sweep_scheme(
                     SweepPoint(
                         scheme=scheme,
                         param=value,
-                        netuid=arrays.netuid,
+                        netuid=snap.netuid,
                         role=role,
                         r_sr=r_sr,
                         r_pr=r_pr,
@@ -337,21 +321,19 @@ def sweep_scheme(
 # ---------------------------------------------------------------------------
 
 
-def _transform_stats(
-    snapshots: Sequence[SubnetSnapshot], spec: TransformSpec, threshold: float
-) -> tuple[list[float], list[float]]:
-    fractions: list[float] = []
-    penalties: list[float] = []
+def _transformed_stakes(
+    snapshots: Sequence[SubnetSnapshot], spec: TransformSpec
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(stakes, transformed stakes) of each snapshot whose stake mass is
+    positive before and after the transform."""
+    pairs = []
     for snap in snapshots:
-        stakes = snap.stakes()
-        if stakes.shape[0] == 0 or float(np.sum(stakes)) <= 0.0:
+        if snap.stake.shape[0] == 0 or float(np.sum(snap.stake)) <= 0.0:
             continue
-        transformed = apply_stake_transform(stakes, spec)
-        if float(np.sum(transformed)) <= 0.0:
-            continue
-        fractions.append(coalition_fraction(transformed, threshold))
-        penalties.append(whale_penalty(stakes, transformed))
-    return fractions, penalties
+        transformed = apply_stake_transform(snap.stake, spec)
+        if float(np.sum(transformed)) > 0.0:
+            pairs.append((snap.stake, transformed))
+    return pairs
 
 
 def tradeoff_frontier(
@@ -371,11 +353,13 @@ def tradeoff_frontier(
         raise ValidationError("at least one transform spec is required")
     points: list[FrontierPoint] = []
     for spec in interventions:
-        fractions, penalties = _transform_stats(snapshots, spec, threshold)
-        if not fractions:
+        pairs = _transformed_stakes(snapshots, spec)
+        if not pairs:
             raise ValidationError(
                 f"no subnet with positive stake mass for transform {spec.label}"
             )
+        fractions = [coalition_fraction(transformed, threshold) for _, transformed in pairs]
+        penalties = [whale_penalty(stakes, transformed) for stakes, transformed in pairs]
         points.append(
             FrontierPoint(
                 label=spec.label,
@@ -383,29 +367,19 @@ def tradeoff_frontier(
                 param=spec.param,
                 median_coalition_fraction=float(np.median(fractions)),
                 median_whale_penalty=float(np.median(penalties)),
-                n_subnets=len(fractions),
+                n_subnets=len(pairs),
             )
         )
     points.sort(key=lambda p: (p.median_whale_penalty, p.label))
-    flagged = []
-    for p in points:
-        dominated = any(
+
+    def dominated(p: FrontierPoint) -> bool:
+        return any(
             q.median_coalition_fraction > p.median_coalition_fraction
             and q.median_whale_penalty < p.median_whale_penalty
             for q in points
         )
-        flagged.append(
-            FrontierPoint(
-                label=p.label,
-                kind=p.kind,
-                param=p.param,
-                median_coalition_fraction=p.median_coalition_fraction,
-                median_whale_penalty=p.median_whale_penalty,
-                n_subnets=p.n_subnets,
-                pareto=not dominated,
-            )
-        )
-    return tuple(flagged)
+
+    return tuple(replace(p, pareto=not dominated(p)) for p in points)
 
 
 def _percentiles(values: list[float]) -> tuple[float, float, float]:
@@ -438,45 +412,13 @@ def temporal_robustness(
             )
         rows: list[RobustnessWindow] = []
         for start in sorted(windows):
-            capped: list[float] = []
-            base: list[float] = []
-            for snap in windows[start]:
-                stakes = snap.stakes()
-                if stakes.shape[0] == 0 or float(np.sum(stakes)) <= 0.0:
-                    continue
-                transformed = apply_stake_transform(stakes, spec)
-                if float(np.sum(transformed)) <= 0.0:
-                    continue
-                capped.append(coalition_fraction(transformed, threshold))
-                base.append(coalition_fraction(stakes, threshold))
-            if capped:
-                p10, p50, p90 = _percentiles(capped)
-                b10, b50, b90 = _percentiles(base)
-                rows.append(
-                    RobustnessWindow(
-                        window_start=start,
-                        n_subnets=len(capped),
-                        median=p50,
-                        p10=p10,
-                        p90=p90,
-                        baseline_median=b50,
-                        baseline_p10=b10,
-                        baseline_p90=b90,
-                    )
-                )
-            else:
-                rows.append(
-                    RobustnessWindow(
-                        window_start=start,
-                        n_subnets=0,
-                        median=None,
-                        p10=None,
-                        p90=None,
-                        baseline_median=None,
-                        baseline_p10=None,
-                        baseline_p90=None,
-                    )
-                )
+            pairs = _transformed_stakes(windows[start], spec)
+            stats = (None,) * 6
+            if pairs:
+                p10, p50, p90 = _percentiles([coalition_fraction(t, threshold) for _, t in pairs])
+                b10, b50, b90 = _percentiles([coalition_fraction(s, threshold) for s, _ in pairs])
+                stats = (p50, p10, p90, b50, b10, b90)
+            rows.append(RobustnessWindow(start, len(pairs), *stats))
         series.append(
             RobustnessSeries(
                 freq=freq,

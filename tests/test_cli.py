@@ -10,6 +10,7 @@ import pytest
 from yumalab.cli import run
 from yumalab.ingest import history_snapshots, load_events
 from yumalab.metrics import ROLE_FILTERS, concentration_report
+from yumalab.model import SnapshotEntry
 
 
 def run_cli(*args) -> int:
@@ -175,6 +176,24 @@ class TestTempo:
         bad.write_text("{\"validators\": []")
         assert run_cli("tempo", "--input", str(bad), "--out", str(tmp_path)) == 1
 
+    @pytest.mark.parametrize("fields, raw, message", [
+        ({"bonds": [[0.0, 0.0], [0.0]]}, None, "error: malformed tempo instance"),
+        ({"bonds": [[0.0, 0.0], [0.0, 0.0]], "tempo_index": "x"}, None,
+         "error: malformed tempo instance"),
+        ({"params": [0.1]}, None, "error: malformed tempo instance"),
+        ({"tempos": float("inf")}, None, "error: malformed tempo instance"),
+        ({}, b'{"miners": ["m\xff"]}', "error: invalid UTF-8 in"),
+    ], ids=["ragged-bonds", "tempo-index", "params-not-object", "infinite-tempos", "non-utf8"])
+    def test_bad_instance_is_an_error_line(self, tmp_path, capsys, tempo_instance_path,
+                                          fields, raw, message):
+        with open(tempo_instance_path, encoding="utf-8") as handle:
+            instance = {**json.load(handle), **fields}
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(raw if raw is not None else json.dumps(instance).encode())
+        assert run_cli("tempo", "--input", str(bad), "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "Traceback" not in err
+
 
 class TestSweep:
     def test_composite_default_grid_rows(self, tmp_path, fixture_path):
@@ -263,6 +282,44 @@ class TestSynth:
                        "--subnets", "2", "--wallets", "15", "--days", "4") == 0
         assert run_cli("metrics", "--input", str(tmp_path / "synth.jsonl"),
                        "--out", str(tmp_path / "m"), "--cutoff", "none") == 0
+
+
+class TestEventEncoding:
+    LINE = ('{{"timestamp": "2024-01-01T00:00:00Z", "block_number": 1, "netuid": 1, '
+            '"wallet": "{}", "role": "miner", "stake": 1.0, "reward": 1.0}}')
+    CSV_ROW = "2024-01-01T00:00:00Z,1,1,{},miner,1.0,1.0,,"
+
+    @pytest.mark.parametrize("suffix, body, line", [
+        (".jsonl", LINE.format("a") + "\r\n" + LINE.format("b\udcff") + "\n", 2),
+        (".jsonl", LINE.format("a") + "\r" + LINE.format("b") + "\n" + LINE.format("c\udcfe"), 3),
+        (".csv", ",".join(("timestamp", "block_number", "netuid", "wallet", "role", "stake",
+                            "reward", "trust", "validator_trust"))
+         + "\n" + CSV_ROW.format("a") + "\r\n" + CSV_ROW.format("b\udcff") + "\n", 3),
+    ], ids=["jsonl-crlf", "jsonl-cr", "csv"])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, capsys, suffix, body, line):
+        path = tmp_path / f"events{suffix}"
+        path.write_bytes(body.encode("utf-8", "surrogateescape"))
+        assert run_cli("attack", "--input", str(path), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: invalid UTF-8 byte 0x")
+        assert "Traceback" not in err
+
+
+class TestNoPerEntryObjects:
+    """Every snapshot-based subcommand reads the snapshot columns; none of
+    them builds a SnapshotEntry."""
+
+    @pytest.mark.parametrize("args", [
+        ["attack"], ["metrics"], ["metrics", "--freq", "weekly"], ["robustness"], ["frontier"],
+        ["sweep", "--scheme", "split"], ["sweep", "--scheme", "bonus"],
+        ["sweep", "--scheme", "composite"],
+    ], ids=" ".join)
+    def test_runs_with_entries_forbidden(self, tmp_path, fixture_path, monkeypatch, args):
+        def forbidden(self):
+            raise AssertionError("a SnapshotEntry was built")
+
+        monkeypatch.setattr(SnapshotEntry, "__post_init__", forbidden)
+        assert run_cli(*args, "--input", fixture_path, "--out", str(tmp_path)) == 0
 
 
 class TestFileHygiene:

@@ -14,7 +14,7 @@ from yumalab.interventions import (
     unit_rescale,
     whale_penalty,
 )
-from yumalab.model import Role, ValidationError
+from yumalab.model import ValidationError
 
 
 class TestSchemeParams:
@@ -70,20 +70,36 @@ class TestTransformSpec:
 
 class TestPerfWeightedRewards:
     def test_zero_sensitivity_scales_validators_uniformly(self):
-        out = perf_weighted_rewards([(Role.VALIDATOR, 100.0, 0.9)], sensitivity=0.0)
+        out = perf_weighted_rewards([100.0], [0.9], [False], sensitivity=0.0)
         assert out[0] == pytest.approx(25.0, abs=0)
 
     def test_full_sensitivity_miner(self):
-        out = perf_weighted_rewards([(Role.MINER, 100.0, 0.5)], sensitivity=1.0)
+        out = perf_weighted_rewards([100.0], [0.5], [True], sensitivity=1.0)
         assert out[0] == pytest.approx(125.0, abs=0)
 
     def test_zero_perf_miner(self):
-        out = perf_weighted_rewards([(Role.MINER, 100.0, 0.0)], sensitivity=2.0)
+        out = perf_weighted_rewards([100.0], [0.0], [True], sensitivity=2.0)
         assert out[0] == pytest.approx(75.0, abs=0)
 
     def test_negative_sensitivity_rejected(self):
         with pytest.raises(ValidationError):
-            perf_weighted_rewards([(Role.MINER, 1.0, 0.5)], sensitivity=-0.1)
+            perf_weighted_rewards([1.0], [0.5], [True], sensitivity=-0.1)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValidationError):
+            perf_weighted_rewards([1.0, 2.0], [0.5, 0.5], [True], sensitivity=1.0)
+
+    def test_matches_per_wallet_formula_exactly(self):
+        rng = np.random.default_rng(31)
+        rewards, perfs = rng.pareto(1.5, 200), rng.random(200)
+        miners = rng.random(200) < 0.7
+        base, sensitivity = 0.3, 1.7
+        expected = [
+            reward * (((1.0 - base) if miner else base) + sensitivity * perf)
+            for reward, perf, miner in zip(rewards.tolist(), perfs.tolist(), miners.tolist())
+        ]
+        out = perf_weighted_rewards(rewards, perfs, miners, base, sensitivity)
+        assert out.tolist() == expected
 
 
 class TestCompositeRanks:

@@ -15,7 +15,7 @@ from yumalab.metrics import (
     pearson,
     top_share,
 )
-from yumalab.model import Role, SnapshotEntry, SubnetSnapshot, ValidationError
+from yumalab.model import Role, SubnetSnapshot, ValidationError
 
 UTC = timezone.utc
 
@@ -28,12 +28,18 @@ def pairwise_gini(values) -> float:
     return diff_sum / (2.0 * n * float(np.sum(x)))
 
 
-def snapshot(entries):
+def snapshot(rows):
+    """rows: (wallet, role, stake, reward, perf), as built by `entry`."""
+    wallets, roles, stakes, rewards, perfs = zip(*rows)
     return SubnetSnapshot(
         netuid=1,
         window_start=datetime(2024, 1, 1, tzinfo=UTC),
         window_end=datetime(2024, 1, 2, tzinfo=UTC),
-        entries=tuple(entries),
+        wallet_names=wallets,
+        miner=[role is Role.MINER for role in roles],
+        stake=stakes,
+        reward=rewards,
+        perf=perfs,
     )
 
 
@@ -155,7 +161,7 @@ class TestPearson:
 
 
 def entry(wallet, role, stake, reward, perf):
-    return SnapshotEntry(wallet, role, stake, reward, perf)
+    return (wallet, role, stake, reward, perf)
 
 
 class TestCorrelationProfile:

@@ -131,14 +131,18 @@ class TestEmissionParams:
             EmissionParams(alpha=0.1, beta=0.5, tempo_blocks=0)
 
 
-def make_snapshot(entries=None):
-    if entries is None:
-        entries = (
-            SnapshotEntry("a", Role.MINER, 5.0, 1.0, 0.2),
-            SnapshotEntry("b", Role.MINER, 3.0, 0.5, 0.9),
-            SnapshotEntry("c", Role.VALIDATOR, 20.0, 2.0, 0.8),
+def make_snapshot(rows=None, netuid=7):
+    """rows: (wallet, role, stake, reward, perf)."""
+    if rows is None:
+        rows = (
+            ("a", Role.MINER, 5.0, 1.0, 0.2),
+            ("b", Role.MINER, 3.0, 0.5, 0.9),
+            ("c", Role.VALIDATOR, 20.0, 2.0, 0.8),
         )
-    return SubnetSnapshot(netuid=7, window_start=T0, window_end=T1, entries=tuple(entries))
+    wallets, roles, stakes, rewards, perfs = zip(*rows) if rows else ((),) * 5
+    return SubnetSnapshot(netuid=netuid, window_start=T0, window_end=T1, wallet_names=wallets,
+                          miner=[role is Role.MINER for role in roles],
+                          stake=stakes, reward=rewards, perf=perfs)
 
 
 class TestSubnetSnapshot:
@@ -152,16 +156,65 @@ class TestSubnetSnapshot:
         np.testing.assert_array_equal(snap.perfs(Role.MINER), [0.2, 0.9])
 
     def test_duplicate_wallets_rejected(self):
-        entries = (
-            SnapshotEntry("a", Role.MINER, 5.0, 1.0, 0.2),
-            SnapshotEntry("a", Role.VALIDATOR, 3.0, 0.5, 0.9),
+        rows = (
+            ("a", Role.MINER, 5.0, 1.0, 0.2),
+            ("a", Role.VALIDATOR, 3.0, 0.5, 0.9),
         )
-        with pytest.raises(ValidationError):
-            make_snapshot(entries)
+        with pytest.raises(ValidationError, match="duplicate wallet 'a' in snapshot for netuid 7"):
+            make_snapshot(rows)
 
     def test_window_must_be_ordered(self):
         with pytest.raises(ValidationError):
-            SubnetSnapshot(netuid=1, window_start=T1, window_end=T0, entries=())
+            SubnetSnapshot(netuid=1, window_start=T1, window_end=T0, wallet_names=(),
+                           miner=[], stake=[], reward=[], perf=[])
+
+    def test_empty_snapshot(self):
+        snap = make_snapshot(())
+        assert snap.count() == 0
+        assert snap.entries == ()
+        assert snap.stakes(Role.MINER).shape == (0,)
+
+    def test_entries_are_rows(self):
+        assert make_snapshot().entries == (
+            SnapshotEntry("a", Role.MINER, 5.0, 1.0, 0.2),
+            SnapshotEntry("b", Role.MINER, 3.0, 0.5, 0.9),
+            SnapshotEntry("c", Role.VALIDATOR, 20.0, 2.0, 0.8),
+        )
+
+    def test_columns_are_read_only(self):
+        snap = make_snapshot()
+        for column in (snap.miner, snap.stake, snap.reward, snap.perf):
+            assert not column.flags.writeable
+        assert snap.miner.dtype == np.bool_ and snap.stake.dtype == np.float64
+
+    @pytest.mark.parametrize("row, message", [
+        (("", Role.MINER, 1.0, 1.0, 0.5), "wallet must be a non-empty string"),
+        (("x", Role.MINER, -1.0, 1.0, 0.5), "stake must be >= 0, got -1.0"),
+        (("x", Role.MINER, math.inf, 1.0, 0.5), "stake must be finite, got inf"),
+        (("x", Role.MINER, 1.0, math.nan, 0.5), "reward must be finite, got nan"),
+        (("x", Role.MINER, 1.0, -0.5, 0.5), "reward must be >= 0, got -0.5"),
+        (("x", Role.MINER, 1.0, 1.0, 1.5), r"perf must lie in \[0, 1\], got 1.5"),
+        (("x", Role.MINER, 1.0, 1.0, math.nan), "perf must be finite, got nan"),
+    ])
+    def test_entry_rules_hold_on_columns(self, row, message):
+        with pytest.raises(ValidationError, match=message):
+            make_snapshot((("a", Role.VALIDATOR, 1.0, 1.0, 0.5), row))
+        # The same row is rejected, with the same message, as a SnapshotEntry.
+        with pytest.raises(ValidationError, match=message):
+            SnapshotEntry(*row)
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValidationError, match="equal lengths"):
+            SubnetSnapshot(netuid=1, window_start=T0, window_end=T1, wallet_names=("a", "b"),
+                           miner=[True], stake=[1.0], reward=[1.0], perf=[0.5])
+        with pytest.raises(ValidationError, match="equal lengths"):
+            SubnetSnapshot(netuid=1, window_start=T0, window_end=T1, wallet_names=("a",),
+                           miner=[True], stake=[1.0, 2.0], reward=[1.0], perf=[0.5])
+
+    def test_two_dimensional_column_rejected(self):
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            SubnetSnapshot(netuid=1, window_start=T0, window_end=T1, wallet_names=("a",),
+                           miner=[True], stake=[[1.0]], reward=[1.0], perf=[0.5])
 
 
 class TestWeightMatrix:

@@ -9,7 +9,7 @@ import pytest
 from yumalab.ingest import Dataset
 from yumalab.interventions import TransformSpec
 from yumalab.metrics import pearson
-from yumalab.model import Role, SnapshotEntry, SnapshotEvent, SubnetSnapshot, ValidationError
+from yumalab.model import Role, SnapshotEvent, SubnetSnapshot, ValidationError
 from yumalab.sweep import (
     DEFAULT_CAP_PERCENTILES,
     NULL_PARAMS,
@@ -26,9 +26,10 @@ T0 = datetime(2024, 1, 1, tzinfo=UTC)
 
 def snapshot(netuid, rows):
     """rows: (wallet, role, stake, reward, perf)."""
-    entries = tuple(SnapshotEntry(*row) for row in rows)
-    return SubnetSnapshot(netuid=netuid, window_start=T0,
-                          window_end=T0 + timedelta(days=1), entries=entries)
+    wallets, roles, stakes, rewards, perfs = zip(*rows)
+    return SubnetSnapshot(netuid=netuid, window_start=T0, window_end=T0 + timedelta(days=1),
+                          wallet_names=wallets, miner=[role is Role.MINER for role in roles],
+                          stake=stakes, reward=rewards, perf=perfs)
 
 
 def seeded_snapshots(n_subnets=4, n_wallets=40, seed=5):
