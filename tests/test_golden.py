@@ -22,16 +22,20 @@ DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 DIGESTS_PATH = os.path.join(DATA_DIR, "golden_digests.json")
 FIXTURE = os.path.join(DATA_DIR, "fixture.jsonl")
 TEMPO_INSTANCE = os.path.join(DATA_DIR, "tempo_instance.json")
+TEMPO_CHAIN_INSTANCE = os.path.join(DATA_DIR, "tempo_chain_instance.json")
 
 # The eight invocations of acceptance criterion 10, plus a yuma_replay synth
 # corpus, which drives the consensus clip on non-trivial weight matrices,
-# the other two sweep schemes and weekly metrics.
+# the other two sweep schemes, weekly metrics and a longer tempo chain whose
+# instance has weight ties, an all-zero miner column, a zero-stake validator,
+# seeded bonds and a delegator spread over two validators out of order.
 INVOCATIONS = {
     "ingest": ["ingest", "--input", FIXTURE],
     "metrics": ["metrics", "--input", FIXTURE],
     "metrics_weekly": ["metrics", "--input", FIXTURE, "--freq", "weekly"],
     "attack": ["attack", "--input", FIXTURE],
     "tempo": ["tempo", "--input", TEMPO_INSTANCE],
+    "tempo_chain": ["tempo", "--input", TEMPO_CHAIN_INSTANCE],
     "sweep": ["sweep", "--input", FIXTURE, "--scheme", "composite"],
     "sweep_bonus": ["sweep", "--input", FIXTURE, "--scheme", "bonus"],
     "sweep_split": ["sweep", "--input", FIXTURE, "--scheme", "split"],
