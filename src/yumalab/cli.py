@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from yumalab._util import format_timestamp, from_epoch_us, parse_timestamp
-from yumalab.consensus import BondState, Delegation, run_tempo
+from yumalab.consensus import BondState, Delegation, run_tempos
 from yumalab.ingest import (
     DTAO_CUTOFF,
     FREQUENCIES,
@@ -329,6 +329,13 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     return 0
 
 
+def _json_int(name: str, value) -> int:
+    """A JSON integer from an instance file; floats and booleans are refused."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
 def _tempo_instance(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -348,7 +355,7 @@ def _tempo_instance(path: str):
             alpha=float(params_obj.get("alpha", 0.1)),
             beta=float(params_obj.get("beta", 0.5)),
             kappa=float(params_obj.get("kappa", 0.5)),
-            tempo_blocks=int(params_obj.get("tempo_blocks", 360)),
+            tempo_blocks=_json_int("tempo_blocks", params_obj.get("tempo_blocks", 360)),
         )
         block_emission = float(payload["block_emission"])
         delegations = tuple(
@@ -360,10 +367,12 @@ def _tempo_instance(path: str):
             )
             for d in payload.get("delegations", ())
         )
-        tempos = int(payload.get("tempos", 1))
+        tempos = _json_int("tempos", payload.get("tempos", 1))
         if "bonds" in payload:
             bond_matrix = np.asarray(payload["bonds"], dtype=np.float64)
-            tempo_index = int(payload.get("tempo_index", 0))
+            tempo_index = _json_int("tempo_index", payload.get("tempo_index", 0))
+    except ValidationError:
+        raise
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"malformed tempo instance {path}: {exc!r}") from None
     wm = WeightMatrix(validators=validators, miners=miners, weights=weights)
@@ -381,10 +390,9 @@ def _cmd_tempo(args: argparse.Namespace) -> int:
     if len(config.inputs) != 1:
         raise ValidationError("tempo expects exactly one --input instance file")
     wm, bonds, params, block_emission, delegations, tempos = _tempo_instance(config.inputs[0])
-    outcome = None
-    for _ in range(tempos):
-        outcome = run_tempo(wm, bonds, params, block_emission, delegations)
-        bonds = BondState(bonds=outcome.bonds, tempo_index=outcome.tempo_index)
+    chain = run_tempos(wm, bonds, params, block_emission, delegations)
+    for _, outcome in zip(range(tempos), chain):
+        pass  # only the last tempo's outcome is written
     payload = {
         "block_emission": outcome.block_emission,
         "owner_amount": outcome.owner_amount,

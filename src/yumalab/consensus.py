@@ -6,14 +6,15 @@ by stake-weighted clipped weights, update validator bonds as an EMA of the
 per-miner normalized bonded stake, pay validators by bond-weighted miner
 shares, and pass delegator payouts through each validator's commission.
 
-All operations are pure functions; run_tempo composes them.
+All operations are pure functions; run_tempos composes them over chained
+tempos and run_tempo takes its first tempo.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "validator_emission_shares",
     "delegator_rewards",
     "run_tempo",
+    "run_tempos",
 ]
 
 # Relative slack for delegated-stake and conservation comparisons.
@@ -161,6 +163,32 @@ def miner_emission_shares(clipped: np.ndarray, stakes: np.ndarray) -> tuple[np.n
     return rankings / total, False
 
 
+def _check_bond_shapes(wm: WeightMatrix, clipped: np.ndarray, prev: BondState) -> None:
+    shape = (wm.n_validators, wm.n_miners)
+    if clipped.shape != shape:
+        raise ValidationError(f"clipped matrix shape {clipped.shape} does not match {shape}")
+    if prev.bonds.shape != shape:
+        raise ValidationError(f"previous bond shape {prev.bonds.shape} does not match {shape}")
+
+
+def _bond_target(wm: WeightMatrix, clipped: np.ndarray, beta: float) -> np.ndarray:
+    """Per-miner normalized bonded stake, the state the bond EMA moves toward."""
+    bond_weights = (1.0 - beta) * wm.weights + beta * clipped
+    bonded = wm.stakes[:, np.newaxis] * bond_weights
+    column_mass = np.sum(bonded, axis=0)
+    return np.divide(
+        bonded,
+        column_mass[np.newaxis, :],
+        out=np.zeros_like(bonded),
+        where=column_mass[np.newaxis, :] > 0.0,
+    )
+
+
+def _bond_step(instant: np.ndarray, alpha: float, prev: BondState) -> BondState:
+    smoothed = alpha * instant + (1.0 - alpha) * prev.bonds
+    return BondState(bonds=smoothed, tempo_index=prev.tempo_index + 1)
+
+
 def validator_bonds(
     wm: WeightMatrix,
     clipped: np.ndarray,
@@ -178,22 +206,8 @@ def validator_bonds(
     beta = _require_unit("beta", beta)
     alpha = _require_unit("alpha", alpha)
     clipped = np.asarray(clipped, dtype=np.float64)
-    shape = (wm.n_validators, wm.n_miners)
-    if clipped.shape != shape:
-        raise ValidationError(f"clipped matrix shape {clipped.shape} does not match {shape}")
-    if prev.bonds.shape != shape:
-        raise ValidationError(f"previous bond shape {prev.bonds.shape} does not match {shape}")
-    bond_weights = (1.0 - beta) * wm.weights + beta * clipped
-    bonded = wm.stakes[:, np.newaxis] * bond_weights
-    column_mass = np.sum(bonded, axis=0)
-    instant = np.divide(
-        bonded,
-        column_mass[np.newaxis, :],
-        out=np.zeros_like(bonded),
-        where=column_mass[np.newaxis, :] > 0.0,
-    )
-    smoothed = alpha * instant + (1.0 - alpha) * prev.bonds
-    return BondState(bonds=smoothed, tempo_index=prev.tempo_index + 1)
+    _check_bond_shapes(wm, clipped, prev)
+    return _bond_step(_bond_target(wm, clipped, beta), alpha, prev)
 
 
 def validator_emission_shares(bonds: BondState, miner_shares: np.ndarray) -> np.ndarray:
@@ -202,6 +216,33 @@ def validator_emission_shares(bonds: BondState, miner_shares: np.ndarray) -> np.
     if miner_shares.shape != (bonds.bonds.shape[1],):
         raise ValidationError("miner share vector does not match bond matrix width")
     return bonds.bonds @ miner_shares
+
+
+def _payout_coefficients(delegations: Sequence[Delegation], validator_total_stake: float) -> list[float]:
+    """Each delegation's fraction of its validator's reward after commission."""
+    stake = float(validator_total_stake)
+    if stake <= 0.0:
+        raise ValidationError("validator_total_stake must be positive")
+    delegated = math.fsum(d.amount for d in delegations)
+    if delegated > stake * (1.0 + REL_TOL):
+        raise ValidationError(
+            f"delegated stake {delegated} exceeds validator stake {stake}"
+        )
+    return [(1.0 - d.take) * (d.amount / stake) for d in delegations]
+
+
+def _slots(keys: Iterable) -> tuple[list, np.ndarray]:
+    """The distinct keys in first-appearance order, and each key's index."""
+    index: dict = {}
+    slots = [index.setdefault(key, len(index)) for key in keys]
+    return list(index), np.array(slots, dtype=np.intp)
+
+
+def _sum_by_slot(slots: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Per-slot sums, each added up from 0.0 in the order of `values`."""
+    totals = np.zeros(n)
+    np.add.at(totals, slots, values)
+    return totals
 
 
 def delegator_rewards(
@@ -218,22 +259,54 @@ def delegator_rewards(
     because both flows pay the same wallet.
     """
     reward = _require_nonneg("validator_reward", validator_reward)
-    stake = float(validator_total_stake)
-    if stake <= 0.0:
-        raise ValidationError("validator_total_stake must be positive")
-    delegated = math.fsum(d.amount for d in delegations)
-    if delegated > stake * (1.0 + REL_TOL):
-        raise ValidationError(
-            f"delegated stake {delegated} exceeds validator stake {stake}"
+    coefficients = _payout_coefficients(delegations, validator_total_stake)
+    delegators, slots = _slots(d.delegator_id for d in delegations)
+    totals = _sum_by_slot(slots, np.array(coefficients) * reward, len(delegators))
+    return dict(zip(delegators, totals.tolist()))
+
+
+class _DelegationPlan:
+    """The delegations of one weight matrix, checked and grouped once.
+
+    Payouts are summed per (validator, delegator) pair in delegation order,
+    then per delegator in validator order: `delegator_rewards` per validator
+    and the merge of its results add them up in that order. One running sum
+    per delegator over all delegations would round differently when a
+    delegator has two delegations to a validator after its first one.
+    """
+
+    def __init__(self, wm: WeightMatrix, delegations: Sequence[Delegation]) -> None:
+        stake_by_id = dict(wm.validators)
+        grouped: dict[str, list[Delegation]] = {}
+        for delegation in delegations:
+            if delegation.validator_id not in stake_by_id:
+                raise ValidationError(f"unknown validator {delegation.validator_id!r} in delegation")
+            grouped.setdefault(delegation.validator_id, []).append(delegation)
+        owners: list[int] = []
+        coefficients: list[float] = []
+        pairs: list[tuple[int, str]] = []
+        for v, validator_id in enumerate(wm.validator_ids):
+            group = grouped.get(validator_id)
+            if not group:
+                continue
+            coefficients.extend(_payout_coefficients(group, stake_by_id[validator_id]))
+            owners.extend([v] * len(group))
+            pairs.extend((v, d.delegator_id) for d in group)
+        self.owners = np.array(owners, dtype=np.intp)
+        self.coefficients = np.array(coefficients, dtype=np.float64)
+        pair_list, self.pair_slots = _slots(pairs)
+        self.delegators, self.pair_delegator = _slots(d for _, d in pair_list)
+        self.n_pairs = len(pair_list)
+
+    def payouts(self, validator_tao: np.ndarray) -> dict[str, float]:
+        per_pair = _sum_by_slot(
+            self.pair_slots, self.coefficients * validator_tao[self.owners], self.n_pairs
         )
-    payouts: dict[str, float] = {}
-    for delegation in delegations:
-        payout = (1.0 - delegation.take) * (delegation.amount / stake) * reward
-        payouts[delegation.delegator_id] = payouts.get(delegation.delegator_id, 0.0) + payout
-    return payouts
+        totals = _sum_by_slot(self.pair_delegator, per_pair, len(self.delegators))
+        return dict(zip(self.delegators, totals.tolist()))
 
 
-def run_tempo(
+def run_tempos(
     wm: WeightMatrix,
     prev: BondState,
     params: EmissionParams,
@@ -241,8 +314,15 @@ def run_tempo(
     delegations: Sequence[Delegation] = (),
     rank_mix_perfs: Optional[np.ndarray] = None,
     rank_mix_weight: float = 1.0,
-) -> EmissionOutcome:
-    """Run the full emission pipeline for one tempo.
+) -> Iterator[EmissionOutcome]:
+    """Run the emission pipeline over chained tempos, one outcome each.
+
+    The weights, stakes, params and delegations stay fixed along the
+    chain, so the pool split, the consensus clip, the miner shares and TAO,
+    the bond target and the delegation checks are worked out once, before
+    the first outcome. Each tempo then moves the bond EMA from the previous
+    tempo's bonds, starting from `prev`, and pays validators and delegators
+    from it. The generator never ends; take as many tempos as needed.
 
     Validator TAO is the validator pool allocated proportionally to the
     bond-weighted shares (normalized over their sum); when total validator
@@ -271,42 +351,46 @@ def run_tempo(
         else:
             miner_share_vec = np.zeros(wm.n_miners)
             no_ranking_mass = True
-    bond_state = validator_bonds(wm, clipped, params.beta, params.alpha, prev)
-    validator_share_vec = validator_emission_shares(bond_state, miner_share_vec)
-
-    miner_tao = miner_pool * miner_share_vec
-    share_total = float(np.sum(validator_share_vec))
-    if share_total > 0.0:
-        validator_tao = validator_pool * (validator_share_vec / share_total)
-    else:
-        validator_tao = np.zeros_like(validator_share_vec)
-
+    _check_bond_shapes(wm, clipped, prev)
+    instant = _bond_target(wm, clipped, params.beta)
+    bond_state = _bond_step(instant, params.alpha, prev)
+    plan = _DelegationPlan(wm, delegations)
+    miner_shares = dict(zip(wm.miners, miner_share_vec.tolist()))
+    miner_tao = dict(zip(wm.miners, (miner_pool * miner_share_vec).tolist()))
     validator_ids = wm.validator_ids
-    stake_by_id = dict(wm.validators)
-    tao_by_id = dict(zip(validator_ids, validator_tao))
-    grouped: dict[str, list[Delegation]] = {}
-    for delegation in delegations:
-        if delegation.validator_id not in stake_by_id:
-            raise ValidationError(f"unknown validator {delegation.validator_id!r} in delegation")
-        grouped.setdefault(delegation.validator_id, []).append(delegation)
-    delegator_payouts: dict[str, float] = {}
-    for validator_id in validator_ids:
-        group = grouped.get(validator_id)
-        if not group:
-            continue
-        payouts = delegator_rewards(group, tao_by_id[validator_id], stake_by_id[validator_id])
-        for delegator_id, payout in payouts.items():
-            delegator_payouts[delegator_id] = delegator_payouts.get(delegator_id, 0.0) + payout
+    while True:
+        validator_share_vec = validator_emission_shares(bond_state, miner_share_vec)
+        share_total = float(np.sum(validator_share_vec))
+        if share_total > 0.0:
+            validator_tao = validator_pool * (validator_share_vec / share_total)
+        else:
+            validator_tao = np.zeros_like(validator_share_vec)
+        yield EmissionOutcome(
+            block_emission=float(block_emission),
+            owner_amount=owner,
+            miner_shares=miner_shares,
+            validator_shares=dict(zip(validator_ids, validator_share_vec.tolist())),
+            miner_tao=miner_tao,
+            validator_tao=dict(zip(validator_ids, validator_tao.tolist())),
+            delegator_rewards=plan.payouts(validator_tao),
+            bonds=bond_state.bonds,
+            tempo_index=bond_state.tempo_index,
+            no_ranking_mass=no_ranking_mass,
+        )
+        bond_state = _bond_step(instant, params.alpha, bond_state)
 
-    return EmissionOutcome(
-        block_emission=float(block_emission),
-        owner_amount=owner,
-        miner_shares=dict(zip(wm.miners, miner_share_vec)),
-        validator_shares=dict(zip(validator_ids, validator_share_vec)),
-        miner_tao=dict(zip(wm.miners, miner_tao)),
-        validator_tao=tao_by_id,
-        delegator_rewards=delegator_payouts,
-        bonds=bond_state.bonds,
-        tempo_index=bond_state.tempo_index,
-        no_ranking_mass=no_ranking_mass,
-    )
+
+def run_tempo(
+    wm: WeightMatrix,
+    prev: BondState,
+    params: EmissionParams,
+    block_emission: float,
+    delegations: Sequence[Delegation] = (),
+    rank_mix_perfs: Optional[np.ndarray] = None,
+    rank_mix_weight: float = 1.0,
+) -> EmissionOutcome:
+    """Run the full emission pipeline for one tempo: the first outcome of
+    `run_tempos` with the same arguments."""
+    return next(run_tempos(
+        wm, prev, params, block_emission, delegations, rank_mix_perfs, rank_mix_weight
+    ))

@@ -382,9 +382,12 @@ class EmissionOutcome:
         object.__setattr__(self, "owner_amount", _require_nonneg("owner_amount", self.owner_amount))
         for name in ("miner_shares", "validator_shares", "miner_tao", "validator_tao", "delegator_rewards"):
             mapping = dict(getattr(self, name))
-            for key, value in mapping.items():
-                mapping[key] = _require_nonneg(f"{name}[{key!r}]", value)
-            object.__setattr__(self, name, mapping)
+            values = np.fromiter(mapping.values(), dtype=np.float64, count=len(mapping))
+            bad = ~(np.isfinite(values) & (values >= 0.0))
+            if bad.any():
+                key = list(mapping)[int(np.argmax(bad))]
+                _require_nonneg(f"{name}[{key!r}]", mapping[key])
+            object.__setattr__(self, name, dict(zip(mapping, values.tolist())))
         bonds = np.asarray(self.bonds, dtype=np.float64)
         if bonds.ndim != 2:
             raise ValidationError("bonds must be a 2-d matrix")

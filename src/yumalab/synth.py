@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from yumalab._util import parse_timestamp
-from yumalab.consensus import BondState, run_tempo
+from yumalab.consensus import BondState, run_tempos
 from yumalab.ingest import Dataset
 from yumalab.model import (
     EmissionParams,
@@ -175,12 +175,10 @@ def _replay_rewards(
         miners=tuple(f"m{j}" for j in range(n_miners)),
         weights=weights,
     )
-    bonds = BondState.initial(n_validators, n_miners)
+    chain = run_tempos(wm, BondState.initial(n_validators, n_miners), REPLAY_PARAMS, DAILY_EMISSION)
     validator_days = np.zeros((days, n_validators))
     miner_days = np.zeros((days, n_miners))
-    for day in range(days):
-        outcome = run_tempo(wm, bonds, REPLAY_PARAMS, DAILY_EMISSION)
-        bonds = BondState(bonds=outcome.bonds, tempo_index=outcome.tempo_index)
+    for day, outcome in zip(range(days), chain):
         miner_days[day, :] = [outcome.miner_tao[m] for m in wm.miners]
         validator_days[day, :] = [outcome.validator_tao[v] for v in wm.validator_ids]
     return validator_days, miner_days

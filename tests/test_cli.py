@@ -183,7 +183,19 @@ class TestTempo:
         ({"params": [0.1]}, None, "error: malformed tempo instance"),
         ({"tempos": float("inf")}, None, "error: malformed tempo instance"),
         ({}, b'{"miners": ["m\xff"]}', "error: invalid UTF-8 in"),
-    ], ids=["ragged-bonds", "tempo-index", "params-not-object", "infinite-tempos", "non-utf8"])
+        ({"tempos": 2.7}, None, "error: malformed tempo instance"),
+        ({"tempos": True}, None, "error: malformed tempo instance"),
+        ({"bonds": [[0.0, 0.0], [0.0, 0.0]], "tempo_index": 3.9}, None,
+         "error: malformed tempo instance"),
+        ({"params": {"alpha": 0.1, "beta": 0.5, "kappa": 0.5, "tempo_blocks": 360.9}}, None,
+         "error: malformed tempo instance"),
+        ({"params": {"alpha": 0.1, "beta": 0.5, "kappa": 2.0}}, None,
+         "error: kappa must lie in (0, 1], got 2.0\n"),
+        ({"delegations": [{"validator_id": "v1", "delegator_id": "d1", "amount": -1.0,
+                           "take": 0.18}]}, None, "error: amount must be >= 0, got -1.0\n"),
+    ], ids=["ragged-bonds", "tempo-index", "params-not-object", "infinite-tempos", "non-utf8",
+            "float-tempos", "bool-tempos", "float-tempo-index", "float-tempo-blocks",
+            "params-invalid", "delegation-invalid"])
     def test_bad_instance_is_an_error_line(self, tmp_path, capsys, tempo_instance_path,
                                           fields, raw, message):
         with open(tempo_instance_path, encoding="utf-8") as handle:

@@ -10,6 +10,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from yumalab.consensus import (
     BondState,
@@ -18,11 +21,13 @@ from yumalab.consensus import (
     delegator_rewards,
     miner_emission_shares,
     run_tempo,
+    run_tempos,
     split_block_emission,
     validator_bonds,
     validator_emission_shares,
 )
-from yumalab.model import EmissionParams, ValidationError, WeightMatrix
+from yumalab.interventions import composite_ranks, unit_rescale
+from yumalab.model import EmissionOutcome, EmissionParams, ValidationError, WeightMatrix
 
 PARAMS = EmissionParams(alpha=0.1, beta=0.5, kappa=0.5)
 
@@ -292,3 +297,188 @@ class TestRunTempo:
         # constant weights: normalized validator split is stable across tempos
         assert seen[0] == pytest.approx(seen[1], rel=1e-12)
         assert seen[1] == pytest.approx(seen[2], rel=1e-12)
+
+
+def oracle_tempo(wm, prev, params, block_emission, delegations=(), rank_mix_perfs=None,
+                 rank_mix_weight=1.0) -> EmissionOutcome:
+    """One tempo composed from the public steps, every part recomputed from
+    the weights: the reference for the chained pipeline."""
+    owner, miner_pool, validator_pool = split_block_emission(block_emission, params)
+    _, clipped = consensus_clip(wm, params.kappa)
+    miner_share_vec, no_ranking_mass = miner_emission_shares(clipped, wm.stakes)
+    if rank_mix_perfs is not None:
+        perfs = np.asarray(rank_mix_perfs, dtype=np.float64)
+        if perfs.shape != (wm.n_miners,):
+            raise ValidationError("rank_mix_perfs length does not match the miner count")
+        mixed = composite_ranks(unit_rescale(wm.stakes @ clipped), perfs, rank_mix_weight)
+        mass = float(np.sum(mixed))
+        if mass > 0.0:
+            miner_share_vec = mixed / mass
+            no_ranking_mass = False
+        else:
+            miner_share_vec = np.zeros(wm.n_miners)
+            no_ranking_mass = True
+    bond_state = validator_bonds(wm, clipped, params.beta, params.alpha, prev)
+    validator_share_vec = validator_emission_shares(bond_state, miner_share_vec)
+    miner_tao = miner_pool * miner_share_vec
+    share_total = float(np.sum(validator_share_vec))
+    if share_total > 0.0:
+        validator_tao = validator_pool * (validator_share_vec / share_total)
+    else:
+        validator_tao = np.zeros_like(validator_share_vec)
+    stake_by_id = dict(wm.validators)
+    tao_by_id = dict(zip(wm.validator_ids, validator_tao))
+    grouped = {}
+    for delegation in delegations:
+        if delegation.validator_id not in stake_by_id:
+            raise ValidationError(f"unknown validator {delegation.validator_id!r} in delegation")
+        grouped.setdefault(delegation.validator_id, []).append(delegation)
+    delegator_payouts = {}
+    for validator_id in wm.validator_ids:
+        group = grouped.get(validator_id)
+        if not group:
+            continue
+        payouts = delegator_rewards(group, tao_by_id[validator_id], stake_by_id[validator_id])
+        for delegator_id, payout in payouts.items():
+            delegator_payouts[delegator_id] = delegator_payouts.get(delegator_id, 0.0) + payout
+    return EmissionOutcome(
+        block_emission=float(block_emission),
+        owner_amount=owner,
+        miner_shares=dict(zip(wm.miners, miner_share_vec)),
+        validator_shares=dict(zip(wm.validator_ids, validator_share_vec)),
+        miner_tao=dict(zip(wm.miners, miner_tao)),
+        validator_tao=tao_by_id,
+        delegator_rewards=delegator_payouts,
+        bonds=bond_state.bonds,
+        tempo_index=bond_state.tempo_index,
+        no_ranking_mass=no_ranking_mass,
+    )
+
+
+MAPPINGS = ("miner_shares", "validator_shares", "miner_tao", "validator_tao", "delegator_rewards")
+UNIT_VALUES = st.one_of(st.sampled_from([0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.0]),
+                        st.floats(0.0, 1.0))
+
+
+@st.composite
+def chain_instances(draw, delegate=True, rank_mix=True):
+    """(wm, prev, params, emission, delegations, rank_mix_perfs, rank_mix_weight)
+    with weight ties, zero-stake validators, optional all-zero miner columns
+    and delegators that appear under several validators."""
+    n_val = draw(st.integers(1, 6))
+    n_min = draw(st.integers(1, 8))
+    weights = draw(arrays(np.float64, (n_val, n_min), elements=UNIT_VALUES))
+    if draw(st.booleans()):
+        weights[:, draw(st.integers(0, n_min - 1))] = 0.0
+    stakes = draw(arrays(np.float64, n_val, elements=st.one_of(
+        st.just(0.0), st.integers(1, 5).map(float), st.floats(0.01, 100.0))))
+    if not stakes.any():
+        stakes[draw(st.integers(0, n_val - 1))] = draw(st.floats(0.01, 100.0))
+    wm = WeightMatrix(
+        validators=tuple((f"v{i}", float(x)) for i, x in enumerate(stakes)),
+        miners=tuple(f"m{j}" for j in range(n_min)),
+        weights=weights,
+    )
+    params = EmissionParams(
+        alpha=draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0))),
+        beta=draw(UNIT_VALUES),
+        kappa=draw(st.one_of(st.just(0.5), st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))),
+    )
+    if draw(st.booleans()):
+        prev = BondState(bonds=draw(arrays(np.float64, (n_val, n_min), elements=UNIT_VALUES)),
+                         tempo_index=draw(st.integers(0, 1000)))
+    else:
+        prev = BondState.initial(n_val, n_min)
+    delegations = []
+    for _ in range(draw(st.integers(0, 6)) if delegate else 0):
+        v = draw(st.integers(0, n_val - 1))
+        delegations.append(Delegation(
+            validator_id=f"v{v}",
+            delegator_id=draw(st.sampled_from(["d0", "d1", "d2"])),
+            amount=float(stakes[v]) * draw(st.floats(0.0, 0.5)),
+            take=draw(UNIT_VALUES),
+        ))
+    perfs, mix_weight = None, 1.0
+    if rank_mix and draw(st.booleans()):
+        perfs = draw(arrays(np.float64, n_min, elements=UNIT_VALUES))
+        mix_weight = draw(UNIT_VALUES)
+    emission = draw(st.floats(0.1, 1e6))
+    return wm, prev, params, emission, tuple(delegations), perfs, mix_weight
+
+
+class TestRunTempos:
+    @settings(max_examples=200, deadline=None)
+    @given(chain_instances(), st.integers(1, 6))
+    def test_chain_matches_per_tempo_oracle(self, instance, k):
+        wm, prev, params, emission, delegations, perfs, mix_weight = instance
+        want, want_error = [], None
+        state = prev
+        try:
+            for _ in range(k):
+                out = oracle_tempo(wm, state, params, emission, delegations, perfs, mix_weight)
+                want.append(out)
+                state = BondState(bonds=out.bonds, tempo_index=out.tempo_index)
+        except ValidationError as exc:
+            want_error = str(exc)
+        got, got_error = [], None
+        try:
+            chain = run_tempos(wm, prev, params, emission, delegations, perfs, mix_weight)
+            for _, out in zip(range(k), chain):
+                got.append(out)
+        except ValidationError as exc:
+            got_error = str(exc)
+        assert got_error == want_error
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.bonds.tobytes() == w.bonds.tobytes()
+            assert (g.tempo_index, g.no_ranking_mass) == (w.tempo_index, w.no_ranking_mass)
+            assert repr((g.block_emission, g.owner_amount)) == repr((w.block_emission, w.owner_amount))
+            for name in MAPPINGS:
+                assert repr(list(getattr(g, name).items())) == repr(list(getattr(w, name).items()))
+
+    def test_run_tempo_is_the_first_chained_tempo(self):
+        delegations = (Delegation("v2", "d1", 0.5, 0.1), Delegation("v1", "d1", 1.0, 0.18))
+        one = run_tempo(canonical_wm(), BondState.initial(2, 2), PARAMS, 100.0, delegations)
+        first = next(run_tempos(canonical_wm(), BondState.initial(2, 2), PARAMS, 100.0, delegations))
+        assert one.bonds.tobytes() == first.bonds.tobytes()
+        for name in MAPPINGS:
+            assert list(getattr(one, name).items()) == list(getattr(first, name).items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(chain_instances(delegate=False, rank_mix=False))
+    def test_chain_conserves_emission_when_rankings_have_mass(self, instance):
+        wm, prev, params, emission, _, _, _ = instance
+        for _, out in zip(range(25), run_tempos(wm, prev, params, emission)):
+            if out.no_ranking_mass:
+                continue
+            total = out.owner_amount + math.fsum(out.miner_tao.values()) + math.fsum(
+                out.validator_tao.values())
+            assert total == pytest.approx(emission, rel=1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(chain_instances(delegate=False))
+    def test_bonds_stay_in_unit_interval_over_long_chains(self, instance):
+        wm, prev, params, emission, _, perfs, mix_weight = instance
+        chain = run_tempos(wm, prev, params, emission, rank_mix_perfs=perfs,
+                           rank_mix_weight=mix_weight)
+        count = 0
+        for _, out in zip(range(250), chain):
+            assert np.all(out.bonds >= 0.0) and np.all(out.bonds <= 1.0)
+            count += 1
+        assert count == 250 and out.tempo_index == prev.tempo_index + 250
+
+
+class TestDelegatorRewardsOrder:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["d0", "d1", "d2", "d3"]), st.floats(0.0, 1.0),
+                              UNIT_VALUES), max_size=8),
+           st.floats(0.0, 1e6))
+    def test_matches_per_delegation_loop(self, rows, reward):
+        stake = 1.0 + math.fsum(amount for _, amount, _ in rows)
+        delegations = [Delegation("v", d, amount, take) for d, amount, take in rows]
+        expected = {}
+        for delegation in delegations:
+            payout = (1.0 - delegation.take) * (delegation.amount / stake) * reward
+            expected[delegation.delegator_id] = expected.get(delegation.delegator_id, 0.0) + payout
+        got = delegator_rewards(delegations, reward, stake)
+        assert repr(list(got.items())) == repr(list(expected.items()))

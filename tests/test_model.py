@@ -264,19 +264,20 @@ class TestWeightMatrix:
 
 
 class TestEmissionOutcome:
-    def _outcome(self, miner_shares, no_ranking_mass=False):
-        return EmissionOutcome(
-            block_emission=100.0,
-            owner_amount=18.0,
-            miner_shares=miner_shares,
-            validator_shares={"v1": 1.0},
-            miner_tao={m: 0.0 for m in miner_shares},
-            validator_tao={"v1": 41.0},
-            delegator_rewards={},
-            bonds=np.zeros((1, len(miner_shares))),
-            tempo_index=1,
-            no_ranking_mass=no_ranking_mass,
-        )
+    def _outcome(self, miner_shares, no_ranking_mass=False, **fields):
+        return EmissionOutcome(**{
+            "block_emission": 100.0,
+            "owner_amount": 18.0,
+            "miner_shares": miner_shares,
+            "validator_shares": {"v1": 1.0},
+            "miner_tao": {m: 0.0 for m in miner_shares},
+            "validator_tao": {"v1": 41.0},
+            "delegator_rewards": {},
+            "bonds": np.zeros((1, len(miner_shares))),
+            "tempo_index": 1,
+            "no_ranking_mass": no_ranking_mass,
+            **fields,
+        })
 
     def test_miner_shares_must_sum_to_one(self):
         with pytest.raises(ValidationError):
@@ -291,3 +292,28 @@ class TestEmissionOutcome:
     def test_flag_forbids_nonzero_shares(self):
         with pytest.raises(ValidationError):
             self._outcome({"m1": 1.0, "m2": 0.0}, no_ranking_mass=True)
+
+    @pytest.mark.parametrize("name, mapping, message", [
+        ("miner_tao", {"m1": 1.0, "m2": -1.0, "m3": -2.0}, "miner_tao['m2'] must be >= 0, got -1.0"),
+        ("miner_tao", {"m1": 1.0, "m2": math.nan, "m3": -1.0},
+         "miner_tao['m2'] must be finite, got nan"),
+        ("delegator_rewards", {"d1": 2.0, "d2": math.inf},
+         "delegator_rewards['d2'] must be finite, got inf"),
+        ("validator_shares", {"v1": -0.5, "v2": math.nan},
+         "validator_shares['v1'] must be >= 0, got -0.5"),
+    ], ids=["negative", "nan", "inf", "first-of-two"])
+    def test_first_bad_mapping_value_is_named(self, name, mapping, message):
+        with pytest.raises(ValidationError) as excinfo:
+            self._outcome({"m1": 0.5, "m2": 0.5}, **{name: mapping})
+        assert str(excinfo.value) == message
+
+    def test_mapping_values_are_python_floats(self):
+        outcome = self._outcome(
+            {"m1": np.float64(0.25), "m2": 0.75},
+            miner_tao={"m1": 1, "m2": np.float64(2.5)},
+            delegator_rewards={"d1": np.float32(0.5)},
+        )
+        for name in ("miner_shares", "validator_shares", "miner_tao", "validator_tao",
+                     "delegator_rewards"):
+            assert all(type(value) is float for value in getattr(outcome, name).values())
+        assert outcome.miner_tao == {"m1": 1.0, "m2": 2.5}
