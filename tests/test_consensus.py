@@ -364,7 +364,9 @@ UNIT_VALUES = st.one_of(st.sampled_from([0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.
 def chain_instances(draw, delegate=True, rank_mix=True):
     """(wm, prev, params, emission, delegations, rank_mix_perfs, rank_mix_weight)
     with weight ties, zero-stake validators, optional all-zero miner columns
-    and delegators that appear under several validators."""
+    and delegators that appear under several validators. Delegations to a
+    zero-stake or unknown validator, or beyond a validator's stake, make
+    both pipelines raise."""
     n_val = draw(st.integers(1, 6))
     n_min = draw(st.integers(1, 8))
     weights = draw(arrays(np.float64, (n_val, n_min), elements=UNIT_VALUES))
@@ -391,11 +393,12 @@ def chain_instances(draw, delegate=True, rank_mix=True):
         prev = BondState.initial(n_val, n_min)
     delegations = []
     for _ in range(draw(st.integers(0, 6)) if delegate else 0):
-        v = draw(st.integers(0, n_val - 1))
+        # About one delegation in ten names a validator the matrix lacks.
+        v = n_val if draw(st.integers(0, 9)) == 9 else draw(st.integers(0, n_val - 1))
         delegations.append(Delegation(
             validator_id=f"v{v}",
             delegator_id=draw(st.sampled_from(["d0", "d1", "d2"])),
-            amount=float(stakes[v]) * draw(st.floats(0.0, 0.5)),
+            amount=float(stakes[v] if v < n_val else 1.0) * draw(st.floats(0.0, 0.5)),
             take=draw(UNIT_VALUES),
         ))
     perfs, mix_weight = None, 1.0
