@@ -29,8 +29,10 @@ TEMPO_CHAIN_INSTANCE = os.path.join(DATA_DIR, "tempo_chain_instance.json")
 # the other two sweep schemes, weekly metrics and a longer tempo chain whose
 # instance has weight ties, an all-zero miner column, a zero-stake validator,
 # seeded bonds and a delegator spread over two validators out of order.
+# The two CSV invocations pin the bytes the CSV writer produces.
 INVOCATIONS = {
     "ingest": ["ingest", "--input", FIXTURE],
+    "ingest_csv": ["ingest", "--input", FIXTURE, "--format", "csv"],
     "metrics": ["metrics", "--input", FIXTURE],
     "metrics_weekly": ["metrics", "--input", FIXTURE, "--freq", "weekly"],
     "attack": ["attack", "--input", FIXTURE],
@@ -42,6 +44,8 @@ INVOCATIONS = {
     "frontier": ["frontier", "--input", FIXTURE],
     "robustness": ["robustness", "--input", FIXTURE],
     "synth": ["synth", "--seed", "5", "--subnets", "2", "--wallets", "12", "--days", "3"],
+    "synth_csv": ["synth", "--seed", "5", "--subnets", "2", "--wallets", "12", "--days", "3",
+                  "--format", "csv"],
     "synth_replay": ["synth", "--reward-rule", "yuma_replay", "--seed", "5",
                      "--subnets", "2", "--wallets", "24", "--days", "3"],
 }
