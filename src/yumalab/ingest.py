@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -239,12 +239,12 @@ class Dataset:
     @property
     def events(self) -> tuple[SnapshotEvent, ...]:
         """The rows as SnapshotEvent objects, built anew on each access."""
-        return tuple(SnapshotEvent(*record) for record in self._records(from_epoch_us))
+        return tuple(SnapshotEvent(*record) for record in self._records())
 
-    def _records(self, stamp: Callable[[int], object]) -> Iterator[tuple]:
-        """Row tuples in EVENT_COLUMNS order, with the timestamp as
-        `stamp(microseconds)`, the role as a Role and None for an absent score."""
-        stamps = _Memo(stamp)
+    def _records(self) -> Iterator[tuple]:
+        """Row tuples in EVENT_COLUMNS order, with the timestamp as a
+        datetime, the role as a Role and None for an absent score."""
+        stamps = _Memo(from_epoch_us)
         names = self.wallet_names
         # Python values for one chunk of rows at a time bound the memory.
         for first in range(0, len(self), _CHUNK_ROWS):
@@ -602,71 +602,80 @@ def _format_epoch_us(us: int) -> str:
     return format_timestamp(from_epoch_us(us))
 
 
-def _event_records(events: Iterable[SnapshotEvent]) -> Iterator[tuple]:
-    """Row tuples of `events` in the form of Dataset._records, timestamps as text."""
-    stamps = _Memo(format_timestamp)
-    for e in events:
-        yield (stamps[e.timestamp], e.block_number, e.netuid, e.wallet, e.role,
-               e.stake, e.reward, e.trust, e.validator_trust)
+def _csv_field(text: str) -> str:
+    """`text` as a field of the CSV dialect the readers read."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow((text,))
+    return buffer.getvalue()[:-1]
 
 
-def _jsonl_line(record: tuple, quote: _Memo) -> str:
-    # The bytes json.dump(..., separators=(",", ":")) writes for the
-    # record's mapping: JSON-quoted strings, repr for floats and ints.
-    stamp, block, netuid, wallet, role, stake, reward, trust, vtrust = record
-    line = (
-        f'{{"timestamp":{quote[stamp]},"block_number":{block!r},"netuid":{netuid!r},'
-        f'"wallet":{quote[wallet]},"role":{quote[role.value]},"stake":{stake!r},"reward":{reward!r}'
-    )
-    if trust is not None:
-        line += f',"trust":{trust!r}'
-    if vtrust is not None:
-        line += f',"validator_trust":{vtrust!r}'
-    return line + "}\n"
+def _float_texts(column: np.ndarray) -> list[str]:
+    """The repr of each value, worked out once per distinct bit pattern,
+    so -0.0 and 0.0 keep their own texts."""
+    bits, index = np.unique(column.view(np.int64), return_inverse=True)
+    return list(map(list(map(repr, bits.view(np.float64).tolist())).__getitem__, index.tolist()))
 
 
-def _csv_row(record: tuple) -> tuple:
-    stamp, block, netuid, wallet, role, stake, reward, trust, vtrust = record
-    return (
-        stamp, block, netuid, wallet, role.value, repr(stake), repr(reward),
-        "" if trust is None else repr(trust),
-        "" if vtrust is None else repr(vtrust),
-    )
+# Row templates indexed by 2 * miner + (score present). Each holds its role
+# and takes the other fields in EVENT_COLUMNS order, then the role's score.
+# JSONL lines are the bytes json.dump(..., separators=(",", ":")) writes.
+_JSONL_HEAD = '{{"timestamp":{},"block_number":{},"netuid":{},"wallet":{},"role":"%s","stake":{},"reward":{}'
+_JSONL_LINES = (
+    _JSONL_HEAD % "validator" + "}}\n",
+    _JSONL_HEAD % "validator" + ',"validator_trust":{}}}\n',
+    _JSONL_HEAD % "miner" + "}}\n",
+    _JSONL_HEAD % "miner" + ',"trust":{}}}\n',
+)
+_CSV_LINES = (
+    "{},{},{},{},validator,{},{},,\n",
+    "{},{},{},{},validator,{},{},,{}\n",
+    "{},{},{},{},miner,{},{},,\n",
+    "{},{},{},{},miner,{},{},{},\n",
+)
 
 
-def write_events(events: Union[Dataset, Iterable[SnapshotEvent]], sink: BinaryIO, format: str = "jsonl") -> None:
-    """Serialize a Dataset's rows, or events in the given order, in a form
-    parse_events reads back losslessly.
+def write_events(dataset: Dataset, sink: BinaryIO, format: str = "jsonl") -> None:
+    """Serialize a Dataset's rows in a form parse_events reads back losslessly.
 
     Floats are written with full round-trip precision (repr), so a
     write/parse cycle reproduces the exact same values.
     """
     if format not in _READERS:
         raise ValidationError(f"unknown format {format!r} (expected jsonl or csv)")
-    if isinstance(events, Dataset):
-        records = events._records(_format_epoch_us)
+    if format == "jsonl":
+        templates, quote = _JSONL_LINES, json.dumps
     else:
-        records = _event_records(events)
-    text = io.TextIOWrapper(sink, encoding="utf-8", newline="")
-    try:
-        if format == "jsonl":
-            quote = _Memo(json.dumps)
-            text.writelines(_jsonl_line(record, quote) for record in records)
-        else:
-            writer = csv.writer(text, lineterminator="\n")
-            writer.writerow(EVENT_COLUMNS)
-            writer.writerows(_csv_row(record) for record in records)
-        text.flush()
-    finally:
-        text.detach()
+        templates, quote = _CSV_LINES, _csv_field
+        sink.write((",".join(EVENT_COLUMNS) + "\n").encode("utf-8"))
+    # Each wallet name and timestamp is quoted once, and each distinct float
+    # of a chunk formatted once; no other field can need CSV quoting.
+    wallets = [quote(name) for name in dataset.wallet_names]
+    stamps = _Memo(lambda us: quote(_format_epoch_us(us)))
+    for first in range(0, len(dataset), _CHUNK_ROWS):
+        rows = slice(first, first + _CHUNK_ROWS)
+        miner = dataset.miner[rows]
+        score = np.where(miner, dataset.trust[rows], dataset.validator_trust[rows])
+        kind = 2 * miner.astype(np.intp) + ~np.isnan(score)
+        lines = map(
+            str.format,
+            map(templates.__getitem__, kind.tolist()),
+            map(stamps.__getitem__, dataset.timestamp[rows].tolist()),
+            dataset.block_number[rows].tolist(),
+            dataset.netuid[rows].tolist(),
+            map(wallets.__getitem__, dataset.wallet[rows].tolist()),
+            _float_texts(dataset.stake[rows]),
+            _float_texts(dataset.reward[rows]),
+            _float_texts(score),
+        )
+        sink.write("".join(lines).encode("utf-8"))
 
 
-def save_events(events: Union[Dataset, Iterable[SnapshotEvent]], path, format: Optional[str] = None) -> None:
+def save_events(dataset: Dataset, path, format: Optional[str] = None) -> None:
     path = str(path)
     if format is None:
         format = "csv" if path.endswith(".csv") else "jsonl"
     with open(path, "wb") as handle:
-        write_events(events, handle, format=format)
+        write_events(dataset, handle, format=format)
 
 
 # ---------------------------------------------------------------------------

@@ -15,16 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from yumalab._util import parse_timestamp
+from yumalab._util import parse_timestamp, to_epoch_us
 from yumalab.consensus import BondState, run_tempos
-from yumalab.ingest import Dataset
-from yumalab.model import (
-    EmissionParams,
-    Role,
-    SnapshotEvent,
-    ValidationError,
-    WeightMatrix,
-)
+from yumalab.ingest import _DAY_US, Dataset, _sorted_dataset
+from yumalab.model import EmissionParams, ValidationError, WeightMatrix
 
 __all__ = ["SynthConfig", "generate"]
 
@@ -81,9 +75,14 @@ class SynthConfig:
         _stake_sampler(self.stake_law)
         _perf_sampler(self.perf_law)
         try:
-            parse_timestamp(self.start)
+            start = parse_timestamp(self.start)
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
+        try:
+            start + timedelta(days=int(self.span_days) - 1)
+        except OverflowError:
+            raise ValidationError(f"a span of {self.span_days} days from {self.start!r} "
+                                  "ends after year 9999") from None
 
 
 def _law_args(law: str, expected: str) -> tuple[str, list[float]]:
@@ -185,17 +184,17 @@ def _replay_rewards(
 
 
 def generate(cfg: SynthConfig) -> Dataset:
-    """Generate a deterministic synthetic Dataset from the config."""
+    """Generate a deterministic synthetic Dataset from the config, as
+    columns built from each subnet's draws and validated once."""
     stake_sampler = _stake_sampler(cfg.stake_law)
     perf_sampler = _perf_sampler(cfg.perf_law)
-    start = parse_timestamp(cfg.start)
-    events: list[SnapshotEvent] = []
+    n = cfg.wallets_per_subnet
+    n_validators = min(max(1, round(cfg.validator_fraction * n)), n - 1)
+    n_miners = n - n_validators
+    names: list[str] = []
+    stakes, perfs, rewards = [], [], []
     for netuid in range(cfg.n_subnets):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, netuid]))
-        n = cfg.wallets_per_subnet
-        n_validators = min(max(1, round(cfg.validator_fraction * n)), n - 1)
-        n_miners = n - n_validators
-
         validator_stakes = stake_sampler(rng, n_validators)
         miner_stakes = stake_sampler(rng, n_miners)
         validator_perf = _couple_to_stake(
@@ -204,45 +203,36 @@ def generate(cfg: SynthConfig) -> Dataset:
         miner_perf = _couple_to_stake(
             perf_sampler(rng, n_miners), miner_stakes, cfg.stake_perf_coupling, rng
         )
-
+        stakes.append(np.concatenate((validator_stakes, miner_stakes)))
+        perfs.append(np.concatenate((validator_perf, miner_perf)))
         if cfg.reward_rule == "stake_proportional":
             total_stake = float(np.sum(validator_stakes) + np.sum(miner_stakes))
-            validator_daily = DAILY_EMISSION * validator_stakes / total_stake
-            miner_daily = DAILY_EMISSION * miner_stakes / total_stake
-            validator_days = np.tile(validator_daily, (cfg.span_days, 1))
-            miner_days = np.tile(miner_daily, (cfg.span_days, 1))
+            rewards.append(np.tile(DAILY_EMISSION * stakes[-1] / total_stake, (cfg.span_days, 1)))
         else:
-            validator_days, miner_days = _replay_rewards(
-                validator_stakes, validator_perf, miner_perf, rng, cfg.span_days
-            )
+            rewards.append(np.hstack(
+                _replay_rewards(validator_stakes, validator_perf, miner_perf, rng, cfg.span_days)
+            ))
+        names += [f"sn{netuid:03d}-v{i:04d}" for i in range(n_validators)]
+        names += [f"sn{netuid:03d}-m{j:04d}" for j in range(n_miners)]
 
-        for day in range(cfg.span_days):
-            timestamp = start + timedelta(days=day)
-            block = day * BLOCKS_PER_DAY
-            for i in range(n_validators):
-                events.append(
-                    SnapshotEvent(
-                        timestamp=timestamp,
-                        block_number=block,
-                        netuid=netuid,
-                        wallet=f"sn{netuid:03d}-v{i:04d}",
-                        role=Role.VALIDATOR,
-                        stake=float(validator_stakes[i]),
-                        reward=float(validator_days[day, i]),
-                        validator_trust=float(validator_perf[i]),
-                    )
-                )
-            for j in range(n_miners):
-                events.append(
-                    SnapshotEvent(
-                        timestamp=timestamp,
-                        block_number=block,
-                        netuid=netuid,
-                        wallet=f"sn{netuid:03d}-m{j:04d}",
-                        role=Role.MINER,
-                        stake=float(miner_stakes[j]),
-                        reward=float(miner_days[day, j]),
-                        trust=float(miner_perf[j]),
-                    )
-                )
-    return Dataset.from_events(events)
+    # Rows run by subnet, day, then wallet in the order of `names`.
+    shape = (cfg.n_subnets, cfg.span_days, n)
+    netuid, day, position = (axis.ravel() for axis in np.indices(shape, dtype=np.int64))
+    miner = position >= n_validators
+    perf = np.broadcast_to(np.array(perfs)[:, np.newaxis, :], shape).ravel()
+    # Wallet codes follow name order, as Dataset requires.
+    order = sorted(range(len(names)), key=names.__getitem__)
+    code = np.empty(len(names), dtype=np.int64)
+    code[order] = np.arange(len(names))
+    columns = {
+        "timestamp": to_epoch_us(parse_timestamp(cfg.start)) + day * _DAY_US,
+        "block_number": day * BLOCKS_PER_DAY,
+        "netuid": netuid,
+        "wallet": code[netuid * n + position],
+        "miner": miner,
+        "stake": np.broadcast_to(np.array(stakes)[:, np.newaxis, :], shape).ravel(),
+        "reward": np.array(rewards).ravel(),
+        "trust": np.where(miner, perf, np.nan),
+        "validator_trust": np.where(miner, np.nan, perf),
+    }
+    return _sorted_dataset(columns, [names[k] for k in order])

@@ -276,7 +276,7 @@ def test_criterion_09_ingest_round_trip(tmp_path):
         )
         dataset = generate(cfg)
         path = tmp_path / f"round_{seed}.{'csv' if seed % 5 == 0 else 'jsonl'}"
-        save_events(dataset.events, path)
+        save_events(dataset, path)
         try:
             parsed = load_events(path)
         except ValidationError:

@@ -10,7 +10,7 @@ import pytest
 from yumalab.cli import run
 from yumalab.ingest import history_snapshots, load_events
 from yumalab.metrics import ROLE_FILTERS, concentration_report
-from yumalab.model import SnapshotEntry
+from yumalab.model import SnapshotEntry, SnapshotEvent
 
 
 def run_cli(*args) -> int:
@@ -331,6 +331,35 @@ class TestNoPerEntryObjects:
             raise AssertionError("a SnapshotEntry was built")
 
         monkeypatch.setattr(SnapshotEntry, "__post_init__", forbidden)
+        assert run_cli(*args, "--input", fixture_path, "--out", str(tmp_path)) == 0
+
+
+class TestNoPerEventObjects:
+    """synth, ingest and the analysis subcommands read and write columns;
+    none of them builds a SnapshotEvent."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_events(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("a SnapshotEvent was built")
+
+        monkeypatch.setattr(SnapshotEvent, "__post_init__", forbidden)
+
+    @pytest.mark.parametrize("rule", ["stake_proportional", "yuma_replay"])
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    def test_synth(self, tmp_path, rule, format):
+        assert run_cli("synth", "--reward-rule", rule, "--format", format, "--subnets", "2",
+                       "--wallets", "12", "--days", "3", "--out", str(tmp_path)) == 0
+
+    def test_ingest_both_ways(self, tmp_path, fixture_path):
+        assert run_cli("ingest", "--input", fixture_path, "--format", "csv", "--out", str(tmp_path / "a")) == 0
+        assert run_cli("ingest", "--input", str(tmp_path / "a" / "events.csv"),
+                       "--out", str(tmp_path / "b")) == 0
+
+    @pytest.mark.parametrize("args", [
+        ["attack"], ["metrics"], ["robustness"], ["frontier"], ["sweep", "--scheme", "split"],
+    ], ids=" ".join)
+    def test_analysis(self, tmp_path, fixture_path, args):
         assert run_cli(*args, "--input", fixture_path, "--out", str(tmp_path)) == 0
 
 

@@ -8,11 +8,13 @@ import os
 import tempfile
 from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from yumalab import ingest
+from yumalab._util import format_timestamp
 from yumalab.cli import run as run_cli
 from yumalab.ingest import (
     DTAO_CUTOFF,
@@ -82,7 +84,7 @@ class TestParsing:
     @pytest.mark.parametrize("line", [b"[1, 2]", b'"text"', b"null", b"7"])
     def test_non_object_line_reports_line(self, line):
         buffer = io.BytesIO()
-        write_events([event()], buffer)
+        write_events(Dataset.from_events([event()]), buffer)
         with pytest.raises(ParseError, match="line 2: expected a JSON object"):
             parse_events(io.BytesIO(buffer.getvalue() + line + b"\n"))
 
@@ -130,7 +132,7 @@ class TestParsing:
     @pytest.mark.parametrize("format", ["jsonl", "csv"])
     def test_utf8_byte_order_mark_is_accepted(self, format):
         buffer = io.BytesIO()
-        write_events([event(wallet="a"), event(wallet="b")], buffer, format=format)
+        write_events(Dataset.from_events([event(wallet="a"), event(wallet="b")]), buffer, format=format)
         with_bom = parse_events(io.BytesIO(b"\xef\xbb\xbf" + buffer.getvalue()), format=format)
         assert [e.wallet for e in with_bom.events] == ["a", "b"]
 
@@ -155,7 +157,7 @@ class TestParsing:
     @pytest.mark.parametrize("format", ["jsonl", "csv"])
     def test_integer_beyond_int64_is_parse_error(self, format):
         buffer = io.BytesIO()
-        write_events([event()], buffer, format=format)
+        write_events(Dataset.from_events([event()]), buffer, format=format)
         data = buffer.getvalue().replace(b"7200", str(2**63).encode())
         with pytest.raises(ParseError) as exc_info:
             parse_events(io.BytesIO(data), format=format)
@@ -172,7 +174,7 @@ class TestRoundTrip:
             event(day=2, wallet="c", netuid=3, score=0.0),
         ]
         buffer = io.BytesIO()
-        write_events(events, buffer, format=format)
+        write_events(Dataset.from_events(events), buffer, format=format)
         buffer.seek(0)
         parsed = parse_events(buffer, format=format)
         assert list(parsed.events) == sorted(
@@ -183,13 +185,13 @@ class TestRoundTrip:
         events = [event(day=d, wallet=f"w{d}") for d in range(1, 6)]
         for name in ("events.jsonl", "events.csv"):
             path = tmp_path / name
-            save_events(events, path)
+            save_events(Dataset.from_events(events), path)
             assert load_events(path).events == tuple(events)
 
     def test_output_ends_with_newline(self):
         for format in ("jsonl", "csv"):
             buffer = io.BytesIO()
-            write_events([event()], buffer, format=format)
+            write_events(Dataset.from_events([event()]), buffer, format=format)
             assert buffer.getvalue().endswith(b"\n")
 
     def test_none_scores_serialize_as_absent(self):
@@ -198,7 +200,7 @@ class TestRoundTrip:
             role=Role.MINER, stake=1.0, reward=0.0, trust=None, validator_trust=None,
         )
         buffer = io.BytesIO()
-        write_events([ev], buffer, format="jsonl")
+        write_events(Dataset.from_events([ev]), buffer, format="jsonl")
         record = json.loads(buffer.getvalue())
         assert "trust" not in record and "validator_trust" not in record
 
@@ -384,13 +386,14 @@ def assert_matches_grouping_oracle(ds):
     assert as_tuples(history_snapshots(ds)) == grouped(events, lambda stamp: (first, end))
 
 
-WALLETS = ("a", "b", "sn01-m001", "w,1", 'q"x', "\u00e9t\u00e9")
+WALLETS = ("a", "b", "sn01-m001", "w,1", 'q"x', "\u00e9t\u00e9", "back\\slash", "t\tab",
+           "l\u2028s")
 ZONES = ("Z", "naive", timezone.utc, timezone(timedelta(hours=5, minutes=30)),
          timezone(timedelta(hours=-8)))
 INSTANTS = st.datetimes(min_value=datetime(1950, 1, 1), max_value=datetime(2030, 12, 31),
                         timezones=st.just(UTC))
-AMOUNTS = st.floats(min_value=0.0, max_value=1e12) | st.integers(0, 10**6)
-SCORES = st.none() | st.floats(min_value=0.0, max_value=1.0)
+AMOUNTS = st.floats(min_value=0.0, max_value=1e12) | st.integers(0, 10**6) | st.just(-0.0)
+SCORES = st.none() | st.floats(min_value=0.0, max_value=1.0) | st.just(-0.0)
 
 
 def render_timestamp(instant, zone):
@@ -504,6 +507,79 @@ class TestColumnarAgainstPerLineOracle:
             parse_events(io.BytesIO(raw), format)
         assert expected.value.line == row + (1 if format == "jsonl" else 2)
         assert (parsed.value.line, str(parsed.value)) == (expected.value.line, str(expected.value))
+
+
+def oracle_write(dataset, format) -> bytes:
+    """Row by row, as write_events once wrote a list of events: one tuple
+    per event, each line formatted on its own, CSV rows through csv.writer."""
+    def jsonl_line(record, quote):
+        stamp, block, netuid, wallet, role, stake, reward, trust, vtrust = record
+        line = (
+            f'{{"timestamp":{quote[stamp]},"block_number":{block!r},"netuid":{netuid!r},'
+            f'"wallet":{quote[wallet]},"role":{quote[role.value]},"stake":{stake!r},"reward":{reward!r}'
+        )
+        if trust is not None:
+            line += f',"trust":{trust!r}'
+        if vtrust is not None:
+            line += f',"validator_trust":{vtrust!r}'
+        return line + "}\n"
+
+    def csv_row(record):
+        stamp, block, netuid, wallet, role, stake, reward, trust, vtrust = record
+        return (
+            stamp, block, netuid, wallet, role.value, repr(stake), repr(reward),
+            "" if trust is None else repr(trust),
+            "" if vtrust is None else repr(vtrust),
+        )
+
+    records = ((format_timestamp(e.timestamp), e.block_number, e.netuid, e.wallet, e.role,
+                e.stake, e.reward, e.trust, e.validator_trust) for e in dataset.events)
+    text = io.StringIO(newline="")
+    if format == "jsonl":
+        quote = ingest._Memo(json.dumps)
+        text.writelines(jsonl_line(record, quote) for record in records)
+    else:
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(ingest.EVENT_COLUMNS)
+        writer.writerows(csv_row(record) for record in records)
+    return text.getvalue().encode("utf-8")
+
+
+def written(dataset, format) -> bytes:
+    buffer = io.BytesIO()
+    write_events(dataset, buffer, format=format)
+    return buffer.getvalue()
+
+
+class TestWriterAgainstRowOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(records=event_records(max_size=40))
+    def test_writes_the_oracle_bytes(self, records):
+        dataset = parse_events(io.BytesIO(event_file(records, "jsonl").encode()))
+        for format in ("jsonl", "csv"):
+            assert written(dataset, format) == oracle_write(dataset, format)
+
+    def test_more_rows_than_one_chunk(self):
+        rows = 2 * ingest._CHUNK_ROWS + 123
+        rng = np.random.default_rng(7)
+        wallet = np.arange(rows) % len(WALLETS)
+        miner = wallet % 3 != 0
+        score = np.where(rng.random(rows) < 0.2, np.nan, rng.random(rows))
+        score[::97] = -0.0
+        stake = rng.pareto(1.2, rows) * 1e3
+        stake[::89] = 0.0
+        stake[1::89] = -0.0
+        dataset = Dataset(
+            timestamp=-86_400_000_000 + 1_000_003 * (np.arange(rows) // len(WALLETS)),
+            block_number=np.arange(rows) * 3, netuid=np.full(rows, 2), wallet=wallet, miner=miner,
+            stake=stake, reward=rng.random(rows) * 10.0 ** rng.integers(-20, 20, rows),
+            trust=np.where(miner, score, np.nan), validator_trust=np.where(miner, np.nan, score),
+            wallet_names=sorted(WALLETS),
+        )
+        for format in ("jsonl", "csv"):
+            data = written(dataset, format)
+            assert data == oracle_write(dataset, format)
+            assert parse_events(io.BytesIO(data), format).events == dataset.events
 
 
 class TestAggregationAgainstGroupingOracle:

@@ -2,13 +2,18 @@
 
 import io
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from yumalab.ingest import resample, write_events
+from yumalab import synth
+from yumalab._util import parse_timestamp
+from yumalab.ingest import Dataset, resample, write_events
 from yumalab.metrics import gini, pearson
-from yumalab.model import Role, ValidationError
+from yumalab.model import Role, SnapshotEvent, ValidationError
 from yumalab.synth import DAILY_EMISSION, SynthConfig, generate
 
 
@@ -30,7 +35,7 @@ def config(**overrides):
 
 def serialize(dataset) -> bytes:
     buffer = io.BytesIO()
-    write_events(dataset.events, buffer)
+    write_events(dataset, buffer)
     return buffer.getvalue()
 
 
@@ -163,7 +168,94 @@ class TestConfigValidation:
         dict(span_days=0),
         dict(seed=-1),
         dict(start="not-a-date"),
+        dict(start="9999-12-30T00:00:00Z", span_days=3),
     ])
     def test_rejected_configs(self, kwargs):
         with pytest.raises(ValidationError):
             config(**kwargs)
+
+
+def oracle_generate(cfg):
+    """The generator row by row: one validated SnapshotEvent per wallet per
+    day, then Dataset.from_events."""
+    stake_sampler = synth._stake_sampler(cfg.stake_law)
+    perf_sampler = synth._perf_sampler(cfg.perf_law)
+    start = parse_timestamp(cfg.start)
+    events = []
+    for netuid in range(cfg.n_subnets):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, netuid]))
+        n = cfg.wallets_per_subnet
+        n_validators = min(max(1, round(cfg.validator_fraction * n)), n - 1)
+        n_miners = n - n_validators
+        validator_stakes = stake_sampler(rng, n_validators)
+        miner_stakes = stake_sampler(rng, n_miners)
+        validator_perf = synth._couple_to_stake(
+            perf_sampler(rng, n_validators), validator_stakes, cfg.stake_perf_coupling, rng
+        )
+        miner_perf = synth._couple_to_stake(
+            perf_sampler(rng, n_miners), miner_stakes, cfg.stake_perf_coupling, rng
+        )
+        if cfg.reward_rule == "stake_proportional":
+            total_stake = float(np.sum(validator_stakes) + np.sum(miner_stakes))
+            validator_days = np.tile(DAILY_EMISSION * validator_stakes / total_stake, (cfg.span_days, 1))
+            miner_days = np.tile(DAILY_EMISSION * miner_stakes / total_stake, (cfg.span_days, 1))
+        else:
+            validator_days, miner_days = synth._replay_rewards(
+                validator_stakes, validator_perf, miner_perf, rng, cfg.span_days
+            )
+        for day in range(cfg.span_days):
+            timestamp = start + timedelta(days=day)
+            block = day * synth.BLOCKS_PER_DAY
+            for i in range(n_validators):
+                events.append(SnapshotEvent(
+                    timestamp=timestamp, block_number=block, netuid=netuid,
+                    wallet=f"sn{netuid:03d}-v{i:04d}", role=Role.VALIDATOR,
+                    stake=float(validator_stakes[i]), reward=float(validator_days[day, i]),
+                    validator_trust=float(validator_perf[i]),
+                ))
+            for j in range(n_miners):
+                events.append(SnapshotEvent(
+                    timestamp=timestamp, block_number=block, netuid=netuid,
+                    wallet=f"sn{netuid:03d}-m{j:04d}", role=Role.MINER,
+                    stake=float(miner_stakes[j]), reward=float(miner_days[day, j]),
+                    trust=float(miner_perf[j]),
+                ))
+    return Dataset.from_events(events)
+
+
+SYNTH_CONFIGS = st.builds(
+    SynthConfig,
+    n_subnets=st.integers(1, 3),
+    wallets_per_subnet=st.integers(2, 9),
+    validator_fraction=st.sampled_from([1e-9, 0.01, 0.2, 0.5, 0.99, 1 - 1e-9])
+    | st.floats(min_value=0.01, max_value=0.99),
+    stake_law=st.sampled_from(["pareto:1.2", "pareto:3", "lognormal:0,1", "lognormal:2,0", "uniform"]),
+    perf_law=st.sampled_from(["beta:2,5", "beta:0.5,0.5", "uniform"]),
+    stake_perf_coupling=st.sampled_from([-1.0, 0.0, 1.0]) | st.floats(min_value=-1.0, max_value=1.0),
+    reward_rule=st.sampled_from(synth.REWARD_RULES),
+    seed=st.integers(0, 2**64 - 1),
+    span_days=st.integers(1, 4),
+    start=st.sampled_from([
+        "2024-01-01T00:00:00Z", "2023-06-30T23:59:59.123456+05:30", "1969-12-31T18:00:00.000001-08:00",
+        "2024-02-28T12:00:00",
+    ]),
+)
+
+
+class TestColumnsAgainstPerEventOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(cfg=SYNTH_CONFIGS)
+    def test_columns_match_the_oracle(self, cfg):
+        got, expected = generate(cfg), oracle_generate(cfg)
+        assert got.wallet_names == expected.wallet_names
+        for name in ("timestamp", "block_number", "netuid", "wallet", "miner", "stake", "reward",
+                     "trust", "validator_trust"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+        assert got.cutoff is expected.cutoff is None
+
+    def test_wallet_codes_follow_name_order_past_four_digits(self):
+        # v10000 sorts before v2, so name order is not generation order.
+        cfg = SynthConfig(n_subnets=2, wallets_per_subnet=10_002, validator_fraction=0.5, span_days=1)
+        got = generate(cfg)
+        assert list(got.wallet_names) == sorted(got.wallet_names)
+        assert got.wallet.tobytes() == oracle_generate(cfg).wallet.tobytes()

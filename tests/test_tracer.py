@@ -4,7 +4,7 @@ perfbench/tracer.py wraps functions and `__post_init__` methods by name;
 a refactor that renames or removes one makes the traced benchmark fail
 every invocation. This runs the tracer as the benchmark does and checks
 that its spans record no missing hook, and counts the consensus clips a
-chained run makes.
+chained run makes and the events a CSV conversion writes.
 """
 
 import json
@@ -19,15 +19,24 @@ TRACER = os.path.join(ROOT, "perfbench", "tracer.py")
 DATA_DIR = os.path.join(ROOT, "tests", "data")
 
 
-@pytest.mark.parametrize("args, clip_calls", [
-    (["attack", "--input", os.path.join(DATA_DIR, "fixture.jsonl")], 0),
+FIXTURE = os.path.join(DATA_DIR, "fixture.jsonl")
+with open(FIXTURE, encoding="utf-8") as _handle:
+    FIXTURE_ROWS = sum(1 for line in _handle if line.strip())
+
+
+@pytest.mark.parametrize("args, counters", [
+    (["attack", "--input", FIXTURE], {"kernels.clip_benchmarks.calls": 0}),
     # Two chained tempos share one clip of the fixed weight matrix.
-    (["tempo", "--input", os.path.join(DATA_DIR, "tempo_instance.json")], 1),
+    (["tempo", "--input", os.path.join(DATA_DIR, "tempo_instance.json")],
+     {"kernels.clip_benchmarks.calls": 1}),
     # A replay clips each subnet's weights once, not once per day.
     (["synth", "--reward-rule", "yuma_replay", "--seed", "5", "--subnets", "2",
-      "--wallets", "24", "--days", "3"], 2),
-], ids=["attack", "tempo", "synth-replay"])
-def test_tracer_has_no_missing_hook(tmp_path, args, clip_calls):
+      "--wallets", "24", "--days", "3"], {"kernels.clip_benchmarks.calls": 2}),
+    # The second step of the benchmark's replay-convert round.
+    (["ingest", "--input", FIXTURE, "--format", "csv"],
+     {"kernels.clip_benchmarks.calls": 0, "ingest.events_written": FIXTURE_ROWS}),
+], ids=["attack", "tempo", "synth-replay", "ingest-csv"])
+def test_tracer_has_no_missing_hook(tmp_path, args, counters):
     spans = tmp_path / "spans.json"
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
     done = subprocess.run(
@@ -38,4 +47,5 @@ def test_tracer_has_no_missing_hook(tmp_path, args, clip_calls):
     payload = json.loads(spans.read_text(encoding="utf-8"))
     assert payload["exit"] == 0
     assert payload["missing"] == []
-    assert payload["counters"].get("kernels.clip_benchmarks.calls", 0) == clip_calls
+    for name, count in counters.items():
+        assert payload["counters"].get(name, 0) == count, name
