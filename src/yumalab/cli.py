@@ -29,6 +29,7 @@ from yumalab.ingest import (
     DTAO_CUTOFF,
     FREQUENCIES,
     Dataset,
+    _path_format,
     history_snapshots,
     load_events,
     resample,
@@ -172,9 +173,7 @@ def _load_dataset(config: RunConfig) -> Dataset:
             raise ValidationError(f"input file not found: {path}")
         # Infer the input format from the extension; --format is the output
         # format and only disambiguates inputs with unrecognized suffixes.
-        suffix = os.path.splitext(path)[1].lower()
-        fmt = None if suffix in (".jsonl", ".csv") else config.format
-        parts.append(load_events(path, format=fmt))
+        parts.append(load_events(path, format=_path_format(path) or config.format))
     dataset = Dataset.concat(parts, cutoff=config.cutoff)
     if not len(dataset):
         raise ValidationError("no events remain after parsing and cutoff")

@@ -584,13 +584,16 @@ def _utf8_error(data: bytes) -> ParseError:
     raise AssertionError("a reader failed to decode valid UTF-8")
 
 
+def _path_format(path) -> Optional[str]:
+    """The format a path's suffix names, in any letter case, or None."""
+    name = str(path).lower()
+    return "csv" if name.endswith(".csv") else "jsonl" if name.endswith(".jsonl") else None
+
+
 def load_events(path, format: Optional[str] = None) -> Dataset:
     """Parse a file path, inferring the format from the suffix by default."""
-    path = str(path)
-    if format is None:
-        format = "csv" if path.endswith(".csv") else "jsonl"
     with open(path, "rb") as handle:
-        return parse_events(handle, format=format)
+        return parse_events(handle, format=format or _path_format(path) or "jsonl")
 
 
 # ---------------------------------------------------------------------------
@@ -671,11 +674,10 @@ def write_events(dataset: Dataset, sink: BinaryIO, format: str = "jsonl") -> Non
 
 
 def save_events(dataset: Dataset, path, format: Optional[str] = None) -> None:
-    path = str(path)
-    if format is None:
-        format = "csv" if path.endswith(".csv") else "jsonl"
+    """Write a Dataset to a file path, inferring the format from the suffix
+    by default."""
     with open(path, "wb") as handle:
-        write_events(dataset, handle, format=format)
+        write_events(dataset, handle, format=format or _path_format(path) or "jsonl")
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,19 @@ class TestNoPerEventObjects:
         assert run_cli(*args, "--input", fixture_path, "--out", str(tmp_path)) == 0
 
 
+class TestInputSuffix:
+    def test_upper_case_csv_suffix_is_csv(self, tmp_path, fixture_path):
+        assert run_cli("ingest", "--input", fixture_path, "--format", "csv", "--out", str(tmp_path)) == 0
+        upper = tmp_path / "E.CSV"
+        (tmp_path / "events.csv").rename(upper)
+        outputs = []
+        for source in (upper, fixture_path):
+            out = tmp_path / f"attack-{os.path.basename(source)}"
+            assert run_cli("attack", "--input", str(source), "--out", str(out)) == 0
+            outputs.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out))})
+        assert outputs[0] == outputs[1]
+
+
 class TestFileHygiene:
     def test_outputs_end_with_newline(self, tmp_path, fixture_path):
         assert run_cli("metrics", "--input", fixture_path, "--out", str(tmp_path)) == 0

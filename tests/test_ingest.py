@@ -188,6 +188,14 @@ class TestRoundTrip:
             save_events(Dataset.from_events(events), path)
             assert load_events(path).events == tuple(events)
 
+    @pytest.mark.parametrize("name", ["events.CSV", "events.Csv", "events.JSONL"])
+    def test_suffix_is_read_in_any_case(self, tmp_path, name):
+        dataset = Dataset.from_events([event(day=d, wallet=f"w{d}") for d in range(1, 4)])
+        path = tmp_path / name
+        save_events(dataset, path)
+        assert path.read_bytes().startswith(b"timestamp," if name.lower().endswith(".csv") else b"{")
+        assert load_events(path).events == dataset.events
+
     def test_output_ends_with_newline(self):
         for format in ("jsonl", "csv"):
             buffer = io.BytesIO()
