@@ -324,8 +324,7 @@ def _sorted_dataset(columns: dict[str, np.ndarray], wallet_names: Sequence[str],
 # stream rows into one list per column and leave every check they do not
 # make themselves to Dataset validation. When either fails, the per-line
 # readers below read the file again and raise the ParseError that names
-# the line; they also read correctly the few valid inputs the columnar
-# readers are stricter about, such as "" for a JSONL score.
+# the line.
 # ---------------------------------------------------------------------------
 
 
@@ -357,7 +356,12 @@ def _read_jsonl_columns(text: io.TextIOWrapper) -> Dataset:
     for line in text:
         if line.isspace():
             continue
-        record = loads(line)
+        try:
+            record = loads(line)
+        except ValueError:
+            # Padding such as a form feed, which JSON rejects and the
+            # per-line rules strip.
+            record = loads(line.strip())
         add_ts(times[record["timestamp"]])
         add_block(record["block_number"])
         add_netuid(record["netuid"])
@@ -405,10 +409,16 @@ def _pack(columns: dict[str, list], codes: dict) -> Dataset:
     def kinds(*names: str) -> set[type]:
         return set().union(*(map(type, columns[name]) for name in names))
 
+    scores = kinds("trust", "validator_trust")
+    if not scores <= _SCORE:
+        # "" is an absent score too, as in CSV.
+        for name in ("trust", "validator_trust"):
+            columns[name] = [None if score == "" else score for score in columns[name]]
+        scores = kinds("trust", "validator_trust")
     if not (
         kinds("block_number", "netuid") <= {int}
         and kinds("stake", "reward") <= _NUMBER
-        and kinds("trust", "validator_trust") <= _SCORE
+        and scores <= _SCORE
         and all(type(name) is str and name for name in codes)
     ):
         raise TypeError("a value has the wrong type")

@@ -401,7 +401,11 @@ ZONES = ("Z", "naive", timezone.utc, timezone(timedelta(hours=5, minutes=30)),
 INSTANTS = st.datetimes(min_value=datetime(1950, 1, 1), max_value=datetime(2030, 12, 31),
                         timezones=st.just(UTC))
 AMOUNTS = st.floats(min_value=0.0, max_value=1e12) | st.integers(0, 10**6) | st.just(-0.0)
-SCORES = st.none() | st.floats(min_value=0.0, max_value=1.0) | st.just(-0.0)
+# "" is an absent score, in JSONL as in CSV.
+ABSENT = st.sampled_from([None, ""])
+SCORES = ABSENT | st.floats(min_value=0.0, max_value=1.0) | st.just(-0.0)
+# Line padding that str.strip() removes and JSON rejects, or accepts.
+PADS = st.text(alphabet="\f\v\x1c\x1f\x85\u2028\u3000 \t", max_size=2)
 
 
 def render_timestamp(instant, zone):
@@ -437,17 +441,20 @@ def event_records(draw, min_size=1, max_size=30):
                                          else ["validator", "VALIDATOR"])),
             "stake": draw(AMOUNTS),
             "reward": draw(AMOUNTS),
-            "trust": score if is_miner else None,
-            "validator_trust": None if is_miner else score,
+            "trust": score if is_miner else draw(ABSENT),
+            "validator_trust": draw(ABSENT) if is_miner else score,
         })
     return records
 
 
-def event_file(records, format, bom=False):
+def event_file(records, format, bom=False, pads=None):
+    """The records as a file; for JSONL, `pads` gives (before, after)
+    padding for each line."""
     if format == "jsonl":
+        pads = pads or [("", "")] * len(records)
         text = "".join(
-            json.dumps({k: v for k, v in record.items() if v is not None}) + "\n"
-            for record in records
+            before + json.dumps({k: v for k, v in record.items() if v is not None}) + after + "\n"
+            for record, (before, after) in zip(records, pads)
         )
     else:
         buffer = io.StringIO()
@@ -490,9 +497,10 @@ CORRUPTIONS = (
 
 class TestColumnarAgainstPerLineOracle:
     @settings(max_examples=60, deadline=None)
-    @given(records=event_records(), format=FORMATS, bom=st.booleans())
-    def test_valid_files_give_equal_events(self, records, format, bom):
-        data = event_file(records, format, bom).encode()
+    @given(records=event_records(), format=FORMATS, bom=st.booleans(), data=st.data())
+    def test_valid_files_give_equal_events(self, records, format, bom, data):
+        pads = data.draw(st.lists(st.tuples(PADS, PADS), min_size=len(records), max_size=len(records)))
+        data = event_file(records, format, bom, pads).encode()
         columnar, per_line = read_both(data, format)
         expected = per_line().events
         assert columnar().events == expected
@@ -515,6 +523,34 @@ class TestColumnarAgainstPerLineOracle:
             parse_events(io.BytesIO(raw), format)
         assert expected.value.line == row + (1 if format == "jsonl" else 2)
         assert (parsed.value.line, str(parsed.value)) == (expected.value.line, str(expected.value))
+
+
+class TestColumnarReaderAloneReadsValidFiles:
+    """Valid inputs that the columnar JSONL reader once left to the per-line
+    reader: "" for a score, and padding that JSON rejects and strip() removes."""
+
+    RECORD = {
+        "timestamp": "2024-01-01T00:00:00Z", "block_number": 1, "netuid": 1,
+        "wallet": "w", "role": "miner", "stake": 1.0, "reward": 0.0,
+    }
+
+    @pytest.mark.parametrize("line", [
+        json.dumps({**RECORD, "trust": ""}),
+        json.dumps({**RECORD, "trust": 0.5, "validator_trust": ""}),
+        "\f" + json.dumps(RECORD),
+        json.dumps(RECORD) + "\x1c\u3000",
+        "\v \f",
+    ], ids=["empty-trust", "empty-validator-trust", "leading-form-feed", "trailing-padding",
+            "padding-only"])
+    def test_parses_without_the_per_line_reader(self, monkeypatch, line):
+        data = (json.dumps(self.RECORD | {"wallet": "v"}) + "\n" + line + "\n").encode()
+        expected = Dataset.from_events(ingest._read_text(io.BytesIO(data), ingest._read_jsonl_events))
+
+        def forbidden(text):
+            raise AssertionError("the per-line reader ran")
+
+        monkeypatch.setitem(ingest._READERS, "jsonl", (ingest._read_jsonl_columns, forbidden))
+        assert parse_events(io.BytesIO(data)).events == expected.events
 
 
 def oracle_write(dataset, format) -> bytes:
