@@ -616,10 +616,12 @@ def _format_epoch_us(us: int) -> str:
 
 
 def _csv_field(text: str) -> str:
-    """`text` as a field of the CSV dialect the readers read."""
+    """`text` as a CSV field, quoted when it holds a comma, a quote, a CR or
+    an LF. With "\n" as its line terminator csv.writer would leave a CR
+    bare, and the readers would split the row there."""
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow((text,))
-    return buffer.getvalue()[:-1]
+    csv.writer(buffer, lineterminator="\r\n").writerow((text,))
+    return buffer.getvalue()[:-2]
 
 
 def _float_texts(column: np.ndarray) -> list[str]:

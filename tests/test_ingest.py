@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -395,7 +396,7 @@ def assert_matches_grouping_oracle(ds):
 
 
 WALLETS = ("a", "b", "sn01-m001", "w,1", 'q"x', "\u00e9t\u00e9", "back\\slash", "t\tab",
-           "l\u2028s")
+           "c\rr", "l\u2028s")
 ZONES = ("Z", "naive", timezone.utc, timezone(timedelta(hours=5, minutes=30)),
          timezone(timedelta(hours=-8)))
 INSTANTS = st.datetimes(min_value=datetime(1950, 1, 1), max_value=datetime(2030, 12, 31),
@@ -458,7 +459,8 @@ def event_file(records, format, bom=False, pads=None):
         )
     else:
         buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
+        # CRLF rows, so that a wallet holding a CR is quoted.
+        writer = csv.writer(buffer, lineterminator="\r\n")
         writer.writerow(ingest.EVENT_COLUMNS)
         for record in records:
             writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v
@@ -555,7 +557,8 @@ class TestColumnarReaderAloneReadsValidFiles:
 
 def oracle_write(dataset, format) -> bytes:
     """Row by row, as write_events once wrote a list of events: one tuple
-    per event, each line formatted on its own, CSV rows through csv.writer."""
+    per event, each line formatted on its own, CSV rows through csv.writer.
+    Unlike that writer, the CSV rows quote a field holding a CR."""
     def jsonl_line(record, quote):
         stamp, block, netuid, wallet, role, stake, reward, trust, vtrust = record
         line = (
@@ -583,9 +586,13 @@ def oracle_write(dataset, format) -> bytes:
         quote = ingest._Memo(json.dumps)
         text.writelines(jsonl_line(record, quote) for record in records)
     else:
-        writer = csv.writer(text, lineterminator="\n")
-        writer.writerow(ingest.EVENT_COLUMNS)
-        writer.writerows(csv_row(record) for record in records)
+        row_text = io.StringIO()
+        writer = csv.writer(row_text, lineterminator="\r\n")
+        for row in itertools.chain([ingest.EVENT_COLUMNS], map(csv_row, records)):
+            row_text.seek(0)
+            row_text.truncate()
+            writer.writerow(row)
+            text.write(row_text.getvalue()[:-2] + "\n")
     return text.getvalue().encode("utf-8")
 
 
@@ -601,7 +608,9 @@ class TestWriterAgainstRowOracle:
     def test_writes_the_oracle_bytes(self, records):
         dataset = parse_events(io.BytesIO(event_file(records, "jsonl").encode()))
         for format in ("jsonl", "csv"):
-            assert written(dataset, format) == oracle_write(dataset, format)
+            data = written(dataset, format)
+            assert data == oracle_write(dataset, format)
+            assert parse_events(io.BytesIO(data), format).events == dataset.events
 
     def test_more_rows_than_one_chunk(self):
         rows = 2 * ingest._CHUNK_ROWS + 123
