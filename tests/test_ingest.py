@@ -499,9 +499,9 @@ CORRUPTIONS = (
 
 class TestColumnarAgainstPerLineOracle:
     @settings(max_examples=60, deadline=None)
-    @given(records=event_records(), format=FORMATS, bom=st.booleans(), data=st.data())
-    def test_valid_files_give_equal_events(self, records, format, bom, data):
-        pads = data.draw(st.lists(st.tuples(PADS, PADS), min_size=len(records), max_size=len(records)))
+    @given(records=event_records(), format=FORMATS, bom=st.booleans(), draws=st.data())
+    def test_valid_files_give_equal_events(self, records, format, bom, draws):
+        pads = draws.draw(st.lists(st.tuples(PADS, PADS), min_size=len(records), max_size=len(records)))
         data = event_file(records, format, bom, pads).encode()
         columnar, per_line = read_both(data, format)
         expected = per_line().events
@@ -528,7 +528,7 @@ class TestColumnarAgainstPerLineOracle:
 
 
 class TestColumnarReaderAloneReadsValidFiles:
-    """Valid inputs that the columnar JSONL reader once left to the per-line
+    """Valid inputs the columnar JSONL reader reads without the per-line
     reader: "" for a score, and padding that JSON rejects and strip() removes."""
 
     RECORD = {
