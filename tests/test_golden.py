@@ -29,20 +29,31 @@ TEMPO_CHAIN_INSTANCE = os.path.join(DATA_DIR, "tempo_chain_instance.json")
 # the other two sweep schemes, weekly metrics and a longer tempo chain whose
 # instance has weight ties, an all-zero miner column, a zero-stake validator,
 # seeded bonds and a delegator spread over two validators out of order.
-# The two CSV invocations pin the bytes the CSV writer produces.
+# The two CSV invocations pin the bytes the CSV writer produces. The rest
+# pin each single-transform frontier, a weekly power-law robustness series,
+# a non-default threshold, grid and frequency, and a run with no cutoff.
 INVOCATIONS = {
     "ingest": ["ingest", "--input", FIXTURE],
     "ingest_csv": ["ingest", "--input", FIXTURE, "--format", "csv"],
+    "ingest_no_cutoff": ["ingest", "--input", FIXTURE, "--cutoff", "none"],
     "metrics": ["metrics", "--input", FIXTURE],
     "metrics_weekly": ["metrics", "--input", FIXTURE, "--freq", "weekly"],
+    "metrics_monthly": ["metrics", "--input", FIXTURE, "--freq", "monthly"],
     "attack": ["attack", "--input", FIXTURE],
+    "attack_threshold": ["attack", "--input", FIXTURE, "--threshold", "0.33"],
     "tempo": ["tempo", "--input", TEMPO_INSTANCE],
     "tempo_chain": ["tempo", "--input", TEMPO_CHAIN_INSTANCE],
     "sweep": ["sweep", "--input", FIXTURE, "--scheme", "composite"],
     "sweep_bonus": ["sweep", "--input", FIXTURE, "--scheme", "bonus"],
+    "sweep_bonus_grid": ["sweep", "--input", FIXTURE, "--scheme", "bonus", "--grid", "0,0.05,0.1"],
     "sweep_split": ["sweep", "--input", FIXTURE, "--scheme", "split"],
     "frontier": ["frontier", "--input", FIXTURE],
+    "frontier_cap": ["frontier", "--input", FIXTURE, "--transform", "cap", "--param", "88"],
+    "frontier_log": ["frontier", "--input", FIXTURE, "--transform", "log"],
+    "frontier_power": ["frontier", "--input", FIXTURE, "--transform", "power", "--param", "0.5"],
     "robustness": ["robustness", "--input", FIXTURE],
+    "robustness_weekly_power": ["robustness", "--input", FIXTURE, "--freq", "weekly",
+                                "--transform", "power", "--param", "0.5"],
     "synth": ["synth", "--seed", "5", "--subnets", "2", "--wallets", "12", "--days", "3"],
     "synth_csv": ["synth", "--seed", "5", "--subnets", "2", "--wallets", "12", "--days", "3",
                   "--format", "csv"],
