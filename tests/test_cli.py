@@ -46,6 +46,34 @@ class TestExitCodes:
     def test_success_is_zero(self, tmp_path, fixture_path):
         assert run_cli("attack", "--input", fixture_path, "--out", str(tmp_path)) == 0
 
+    # The output directory, --grid and --cutoff are checked before any
+    # input file is read.
+    @pytest.mark.parametrize("args, message", [
+        (("sweep", "--scheme", "bonus", "--grid", "abc"),
+         "invalid grid 'abc'; expected comma-separated numbers"),
+        (("attack", "--cutoff", "garbage"), "invalid timestamp 'garbage'"),
+    ], ids=["grid", "cutoff"])
+    def test_bad_flag_is_named_before_inputs(self, tmp_path, capsys, args, message):
+        assert run_cli(*args, "--input", "/no/such.jsonl", "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_output_directory_is_checked_before_the_grid(self, tmp_path, capsys):
+        taken = tmp_path / "file"
+        taken.write_text("")
+        code = run_cli("sweep", "--scheme", "bonus", "--grid", "abc", "--input", "/no/such.jsonl",
+                       "--out", str(taken))
+        assert code == 1
+        assert "File exists" in capsys.readouterr().err
+
+    def test_empty_out_is_the_working_directory(self, tmp_path, monkeypatch, fixture_path):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("attack", "--input", fixture_path, "--out", "") == 0
+        assert os.listdir(tmp_path) == ["coalition.csv"]
+
+    def test_tempo_without_input(self, tmp_path, capsys):
+        assert run_cli("tempo", "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == "error: tempo expects exactly one --input instance file\n"
+
 
 class TestIngest:
     def test_summary_and_events(self, tmp_path, fixture_path):
