@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import astuple, dataclass
 from datetime import datetime
 from typing import Optional, Sequence
 
@@ -26,7 +25,6 @@ import numpy as np
 from yumalab._util import format_timestamp, from_epoch_us, parse_timestamp
 from yumalab.consensus import BondState, Delegation, run_tempos
 from yumalab.ingest import (
-    DTAO_CUTOFF,
     FREQUENCIES,
     Dataset,
     _path_format,
@@ -54,8 +52,8 @@ from yumalab.synth import SynthConfig, generate
 
 DEFAULT_CUTOFF_TEXT = "2025-02-13T00:00:00Z"
 
-SWEEP_COLUMNS = ("scheme", "param", "netuid", "role", "r_sr", "r_pr", "d_r_sr", "d_r_pr")
-
+# The columns of each report table, in file order. Each names an attribute
+# of the object a row or JSON object is read from.
 CONCENTRATION_COLUMNS = (
     "netuid",
     "role_filter",
@@ -67,23 +65,52 @@ CONCENTRATION_COLUMNS = (
     "top1_stake_share",
     "top1_reward_share",
 )
+CORRELATION_COLUMNS = ("netuid", "role", "n_wallets", "r_sr", "r_sp", "r_pr")
+SWEEP_COLUMNS = ("scheme", "param", "netuid", "role", "r_sr", "r_pr", "d_r_sr", "d_r_pr")
+SWEEP_AGGREGATE_COLUMNS = (
+    "param",
+    "role",
+    "n_subnets",
+    "excluded",
+    "mean_d_r_sr",
+    "median_d_r_sr",
+    "mean_d_r_pr",
+    "median_d_r_pr",
+)
+FRONTIER_COLUMNS = (
+    "label",
+    "kind",
+    "param",
+    "n_subnets",
+    "median_coalition_fraction",
+    "median_whale_penalty",
+    "pareto",
+)
+WINDOW_COLUMNS = (
+    "window_start",
+    "n_subnets",
+    "median",
+    "p10",
+    "p90",
+    "baseline_median",
+    "baseline_p10",
+    "baseline_p90",
+)
+EMISSION_COLUMNS = (
+    "block_emission",
+    "owner_amount",
+    "no_ranking_mass",
+    "tempo_index",
+    "miner_shares",
+    "validator_shares",
+    "miner_tao",
+    "validator_tao",
+    "delegator_rewards",
+    "bonds",
+)
 
 _METRIC_FIELDS = ("gini", "hhi", "top1")
 _RESOURCES = ("stake", "reward")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated common settings of one CLI invocation."""
-
-    inputs: tuple[str, ...]
-    out_dir: str
-    format: Optional[str]
-    cutoff: Optional[datetime]
-    freq: str = "daily"
-    scheme: Optional[str] = None
-    grid: Optional[tuple[float, ...]] = None
-    seed: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +144,26 @@ def _round9(value):
     return value
 
 
+def _row(item, columns: Sequence[str]) -> tuple:
+    """The `columns` attributes of `item`, with a role as its name, an
+    instant in ISO-8601 UTC and an array as nested lists."""
+    row = []
+    for name in columns:
+        value = getattr(item, name)
+        if isinstance(value, Role):
+            value = value.value
+        elif isinstance(value, datetime):
+            value = format_timestamp(value)
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        row.append(value)
+    return tuple(row)
+
+
+def _object(item, columns: Sequence[str]) -> dict:
+    return dict(zip(columns, _row(item, columns)))
+
+
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
@@ -125,10 +172,24 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
             writer.writerow([_fmt(cell) for cell in row])
 
 
+def _write_table(path: str, columns: Sequence[str], items) -> None:
+    """A CSV report with one row of `columns` per item."""
+    _write_csv(path, columns, (_row(item, columns) for item in items))
+
+
 def _write_json(path: str, payload) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(_round9(payload), handle, indent=2)
         handle.write("\n")
+
+
+def _out_dir(args: argparse.Namespace) -> str:
+    """The output directory, created if missing; an empty --out means '.'."""
+    out_dir = args.out or "."
+    os.makedirs(out_dir, exist_ok=True)
+    if not os.access(out_dir, os.W_OK):
+        raise ValidationError(f"output directory {out_dir!r} is not writable")
+    return out_dir
 
 
 def _parse_cutoff(text: str) -> Optional[datetime]:
@@ -140,48 +201,21 @@ def _parse_cutoff(text: str) -> Optional[datetime]:
         raise ValidationError(str(exc)) from None
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    out_dir = getattr(args, "out", None) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    if not os.access(out_dir, os.W_OK):
-        raise ValidationError(f"output directory {out_dir!r} is not writable")
-    grid_text = getattr(args, "grid", None)
-    grid = None
-    if grid_text:
-        try:
-            grid = tuple(float(part) for part in grid_text.split(","))
-        except ValueError:
-            raise ValidationError(f"invalid grid {grid_text!r}; expected comma-separated numbers") from None
-    return RunConfig(
-        inputs=tuple(getattr(args, "input", None) or ()),
-        out_dir=out_dir,
-        format=getattr(args, "format", None),
-        cutoff=_parse_cutoff(getattr(args, "cutoff", DEFAULT_CUTOFF_TEXT)),
-        freq=getattr(args, "freq", None) or "daily",
-        scheme=getattr(args, "scheme", None),
-        grid=grid,
-        seed=int(getattr(args, "seed", 0) or 0),
-    )
-
-
-def _load_dataset(config: RunConfig) -> Dataset:
-    if not config.inputs:
+def _load_dataset(args: argparse.Namespace) -> Dataset:
+    cutoff = _parse_cutoff(args.cutoff)
+    if not args.input:
         raise ValidationError("at least one --input file is required")
     parts = []
-    for path in config.inputs:
+    for path in args.input:
         if not os.path.exists(path):
             raise ValidationError(f"input file not found: {path}")
         # Infer the input format from the extension; --format is the output
         # format and only disambiguates inputs with unrecognized suffixes.
-        parts.append(load_events(path, format=_path_format(path) or config.format))
-    dataset = Dataset.concat(parts, cutoff=config.cutoff)
+        parts.append(load_events(path, format=_path_format(path) or args.format))
+    dataset = Dataset.concat(parts, cutoff=cutoff)
     if not len(dataset):
         raise ValidationError("no events remain after parsing and cutoff")
     return dataset
-
-
-def _out(config: RunConfig, name: str) -> str:
-    return os.path.join(config.out_dir, name)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +224,10 @@ def _out(config: RunConfig, name: str) -> str:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    dataset = _load_dataset(config)
-    out_format = config.format or "jsonl"
-    events_path = _out(config, f"events.{'csv' if out_format == 'csv' else 'jsonl'}")
+    out_dir = _out_dir(args)
+    dataset = _load_dataset(args)
+    out_format = args.format or "jsonl"
+    events_path = os.path.join(out_dir, f"events.{out_format}")
     save_events(dataset, events_path, format=out_format)
     pairs = set(zip(dataset.wallet.tolist(), dataset.netuid.tolist()))
     summary = {
@@ -202,10 +236,10 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         "netuids": dataset.netuids(),
         "first_event": format_timestamp(from_epoch_us(dataset.timestamp[0])),
         "last_event": format_timestamp(from_epoch_us(dataset.timestamp[-1])),
-        "cutoff": format_timestamp(config.cutoff) if config.cutoff else None,
+        "cutoff": format_timestamp(dataset.cutoff) if dataset.cutoff else None,
         "events_file": os.path.basename(events_path),
     }
-    _write_json(_out(config, "ingest_summary.json"), summary)
+    _write_json(os.path.join(out_dir, "ingest_summary.json"), summary)
     return 0
 
 
@@ -240,8 +274,8 @@ def _summary_rows(variant: str, reports) -> list[tuple]:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    dataset = _load_dataset(config)
+    out_dir = _out_dir(args)
+    dataset = _load_dataset(args)
     history = history_snapshots(dataset)
 
     history_reports = [
@@ -249,82 +283,59 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         for snap in history
         for role_filter in ROLE_FILTERS
     ]
-    _write_csv(
-        _out(config, "concentration.csv"),
-        CONCENTRATION_COLUMNS,
-        (astuple(report) for report in history_reports),
-    )
+    _write_table(os.path.join(out_dir, "concentration.csv"), CONCENTRATION_COLUMNS, history_reports)
 
     # Per-window reports averaged per (netuid, role_filter) at the chosen
     # frequency; windows where a metric is undefined are skipped.
     window_reports: dict[tuple[int, str], list] = {}
-    for snap in resample(dataset, config.freq):
+    for snap in resample(dataset, args.freq):
         for role_filter in ROLE_FILTERS:
             window_reports.setdefault((snap.netuid, role_filter), []).append(
                 concentration_report(snap, role_filter)
             )
+    metric_columns = CONCENTRATION_COLUMNS[3:]
     mean_rows = []
-    for (netuid, role_filter) in sorted(window_reports):
-        group = window_reports[(netuid, role_filter)]
-        cells: list = [netuid, role_filter, len(group)]
-        for metric in _METRIC_FIELDS:
-            for resource in _RESOURCES:
-                values = [
-                    value
-                    for report in group
-                    if (value := _metric_value(report, metric, resource)) is not None
-                ]
-                cells.append(float(np.mean(values)) if values else None)
-        mean_rows.append(tuple(cells))
+    for key in sorted(window_reports):
+        group = window_reports[key]
+        means = []
+        for name in metric_columns:
+            values = [value for report in group if (value := getattr(report, name)) is not None]
+            means.append(float(np.mean(values)) if values else None)
+        mean_rows.append((*key, len(group), *means))
     _write_csv(
-        _out(config, "concentration_snapshot_mean.csv"),
-        ("netuid", "role_filter", "n_windows") + CONCENTRATION_COLUMNS[3:],
+        os.path.join(out_dir, "concentration_snapshot_mean.csv"),
+        ("netuid", "role_filter", "n_windows") + metric_columns,
         mean_rows,
     )
 
     summary_rows = _summary_rows("history", history_reports)
     snapshot_reports = [report for group in window_reports.values() for report in group]
-    summary_rows.extend(_summary_rows(f"snapshot_{config.freq}", snapshot_reports))
+    summary_rows.extend(_summary_rows(f"snapshot_{args.freq}", snapshot_reports))
     _write_csv(
-        _out(config, "concentration_summary.csv"),
+        os.path.join(out_dir, "concentration_summary.csv"),
         ("variant", "role_filter", "resource", "metric", "mean", "median", "min", "max"),
         summary_rows,
     )
 
-    correlation_rows = []
-    for snap in history:
-        for role in (Role.MINER, Role.VALIDATOR):
-            if snap.count(role) < 2:
-                continue
-            profile = correlation_profile(snap, role)
-            correlation_rows.append(
-                (
-                    profile.netuid,
-                    role.value,
-                    profile.n_wallets,
-                    profile.r_sr,
-                    profile.r_sp,
-                    profile.r_pr,
-                )
-            )
-    _write_csv(
-        _out(config, "correlations.csv"),
-        ("netuid", "role", "n_wallets", "r_sr", "r_sp", "r_pr"),
-        correlation_rows,
-    )
+    profiles = [
+        correlation_profile(snap, role)
+        for snap in history
+        for role in (Role.MINER, Role.VALIDATOR)
+        if snap.count(role) >= 2
+    ]
+    _write_table(os.path.join(out_dir, "correlations.csv"), CORRELATION_COLUMNS, profiles)
     return 0
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    dataset = _load_dataset(config)
-    threshold = float(args.threshold)
+    out_dir = _out_dir(args)
+    dataset = _load_dataset(args)
     rows = []
     for snap in history_snapshots(dataset):
         if float(np.sum(snap.stake)) <= 0.0:
             continue
-        rows.append((snap.netuid, snap.count(), coalition_fraction(snap.stake, threshold)))
-    _write_csv(_out(config, "coalition.csv"), ("netuid", "n_wallets", "coalition_fraction"), rows)
+        rows.append((snap.netuid, snap.count(), coalition_fraction(snap.stake, args.threshold)))
+    _write_csv(os.path.join(out_dir, "coalition.csv"), ("netuid", "n_wallets", "coalition_fraction"), rows)
     return 0
 
 
@@ -385,203 +396,95 @@ def _tempo_instance(path: str):
 
 
 def _cmd_tempo(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    if len(config.inputs) != 1:
+    out_dir = _out_dir(args)
+    if len(args.input or ()) != 1:
         raise ValidationError("tempo expects exactly one --input instance file")
-    wm, bonds, params, block_emission, delegations, tempos = _tempo_instance(config.inputs[0])
+    wm, bonds, params, block_emission, delegations, tempos = _tempo_instance(args.input[0])
     chain = run_tempos(wm, bonds, params, block_emission, delegations)
     for _, outcome in zip(range(tempos), chain):
         pass  # only the last tempo's outcome is written
-    payload = {
-        "block_emission": outcome.block_emission,
-        "owner_amount": outcome.owner_amount,
-        "no_ranking_mass": outcome.no_ranking_mass,
-        "tempo_index": outcome.tempo_index,
-        "miner_shares": outcome.miner_shares,
-        "validator_shares": outcome.validator_shares,
-        "miner_tao": outcome.miner_tao,
-        "validator_tao": outcome.validator_tao,
-        "delegator_rewards": outcome.delegator_rewards,
-        "bonds": outcome.bonds.tolist(),
-    }
-    _write_json(_out(config, "emission.json"), payload)
+    _write_json(os.path.join(out_dir, "emission.json"), _object(outcome, EMISSION_COLUMNS))
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    if not config.scheme:
-        raise ValidationError("--scheme is required for sweep")
-    dataset = _load_dataset(config)
-    result = sweep_scheme(history_snapshots(dataset), config.scheme, grid=config.grid)
-    _write_csv(
-        _out(config, "sweep.csv"),
-        SWEEP_COLUMNS,
-        (
-            (p.scheme, p.param, p.netuid, p.role.value, p.r_sr, p.r_pr, p.d_r_sr, p.d_r_pr)
-            for p in result.per_point
-        ),
-    )
+    out_dir = _out_dir(args)
+    grid = None
+    if args.grid:
+        try:
+            grid = tuple(float(part) for part in args.grid.split(","))
+        except ValueError:
+            raise ValidationError(f"invalid grid {args.grid!r}; expected comma-separated numbers") from None
+    dataset = _load_dataset(args)
+    result = sweep_scheme(history_snapshots(dataset), args.scheme, grid=grid)
+    _write_table(os.path.join(out_dir, "sweep.csv"), SWEEP_COLUMNS, result.per_point)
     summary = {
         "scheme": result.scheme,
         "grid": list(result.grid),
-        "aggregates": [
-            {
-                "param": agg.param,
-                "role": agg.role.value,
-                "n_subnets": agg.n_subnets,
-                "excluded": agg.excluded,
-                "mean_d_r_sr": agg.mean_d_r_sr,
-                "median_d_r_sr": agg.median_d_r_sr,
-                "mean_d_r_pr": agg.mean_d_r_pr,
-                "median_d_r_pr": agg.median_d_r_pr,
-            }
-            for agg in result.aggregates
-        ],
+        "aggregates": [_object(agg, SWEEP_AGGREGATE_COLUMNS) for agg in result.aggregates],
     }
-    _write_json(_out(config, "sweep_summary.json"), summary)
+    _write_json(os.path.join(out_dir, "sweep_summary.json"), summary)
     return 0
 
 
-def _transform_from_args(args: argparse.Namespace, default_kind: Optional[str] = None) -> Optional[TransformSpec]:
-    kind = getattr(args, "transform", None) or default_kind
-    if kind is None:
-        return None
-    param = getattr(args, "param", None)
-    if kind == "cap":
-        if param is None:
+def _transform_from_args(args: argparse.Namespace) -> Optional[TransformSpec]:
+    if args.transform == "cap":
+        if args.param is None:
             raise ValidationError("--param (cap percentile) is required for the cap transform")
-        return TransformSpec(kind="cap", cap_percentile=float(param))
-    if kind == "power":
-        if param is None:
+        return TransformSpec(kind="cap", cap_percentile=args.param)
+    if args.transform == "power":
+        if args.param is None:
             raise ValidationError("--param (exponent) is required for the power transform")
-        return TransformSpec(kind="power", power_exponent=float(param))
-    if kind == "log":
+        return TransformSpec(kind="power", power_exponent=args.param)
+    if args.transform == "log":
         return TransformSpec(kind="log")
-    raise ValidationError(f"unknown transform {kind!r}")
+    return None
 
 
 def _cmd_frontier(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    dataset = _load_dataset(config)
+    out_dir = _out_dir(args)
+    dataset = _load_dataset(args)
     chosen = _transform_from_args(args)
     if chosen is None:
         specs = default_frontier_specs()
     else:
         identity = TransformSpec(kind="cap", cap_percentile=100.0)
         specs = (identity, chosen) if chosen != identity else (identity,)
-    threshold = float(args.threshold)
-    points = tradeoff_frontier(history_snapshots(dataset), specs, threshold=threshold)
-    _write_csv(
-        _out(config, "frontier.csv"),
-        (
-            "label",
-            "kind",
-            "param",
-            "n_subnets",
-            "median_coalition_fraction",
-            "median_whale_penalty",
-            "pareto",
-        ),
-        (
-            (
-                p.label,
-                p.kind,
-                p.param,
-                p.n_subnets,
-                p.median_coalition_fraction,
-                p.median_whale_penalty,
-                p.pareto,
-            )
-            for p in points
-        ),
-    )
+    points = tradeoff_frontier(history_snapshots(dataset), specs, threshold=args.threshold)
+    _write_table(os.path.join(out_dir, "frontier.csv"), FRONTIER_COLUMNS, points)
     payload = {
-        "threshold": threshold,
-        "points": [
-            {
-                "label": p.label,
-                "kind": p.kind,
-                "param": p.param,
-                "n_subnets": p.n_subnets,
-                "median_coalition_fraction": p.median_coalition_fraction,
-                "median_whale_penalty": p.median_whale_penalty,
-                "pareto": p.pareto,
-            }
-            for p in points
-        ],
+        "threshold": args.threshold,
+        "points": [_object(point, FRONTIER_COLUMNS) for point in points],
     }
-    _write_json(_out(config, "frontier.json"), payload)
+    _write_json(os.path.join(out_dir, "frontier.json"), payload)
     return 0
 
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    dataset = _load_dataset(config)
-    spec = _transform_from_args(args, default_kind="cap")
-    freqs = (args.freq,) if getattr(args, "freq", None) else FREQUENCIES
-    threshold = float(args.threshold)
-    series = temporal_robustness(dataset, spec, freqs=freqs, threshold=threshold)
-    rows = []
-    for entry in series:
-        for window in entry.windows:
-            rows.append(
-                (
-                    entry.freq,
-                    format_timestamp(window.window_start),
-                    window.n_subnets,
-                    window.median,
-                    window.p10,
-                    window.p90,
-                    window.baseline_median,
-                    window.baseline_p10,
-                    window.baseline_p90,
-                )
-            )
+    out_dir = _out_dir(args)
+    dataset = _load_dataset(args)
+    spec = _transform_from_args(args)
+    freqs = (args.freq,) if args.freq else FREQUENCIES
+    series = temporal_robustness(dataset, spec, freqs=freqs, threshold=args.threshold)
     _write_csv(
-        _out(config, "robustness.csv"),
-        (
-            "freq",
-            "window_start",
-            "n_subnets",
-            "median",
-            "p10",
-            "p90",
-            "baseline_median",
-            "baseline_p10",
-            "baseline_p90",
-        ),
-        rows,
+        os.path.join(out_dir, "robustness.csv"),
+        ("freq",) + WINDOW_COLUMNS,
+        ((entry.freq,) + _row(window, WINDOW_COLUMNS) for entry in series for window in entry.windows),
     )
     payload = {
         "transform": spec.label,
-        "threshold": threshold,
+        "threshold": args.threshold,
         "series": [
-            {
-                "freq": entry.freq,
-                "windows": [
-                    {
-                        "window_start": format_timestamp(window.window_start),
-                        "n_subnets": window.n_subnets,
-                        "median": window.median,
-                        "p10": window.p10,
-                        "p90": window.p90,
-                        "baseline_median": window.baseline_median,
-                        "baseline_p10": window.baseline_p10,
-                        "baseline_p90": window.baseline_p90,
-                    }
-                    for window in entry.windows
-                ],
-            }
+            {"freq": entry.freq, "windows": [_object(window, WINDOW_COLUMNS) for window in entry.windows]}
             for entry in series
         ],
     }
-    _write_json(_out(config, "robustness.json"), payload)
+    _write_json(os.path.join(out_dir, "robustness.json"), payload)
     return 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    config = _run_config(args)
+    out_dir = _out_dir(args)
     cfg = SynthConfig(
         n_subnets=args.subnets,
         wallets_per_subnet=args.wallets,
@@ -590,14 +493,13 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         perf_law=args.perf_law,
         stake_perf_coupling=args.coupling,
         reward_rule=args.reward_rule,
-        seed=config.seed,
+        seed=args.seed,
         span_days=args.days,
         start=args.start,
     )
     dataset = generate(cfg)
-    out_format = config.format or "jsonl"
-    path = _out(config, f"synth.{'csv' if out_format == 'csv' else 'jsonl'}")
-    save_events(dataset, path, format=out_format)
+    out_format = args.format or "jsonl"
+    save_events(dataset, os.path.join(out_dir, f"synth.{out_format}"), format=out_format)
     return 0
 
 
@@ -714,10 +616,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
