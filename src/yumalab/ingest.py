@@ -439,14 +439,14 @@ def _optional_score(raw, field: str, line: int) -> Optional[float]:
         return None
     try:
         return float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(line, f"invalid {field}: {raw!r}") from None
 
 
 def _required_float(raw, field: str, line: int) -> float:
     try:
         return float(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ParseError(line, f"invalid {field}: {raw!r}") from None
 
 
@@ -520,6 +520,9 @@ def _read_jsonl_events(text: io.TextIOWrapper) -> list[SnapshotEvent]:
             obj = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ParseError(line_number, f"invalid JSON: {exc.msg}") from None
+        except ValueError as exc:
+            # An integer with more digits than int() converts.
+            raise ParseError(line_number, f"invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise ParseError(line_number, "expected a JSON object")
         _check_json_types(obj, line_number)
@@ -536,12 +539,15 @@ def _read_csv_events(text: io.TextIOWrapper) -> list[SnapshotEvent]:
     if tuple(header) != EVENT_COLUMNS:
         raise ParseError(1, f"unexpected CSV header {header!r}")
     events: list[SnapshotEvent] = []
-    for line_number, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(EVENT_COLUMNS):
-            raise ParseError(line_number, f"expected {len(EVENT_COLUMNS)} columns, got {len(row)}")
-        events.append(_event_from_fields(dict(zip(EVENT_COLUMNS, row)), line_number))
+    # A record is named by its first physical line; a quoted field may
+    # span lines, which the reader counts after each LF, CR or CR LF.
+    line_number = reader.line_num + 1
+    for row in reader:
+        if row:
+            if len(row) != len(EVENT_COLUMNS):
+                raise ParseError(line_number, f"expected {len(EVENT_COLUMNS)} columns, got {len(row)}")
+            events.append(_event_from_fields(dict(zip(EVENT_COLUMNS, row)), line_number))
+        line_number = reader.line_num + 1
     return events
 
 

@@ -77,6 +77,15 @@ def _require_utc(name: str, value: datetime) -> datetime:
     return value.astimezone(timezone.utc)
 
 
+def _require_text(name: str, value: str) -> None:
+    """Reject a string that UTF-8 cannot encode: one holding a lone
+    surrogate, which a JSON escape such as \\ud800 yields."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"{name} must be valid Unicode text, got {value!r}") from None
+
+
 def _readonly(array: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(array, dtype=np.float64)
     out.setflags(write=False)
@@ -107,6 +116,11 @@ def _check_wallet_columns(wallet_names: Sequence[str], stake: np.ndarray, reward
     checked on whole columns."""
     if not all(type(name) is str and name for name in wallet_names):
         raise ValidationError("wallet must be a non-empty string")
+    try:
+        "".join(wallet_names).encode("utf-8")
+    except UnicodeEncodeError:
+        for name in wallet_names:
+            _require_text("wallet", name)
     for name, column in (("stake", stake), ("reward", reward)):
         _reject(~np.isfinite(column), lambda i: f"{name} must be finite, got {column[i].item()!r}")
         _reject(column < 0.0, lambda i: f"{name} must be >= 0, got {column[i].item()}")
@@ -142,6 +156,7 @@ class SnapshotEvent:
         object.__setattr__(self, "netuid", int(self.netuid))
         if not self.wallet:
             raise ValidationError("wallet must be a non-empty string")
+        _require_text("wallet", self.wallet)
         if not isinstance(self.role, Role):
             object.__setattr__(self, "role", Role.parse(str(self.role)))
         object.__setattr__(self, "stake", _require_nonneg("stake", self.stake))
@@ -179,6 +194,7 @@ class SnapshotEntry:
     def __post_init__(self) -> None:
         if not self.wallet:
             raise ValidationError("wallet must be a non-empty string")
+        _require_text("wallet", self.wallet)
         if not isinstance(self.role, Role):
             object.__setattr__(self, "role", Role.parse(str(self.role)))
         object.__setattr__(self, "stake", _require_nonneg("stake", self.stake))

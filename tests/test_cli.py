@@ -344,6 +344,23 @@ class TestEventEncoding:
         assert err.startswith(f"error: line {line}: invalid UTF-8 byte 0x")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["attack", "ingest"])
+    @pytest.mark.parametrize("old, new, message", [
+        ('"stake": 1.0', '"stake": 1' + "0" * 400, "invalid stake: 1000"),
+        ('"reward": 1.0', '"reward": 1.0, "trust": 1' + "0" * 400, "invalid trust: 1000"),
+        ('"stake": 1.0', '"stake": ' + "1" * 5001, "invalid JSON: "),
+        ('"wallet": "b"', '"wallet": "b\\ud800"', "wallet must be valid Unicode text, got 'b\\ud800'"),
+    ], ids=["stake-401-digits", "trust-401-digits", "stake-5001-digits", "lone-surrogate"])
+    def test_malformed_jsonl_value_names_its_line(self, tmp_path, capsys, command, old, new, message):
+        path = tmp_path / "events.jsonl"
+        path.write_text(self.LINE.format("a") + "\n" + self.LINE.format("b").replace(old, new) + "\n")
+        out = tmp_path / "out"
+        assert run_cli(command, "--input", str(path), "--out", str(out), "--format", "csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line 2: {message}")
+        assert "Traceback" not in err
+        assert os.listdir(out) == []
+
 
 class TestNoPerEntryObjects:
     """Every snapshot-based subcommand reads the snapshot columns; none of

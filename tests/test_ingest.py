@@ -165,6 +165,40 @@ class TestParsing:
         assert exc_info.value.line == (1 if format == "jsonl" else 2)
         assert "block_number does not fit in 64 bits" in str(exc_info.value)
 
+    def test_integer_beyond_the_json_digit_limit_is_parse_error(self):
+        good = ('{"timestamp": "2024-01-01T00:00:00Z", "block_number": 1, "netuid": 1, '
+                '"wallet": "w", "role": "miner", "stake": 1.0, "reward": 0.0}\n')
+        bad = good.replace('"stake": 1.0', '"stake": ' + "1" * 5001)
+        with pytest.raises(ParseError) as exc_info:
+            parse_events(io.BytesIO((good + bad).encode()))
+        assert exc_info.value.line == 2
+        assert "invalid JSON" in str(exc_info.value)
+
+    def test_wallet_with_a_lone_surrogate_is_parse_error(self):
+        data = ('{"timestamp": "2024-01-01T00:00:00Z", "block_number": 1, "netuid": 1, '
+                '"wallet": "a\\ud800", "role": "miner", "stake": 1.0, "reward": 0.0}\n').encode()
+        with pytest.raises(ValidationError, match="wallet must be valid Unicode text"):
+            ingest._read_text(io.BytesIO(data), ingest._read_jsonl_columns)
+        with pytest.raises(ParseError) as exc_info:
+            parse_events(io.BytesIO(data))
+        assert exc_info.value.line == 1
+        assert str(exc_info.value) == "line 1: wallet must be valid Unicode text, got 'a\\ud800'"
+
+    # A CSV record is named by its first physical line, with line ends
+    # counted after each LF, CR or CR LF.
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
+    @pytest.mark.parametrize("first, second, line", [
+        ("a{}b", "c", 4),
+        ("a", "c{}d", 3),
+    ], ids=["after-a-multi-line-record", "multi-line-record"])
+    def test_csv_record_is_named_by_its_first_line(self, brk, first, second, line):
+        row = '2024-01-01T00:00:00Z,1,1,"{}",miner,{},1.0,,\n'
+        data = (",".join(ingest.EVENT_COLUMNS) + "\n" + row.format(first.format(brk), "1.0")
+                + row.format(second.format(brk), "-1.0")).encode()
+        with pytest.raises(ParseError) as exc_info:
+            parse_events(io.BytesIO(data), format="csv")
+        assert str(exc_info.value) == f"line {line}: stake must be >= 0, got -1.0"
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("format", ["jsonl", "csv"])
@@ -494,6 +528,9 @@ CORRUPTIONS = (
     {"trust": 1.5},
     {"validator_trust": math.nan},
     {"trust": math.nan},
+    # Integers beyond the float range.
+    {"stake": 10**400},
+    {"trust": 10**400},
 )
 
 
@@ -508,7 +545,7 @@ class TestColumnarAgainstPerLineOracle:
         assert columnar().events == expected
         assert parse_events(io.BytesIO(data), format).events == expected
 
-    @pytest.mark.parametrize("corruption", CORRUPTIONS, ids=lambda c: "{}={!r}".format(*next(iter(c.items()))))
+    @pytest.mark.parametrize("corruption", CORRUPTIONS, ids=lambda c: "{}={!r}".format(*next(iter(c.items())))[:40])
     @pytest.mark.parametrize("format", ["jsonl", "csv"])
     @settings(max_examples=8, deadline=None)
     @given(records=event_records(), data=st.data())
@@ -523,7 +560,9 @@ class TestColumnarAgainstPerLineOracle:
             columnar()
         with pytest.raises(ParseError) as parsed:
             parse_events(io.BytesIO(raw), format)
-        assert expected.value.line == row + (1 if format == "jsonl" else 2)
+        # A CSV wallet holding a CR spans two physical lines.
+        line = row + 1 if format == "jsonl" else row + 2 + sum(r["wallet"].count("\r") for r in records[:row])
+        assert expected.value.line == line
         assert (parsed.value.line, str(parsed.value)) == (expected.value.line, str(expected.value))
 
 

@@ -94,6 +94,10 @@ class TestSnapshotEvent:
         with pytest.raises(ValidationError):
             make_event(block_number=-1)
 
+    def test_wallet_with_a_lone_surrogate_rejected(self):
+        with pytest.raises(ValidationError, match="wallet must be valid Unicode text"):
+            make_event(wallet="w\ud800")
+
 
 class TestEmissionParams:
     def test_defaults(self):
@@ -189,6 +193,7 @@ class TestSubnetSnapshot:
 
     @pytest.mark.parametrize("row, message", [
         (("", Role.MINER, 1.0, 1.0, 0.5), "wallet must be a non-empty string"),
+        (("x\udfff", Role.MINER, 1.0, 1.0, 0.5), "wallet must be valid Unicode text"),
         (("x", Role.MINER, -1.0, 1.0, 0.5), "stake must be >= 0, got -1.0"),
         (("x", Role.MINER, math.inf, 1.0, 0.5), "stake must be finite, got inf"),
         (("x", Role.MINER, 1.0, math.nan, 0.5), "reward must be finite, got nan"),
