@@ -116,6 +116,7 @@ def _check_wallet_columns(wallet_names: Sequence[str], stake: np.ndarray, reward
     checked on whole columns."""
     if not all(type(name) is str and name for name in wallet_names):
         raise ValidationError("wallet must be a non-empty string")
+    # One encode covers every name; the loop only finds the one to name.
     try:
         "".join(wallet_names).encode("utf-8")
     except UnicodeEncodeError:
