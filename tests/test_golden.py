@@ -23,12 +23,15 @@ DIGESTS_PATH = os.path.join(DATA_DIR, "golden_digests.json")
 FIXTURE = os.path.join(DATA_DIR, "fixture.jsonl")
 TEMPO_INSTANCE = os.path.join(DATA_DIR, "tempo_instance.json")
 TEMPO_CHAIN_INSTANCE = os.path.join(DATA_DIR, "tempo_chain_instance.json")
+TEMPO_NO_MASS_INSTANCE = os.path.join(DATA_DIR, "tempo_no_mass_instance.json")
 
 # The eight invocations of acceptance criterion 10, plus a yuma_replay synth
 # corpus, which drives the consensus clip on non-trivial weight matrices,
 # the other two sweep schemes, weekly metrics and a longer tempo chain whose
 # instance has weight ties, an all-zero miner column, a zero-stake validator,
 # seeded bonds and a delegator spread over two validators out of order.
+# A chain on all-zero weights pins the no-ranking-mass branch: zero miner
+# shares, zero validator TAO and a zero delegator payout, with decaying bonds.
 # The two CSV invocations pin the bytes the CSV writer produces. The rest
 # pin each single-transform frontier, a weekly power-law robustness series,
 # a non-default threshold, grid and frequency, and a run with no cutoff.
@@ -43,6 +46,7 @@ INVOCATIONS = {
     "attack_threshold": ["attack", "--input", FIXTURE, "--threshold", "0.33"],
     "tempo": ["tempo", "--input", TEMPO_INSTANCE],
     "tempo_chain": ["tempo", "--input", TEMPO_CHAIN_INSTANCE],
+    "tempo_no_mass": ["tempo", "--input", TEMPO_NO_MASS_INSTANCE],
     "sweep": ["sweep", "--input", FIXTURE, "--scheme", "composite"],
     "sweep_bonus": ["sweep", "--input", FIXTURE, "--scheme", "bonus"],
     "sweep_bonus_grid": ["sweep", "--input", FIXTURE, "--scheme", "bonus", "--grid", "0,0.05,0.1"],
