@@ -20,11 +20,11 @@ import numpy as np
 
 from yumalab.interventions import composite_ranks, unit_rescale
 from yumalab.model import (
+    BondState,
     EmissionOutcome,
     EmissionParams,
     ValidationError,
     WeightMatrix,
-    _readonly,
     _require_nonneg,
     _require_unit,
 )
@@ -45,30 +45,6 @@ __all__ = [
 
 # Relative slack for delegated-stake and conservation comparisons.
 REL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class BondState:
-    """EMA bond matrix (validator x miner) with its tempo counter."""
-
-    bonds: np.ndarray
-    tempo_index: int = 0
-
-    def __post_init__(self) -> None:
-        bonds = np.asarray(self.bonds, dtype=np.float64)
-        if bonds.ndim != 2:
-            raise ValidationError("bonds must be a 2-d matrix")
-        if not np.all(np.isfinite(bonds)) or np.any(bonds < 0.0) or np.any(bonds > 1.0):
-            raise ValidationError("bond entries must lie in [0, 1]")
-        object.__setattr__(self, "bonds", _readonly(bonds))
-        if int(self.tempo_index) < 0:
-            raise ValidationError("tempo_index must be >= 0")
-        object.__setattr__(self, "tempo_index", int(self.tempo_index))
-
-    @classmethod
-    def initial(cls, n_validators: int, n_miners: int) -> "BondState":
-        """Zero bonds: the protocol's start state (nothing accrued yet)."""
-        return cls(bonds=np.zeros((n_validators, n_miners)), tempo_index=0)
 
 
 @dataclass(frozen=True)
@@ -231,11 +207,11 @@ def _payout_coefficients(delegations: Sequence[Delegation], validator_total_stak
     return [(1.0 - d.take) * (d.amount / stake) for d in delegations]
 
 
-def _slots(keys: Iterable) -> tuple[list, np.ndarray]:
+def _slots(keys: Iterable) -> tuple[tuple, np.ndarray]:
     """The distinct keys in first-appearance order, and each key's index."""
     index: dict = {}
     slots = [index.setdefault(key, len(index)) for key in keys]
-    return list(index), np.array(slots, dtype=np.intp)
+    return tuple(index), np.array(slots, dtype=np.intp)
 
 
 def _sum_by_slot(slots: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -298,12 +274,12 @@ class _DelegationPlan:
         self.delegators, self.pair_delegator = _slots(d for _, d in pair_list)
         self.n_pairs = len(pair_list)
 
-    def payouts(self, validator_tao: np.ndarray) -> dict[str, float]:
+    def payouts(self, validator_tao: np.ndarray) -> np.ndarray:
+        """Each delegator's payout, in the order of `delegators`."""
         per_pair = _sum_by_slot(
             self.pair_slots, self.coefficients * validator_tao[self.owners], self.n_pairs
         )
-        totals = _sum_by_slot(self.pair_delegator, per_pair, len(self.delegators))
-        return dict(zip(self.delegators, totals.tolist()))
+        return _sum_by_slot(self.pair_delegator, per_pair, len(self.delegators))
 
 
 def run_tempos(
@@ -355,8 +331,7 @@ def run_tempos(
     instant = _bond_target(wm, clipped, params.beta)
     bond_state = _bond_step(instant, params.alpha, prev)
     plan = _DelegationPlan(wm, delegations)
-    miner_shares = dict(zip(wm.miners, miner_share_vec.tolist()))
-    miner_tao = dict(zip(wm.miners, (miner_pool * miner_share_vec).tolist()))
+    miner_tao = miner_pool * miner_share_vec
     validator_ids = wm.validator_ids
     while True:
         validator_share_vec = validator_emission_shares(bond_state, miner_share_vec)
@@ -368,13 +343,15 @@ def run_tempos(
         yield EmissionOutcome(
             block_emission=float(block_emission),
             owner_amount=owner,
-            miner_shares=miner_shares,
-            validator_shares=dict(zip(validator_ids, validator_share_vec.tolist())),
-            miner_tao=miner_tao,
-            validator_tao=dict(zip(validator_ids, validator_tao.tolist())),
-            delegator_rewards=plan.payouts(validator_tao),
-            bonds=bond_state.bonds,
-            tempo_index=bond_state.tempo_index,
+            miners=wm.miners,
+            validators=validator_ids,
+            delegators=plan.delegators,
+            miner_share_vec=miner_share_vec,
+            validator_share_vec=validator_share_vec,
+            miner_tao_vec=miner_tao,
+            validator_tao_vec=validator_tao,
+            delegator_reward_vec=plan.payouts(validator_tao),
+            bond_state=bond_state,
             no_ranking_mass=no_ranking_mass,
         )
         bond_state = _bond_step(instant, params.alpha, bond_state)

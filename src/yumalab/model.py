@@ -24,6 +24,7 @@ __all__ = [
     "SnapshotEntry",
     "SubnetSnapshot",
     "WeightMatrix",
+    "BondState",
     "EmissionParams",
     "EmissionOutcome",
 ]
@@ -373,50 +374,121 @@ class EmissionParams:
 
 
 @dataclass(frozen=True)
-class EmissionOutcome:
-    """Result of one emission round.
+class BondState:
+    """EMA bond matrix (validator x miner) with its tempo counter."""
 
-    Shares are fractions of the respective pools; `miner_tao` and
-    `validator_tao` are the resulting absolute amounts. `bonds` is the
-    validator-by-miner bond matrix after the round's EMA update. When no
-    miner received any stake-backed weight, `no_ranking_mass` is set and
-    all miner shares are zero.
-    """
-
-    block_emission: float
-    owner_amount: float
-    miner_shares: Mapping[str, float]
-    validator_shares: Mapping[str, float]
-    miner_tao: Mapping[str, float]
-    validator_tao: Mapping[str, float]
-    delegator_rewards: Mapping[str, float]
     bonds: np.ndarray
-    tempo_index: int
-    no_ranking_mass: bool = False
+    tempo_index: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "block_emission", _require_nonneg("block_emission", self.block_emission))
-        object.__setattr__(self, "owner_amount", _require_nonneg("owner_amount", self.owner_amount))
-        for name in ("miner_shares", "validator_shares", "miner_tao", "validator_tao", "delegator_rewards"):
-            mapping = dict(getattr(self, name))
-            values = np.fromiter(mapping.values(), dtype=np.float64, count=len(mapping))
-            bad = ~(np.isfinite(values) & (values >= 0.0))
-            if bad.any():
-                key = list(mapping)[int(np.argmax(bad))]
-                _require_nonneg(f"{name}[{key!r}]", mapping[key])
-            object.__setattr__(self, name, dict(zip(mapping, values.tolist())))
         bonds = np.asarray(self.bonds, dtype=np.float64)
         if bonds.ndim != 2:
             raise ValidationError("bonds must be a 2-d matrix")
-        if not np.all(np.isfinite(bonds)) or np.any(bonds < 0.0) or np.any(bonds > 1.0):
+        # One pass: NaN and +-inf fail a comparison too.
+        if not ((bonds >= 0.0) & (bonds <= 1.0)).all():
             raise ValidationError("bond entries must lie in [0, 1]")
         object.__setattr__(self, "bonds", _readonly(bonds))
         if int(self.tempo_index) < 0:
             raise ValidationError("tempo_index must be >= 0")
         object.__setattr__(self, "tempo_index", int(self.tempo_index))
-        miner_total = math.fsum(self.miner_shares.values())
+
+    @classmethod
+    def initial(cls, n_validators: int, n_miners: int) -> "BondState":
+        """Zero bonds: the protocol's start state (nothing accrued yet)."""
+        return cls(bonds=np.zeros((n_validators, n_miners)), tempo_index=0)
+
+
+class _MappingView:
+    """An outcome attribute mapping the ids of `ids` to the floats of the
+    array `values`, built on first read and then cached on the outcome."""
+
+    def __init__(self, ids: str, values: str) -> None:
+        self.ids, self.values = ids, values
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, outcome, owner=None):
+        if outcome is None:
+            return self
+        view = dict(zip(getattr(outcome, self.ids), getattr(outcome, self.values).tolist()))
+        outcome.__dict__[self.name] = view
+        return view
+
+
+@dataclass(frozen=True, eq=False)
+class EmissionOutcome:
+    """Result of one emission round, as columns.
+
+    Each value array holds one float per id of its id tuple. Shares are
+    fractions of the respective pools and the TAO arrays the resulting
+    amounts. `bond_state` holds the bonds after the round's EMA update and
+    the tempo counter. When no miner received any stake-backed weight,
+    `no_ranking_mass` is set and all miner shares are zero. Construction
+    makes the arrays read-only. Each mapping attribute (`miner_shares`,
+    ...) maps ids to Python floats in id order; it is built on first read
+    and cached.
+    """
+
+    block_emission: float
+    owner_amount: float
+    miners: tuple[str, ...]
+    validators: tuple[str, ...]
+    delegators: tuple[str, ...]
+    miner_share_vec: np.ndarray
+    validator_share_vec: np.ndarray
+    miner_tao_vec: np.ndarray
+    validator_tao_vec: np.ndarray
+    delegator_reward_vec: np.ndarray
+    bond_state: BondState
+    no_ranking_mass: bool = False
+
+    miner_shares = _MappingView("miners", "miner_share_vec")
+    validator_shares = _MappingView("validators", "validator_share_vec")
+    miner_tao = _MappingView("miners", "miner_tao_vec")
+    validator_tao = _MappingView("validators", "validator_tao_vec")
+    delegator_rewards = _MappingView("delegators", "delegator_reward_vec")
+    _views = (miner_shares, validator_shares, miner_tao, validator_tao, delegator_rewards)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "block_emission", _require_nonneg("block_emission", self.block_emission))
+        object.__setattr__(self, "owner_amount", _require_nonneg("owner_amount", self.owner_amount))
+        for name in ("miners", "validators", "delegators"):
+            ids = tuple(getattr(self, name))
+            if len(set(ids)) != len(ids):
+                raise ValidationError(f"ids in {name} must be unique")
+            object.__setattr__(self, name, ids)
+        columns = []
+        for view in self._views:
+            values = _readonly(getattr(self, view.values))
+            if values.shape != (len(getattr(self, view.ids)),):
+                raise ValidationError(f"{view.values} must hold one value per id of {view.ids}")
+            object.__setattr__(self, view.values, values)
+            columns.append(values)
+        # One test over all five arrays; a failure names the first bad value.
+        ok = np.concatenate(columns)
+        ok = np.isfinite(ok) & (ok >= 0.0)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            for view, values in zip(self._views, columns):
+                if i < len(values):
+                    _require_nonneg(f"{view.name}[{getattr(self, view.ids)[i]!r}]", values[i])
+                i -= len(values)
+        if not isinstance(self.bond_state, BondState):
+            raise ValidationError("bond_state must be a BondState")
+        if self.bonds.shape != (len(self.validators), len(self.miners)):
+            raise ValidationError(f"bonds shape {self.bonds.shape} does not match the ids")
+        miner_total = math.fsum(self.miner_share_vec.tolist())
         if self.no_ranking_mass:
             if miner_total != 0.0:
                 raise ValidationError("no_ranking_mass set but miner shares are non-zero")
         elif abs(miner_total - 1.0) > 1e-9:
             raise ValidationError(f"miner shares must sum to 1, got {miner_total!r}")
+
+    @property
+    def bonds(self) -> np.ndarray:
+        return self.bond_state.bonds
+
+    @property
+    def tempo_index(self) -> int:
+        return self.bond_state.tempo_index

@@ -178,8 +178,8 @@ def _replay_rewards(
     validator_days = np.zeros((days, n_validators))
     miner_days = np.zeros((days, n_miners))
     for day, outcome in zip(range(days), chain):
-        miner_days[day, :] = [outcome.miner_tao[m] for m in wm.miners]
-        validator_days[day, :] = [outcome.validator_tao[v] for v in wm.validator_ids]
+        miner_days[day, :] = outcome.miner_tao_vec
+        validator_days[day, :] = outcome.validator_tao_vec
     return validator_days, miner_days
 
 

@@ -10,7 +10,18 @@ import pytest
 from yumalab.cli import run
 from yumalab.ingest import history_snapshots, load_events
 from yumalab.metrics import ROLE_FILTERS, concentration_report
-from yumalab.model import SnapshotEntry, SnapshotEvent
+from yumalab.consensus import BondState, run_tempo
+from yumalab.model import (
+    EmissionParams,
+    SnapshotEntry,
+    SnapshotEvent,
+    WeightMatrix,
+    _MappingView,
+)
+
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
+TEMPO_CHAIN_INSTANCE = os.path.join(DATA_DIR, "tempo_chain_instance.json")
+OUTCOME_VIEWS = ("miner_shares", "validator_shares", "miner_tao", "validator_tao", "delegator_rewards")
 
 
 def run_cli(*args) -> int:
@@ -406,6 +417,45 @@ class TestNoPerEventObjects:
     ], ids=" ".join)
     def test_analysis(self, tmp_path, fixture_path, args):
         assert run_cli(*args, "--input", fixture_path, "--out", str(tmp_path)) == 0
+
+
+class TestOutcomeViewsBuiltOnRead:
+    """An outcome's mapping views are built only when read: the replay in
+    synth reads arrays, and tempo builds the views of the one outcome it
+    writes."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        build = _MappingView.__get__
+
+        def counting(view, outcome, owner=None):
+            if outcome is not None:
+                built.append((view.name, outcome))
+            return build(view, outcome, owner)
+
+        # A cached view sits in the outcome's __dict__, which shadows the
+        # descriptor, so only builds reach __get__.
+        monkeypatch.setattr(_MappingView, "__get__", counting)
+        return built
+
+    def test_synth_replay_builds_none(self, tmp_path, builds):
+        assert run_cli("synth", "--reward-rule", "yuma_replay", "--subnets", "2",
+                       "--wallets", "12", "--days", "5", "--out", str(tmp_path)) == 0
+        assert builds == []
+
+    def test_tempo_builds_only_the_written_outcome(self, tmp_path, builds):
+        assert run_cli("tempo", "--input", TEMPO_CHAIN_INSTANCE, "--out", str(tmp_path)) == 0
+        assert sorted(name for name, _ in builds) == sorted(OUTCOME_VIEWS)
+        assert len({id(outcome) for _, outcome in builds}) == 1
+        assert builds[0][1].tempo_index == 7 + 25
+
+    def test_a_view_read_twice_is_built_once(self, builds):
+        wm = WeightMatrix(validators=(("v1", 1.0),), miners=("m1", "m2"),
+                          weights=np.array([[0.5, 0.25]]))
+        outcome = run_tempo(wm, BondState.initial(1, 2), EmissionParams(alpha=0.1, beta=0.5), 10.0)
+        assert outcome.miner_tao is outcome.miner_tao
+        assert builds == [("miner_tao", outcome)]
 
 
 class TestInputSuffix:

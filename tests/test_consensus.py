@@ -344,13 +344,15 @@ def oracle_tempo(wm, prev, params, block_emission, delegations=(), rank_mix_perf
     return EmissionOutcome(
         block_emission=float(block_emission),
         owner_amount=owner,
-        miner_shares=dict(zip(wm.miners, miner_share_vec)),
-        validator_shares=dict(zip(wm.validator_ids, validator_share_vec)),
-        miner_tao=dict(zip(wm.miners, miner_tao)),
-        validator_tao=tao_by_id,
-        delegator_rewards=delegator_payouts,
-        bonds=bond_state.bonds,
-        tempo_index=bond_state.tempo_index,
+        miners=wm.miners,
+        validators=tuple(tao_by_id),
+        delegators=tuple(delegator_payouts),
+        miner_share_vec=miner_share_vec,
+        validator_share_vec=validator_share_vec,
+        miner_tao_vec=miner_tao,
+        validator_tao_vec=list(tao_by_id.values()),
+        delegator_reward_vec=list(delegator_payouts.values()),
+        bond_state=bond_state,
         no_ranking_mass=no_ranking_mass,
     )
 

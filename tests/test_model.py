@@ -1,5 +1,6 @@
 """Validation behavior of the core value types."""
 
+import dataclasses
 import math
 from datetime import datetime, timezone
 
@@ -10,6 +11,7 @@ from yumalab.model import (
     MINER_SHARE,
     OWNER_SHARE,
     VALIDATOR_SHARE,
+    BondState,
     EmissionOutcome,
     EmissionParams,
     Role,
@@ -269,20 +271,28 @@ class TestWeightMatrix:
 
 
 class TestEmissionOutcome:
-    def _outcome(self, miner_shares, no_ranking_mass=False, **fields):
-        return EmissionOutcome(**{
-            "block_emission": 100.0,
-            "owner_amount": 18.0,
-            "miner_shares": miner_shares,
-            "validator_shares": {"v1": 1.0},
-            "miner_tao": {m: 0.0 for m in miner_shares},
-            "validator_tao": {"v1": 41.0},
-            "delegator_rewards": {},
-            "bonds": np.zeros((1, len(miner_shares))),
-            "tempo_index": 1,
-            "no_ranking_mass": no_ranking_mass,
-            **fields,
-        })
+    def _outcome(self, miner_shares, no_ranking_mass=False, **mappings):
+        """An outcome built from id -> value mappings: the miner and
+        validator ids are the keys of the two share mappings."""
+        views = {"miner_shares": miner_shares, "validator_shares": {"v1": 1.0},
+                 "delegator_rewards": {}, **mappings}
+        miners, validators = tuple(views["miner_shares"]), tuple(views["validator_shares"])
+        views.setdefault("miner_tao", dict.fromkeys(miners, 0.0))
+        views.setdefault("validator_tao", dict.fromkeys(validators, 41.0))
+        return EmissionOutcome(
+            block_emission=100.0,
+            owner_amount=18.0,
+            miners=miners,
+            validators=validators,
+            delegators=tuple(views["delegator_rewards"]),
+            miner_share_vec=list(views["miner_shares"].values()),
+            validator_share_vec=list(views["validator_shares"].values()),
+            miner_tao_vec=list(views["miner_tao"].values()),
+            validator_tao_vec=list(views["validator_tao"].values()),
+            delegator_reward_vec=list(views["delegator_rewards"].values()),
+            bond_state=BondState(np.zeros((len(validators), len(miners))), tempo_index=1),
+            no_ranking_mass=no_ranking_mass,
+        )
 
     def test_miner_shares_must_sum_to_one(self):
         with pytest.raises(ValidationError):
@@ -309,7 +319,7 @@ class TestEmissionOutcome:
     ], ids=["negative", "nan", "inf", "first-of-two"])
     def test_first_bad_mapping_value_is_named(self, name, mapping, message):
         with pytest.raises(ValidationError) as excinfo:
-            self._outcome({"m1": 0.5, "m2": 0.5}, **{name: mapping})
+            self._outcome({"m1": 0.5, "m2": 0.5, "m3": 0.0}, **{name: mapping})
         assert str(excinfo.value) == message
 
     def test_mapping_values_are_python_floats(self):
@@ -322,3 +332,52 @@ class TestEmissionOutcome:
                      "delegator_rewards"):
             assert all(type(value) is float for value in getattr(outcome, name).values())
         assert outcome.miner_tao == {"m1": 1.0, "m2": 2.5}
+
+    def test_views_follow_id_order_and_are_cached(self):
+        outcome = self._outcome({"m2": 0.25, "m1": 0.75}, delegator_rewards={"d2": 1.0, "d1": 2.0})
+        assert list(outcome.miner_shares.items()) == [("m2", 0.25), ("m1", 0.75)]
+        assert list(outcome.delegator_rewards) == ["d2", "d1"]
+        assert outcome.miner_shares is outcome.miner_shares
+        assert outcome.delegators == ("d2", "d1")
+
+    def test_arrays_are_read_only(self):
+        outcome = self._outcome({"m1": 1.0})
+        for name in ("miner_share_vec", "validator_share_vec", "miner_tao_vec",
+                     "validator_tao_vec", "delegator_reward_vec"):
+            array = getattr(outcome, name)
+            assert array.dtype == np.float64 and not array.flags.writeable
+
+    def test_bonds_and_tempo_index_come_from_the_bond_state(self):
+        outcome = self._outcome({"m1": 0.5, "m2": 0.5})
+        assert outcome.bonds is outcome.bond_state.bonds
+        assert outcome.tempo_index == outcome.bond_state.tempo_index == 1
+
+    def test_equality_is_identity(self):
+        a, b = self._outcome({"m1": 1.0}), self._outcome({"m1": 1.0})
+        assert a == a and a != b
+
+    @pytest.mark.parametrize("change, message", [
+        ({"miners": ("m1", "m1")}, "ids in miners must be unique"),
+        ({"delegators": ("d1",)}, "delegator_reward_vec must hold one value per id of delegators"),
+        ({"validator_tao_vec": [[41.0]]}, "validator_tao_vec must hold one value per id of validators"),
+        ({"bond_state": np.zeros((1, 2))}, "bond_state must be a BondState"),
+        ({"bond_state": BondState(np.zeros((2, 2)))},
+         "bonds shape (2, 2) does not match the ids"),
+    ], ids=["duplicate-ids", "short-array", "matrix-array", "raw-bonds", "bond-shape"])
+    def test_column_shapes_are_checked(self, change, message):
+        fields = {f.name: getattr(self._outcome({"m1": 0.5, "m2": 0.5}), f.name)
+                  for f in dataclasses.fields(EmissionOutcome)}
+        with pytest.raises(ValidationError) as excinfo:
+            EmissionOutcome(**{**fields, **change})
+        assert str(excinfo.value) == message
+
+
+class TestBondState:
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, math.nan, math.inf, -math.inf])
+    def test_entries_outside_the_unit_interval_are_rejected(self, bad):
+        with pytest.raises(ValidationError) as excinfo:
+            BondState(np.array([[0.5, bad]]))
+        assert str(excinfo.value) == "bond entries must lie in [0, 1]"
+
+    def test_bounds_are_inclusive(self):
+        assert BondState(np.array([[0.0, 1.0]]), tempo_index=3).tempo_index == 3
