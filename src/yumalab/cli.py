@@ -356,6 +356,8 @@ def _tempo_instance(path: str):
         raise ValidationError(f"invalid UTF-8 in {path}: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON in {path}: {exc.msg} (line {exc.lineno})") from None
+    except RecursionError as exc:
+        raise ValidationError(f"invalid JSON in {path}: {exc}") from None
     try:
         validators = tuple((str(v["id"]), float(v["stake"])) for v in payload["validators"])
         miners = tuple(str(m) for m in payload["miners"])

@@ -328,8 +328,9 @@ def _sorted_dataset(columns: dict[str, np.ndarray], wallet_names: Sequence[str],
 # ---------------------------------------------------------------------------
 
 
-# Every error the columnar readers raise for malformed input.
-_COLUMNAR_FAILURES = (ValueError, TypeError, LookupError, ArithmeticError, csv.Error)
+# Every error the columnar readers raise for malformed input; json.loads
+# raises RecursionError on nesting deeper than the interpreter allows.
+_COLUMNAR_FAILURES = (ValueError, TypeError, LookupError, ArithmeticError, RecursionError, csv.Error)
 _NUMBER = {int, float}
 _SCORE = {int, float, type(None)}
 
@@ -434,20 +435,15 @@ def _pack(columns: dict[str, list], codes: dict) -> Dataset:
     return _sorted_dataset(arrays, names)
 
 
-def _optional_score(raw, field: str, line: int) -> Optional[float]:
-    if raw is None or raw == "":
-        return None
-    try:
-        return float(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(line, f"invalid {field}: {raw!r}") from None
-
-
 def _required_float(raw, field: str, line: int) -> float:
     try:
         return float(raw)
     except (TypeError, ValueError, OverflowError):
         raise ParseError(line, f"invalid {field}: {raw!r}") from None
+
+
+def _optional_score(raw, field: str, line: int) -> Optional[float]:
+    return None if raw is None or raw == "" else _required_float(raw, field, line)
 
 
 def _required_int(raw, field: str, line: int) -> int:
@@ -520,8 +516,9 @@ def _read_jsonl_events(text: io.TextIOWrapper) -> list[SnapshotEvent]:
             obj = json.loads(stripped)
         except json.JSONDecodeError as exc:
             raise ParseError(line_number, f"invalid JSON: {exc.msg}") from None
-        except ValueError as exc:
-            # An integer with more digits than int() converts.
+        except (ValueError, RecursionError) as exc:
+            # An integer with more digits than int() converts, or nesting
+            # deeper than the recursion limit.
             raise ParseError(line_number, f"invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise ParseError(line_number, "expected a JSON object")
@@ -532,22 +529,26 @@ def _read_jsonl_events(text: io.TextIOWrapper) -> list[SnapshotEvent]:
 
 def _read_csv_events(text: io.TextIOWrapper) -> list[SnapshotEvent]:
     reader = csv.reader(text)
-    try:
-        header = next(reader)
-    except StopIteration:
-        return []
-    if tuple(header) != EVENT_COLUMNS:
-        raise ParseError(1, f"unexpected CSV header {header!r}")
     events: list[SnapshotEvent] = []
     # A record is named by its first physical line; a quoted field may
     # span lines, which the reader counts after each LF, CR or CR LF.
-    line_number = reader.line_num + 1
-    for row in reader:
-        if row:
-            if len(row) != len(EVENT_COLUMNS):
-                raise ParseError(line_number, f"expected {len(EVENT_COLUMNS)} columns, got {len(row)}")
-            events.append(_event_from_fields(dict(zip(EVENT_COLUMNS, row)), line_number))
+    line_number = 1
+    try:
+        header = next(reader, None)
+        if header is None:
+            return []
+        if tuple(header) != EVENT_COLUMNS:
+            raise ParseError(1, f"unexpected CSV header {header!r}")
         line_number = reader.line_num + 1
+        for row in reader:
+            if row:
+                if len(row) != len(EVENT_COLUMNS):
+                    raise ParseError(line_number, f"expected {len(EVENT_COLUMNS)} columns, got {len(row)}")
+                events.append(_event_from_fields(dict(zip(EVENT_COLUMNS, row)), line_number))
+            line_number = reader.line_num + 1
+    except csv.Error as exc:
+        # Such as a field longer than csv.field_size_limit().
+        raise ParseError(line_number, f"invalid CSV: {exc}") from None
     return events
 
 

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from yumalab import ingest
 from yumalab.cli import run
 from yumalab.ingest import history_snapshots, load_events
 from yumalab.metrics import ROLE_FILTERS, concentration_report
@@ -232,9 +233,10 @@ class TestTempo:
          "error: kappa must lie in (0, 1], got 2.0\n"),
         ({"delegations": [{"validator_id": "v1", "delegator_id": "d1", "amount": -1.0,
                            "take": 0.18}]}, None, "error: amount must be >= 0, got -1.0\n"),
+        ({}, b"[" * 100_000 + b"]" * 100_000, "error: invalid JSON in"),
     ], ids=["ragged-bonds", "tempo-index", "params-not-object", "infinite-tempos", "non-utf8",
             "float-tempos", "bool-tempos", "float-tempo-index", "float-tempo-blocks",
-            "params-invalid", "delegation-invalid"])
+            "params-invalid", "delegation-invalid", "deep-nesting"])
     def test_bad_instance_is_an_error_line(self, tmp_path, capsys, tempo_instance_path,
                                           fields, raw, message):
         with open(tempo_instance_path, encoding="utf-8") as handle:
@@ -361,7 +363,10 @@ class TestEventEncoding:
         ('"reward": 1.0', '"reward": 1.0, "trust": 1' + "0" * 400, "invalid trust: 1000"),
         ('"stake": 1.0', '"stake": ' + "1" * 5001, "invalid JSON: "),
         ('"wallet": "b"', '"wallet": "b\\ud800"', "wallet must be valid Unicode text, got 'b\\ud800'"),
-    ], ids=["stake-401-digits", "trust-401-digits", "stake-5001-digits", "lone-surrogate"])
+        ('"stake": 1.0', '"stake": ' + "[" * 100_000 + "]" * 100_000,
+         "invalid JSON: maximum recursion depth exceeded"),
+    ], ids=["stake-401-digits", "trust-401-digits", "stake-5001-digits", "lone-surrogate",
+            "stake-deep-nesting"])
     def test_malformed_jsonl_value_names_its_line(self, tmp_path, capsys, command, old, new, message):
         path = tmp_path / "events.jsonl"
         path.write_text(self.LINE.format("a") + "\n" + self.LINE.format("b").replace(old, new) + "\n")
@@ -371,6 +376,15 @@ class TestEventEncoding:
         assert err.startswith(f"error: line 2: {message}")
         assert "Traceback" not in err
         assert os.listdir(out) == []
+
+
+    def test_oversized_csv_field_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "events.csv"
+        path.write_text(",".join(ingest.EVENT_COLUMNS) + "\n" + self.CSV_ROW.format("a") + "\n"
+                        + self.CSV_ROW.format("b" * 200_000) + "\n")
+        assert run_cli("attack", "--input", str(path), "--out", str(tmp_path / "out")) == 1
+        err = capsys.readouterr().err
+        assert err == "error: line 3: invalid CSV: field larger than field limit (131072)\n"
 
 
 class TestNoPerEntryObjects:

@@ -482,13 +482,25 @@ def event_records(draw, min_size=1, max_size=30):
     return records
 
 
+class _Deep(str):
+    """A JSON array nested deeper than json.loads decodes, with a short
+    repr. JSONL lines hold it as raw JSON, CSV rows as text."""
+
+    def __repr__(self):
+        return "DEEP"
+
+
+DEEP = _Deep("[" * 100_000 + "]" * 100_000)
+
+
 def event_file(records, format, bom=False, pads=None):
     """The records as a file; for JSONL, `pads` gives (before, after)
     padding for each line."""
     if format == "jsonl":
         pads = pads or [("", "")] * len(records)
         text = "".join(
-            before + json.dumps({k: v for k, v in record.items() if v is not None}) + after + "\n"
+            before + json.dumps({k: v for k, v in record.items() if v is not None}).replace(
+                json.dumps(DEEP), DEEP) + after + "\n"
             for record, (before, after) in zip(records, pads)
         )
     else:
@@ -531,6 +543,7 @@ CORRUPTIONS = (
     # Integers beyond the float range.
     {"stake": 10**400},
     {"trust": 10**400},
+    {"stake": DEEP},
 )
 
 
