@@ -5,6 +5,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yumalab.metrics import (
     concentration_report,
@@ -238,3 +240,40 @@ class TestConcentrationReport:
         snap = snapshot([entry("m1", Role.MINER, 1.0, 1.0, 0.0)])
         with pytest.raises(ValidationError):
             concentration_report(snap, "owner")
+
+
+# Stakes far from overflow and from subnormals, so that scaling by a power
+# of two is exact at every step of every metric; zeros of both signs and
+# repeated values included. At least one stake is positive.
+STAKES = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1.0, 3.0]), st.floats(1e-30, 1e30)), min_size=1, max_size=60,
+).filter(lambda values: max(values) > 0.0)
+SCALE_METRICS = {
+    "gini": gini,
+    "hhi": hhi,
+    "top_share": top_share,
+    "top_share_half": lambda x: top_share(x, 0.5),
+    "coalition_fraction": coalition_fraction,
+    "coalition_fraction_third": lambda x: coalition_fraction(x, 1.0 / 3.0),
+}
+
+
+class TestInvariance:
+    """Concentration must not depend on the unit of stake or on the order
+    of wallets. Powers of two scale exactly, so results must be equal, not
+    close; a tolerance would hide a real defect."""
+
+    @pytest.mark.parametrize("name", sorted(SCALE_METRICS))
+    @settings(max_examples=150, deadline=None)
+    @given(stakes=STAKES, exponent=st.integers(-60, 60))
+    def test_scaling_by_a_power_of_two(self, name, stakes, exponent):
+        metric = SCALE_METRICS[name]
+        x = np.array(stakes)
+        assert metric(np.ldexp(x, exponent)) == metric(x)
+
+    @pytest.mark.parametrize("metric", [gini, coalition_fraction], ids=["gini", "coalition_fraction"])
+    @settings(max_examples=150, deadline=None)
+    @given(stakes=STAKES, data=st.data())
+    def test_permuting_the_wallets(self, metric, stakes, data):
+        permuted = data.draw(st.permutations(stakes))
+        assert metric(np.array(permuted)) == metric(np.array(stakes))
