@@ -435,15 +435,20 @@ def _pack(columns: dict[str, list], codes: dict) -> Dataset:
     return _sorted_dataset(arrays, names)
 
 
-def _required_float(raw, field: str, line: int) -> float:
+def _optional_score(raw, field: str, line: int) -> Optional[float]:
+    if raw is None or raw == "":
+        return None
     try:
         return float(raw)
     except (TypeError, ValueError, OverflowError):
         raise ParseError(line, f"invalid {field}: {raw!r}") from None
 
 
-def _optional_score(raw, field: str, line: int) -> Optional[float]:
-    return None if raw is None or raw == "" else _required_float(raw, field, line)
+def _required_float(raw, field: str, line: int) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(line, f"invalid {field}: {raw!r}") from None
 
 
 def _required_int(raw, field: str, line: int) -> int:

@@ -466,8 +466,8 @@ class EmissionOutcome:
             object.__setattr__(self, view.values, values)
             columns.append(values)
         # One test over all five arrays; a failure names the first bad value.
-        ok = np.concatenate(columns)
-        ok = np.isfinite(ok) & (ok >= 0.0)
+        joined = np.concatenate(columns)
+        ok = np.isfinite(joined) & (joined >= 0.0)
         if not ok.all():
             i = int(np.argmin(ok))
             for view, values in zip(self._views, columns):
