@@ -24,6 +24,7 @@ FIXTURE = os.path.join(DATA_DIR, "fixture.jsonl")
 TEMPO_INSTANCE = os.path.join(DATA_DIR, "tempo_instance.json")
 TEMPO_CHAIN_INSTANCE = os.path.join(DATA_DIR, "tempo_chain_instance.json")
 TEMPO_NO_MASS_INSTANCE = os.path.join(DATA_DIR, "tempo_no_mass_instance.json")
+WIDE = os.path.join(DATA_DIR, "wide.jsonl")
 
 # The eight invocations of acceptance criterion 10, plus a yuma_replay synth
 # corpus, which drives the consensus clip on non-trivial weight matrices,
@@ -35,6 +36,11 @@ TEMPO_NO_MASS_INSTANCE = os.path.join(DATA_DIR, "tempo_no_mass_instance.json")
 # The two CSV invocations pin the bytes the CSV writer produces. The rest
 # pin each single-transform frontier, a weekly power-law robustness series,
 # a non-default threshold, grid and frequency, and a run with no cutoff.
+# The wide fixture is a 160-wallet synth corpus (seed 11, 2 subnets, 3 days),
+# so the top-1% set and the whale penalty hold two wallets, plus a subnet
+# whose stakes are all zero (one of them -0.0) and whose validators earn
+# nothing, and a subnet with tied miner stakes and one validator that
+# earns nothing.
 INVOCATIONS = {
     "ingest": ["ingest", "--input", FIXTURE],
     "ingest_csv": ["ingest", "--input", FIXTURE, "--format", "csv"],
@@ -58,6 +64,11 @@ INVOCATIONS = {
     "robustness": ["robustness", "--input", FIXTURE],
     "robustness_weekly_power": ["robustness", "--input", FIXTURE, "--freq", "weekly",
                                 "--transform", "power", "--param", "0.5"],
+    "metrics_wide": ["metrics", "--input", WIDE],
+    "attack_wide": ["attack", "--input", WIDE],
+    "frontier_wide": ["frontier", "--input", WIDE],
+    "robustness_wide": ["robustness", "--input", WIDE, "--freq", "daily"],
+    "sweep_wide": ["sweep", "--input", WIDE, "--scheme", "split"],
     "synth": ["synth", "--seed", "5", "--subnets", "2", "--wallets", "12", "--days", "3"],
     "synth_csv": ["synth", "--seed", "5", "--subnets", "2", "--wallets", "12", "--days", "3",
                   "--format", "csv"],
