@@ -211,6 +211,12 @@ def unit_rescale(values) -> np.ndarray:
     return (x - lo) / (hi - lo)
 
 
+def _nearest_rank(ascending: np.ndarray, percentile: float) -> float:
+    """Nearest-rank percentile of a non-empty ascending vector."""
+    rank = math.ceil(percentile / 100.0 * ascending.shape[0])
+    return float(ascending[max(rank, 1) - 1])
+
+
 def nearest_rank_percentile(values, percentile: float) -> float:
     """Nearest-rank percentile: element ceil(p/100 * n) of the ascending sort."""
     x = _as_vector(values, "values")
@@ -219,9 +225,17 @@ def nearest_rank_percentile(values, percentile: float) -> float:
     pct = float(percentile)
     if not 0.0 < pct <= 100.0:
         raise ValidationError(f"percentile must lie in (0, 100], got {pct}")
-    ordered = np.sort(x)
-    rank = math.ceil(pct / 100.0 * ordered.shape[0])
-    return float(ordered[max(rank, 1) - 1])
+    return _nearest_rank(np.sort(x), pct)
+
+
+def _transform(x: np.ndarray, spec: TransformSpec, cap: Optional[float]) -> np.ndarray:
+    """`spec` applied to a checked stake vector; `cap`, the nearest-rank cap
+    of the stakes, is read by the cap kind only."""
+    if spec.kind == "cap":
+        return np.minimum(x, cap)
+    if spec.kind == "power":
+        return np.power(x, spec.power_exponent)
+    return np.log1p(x)
 
 
 def apply_stake_transform(stakes, spec: TransformSpec) -> np.ndarray:
@@ -229,12 +243,21 @@ def apply_stake_transform(stakes, spec: TransformSpec) -> np.ndarray:
     x = _as_vector(stakes, "stakes")
     if np.any(x < 0.0):
         raise ValidationError("stakes must be nonnegative")
-    if spec.kind == "cap":
-        cap = nearest_rank_percentile(x, spec.cap_percentile)
-        return np.minimum(x, cap)
-    if spec.kind == "power":
-        return np.power(x, spec.power_exponent)
-    return np.log1p(x)
+    cap = nearest_rank_percentile(x, spec.cap_percentile) if spec.kind == "cap" else None
+    return _transform(x, spec, cap)
+
+
+def _whale_top(before: np.ndarray) -> tuple[np.ndarray, float]:
+    """The indices of the top 1% of `before` (ceil rule, stable sort) and
+    their combined stake."""
+    k = math.ceil(0.01 * before.shape[0])
+    top_idx = np.argsort(-before, kind="stable")[:k]
+    return top_idx, float(np.sum(before[top_idx]))
+
+
+def _penalty(top_before: float, top_after: np.ndarray) -> float:
+    """Relative reduction from `top_before` > 0 to the sum of `top_after`."""
+    return (top_before - float(np.sum(top_after))) / top_before
 
 
 def whale_penalty(original, transformed) -> float:
@@ -249,10 +272,7 @@ def whale_penalty(original, transformed) -> float:
     after = _as_vector(transformed, "transformed")
     if before.shape != after.shape:
         raise ValidationError("original and transformed must have equal length")
-    k = math.ceil(0.01 * before.shape[0])
-    top_idx = np.argsort(-before, kind="stable")[:k]
-    top_before = float(np.sum(before[top_idx]))
+    top_idx, top_before = _whale_top(before)
     if top_before <= 0.0:
         raise ValidationError("whale_penalty is undefined: top-1% stake mass is zero")
-    top_after = float(np.sum(after[top_idx]))
-    return (top_before - top_after) / top_before
+    return _penalty(top_before, after[top_idx])

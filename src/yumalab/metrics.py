@@ -1,7 +1,9 @@
 """Concentration, correlation, and attack-resilience metrics.
 
 Validating NumPy metric functions, plus snapshot-level report builders.
-Degenerate inputs split two ways: concentration metrics on zero-mass
+Both call the same private kernels: the functions after checking their
+arguments, the builders directly on snapshot columns, which the snapshot
+checked when it was built. Degenerate inputs split two ways: concentration metrics on zero-mass
 vectors raise ValidationError, while a Pearson coefficient
 with a zero-variance input is a legitimate "undefined" outcome and comes
 back as None so callers can render gaps instead of crashing.
@@ -44,6 +46,67 @@ def _as_nonneg_vector(values, name: str) -> np.ndarray:
     return x
 
 
+# The kernels below hold each formula once. They take float64 vectors that
+# are already known to be finite and nonnegative (the public functions check
+# their arguments; snapshot columns are checked on construction), and they
+# make the same NumPy calls on the same arrays as the public functions, so a
+# report built from them is bit for bit what the public functions return.
+
+
+def _gini_sorted(ascending: np.ndarray, total: float) -> float:
+    """Gini of an ascending vector whose own np.sum is `total` > 0."""
+    n = ascending.shape[0]
+    ranks = np.arange(1.0, n + 1.0)
+    return (2.0 * float(np.dot(ranks, ascending)) - (n + 1.0) * total) / (n * total)
+
+
+def _hhi(x: np.ndarray, total: float) -> float:
+    """HHI of a vector whose np.sum is `total` > 0."""
+    shares = x / total
+    return float(np.dot(shares, shares))
+
+
+def _top_sum(x: np.ndarray, k: int) -> float:
+    """Sum of the k largest values of x."""
+    n = x.shape[0]
+    if k >= n:
+        return float(np.sum(x))
+    if k == 1:
+        return float(np.max(x))  # the one value np.partition would keep
+    return float(np.sum(np.partition(x, n - k)[n - k:]))
+
+
+def _coalition_sorted(ascending: np.ndarray, threshold: float) -> float:
+    """Coalition fraction of an ascending vector with positive mass."""
+    cumulative = np.cumsum(ascending[::-1])
+    target = threshold * float(cumulative[-1])
+    m = int(np.searchsorted(cumulative, target, side="left")) + 1
+    n = ascending.shape[0]
+    return min(m, n) / n
+
+
+def _centred(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """Deviations of x from its mean, and their sum of squares."""
+    deviation = x - float(np.mean(x))
+    return deviation, float(np.dot(deviation, deviation))
+
+
+def _pearson_centred(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> Optional[float]:
+    """Pearson correlation of two `_centred` vectors; None on zero variance."""
+    (dx, sxx), (dy, syy) = x, y
+    if sxx == 0.0 or syy == 0.0:
+        return None
+    r = float(np.dot(dx, dy)) / math.sqrt(sxx * syy)
+    return min(1.0, max(-1.0, r))
+
+
+def _check_threshold(threshold: float) -> float:
+    threshold = float(threshold)
+    if not 0.0 < threshold <= 1.0:
+        raise ValidationError(f"threshold must lie in (0, 1], got {threshold}")
+    return threshold
+
+
 def gini(values) -> float:
     """Discrete Gini coefficient (mean absolute pairwise difference form),
     computed via the sorted-rank identity in O(n log n)."""
@@ -51,9 +114,7 @@ def gini(values) -> float:
     total = float(np.sum(x))
     if total <= 0.0:
         raise ValidationError("gini is undefined for an all-zero vector")
-    n = x.shape[0]
-    ranks = np.arange(1.0, n + 1.0)
-    return (2.0 * float(np.dot(ranks, x)) - (n + 1.0) * total) / (n * total)
+    return _gini_sorted(x, total)
 
 
 def hhi(values) -> float:
@@ -62,8 +123,7 @@ def hhi(values) -> float:
     total = float(np.sum(x))
     if total <= 0.0:
         raise ValidationError("hhi is undefined for a zero-sum vector")
-    shares = x / total
-    return float(np.dot(shares, shares))
+    return _hhi(x, total)
 
 
 def top_share(values, fraction: float = 0.01) -> float:
@@ -75,10 +135,7 @@ def top_share(values, fraction: float = 0.01) -> float:
     total = float(np.sum(x))
     if total <= 0.0:
         raise ValidationError("top_share is undefined for a zero-sum vector")
-    n = x.shape[0]
-    k = math.ceil(fraction * n)
-    top = x if k >= n else np.partition(x, n - k)[n - k:]
-    return float(np.sum(top)) / total
+    return _top_sum(x, math.ceil(fraction * x.shape[0])) / total
 
 
 def coalition_fraction(stakes, threshold: float = 0.51) -> float:
@@ -89,15 +146,10 @@ def coalition_fraction(stakes, threshold: float = 0.51) -> float:
     stakes cannot change m.
     """
     x = _as_nonneg_vector(stakes, "stakes")
-    threshold = float(threshold)
-    if not 0.0 < threshold <= 1.0:
-        raise ValidationError(f"threshold must lie in (0, 1], got {threshold}")
+    threshold = _check_threshold(threshold)
     if float(np.sum(x)) <= 0.0:
         raise ValidationError("coalition_fraction is undefined for a zero-sum vector")
-    cumulative = np.cumsum(np.sort(x)[::-1])
-    target = threshold * float(cumulative[-1])
-    m = int(np.searchsorted(cumulative, target, side="left")) + 1
-    return min(m, x.shape[0]) / x.shape[0]
+    return _coalition_sorted(np.sort(x), threshold)
 
 
 def pearson(x, y) -> Optional[float]:
@@ -110,14 +162,7 @@ def pearson(x, y) -> Optional[float]:
         raise ValidationError("pearson requires at least 2 observations")
     if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
         raise ValidationError("pearson inputs must be finite")
-    dx = xa - float(np.mean(xa))
-    dy = ya - float(np.mean(ya))
-    sxx = float(np.dot(dx, dx))
-    syy = float(np.dot(dy, dy))
-    if sxx == 0.0 or syy == 0.0:
-        return None
-    r = float(np.dot(dx, dy)) / math.sqrt(sxx * syy)
-    return min(1.0, max(-1.0, r))
+    return _pearson_centred(_centred(xa), _centred(ya))
 
 
 @dataclass(frozen=True)
@@ -144,15 +189,14 @@ def correlation_profile(snap: SubnetSnapshot, role: Role) -> CorrelationProfile:
             f"need at least 2 wallets with role {role.value} in netuid {snap.netuid}, "
             f"got {stakes.shape[0]}"
         )
-    rewards = snap.rewards(role)
-    perfs = snap.perfs(role)
+    stake, reward, perf = map(_centred, (stakes, snap.rewards(role), snap.perfs(role)))
     return CorrelationProfile(
         netuid=snap.netuid,
         role=role,
         n_wallets=stakes.shape[0],
-        r_sr=pearson(stakes, rewards),
-        r_sp=pearson(stakes, perfs),
-        r_pr=pearson(perfs, rewards),
+        r_sr=_pearson_centred(stake, reward),
+        r_sp=_pearson_centred(stake, perf),
+        r_pr=_pearson_centred(perf, reward),
     )
 
 
@@ -175,10 +219,19 @@ class ConcentrationReport:
     top1_reward_share: Optional[float]
 
 
-def _guarded(metric, values) -> Optional[float]:
-    if values.shape[0] == 0 or float(np.sum(values)) <= 0.0:
-        return None
-    return metric(values)
+def _column_metrics(x: np.ndarray) -> tuple[Optional[float], Optional[float], Optional[float]]:
+    """(gini, hhi, top-1% share) of a snapshot column; all None when it is
+    empty or holds no mass. One sum of x serves the guard, hhi and the top
+    share; gini takes the sum of the sorted copy, as `gini` does."""
+    total = float(np.sum(x))
+    if total <= 0.0:
+        return None, None, None
+    ascending = np.sort(x)
+    return (
+        _gini_sorted(ascending, float(np.sum(ascending))),
+        _hhi(x, total),
+        _top_sum(x, math.ceil(0.01 * x.shape[0])) / total,
+    )
 
 
 def concentration_report(snap: SubnetSnapshot, role_filter: str = "all") -> ConcentrationReport:
@@ -187,15 +240,16 @@ def concentration_report(snap: SubnetSnapshot, role_filter: str = "all") -> Conc
         raise ValidationError(f"unknown role filter {role_filter!r}")
     role = None if role_filter == "all" else Role(role_filter)
     stakes = snap.stakes(role)
-    rewards = snap.rewards(role)
+    gini_stake, hhi_stake, top_stake = _column_metrics(stakes)
+    gini_reward, hhi_reward, top_reward = _column_metrics(snap.rewards(role))
     return ConcentrationReport(
         netuid=snap.netuid,
         role_filter=role_filter,
         n_wallets=stakes.shape[0],
-        gini_stake=_guarded(gini, stakes),
-        gini_reward=_guarded(gini, rewards),
-        hhi_stake=_guarded(hhi, stakes),
-        hhi_reward=_guarded(hhi, rewards),
-        top1_stake_share=_guarded(top_share, stakes),
-        top1_reward_share=_guarded(top_share, rewards),
+        gini_stake=gini_stake,
+        gini_reward=gini_reward,
+        hhi_stake=hhi_stake,
+        hhi_reward=hhi_reward,
+        top1_stake_share=top_stake,
+        top1_reward_share=top_reward,
     )

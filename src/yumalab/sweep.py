@@ -20,14 +20,16 @@ from yumalab.ingest import FREQUENCIES, Dataset, resample
 from yumalab.interventions import (
     SchemeParams,
     TransformSpec,
-    apply_stake_transform,
+    _nearest_rank,
+    _penalty,
+    _transform,
+    _whale_top,
     bonus_rewards,
     composite_ranks,
     perf_weighted_rewards,
     unit_rescale,
-    whale_penalty,
 )
-from yumalab.metrics import coalition_fraction, pearson
+from yumalab.metrics import _centred, _check_threshold, _coalition_sorted, _pearson_centred
 from yumalab.model import Role, SubnetSnapshot, ValidationError
 
 __all__ = [
@@ -194,17 +196,30 @@ def _scheme_rewards(
     return adjusted
 
 
+# (role, row mask, centred stakes, centred perfs) of each role of a snapshot.
+_RoleColumns = list[tuple[Role, np.ndarray, tuple[np.ndarray, float], tuple[np.ndarray, float]]]
+
+
+def _role_columns(snap: SubnetSnapshot) -> _RoleColumns:
+    """(role, row mask, centred stakes, centred perfs) of each role with at
+    least 2 wallets; these columns are the same at every grid point."""
+    columns = []
+    for role, rows in ((Role.MINER, snap.miner), (Role.VALIDATOR, ~snap.miner)):
+        if np.count_nonzero(rows) >= 2:
+            columns.append((role, rows, _centred(snap.stake[rows]), _centred(snap.perf[rows])))
+    return columns
+
+
 def _point_correlations(
-    snap: SubnetSnapshot, adjusted: np.ndarray
+    role_columns: _RoleColumns, adjusted: np.ndarray
 ) -> dict[Role, tuple[Optional[float], Optional[float]]]:
     out = {}
-    for role, rows in ((Role.MINER, snap.miner), (Role.VALIDATOR, ~snap.miner)):
-        if np.count_nonzero(rows) < 2:
-            continue
-        out[role] = (
-            pearson(snap.stake[rows], adjusted[rows]),
-            pearson(snap.perf[rows], adjusted[rows]),
-        )
+    for role, rows, stake, perf in role_columns:
+        rewards = adjusted[rows]
+        if not np.all(np.isfinite(rewards)):
+            raise ValidationError("pearson inputs must be finite")
+        reward = _centred(rewards)
+        out[role] = (_pearson_centred(stake, reward), _pearson_centred(perf, reward))
     return out
 
 
@@ -253,9 +268,10 @@ def sweep_scheme(
         params = SchemeParams()
 
     ordered = sorted(snapshots, key=lambda s: s.netuid)
+    role_columns = [_role_columns(snap) for snap in ordered]
     by_value = [
-        [_point_correlations(snap, _scheme_rewards(snap, scheme, value, params))
-         for snap in ordered]
+        [_point_correlations(columns, _scheme_rewards(snap, scheme, value, params))
+         for snap, columns in zip(ordered, role_columns)]
         for value in grid_values
     ]
     baseline = by_value[grid_values.index(null_param)]
@@ -321,19 +337,29 @@ def sweep_scheme(
 # ---------------------------------------------------------------------------
 
 
-def _transformed_stakes(
-    snapshots: Sequence[SubnetSnapshot], spec: TransformSpec
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(stakes, transformed stakes) of each snapshot whose stake mass is
-    positive before and after the transform."""
+def _sorted_stakes(snapshots: Sequence[SubnetSnapshot]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(stakes, their ascending sort) of each snapshot with positive stake
+    mass. The columns are checked, so the mass is positive exactly when the
+    largest stake is."""
     pairs = []
     for snap in snapshots:
-        if snap.stake.shape[0] == 0 or float(np.sum(snap.stake)) <= 0.0:
-            continue
-        transformed = apply_stake_transform(snap.stake, spec)
-        if float(np.sum(transformed)) > 0.0:
-            pairs.append((snap.stake, transformed))
+        ascending = np.sort(snap.stake)
+        if ascending.shape[0] and ascending[-1] > 0.0:
+            pairs.append((snap.stake, ascending))
     return pairs
+
+
+def _sorted_transform(
+    stakes: np.ndarray, ascending: np.ndarray, spec: TransformSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """The transformed stakes, as `apply_stake_transform` gives them, and
+    their ascending sort. A cap keeps the order of the stakes, so capping
+    their sort gives the sort of the capped stakes, value for value."""
+    cap = _nearest_rank(ascending, spec.cap_percentile) if spec.kind == "cap" else None
+    transformed = _transform(stakes, spec, cap)
+    if cap is None:
+        return transformed, np.sort(transformed)
+    return transformed, _transform(ascending, spec, cap)
 
 
 def tradeoff_frontier(
@@ -351,15 +377,24 @@ def tradeoff_frontier(
     """
     if not interventions:
         raise ValidationError("at least one transform spec is required")
+    threshold = _check_threshold(threshold)
+    # Each snapshot's sort and top-1% wallets serve every transform.
+    subnets = [
+        (stakes, ascending, *_whale_top(stakes)) for stakes, ascending in _sorted_stakes(snapshots)
+    ]
     points: list[FrontierPoint] = []
     for spec in interventions:
-        pairs = _transformed_stakes(snapshots, spec)
-        if not pairs:
+        fractions: list[float] = []
+        penalties: list[float] = []
+        for stakes, ascending, top_idx, top_before in subnets:
+            transformed, ordered = _sorted_transform(stakes, ascending, spec)
+            if ordered[-1] > 0.0:  # the transform left some stake mass
+                fractions.append(_coalition_sorted(ordered, threshold))
+                penalties.append(_penalty(top_before, transformed[top_idx]))
+        if not fractions:
             raise ValidationError(
                 f"no subnet with positive stake mass for transform {spec.label}"
             )
-        fractions = [coalition_fraction(transformed, threshold) for _, transformed in pairs]
-        penalties = [whale_penalty(stakes, transformed) for stakes, transformed in pairs]
         points.append(
             FrontierPoint(
                 label=spec.label,
@@ -367,7 +402,7 @@ def tradeoff_frontier(
                 param=spec.param,
                 median_coalition_fraction=float(np.median(fractions)),
                 median_whale_penalty=float(np.median(penalties)),
-                n_subnets=len(pairs),
+                n_subnets=len(fractions),
             )
         )
     points.sort(key=lambda p: (p.median_whale_penalty, p.label))
@@ -400,6 +435,7 @@ def temporal_robustness(
     subnets, alongside the untransformed baseline. Requires at least two
     windows per frequency.
     """
+    threshold = _check_threshold(threshold)
     series: list[RobustnessSeries] = []
     for freq in freqs:
         snapshots = resample(dataset, freq)
@@ -412,11 +448,15 @@ def temporal_robustness(
             )
         rows: list[RobustnessWindow] = []
         for start in sorted(windows):
-            pairs = _transformed_stakes(windows[start], spec)
+            pairs = []
+            for stakes, ascending in _sorted_stakes(windows[start]):
+                _, ordered = _sorted_transform(stakes, ascending, spec)
+                if ordered[-1] > 0.0:
+                    pairs.append((ascending, ordered))
             stats = (None,) * 6
             if pairs:
-                p10, p50, p90 = _percentiles([coalition_fraction(t, threshold) for _, t in pairs])
-                b10, b50, b90 = _percentiles([coalition_fraction(s, threshold) for s, _ in pairs])
+                p10, p50, p90 = _percentiles([_coalition_sorted(t, threshold) for _, t in pairs])
+                b10, b50, b90 = _percentiles([_coalition_sorted(s, threshold) for s, _ in pairs])
                 stats = (p50, p10, p90, b50, b10, b90)
             rows.append(RobustnessWindow(start, len(pairs), *stats))
         series.append(
