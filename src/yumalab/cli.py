@@ -617,9 +617,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        # A float that overflows, or a NaN that arithmetic makes, is an
+        # error, not a number to write into a report.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.handler(args)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:
+        print(f"error: floating-point {exc}", file=sys.stderr)
         return 1
 
 

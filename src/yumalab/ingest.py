@@ -735,6 +735,14 @@ def _window_end(start: datetime, freq: str) -> datetime:
     return datetime(start.year, start.month + 1, 1, tzinfo=timezone.utc)
 
 
+def _overflows(values: list[float]) -> bool:
+    try:
+        math.fsum(values)
+    except OverflowError:
+        return True
+    return False
+
+
 def _aggregate(
     dataset: Dataset,
     window: np.ndarray,
@@ -760,10 +768,16 @@ def _aggregate(
     perf = np.where(miner, dataset.trust[last], dataset.validator_trust[last])
     perf[np.isnan(perf)] = 0.0
     rewards = dataset.reward[order].tolist()
-    reward = np.array(
-        [math.fsum(rewards[start:end]) for start, end in zip(starts.tolist(), ends.tolist())],
-        dtype=np.float64,
-    )
+    spans = list(zip(starts.tolist(), ends.tolist()))
+    try:
+        reward = np.array([math.fsum(rewards[start:end]) for start, end in spans], dtype=np.float64)
+    except OverflowError:
+        start = next(start for start, end in spans if _overflows(rewards[start:end]))
+        row = int(order[start])
+        raise ValidationError(
+            f"rewards of wallet {dataset.wallet_names[dataset.wallet[row]]!r} in netuid "
+            f"{dataset.netuid[row]} sum beyond the float64 range"
+        ) from None
     names = dataset.wallet_names
     wallet_names = [names[code] for code in dataset.wallet[last].tolist()]
     firsts = np.flatnonzero(new_snapshot[starts]).tolist()

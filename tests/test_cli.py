@@ -387,6 +387,45 @@ class TestEventEncoding:
         assert err == "error: line 3: invalid CSV: field larger than field limit (131072)\n"
 
 
+class TestNumericOverflow:
+    """A sum beyond the float64 range is an `error:` line and exit 1, not a
+    traceback, a RuntimeWarning or a nan in a report."""
+
+    LINE = ('{{"timestamp": "2024-01-0{day}T{hour}:00:00Z", "block_number": 1, "netuid": 3, '
+            '"wallet": "{wallet}", "role": "miner", "stake": {stake}, "reward": {reward}}}')
+
+    def run(self, tmp_path, command, rows):
+        path = tmp_path / "events.jsonl"
+        path.write_text("".join(self.LINE.format(**row) + "\n" for row in rows))
+        out = tmp_path / "out"
+        extra = {"sweep": ["--scheme", "split"], "robustness": ["--freq", "daily"]}.get(command, [])
+        code = run_cli(command, "--input", str(path), *extra, "--out", str(out))
+        return code, os.listdir(out)
+
+    @pytest.mark.parametrize("command", ["attack", "metrics", "frontier", "robustness", "sweep"])
+    def test_reward_sum_names_wallet_and_netuid(self, tmp_path, capsys, command):
+        rows = [dict(day=day, hour=hour, wallet=wallet, stake=1.0, reward=reward)
+                for day in (1, 2)
+                for wallet, hour, reward in (("w1", "00", 1e308), ("w1", "12", 1e308), ("w2", "00", 1.0))]
+        assert self.run(tmp_path, command, rows) == (1, [])
+        err = capsys.readouterr().err
+        assert err == "error: rewards of wallet 'w1' in netuid 3 sum beyond the float64 range\n"
+
+    @pytest.mark.parametrize("command, operation", [
+        ("attack", "reduce"),
+        ("metrics", "reduce"),
+        ("frontier", "accumulate"),
+        ("robustness", "accumulate"),
+        ("sweep", "reduce"),
+    ])
+    def test_stake_sum_is_an_error_line(self, tmp_path, capsys, command, operation):
+        rows = [dict(day=day, hour="00", wallet=wallet, stake=1e308, reward=1.0)
+                for day in (1, 2) for wallet in ("w1", "w2")]
+        assert self.run(tmp_path, command, rows) == (1, [])
+        err = capsys.readouterr().err
+        assert err == f"error: floating-point overflow encountered in {operation}\n"
+
+
 class TestNoPerEntryObjects:
     """Every snapshot-based subcommand reads the snapshot columns; none of
     them builds a SnapshotEntry."""
