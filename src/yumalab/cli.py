@@ -40,7 +40,7 @@ from yumalab.metrics import (
     coalition_fraction,
     correlation_profile,
 )
-from yumalab.model import EmissionParams, Role, ValidationError, WeightMatrix
+from yumalab.model import EmissionParams, Role, ValidationError, WeightMatrix, _freeze
 from yumalab.sweep import (
     SCHEMES,
     default_frontier_specs,
@@ -387,9 +387,9 @@ def _tempo_instance(path: str):
         raise
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"malformed tempo instance {path}: {exc!r}") from None
-    wm = WeightMatrix(validators=validators, miners=miners, weights=weights)
+    wm = WeightMatrix(validators=validators, miners=miners, weights=_freeze(weights))
     if "bonds" in payload:
-        bonds = BondState(bonds=bond_matrix, tempo_index=tempo_index)
+        bonds = BondState(bonds=_freeze(bond_matrix), tempo_index=tempo_index)
     else:
         bonds = BondState.initial(wm.n_validators, wm.n_miners)
     if tempos < 1:

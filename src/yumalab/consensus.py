@@ -25,6 +25,7 @@ from yumalab.model import (
     EmissionParams,
     ValidationError,
     WeightMatrix,
+    _freeze,
     _require_nonneg,
     _require_unit,
 )
@@ -162,7 +163,7 @@ def _bond_target(wm: WeightMatrix, clipped: np.ndarray, beta: float) -> np.ndarr
 
 def _bond_step(instant: np.ndarray, alpha: float, prev: BondState) -> BondState:
     smoothed = alpha * instant + (1.0 - alpha) * prev.bonds
-    return BondState(bonds=smoothed, tempo_index=prev.tempo_index + 1)
+    return BondState(bonds=_freeze(smoothed), tempo_index=prev.tempo_index + 1)
 
 
 def validator_bonds(
@@ -331,7 +332,9 @@ def run_tempos(
     instant = _bond_target(wm, clipped, params.beta)
     bond_state = _bond_step(instant, params.alpha, prev)
     plan = _DelegationPlan(wm, delegations)
-    miner_tao = miner_pool * miner_share_vec
+    # Every outcome shares the arrays built here; frozen, they are not copied.
+    _freeze(miner_share_vec)
+    miner_tao = _freeze(miner_pool * miner_share_vec)
     validator_ids = wm.validator_ids
     while True:
         validator_share_vec = validator_emission_shares(bond_state, miner_share_vec)
@@ -347,10 +350,10 @@ def run_tempos(
             validators=validator_ids,
             delegators=plan.delegators,
             miner_share_vec=miner_share_vec,
-            validator_share_vec=validator_share_vec,
+            validator_share_vec=_freeze(validator_share_vec),
             miner_tao_vec=miner_tao,
-            validator_tao_vec=validator_tao,
-            delegator_reward_vec=plan.payouts(validator_tao),
+            validator_tao_vec=_freeze(validator_tao),
+            delegator_reward_vec=_freeze(plan.payouts(validator_tao)),
             bond_state=bond_state,
             no_ranking_mass=no_ranking_mass,
         )

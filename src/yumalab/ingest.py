@@ -30,6 +30,7 @@ from yumalab.model import (
     SubnetSnapshot,
     ValidationError,
     _check_wallet_columns,
+    _freeze,
     _reject,
     _set_columns,
 )
@@ -311,7 +312,7 @@ def _sorted_dataset(columns: dict[str, np.ndarray], wallet_names: Sequence[str],
     """
     order = np.lexsort((columns["wallet"], columns["netuid"], columns["timestamp"]))
     return Dataset(
-        **{name: columns.pop(name)[order] for name in _COLUMN_TYPES},
+        **{name: _freeze(columns.pop(name)[order]) for name in _COLUMN_TYPES},
         wallet_names=tuple(wallet_names),
         cutoff=cutoff,
     )
@@ -780,6 +781,9 @@ def _aggregate(
         ) from None
     names = dataset.wallet_names
     wallet_names = [names[code] for code in dataset.wallet[last].tolist()]
+    # Frozen, the columns are shared by the snapshots' slices, not copied.
+    for column in (miner, stake, reward, perf):
+        _freeze(column)
     firsts = np.flatnonzero(new_snapshot[starts]).tolist()
     snapshots = []
     for first, stop in zip(firsts, firsts[1:] + [len(starts)]):

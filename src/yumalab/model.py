@@ -87,10 +87,30 @@ def _require_text(name: str, value: str) -> None:
         raise ValidationError(f"{name} must be valid Unicode text, got {value!r}") from None
 
 
-def _readonly(array: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(array, dtype=np.float64)
-    out.setflags(write=False)
-    return out
+def _frozen(array: np.ndarray, source) -> np.ndarray:
+    """`array`, the conversion of the caller's `source`, made read-only.
+
+    A read-only array is shared as it is. A writable one that is `source`
+    itself or a view of other memory is copied first, so that freezing it
+    neither freezes the caller's array nor lets the caller change it later;
+    one that the conversion made afresh is frozen in place.
+    """
+    if array.flags.writeable:
+        if array is source or array.base is not None:
+            array = array.copy()
+        array.setflags(write=False)
+    return array
+
+
+def _readonly(array) -> np.ndarray:
+    return _frozen(np.ascontiguousarray(array, dtype=np.float64), array)
+
+
+def _freeze(array: np.ndarray) -> np.ndarray:
+    """Make a fresh array that no caller holds read-only, so that the value
+    objects built from it share it instead of copying it."""
+    array.setflags(write=False)
+    return array
 
 
 def _reject(bad: np.ndarray, message: Callable[[int], str]) -> None:
@@ -101,13 +121,14 @@ def _reject(bad: np.ndarray, message: Callable[[int], str]) -> None:
 
 def _set_columns(obj, dtypes: Mapping[str, type]) -> None:
     """Replace each named field of the frozen dataclass `obj` by a
-    read-only one-dimensional array of its dtype, all of equal length."""
+    read-only one-dimensional array of its dtype, all of equal length.
+    A writable array of the caller's is copied, a read-only one shared."""
     for name, dtype in dtypes.items():
-        column = np.asarray(getattr(obj, name), dtype=dtype)
+        source = getattr(obj, name)
+        column = np.asarray(source, dtype=dtype)
         if column.ndim != 1:
             raise ValidationError(f"{name} must be a one-dimensional column")
-        column.setflags(write=False)
-        object.__setattr__(obj, name, column)
+        object.__setattr__(obj, name, _frozen(column, source))
     if len({len(getattr(obj, name)) for name in dtypes}) != 1:
         raise ValidationError("columns must have equal lengths")
 
@@ -311,7 +332,7 @@ class WeightMatrix:
             raise ValidationError("weights must lie in [0, 1]")
         object.__setattr__(self, "validators", validators)
         object.__setattr__(self, "miners", miners)
-        object.__setattr__(self, "weights", _readonly(weights))
+        object.__setattr__(self, "weights", _frozen(np.ascontiguousarray(weights), self.weights))
         object.__setattr__(self, "_stakes", _readonly([s for _, s in validators]))
 
     @property
@@ -387,7 +408,7 @@ class BondState:
         # One pass: NaN and +-inf fail a comparison too.
         if not ((bonds >= 0.0) & (bonds <= 1.0)).all():
             raise ValidationError("bond entries must lie in [0, 1]")
-        object.__setattr__(self, "bonds", _readonly(bonds))
+        object.__setattr__(self, "bonds", _frozen(np.ascontiguousarray(bonds), self.bonds))
         if int(self.tempo_index) < 0:
             raise ValidationError("tempo_index must be >= 0")
         object.__setattr__(self, "tempo_index", int(self.tempo_index))
@@ -395,7 +416,7 @@ class BondState:
     @classmethod
     def initial(cls, n_validators: int, n_miners: int) -> "BondState":
         """Zero bonds: the protocol's start state (nothing accrued yet)."""
-        return cls(bonds=np.zeros((n_validators, n_miners)), tempo_index=0)
+        return cls(bonds=_freeze(np.zeros((n_validators, n_miners))), tempo_index=0)
 
 
 class _MappingView:

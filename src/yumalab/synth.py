@@ -18,7 +18,7 @@ import numpy as np
 from yumalab._util import parse_timestamp, to_epoch_us
 from yumalab.consensus import BondState, run_tempos
 from yumalab.ingest import _DAY_US, Dataset, _sorted_dataset
-from yumalab.model import EmissionParams, ValidationError, WeightMatrix
+from yumalab.model import EmissionParams, ValidationError, WeightMatrix, _freeze
 
 __all__ = ["SynthConfig", "generate"]
 
@@ -168,7 +168,7 @@ def _replay_rewards(
     n_validators = validator_stakes.shape[0]
     n_miners = miner_perf.shape[0]
     raw = miner_perf[np.newaxis, :] + 0.2 * (rng.random((n_validators, n_miners)) - 0.5)
-    weights = np.clip(raw, 0.0, 1.0)
+    weights = _freeze(np.clip(raw, 0.0, 1.0))
     wm = WeightMatrix(
         validators=tuple((f"v{i}", float(s)) for i, s in enumerate(validator_stakes)),
         miners=tuple(f"m{j}" for j in range(n_miners)),

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from yumalab import ingest
+from yumalab import ingest, model
 from yumalab.cli import run
 from yumalab.ingest import history_snapshots, load_events
 from yumalab.metrics import ROLE_FILTERS, concentration_report
@@ -509,6 +509,34 @@ class TestOutcomeViewsBuiltOnRead:
         outcome = run_tempo(wm, BondState.initial(1, 2), EmissionParams(alpha=0.1, beta=0.5), 10.0)
         assert outcome.miner_tao is outcome.miner_tao
         assert builds == [("miner_tao", outcome)]
+
+
+class TestNoColumnCopies:
+    """The CLI's own arrays reach the value objects read-only, so building
+    them copies no column; a copy is kept for arrays a caller still holds."""
+
+    @pytest.mark.parametrize("args", [
+        ["metrics", "--input", os.path.join(DATA_DIR, "wide.jsonl")],
+        ["robustness", "--input", os.path.join(DATA_DIR, "fixture.jsonl")],
+        ["sweep", "--input", os.path.join(DATA_DIR, "wide.jsonl"), "--scheme", "composite"],
+        ["tempo", "--input", TEMPO_CHAIN_INSTANCE],
+        ["synth", "--reward-rule", "yuma_replay", "--seed", "5", "--subnets", "2",
+         "--wallets", "24", "--days", "3"],
+        ["ingest", "--input", os.path.join(DATA_DIR, "fixture.jsonl"), "--format", "csv"],
+    ], ids=["metrics", "robustness", "sweep", "tempo", "synth-replay", "ingest"])
+    def test_no_column_is_copied(self, tmp_path, monkeypatch, args):
+        frozen = model._frozen
+        copied = []
+
+        def counting(array, source):
+            out = frozen(array, source)
+            if out is not array:
+                copied.append(array.shape)
+            return out
+
+        monkeypatch.setattr(model, "_frozen", counting)
+        assert run_cli(*args, "--out", str(tmp_path)) == 0
+        assert copied == []
 
 
 class TestInputSuffix:

@@ -7,6 +7,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from yumalab.ingest import Dataset
 from yumalab.model import (
     MINER_SHARE,
     OWNER_SHARE,
@@ -381,3 +382,57 @@ class TestBondState:
 
     def test_bounds_are_inclusive(self):
         assert BondState(np.array([[0.0, 1.0]]), tempo_index=3).tempo_index == 3
+
+
+def _dataset_with_stake(stake):
+    nan = [math.nan, math.nan]
+    return Dataset(timestamp=[0, 1], block_number=[0, 0], netuid=[1, 1], wallet=[0, 0],
+                   miner=[True, True], stake=stake, reward=[0.0, 0.0], trust=nan,
+                   validator_trust=nan, wallet_names=("w",))
+
+
+def _snapshot_with(**columns):
+    fields = dict(miner=[True, False], stake=[1.0, 2.0], reward=[0.5, 0.5], perf=[0.1, 0.2])
+    return SubnetSnapshot(netuid=1, window_start=T0, window_end=T1, wallet_names=("a", "b"),
+                          **{**fields, **columns})
+
+
+# name -> (the caller's array, the column built from it)
+CALLER_ARRAYS = {
+    "weight_matrix": (lambda: np.zeros((1, 2)),
+                      lambda a: WeightMatrix(validators=(("v1", 1.0),), miners=("m1", "m2"),
+                                             weights=a).weights),
+    "bond_state": (lambda: np.zeros((1, 2)), lambda a: BondState(a).bonds),
+    "snapshot_stake": (lambda: np.array([1.0, 2.0]), lambda a: _snapshot_with(stake=a).stake),
+    "snapshot_miner": (lambda: np.array([True, False]), lambda a: _snapshot_with(miner=a).miner),
+    "dataset_stake": (lambda: np.array([1.0, 2.0]), lambda a: _dataset_with_stake(a).stake),
+}
+
+
+class TestCallerArrays:
+    """Construction never freezes an array that the caller still holds: a
+    writable one is copied, and a read-only one is shared."""
+
+    @pytest.mark.parametrize("name", sorted(CALLER_ARRAYS))
+    def test_writable_array_is_copied(self, name):
+        make, build = CALLER_ARRAYS[name]
+        array = make()
+        column = build(array)
+        before = column.copy()
+        array.flat[0] = not array.flat[0] if array.dtype == bool else 0.5
+        assert array.flags.writeable
+        assert not column.flags.writeable
+        np.testing.assert_array_equal(column, before)
+
+    @pytest.mark.parametrize("name", sorted(CALLER_ARRAYS))
+    def test_read_only_array_is_shared(self, name):
+        make, build = CALLER_ARRAYS[name]
+        array = make()
+        array.setflags(write=False)
+        assert build(array) is array
+
+    def test_view_of_a_writable_array_is_copied(self):
+        base = np.zeros((2, 2))
+        bonds = BondState(base[:1]).bonds
+        base[0, 0] = 0.5
+        assert bonds[0, 0] == 0.0
