@@ -5,10 +5,12 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from yumalab.metrics import (
+    ROLE_FILTERS,
     concentration_report,
     correlation_profile,
     coalition_fraction,
@@ -277,3 +279,71 @@ class TestInvariance:
     def test_permuting_the_wallets(self, metric, stakes, data):
         permuted = data.draw(st.permutations(stakes))
         assert metric(np.array(permuted)) == metric(np.array(stakes))
+
+
+# Report paths call private kernels on snapshot columns. Each must give,
+# bit for bit, what the checked public functions give on the same columns;
+# these compositions are the oracles. Columns hold ties, zeros of both
+# signs and values over sixty orders of magnitude, or no mass at all.
+VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 3.0]), st.floats(0.0, 1e30))
+PERF = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+ORACLE_SETTINGS = settings(max_examples=200, deadline=None,
+                           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+def mass_columns(n):
+    return st.one_of(arrays(np.float64, n, elements=VALUE),
+                     arrays(np.float64, n, elements=st.sampled_from([0.0, -0.0])))
+
+
+@st.composite
+def drawn_snapshots(draw, max_wallets=300):
+    """A snapshot of 1 to max_wallets wallets; either role may be empty."""
+    n = draw(st.integers(1, max_wallets))
+    return SubnetSnapshot(
+        netuid=1,
+        window_start=datetime(2024, 1, 1, tzinfo=UTC),
+        window_end=datetime(2024, 1, 2, tzinfo=UTC),
+        wallet_names=tuple(f"w{i:03d}" for i in range(n)),
+        miner=draw(arrays(np.bool_, n)),
+        stake=draw(mass_columns(n)),
+        reward=draw(mass_columns(n)),
+        perf=draw(arrays(np.float64, n, elements=PERF)),
+    )
+
+
+def _guarded(metric, values):
+    if values.shape[0] == 0 or float(np.sum(values)) <= 0.0:
+        return None
+    return metric(values)
+
+
+class TestReportKernelsMatchPublicFunctions:
+    @pytest.mark.parametrize("role_filter", ROLE_FILTERS)
+    @ORACLE_SETTINGS
+    @given(snap=drawn_snapshots())
+    def test_concentration_report(self, role_filter, snap):
+        role = None if role_filter == "all" else Role(role_filter)
+        stakes, rewards = snap.stakes(role), snap.rewards(role)
+        expected = (stakes.shape[0],) + tuple(
+            _guarded(metric, values)
+            for metric in (gini, hhi, top_share)
+            for values in (stakes, rewards)
+        )
+        report = concentration_report(snap, role_filter)
+        assert repr(tuple(getattr(report, name) for name in (
+            "n_wallets", "gini_stake", "gini_reward", "hhi_stake", "hhi_reward",
+            "top1_stake_share", "top1_reward_share",
+        ))) == repr(expected)
+
+    @pytest.mark.parametrize("role", [Role.MINER, Role.VALIDATOR])
+    @ORACLE_SETTINGS
+    @given(snap=drawn_snapshots())
+    def test_correlation_profile(self, role, snap):
+        if snap.count(role) < 2:
+            return
+        stakes, rewards, perfs = snap.stakes(role), snap.rewards(role), snap.perfs(role)
+        profile = correlation_profile(snap, role)
+        expected = (pearson(stakes, rewards), pearson(stakes, perfs), pearson(perfs, rewards))
+        assert repr((profile.r_sr, profile.r_sp, profile.r_pr)) == repr(expected)
+

@@ -5,14 +5,19 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from yumalab.ingest import Dataset
-from yumalab.interventions import TransformSpec
-from yumalab.metrics import pearson
+from yumalab.ingest import Dataset, resample
+from yumalab.interventions import SchemeParams, TransformSpec, apply_stake_transform, whale_penalty
+from yumalab.metrics import coalition_fraction, pearson
 from yumalab.model import Role, SnapshotEvent, SubnetSnapshot, ValidationError
 from yumalab.sweep import (
     DEFAULT_CAP_PERCENTILES,
     NULL_PARAMS,
+    SCHEMES,
+    _scheme_rewards,
     default_frontier_specs,
     default_grid,
     sweep_scheme,
@@ -297,3 +302,137 @@ class TestTemporalRobustness:
         ds = temporal_dataset(days=20)
         with pytest.raises(ValidationError):
             temporal_robustness(ds, TransformSpec(kind="log"), freqs=("monthly",))
+
+
+# The frontier, robustness and sweep paths call private kernels on sorted
+# or centred snapshot columns. Each must give, bit for bit, what the checked
+# public functions give when composed as the reports composed them before:
+# apply_stake_transform, then coalition_fraction and whale_penalty, and
+# pearson at every grid point. Columns hold ties, zeros of both signs and
+# values over sixty orders of magnitude, or no mass at all.
+VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 3.0]), st.floats(0.0, 1e30))
+PERF = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+SPEC = st.one_of(
+    st.builds(lambda p: TransformSpec(kind="cap", cap_percentile=p),
+              st.one_of(st.sampled_from([100.0, 88.0, 50.0, 1.0]),
+                        st.floats(0.0, 100.0, exclude_min=True))),
+    st.builds(lambda a: TransformSpec(kind="power", power_exponent=a),
+              st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.0, 1.0, exclude_min=True))),
+    st.just(TransformSpec(kind="log")),
+)
+SPECS = st.one_of(st.just(default_frontier_specs()),
+                  st.lists(SPEC, min_size=1, max_size=6, unique_by=lambda spec: spec.label).map(tuple))
+THRESHOLD = st.one_of(st.sampled_from([0.51, 1.0 / 3.0, 1.0]), st.floats(0.0, 1.0, exclude_min=True))
+ORACLE_SETTINGS = settings(max_examples=100, deadline=None,
+                           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+def mass_columns(n):
+    return st.one_of(arrays(np.float64, n, elements=VALUE),
+                     arrays(np.float64, n, elements=st.sampled_from([0.0, -0.0])))
+
+
+@st.composite
+def drawn_snapshots(draw, max_subnets=3, max_wallets=300):
+    """1 to max_subnets snapshots of 1 to max_wallets wallets each; either
+    role may be empty or hold one wallet."""
+    snaps = []
+    for netuid in range(draw(st.integers(1, max_subnets))):
+        n = draw(st.integers(1, max_wallets))
+        snaps.append(SubnetSnapshot(
+            netuid=netuid, window_start=T0, window_end=T0 + timedelta(days=1),
+            wallet_names=tuple(f"w{i:03d}" for i in range(n)),
+            miner=draw(arrays(np.bool_, n)), stake=draw(mass_columns(n)),
+            reward=draw(mass_columns(n)), perf=draw(arrays(np.float64, n, elements=PERF)),
+        ))
+    return snaps
+
+
+def oracle_pairs(snapshots, spec):
+    """(stakes, transformed stakes) of each snapshot with stake mass before
+    and after the transform."""
+    pairs = []
+    for snap in snapshots:
+        if snap.stake.shape[0] == 0 or float(np.sum(snap.stake)) <= 0.0:
+            continue
+        transformed = apply_stake_transform(snap.stake, spec)
+        if float(np.sum(transformed)) > 0.0:
+            pairs.append((snap.stake, transformed))
+    return pairs
+
+
+class TestKernelsMatchPublicFunctions:
+    @ORACLE_SETTINGS
+    @given(snaps=drawn_snapshots(), specs=SPECS, threshold=THRESHOLD)
+    def test_tradeoff_frontier(self, snaps, specs, threshold):
+        expected = {}
+        for spec in specs:
+            pairs = oracle_pairs(snaps, spec)
+            if not pairs:
+                with pytest.raises(ValidationError, match="no subnet with positive stake mass"):
+                    tradeoff_frontier(snaps, specs, threshold)
+                return
+            expected[spec.label] = repr((
+                len(pairs),
+                float(np.median([coalition_fraction(t, threshold) for _, t in pairs])),
+                float(np.median([whale_penalty(s, t) for s, t in pairs])),
+            ))
+        points = tradeoff_frontier(snaps, specs, threshold)
+        assert {p.label: repr((p.n_subnets, p.median_coalition_fraction, p.median_whale_penalty))
+                for p in points} == expected
+
+    @ORACLE_SETTINGS
+    @given(data=st.data(), spec=SPEC, threshold=THRESHOLD)
+    def test_temporal_robustness(self, data, spec, threshold):
+        days, subnets = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 120))
+        miner = [data.draw(arrays(np.bool_, n)) for _ in range(subnets)]
+        stake = [data.draw(mass_columns(n)) for _ in range(days * subnets)]
+        rows = days * subnets * n
+        dataset = Dataset(
+            timestamp=np.repeat(np.arange(days) * 86_400_000_000 + 1_704_067_200_000_000, subnets * n),
+            block_number=np.zeros(rows, dtype=np.int64),
+            netuid=np.tile(np.repeat(np.arange(subnets), n), days),
+            wallet=np.tile(np.arange(n), days * subnets),
+            miner=np.tile(np.concatenate(miner), days),
+            stake=np.concatenate(stake),
+            reward=np.zeros(rows),
+            trust=np.full(rows, math.nan),
+            validator_trust=np.full(rows, math.nan),
+            wallet_names=tuple(f"w{i:03d}" for i in range(n)),
+        )
+        windows = {}
+        for snap in resample(dataset, "daily"):
+            windows.setdefault(snap.window_start, []).append(snap)
+        expected = []
+        for start in sorted(windows):
+            pairs = oracle_pairs(windows[start], spec)
+            stats = (None,) * 6
+            if pairs:
+                p10, p50, p90 = np.percentile([coalition_fraction(t, threshold) for _, t in pairs],
+                                              [10.0, 50.0, 90.0])
+                b10, b50, b90 = np.percentile([coalition_fraction(s, threshold) for s, _ in pairs],
+                                              [10.0, 50.0, 90.0])
+                stats = tuple(map(float, (p50, p10, p90, b50, b10, b90)))
+            expected.append((start, len(pairs), *stats))
+        (series,) = temporal_robustness(dataset, spec, freqs=("daily",), threshold=threshold)
+        assert repr([tuple(vars(window).values()) for window in series.windows]) == repr(expected)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @ORACLE_SETTINGS
+    @given(snaps=drawn_snapshots())
+    def test_sweep_points(self, scheme, snaps):
+        expected = {}
+        for value in default_grid(scheme):
+            for snap in snaps:
+                adjusted = _scheme_rewards(snap, scheme, value, SchemeParams())
+                for role, rows in ((Role.MINER, snap.miner), (Role.VALIDATOR, ~snap.miner)):
+                    if np.count_nonzero(rows) >= 2:
+                        expected[(value, snap.netuid, role)] = repr((
+                            pearson(snap.stake[rows], adjusted[rows]),
+                            pearson(snap.perf[rows], adjusted[rows]),
+                        ))
+        result = sweep_scheme(snaps, scheme)
+        assert {(p.param, p.netuid, p.role): repr((p.r_sr, p.r_pr))
+                for p in result.per_point} == expected
+
