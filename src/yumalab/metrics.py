@@ -3,10 +3,11 @@
 Validating NumPy metric functions, plus snapshot-level report builders.
 Both call the same private kernels: the functions after checking their
 arguments, the builders directly on snapshot columns, which the snapshot
-checked when it was built. Degenerate inputs split two ways: concentration metrics on zero-mass
-vectors raise ValidationError, while a Pearson coefficient
-with a zero-variance input is a legitimate "undefined" outcome and comes
-back as None so callers can render gaps instead of crashing.
+checked when it was built. Degenerate inputs split two ways:
+concentration metrics on zero-mass vectors raise ValidationError, while a
+Pearson coefficient with a zero-variance input is a legitimate "undefined"
+outcome and comes back as None so callers can render gaps instead of
+crashing.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ def _as_nonneg_vector(values, name: str) -> np.ndarray:
 
 # The kernels below hold each formula once. They take float64 vectors that
 # are already known to be finite and nonnegative (the public functions check
-# their arguments; snapshot columns are checked on construction), and they
-# make the same NumPy calls on the same arrays as the public functions, so a
-# report built from them is bit for bit what the public functions return.
+# their arguments; snapshot columns are checked on construction). Callers
+# that share a sort or a sum between kernels must pass exactly the array or
+# the value the public function would compute, so that a report stays bit
+# for bit what the public functions return on the same columns.
 
 
 def _gini_sorted(ascending: np.ndarray, total: float) -> float:
