@@ -372,10 +372,16 @@ class TestKernelsMatchPublicFunctions:
                 with pytest.raises(ValidationError, match="no subnet with positive stake mass"):
                     tradeoff_frontier(snaps, specs, threshold)
                 return
+            penalty = float(np.median([whale_penalty(s, t) for s, t in pairs]))
+            if not 0.0 <= penalty <= 1.0:
+                # A power below 1 raises stakes below 1: the penalty is negative.
+                with pytest.raises(ValidationError, match="median whale penalty must lie in"):
+                    tradeoff_frontier(snaps, specs, threshold)
+                return
             expected[spec.label] = repr((
                 len(pairs),
                 float(np.median([coalition_fraction(t, threshold) for _, t in pairs])),
-                float(np.median([whale_penalty(s, t) for s, t in pairs])),
+                penalty,
             ))
         points = tradeoff_frontier(snaps, specs, threshold)
         assert {p.label: repr((p.n_subnets, p.median_coalition_fraction, p.median_whale_penalty))
