@@ -244,6 +244,11 @@ class TestTradeoffFrontier:
         with pytest.raises(ValidationError):
             tradeoff_frontier(seeded_snapshots(), ())
 
+    @pytest.mark.parametrize("threshold", [0.0, 1.5, math.nan])
+    def test_threshold_range_checked(self, threshold):
+        with pytest.raises(ValidationError, match=r"threshold must lie in \(0, 1\], got"):
+            tradeoff_frontier(seeded_snapshots(), default_frontier_specs(), threshold)
+
 
 def temporal_dataset(days=10, n_subnets=3, n_wallets=30, seed=11):
     rng = np.random.default_rng(seed)
@@ -292,6 +297,12 @@ class TestTemporalRobustness:
         for entry in series:
             for window in entry.windows:
                 assert window.p10 <= window.median <= window.p90
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.5, math.nan])
+    def test_threshold_range_checked(self, threshold):
+        with pytest.raises(ValidationError, match=r"threshold must lie in \(0, 1\], got"):
+            temporal_robustness(temporal_dataset(days=2), TransformSpec(kind="log"),
+                                freqs=("daily",), threshold=threshold)
 
     def test_single_window_rejected(self):
         ds = temporal_dataset(days=1)
