@@ -2,7 +2,7 @@
 
 Validating NumPy metric functions, plus snapshot-level report builders.
 Both call the same private kernels: the functions after checking their
-arguments, the builders directly on snapshot columns, which the snapshot
+arguments, the reports directly on snapshot columns, which the snapshot
 checked when it was built. Degenerate inputs split two ways:
 concentration metrics on zero-mass vectors raise ValidationError, while a
 Pearson coefficient with a zero-variance input is a legitimate "undefined"
