@@ -18,37 +18,18 @@ import math
 import os
 import sys
 from datetime import datetime
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from yumalab._util import format_timestamp, from_epoch_us, parse_timestamp
-from yumalab.consensus import BondState, Delegation, run_tempos
-from yumalab.ingest import (
-    FREQUENCIES,
-    Dataset,
-    _path_format,
-    history_snapshots,
-    load_events,
-    resample,
-    save_events,
-)
-from yumalab.interventions import TransformSpec
-from yumalab.metrics import (
-    ROLE_FILTERS,
-    concentration_report,
-    coalition_fraction,
-    correlation_profile,
-)
-from yumalab.model import EmissionParams, Role, ValidationError, WeightMatrix, _freeze
-from yumalab.sweep import (
-    SCHEMES,
-    default_frontier_specs,
-    sweep_scheme,
-    temporal_robustness,
-    tradeoff_frontier,
-)
-from yumalab.synth import SynthConfig, generate
+from yumalab.model import BondState, EmissionParams, Role, ValidationError, WeightMatrix, _freeze
+
+# Each handler imports the modules it runs, so a run loads only those:
+# `tempo` loads consensus alone, and `--help` no analysis module at all.
+if TYPE_CHECKING:
+    from yumalab.ingest import Dataset
+    from yumalab.interventions import TransformSpec
 
 DEFAULT_CUTOFF_TEXT = "2025-02-13T00:00:00Z"
 
@@ -202,6 +183,8 @@ def _parse_cutoff(text: str) -> Optional[datetime]:
 
 
 def _load_dataset(args: argparse.Namespace) -> Dataset:
+    from yumalab.ingest import Dataset, _path_format, load_events
+
     cutoff = _parse_cutoff(args.cutoff)
     if not args.input:
         raise ValidationError("at least one --input file is required")
@@ -224,6 +207,8 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    from yumalab.ingest import save_events
+
     out_dir = _out_dir(args)
     dataset = _load_dataset(args)
     out_format = args.format or "jsonl"
@@ -249,6 +234,8 @@ def _metric_value(report, metric: str, resource: str) -> Optional[float]:
 
 
 def _summary_rows(variant: str, reports) -> list[tuple]:
+    from yumalab.metrics import ROLE_FILTERS
+
     rows = []
     for role_filter in ROLE_FILTERS:
         for resource in _RESOURCES:
@@ -274,6 +261,9 @@ def _summary_rows(variant: str, reports) -> list[tuple]:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from yumalab.ingest import history_snapshots, resample
+    from yumalab.metrics import ROLE_FILTERS, concentration_report, correlation_profile
+
     out_dir = _out_dir(args)
     dataset = _load_dataset(args)
     history = history_snapshots(dataset)
@@ -328,13 +318,17 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
+    from yumalab.ingest import history_snapshots
+    from yumalab.metrics import _check_threshold, _coalition_sorted
+
     out_dir = _out_dir(args)
+    threshold = _check_threshold(args.threshold)
     dataset = _load_dataset(args)
     rows = []
     for snap in history_snapshots(dataset):
         if float(np.sum(snap.stake)) <= 0.0:
             continue
-        rows.append((snap.netuid, snap.count(), coalition_fraction(snap.stake, args.threshold)))
+        rows.append((snap.netuid, snap.count(), _coalition_sorted(np.sort(snap.stake), threshold)))
     _write_csv(os.path.join(out_dir, "coalition.csv"), ("netuid", "n_wallets", "coalition_fraction"), rows)
     return 0
 
@@ -347,6 +341,8 @@ def _json_int(name: str, value) -> int:
 
 
 def _tempo_instance(path: str):
+    from yumalab.consensus import Delegation
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -392,24 +388,25 @@ def _tempo_instance(path: str):
         bonds = BondState(bonds=_freeze(bond_matrix), tempo_index=tempo_index)
     else:
         bonds = BondState.initial(wm.n_validators, wm.n_miners)
-    if tempos < 1:
-        raise ValidationError("tempos must be >= 1")
     return wm, bonds, params, block_emission, delegations, tempos
 
 
 def _cmd_tempo(args: argparse.Namespace) -> int:
+    from yumalab.consensus import run_tempo
+
     out_dir = _out_dir(args)
     if len(args.input or ()) != 1:
         raise ValidationError("tempo expects exactly one --input instance file")
     wm, bonds, params, block_emission, delegations, tempos = _tempo_instance(args.input[0])
-    chain = run_tempos(wm, bonds, params, block_emission, delegations)
-    for _, outcome in zip(range(tempos), chain):
-        pass  # only the last tempo's outcome is written
+    outcome = run_tempo(wm, bonds, params, block_emission, delegations, tempos=tempos)
     _write_json(os.path.join(out_dir, "emission.json"), _object(outcome, EMISSION_COLUMNS))
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from yumalab.ingest import history_snapshots
+    from yumalab.sweep import sweep_scheme
+
     out_dir = _out_dir(args)
     grid = None
     if args.grid:
@@ -430,6 +427,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _transform_from_args(args: argparse.Namespace) -> Optional[TransformSpec]:
+    from yumalab.interventions import TransformSpec
+
     if args.transform == "cap":
         if args.param is None:
             raise ValidationError("--param (cap percentile) is required for the cap transform")
@@ -444,6 +443,10 @@ def _transform_from_args(args: argparse.Namespace) -> Optional[TransformSpec]:
 
 
 def _cmd_frontier(args: argparse.Namespace) -> int:
+    from yumalab.ingest import history_snapshots
+    from yumalab.interventions import TransformSpec
+    from yumalab.sweep import default_frontier_specs, tradeoff_frontier
+
     out_dir = _out_dir(args)
     dataset = _load_dataset(args)
     chosen = _transform_from_args(args)
@@ -463,6 +466,9 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
 
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
+    from yumalab.ingest import FREQUENCIES
+    from yumalab.sweep import temporal_robustness
+
     out_dir = _out_dir(args)
     dataset = _load_dataset(args)
     spec = _transform_from_args(args)
@@ -486,6 +492,9 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from yumalab.ingest import save_events
+    from yumalab.synth import SynthConfig, generate
+
     out_dir = _out_dir(args)
     cfg = SynthConfig(
         n_subnets=args.subnets,
@@ -556,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="concentration and correlation reports")
     _add_io_flags(p)
     _add_cutoff_flag(p)
-    p.add_argument("--freq", choices=FREQUENCIES, default="daily", help="snapshot frequency for the per-window variant")
+    p.add_argument("--freq", choices=("daily", "weekly", "monthly"), default="daily", help="snapshot frequency for the per-window variant")
     p.set_defaults(handler=_cmd_metrics)
 
     p = sub.add_parser("attack", help="51%%-coalition fractions per subnet")
@@ -572,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="reward-scheme correlation sweeps")
     _add_io_flags(p)
     _add_cutoff_flag(p)
-    p.add_argument("--scheme", choices=SCHEMES, required=True)
+    p.add_argument("--scheme", choices=("split", "composite", "bonus"), required=True)
     p.add_argument("--grid", metavar="LIST", help="comma-separated parameter grid (must include the null value)")
     p.set_defaults(handler=_cmd_sweep)
 
@@ -590,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_threshold_flag(p)
     p.add_argument("--transform", choices=("cap", "power", "log"), default="cap")
     p.add_argument("--param", type=float, default=88.0, help="transform parameter (default: 88th-percentile cap)")
-    p.add_argument("--freq", choices=FREQUENCIES, help="restrict to one frequency (default: all three)")
+    p.add_argument("--freq", choices=("daily", "weekly", "monthly"), help="restrict to one frequency (default: all three)")
     p.set_defaults(handler=_cmd_robustness)
 
     p = sub.add_parser("synth", help="generate a synthetic event dataset")

@@ -6,8 +6,9 @@ by stake-weighted clipped weights, update validator bonds as an EMA of the
 per-miner normalized bonded stake, pay validators by bond-weighted miner
 shares, and pass delegator payouts through each validator's commission.
 
-All operations are pure functions; run_tempos composes them over chained
-tempos and run_tempo takes its first tempo.
+All operations are pure functions. run_tempos composes them over chained
+tempos and yields every tempo's outcome; run_tempo builds the outcome of
+one given tempo of the chain, and only that one.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from yumalab.interventions import composite_ranks, unit_rescale
 from yumalab.model import (
     BondState,
     EmissionOutcome,
@@ -161,9 +161,9 @@ def _bond_target(wm: WeightMatrix, clipped: np.ndarray, beta: float) -> np.ndarr
     )
 
 
-def _bond_step(instant: np.ndarray, alpha: float, prev: BondState) -> BondState:
-    smoothed = alpha * instant + (1.0 - alpha) * prev.bonds
-    return BondState(bonds=_freeze(smoothed), tempo_index=prev.tempo_index + 1)
+def _bond_step(instant: np.ndarray, alpha: float, bonds: np.ndarray) -> np.ndarray:
+    """The bond matrix one EMA step from `bonds` toward `instant`."""
+    return alpha * instant + (1.0 - alpha) * bonds
 
 
 def validator_bonds(
@@ -184,7 +184,8 @@ def validator_bonds(
     alpha = _require_unit("alpha", alpha)
     clipped = np.asarray(clipped, dtype=np.float64)
     _check_bond_shapes(wm, clipped, prev)
-    return _bond_step(_bond_target(wm, clipped, beta), alpha, prev)
+    smoothed = _bond_step(_bond_target(wm, clipped, beta), alpha, prev.bonds)
+    return BondState(bonds=_freeze(smoothed), tempo_index=prev.tempo_index + 1)
 
 
 def validator_emission_shares(bonds: BondState, miner_shares: np.ndarray) -> np.ndarray:
@@ -283,6 +284,82 @@ class _DelegationPlan:
         return _sum_by_slot(self.pair_delegator, per_pair, len(self.delegators))
 
 
+class _Chain:
+    """The weights-only work of a tempo chain, done once.
+
+    The weights, stakes, params and delegations stay fixed along a chain,
+    so the pool split, the consensus clip, the miner shares and TAO, the
+    bond target and the delegation plan are worked out here, before any
+    tempo. The only per-tempo state is the bond matrix: `step` moves it one
+    EMA step, and `outcome` builds the validated outcome of a tempo from it.
+    """
+
+    def __init__(
+        self,
+        wm: WeightMatrix,
+        prev: BondState,
+        params: EmissionParams,
+        block_emission: float,
+        delegations: Sequence[Delegation],
+        rank_mix_perfs: Optional[np.ndarray],
+        rank_mix_weight: float,
+    ) -> None:
+        self.owner, miner_pool, self.validator_pool = split_block_emission(block_emission, params)
+        _, clipped = consensus_clip(wm, params.kappa)
+        miner_share_vec, self.no_ranking_mass = miner_emission_shares(clipped, wm.stakes)
+        if rank_mix_perfs is not None:
+            from yumalab.interventions import composite_ranks, unit_rescale
+
+            perfs = np.asarray(rank_mix_perfs, dtype=np.float64)
+            if perfs.shape != (wm.n_miners,):
+                raise ValidationError("rank_mix_perfs length does not match the miner count")
+            mixed = composite_ranks(unit_rescale(wm.stakes @ clipped), perfs, rank_mix_weight)
+            mass = float(np.sum(mixed))
+            if mass > 0.0:
+                miner_share_vec = mixed / mass
+                self.no_ranking_mass = False
+            else:
+                miner_share_vec = np.zeros(wm.n_miners)
+                self.no_ranking_mass = True
+        _check_bond_shapes(wm, clipped, prev)
+        self.instant = _bond_target(wm, clipped, params.beta)
+        self.alpha = params.alpha
+        self.plan = _DelegationPlan(wm, delegations)
+        # Every outcome shares the arrays built here; frozen, they are not copied.
+        self.miner_share_vec = _freeze(miner_share_vec)
+        self.miner_tao = _freeze(miner_pool * miner_share_vec)
+        self.block_emission = float(block_emission)
+        self.wm = wm
+
+    def step(self, bonds: np.ndarray) -> np.ndarray:
+        """The bond matrix one tempo after `bonds`."""
+        return _bond_step(self.instant, self.alpha, bonds)
+
+    def outcome(self, bonds: np.ndarray, tempo_index: int) -> EmissionOutcome:
+        """The outcome of the tempo that ended with `bonds` and `tempo_index`."""
+        bond_state = BondState(bonds=_freeze(bonds), tempo_index=tempo_index)
+        validator_share_vec = validator_emission_shares(bond_state, self.miner_share_vec)
+        share_total = float(np.sum(validator_share_vec))
+        if share_total > 0.0:
+            validator_tao = self.validator_pool * (validator_share_vec / share_total)
+        else:
+            validator_tao = np.zeros_like(validator_share_vec)
+        return EmissionOutcome(
+            block_emission=self.block_emission,
+            owner_amount=self.owner,
+            miners=self.wm.miners,
+            validators=self.wm.validator_ids,
+            delegators=self.plan.delegators,
+            miner_share_vec=self.miner_share_vec,
+            validator_share_vec=_freeze(validator_share_vec),
+            miner_tao_vec=self.miner_tao,
+            validator_tao_vec=_freeze(validator_tao),
+            delegator_reward_vec=_freeze(self.plan.payouts(validator_tao)),
+            bond_state=bond_state,
+            no_ranking_mass=self.no_ranking_mass,
+        )
+
+
 def run_tempos(
     wm: WeightMatrix,
     prev: BondState,
@@ -313,51 +390,11 @@ def run_tempos(
     proportional to rescaled ranks, which differs from the plain
     normalization used when the hook is off.
     """
-    owner, miner_pool, validator_pool = split_block_emission(block_emission, params)
-    _, clipped = consensus_clip(wm, params.kappa)
-    miner_share_vec, no_ranking_mass = miner_emission_shares(clipped, wm.stakes)
-    if rank_mix_perfs is not None:
-        perfs = np.asarray(rank_mix_perfs, dtype=np.float64)
-        if perfs.shape != (wm.n_miners,):
-            raise ValidationError("rank_mix_perfs length does not match the miner count")
-        mixed = composite_ranks(unit_rescale(wm.stakes @ clipped), perfs, rank_mix_weight)
-        mass = float(np.sum(mixed))
-        if mass > 0.0:
-            miner_share_vec = mixed / mass
-            no_ranking_mass = False
-        else:
-            miner_share_vec = np.zeros(wm.n_miners)
-            no_ranking_mass = True
-    _check_bond_shapes(wm, clipped, prev)
-    instant = _bond_target(wm, clipped, params.beta)
-    bond_state = _bond_step(instant, params.alpha, prev)
-    plan = _DelegationPlan(wm, delegations)
-    # Every outcome shares the arrays built here; frozen, they are not copied.
-    _freeze(miner_share_vec)
-    miner_tao = _freeze(miner_pool * miner_share_vec)
-    validator_ids = wm.validator_ids
+    chain = _Chain(wm, prev, params, block_emission, delegations, rank_mix_perfs, rank_mix_weight)
+    bonds, tempo_index = prev.bonds, prev.tempo_index
     while True:
-        validator_share_vec = validator_emission_shares(bond_state, miner_share_vec)
-        share_total = float(np.sum(validator_share_vec))
-        if share_total > 0.0:
-            validator_tao = validator_pool * (validator_share_vec / share_total)
-        else:
-            validator_tao = np.zeros_like(validator_share_vec)
-        yield EmissionOutcome(
-            block_emission=float(block_emission),
-            owner_amount=owner,
-            miners=wm.miners,
-            validators=validator_ids,
-            delegators=plan.delegators,
-            miner_share_vec=miner_share_vec,
-            validator_share_vec=_freeze(validator_share_vec),
-            miner_tao_vec=miner_tao,
-            validator_tao_vec=_freeze(validator_tao),
-            delegator_reward_vec=_freeze(plan.payouts(validator_tao)),
-            bond_state=bond_state,
-            no_ranking_mass=no_ranking_mass,
-        )
-        bond_state = _bond_step(instant, params.alpha, bond_state)
+        bonds, tempo_index = chain.step(bonds), tempo_index + 1
+        yield chain.outcome(bonds, tempo_index)
 
 
 def run_tempo(
@@ -368,9 +405,18 @@ def run_tempo(
     delegations: Sequence[Delegation] = (),
     rank_mix_perfs: Optional[np.ndarray] = None,
     rank_mix_weight: float = 1.0,
+    tempos: int = 1,
 ) -> EmissionOutcome:
-    """Run the full emission pipeline for one tempo: the first outcome of
-    `run_tempos` with the same arguments."""
-    return next(run_tempos(
-        wm, prev, params, block_emission, delegations, rank_mix_perfs, rank_mix_weight
-    ))
+    """Run the emission pipeline over `tempos` chained tempos (default 1)
+    and return the last outcome: the `tempos`-th outcome of `run_tempos`
+    with the same arguments, bit for bit. Only that outcome is built; the
+    tempos before it move the bond matrix and nothing else."""
+    if isinstance(tempos, bool) or not isinstance(tempos, int):
+        raise ValidationError(f"tempos must be an int, got {tempos!r}")
+    if tempos < 1:
+        raise ValidationError("tempos must be >= 1")
+    chain = _Chain(wm, prev, params, block_emission, delegations, rank_mix_perfs, rank_mix_weight)
+    bonds = prev.bonds
+    for _ in range(tempos):
+        bonds = chain.step(bonds)
+    return chain.outcome(bonds, prev.tempo_index + tempos)

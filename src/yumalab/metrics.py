@@ -13,6 +13,7 @@ crashing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -98,7 +99,14 @@ def _pearson_centred(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -
     (dx, sxx), (dy, syy) = x, y
     if sxx == 0.0 or syy == 0.0:
         return None
-    r = float(np.dot(dx, dy)) / math.sqrt(sxx * syy)
+    product = sxx * syy
+    if sys.float_info.min <= product < math.inf:
+        scale = math.sqrt(product)
+    else:
+        # The product left the normal float range; the roots of the two
+        # sums of squares stay in it.
+        scale = math.sqrt(sxx) * math.sqrt(syy)
+    r = float(np.dot(dx, dy)) / scale
     return min(1.0, max(-1.0, r))
 
 

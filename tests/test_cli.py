@@ -1,14 +1,17 @@
 """CLI contract: exit codes, file schemas, formatting, determinism."""
 
+import argparse
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from yumalab import ingest, model
-from yumalab.cli import run
+from yumalab import ingest, interventions, model, sweep, synth
+from yumalab.cli import build_parser, run
 from yumalab.ingest import history_snapshots, load_events
 from yumalab.metrics import ROLE_FILTERS, concentration_report
 from yumalab.consensus import BondState, run_tempo
@@ -58,13 +61,14 @@ class TestExitCodes:
     def test_success_is_zero(self, tmp_path, fixture_path):
         assert run_cli("attack", "--input", fixture_path, "--out", str(tmp_path)) == 0
 
-    # The output directory, --grid and --cutoff are checked before any
-    # input file is read.
+    # The output directory, --grid, --cutoff and the attack threshold are
+    # checked before any input file is read.
     @pytest.mark.parametrize("args, message", [
         (("sweep", "--scheme", "bonus", "--grid", "abc"),
          "invalid grid 'abc'; expected comma-separated numbers"),
         (("attack", "--cutoff", "garbage"), "invalid timestamp 'garbage'"),
-    ], ids=["grid", "cutoff"])
+        (("attack", "--threshold", "1.5"), "threshold must lie in (0, 1], got 1.5"),
+    ], ids=["grid", "cutoff", "threshold"])
     def test_bad_flag_is_named_before_inputs(self, tmp_path, capsys, args, message):
         assert run_cli(*args, "--input", "/no/such.jsonl", "--out", str(tmp_path)) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -174,6 +178,21 @@ class TestAttack:
         low = [float(r[2]) for r in read_csv(out_a / "coalition.csv")[1:]]
         high = [float(r[2]) for r in read_csv(out_b / "coalition.csv")[1:]]
         assert all(h >= l for l, h in zip(low, high))
+
+    @pytest.mark.parametrize("command", ["attack", "frontier", "robustness"])
+    def test_threshold_out_of_range_without_stake(self, tmp_path, capsys, command):
+        # No subnet holds stake, so no coalition is ever sized; the
+        # threshold is still refused.
+        path = tmp_path / "zero.jsonl"
+        path.write_text("".join(
+            json.dumps({"timestamp": "2024-01-01T00:00:00Z", "block_number": 1, "netuid": 1,
+                        "wallet": wallet, "role": "miner", "stake": 0.0, "reward": 1.0}) + "\n"
+            for wallet in ("w1", "w2")
+        ))
+        out = tmp_path / "out"
+        assert run_cli(command, "--input", str(path), "--threshold", "1.5", "--out", str(out)) == 1
+        assert capsys.readouterr().err == "error: threshold must lie in (0, 1], got 1.5\n"
+        assert os.listdir(out) == []
 
 
     @pytest.mark.parametrize("first", ["a", "b"])
@@ -566,3 +585,163 @@ class TestFileHygiene:
             assert run_cli("metrics", "--input", fixture_path, "--out", str(out)) == 0
         for name in os.listdir(out_a):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def miner_rows(stakes, rewards, trusts):
+    """JSONL text: the given miners of netuid 3 on two days."""
+    return "".join(
+        json.dumps({"timestamp": f"2024-01-0{day}T00:00:00Z", "block_number": day, "netuid": 3,
+                    "wallet": f"m{i}", "role": "miner", "stake": stake, "reward": reward,
+                    "trust": trust}) + "\n"
+        for day in (1, 2)
+        for i, (stake, reward, trust) in enumerate(zip(stakes, rewards, trusts))
+    )
+
+
+def output_files(out) -> dict:
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+class TestPearsonRange:
+    """A correlation whose two sums of squares multiply beyond the float64
+    range is still written: not a ZeroDivisionError below the range, and
+    not a silent 0 above it."""
+
+    REPORTS = [["metrics"], ["sweep", "--scheme", "split"], ["sweep", "--scheme", "composite"],
+               ["sweep", "--scheme", "bonus"]]
+    IDS = ["metrics", "split", "composite", "bonus"]
+
+    @pytest.mark.parametrize("args", REPORTS, ids=IDS)
+    def test_product_below_the_range(self, tmp_path, args):
+        # Reward and perf sums of squares are ~1e-200 and ~1e-240.
+        path = tmp_path / "tiny.jsonl"
+        path.write_text(miner_rows((1.0, 2.0, 3.0), (1e-100, 2e-100, 3.5e-100), (1e-120, 2e-120, 3e-120)))
+        assert run_cli(*args, "--input", str(path), "--out", str(tmp_path / "out")) == 0
+        if args[0] == "metrics":
+            rows = read_csv(tmp_path / "out" / "correlations.csv")
+            assert rows[1] == ["3", "miner", "3", "0.993399268", "1", "0.993399268"]
+        else:
+            null = {"split": "0", "composite": "1", "bonus": "0"}[args[2]]
+            rows = [row for row in read_csv(tmp_path / "out" / "sweep.csv")[1:] if row[1] == null]
+            assert [row[4:6] for row in rows] == [["0.993399268", "0.993399268"]]
+
+    @pytest.mark.parametrize("args", REPORTS, ids=IDS)
+    def test_product_above_the_range(self, tmp_path, args):
+        # Scaling stake and reward by 2**500 (about 3.3e150) scales every
+        # deviation exactly, so each report holds the unit-scale bytes.
+        stakes, rewards, trusts = (1.0, 2.0, 3.0, 5.0), (1.5, 1.75, 3.25, 4.5), (0.25, 0.5, 0.75, 0.5)
+        scale = 2.0 ** 500
+        outputs = []
+        for name, factor in (("unit", 1.0), ("large", scale)):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text(miner_rows([x * factor for x in stakes], [x * factor for x in rewards], trusts))
+            assert run_cli(*args, "--input", str(path), "--out", str(tmp_path / name)) == 0
+            outputs.append(output_files(tmp_path / name))
+        assert outputs[0] == outputs[1]
+        if args[0] == "metrics":
+            assert read_csv(tmp_path / "large" / "correlations.csv")[1][3] == "0.976315261"
+
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+WIDE = os.path.join(DATA_DIR, "wide.jsonl")
+LOADED_BY_CLI = {"yumalab", "yumalab._util", "yumalab.cli", "yumalab.model"}
+REPORT_MODULES = {"yumalab.ingest", "yumalab.interventions", "yumalab.metrics", "yumalab.sweep"}
+
+
+class TestModulesLoaded:
+    """Each subcommand imports only the modules it runs."""
+
+    SCRIPT = ("import json, sys\n"
+              "from yumalab.cli import run\n"
+              "code = run(sys.argv[1:])\n"
+              "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'yumalab')\n"
+              "print(json.dumps([code, loaded]))\n")
+
+    @pytest.mark.parametrize("args, code, extra", [
+        (["ingest", "--input", WIDE], 0, {"yumalab.ingest"}),
+        (["metrics", "--input", WIDE], 0, {"yumalab.ingest", "yumalab.metrics"}),
+        (["attack", "--input", WIDE], 0, {"yumalab.ingest", "yumalab.metrics"}),
+        (["tempo", "--input", TEMPO_CHAIN_INSTANCE], 0, {"yumalab.consensus"}),
+        (["sweep", "--input", WIDE, "--scheme", "split"], 0, REPORT_MODULES),
+        (["frontier", "--input", WIDE, "--transform", "log"], 0, REPORT_MODULES),
+        (["robustness", "--input", WIDE, "--freq", "daily"], 0, REPORT_MODULES),
+        (["synth", "--reward-rule", "yuma_replay", "--subnets", "1", "--wallets", "6", "--days", "2"],
+         0, {"yumalab.consensus", "yumalab.ingest", "yumalab.synth"}),
+        (["--help"], 0, set()),
+        (["tempo", "--help"], 0, set()),
+        (["metrics", "--freq", "hourly"], 2, set()),
+    ], ids=["ingest", "metrics", "attack", "tempo", "sweep", "frontier", "robustness", "synth",
+            "help", "tempo-help", "usage-error"])
+    def test_loaded_modules(self, tmp_path, args, code, extra):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (SRC_DIR, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT, *args, "--out", str(tmp_path)],
+                              capture_output=True, text=True, env=env, check=False)
+        assert json.loads(done.stdout.splitlines()[-1]) == [code, sorted(LOADED_BY_CLI | extra)]
+
+    def test_parser_choices_are_the_library_constants(self):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        choices = {
+            (command, action.dest): action.choices
+            for command, sub in subparsers.choices.items()
+            for action in sub._actions
+            if action.choices is not None and action.dest != "format"
+        }
+        assert choices == {
+            ("metrics", "freq"): ingest.FREQUENCIES,
+            ("robustness", "freq"): ingest.FREQUENCIES,
+            ("sweep", "scheme"): sweep.SCHEMES,
+            ("frontier", "transform"): interventions.TRANSFORM_KINDS,
+            ("robustness", "transform"): interventions.TRANSFORM_KINDS,
+            ("synth", "reward_rule"): synth.REWARD_RULES,
+        }
+
+
+def relabel(source, target, rename) -> None:
+    """Copy a JSONL event file with every wallet name passed through `rename`."""
+    with open(source, encoding="utf-8") as handle:
+        rows = [json.loads(line) for line in handle]
+    names = sorted({row["wallet"] for row in rows})
+    mapping = dict(zip(names, rename(names)))
+    with open(target, "w", encoding="utf-8") as handle:
+        for row in rows:
+            row["wallet"] = mapping[row["wallet"]]
+            handle.write(json.dumps(row) + "\n")
+
+
+def keep_order(names):
+    return [f"x{i:05d}" for i in range(len(names))]
+
+
+def permute(names):
+    return [f"x{i:05d}" for i in np.random.default_rng(3).permutation(len(names))]
+
+
+class TestWalletRelabelling:
+    """Wallet names are labels. A rename that keeps their sort order leaves
+    every report byte-identical. A rename that permutes them moves rows
+    within a snapshot, so sums over rows may round differently; the
+    coalition fraction sorts stake and stays byte-identical."""
+
+    @pytest.mark.parametrize("args", [
+        ["attack"], ["metrics"], ["robustness", "--freq", "daily"], ["frontier"],
+        ["sweep", "--scheme", "composite"],
+    ], ids=["attack", "metrics", "robustness", "frontier", "sweep"])
+    @pytest.mark.parametrize("source", ["fixture.jsonl", "wide.jsonl"])
+    def test_order_keeping_rename(self, tmp_path, args, source):
+        self.check(tmp_path, args, source, keep_order)
+
+    @pytest.mark.parametrize("source", ["fixture.jsonl", "wide.jsonl"])
+    def test_permuting_rename_keeps_coalitions(self, tmp_path, source):
+        self.check(tmp_path, ["attack"], source, permute)
+
+    def check(self, tmp_path, args, source, rename):
+        original = os.path.join(DATA_DIR, source)
+        renamed = tmp_path / source
+        relabel(original, renamed, rename)
+        outputs = []
+        for name, path in (("original", original), ("renamed", renamed)):
+            assert run_cli(*args, "--input", str(path), "--out", str(tmp_path / name)) == 0
+            outputs.append(output_files(tmp_path / name))
+        assert outputs[0] == outputs[1]

@@ -7,10 +7,11 @@ were derived by hand as exact fractions.
 """
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -27,6 +28,7 @@ from yumalab.consensus import (
     validator_emission_shares,
 )
 from yumalab.interventions import composite_ranks, unit_rescale
+from yumalab import model
 from yumalab.model import EmissionOutcome, EmissionParams, ValidationError, WeightMatrix
 
 PARAMS = EmissionParams(alpha=0.1, beta=0.5, kappa=0.5)
@@ -471,6 +473,68 @@ class TestRunTempos:
             assert np.all(out.bonds >= 0.0) and np.all(out.bonds <= 1.0)
             count += 1
         assert count == 250 and out.tempo_index == prev.tempo_index + 250
+
+
+OUTCOME_ARRAYS = ("miner_share_vec", "validator_share_vec", "miner_tao_vec", "validator_tao_vec",
+                  "delegator_reward_vec", "bonds")
+ZERO_WEIGHTS = WeightMatrix(validators=(("v1", 3.0), ("v2", 1.0)), miners=("m1", "m2"),
+                            weights=np.zeros((2, 2)))
+DELEGATIONS = (Delegation("v2", "d1", 0.5, 0.1), Delegation("v1", "d1", 1.0, 0.18),
+               Delegation("v1", "d2", 0.5, 0.0))
+
+
+class TestRunTempoCount:
+    """`run_tempo(..., tempos=k)` is the k-th outcome of `run_tempos`, bit
+    for bit, and builds no other outcome."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(chain_instances(), st.integers(1, 8))
+    @example((canonical_wm(), BondState.initial(2, 2), PARAMS, 100.0, DELEGATIONS, None, 1.0), 5)
+    @example((ZERO_WEIGHTS, BondState.initial(2, 2), PARAMS, 100.0, DELEGATIONS, None, 1.0), 3)
+    @example((canonical_wm(), BondState.initial(2, 2), PARAMS, 100.0, (), np.array([0.25, 0.75]), 0.5), 4)
+    @example((canonical_wm(), BondState.initial(2, 2), PARAMS, 100.0, (), np.zeros(2), 0.0), 2)
+    def test_matches_the_chain(self, instance, k):
+        args = instance
+        try:
+            want = next(islice(run_tempos(*args), k - 1, None))
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as caught:
+                run_tempo(*args, tempos=k)
+            assert str(caught.value) == str(exc)
+            return
+        got = run_tempo(*args, tempos=k)
+        for name in OUTCOME_ARRAYS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert (got.miners, got.validators, got.delegators) == (want.miners, want.validators, want.delegators)
+        assert (got.tempo_index, got.no_ranking_mass) == (want.tempo_index, want.no_ranking_mass)
+        assert got.tempo_index == args[1].tempo_index + k
+        assert repr((got.block_emission, got.owner_amount)) == repr((want.block_emission, want.owner_amount))
+        for name in MAPPINGS:
+            assert repr(list(getattr(got, name).items())) == repr(list(getattr(want, name).items()))
+
+    def test_examples_reach_each_branch(self):
+        zero = run_tempo(ZERO_WEIGHTS, BondState.initial(2, 2), PARAMS, 100.0, DELEGATIONS, tempos=3)
+        assert zero.no_ranking_mass and zero.delegators == ("d1", "d2")
+        mixed = run_tempo(canonical_wm(), BondState.initial(2, 2), PARAMS, 100.0,
+                          rank_mix_perfs=np.zeros(2), rank_mix_weight=0.0, tempos=2)
+        assert mixed.no_ranking_mass
+
+    def test_builds_only_the_returned_outcome(self, monkeypatch):
+        built = []
+        for cls in (model.BondState, model.EmissionOutcome):
+            check = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, check=check: (built.append(type(self)), check(self))[1])
+        prev = BondState(bonds=np.full((2, 2), 0.5), tempo_index=4)
+        built.clear()
+        out = run_tempo(canonical_wm(), prev, PARAMS, 100.0, DELEGATIONS, tempos=50)
+        assert built == [model.BondState, model.EmissionOutcome]
+        assert out.tempo_index == 54
+
+    @pytest.mark.parametrize("tempos", [0, -3, 2.0, 1.5, True, "2", None, np.int64(2)])
+    def test_tempos_must_be_a_positive_int(self, tempos):
+        with pytest.raises(ValidationError, match="tempos must be"):
+            run_tempo(canonical_wm(), BondState.initial(2, 2), PARAMS, 100.0, tempos=tempos)
 
 
 class TestDelegatorRewardsOrder:

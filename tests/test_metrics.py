@@ -5,7 +5,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -163,6 +163,35 @@ class TestPearson:
             x, y = rng.random(n), rng.random(n)
             assert pearson(x, y) == pytest.approx(float(np.corrcoef(x, y)[0, 1]), abs=1e-10)
 
+    def test_sums_of_squares_whose_product_underflows(self):
+        # 1e-200 * 1e-240 is 0.0 in float64.
+        got = pearson([1e-100, 2e-100, 3.5e-100], [1e-120, 2e-120, 3e-120])
+        assert got == pytest.approx(pearson([1.0, 2.0, 3.5], [1.0, 2.0, 3.0]), rel=1e-15)
+
+    def test_sums_of_squares_whose_product_overflows(self):
+        # 2e300 * 2e300 is inf in float64.
+        x = [1e150, 2e150, 3e150]
+        assert pearson(x, x) == pytest.approx(1.0, rel=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(xy=st.integers(2, 12).flatmap(lambda n: st.tuples(
+               arrays(np.float64, n, elements=st.floats(1.0, 2.0)),
+               arrays(np.float64, n, elements=st.floats(1.0, 2.0)))),
+           kx=st.integers(-450, 450), ky=st.integers(-450, 450))
+    @example(xy=(np.array([1.0, 2.0, 3.5]), np.array([1.0, 2.0, 3.0])), kx=-332, ky=-399)
+    @example(xy=(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 3.0])), kx=498, ky=498)
+    def test_power_of_two_scaling(self, xy, kx, ky):
+        """Scaling by a power of two scales the deviations and their dot
+        product exactly; the coefficient moves by at most the rounding of
+        the two square roots, where sxx * syy leaves the normal range."""
+        x, y = xy
+        base = pearson(x, y)
+        scaled = pearson(x * 2.0 ** kx, y * 2.0 ** ky)
+        if base is None:
+            assert scaled is None
+        else:
+            assert scaled == pytest.approx(base, rel=1e-12)
+
 
 def entry(wallet, role, stake, reward, perf):
     return (wallet, role, stake, reward, perf)
@@ -318,6 +347,23 @@ def _guarded(metric, values):
     return metric(values)
 
 
+def _miners_and_validators(stakes, rewards, perfs):
+    """Three miners and three validators on the same columns."""
+    return snapshot([
+        entry(f"{prefix}{i}", role, stake, reward, perf)
+        for prefix, role in (("m", Role.MINER), ("v", Role.VALIDATOR))
+        for i, (stake, reward, perf) in enumerate(zip(stakes, rewards, perfs))
+    ])
+
+
+# Sums of squares whose product leaves the float range: below it for
+# reward and perf, above it for stake and reward.
+PRODUCT_UNDERFLOWS = _miners_and_validators(
+    (1.0, 2.0, 3.0), (1e-100, 2e-100, 3.5e-100), (1e-120, 2e-120, 3e-120))
+PRODUCT_OVERFLOWS = _miners_and_validators(
+    (1e150, 2e150, 3e150), (1.5e150, 1.75e150, 3.25e150), (0.25, 0.5, 0.75))
+
+
 class TestReportKernelsMatchPublicFunctions:
     @pytest.mark.parametrize("role_filter", ROLE_FILTERS)
     @ORACLE_SETTINGS
@@ -339,6 +385,8 @@ class TestReportKernelsMatchPublicFunctions:
     @pytest.mark.parametrize("role", [Role.MINER, Role.VALIDATOR])
     @ORACLE_SETTINGS
     @given(snap=drawn_snapshots())
+    @example(snap=PRODUCT_UNDERFLOWS)
+    @example(snap=PRODUCT_OVERFLOWS)
     def test_correlation_profile(self, role, snap):
         if snap.count(role) < 2:
             return
