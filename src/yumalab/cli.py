@@ -528,8 +528,12 @@ def _add_io_flags(parser: argparse.ArgumentParser, with_input: bool = True) -> N
             metavar="PATH",
             help="input event file(s); format inferred from the extension unless --format is given",
         )
-    parser.add_argument("--out", metavar="DIR", default=".", help="output directory (default: .)")
+    _add_out_flag(parser)
     parser.add_argument("--format", choices=("jsonl", "csv"), help="event file format")
+
+
+def _add_out_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", metavar="DIR", default=".", help="output directory (default: .)")
 
 
 def _add_cutoff_flag(parser: argparse.ArgumentParser) -> None:
@@ -575,7 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_attack)
 
     p = sub.add_parser("tempo", help="run the emission pipeline on a JSON instance")
-    _add_io_flags(p)
+    p.add_argument("--input", action="extend", nargs="+", metavar="PATH", help="JSON instance file")
+    _add_out_flag(p)
     p.set_defaults(handler=_cmd_tempo)
 
     p = sub.add_parser("sweep", help="reward-scheme correlation sweeps")

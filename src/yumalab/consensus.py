@@ -15,11 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from yumalab.model import (
+    MINER_SHARE,
+    OWNER_SHARE,
+    VALIDATOR_SHARE,
     BondState,
     EmissionOutcome,
     EmissionParams,
@@ -64,16 +67,13 @@ class Delegation:
         object.__setattr__(self, "take", _require_unit("take", self.take))
 
 
-def split_block_emission(total: float, params: EmissionParams) -> tuple[float, float, float]:
-    """Split one block's emission into (owner, miner pool, validator pool)."""
+def split_block_emission(total: float) -> tuple[float, float, float]:
+    """Split one block's emission into (owner, miner pool, validator pool)
+    at the protocol's fixed shares."""
     total = float(total)
     if not math.isfinite(total) or total < 0.0:
         raise ValidationError(f"block emission must be >= 0, got {total}")
-    return (
-        params.owner_share * total,
-        params.miner_share * total,
-        params.validator_share * total,
-    )
+    return OWNER_SHARE * total, MINER_SHARE * total, VALIDATOR_SHARE * total
 
 
 def clip_benchmarks(weights: np.ndarray, stakes: np.ndarray, kappa: float) -> np.ndarray:
@@ -301,26 +301,10 @@ class _Chain:
         params: EmissionParams,
         block_emission: float,
         delegations: Sequence[Delegation],
-        rank_mix_perfs: Optional[np.ndarray],
-        rank_mix_weight: float,
     ) -> None:
-        self.owner, miner_pool, self.validator_pool = split_block_emission(block_emission, params)
+        self.owner, miner_pool, self.validator_pool = split_block_emission(block_emission)
         _, clipped = consensus_clip(wm, params.kappa)
         miner_share_vec, self.no_ranking_mass = miner_emission_shares(clipped, wm.stakes)
-        if rank_mix_perfs is not None:
-            from yumalab.interventions import composite_ranks, unit_rescale
-
-            perfs = np.asarray(rank_mix_perfs, dtype=np.float64)
-            if perfs.shape != (wm.n_miners,):
-                raise ValidationError("rank_mix_perfs length does not match the miner count")
-            mixed = composite_ranks(unit_rescale(wm.stakes @ clipped), perfs, rank_mix_weight)
-            mass = float(np.sum(mixed))
-            if mass > 0.0:
-                miner_share_vec = mixed / mass
-                self.no_ranking_mass = False
-            else:
-                miner_share_vec = np.zeros(wm.n_miners)
-                self.no_ranking_mass = True
         _check_bond_shapes(wm, clipped, prev)
         self.instant = _bond_target(wm, clipped, params.beta)
         self.alpha = params.alpha
@@ -366,8 +350,6 @@ def run_tempos(
     params: EmissionParams,
     block_emission: float,
     delegations: Sequence[Delegation] = (),
-    rank_mix_perfs: Optional[np.ndarray] = None,
-    rank_mix_weight: float = 1.0,
 ) -> Iterator[EmissionOutcome]:
     """Run the emission pipeline over chained tempos, one outcome each.
 
@@ -382,15 +364,8 @@ def run_tempos(
     bond-weighted shares (normalized over their sum); when total validator
     share is zero the pool goes unallocated, mirroring the all-zero miner
     ranking case.
-
-    `rank_mix_perfs` is a simulation hook: when given, miner shares are
-    re-derived from a convex mix of the min-max rescaled rankings with
-    these per-miner performance scores (weight `rank_mix_weight` on the
-    rankings). Note the rescaling: even at weight 1 the hook yields shares
-    proportional to rescaled ranks, which differs from the plain
-    normalization used when the hook is off.
     """
-    chain = _Chain(wm, prev, params, block_emission, delegations, rank_mix_perfs, rank_mix_weight)
+    chain = _Chain(wm, prev, params, block_emission, delegations)
     bonds, tempo_index = prev.bonds, prev.tempo_index
     while True:
         bonds, tempo_index = chain.step(bonds), tempo_index + 1
@@ -403,8 +378,6 @@ def run_tempo(
     params: EmissionParams,
     block_emission: float,
     delegations: Sequence[Delegation] = (),
-    rank_mix_perfs: Optional[np.ndarray] = None,
-    rank_mix_weight: float = 1.0,
     tempos: int = 1,
 ) -> EmissionOutcome:
     """Run the emission pipeline over `tempos` chained tempos (default 1)
@@ -415,7 +388,7 @@ def run_tempo(
         raise ValidationError(f"tempos must be an int, got {tempos!r}")
     if tempos < 1:
         raise ValidationError("tempos must be >= 1")
-    chain = _Chain(wm, prev, params, block_emission, delegations, rank_mix_perfs, rank_mix_weight)
+    chain = _Chain(wm, prev, params, block_emission, delegations)
     bonds = prev.bonds
     for _ in range(tempos):
         bonds = chain.step(bonds)

@@ -21,7 +21,6 @@ import numpy as np
 from yumalab.model import ValidationError, _require_unit
 
 __all__ = [
-    "SchemeParams",
     "TransformSpec",
     "perf_weighted_rewards",
     "composite_ranks",
@@ -31,37 +30,6 @@ __all__ = [
     "unit_rescale",
     "nearest_rank_percentile",
 ]
-
-
-@dataclass(frozen=True)
-class SchemeParams:
-    """Parameters of the three reward schemes.
-
-    base_validator_share: baseline fraction of a validator's reward kept
-    under the performance-weighted split (miners keep the complement);
-    perf_sensitivity: slope of the split's performance term;
-    rank_weight: weight on the baseline rank in the composite score
-    (1 = pure baseline, 0 = pure performance);
-    trust_bonus: multiplicative bonus slope per unit of performance.
-    """
-
-    base_validator_share: float = 0.25
-    perf_sensitivity: float = 0.0
-    rank_weight: float = 1.0
-    trust_bonus: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "base_validator_share",
-            _require_unit("base_validator_share", self.base_validator_share),
-        )
-        object.__setattr__(self, "rank_weight", _require_unit("rank_weight", self.rank_weight))
-        for name in ("perf_sensitivity", "trust_bonus"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value < 0.0:
-                raise ValidationError(f"{name} must be >= 0, got {value}")
-            object.__setattr__(self, name, value)
 
 
 TRANSFORM_KINDS = ("cap", "power", "log")
@@ -267,6 +235,8 @@ def whale_penalty(original, transformed) -> float:
     transform; the penalty is the relative reduction of their combined
     stake. Boundary ties resolve by position (stable sort); for transforms
     that are functions of the stake value alone the choice is irrelevant.
+    The penalty is at most 1, but a transform can also raise stakes: a
+    power below 1 lifts stakes below 1, and their penalty is negative.
     """
     before = _as_vector(original, "original")
     after = _as_vector(transformed, "transformed")

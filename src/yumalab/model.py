@@ -365,16 +365,12 @@ class EmissionParams:
 
     alpha is the EMA smoothing factor for bonds, beta the weight the bond
     calculation places on clipped instead of raw weights, and kappa the
-    consensus clipping threshold. The three pool shares must sum to 1
-    exactly.
+    consensus clipping threshold.
     """
 
     alpha: float
     beta: float
     kappa: float = 0.5
-    owner_share: float = OWNER_SHARE
-    miner_share: float = MINER_SHARE
-    validator_share: float = VALIDATOR_SHARE
     tempo_blocks: int = 360
 
     def __post_init__(self) -> None:
@@ -384,11 +380,6 @@ class EmissionParams:
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "alpha", _require_unit("alpha", self.alpha))
         object.__setattr__(self, "beta", _require_unit("beta", self.beta))
-        for name in ("owner_share", "miner_share", "validator_share"):
-            object.__setattr__(self, name, _require_unit(name, getattr(self, name)))
-        total = self.owner_share + self.miner_share + self.validator_share
-        if abs(total - 1.0) > 1e-12:
-            raise ValidationError(f"pool shares must sum to 1, got {total!r}")
         if int(self.tempo_blocks) <= 0:
             raise ValidationError(f"tempo_blocks must be positive, got {self.tempo_blocks}")
         object.__setattr__(self, "tempo_blocks", int(self.tempo_blocks))

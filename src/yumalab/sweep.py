@@ -10,6 +10,7 @@ resampling windows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Optional, Sequence
@@ -18,7 +19,6 @@ import numpy as np
 
 from yumalab.ingest import FREQUENCIES, Dataset, resample
 from yumalab.interventions import (
-    SchemeParams,
     TransformSpec,
     _nearest_rank,
     _penalty,
@@ -136,9 +136,10 @@ class FrontierPoint:
             raise ValidationError(
                 f"median coalition fraction must lie in (0, 1], got {self.median_coalition_fraction}"
             )
-        if not 0.0 <= self.median_whale_penalty <= 1.0:
+        # A transform that raises stakes gives a negative penalty.
+        if not (math.isfinite(self.median_whale_penalty) and self.median_whale_penalty <= 1.0):
             raise ValidationError(
-                f"median whale penalty must lie in [0, 1], got {self.median_whale_penalty}"
+                f"median whale penalty must be finite and at most 1, got {self.median_whale_penalty}"
             )
 
 
@@ -167,17 +168,9 @@ class RobustnessSeries:
 # ---------------------------------------------------------------------------
 
 
-def _scheme_rewards(
-    snap: SubnetSnapshot, scheme: str, value: float, params: SchemeParams
-) -> np.ndarray:
+def _scheme_rewards(snap: SubnetSnapshot, scheme: str, value: float) -> np.ndarray:
     if scheme == "split":
-        return perf_weighted_rewards(
-            snap.reward,
-            snap.perf,
-            snap.miner,
-            base_validator_share=params.base_validator_share,
-            sensitivity=value,
-        )
+        return perf_weighted_rewards(snap.reward, snap.perf, snap.miner, sensitivity=value)
     if scheme == "bonus":
         return bonus_rewards(snap.reward, snap.perf, value)
     # composite: re-allocate the miner reward pool along mixed ranks;
@@ -233,7 +226,6 @@ def sweep_scheme(
     snapshots: Sequence[SubnetSnapshot],
     scheme: str,
     grid: Optional[Sequence[float]] = None,
-    params: Optional[SchemeParams] = None,
 ) -> SweepResult:
     """Sweep one reward scheme over a parameter grid.
 
@@ -264,13 +256,11 @@ def sweep_scheme(
                 f"multiple snapshots for netuid {snap.netuid}; pass one snapshot per subnet"
             )
         seen.add(snap.netuid)
-    if params is None:
-        params = SchemeParams()
 
     ordered = sorted(snapshots, key=lambda s: s.netuid)
     role_columns = [_role_columns(snap) for snap in ordered]
     by_value = [
-        [_point_correlations(columns, _scheme_rewards(snap, scheme, value, params))
+        [_point_correlations(columns, _scheme_rewards(snap, scheme, value))
          for snap, columns in zip(ordered, role_columns)]
         for value in grid_values
     ]

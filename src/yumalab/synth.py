@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from yumalab._util import parse_timestamp, to_epoch_us
-from yumalab.consensus import BondState, run_tempos
 from yumalab.ingest import _DAY_US, Dataset, _sorted_dataset
 from yumalab.model import EmissionParams, ValidationError, WeightMatrix, _freeze
 
@@ -165,6 +164,8 @@ def _replay_rewards(
     Weights follow miner performance with independent per-pair noise, so
     clipping and bond smoothing shape the realized rewards.
     """
+    from yumalab.consensus import BondState, run_tempos
+
     n_validators = validator_stakes.shape[0]
     n_miners = miner_perf.shape[0]
     raw = miner_perf[np.newaxis, :] + 0.2 * (rng.random((n_validators, n_miners)) - 0.5)

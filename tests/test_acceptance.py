@@ -96,7 +96,7 @@ def test_criterion_02_conservation_and_split():
     for _ in range(500):
         wm = _random_instance(rng)
         emission = float(rng.uniform(0.5, 500.0))
-        owner, miner_pool, validator_pool = split_block_emission(emission, PARAMS)
+        owner, miner_pool, validator_pool = split_block_emission(emission)
         ok &= owner == 0.18 * emission
         ok &= miner_pool == 0.41 * emission
         ok &= validator_pool == 0.41 * emission

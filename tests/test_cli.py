@@ -90,6 +90,11 @@ class TestExitCodes:
         assert run_cli("tempo", "--out", str(tmp_path)) == 1
         assert capsys.readouterr().err == "error: tempo expects exactly one --input instance file\n"
 
+    def test_tempo_has_no_format_flag(self, tmp_path):
+        assert run_cli("tempo", "--input", TEMPO_CHAIN_INSTANCE, "--out", str(tmp_path),
+                       "--format", "csv") == 2
+        assert os.listdir(tmp_path) == []
+
 
 class TestIngest:
     def test_summary_and_events(self, tmp_path, fixture_path):
@@ -315,6 +320,19 @@ class TestFrontier:
     def test_cap_requires_param(self, tmp_path, fixture_path):
         assert run_cli("frontier", "--input", fixture_path, "--out", str(tmp_path),
                        "--transform", "cap") == 1
+
+    def test_negative_penalty_for_stakes_below_one(self, tmp_path):
+        # A power below 1 raises the top wallet's stake of 0.5 to 0.5 ** 0.9.
+        path = tmp_path / "small.jsonl"
+        path.write_text("".join(
+            json.dumps({"timestamp": "2024-01-01T00:00:00Z", "block_number": 1, "netuid": 1,
+                        "wallet": wallet, "role": "miner", "stake": stake, "reward": 1.0}) + "\n"
+            for wallet, stake in (("w1", 0.5), ("w2", 0.25), ("w3", 0.125))
+        ))
+        assert run_cli("frontier", "--input", str(path), "--out", str(tmp_path),
+                       "--transform", "power", "--param", "0.9") == 0
+        penalties = {r[0]: r[5] for r in read_csv(tmp_path / "frontier.csv")[1:]}
+        assert penalties["power:0.9"] == "-0.0717734625"
 
 
 class TestRobustness:
@@ -665,13 +683,15 @@ class TestModulesLoaded:
         (["sweep", "--input", WIDE, "--scheme", "split"], 0, REPORT_MODULES),
         (["frontier", "--input", WIDE, "--transform", "log"], 0, REPORT_MODULES),
         (["robustness", "--input", WIDE, "--freq", "daily"], 0, REPORT_MODULES),
+        (["synth", "--subnets", "1", "--wallets", "4", "--days", "1"],
+         0, {"yumalab.ingest", "yumalab.synth"}),
         (["synth", "--reward-rule", "yuma_replay", "--subnets", "1", "--wallets", "6", "--days", "2"],
          0, {"yumalab.consensus", "yumalab.ingest", "yumalab.synth"}),
         (["--help"], 0, set()),
         (["tempo", "--help"], 0, set()),
         (["metrics", "--freq", "hourly"], 2, set()),
     ], ids=["ingest", "metrics", "attack", "tempo", "sweep", "frontier", "robustness", "synth",
-            "help", "tempo-help", "usage-error"])
+            "synth-replay", "help", "tempo-help", "usage-error"])
     def test_loaded_modules(self, tmp_path, args, code, extra):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (SRC_DIR, os.environ.get("PYTHONPATH")))))

@@ -27,7 +27,6 @@ from yumalab.consensus import (
     validator_bonds,
     validator_emission_shares,
 )
-from yumalab.interventions import composite_ranks, unit_rescale
 from yumalab import model
 from yumalab.model import EmissionOutcome, EmissionParams, ValidationError, WeightMatrix
 
@@ -58,17 +57,17 @@ def random_wm(rng, max_side=10, allow_zero_stake=False) -> WeightMatrix:
 
 class TestSplit:
     def test_pools_are_exact(self):
-        owner, miner, validator = split_block_emission(100.0, PARAMS)
+        owner, miner, validator = split_block_emission(100.0)
         assert owner == 0.18 * 100.0
         assert miner == 0.41 * 100.0
         assert validator == 0.41 * 100.0
 
     def test_zero_emission(self):
-        assert split_block_emission(0.0, PARAMS) == (0.0, 0.0, 0.0)
+        assert split_block_emission(0.0) == (0.0, 0.0, 0.0)
 
     def test_negative_emission_rejected(self):
         with pytest.raises(ValidationError):
-            split_block_emission(-1.0, PARAMS)
+            split_block_emission(-1.0)
 
 
 class TestConsensusClip:
@@ -262,31 +261,6 @@ class TestRunTempo:
             run_tempo(canonical_wm(), BondState.initial(2, 2), PARAMS, 100.0,
                       delegations=(Delegation("nobody", "d1", 0.5, 0.0),))
 
-    def test_rank_mix_rescales_ranks_at_weight_one(self):
-        # The hook min-max rescales the rank leg, so weight 1 allocates
-        # proportionally to rescaled ranks rather than to raw rankings.
-        wm = canonical_wm()
-        perfs = np.array([0.9, 0.1])
-        out = run_tempo(wm, BondState.initial(2, 2), PARAMS, 100.0,
-                        rank_mix_perfs=perfs, rank_mix_weight=1.0)
-        # rankings [2.0, 1.6] rescale to [1.0, 0.0]
-        assert out.miner_shares["m1"] == pytest.approx(1.0, abs=0)
-        assert out.miner_shares["m2"] == pytest.approx(0.0, abs=0)
-
-    def test_rank_mix_pure_perf_at_weight_zero(self):
-        wm = canonical_wm()
-        perfs = np.array([0.3, 0.1])
-        out = run_tempo(wm, BondState.initial(2, 2), PARAMS, 100.0,
-                        rank_mix_perfs=perfs, rank_mix_weight=0.0)
-        np.testing.assert_allclose(
-            [out.miner_shares["m1"], out.miner_shares["m2"]], [0.75, 0.25], rtol=1e-12
-        )
-
-    def test_rank_mix_length_checked(self):
-        with pytest.raises(ValidationError):
-            run_tempo(canonical_wm(), BondState.initial(2, 2), PARAMS, 100.0,
-                      rank_mix_perfs=np.array([0.5]))
-
     def test_bonds_feed_forward(self):
         wm = canonical_wm()
         state = BondState.initial(2, 2)
@@ -301,25 +275,12 @@ class TestRunTempo:
         assert seen[1] == pytest.approx(seen[2], rel=1e-12)
 
 
-def oracle_tempo(wm, prev, params, block_emission, delegations=(), rank_mix_perfs=None,
-                 rank_mix_weight=1.0) -> EmissionOutcome:
+def oracle_tempo(wm, prev, params, block_emission, delegations=()) -> EmissionOutcome:
     """One tempo composed from the public steps, every part recomputed from
     the weights: the reference for the chained pipeline."""
-    owner, miner_pool, validator_pool = split_block_emission(block_emission, params)
+    owner, miner_pool, validator_pool = split_block_emission(block_emission)
     _, clipped = consensus_clip(wm, params.kappa)
     miner_share_vec, no_ranking_mass = miner_emission_shares(clipped, wm.stakes)
-    if rank_mix_perfs is not None:
-        perfs = np.asarray(rank_mix_perfs, dtype=np.float64)
-        if perfs.shape != (wm.n_miners,):
-            raise ValidationError("rank_mix_perfs length does not match the miner count")
-        mixed = composite_ranks(unit_rescale(wm.stakes @ clipped), perfs, rank_mix_weight)
-        mass = float(np.sum(mixed))
-        if mass > 0.0:
-            miner_share_vec = mixed / mass
-            no_ranking_mass = False
-        else:
-            miner_share_vec = np.zeros(wm.n_miners)
-            no_ranking_mass = True
     bond_state = validator_bonds(wm, clipped, params.beta, params.alpha, prev)
     validator_share_vec = validator_emission_shares(bond_state, miner_share_vec)
     miner_tao = miner_pool * miner_share_vec
@@ -365,12 +326,12 @@ UNIT_VALUES = st.one_of(st.sampled_from([0.0, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.7, 1.
 
 
 @st.composite
-def chain_instances(draw, delegate=True, rank_mix=True):
-    """(wm, prev, params, emission, delegations, rank_mix_perfs, rank_mix_weight)
-    with weight ties, zero-stake validators, optional all-zero miner columns
-    and delegators that appear under several validators. Delegations to a
-    zero-stake or unknown validator, or beyond a validator's stake, make
-    both pipelines raise."""
+def chain_instances(draw, delegate=True):
+    """(wm, prev, params, emission, delegations) with weight ties,
+    zero-stake validators, optional all-zero miner columns and delegators
+    that appear under several validators. Delegations to a zero-stake or
+    unknown validator, or beyond a validator's stake, make both pipelines
+    raise."""
     n_val = draw(st.integers(1, 6))
     n_min = draw(st.integers(1, 8))
     weights = draw(arrays(np.float64, (n_val, n_min), elements=UNIT_VALUES))
@@ -405,31 +366,27 @@ def chain_instances(draw, delegate=True, rank_mix=True):
             amount=float(stakes[v] if v < n_val else 1.0) * draw(st.floats(0.0, 0.5)),
             take=draw(UNIT_VALUES),
         ))
-    perfs, mix_weight = None, 1.0
-    if rank_mix and draw(st.booleans()):
-        perfs = draw(arrays(np.float64, n_min, elements=UNIT_VALUES))
-        mix_weight = draw(UNIT_VALUES)
     emission = draw(st.floats(0.1, 1e6))
-    return wm, prev, params, emission, tuple(delegations), perfs, mix_weight
+    return wm, prev, params, emission, tuple(delegations)
 
 
 class TestRunTempos:
     @settings(max_examples=200, deadline=None)
     @given(chain_instances(), st.integers(1, 6))
     def test_chain_matches_per_tempo_oracle(self, instance, k):
-        wm, prev, params, emission, delegations, perfs, mix_weight = instance
+        wm, prev, params, emission, delegations = instance
         want, want_error = [], None
         state = prev
         try:
             for _ in range(k):
-                out = oracle_tempo(wm, state, params, emission, delegations, perfs, mix_weight)
+                out = oracle_tempo(wm, state, params, emission, delegations)
                 want.append(out)
                 state = BondState(bonds=out.bonds, tempo_index=out.tempo_index)
         except ValidationError as exc:
             want_error = str(exc)
         got, got_error = [], None
         try:
-            chain = run_tempos(wm, prev, params, emission, delegations, perfs, mix_weight)
+            chain = run_tempos(wm, prev, params, emission, delegations)
             for _, out in zip(range(k), chain):
                 got.append(out)
         except ValidationError as exc:
@@ -452,9 +409,9 @@ class TestRunTempos:
             assert list(getattr(one, name).items()) == list(getattr(first, name).items())
 
     @settings(max_examples=60, deadline=None)
-    @given(chain_instances(delegate=False, rank_mix=False))
+    @given(chain_instances(delegate=False))
     def test_chain_conserves_emission_when_rankings_have_mass(self, instance):
-        wm, prev, params, emission, _, _, _ = instance
+        wm, prev, params, emission, _ = instance
         for _, out in zip(range(25), run_tempos(wm, prev, params, emission)):
             if out.no_ranking_mass:
                 continue
@@ -465,9 +422,8 @@ class TestRunTempos:
     @settings(max_examples=25, deadline=None)
     @given(chain_instances(delegate=False))
     def test_bonds_stay_in_unit_interval_over_long_chains(self, instance):
-        wm, prev, params, emission, _, perfs, mix_weight = instance
-        chain = run_tempos(wm, prev, params, emission, rank_mix_perfs=perfs,
-                           rank_mix_weight=mix_weight)
+        wm, prev, params, emission, _ = instance
+        chain = run_tempos(wm, prev, params, emission)
         count = 0
         for _, out in zip(range(250), chain):
             assert np.all(out.bonds >= 0.0) and np.all(out.bonds <= 1.0)
@@ -489,10 +445,8 @@ class TestRunTempoCount:
 
     @settings(max_examples=200, deadline=None)
     @given(chain_instances(), st.integers(1, 8))
-    @example((canonical_wm(), BondState.initial(2, 2), PARAMS, 100.0, DELEGATIONS, None, 1.0), 5)
-    @example((ZERO_WEIGHTS, BondState.initial(2, 2), PARAMS, 100.0, DELEGATIONS, None, 1.0), 3)
-    @example((canonical_wm(), BondState.initial(2, 2), PARAMS, 100.0, (), np.array([0.25, 0.75]), 0.5), 4)
-    @example((canonical_wm(), BondState.initial(2, 2), PARAMS, 100.0, (), np.zeros(2), 0.0), 2)
+    @example((canonical_wm(), BondState.initial(2, 2), PARAMS, 100.0, DELEGATIONS), 5)
+    @example((ZERO_WEIGHTS, BondState.initial(2, 2), PARAMS, 100.0, DELEGATIONS), 3)
     def test_matches_the_chain(self, instance, k):
         args = instance
         try:
@@ -515,9 +469,6 @@ class TestRunTempoCount:
     def test_examples_reach_each_branch(self):
         zero = run_tempo(ZERO_WEIGHTS, BondState.initial(2, 2), PARAMS, 100.0, DELEGATIONS, tempos=3)
         assert zero.no_ranking_mass and zero.delegators == ("d1", "d2")
-        mixed = run_tempo(canonical_wm(), BondState.initial(2, 2), PARAMS, 100.0,
-                          rank_mix_perfs=np.zeros(2), rank_mix_weight=0.0, tempos=2)
-        assert mixed.no_ranking_mass
 
     def test_builds_only_the_returned_outcome(self, monkeypatch):
         built = []

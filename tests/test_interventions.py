@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from yumalab.interventions import (
-    SchemeParams,
     TransformSpec,
     apply_stake_transform,
     bonus_rewards,
@@ -15,25 +14,6 @@ from yumalab.interventions import (
     whale_penalty,
 )
 from yumalab.model import ValidationError
-
-
-class TestSchemeParams:
-    def test_defaults(self):
-        params = SchemeParams()
-        assert params.base_validator_share == 0.25
-        assert params.perf_sensitivity == 0.0
-        assert params.rank_weight == 1.0
-        assert params.trust_bonus == 0.0
-
-    @pytest.mark.parametrize("field,value", [
-        ("base_validator_share", 1.5),
-        ("rank_weight", -0.1),
-        ("perf_sensitivity", -1.0),
-        ("trust_bonus", -0.5),
-    ])
-    def test_validation(self, field, value):
-        with pytest.raises(ValidationError):
-            SchemeParams(**{field: value})
 
 
 class TestTransformSpec:

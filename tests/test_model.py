@@ -107,9 +107,6 @@ class TestEmissionParams:
         params = EmissionParams(alpha=0.1, beta=0.5)
         assert params.kappa == 0.5
         assert params.tempo_blocks == 360
-        assert params.owner_share == OWNER_SHARE
-        assert params.miner_share == MINER_SHARE
-        assert params.validator_share == VALIDATOR_SHARE
 
     def test_alpha_and_beta_are_required(self):
         with pytest.raises(TypeError):
@@ -128,10 +125,6 @@ class TestEmissionParams:
         kwargs[field] = value
         with pytest.raises(ValidationError):
             EmissionParams(**kwargs)
-
-    def test_share_sum_must_be_one(self):
-        with pytest.raises(ValidationError):
-            EmissionParams(alpha=0.1, beta=0.5, owner_share=0.2)
 
     def test_tempo_blocks_positive(self):
         with pytest.raises(ValidationError):
