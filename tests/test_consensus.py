@@ -69,6 +69,17 @@ class TestSplit:
         with pytest.raises(ValidationError):
             split_block_emission(-1.0)
 
+    @pytest.mark.parametrize("total", [math.nan, math.inf])
+    def test_non_finite_emission_rejected(self, total):
+        with pytest.raises(ValidationError, match="block emission must be >= 0"):
+            split_block_emission(total)
+
+    @pytest.mark.parametrize("total", [1.0, 0.5, 7.25, 1e9])
+    def test_pools_use_the_fixed_shares(self, total):
+        assert split_block_emission(total) == (
+            model.OWNER_SHARE * total, model.MINER_SHARE * total, model.VALIDATOR_SHARE * total,
+        )
+
 
 class TestConsensusClip:
     def test_canonical_benchmarks(self):

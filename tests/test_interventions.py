@@ -200,6 +200,13 @@ class TestWhalePenalty:
         transformed = np.array([4.0, 1.0])
         assert whale_penalty(original, transformed) == pytest.approx(-1.0)
 
+    def test_power_below_one_raises_stakes_below_one(self):
+        original = np.array([0.5, 0.25, 0.125])
+        powered = apply_stake_transform(original, TransformSpec(kind="power", power_exponent=0.9))
+        # The top wallet's 0.5 becomes 0.5 ** 0.9 > 0.5.
+        assert whale_penalty(original, powered) == pytest.approx(1.0 - 0.5 ** 0.9 / 0.5, rel=1e-12)
+        assert whale_penalty(original, powered) < 0.0
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             whale_penalty(np.ones(3), np.ones(4))

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from yumalab.ingest import Dataset, resample
-from yumalab.interventions import TransformSpec, apply_stake_transform, whale_penalty
+from yumalab.interventions import TransformSpec, apply_stake_transform, perf_weighted_rewards, whale_penalty
 from yumalab.metrics import coalition_fraction, pearson
 from yumalab.model import Role, SnapshotEvent, SubnetSnapshot, ValidationError
 from yumalab.sweep import (
     DEFAULT_CAP_PERCENTILES,
     NULL_PARAMS,
     SCHEMES,
+    FrontierPoint,
     _scheme_rewards,
     default_frontier_specs,
     default_grid,
@@ -146,6 +147,13 @@ class TestSweepScheme:
         with pytest.raises(ValidationError):
             sweep_scheme(seeded_snapshots(1), "composite", grid=(1.0, 1.5))
 
+    def test_split_uses_a_quarter_base_validator_share(self):
+        snap = seeded_snapshots(n_subnets=1)[0]
+        for value in default_grid("split"):
+            expected = perf_weighted_rewards(snap.reward, snap.perf, snap.miner,
+                                             base_validator_share=0.25, sensitivity=value)
+            np.testing.assert_array_equal(_scheme_rewards(snap, "split", value), expected)
+
     def test_unknown_scheme(self):
         with pytest.raises(ValidationError):
             sweep_scheme(seeded_snapshots(1), "demurrage")
@@ -248,6 +256,22 @@ class TestTradeoffFrontier:
     def test_threshold_range_checked(self, threshold):
         with pytest.raises(ValidationError, match=r"threshold must lie in \(0, 1\], got"):
             tradeoff_frontier(seeded_snapshots(), default_frontier_specs(), threshold)
+
+
+def frontier_point(penalty):
+    return FrontierPoint(label="power:0.9", kind="power", param=0.9,
+                         median_coalition_fraction=0.5, median_whale_penalty=penalty, n_subnets=1)
+
+
+class TestFrontierPoint:
+    @pytest.mark.parametrize("penalty", [-0.0717734625, 0.0, 1.0])
+    def test_penalty_at_most_one_accepted(self, penalty):
+        assert frontier_point(penalty).median_whale_penalty == penalty
+
+    @pytest.mark.parametrize("penalty", [1.5, math.nan, math.inf, -math.inf])
+    def test_penalty_above_one_or_non_finite_rejected(self, penalty):
+        with pytest.raises(ValidationError, match="median whale penalty must be finite and at most 1"):
+            frontier_point(penalty)
 
 
 def temporal_dataset(days=10, n_subnets=3, n_wallets=30, seed=11):
