@@ -359,12 +359,15 @@ def _tempo_instance(path: str):
         miners = tuple(str(m) for m in payload["miners"])
         weights = np.asarray(payload["weights"], dtype=np.float64)
         params_obj = payload.get("params", {})
+        # The instance format keeps tempo_blocks, which no computation reads.
+        tempo_blocks = _json_int("tempo_blocks", params_obj.get("tempo_blocks", 360))
         params = EmissionParams(
             alpha=float(params_obj.get("alpha", 0.1)),
             beta=float(params_obj.get("beta", 0.5)),
             kappa=float(params_obj.get("kappa", 0.5)),
-            tempo_blocks=_json_int("tempo_blocks", params_obj.get("tempo_blocks", 360)),
         )
+        if tempo_blocks <= 0:
+            raise ValidationError(f"tempo_blocks must be positive, got {tempo_blocks}")
         block_emission = float(payload["block_emission"])
         delegations = tuple(
             Delegation(

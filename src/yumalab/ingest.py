@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -85,7 +85,6 @@ _COLUMN_TYPES = {
 
 _DAY_US = 86_400_000_000
 _CHUNK_ROWS = 4096
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 class ParseError(ValidationError):
@@ -279,17 +278,28 @@ def _check_fields(dataset: Dataset) -> None:
         raise ValidationError("wallet_names must be strictly increasing")
     wallet = dataset.wallet
     _reject((wallet < 0) | (wallet >= len(names)), lambda i: f"wallet code {wallet[i]} is not in wallet_names")
+    _check_rows(vars(dataset), names)
+
+
+def _check_rows(columns: Mapping[str, np.ndarray], names: Sequence[str], reject: Callable = _reject,
+                held: Optional[Mapping[str, np.ndarray]] = None) -> None:
+    """The block, netuid and score rules of SnapshotEvent, with `reject` as
+    in _check_wallet_columns. `held` marks the rows that hold each score,
+    where a NaN is a score that is not finite; by default a score is held
+    where it is not NaN."""
+    wallet, miner = columns["wallet"], columns["miner"]
     for name in ("block_number", "netuid"):
-        column = getattr(dataset, name)
-        _reject(column < 0, lambda i: f"{name} must be >= 0, got {column[i]}")
+        column = columns[name]
+        reject(column < 0, lambda i: f"{name} must be >= 0, got {column[i]}")
     for name, holder, other in (
-        ("trust", dataset.miner, "non-miner"),
-        ("validator_trust", ~dataset.miner, "non-validator"),
+        ("trust", miner, "non-miner"),
+        ("validator_trust", ~miner, "non-validator"),
     ):
-        score = getattr(dataset, name)
-        _reject(~np.isnan(score) & ~holder, lambda i: f"{name} set on {other} wallet {names[wallet[i]]!r}")
-        _reject(np.isinf(score), lambda i: f"{name} must be finite, got {score[i].item()!r}")
-        _reject((score < 0.0) | (score > 1.0), lambda i: f"{name} must lie in [0, 1], got {score[i].item()}")
+        score = columns[name]
+        scored = ~np.isnan(score) if held is None else held[name]
+        reject(scored & ~holder, lambda i: f"{name} set on {other} wallet {names[wallet[i]]!r}")
+        reject(scored & ~np.isfinite(score), lambda i: f"{name} must be finite, got {score[i].item()!r}")
+        reject((score < 0.0) | (score > 1.0), lambda i: f"{name} must lie in [0, 1], got {score[i].item()}")
 
 
 def _check_role_consistency(dataset: Dataset) -> None:
@@ -321,277 +331,261 @@ def _sorted_dataset(columns: dict[str, np.ndarray], wallet_names: Sequence[str],
 # ---------------------------------------------------------------------------
 # Parsing
 #
-# Files are read twice only when they are malformed: the columnar readers
-# stream rows into one list per column and leave every check they do not
-# make themselves to Dataset validation. When either fails, the per-line
-# readers below read the file again and raise the ParseError that names
-# the line.
+# Each format has one reader, which reads the text once. Each chunk of rows
+# is converted one whole column at a time, and the Dataset then checks the
+# value rules on whole columns. Only a column or a rule that fails is
+# searched for the first row that breaks it. A faulty cell ends the read,
+# and every later check looks only at the rows before it, so the ParseError
+# names the first faulty line in file order, and a line fault comes before
+# a duplicate key or a role conflict. Only a byte that is not UTF-8 sends
+# parse_events back to the raw bytes, to name its line.
 # ---------------------------------------------------------------------------
 
 
-# Every error the columnar readers raise for malformed input; json.loads
-# raises RecursionError on nesting deeper than the interpreter allows.
-_COLUMNAR_FAILURES = (ValueError, TypeError, LookupError, ArithmeticError, RecursionError, csv.Error)
-_NUMBER = {int, float}
-_SCORE = {int, float, type(None)}
+_INTEGERS = ("block_number", "netuid")
+_TEXTS = ("timestamp", "wallet", "role")
+_SCORES = ("trust", "validator_trust")
+# The Python types of each JSON kind; a bool is not a JSON integer or number.
+_KIND_TYPES = {"string": (str,), "integer": (int,), "number": (int, float)}
 
 
-def _timestamp_us(raw) -> int:
-    if type(raw) is not str:
-        raise TypeError("timestamp must be a string")
-    return to_epoch_us(parse_timestamp(raw))
-
-
-def _is_miner(raw) -> bool:
-    if type(raw) is not str:
-        raise TypeError("role must be a string")
-    return Role.parse(raw) is Role.MINER
-
-
-def _read_jsonl_columns(text: io.TextIOWrapper) -> Dataset:
-    columns = {name: [] for name in _COLUMN_TYPES}
-    add_ts, add_block, add_netuid, add_wallet, add_miner, add_stake, add_reward, add_trust, add_vtrust = (
-        column.append for column in columns.values()
+def _read_jsonl(text: io.TextIOWrapper, table: "_Table") -> None:
+    add_ts, add_block, add_netuid, add_wallet, add_role, add_stake, add_reward, add_trust, add_vtrust, add_line = (
+        column.append for column in table.cells.values()
     )
-    times, roles, codes = _Memo(_timestamp_us), _Memo(_is_miner), {}
-    loads = json.loads
-    for line in text:
+    lines, loads = table.cells["line"], json.loads
+    for number, line in enumerate(text, start=1):
         if line.isspace():
             continue
         try:
             record = loads(line)
-        except ValueError:
-            # Padding such as a form feed, which JSON rejects and the
-            # per-line rules strip.
-            record = loads(line.strip())
-        add_ts(times[record["timestamp"]])
-        add_block(record["block_number"])
-        add_netuid(record["netuid"])
-        add_wallet(codes.setdefault(record["wallet"], len(codes)))
-        add_miner(roles[record["role"]])
-        add_stake(record["stake"])
-        add_reward(record["reward"])
-        add_trust(record.get("trust"))
-        add_vtrust(record.get("validator_trust"))
-    return _pack(columns, codes)
+        except (ValueError, RecursionError):
+            # Padding such as a form feed, which JSON rejects and strip()
+            # removes, or a malformed line.
+            try:
+                record = loads(line.strip())
+            except json.JSONDecodeError as exc:
+                raise ParseError(number, f"invalid JSON: {exc.msg}") from None
+            except (ValueError, RecursionError) as exc:
+                # An integer with more digits than int() converts, or
+                # nesting deeper than the recursion limit.
+                raise ParseError(number, f"invalid JSON: {exc}") from None
+        if type(record) is not dict:
+            raise ParseError(number, "expected a JSON object")
+        get = record.get
+        add_ts(get("timestamp"))
+        add_block(get("block_number"))
+        add_netuid(get("netuid"))
+        add_wallet(get("wallet"))
+        add_role(get("role"))
+        add_stake(get("stake"))
+        add_reward(get("reward"))
+        add_trust(get("trust"))
+        add_vtrust(get("validator_trust"))
+        add_line(number)
+        if len(lines) == _CHUNK_ROWS and not table.flush():
+            return
 
 
-def _read_csv_columns(text: io.TextIOWrapper) -> Dataset:
-    columns = {name: [] for name in _COLUMN_TYPES}
-    add_ts, add_block, add_netuid, add_wallet, add_miner, add_stake, add_reward, add_trust, add_vtrust = (
-        column.append for column in columns.values()
+def _read_csv(text: io.TextIOWrapper, table: "_Table") -> None:
+    add_ts, add_block, add_netuid, add_wallet, add_role, add_stake, add_reward, add_trust, add_vtrust, add_line = (
+        column.append for column in table.cells.values()
     )
-    times, roles, codes = _Memo(_timestamp_us), _Memo(_is_miner), {}
-    reader = csv.reader(text)
-    header = next(reader, None)
-    if header is not None and tuple(header) != EVENT_COLUMNS:
-        raise ValueError("unexpected CSV header")
-    for row in reader:
-        if not row:
-            continue
-        stamp, block, netuid, wallet, role, stake, reward, trust, vtrust = row
-        add_ts(times[stamp])
-        add_block(int(block))
-        add_netuid(int(netuid))
-        add_wallet(codes.setdefault(wallet, len(codes)))
-        add_miner(roles[role])
-        add_stake(float(stake))
-        add_reward(float(reward))
-        add_trust(float(trust) if trust else None)
-        add_vtrust(float(vtrust) if vtrust else None)
-    return _pack(columns, codes)
-
-
-def _pack(columns: dict[str, list], codes: dict) -> Dataset:
-    """Check the value types the JSONL rules require, then build the Dataset.
-
-    `codes` maps each wallet to its code in order of first appearance.
-    None marks an absent score; a score that is NaN itself is rejected.
-    """
-    def kinds(*names: str) -> set[type]:
-        return set().union(*(map(type, columns[name]) for name in names))
-
-    scores = kinds("trust", "validator_trust")
-    if not scores <= _SCORE:
-        # "" is an absent score too, as in CSV.
-        for name in ("trust", "validator_trust"):
-            columns[name] = [None if score == "" else score for score in columns[name]]
-        scores = kinds("trust", "validator_trust")
-    if not (
-        kinds("block_number", "netuid") <= {int}
-        and kinds("stake", "reward") <= _NUMBER
-        and scores <= _SCORE
-        and all(type(name) is str and name for name in codes)
-    ):
-        raise TypeError("a value has the wrong type")
-    for name in ("trust", "validator_trust"):
-        if any(score != score for score in columns[name]):
-            raise ValueError(f"{name} is NaN")
-    names = sorted(codes)
-    rank = np.empty(len(names), dtype=np.int64)
-    rank[[codes[name] for name in names]] = np.arange(len(names))
-    # Each list is released as soon as its array exists.
-    arrays = {name: np.array(columns.pop(name), dtype=dtype) for name, dtype in _COLUMN_TYPES.items()}
-    arrays["wallet"] = rank[arrays["wallet"]]
-    return _sorted_dataset(arrays, names)
-
-
-def _optional_score(raw, field: str, line: int) -> Optional[float]:
-    if raw is None or raw == "":
-        return None
-    try:
-        return float(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(line, f"invalid {field}: {raw!r}") from None
-
-
-def _required_float(raw, field: str, line: int) -> float:
-    try:
-        return float(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(line, f"invalid {field}: {raw!r}") from None
-
-
-def _required_int(raw, field: str, line: int) -> int:
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise ParseError(line, f"invalid {field}: {raw!r}") from None
-    if not _INT64_MIN <= value <= _INT64_MAX:
-        raise ParseError(line, f"{field} does not fit in 64 bits: {raw!r}")
-    return value
-
-
-def _event_from_fields(fields: dict, line: int) -> SnapshotEvent:
-    missing = [c for c in EVENT_COLUMNS[:7] if fields.get(c) in (None, "")]
-    if missing:
-        raise ParseError(line, f"missing required field(s): {', '.join(missing)}")
-    try:
-        timestamp = parse_timestamp(str(fields["timestamp"]))
-    except ValueError as exc:
-        raise ParseError(line, str(exc)) from None
-    try:
-        return SnapshotEvent(
-            timestamp=timestamp,
-            block_number=_required_int(fields["block_number"], "block_number", line),
-            netuid=_required_int(fields["netuid"], "netuid", line),
-            wallet=str(fields["wallet"]),
-            role=Role.parse(str(fields["role"])),
-            stake=_required_float(fields["stake"], "stake", line),
-            reward=_required_float(fields["reward"], "reward", line),
-            trust=_optional_score(fields.get("trust"), "trust", line),
-            validator_trust=_optional_score(fields.get("validator_trust"), "validator_trust", line),
-        )
-    except ParseError:
-        raise
-    except ValidationError as exc:
-        raise ParseError(line, str(exc)) from None
-
-
-# The JSON type each JSONL field must have; a bool is not a JSON integer
-# or number here.
-_JSON_TYPES = {
-    "timestamp": ((str,), "string"),
-    "block_number": ((int,), "integer"),
-    "netuid": ((int,), "integer"),
-    "wallet": ((str,), "string"),
-    "role": ((str,), "string"),
-    "stake": ((int, float), "number"),
-    "reward": ((int, float), "number"),
-    "trust": ((int, float), "number"),
-    "validator_trust": ((int, float), "number"),
-}
-
-
-def _check_json_types(record: dict, line: int) -> None:
-    """Reject a JSONL value of the wrong JSON type. null and "" are left
-    to the missing-field and absent-score rules, as in CSV."""
-    for field, (types, kind) in _JSON_TYPES.items():
-        value = record.get(field)
-        if value is not None and value != "" and type(value) not in types:
-            raise ParseError(line, f"{field} must be a JSON {kind}, got {value!r}")
-
-
-def _read_jsonl_events(text: io.TextIOWrapper) -> list[SnapshotEvent]:
-    events: list[SnapshotEvent] = []
-    for line_number, line in enumerate(text, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            obj = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_number, f"invalid JSON: {exc.msg}") from None
-        except (ValueError, RecursionError) as exc:
-            # An integer with more digits than int() converts, or nesting
-            # deeper than the recursion limit.
-            raise ParseError(line_number, f"invalid JSON: {exc}") from None
-        if not isinstance(obj, dict):
-            raise ParseError(line_number, "expected a JSON object")
-        _check_json_types(obj, line_number)
-        events.append(_event_from_fields(obj, line_number))
-    return events
-
-
-def _read_csv_events(text: io.TextIOWrapper) -> list[SnapshotEvent]:
-    reader = csv.reader(text)
-    events: list[SnapshotEvent] = []
+    lines, reader = table.cells["line"], csv.reader(text)
     # A record is named by its first physical line; a quoted field may
     # span lines, which the reader counts after each LF, CR or CR LF.
-    line_number = 1
+    line = 1
     try:
         header = next(reader, None)
-        if header is None:
-            return []
-        if tuple(header) != EVENT_COLUMNS:
+        if header is not None and tuple(header) != EVENT_COLUMNS:
             raise ParseError(1, f"unexpected CSV header {header!r}")
-        line_number = reader.line_num + 1
+        line = reader.line_num + 1
         for row in reader:
             if row:
                 if len(row) != len(EVENT_COLUMNS):
-                    raise ParseError(line_number, f"expected {len(EVENT_COLUMNS)} columns, got {len(row)}")
-                events.append(_event_from_fields(dict(zip(EVENT_COLUMNS, row)), line_number))
-            line_number = reader.line_num + 1
+                    raise ParseError(line, f"expected {len(EVENT_COLUMNS)} columns, got {len(row)}")
+                stamp, block, netuid, wallet, role, stake, reward, trust, vtrust = row
+                add_ts(stamp)
+                add_block(block)
+                add_netuid(netuid)
+                add_wallet(wallet)
+                add_role(role)
+                add_stake(stake)
+                add_reward(reward)
+                add_trust(trust)
+                add_vtrust(vtrust)
+                add_line(line)
+                if len(lines) == _CHUNK_ROWS and not table.flush():
+                    return
+            line = reader.line_num + 1
     except csv.Error as exc:
         # Such as a field longer than csv.field_size_limit().
-        raise ParseError(line_number, f"invalid CSV: {exc}") from None
-    return events
+        raise ParseError(line, f"invalid CSV: {exc}") from None
 
 
-_READERS = {
-    "jsonl": (_read_jsonl_columns, _read_jsonl_events),
-    "csv": (_read_csv_columns, _read_csv_events),
-}
+_READERS = {"jsonl": _read_jsonl, "csv": _read_csv}
 
 
-def _read_text(source: BinaryIO, reader: Callable):
-    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-    try:
-        return reader(text)
-    finally:
-        text.detach()
+class _Table:
+    """The columns of one event file, converted a chunk of rows at a time.
+
+    A reader appends each row's cells and its line to `cells`, and calls
+    `flush` after each chunk. `columns` and `held` (the rows that hold
+    each score) collect the converted chunks. `fault`, once set, is the
+    ParseError of the first faulty line found, and no row from that line
+    on is kept.
+    """
+
+    def __init__(self, json: bool):
+        self.json = json
+        self.cells = {name: [] for name in (*EVENT_COLUMNS, "line")}
+        self.columns = {name: [] for name in (*EVENT_COLUMNS, "line")}
+        self.held = {name: [] for name in _SCORES}
+        self.fault = None
+        # Each distinct timestamp and role is converted once, and wallets
+        # are coded in order of first appearance.
+        self.times = _Memo(lambda raw: to_epoch_us(parse_timestamp(raw)))
+        self.roles = _Memo(lambda raw: Role.parse(raw) is Role.MINER)
+        self.codes = _Memo(lambda name: len(self.codes))
+
+    def read(self, reader: Callable, text: io.TextIOWrapper) -> Dataset:
+        """The Dataset of the rows that `reader` reads from `text`. A
+        ParseError that the reader raises ends the read; a faulty line
+        before the one it names is reported in its place."""
+        error = None
+        try:
+            reader(text, self)
+        except (ParseError, UnicodeDecodeError) as exc:
+            error = exc
+        self.flush()
+        error = self.fault or error
+        arrays = {name: np.concatenate(self.columns.pop(name)) for name in (*EVENT_COLUMNS, "line")}
+        lines = arrays.pop("line")
+        held = {name: np.concatenate(chunks) for name, chunks in self.held.items()}
+        names = sorted(self.codes)
+        # The inverse of that order takes each code to its name's rank.
+        arrays["wallet"] = np.argsort([self.codes[name] for name in names])[arrays["wallet"]]
+        arrays["miner"] = arrays.pop("role")
+        if error is None and all(np.array_equal(held[name], ~np.isnan(arrays[name])) for name in _SCORES):
+            # A copy: after a failure, the search below needs the file order.
+            try:
+                return _sorted_dataset(dict(arrays), names)
+            except ValidationError as exc:
+                # A broken rule, a duplicate key or a role conflict.
+                error = exc
+        # The rules again, each giving the first row that breaks it.
+        faults = []
+
+        def keep(bad: np.ndarray, message: Callable[[int], str]) -> None:
+            if bad.any():
+                row = int(np.argmax(bad))
+                faults.append((row, message(row)))
+
+        row_names = [names[code] for code in arrays["wallet"].tolist()]
+        _check_wallet_columns(row_names, arrays["stake"], arrays["reward"], keep)
+        _check_rows(arrays, names, keep, held)
+        if faults:
+            row, message = min(faults, key=lambda fault: fault[0])
+            raise ParseError(int(lines[row]), message)
+        raise error
+
+    def flush(self) -> bool:
+        """Convert the pending rows; False once a fault is found."""
+        cells = self.cells
+        if self.fault is None:
+            arrays = {"line": np.array(cells["line"], dtype=np.int64)}
+            for name in EVENT_COLUMNS:
+                try:
+                    arrays[name] = self._array(name, cells[name])
+                except (TypeError, ValueError, OverflowError, AttributeError):
+                    row, message = self._first_bad(name, cells)
+                    self.fault = ParseError(cells["line"][row], message)
+                    cells = {key: values[:row] for key, values in cells.items()}
+                    arrays = {key: array[:row] for key, array in arrays.items()}
+                    arrays[name] = self._array(name, cells[name])
+            for name, array in arrays.items():
+                self.columns[name].append(array)
+            for name in _SCORES:
+                values, held = cells[name], ~np.isnan(arrays[name])
+                if np.count_nonzero(held) != len(values) - values.count(None) - values.count(""):
+                    # The file holds a NaN as a score.
+                    held = np.array([value is not None and value != "" for value in values], dtype=bool)
+                self.held[name].append(held)
+        for column in self.cells.values():
+            del column[:]
+        return self.fault is None
+
+    def _array(self, name: str, values: Sequence) -> np.ndarray:
+        """One column of a chunk as an array; raises for a faulty cell."""
+        count = len(values)
+        if name == "timestamp":
+            return np.fromiter(map(self.times.__getitem__, values), np.int64, count)
+        if name == "role":
+            return np.fromiter(map(self.roles.__getitem__, values), np.bool_, count)
+        if name == "wallet":
+            if not all(type(wallet) is str and wallet for wallet in set(values)):
+                raise TypeError("a wallet is not a non-empty string")
+            return np.fromiter(map(self.codes.__getitem__, values), np.int64, count)
+        dtype = np.int64 if name in _INTEGERS else np.float64
+        if self.json:
+            kinds = set(map(type, values))
+            if name in _SCORES:
+                if str in kinds:
+                    # "" is an absent score, as in CSV.
+                    values = [None if value == "" else value for value in values]
+                    kinds = set(map(type, values))
+                kinds.discard(type(None))
+            if not kinds <= ({int} if name in _INTEGERS else {int, float}):
+                raise TypeError(f"a {name} cell has the wrong JSON type")
+            return np.array(values, dtype=dtype)
+        text = "".join(values)
+        if not text.isascii() or "_" in text:
+            raise ValueError(f"a {name} is not ASCII decimal")
+        if name in _SCORES:
+            values = [value or "nan" for value in values]
+        return np.fromiter(map(int if name in _INTEGERS else float, values), dtype, count)
+
+    def _first_bad(self, name: str, cells: Mapping[str, Sequence]) -> tuple[int, str]:
+        """The first faulty row of column `name` of a chunk, with its
+        message. A missing field is named with the others its row lacks."""
+        kind = "string" if name in _TEXTS else "integer" if name in _INTEGERS else "number"
+        for row, value in enumerate(cells[name]):
+            if value is None or value == "":
+                if name not in _SCORES:
+                    missing = [key for key in EVENT_COLUMNS[:7] if cells[key][row] in (None, "")]
+                    return row, f"missing required field(s): {', '.join(missing)}"
+                continue
+            if self.json and type(value) not in _KIND_TYPES[kind]:
+                return row, f"{name} must be a JSON {kind}, got {value!r}"
+            try:
+                self._array(name, (value,))
+            except OverflowError:
+                if kind == "integer":
+                    return row, f"{name} does not fit in 64 bits: {value!r}"
+                return row, f"invalid {name}: {value!r}"
+            except ValueError as exc:
+                return row, str(exc) if kind == "string" else f"invalid {name}: {value!r}"
+        raise AssertionError(f"no faulty {name} cell")
 
 
 def parse_events(source: BinaryIO, format: str = "jsonl") -> Dataset:
     """Parse a seekable event stream into a validated Dataset.
 
-    Raises ParseError (with the offending 1-based line number) on malformed
-    input, RoleConsistencyError when a (wallet, netuid) pair appears under
-    both roles and ValidationError when a (timestamp, netuid, wallet) key
-    appears twice.
+    Raises ParseError (with the 1-based number of the first faulty line)
+    on malformed input, RoleConsistencyError when a (wallet, netuid) pair
+    appears under both roles and ValidationError when a (timestamp,
+    netuid, wallet) key appears twice.
     """
     if format not in _READERS:
         raise ValidationError(f"unknown format {format!r} (expected jsonl or csv)")
-    columnar, per_line = _READERS[format]
     start = source.tell()
+    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
     try:
-        return _read_text(source, columnar)
-    except _COLUMNAR_FAILURES:
-        source.seek(start)
-    try:
-        return Dataset.from_events(_read_text(source, per_line))
+        return _Table(json=format == "jsonl").read(_READERS[format], text)
     except UnicodeDecodeError:
         source.seek(start)
+    finally:
+        text.detach()
     raise _utf8_error(source.read())
 
 

@@ -133,20 +133,25 @@ def _set_columns(obj, dtypes: Mapping[str, type]) -> None:
         raise ValidationError("columns must have equal lengths")
 
 
-def _check_wallet_columns(wallet_names: Sequence[str], stake: np.ndarray, reward: np.ndarray) -> None:
+def _check_wallet_columns(wallet_names: Sequence[str], stake: np.ndarray, reward: np.ndarray,
+                          reject: Callable = _reject) -> None:
     """The wallet, stake and reward rules of SnapshotEvent and SnapshotEntry,
-    checked on whole columns."""
+    checked on whole columns: `reject(bad, message)` is called with each
+    rule's mask, over the names or over the rows, and raises by default."""
     if not all(type(name) is str and name for name in wallet_names):
-        raise ValidationError("wallet must be a non-empty string")
-    # One encode covers every name; the loop only finds the one to name.
-    try:
-        "".join(wallet_names).encode("utf-8")
-    except UnicodeEncodeError:
-        for name in wallet_names:
-            _require_text("wallet", name)
+        reject(np.array([not (type(name) is str and name) for name in wallet_names]),
+               lambda i: "wallet must be a non-empty string")
+    else:
+        # One encode covers every name; the mask is only built to name one.
+        # It fails only on a lone surrogate.
+        try:
+            "".join(wallet_names).encode("utf-8")
+        except UnicodeEncodeError:
+            reject(np.array([any("\ud800" <= char <= "\udfff" for char in name) for name in wallet_names]),
+                   lambda i: f"wallet must be valid Unicode text, got {wallet_names[i]!r}")
     for name, column in (("stake", stake), ("reward", reward)):
-        _reject(~np.isfinite(column), lambda i: f"{name} must be finite, got {column[i].item()!r}")
-        _reject(column < 0.0, lambda i: f"{name} must be >= 0, got {column[i].item()}")
+        reject(~np.isfinite(column), lambda i: f"{name} must be finite, got {column[i].item()!r}")
+        reject(column < 0.0, lambda i: f"{name} must be >= 0, got {column[i].item()}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -371,7 +376,6 @@ class EmissionParams:
     alpha: float
     beta: float
     kappa: float = 0.5
-    tempo_blocks: int = 360
 
     def __post_init__(self) -> None:
         kappa = _require_finite("kappa", self.kappa)
@@ -380,9 +384,6 @@ class EmissionParams:
         object.__setattr__(self, "kappa", kappa)
         object.__setattr__(self, "alpha", _require_unit("alpha", self.alpha))
         object.__setattr__(self, "beta", _require_unit("beta", self.beta))
-        if int(self.tempo_blocks) <= 0:
-            raise ValidationError(f"tempo_blocks must be positive, got {self.tempo_blocks}")
-        object.__setattr__(self, "tempo_blocks", int(self.tempo_blocks))
 
 
 @dataclass(frozen=True)

@@ -253,6 +253,10 @@ class TestTempo:
          "error: malformed tempo instance"),
         ({"params": {"alpha": 0.1, "beta": 0.5, "kappa": 0.5, "tempo_blocks": 360.9}}, None,
          "error: malformed tempo instance"),
+        ({"params": {"alpha": 0.1, "beta": 0.5, "kappa": 0.5, "tempo_blocks": 0}}, None,
+         "error: tempo_blocks must be positive, got 0\n"),
+        ({"params": {"alpha": 0.1, "beta": 0.5, "kappa": 0.5, "tempo_blocks": -5}}, None,
+         "error: tempo_blocks must be positive, got -5\n"),
         ({"params": {"alpha": 0.1, "beta": 0.5, "kappa": 2.0}}, None,
          "error: kappa must lie in (0, 1], got 2.0\n"),
         ({"delegations": [{"validator_id": "v1", "delegator_id": "d1", "amount": -1.0,
@@ -260,6 +264,7 @@ class TestTempo:
         ({}, b"[" * 100_000 + b"]" * 100_000, "error: invalid JSON in"),
     ], ids=["ragged-bonds", "tempo-index", "params-not-object", "infinite-tempos", "non-utf8",
             "float-tempos", "bool-tempos", "float-tempo-index", "float-tempo-blocks",
+            "zero-tempo-blocks", "negative-tempo-blocks",
             "params-invalid", "delegation-invalid", "deep-nesting"])
     def test_bad_instance_is_an_error_line(self, tmp_path, capsys, tempo_instance_path,
                                           fields, raw, message):

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from yumalab import ingest
-from yumalab._util import format_timestamp
+from yumalab._util import format_timestamp, parse_timestamp
 from yumalab.cli import run as run_cli
 from yumalab.ingest import (
     DTAO_CUTOFF,
@@ -177,8 +177,6 @@ class TestParsing:
     def test_wallet_with_a_lone_surrogate_is_parse_error(self):
         data = ('{"timestamp": "2024-01-01T00:00:00Z", "block_number": 1, "netuid": 1, '
                 '"wallet": "a\\ud800", "role": "miner", "stake": 1.0, "reward": 0.0}\n').encode()
-        with pytest.raises(ValidationError, match="wallet must be valid Unicode text"):
-            ingest._read_text(io.BytesIO(data), ingest._read_jsonl_columns)
         with pytest.raises(ParseError) as exc_info:
             parse_events(io.BytesIO(data))
         assert exc_info.value.line == 1
@@ -198,6 +196,20 @@ class TestParsing:
         with pytest.raises(ParseError) as exc_info:
             parse_events(io.BytesIO(data), format="csv")
         assert str(exc_info.value) == f"line {line}: stake must be >= 0, got -1.0"
+
+    def test_csv_numbers_must_be_ascii_decimal(self):
+        # int() and float() read Unicode digits and PEP 515 underscores.
+        header = ",".join(ingest.EVENT_COLUMNS) + "\n"
+        good = "2024-01-01T00:00:00Z,12,1,w,miner,1.5,10.5,0.15,\n"
+        bad = "2024-01-01T00:00:00Z,\u0661\u0662,1,w,miner,\uff11.\uff15,1_0.5,0.1_5,\n"
+        assert parse_events(io.BytesIO((header + good).encode()), format="csv").events[0].block_number == 12
+        with pytest.raises(ParseError) as exc_info:
+            parse_events(io.BytesIO((header + bad).encode()), format="csv")
+        assert str(exc_info.value) == "line 2: invalid block_number: '\u0661\u0662'"
+        for field, cell in (("stake", "\uff11.\uff15"), ("reward", "1_0.5"), ("trust", "0.1_5")):
+            row = good.replace({"stake": "1.5", "reward": "10.5", "trust": "0.15"}[field], cell)
+            with pytest.raises(ParseError, match=f"^line 3: invalid {field}: '{cell}'$"):
+                parse_events(io.BytesIO((header + good.replace(",w,", ",v,") + row).encode()), format="csv")
 
 
 class TestRoundTrip:
@@ -515,13 +527,128 @@ def event_file(records, format, bom=False, pads=None):
     return ("\ufeff" if bom else "") + text
 
 
-def read_both(data, format):
-    """(columnar reader, per-line reader) applied to the same bytes."""
-    columnar, per_line = ingest._READERS[format]
-    return (
-        lambda: ingest._read_text(io.BytesIO(data), columnar),
-        lambda: Dataset.from_events(ingest._read_text(io.BytesIO(data), per_line)),
-    )
+def oracle_number(raw, field, line, convert):
+    """`raw` converted by `convert`; a CSV cell must be ASCII decimal text."""
+    try:
+        if isinstance(raw, str) and (not raw.isascii() or "_" in raw):
+            raise ValueError(raw)
+        return convert(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(line, f"invalid {field}: {raw!r}") from None
+
+
+def oracle_event(fields, line):
+    missing = [c for c in ingest.EVENT_COLUMNS[:7] if fields.get(c) in (None, "")]
+    if missing:
+        raise ParseError(line, f"missing required field(s): {', '.join(missing)}")
+    try:
+        timestamp = parse_timestamp(str(fields["timestamp"]))
+    except ValueError as exc:
+        raise ParseError(line, str(exc)) from None
+
+    def integer(field):
+        value = oracle_number(fields[field], field, line, int)
+        if not -(2**63) <= value < 2**63:
+            raise ParseError(line, f"{field} does not fit in 64 bits: {fields[field]!r}")
+        return value
+
+    def score(field):
+        raw = fields.get(field)
+        return None if raw is None or raw == "" else oracle_number(raw, field, line, float)
+
+    try:
+        return SnapshotEvent(
+            timestamp=timestamp,
+            block_number=integer("block_number"),
+            netuid=integer("netuid"),
+            wallet=str(fields["wallet"]),
+            role=Role.parse(str(fields["role"])),
+            stake=oracle_number(fields["stake"], "stake", line, float),
+            reward=oracle_number(fields["reward"], "reward", line, float),
+            trust=score("trust"),
+            validator_trust=score("validator_trust"),
+        )
+    except ParseError:
+        raise
+    except ValidationError as exc:
+        raise ParseError(line, str(exc)) from None
+
+
+# The JSON type each JSONL field must have; a bool is not a JSON integer or
+# number here.
+ORACLE_JSON_TYPES = {
+    "timestamp": ((str,), "string"),
+    "block_number": ((int,), "integer"),
+    "netuid": ((int,), "integer"),
+    "wallet": ((str,), "string"),
+    "role": ((str,), "string"),
+    "stake": ((int, float), "number"),
+    "reward": ((int, float), "number"),
+    "trust": ((int, float), "number"),
+    "validator_trust": ((int, float), "number"),
+}
+
+
+def oracle_jsonl_events(text):
+    for line_number, line in enumerate(text, start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            obj = json.loads(stripped)
+        except json.JSONDecodeError as exc:
+            raise ParseError(line_number, f"invalid JSON: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(line_number, f"invalid JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise ParseError(line_number, "expected a JSON object")
+        # null and "" are left to the missing-field and absent-score rules.
+        for field, (types, kind) in ORACLE_JSON_TYPES.items():
+            value = obj.get(field)
+            if value is not None and value != "" and type(value) not in types:
+                raise ParseError(line_number, f"{field} must be a JSON {kind}, got {value!r}")
+        yield oracle_event(obj, line_number)
+
+
+def oracle_csv_events(text):
+    reader = csv.reader(text)
+    # A record is named by its first physical line.
+    line_number = 1
+    try:
+        header = next(reader, None)
+        if header is None:
+            return
+        if tuple(header) != ingest.EVENT_COLUMNS:
+            raise ParseError(1, f"unexpected CSV header {header!r}")
+        line_number = reader.line_num + 1
+        for row in reader:
+            if row:
+                if len(row) != len(ingest.EVENT_COLUMNS):
+                    raise ParseError(line_number, f"expected {len(ingest.EVENT_COLUMNS)} columns, got {len(row)}")
+                yield oracle_event(dict(zip(ingest.EVENT_COLUMNS, row)), line_number)
+            line_number = reader.line_num + 1
+    except csv.Error as exc:
+        raise ParseError(line_number, f"invalid CSV: {exc}") from None
+
+
+def oracle_parse(data, format):
+    """Line by line, as parse_events once read a file it found malformed:
+    each line becomes a SnapshotEvent, the first line that fails raises
+    its ParseError, and the events then go through Dataset.from_events.
+    Unlike that reader, a CSV number must be ASCII decimal text."""
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+    events = oracle_jsonl_events(text) if format == "jsonl" else oracle_csv_events(text)
+    return Dataset.from_events(list(events))
+
+
+def parse_errors(data, format):
+    """The errors that parse_events and the oracle raise on `data`."""
+    errors = []
+    for parse in (parse_events, lambda source, format: oracle_parse(source.read(), format)):
+        with pytest.raises(ValidationError) as raised:
+            parse(io.BytesIO(data), format)
+        errors.append(raised.value)
+    return errors
 
 
 FORMATS = st.sampled_from(["jsonl", "csv"])
@@ -544,7 +671,25 @@ CORRUPTIONS = (
     {"stake": 10**400},
     {"trust": 10**400},
     {"stake": DEEP},
+    # Numbers that int() and float() read but a CSV cell may not hold:
+    # Unicode digits and PEP 515 underscores.
+    {"block_number": "\u0661\u0662"},
+    {"stake": "\uff11.\uff15"},
+    {"reward": "1_0.5"},
+    {"trust": "0.1_5"},
 )
+
+
+def corruption_id(corruption):
+    return "{}={!r}".format(*next(iter(corruption.items())))[:40]
+
+
+def line_of(records, row, format):
+    """The line of records[row] in event_file(records, format); a CSV
+    wallet holding a CR spans two physical lines."""
+    if format == "jsonl":
+        return row + 1
+    return row + 2 + sum(record["wallet"].count("\r") for record in records[:row])
 
 
 class TestColumnarAgainstPerLineOracle:
@@ -553,35 +698,80 @@ class TestColumnarAgainstPerLineOracle:
     def test_valid_files_give_equal_events(self, records, format, bom, draws):
         pads = draws.draw(st.lists(st.tuples(PADS, PADS), min_size=len(records), max_size=len(records)))
         data = event_file(records, format, bom, pads).encode()
-        columnar, per_line = read_both(data, format)
-        expected = per_line().events
-        assert columnar().events == expected
-        assert parse_events(io.BytesIO(data), format).events == expected
+        assert parse_events(io.BytesIO(data), format).events == oracle_parse(data, format).events
 
-    @pytest.mark.parametrize("corruption", CORRUPTIONS, ids=lambda c: "{}={!r}".format(*next(iter(c.items())))[:40])
+    @pytest.mark.parametrize("corruption", CORRUPTIONS, ids=corruption_id)
     @pytest.mark.parametrize("format", ["jsonl", "csv"])
     @settings(max_examples=8, deadline=None)
     @given(records=event_records(), data=st.data())
     def test_corrupted_line_gives_the_oracle_parse_error(self, corruption, format, records, data):
         row = data.draw(st.integers(0, len(records) - 1))
         records[row].update(corruption)
-        raw = event_file(records, format).encode()
-        columnar, per_line = read_both(raw, format)
-        with pytest.raises(ParseError) as expected:
-            per_line()
-        with pytest.raises(ingest._COLUMNAR_FAILURES):
-            columnar()
-        with pytest.raises(ParseError) as parsed:
-            parse_events(io.BytesIO(raw), format)
-        # A CSV wallet holding a CR spans two physical lines.
-        line = row + 1 if format == "jsonl" else row + 2 + sum(r["wallet"].count("\r") for r in records[:row])
-        assert expected.value.line == line
-        assert (parsed.value.line, str(parsed.value)) == (expected.value.line, str(expected.value))
+        parsed, expected = parse_errors(event_file(records, format).encode(), format)
+        assert expected.line == line_of(records, row, format)
+        assert (parsed.line, str(parsed)) == (expected.line, str(expected))
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=event_records(min_size=2), format=FORMATS, data=st.data())
+    def test_two_corrupted_lines_give_the_first(self, records, format, data):
+        rows = data.draw(st.lists(st.integers(0, len(records) - 1), min_size=2, max_size=2, unique=True))
+        for row in rows:
+            records[row].update(data.draw(st.sampled_from(CORRUPTIONS)))
+        parsed, expected = parse_errors(event_file(records, format).encode(), format)
+        assert expected.line == line_of(records, min(rows), format)
+        assert (parsed.line, str(parsed)) == (expected.line, str(expected))
+
+    # DEEP stops the read: JSON nesting beyond the decoder, or a CSV field
+    # beyond the csv module's size limit.
+    @pytest.mark.parametrize("corruption", [c for c in CORRUPTIONS if DEEP not in c.values()], ids=corruption_id)
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    @settings(max_examples=4, deadline=None)
+    @given(records=event_records(min_size=2))
+    def test_a_fault_before_a_line_that_stops_the_read(self, corruption, format, records):
+        records[0].update(corruption)
+        records[-1].update(stake=DEEP)
+        parsed, expected = parse_errors(event_file(records, format).encode(), format)
+        assert expected.line == 1 + (format == "csv")
+        assert (parsed.line, str(parsed)) == (expected.line, str(expected))
+
+    @settings(max_examples=80, deadline=None)
+    @given(records=event_records(), format=FORMATS, data=st.data())
+    def test_two_faults_on_one_line_give_one_of_their_messages(self, records, format, data):
+        first, second = data.draw(st.lists(st.sampled_from(CORRUPTIONS), min_size=2, max_size=2,
+                                           unique_by=lambda corruption: next(iter(corruption))))
+        row = data.draw(st.integers(0, len(records) - 1))
+        messages = set()
+        for corruption in (first, second):
+            alone = [dict(record) for record in records]
+            alone[row].update(corruption)
+            messages.add(str(parse_errors(event_file(alone, format).encode(), format)[1]))
+        records[row].update(first)
+        records[row].update(second)
+        parsed, expected = parse_errors(event_file(records, format).encode(), format)
+        assert parsed.line == expected.line
+        assert str(parsed) in messages
+
+    @pytest.mark.parametrize("fault", [{"stake": -1.5}, {"stake": DEEP}], ids=corruption_id)
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    @pytest.mark.parametrize("fault_first", [True, False], ids=["fault-first", "duplicate-first"])
+    @settings(max_examples=6, deadline=None)
+    @given(records=event_records(min_size=2))
+    def test_a_malformed_line_comes_before_a_duplicate_key(self, fault, format, fault_first, records):
+        duplicate = dict(records[0])
+        if fault_first:
+            records.append(duplicate)
+            records[0].update(fault)
+        else:
+            records.insert(1, duplicate)
+            records[-1].update(fault)
+        parsed, expected = parse_errors(event_file(records, format).encode(), format)
+        assert isinstance(expected, ParseError)
+        assert (parsed.line, str(parsed)) == (expected.line, str(expected))
 
 
 class TestColumnarReaderAloneReadsValidFiles:
-    """Valid inputs the columnar JSONL reader reads without the per-line
-    reader: "" for a score, and padding that JSON rejects and strip() removes."""
+    """Valid inputs that only the per-line reader once read: "" for a
+    score, and padding that JSON rejects and strip() removes."""
 
     RECORD = {
         "timestamp": "2024-01-01T00:00:00Z", "block_number": 1, "netuid": 1,
@@ -596,15 +786,72 @@ class TestColumnarReaderAloneReadsValidFiles:
         "\v \f",
     ], ids=["empty-trust", "empty-validator-trust", "leading-form-feed", "trailing-padding",
             "padding-only"])
-    def test_parses_without_the_per_line_reader(self, monkeypatch, line):
+    def test_parses_as_the_per_line_oracle(self, line):
         data = (json.dumps(self.RECORD | {"wallet": "v"}) + "\n" + line + "\n").encode()
-        expected = Dataset.from_events(ingest._read_text(io.BytesIO(data), ingest._read_jsonl_events))
+        assert parse_events(io.BytesIO(data)).events == oracle_parse(data, "jsonl").events
 
-        def forbidden(text):
-            raise AssertionError("the per-line reader ran")
 
-        monkeypatch.setitem(ingest._READERS, "jsonl", (ingest._read_jsonl_columns, forbidden))
-        assert parse_events(io.BytesIO(data)).events == expected.events
+class CountingSource(io.BytesIO):
+    """A byte stream that counts the bytes read from it and its seeks."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.bytes_read = self.seeks = 0
+
+    def read(self, size=-1):
+        data = super().read(size)
+        self.bytes_read += len(data)
+        return data
+
+    def read1(self, size=-1):
+        data = super().read1(size)
+        self.bytes_read += len(data)
+        return data
+
+    def readinto(self, buffer):
+        count = super().readinto(buffer)
+        self.bytes_read += count
+        return count
+
+    def seek(self, *args):
+        self.seeks += 1
+        return super().seek(*args)
+
+
+class TestReadOnce:
+    GOOD = [
+        '{"timestamp": "2024-01-01T00:00:00Z", "block_number": 1, "netuid": 1, "wallet": "a",'
+        ' "role": "miner", "stake": 1.0, "reward": 0.0}',
+        '{"timestamp": "2024-01-02T00:00:00Z", "block_number": 2, "netuid": 1, "wallet": "a",'
+        ' "role": "miner", "stake": 2.0, "reward": 0.5}',
+    ]
+
+    @pytest.mark.parametrize("last, error, match", [
+        (None, None, None),
+        ("{not json}", ParseError, "invalid JSON"),
+        (GOOD[1].replace("0.5", "0.7"), ValidationError, "duplicate events"),
+        (GOOD[1].replace("01-02", "01-03").replace("miner", "validator"), RoleConsistencyError, "role conflicts"),
+    ], ids=["valid", "malformed-line", "duplicate-key", "role-conflict"])
+    @pytest.mark.parametrize("rows", [2, 3 * ingest._CHUNK_ROWS])
+    def test_each_byte_is_read_once(self, last, error, match, rows):
+        lines = [self.GOOD[0].replace('"a"', f'"w{i}"') for i in range(rows - 2)] + self.GOOD
+        data = "\n".join(lines + ([last] if last else [])).encode()
+        source = CountingSource(data)
+        if error is None:
+            assert len(parse_events(source)) == rows
+        else:
+            with pytest.raises(error, match=match):
+                parse_events(source)
+        assert source.seeks == 0
+        assert source.bytes_read == len(data)
+
+    def test_a_byte_that_is_not_utf8_is_read_again(self):
+        data = ("\n".join(self.GOOD) + "\n").encode().replace(b'"a"', b'"a\xff"', 1)
+        source = CountingSource(data)
+        with pytest.raises(ParseError, match="^line 1: invalid UTF-8 byte 0xff$"):
+            parse_events(source)
+        assert source.seeks == 1
+        assert source.bytes_read == 2 * len(data)
 
 
 def oracle_write(dataset, format) -> bytes:

@@ -106,7 +106,6 @@ class TestEmissionParams:
     def test_defaults(self):
         params = EmissionParams(alpha=0.1, beta=0.5)
         assert params.kappa == 0.5
-        assert params.tempo_blocks == 360
 
     def test_alpha_and_beta_are_required(self):
         with pytest.raises(TypeError):
@@ -125,10 +124,6 @@ class TestEmissionParams:
         kwargs[field] = value
         with pytest.raises(ValidationError):
             EmissionParams(**kwargs)
-
-    def test_tempo_blocks_positive(self):
-        with pytest.raises(ValidationError):
-            EmissionParams(alpha=0.1, beta=0.5, tempo_blocks=0)
 
 
 def make_snapshot(rows=None, netuid=7):
