@@ -503,6 +503,7 @@ class _Deep(str):
 
 
 DEEP = _Deep("[" * 100_000 + "]" * 100_000)
+DEEP_JSON = json.dumps(DEEP)
 
 
 def event_file(records, format, bom=False, pads=None):
@@ -512,7 +513,7 @@ def event_file(records, format, bom=False, pads=None):
         pads = pads or [("", "")] * len(records)
         text = "".join(
             before + json.dumps({k: v for k, v in record.items() if v is not None}).replace(
-                json.dumps(DEEP), DEEP) + after + "\n"
+                DEEP_JSON, DEEP) + after + "\n"
             for record, (before, after) in zip(records, pads)
         )
     else:
@@ -766,6 +767,28 @@ class TestColumnarAgainstPerLineOracle:
             records[-1].update(fault)
         parsed, expected = parse_errors(event_file(records, format).encode(), format)
         assert isinstance(expected, ParseError)
+        assert (parsed.line, str(parsed)) == (expected.line, str(expected))
+
+    # Rows are converted a chunk at a time: the first fault may lie in an
+    # earlier chunk than the one whose conversion fails.
+    @pytest.mark.parametrize("first, second", [
+        ({"stake": -1.5}, {"netuid": True}),
+        ({"trust": math.nan}, {"timestamp": "yesterday"}),
+        ({"netuid": True}, {"stake": -1.5}),
+        ({"wallet": ""}, {"stake": DEEP}),
+        ({"stake": -1.5}, {"stake": DEEP}),
+    ], ids=corruption_id)
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    def test_first_fault_in_an_earlier_chunk(self, first, second, format):
+        records = [{
+            "timestamp": "2024-01-01T00:00:00Z", "block_number": row, "netuid": 1,
+            "wallet": f"w{row}", "role": "miner", "stake": 1.0, "reward": 0.5,
+            "trust": 0.25, "validator_trust": None,
+        } for row in range(ingest._CHUNK_ROWS + 20)]
+        records[10].update(first)
+        records[ingest._CHUNK_ROWS + 7].update(second)
+        parsed, expected = parse_errors(event_file(records, format).encode(), format)
+        assert expected.line == line_of(records, 10, format)
         assert (parsed.line, str(parsed)) == (expected.line, str(expected))
 
 
