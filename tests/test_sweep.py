@@ -5,7 +5,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -396,9 +396,20 @@ def oracle_pairs(snapshots, spec):
     return pairs
 
 
+# A subnormal stake of a whale, which a power below 1 raises so far that its
+# penalty overflows to -inf.
+SUBNORMAL_WHALE = [snapshot(0, [("w000", Role.VALIDATOR, 5e-324, 0.0, 0.0)])]
+SUBNORMAL_AND_EMPTY = [snapshot(0, [("w000", Role.VALIDATOR, 0.0, 0.0, 0.0),
+                                    ("w001", Role.VALIDATOR, 5e-324, 0.0, 0.0)])]
+ROOT_32 = TransformSpec(kind="power", power_exponent=0.03125)
+
+
 class TestKernelsMatchPublicFunctions:
     @ORACLE_SETTINGS
     @given(snaps=drawn_snapshots(), specs=SPECS, threshold=THRESHOLD)
+    @example(snaps=SUBNORMAL_WHALE, specs=(ROOT_32,), threshold=0.51)
+    @example(snaps=SUBNORMAL_AND_EMPTY, specs=(ROOT_32, TransformSpec(kind="cap", cap_percentile=1.0)),
+             threshold=0.51)
     def test_tradeoff_frontier(self, snaps, specs, threshold):
         expected = {}
         for spec in specs:
@@ -407,8 +418,13 @@ class TestKernelsMatchPublicFunctions:
                 with pytest.raises(ValidationError, match="no subnet with positive stake mass"):
                     tradeoff_frontier(snaps, specs, threshold)
                 return
-            # A power below 1 raises stakes below 1: the penalty can be negative.
+            # A power below 1 raises stakes below 1: the penalty can be negative,
+            # and beyond the float range, which the frontier rejects.
             penalty = float(np.median([whale_penalty(s, t) for s, t in pairs]))
+            if not math.isfinite(penalty):
+                with pytest.raises(ValidationError, match="median whale penalty must be finite and at most 1"):
+                    tradeoff_frontier(snaps, specs, threshold)
+                return
             expected[spec.label] = repr((
                 len(pairs),
                 float(np.median([coalition_fraction(t, threshold) for _, t in pairs])),
