@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -209,20 +209,6 @@ def _payout_coefficients(delegations: Sequence[Delegation], validator_total_stak
     return [(1.0 - d.take) * (d.amount / stake) for d in delegations]
 
 
-def _slots(keys: Iterable) -> tuple[tuple, np.ndarray]:
-    """The distinct keys in first-appearance order, and each key's index."""
-    index: dict = {}
-    slots = [index.setdefault(key, len(index)) for key in keys]
-    return tuple(index), np.array(slots, dtype=np.intp)
-
-
-def _sum_by_slot(slots: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Per-slot sums, each added up from 0.0 in the order of `values`."""
-    totals = np.zeros(n)
-    np.add.at(totals, slots, values)
-    return totals
-
-
 def delegator_rewards(
     delegations: Sequence[Delegation],
     validator_reward: float,
@@ -238,50 +224,10 @@ def delegator_rewards(
     """
     reward = _require_nonneg("validator_reward", validator_reward)
     coefficients = _payout_coefficients(delegations, validator_total_stake)
-    delegators, slots = _slots(d.delegator_id for d in delegations)
-    totals = _sum_by_slot(slots, np.array(coefficients) * reward, len(delegators))
-    return dict(zip(delegators, totals.tolist()))
-
-
-class _DelegationPlan:
-    """The delegations of one weight matrix, checked and grouped once.
-
-    Payouts are summed per (validator, delegator) pair in delegation order,
-    then per delegator in validator order: `delegator_rewards` per validator
-    and the merge of its results add them up in that order. One running sum
-    per delegator over all delegations would round differently when a
-    delegator has two delegations to a validator after its first one.
-    """
-
-    def __init__(self, wm: WeightMatrix, delegations: Sequence[Delegation]) -> None:
-        stake_by_id = dict(wm.validators)
-        grouped: dict[str, list[Delegation]] = {}
-        for delegation in delegations:
-            if delegation.validator_id not in stake_by_id:
-                raise ValidationError(f"unknown validator {delegation.validator_id!r} in delegation")
-            grouped.setdefault(delegation.validator_id, []).append(delegation)
-        owners: list[int] = []
-        coefficients: list[float] = []
-        pairs: list[tuple[int, str]] = []
-        for v, validator_id in enumerate(wm.validator_ids):
-            group = grouped.get(validator_id)
-            if not group:
-                continue
-            coefficients.extend(_payout_coefficients(group, stake_by_id[validator_id]))
-            owners.extend([v] * len(group))
-            pairs.extend((v, d.delegator_id) for d in group)
-        self.owners = np.array(owners, dtype=np.intp)
-        self.coefficients = np.array(coefficients, dtype=np.float64)
-        pair_list, self.pair_slots = _slots(pairs)
-        self.delegators, self.pair_delegator = _slots(d for _, d in pair_list)
-        self.n_pairs = len(pair_list)
-
-    def payouts(self, validator_tao: np.ndarray) -> np.ndarray:
-        """Each delegator's payout, in the order of `delegators`."""
-        per_pair = _sum_by_slot(
-            self.pair_slots, self.coefficients * validator_tao[self.owners], self.n_pairs
-        )
-        return _sum_by_slot(self.pair_delegator, per_pair, len(self.delegators))
+    payouts: dict[str, float] = {}
+    for d, coefficient in zip(delegations, coefficients):
+        payouts[d.delegator_id] = payouts.get(d.delegator_id, 0.0) + coefficient * reward
+    return payouts
 
 
 class _Chain:
@@ -289,7 +235,7 @@ class _Chain:
 
     The weights, stakes, params and delegations stay fixed along a chain,
     so the pool split, the consensus clip, the miner shares and TAO, the
-    bond target and the delegation plan are worked out here, before any
+    bond target and the delegation checks are worked out here, before any
     tempo. The only per-tempo state is the bond matrix: `step` moves it one
     EMA step, and `outcome` builds the validated outcome of a tempo from it.
     """
@@ -308,7 +254,16 @@ class _Chain:
         _check_bond_shapes(wm, clipped, prev)
         self.instant = _bond_target(wm, clipped, params.beta)
         self.alpha = params.alpha
-        self.plan = _DelegationPlan(wm, delegations)
+        grouped: dict[str, list[Delegation]] = {validator_id: [] for validator_id in wm.validator_ids}
+        for delegation in delegations:
+            if delegation.validator_id not in grouped:
+                raise ValidationError(f"unknown validator {delegation.validator_id!r} in delegation")
+            grouped[delegation.validator_id].append(delegation)
+        # (row, delegations, stake) of each delegated validator, in validator
+        # order; their stakes are checked here, before any tempo.
+        self.groups = [(v, group, wm.stakes[v]) for v, group in enumerate(grouped.values()) if group]
+        for _, group, stake in self.groups:
+            _payout_coefficients(group, stake)
         # Every outcome shares the arrays built here; frozen, they are not copied.
         self.miner_share_vec = _freeze(miner_share_vec)
         self.miner_tao = _freeze(miner_pool * miner_share_vec)
@@ -328,17 +283,22 @@ class _Chain:
             validator_tao = self.validator_pool * (validator_share_vec / share_total)
         else:
             validator_tao = np.zeros_like(validator_share_vec)
+        # Summed per validator, then merged per delegator in validator order.
+        payouts: dict[str, float] = {}
+        for v, group, stake in self.groups:
+            for delegator_id, payout in delegator_rewards(group, validator_tao[v], stake).items():
+                payouts[delegator_id] = payouts.get(delegator_id, 0.0) + payout
         return EmissionOutcome(
             block_emission=self.block_emission,
             owner_amount=self.owner,
             miners=self.wm.miners,
             validators=self.wm.validator_ids,
-            delegators=self.plan.delegators,
+            delegators=tuple(payouts),
             miner_share_vec=self.miner_share_vec,
             validator_share_vec=_freeze(validator_share_vec),
             miner_tao_vec=self.miner_tao,
             validator_tao_vec=_freeze(validator_tao),
-            delegator_reward_vec=_freeze(self.plan.payouts(validator_tao)),
+            delegator_reward_vec=_freeze(np.array(list(payouts.values()), dtype=np.float64)),
             bond_state=bond_state,
             no_ranking_mass=self.no_ranking_mass,
         )

@@ -349,7 +349,7 @@ _SCORES = ("trust", "validator_trust")
 _KIND_TYPES = {"string": (str,), "integer": (int,), "number": (int, float)}
 
 
-def _read_jsonl(text: io.TextIOWrapper, table: "_Table") -> None:
+def _read_jsonl(text: Iterable[str], table: "_Table") -> None:
     add_ts, add_block, add_netuid, add_wallet, add_role, add_stake, add_reward, add_trust, add_vtrust, add_line = (
         column.append for column in table.cells.values()
     )
@@ -387,7 +387,7 @@ def _read_jsonl(text: io.TextIOWrapper, table: "_Table") -> None:
             return
 
 
-def _read_csv(text: io.TextIOWrapper, table: "_Table") -> None:
+def _read_csv(text: Iterable[str], table: "_Table") -> None:
     add_ts, add_block, add_netuid, add_wallet, add_role, add_stake, add_reward, add_trust, add_vtrust, add_line = (
         column.append for column in table.cells.values()
     )
@@ -448,7 +448,7 @@ class _Table:
         self.roles = _Memo(lambda raw: Role.parse(raw) is Role.MINER)
         self.codes = _Memo(lambda name: len(self.codes))
 
-    def read(self, reader: Callable, text: io.TextIOWrapper) -> Dataset:
+    def read(self, reader: Callable, text: Iterable[str]) -> Dataset:
         """The Dataset of the rows that `reader` reads from `text`. A
         ParseError that the reader raises ends the read; a faulty line
         before the one it names is reported in its place."""
@@ -586,19 +586,34 @@ def parse_events(source: BinaryIO, format: str = "jsonl") -> Dataset:
         source.seek(start)
     finally:
         text.detach()
-    raise _utf8_error(source.read())
+    data = source.read()
+    error, end = _utf8_error(data)
+    # The read stopped at the bad byte's block of text, short of the lines
+    # before it in the block. The lines before its own are read again and
+    # end with the error, as if decoded one by one: a faulty line among them
+    # is named first (a duplicate key or role conflict is not checked), and a
+    # CSV record that holds the bad byte is never returned cut short.
+    lines = io.StringIO(data[:end].decode("utf-8-sig"), newline="")
+    return _Table(json=format == "jsonl").read(_READERS[format], _then_raise(lines, error))
 
 
-def _utf8_error(data: bytes) -> ParseError:
+def _utf8_error(data: bytes) -> tuple[ParseError, int]:
     """The ParseError for the first byte of `data` that is not UTF-8, on
-    its line as the readers split lines: after each LF, CR or CR LF."""
+    its line as the readers split lines: after each LF, CR or CR LF; and
+    the offset at which that line starts."""
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         before = data[:exc.start]
         line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
-        return ParseError(line, f"invalid UTF-8 byte {data[exc.start]:#04x}")
+        end = 1 + max(before.rfind(b"\n"), before.rfind(b"\r"))
+        return ParseError(line, f"invalid UTF-8 byte {data[exc.start]:#04x}"), end
     raise AssertionError("a reader failed to decode valid UTF-8")
+
+
+def _then_raise(lines: Iterable[str], error: Exception) -> Iterator[str]:
+    yield from lines
+    raise error
 
 
 def _path_format(path) -> Optional[str]:

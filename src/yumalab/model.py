@@ -471,22 +471,18 @@ class EmissionOutcome:
             if len(set(ids)) != len(ids):
                 raise ValidationError(f"ids in {name} must be unique")
             object.__setattr__(self, name, ids)
-        columns = []
         for view in self._views:
             values = _readonly(getattr(self, view.values))
             if values.shape != (len(getattr(self, view.ids)),):
                 raise ValidationError(f"{view.values} must hold one value per id of {view.ids}")
             object.__setattr__(self, view.values, values)
-            columns.append(values)
-        # One test over all five arrays; a failure names the first bad value.
-        joined = np.concatenate(columns)
-        ok = np.isfinite(joined) & (joined >= 0.0)
-        if not ok.all():
-            i = int(np.argmin(ok))
-            for view, values in zip(self._views, columns):
-                if i < len(values):
-                    _require_nonneg(f"{view.name}[{getattr(self, view.ids)[i]!r}]", values[i])
-                i -= len(values)
+        # After every shape check, each array's first bad value, in view order.
+        for view in self._views:
+            values = getattr(self, view.values)
+            ok = np.isfinite(values) & (values >= 0.0)
+            if not ok.all():
+                i = int(np.argmin(ok))
+                _require_nonneg(f"{view.name}[{getattr(self, view.ids)[i]!r}]", values[i])
         if not isinstance(self.bond_state, BondState):
             raise ValidationError("bond_state must be a BondState")
         if self.bonds.shape != (len(self.validators), len(self.miners)):

@@ -216,12 +216,6 @@ def _point_correlations(
     return out
 
 
-def _delta(value: Optional[float], base: Optional[float]) -> Optional[float]:
-    if value is None or base is None:
-        return None
-    return value - base
-
-
 def sweep_scheme(
     snapshots: Sequence[SubnetSnapshot],
     scheme: str,
@@ -229,10 +223,10 @@ def sweep_scheme(
 ) -> SweepResult:
     """Sweep one reward scheme over a parameter grid.
 
-    Expects one snapshot per netuid. The grid must contain the scheme's
-    null parameter; deltas are taken against the correlations computed at
-    that grid point, so the baseline rows are exactly zero. Roles with
-    fewer than 2 wallets in a subnet are skipped.
+    Expects one snapshot per netuid. The grid must hold distinct values,
+    the scheme's null parameter among them; deltas are taken against the
+    correlations computed at that grid point, so the baseline rows are
+    exactly zero. Roles with fewer than 2 wallets in a subnet are skipped.
     """
     if scheme not in SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r} (expected one of {SCHEMES})")
@@ -244,11 +238,16 @@ def sweep_scheme(
         raise ValidationError(
             f"grid for scheme {scheme!r} must include the null parameter {null_param}"
         )
+    distinct: set[float] = set()
     for value in grid_values:
         if scheme == "composite" and not 0.0 <= value <= 1.0:
             raise ValidationError(f"composite grid values must lie in [0, 1], got {value}")
         if scheme in ("split", "bonus") and value < 0.0:
             raise ValidationError(f"{scheme} grid values must be >= 0, got {value}")
+        # -0.0 == 0.0, so the two count as one value.
+        if value in distinct:
+            raise ValidationError(f"grid values must be distinct; {value} appears more than once")
+        distinct.add(value)
     seen: set[int] = set()
     for snap in snapshots:
         if snap.netuid in seen:
@@ -266,54 +265,37 @@ def sweep_scheme(
     ]
     baseline = by_value[grid_values.index(null_param)]
 
+    # One pass in (grid order, netuid, role) order. Each role's deltas,
+    # in netuid order, feed its aggregate at the grid value.
     points: list[SweepPoint] = []
     aggregates: list[SweepAggregate] = []
     for value, per_snap in zip(grid_values, by_value):
-        for role in (Role.MINER, Role.VALIDATOR):
-            deltas_sr: list[float] = []
-            deltas_pr: list[float] = []
-            excluded = 0
-            for snap, corr, base in zip(ordered, per_snap, baseline):
-                if role not in corr:
-                    continue
-                r_sr, r_pr = corr[role]
-                d_sr = _delta(r_sr, base[role][0])
-                d_pr = _delta(r_pr, base[role][1])
-                points.append(
-                    SweepPoint(
-                        scheme=scheme,
-                        param=value,
-                        netuid=snap.netuid,
-                        role=role,
-                        r_sr=r_sr,
-                        r_pr=r_pr,
-                        d_r_sr=d_sr,
-                        d_r_pr=d_pr,
-                    )
-                )
-                if d_sr is None or d_pr is None:
-                    excluded += 1
-                else:
-                    deltas_sr.append(d_sr)
-                    deltas_pr.append(d_pr)
+        deltas: dict[Role, list[tuple]] = {Role.MINER: [], Role.VALIDATOR: []}
+        for snap, corr, base in zip(ordered, per_snap, baseline):
+            for role, (r_sr, r_pr) in corr.items():
+                base_sr, base_pr = base[role]
+                d_sr = None if r_sr is None or base_sr is None else r_sr - base_sr
+                d_pr = None if r_pr is None or base_pr is None else r_pr - base_pr
+                points.append(SweepPoint(scheme=scheme, param=value, netuid=snap.netuid, role=role,
+                                         r_sr=r_sr, r_pr=r_pr, d_r_sr=d_sr, d_r_pr=d_pr))
+                deltas[role].append((d_sr, d_pr))
+        for role, pairs in deltas.items():
+            defined = [pair for pair in pairs if None not in pair]
+            deltas_sr = [d_sr for d_sr, _ in defined]
+            deltas_pr = [d_pr for _, d_pr in defined]
             aggregates.append(
                 SweepAggregate(
                     scheme=scheme,
                     param=value,
                     role=role,
-                    n_subnets=len(deltas_sr),
-                    excluded=excluded,
-                    mean_d_r_sr=float(np.mean(deltas_sr)) if deltas_sr else None,
-                    median_d_r_sr=float(np.median(deltas_sr)) if deltas_sr else None,
-                    mean_d_r_pr=float(np.mean(deltas_pr)) if deltas_pr else None,
-                    median_d_r_pr=float(np.median(deltas_pr)) if deltas_pr else None,
+                    n_subnets=len(defined),
+                    excluded=len(pairs) - len(defined),
+                    mean_d_r_sr=float(np.mean(deltas_sr)) if defined else None,
+                    median_d_r_sr=float(np.median(deltas_sr)) if defined else None,
+                    mean_d_r_pr=float(np.mean(deltas_pr)) if defined else None,
+                    median_d_r_pr=float(np.median(deltas_pr)) if defined else None,
                 )
             )
-
-    # Points are appended value-major, then netuid within each role; re-sort
-    # into (grid order, netuid, role) for a stable, documented layout.
-    grid_index = {value: i for i, value in enumerate(grid_values)}
-    points.sort(key=lambda p: (grid_index[p.param], p.netuid, p.role.value))
     return SweepResult(
         scheme=scheme,
         grid=grid_values,

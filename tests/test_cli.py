@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from yumalab import ingest, interventions, model, sweep, synth
-from yumalab.cli import build_parser, run
+from yumalab._util import parse_timestamp
+from yumalab.cli import DEFAULT_CUTOFF_TEXT, build_parser, run
 from yumalab.ingest import history_snapshots, load_events
 from yumalab.metrics import ROLE_FILTERS, concentration_report
 from yumalab.consensus import BondState, run_tempo
@@ -302,6 +303,13 @@ class TestSweep:
     def test_grid_without_null_fails(self, tmp_path, fixture_path):
         assert run_cli("sweep", "--input", fixture_path, "--out", str(tmp_path),
                        "--scheme", "bonus", "--grid", "0.1,0.2") == 1
+
+    @pytest.mark.parametrize("grid, value", [("0,0.5,0", "0.0"), ("0,0.5,-0", "-0.0")])
+    def test_repeated_grid_value_fails(self, tmp_path, capsys, fixture_path, grid, value):
+        assert run_cli("sweep", "--input", fixture_path, "--out", str(tmp_path),
+                       "--scheme", "split", "--grid", grid) == 1
+        assert capsys.readouterr().err == f"error: grid values must be distinct; {value} appears more than once\n"
+        assert os.listdir(tmp_path) == []
 
 
 class TestFrontier:
@@ -722,6 +730,10 @@ class TestModulesLoaded:
             ("synth", "reward_rule"): synth.REWARD_RULES,
         }
 
+
+    def test_default_cutoff_is_the_dtao_cutoff(self):
+        # The dTAO instant is written in cli and in ingest; the two must agree.
+        assert parse_timestamp(DEFAULT_CUTOFF_TEXT) == ingest.DTAO_CUTOFF
 
 def relabel(source, target, rename) -> None:
     """Copy a JSONL event file with every wallet name passed through `rename`."""

@@ -419,6 +419,19 @@ class TestRunTempos:
         for name in MAPPINGS:
             assert list(getattr(one, name).items()) == list(getattr(first, name).items())
 
+    def test_delegator_payouts_sum_per_validator_then_merge(self):
+        # One delegator, two delegations to v1 listed apart and one to v2.
+        delegations = (Delegation("v1", "d1", 0.1, 0.1), Delegation("v2", "d1", 0.2, 0.1),
+                       Delegation("v1", "d1", 0.3, 0.1))
+        out = run_tempo(canonical_wm(), BondState.initial(2, 2), PARAMS, 100.0, delegations)
+        stake = dict(canonical_wm().validators)
+        p1, p2, p3 = ((1.0 - d.take) * (d.amount / stake[d.validator_id]) * out.validator_tao[d.validator_id]
+                      for d in delegations)
+        per_validator_then_merge = (p1 + p3) + p2
+        running_sum = (p1 + p2) + p3
+        assert per_validator_then_merge != running_sum
+        assert repr(list(out.delegator_rewards.items())) == repr([("d1", per_validator_then_merge)])
+
     @settings(max_examples=60, deadline=None)
     @given(chain_instances(delegate=False))
     def test_chain_conserves_emission_when_rankings_have_mass(self, instance):

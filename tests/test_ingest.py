@@ -876,6 +876,37 @@ class TestReadOnce:
         assert source.seeks == 1
         assert source.bytes_read == 2 * len(data)
 
+    HEADER = ",".join(ingest.EVENT_COLUMNS)
+    CSV_ROW = "2024-01-0{}T00:00:00Z,1,1,a,miner,{},0.0,,"
+
+    # The bad byte's block is decoded before the lines that precede it in
+    # the block reach the reader; they are read again from the bytes.
+    @pytest.mark.parametrize("format, data, message", [
+        ("jsonl", "\n".join([GOOD[0], GOOD[1].replace("2.0", "-1.0"), GOOD[1].replace("01-02", "01-03"),
+                             '{"wallet": "\udcff"}']),
+         "line 2: stake must be >= 0, got -1.0"),
+        ("csv", "\n".join([HEADER, CSV_ROW.format(1, "1.0"), CSV_ROW.format(2, "-1.0"),
+                           CSV_ROW.format(3, "1.0").replace(",a,", ",a\udcff,")]),
+         "line 3: stake must be >= 0, got -1.0"),
+        # Cut before the bad byte, this record would have 4 columns.
+        ("csv", "\n".join([HEADER, CSV_ROW.format(1, "1.0"),
+                           CSV_ROW.format(2, "1.0").replace(",a,", ',"a\n\udcff",')]),
+         "line 4: invalid UTF-8 byte 0xff"),
+        # A duplicate key or a role conflict before the bad byte is not named.
+        ("jsonl", "\n".join([*GOOD, GOOD[1], "\udcff"]), "line 4: invalid UTF-8 byte 0xff"),
+        ("jsonl", "\n".join([*GOOD, GOOD[1].replace("01-02", "01-03").replace("miner", "validator"),
+                             "\udcff"]),
+         "line 4: invalid UTF-8 byte 0xff"),
+    ], ids=["jsonl-fault", "csv-fault", "csv-record-holds-the-byte", "duplicate-key", "role-conflict"])
+    def test_a_fault_before_a_byte_that_is_not_utf8_is_named(self, format, data, message):
+        data = (data + "\n").encode("utf-8", "surrogateescape")
+        source = CountingSource(data)
+        with pytest.raises(ParseError) as excinfo:
+            parse_events(source, format)
+        assert str(excinfo.value) == message
+        assert source.seeks == 1
+        assert source.bytes_read == 2 * len(data)
+
 
 def oracle_write(dataset, format) -> bytes:
     """Row by row, as write_events once wrote a list of events: one tuple

@@ -352,7 +352,11 @@ class TestEmissionOutcome:
         ({"bond_state": np.zeros((1, 2))}, "bond_state must be a BondState"),
         ({"bond_state": BondState(np.zeros((2, 2)))},
          "bonds shape (2, 2) does not match the ids"),
-    ], ids=["duplicate-ids", "short-array", "matrix-array", "raw-bonds", "bond-shape"])
+        # Every shape is checked before any value.
+        ({"miner_tao_vec": [-1.0, 0.0], "delegators": ("d1",)},
+         "delegator_reward_vec must hold one value per id of delegators"),
+    ], ids=["duplicate-ids", "short-array", "matrix-array", "raw-bonds", "bond-shape",
+            "value-fault-before-a-shape-fault"])
     def test_column_shapes_are_checked(self, change, message):
         fields = {f.name: getattr(self._outcome({"m1": 0.5, "m2": 0.5}), f.name)
                   for f in dataclasses.fields(EmissionOutcome)}

@@ -147,6 +147,14 @@ class TestSweepScheme:
         with pytest.raises(ValidationError):
             sweep_scheme(seeded_snapshots(1), "composite", grid=(1.0, 1.5))
 
+    # A repeated value once interleaved its rows; -0.0 and 0.0 are one value.
+    @pytest.mark.parametrize("grid, value", [((0.0, 0.5, 0.0), "0.0"), ((0.0, 0.5, -0.0), "-0.0"),
+                                             ((0.1, 0.0, 0.1), "0.1")])
+    def test_grid_values_must_be_distinct(self, grid, value):
+        with pytest.raises(ValidationError) as excinfo:
+            sweep_scheme(seeded_snapshots(1), "split", grid=grid)
+        assert str(excinfo.value) == f"grid values must be distinct; {value} appears more than once"
+
     def test_split_uses_a_quarter_base_validator_share(self):
         snap = seeded_snapshots(n_subnets=1)[0]
         for value in default_grid("split"):

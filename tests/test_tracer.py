@@ -4,7 +4,8 @@ perfbench/tracer.py wraps functions and `__post_init__` methods by name;
 a refactor that renames or removes one makes the traced benchmark fail
 every invocation. This runs the tracer as the benchmark does and checks
 that its spans record no missing hook, and counts the consensus clips a
-chained run makes and the events a CSV conversion writes.
+chained run makes and the events a CSV conversion writes, and that a
+tempo run records its delegation work.
 """
 
 import json
@@ -24,19 +25,20 @@ with open(FIXTURE, encoding="utf-8") as _handle:
     FIXTURE_ROWS = sum(1 for line in _handle if line.strip())
 
 
-@pytest.mark.parametrize("args, counters", [
-    (["attack", "--input", FIXTURE], {"kernels.clip_benchmarks.calls": 0}),
-    # Two chained tempos share one clip of the fixed weight matrix.
+@pytest.mark.parametrize("args, counters, span_names", [
+    (["attack", "--input", FIXTURE], {"kernels.clip_benchmarks.calls": 0}, set()),
+    # Two chained tempos share one clip of the fixed weight matrix. The
+    # instance delegates to v1, whose payouts delegator_rewards works out.
     (["tempo", "--input", os.path.join(DATA_DIR, "tempo_instance.json")],
-     {"kernels.clip_benchmarks.calls": 1}),
+     {"kernels.clip_benchmarks.calls": 1}, {"consensus.delegation"}),
     # A replay clips each subnet's weights once, not once per day.
     (["synth", "--reward-rule", "yuma_replay", "--seed", "5", "--subnets", "2",
-      "--wallets", "24", "--days", "3"], {"kernels.clip_benchmarks.calls": 2}),
+      "--wallets", "24", "--days", "3"], {"kernels.clip_benchmarks.calls": 2}, set()),
     # The second step of the benchmark's replay-convert round.
     (["ingest", "--input", FIXTURE, "--format", "csv"],
-     {"kernels.clip_benchmarks.calls": 0, "ingest.events_written": FIXTURE_ROWS}),
+     {"kernels.clip_benchmarks.calls": 0, "ingest.events_written": FIXTURE_ROWS}, set()),
 ], ids=["attack", "tempo", "synth-replay", "ingest-csv"])
-def test_tracer_has_no_missing_hook(tmp_path, args, counters):
+def test_tracer_has_no_missing_hook(tmp_path, args, counters, span_names):
     spans = tmp_path / "spans.json"
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
     done = subprocess.run(
@@ -49,3 +51,4 @@ def test_tracer_has_no_missing_hook(tmp_path, args, counters):
     assert payload["missing"] == []
     for name, count in counters.items():
         assert payload["counters"].get(name, 0) == count, name
+    assert span_names <= {payload["names"][name] for name in payload["name"]}
