@@ -408,7 +408,7 @@ def _cmd_tempo(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from yumalab.ingest import history_snapshots
-    from yumalab.sweep import sweep_scheme
+    from yumalab.sweep import _check_grid, sweep_scheme
 
     out_dir = _out_dir(args)
     grid = None
@@ -417,6 +417,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             grid = tuple(float(part) for part in args.grid.split(","))
         except ValueError:
             raise ValidationError(f"invalid grid {args.grid!r}; expected comma-separated numbers") from None
+    grid = _check_grid(args.scheme, grid)
     dataset = _load_dataset(args)
     result = sweep_scheme(history_snapshots(dataset), args.scheme, grid=grid)
     _write_table(os.path.join(out_dir, "sweep.csv"), SWEEP_COLUMNS, result.per_point)
@@ -429,35 +430,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _transform_from_args(args: argparse.Namespace) -> Optional[TransformSpec]:
+def _transform_from_args(args: argparse.Namespace) -> TransformSpec:
     from yumalab.interventions import TransformSpec
 
-    if args.transform == "cap":
-        if args.param is None:
-            raise ValidationError("--param (cap percentile) is required for the cap transform")
-        return TransformSpec(kind="cap", cap_percentile=args.param)
-    if args.transform == "power":
-        if args.param is None:
-            raise ValidationError("--param (exponent) is required for the power transform")
-        return TransformSpec(kind="power", power_exponent=args.param)
-    if args.transform == "log":
-        return TransformSpec(kind="log")
-    return None
+    return TransformSpec(args.transform, None if args.transform == "log" else args.param)
 
 
 def _cmd_frontier(args: argparse.Namespace) -> int:
     from yumalab.ingest import history_snapshots
     from yumalab.interventions import TransformSpec
+    from yumalab.metrics import _check_threshold
     from yumalab.sweep import default_frontier_specs, tradeoff_frontier
 
     out_dir = _out_dir(args)
-    dataset = _load_dataset(args)
-    chosen = _transform_from_args(args)
-    if chosen is None:
+    if args.transform is None:
         specs = default_frontier_specs()
     else:
-        identity = TransformSpec(kind="cap", cap_percentile=100.0)
+        chosen = _transform_from_args(args)
+        identity = TransformSpec("cap", 100.0)
         specs = (identity, chosen) if chosen != identity else (identity,)
+    _check_threshold(args.threshold)
+    dataset = _load_dataset(args)
     points = tradeoff_frontier(history_snapshots(dataset), specs, threshold=args.threshold)
     _write_table(os.path.join(out_dir, "frontier.csv"), FRONTIER_COLUMNS, points)
     payload = {
@@ -470,11 +463,13 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
     from yumalab.ingest import FREQUENCIES
+    from yumalab.metrics import _check_threshold
     from yumalab.sweep import temporal_robustness
 
     out_dir = _out_dir(args)
-    dataset = _load_dataset(args)
     spec = _transform_from_args(args)
+    _check_threshold(args.threshold)
+    dataset = _load_dataset(args)
     freqs = (args.freq,) if args.freq else FREQUENCIES
     series = temporal_robustness(dataset, spec, freqs=freqs, threshold=args.threshold)
     _write_csv(

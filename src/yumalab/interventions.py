@@ -32,59 +32,45 @@ __all__ = [
 ]
 
 
-TRANSFORM_KINDS = ("cap", "power", "log")
+# The (low, high] range of each transform kind's param; None: no param.
+_PARAM_RANGES = {"cap": (0.0, 100.0), "power": (0.0, 1.0), "log": None}
+TRANSFORM_KINDS = tuple(_PARAM_RANGES)
+
+# The validator share of the performance-weighted split (see
+# perf_weighted_rewards); a miner's is 1 minus it.
+BASE_VALIDATOR_SHARE = 0.25
 
 
 @dataclass(frozen=True)
 class TransformSpec:
     """One stake-reshaping transform.
 
-    kind "cap" truncates stakes at the subnet's cap_percentile (nearest
-    rank); "power" raises stakes to power_exponent; "log" maps each stake
-    to ln(1 + s).
+    kind "cap" truncates stakes at the subnet's `param`-th percentile
+    (nearest rank); "power" raises stakes to the exponent `param`; "log"
+    maps each stake to ln(1 + s) and takes no param.
     """
 
     kind: str
-    cap_percentile: Optional[float] = None
-    power_exponent: Optional[float] = None
+    param: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in TRANSFORM_KINDS:
+        if self.kind not in _PARAM_RANGES:
             raise ValidationError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "cap":
-            if self.cap_percentile is None:
-                raise ValidationError("cap transform requires cap_percentile")
-            pct = float(self.cap_percentile)
-            if not 0.0 < pct <= 100.0:
-                raise ValidationError(f"cap_percentile must lie in (0, 100], got {pct}")
-            object.__setattr__(self, "cap_percentile", pct)
-        elif self.cap_percentile is not None:
-            raise ValidationError(f"cap_percentile is not valid for kind {self.kind!r}")
-        if self.kind == "power":
-            if self.power_exponent is None:
-                raise ValidationError("power transform requires power_exponent")
-            exponent = float(self.power_exponent)
-            if not 0.0 < exponent <= 1.0:
-                raise ValidationError(f"power_exponent must lie in (0, 1], got {exponent}")
-            object.__setattr__(self, "power_exponent", exponent)
-        elif self.power_exponent is not None:
-            raise ValidationError(f"power_exponent is not valid for kind {self.kind!r}")
+        if self.param is not None:
+            object.__setattr__(self, "param", float(self.param))
+        bounds = _PARAM_RANGES[self.kind]
+        if bounds is None:
+            if self.param is not None:
+                raise ValidationError(f"{self.kind} transform takes no param, got {self.param}")
+        elif self.param is None:
+            raise ValidationError(f"{self.kind} transform requires a param")
+        elif not bounds[0] < self.param <= bounds[1]:
+            low, high = bounds
+            raise ValidationError(f"{self.kind} param must lie in ({low:g}, {high:g}], got {self.param}")
 
     @property
     def label(self) -> str:
-        if self.kind == "cap":
-            return f"cap:{self.cap_percentile:g}"
-        if self.kind == "power":
-            return f"power:{self.power_exponent:g}"
-        return "log"
-
-    @property
-    def param(self) -> Optional[float]:
-        if self.kind == "cap":
-            return self.cap_percentile
-        if self.kind == "power":
-            return self.power_exponent
-        return None
+        return self.kind if self.param is None else f"{self.kind}:{self.param:g}"
 
 
 def _as_vector(values, name: str) -> np.ndarray:
@@ -109,21 +95,14 @@ def _reward_perf_vectors(rewards, perfs) -> tuple[np.ndarray, np.ndarray]:
     return reward_vec, perf_vec
 
 
-def perf_weighted_rewards(
-    rewards,
-    perfs,
-    miners,
-    base_validator_share: float = 0.25,
-    sensitivity: float = 0.0,
-) -> np.ndarray:
+def perf_weighted_rewards(rewards, perfs, miners, sensitivity: float = 0.0) -> np.ndarray:
     """Performance-weighted split of each wallet's reward.
 
     `miners` flags the miner wallets. A validator's reward is scaled by
     (base + sensitivity * perf), a miner's by ((1 - base) + sensitivity *
-    perf). At sensitivity 0 this is a uniform within-role rescaling,
-    leaving correlations unchanged.
+    perf), where base is BASE_VALIDATOR_SHARE. At sensitivity 0 this is a
+    uniform within-role rescaling, leaving correlations unchanged.
     """
-    base = _require_unit("base_validator_share", base_validator_share)
     sensitivity = float(sensitivity)
     if not math.isfinite(sensitivity) or sensitivity < 0.0:
         raise ValidationError(f"sensitivity must be >= 0, got {sensitivity}")
@@ -131,7 +110,8 @@ def perf_weighted_rewards(
     miner_vec = np.asarray(miners, dtype=bool)
     if miner_vec.shape != reward_vec.shape:
         raise ValidationError("rewards and miners must have equal length")
-    return reward_vec * (np.where(miner_vec, 1.0 - base, base) + sensitivity * perf_vec)
+    base = np.where(miner_vec, 1.0 - BASE_VALIDATOR_SHARE, BASE_VALIDATOR_SHARE)
+    return reward_vec * (base + sensitivity * perf_vec)
 
 
 def composite_ranks(base_ranks, perfs, rank_weight: float) -> np.ndarray:
@@ -202,7 +182,7 @@ def _transform(x: np.ndarray, spec: TransformSpec, cap: Optional[float]) -> np.n
     if spec.kind == "cap":
         return np.minimum(x, cap)
     if spec.kind == "power":
-        return np.power(x, spec.power_exponent)
+        return np.power(x, spec.param)
     return np.log1p(x)
 
 
@@ -211,7 +191,7 @@ def apply_stake_transform(stakes, spec: TransformSpec) -> np.ndarray:
     x = _as_vector(stakes, "stakes")
     if np.any(x < 0.0):
         raise ValidationError("stakes must be nonnegative")
-    cap = nearest_rank_percentile(x, spec.cap_percentile) if spec.kind == "cap" else None
+    cap = nearest_rank_percentile(x, spec.param) if spec.kind == "cap" else None
     return _transform(x, spec, cap)
 
 

@@ -70,10 +70,10 @@ def default_grid(scheme: str) -> tuple[float, ...]:
 
 def default_frontier_specs() -> tuple[TransformSpec, ...]:
     """Identity cap, the cap percentile ladder, power ladder, and log."""
-    specs = [TransformSpec(kind="cap", cap_percentile=100.0)]
-    specs.extend(TransformSpec(kind="cap", cap_percentile=float(p)) for p in DEFAULT_CAP_PERCENTILES)
-    specs.extend(TransformSpec(kind="power", power_exponent=a) for a in DEFAULT_POWER_EXPONENTS)
-    specs.append(TransformSpec(kind="log"))
+    specs = [TransformSpec("cap", 100.0)]
+    specs.extend(TransformSpec("cap", p) for p in DEFAULT_CAP_PERCENTILES)
+    specs.extend(TransformSpec("power", a) for a in DEFAULT_POWER_EXPONENTS)
+    specs.append(TransformSpec("log"))
     return tuple(specs)
 
 
@@ -100,7 +100,6 @@ class SweepAggregate:
     baseline) are undefined. Statistics are None when nothing is defined.
     """
 
-    scheme: str
     param: float
     role: Role
     n_subnets: int
@@ -158,8 +157,6 @@ class RobustnessWindow:
 @dataclass(frozen=True)
 class RobustnessSeries:
     freq: str
-    transform: str
-    threshold: float
     windows: tuple[RobustnessWindow, ...]
 
 
@@ -216,18 +213,8 @@ def _point_correlations(
     return out
 
 
-def sweep_scheme(
-    snapshots: Sequence[SubnetSnapshot],
-    scheme: str,
-    grid: Optional[Sequence[float]] = None,
-) -> SweepResult:
-    """Sweep one reward scheme over a parameter grid.
-
-    Expects one snapshot per netuid. The grid must hold distinct values,
-    the scheme's null parameter among them; deltas are taken against the
-    correlations computed at that grid point, so the baseline rows are
-    exactly zero. Roles with fewer than 2 wallets in a subnet are skipped.
-    """
+def _check_grid(scheme: str, grid: Optional[Sequence[float]]) -> tuple[float, ...]:
+    """The checked grid of a `scheme` sweep as floats; None gives the default grid."""
     if scheme not in SCHEMES:
         raise ValidationError(f"unknown scheme {scheme!r} (expected one of {SCHEMES})")
     grid_values = tuple(float(g) for g in (default_grid(scheme) if grid is None else grid))
@@ -248,6 +235,22 @@ def sweep_scheme(
         if value in distinct:
             raise ValidationError(f"grid values must be distinct; {value} appears more than once")
         distinct.add(value)
+    return grid_values
+
+
+def sweep_scheme(
+    snapshots: Sequence[SubnetSnapshot],
+    scheme: str,
+    grid: Optional[Sequence[float]] = None,
+) -> SweepResult:
+    """Sweep one reward scheme over a parameter grid.
+
+    Expects one snapshot per netuid. The grid must hold distinct values,
+    the scheme's null parameter among them; deltas are taken against the
+    correlations computed at that grid point, so the baseline rows are
+    exactly zero. Roles with fewer than 2 wallets in a subnet are skipped.
+    """
+    grid_values = _check_grid(scheme, grid)
     seen: set[int] = set()
     for snap in snapshots:
         if snap.netuid in seen:
@@ -263,7 +266,7 @@ def sweep_scheme(
          for snap, columns in zip(ordered, role_columns)]
         for value in grid_values
     ]
-    baseline = by_value[grid_values.index(null_param)]
+    baseline = by_value[grid_values.index(NULL_PARAMS[scheme])]
 
     # One pass in (grid order, netuid, role) order. Each role's deltas,
     # in netuid order, feed its aggregate at the grid value.
@@ -285,7 +288,6 @@ def sweep_scheme(
             deltas_pr = [d_pr for _, d_pr in defined]
             aggregates.append(
                 SweepAggregate(
-                    scheme=scheme,
                     param=value,
                     role=role,
                     n_subnets=len(defined),
@@ -327,7 +329,7 @@ def _sorted_transform(
     """The transformed stakes, as `apply_stake_transform` gives them, and
     their ascending sort. A cap keeps the order of the stakes, so capping
     their sort gives the sort of the capped stakes, value for value."""
-    cap = _nearest_rank(ascending, spec.cap_percentile) if spec.kind == "cap" else None
+    cap = _nearest_rank(ascending, spec.param) if spec.kind == "cap" else None
     transformed = _transform(stakes, spec, cap)
     if cap is None:
         return transformed, np.sort(transformed)
@@ -431,12 +433,5 @@ def temporal_robustness(
                 b10, b50, b90 = _percentiles([_coalition_sorted(s, threshold) for s, _ in pairs])
                 stats = (p50, p10, p90, b50, b10, b90)
             rows.append(RobustnessWindow(start, len(pairs), *stats))
-        series.append(
-            RobustnessSeries(
-                freq=freq,
-                transform=spec.label,
-                threshold=float(threshold),
-                windows=tuple(rows),
-            )
-        )
+        series.append(RobustnessSeries(freq=freq, windows=tuple(rows)))
     return tuple(series)

@@ -222,7 +222,7 @@ def test_criterion_06_coalition_exhaustive_oracle():
 
 def test_criterion_07_cap_security_monotonic(corpus_a, corpus_b):
     """Security rises as the cap tightens; cap:88 beats baseline in every window."""
-    specs = tuple(TransformSpec(kind="cap", cap_percentile=float(p))
+    specs = tuple(TransformSpec("cap", p)
                   for p in (50, 60, 70, 80, 88, 90, 95, 99))
     points = {p.param: p.median_coalition_fraction
               for p in tradeoff_frontier(corpus_a, specs)}
@@ -230,7 +230,7 @@ def test_criterion_07_cap_security_monotonic(corpus_a, corpus_b):
     fractions = [points[p] for p in percentiles]
     monotone = all(b <= a + 1e-12 for a, b in zip(fractions, fractions[1:]))
 
-    series = temporal_robustness(corpus_b, TransformSpec(kind="cap", cap_percentile=88.0))
+    series = temporal_robustness(corpus_b, TransformSpec("cap", 88.0))
     windows_ok = True
     n_windows = 0
     for entry in series:

@@ -62,17 +62,25 @@ class TestExitCodes:
     def test_success_is_zero(self, tmp_path, fixture_path):
         assert run_cli("attack", "--input", fixture_path, "--out", str(tmp_path)) == 0
 
-    # The output directory, --grid, --cutoff and the attack threshold are
-    # checked before any input file is read.
+    # The output directory, --grid, --cutoff, the threshold and the
+    # transform are checked before any input file is read.
     @pytest.mark.parametrize("args, message", [
         (("sweep", "--scheme", "bonus", "--grid", "abc"),
          "invalid grid 'abc'; expected comma-separated numbers"),
+        (("sweep", "--scheme", "split", "--grid", "0,0.5,0"),
+         "grid values must be distinct; 0.0 appears more than once"),
         (("attack", "--cutoff", "garbage"), "invalid timestamp 'garbage'"),
         (("attack", "--threshold", "1.5"), "threshold must lie in (0, 1], got 1.5"),
-    ], ids=["grid", "cutoff", "threshold"])
+        (("frontier", "--transform", "cap"), "cap transform requires a param"),
+        (("frontier", "--threshold", "0"), "threshold must lie in (0, 1], got 0.0"),
+        (("robustness", "--threshold", "1.5"), "threshold must lie in (0, 1], got 1.5"),
+        (("robustness", "--param", "101"), "cap param must lie in (0, 100], got 101.0"),
+    ], ids=["grid", "grid-repeat", "cutoff", "threshold", "frontier-transform",
+            "frontier-threshold", "robustness-threshold", "robustness-param"])
     def test_bad_flag_is_named_before_inputs(self, tmp_path, capsys, args, message):
         assert run_cli(*args, "--input", "/no/such.jsonl", "--out", str(tmp_path)) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
 
     def test_output_directory_is_checked_before_the_grid(self, tmp_path, capsys):
         taken = tmp_path / "file"
@@ -363,6 +371,16 @@ class TestRobustness:
                        "--freq", "weekly") == 0
         freqs = {r[0] for r in read_csv(tmp_path / "robustness.csv")[1:]}
         assert freqs == {"weekly"}
+
+    def test_log_transform_ignores_the_default_param(self, tmp_path, fixture_path):
+        # --param keeps its default of 88, which the log transform does not take.
+        assert run_cli("robustness", "--input", fixture_path, "--out", str(tmp_path),
+                       "--transform", "log", "--freq", "monthly") == 0
+        with open(tmp_path / "robustness.json") as handle:
+            payload = json.load(handle)
+        assert payload["transform"] == "log"
+        assert [entry["freq"] for entry in payload["series"]] == ["monthly"]
+        assert len(read_csv(tmp_path / "robustness.csv")) == 1 + len(payload["series"][0]["windows"])
 
 
 class TestSynth:

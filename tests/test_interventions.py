@@ -1,9 +1,12 @@
 """Reward schemes and stake transforms."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from yumalab.interventions import (
+    BASE_VALIDATOR_SHARE,
     TransformSpec,
     apply_stake_transform,
     bonus_rewards,
@@ -18,34 +21,40 @@ from yumalab.model import ValidationError
 
 class TestTransformSpec:
     def test_cap_label(self):
-        spec = TransformSpec(kind="cap", cap_percentile=88.0)
+        spec = TransformSpec("cap", 88)
         assert spec.label == "cap:88"
-        assert spec.param == 88.0
+        assert spec.param == 88.0 and type(spec.param) is float
 
     def test_power_label(self):
-        spec = TransformSpec(kind="power", power_exponent=0.5)
+        spec = TransformSpec("power", 0.5)
         assert spec.label == "power:0.5"
 
     def test_log_has_no_param(self):
-        spec = TransformSpec(kind="log")
+        spec = TransformSpec("log")
         assert spec.label == "log"
         assert spec.param is None
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValidationError):
-            TransformSpec(kind="sqrt")
+    def test_fields_are_kind_and_param(self):
+        assert [field.name for field in fields(TransformSpec)] == ["kind", "param"]
 
-    def test_cap_requires_percentile(self):
-        with pytest.raises(ValidationError):
-            TransformSpec(kind="cap")
+    @pytest.mark.parametrize("kind, param, message", [
+        ("sqrt", None, "unknown transform kind 'sqrt'"),
+        ("cap", None, "cap transform requires a param"),
+        ("power", None, "power transform requires a param"),
+        ("cap", 0.0, "cap param must lie in (0, 100], got 0.0"),
+        ("cap", 100.5, "cap param must lie in (0, 100], got 100.5"),
+        ("power", 1.5, "power param must lie in (0, 1], got 1.5"),
+        ("power", -0.5, "power param must lie in (0, 1], got -0.5"),
+        ("log", 50.0, "log transform takes no param, got 50.0"),
+    ])
+    def test_rejected(self, kind, param, message):
+        with pytest.raises(ValidationError) as excinfo:
+            TransformSpec(kind, param)
+        assert str(excinfo.value) == message
 
-    def test_power_exponent_range(self):
-        with pytest.raises(ValidationError):
-            TransformSpec(kind="power", power_exponent=1.5)
-
-    def test_log_rejects_params(self):
-        with pytest.raises(ValidationError):
-            TransformSpec(kind="log", cap_percentile=50.0)
+    def test_range_ends(self):
+        assert TransformSpec("cap", 100).label == "cap:100"
+        assert TransformSpec("power", 1).label == "power:1"
 
 
 class TestPerfWeightedRewards:
@@ -73,12 +82,12 @@ class TestPerfWeightedRewards:
         rng = np.random.default_rng(31)
         rewards, perfs = rng.pareto(1.5, 200), rng.random(200)
         miners = rng.random(200) < 0.7
-        base, sensitivity = 0.3, 1.7
+        base, sensitivity = BASE_VALIDATOR_SHARE, 1.7
         expected = [
             reward * (((1.0 - base) if miner else base) + sensitivity * perf)
             for reward, perf, miner in zip(rewards.tolist(), perfs.tolist(), miners.tolist())
         ]
-        out = perf_weighted_rewards(rewards, perfs, miners, base, sensitivity)
+        out = perf_weighted_rewards(rewards, perfs, miners, sensitivity)
         assert out.tolist() == expected
 
 
@@ -137,16 +146,16 @@ class TestStakeTransforms:
         assert nearest_rank_percentile(values, 100.0) == 100.0
 
     def test_cap_transform(self):
-        out = apply_stake_transform([1.0, 2.0, 3.0, 100.0], TransformSpec(kind="cap", cap_percentile=50.0))
+        out = apply_stake_transform([1.0, 2.0, 3.0, 100.0], TransformSpec("cap", 50.0))
         np.testing.assert_allclose(out, [1.0, 2.0, 2.0, 2.0])
 
     def test_cap_at_100_is_identity(self):
         stakes = np.array([5.0, 1.0, 9.0])
-        out = apply_stake_transform(stakes, TransformSpec(kind="cap", cap_percentile=100.0))
+        out = apply_stake_transform(stakes, TransformSpec("cap", 100.0))
         np.testing.assert_array_equal(out, stakes)
 
     def test_power_transform(self):
-        out = apply_stake_transform([4.0, 9.0], TransformSpec(kind="power", power_exponent=0.5))
+        out = apply_stake_transform([4.0, 9.0], TransformSpec("power", 0.5))
         np.testing.assert_allclose(out, [2.0, 3.0])
 
     def test_log_transform(self):
@@ -159,7 +168,7 @@ class TestStakeTransforms:
             stakes = rng.pareto(1.3, size=200) + 0.5
             penalties = []
             for pct in (99.0, 90.0, 75.0, 50.0):
-                capped = apply_stake_transform(stakes, TransformSpec(kind="cap", cap_percentile=pct))
+                capped = apply_stake_transform(stakes, TransformSpec("cap", pct))
                 penalties.append(whale_penalty(stakes, capped))
             assert all(b >= a - 1e-12 for a, b in zip(penalties, penalties[1:]))
 
@@ -169,7 +178,7 @@ class TestStakeTransforms:
             stakes = rng.pareto(1.3, size=200) + 1.0
             penalties = []
             for exponent in (1.0, 0.8, 0.6, 0.5):
-                powered = apply_stake_transform(stakes, TransformSpec(kind="power", power_exponent=exponent))
+                powered = apply_stake_transform(stakes, TransformSpec("power", exponent))
                 penalties.append(whale_penalty(stakes, powered))
             assert all(b >= a - 1e-12 for a, b in zip(penalties, penalties[1:]))
 
@@ -202,7 +211,7 @@ class TestWhalePenalty:
 
     def test_power_below_one_raises_stakes_below_one(self):
         original = np.array([0.5, 0.25, 0.125])
-        powered = apply_stake_transform(original, TransformSpec(kind="power", power_exponent=0.9))
+        powered = apply_stake_transform(original, TransformSpec("power", 0.9))
         # The top wallet's 0.5 becomes 0.5 ** 0.9 > 0.5.
         assert whale_penalty(original, powered) == pytest.approx(1.0 - 0.5 ** 0.9 / 0.5, rel=1e-12)
         assert whale_penalty(original, powered) < 0.0

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from yumalab.ingest import Dataset, resample
-from yumalab.interventions import TransformSpec, apply_stake_transform, perf_weighted_rewards, whale_penalty
+from yumalab.interventions import (
+    BASE_VALIDATOR_SHARE,
+    TransformSpec,
+    apply_stake_transform,
+    perf_weighted_rewards,
+    whale_penalty,
+)
 from yumalab.metrics import coalition_fraction, pearson
 from yumalab.model import Role, SnapshotEvent, SubnetSnapshot, ValidationError
 from yumalab.sweep import (
@@ -156,10 +162,10 @@ class TestSweepScheme:
         assert str(excinfo.value) == f"grid values must be distinct; {value} appears more than once"
 
     def test_split_uses_a_quarter_base_validator_share(self):
+        assert BASE_VALIDATOR_SHARE == 0.25
         snap = seeded_snapshots(n_subnets=1)[0]
         for value in default_grid("split"):
-            expected = perf_weighted_rewards(snap.reward, snap.perf, snap.miner,
-                                             base_validator_share=0.25, sensitivity=value)
+            expected = perf_weighted_rewards(snap.reward, snap.perf, snap.miner, sensitivity=value)
             np.testing.assert_array_equal(_scheme_rewards(snap, "split", value), expected)
 
     def test_unknown_scheme(self):
@@ -204,8 +210,8 @@ class TestSweepScheme:
 class TestTradeoffFrontier:
     def test_identity_point_is_baseline(self):
         snaps = seeded_snapshots()
-        specs = (TransformSpec(kind="cap", cap_percentile=100.0),
-                 TransformSpec(kind="cap", cap_percentile=50.0))
+        specs = (TransformSpec("cap", 100.0),
+                 TransformSpec("cap", 50.0))
         points = tradeoff_frontier(snaps, specs)
         identity = next(p for p in points if p.label == "cap:100")
         assert identity.median_whale_penalty == 0.0
@@ -214,8 +220,8 @@ class TestTradeoffFrontier:
     def test_cap_lowers_whale_share_and_raises_fraction(self):
         snaps = seeded_snapshots(n_subnets=6, n_wallets=120)
         points = tradeoff_frontier(snaps, (
-            TransformSpec(kind="cap", cap_percentile=100.0),
-            TransformSpec(kind="cap", cap_percentile=60.0),
+            TransformSpec("cap", 100.0),
+            TransformSpec("cap", 60.0),
         ))
         by_label = {p.label: p for p in points}
         assert by_label["cap:60"].median_whale_penalty > 0.0
@@ -235,9 +241,9 @@ class TestTradeoffFrontier:
         ]
         snaps = [snapshot(0, rows)]
         specs = (
-            TransformSpec(kind="cap", cap_percentile=100.0),
-            TransformSpec(kind="cap", cap_percentile=90.0),
-            TransformSpec(kind="cap", cap_percentile=50.0),
+            TransformSpec("cap", 100.0),
+            TransformSpec("cap", 90.0),
+            TransformSpec("cap", 50.0),
         )
         points = tradeoff_frontier(snaps, specs)
         by_label = {p.label: p for p in points}
@@ -307,7 +313,7 @@ def temporal_dataset(days=10, n_subnets=3, n_wallets=30, seed=11):
 class TestTemporalRobustness:
     def test_window_counts(self):
         ds = temporal_dataset(days=15)
-        series = temporal_robustness(ds, TransformSpec(kind="cap", cap_percentile=88.0),
+        series = temporal_robustness(ds, TransformSpec("cap", 88.0),
                                      freqs=("daily", "weekly"))
         by_freq = {s.freq: s for s in series}
         assert len(by_freq["daily"].windows) == 15
@@ -315,7 +321,7 @@ class TestTemporalRobustness:
 
     def test_identity_transform_matches_baseline(self):
         ds = temporal_dataset()
-        series = temporal_robustness(ds, TransformSpec(kind="cap", cap_percentile=100.0),
+        series = temporal_robustness(ds, TransformSpec("cap", 100.0),
                                      freqs=("daily",))
         for window in series[0].windows:
             assert window.median == window.baseline_median
@@ -324,7 +330,7 @@ class TestTemporalRobustness:
 
     def test_percentiles_ordered(self):
         ds = temporal_dataset()
-        series = temporal_robustness(ds, TransformSpec(kind="cap", cap_percentile=80.0),
+        series = temporal_robustness(ds, TransformSpec("cap", 80.0),
                                      freqs=("daily", "weekly"))
         for entry in series:
             for window in entry.windows:
@@ -356,10 +362,10 @@ class TestTemporalRobustness:
 VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 3.0]), st.floats(0.0, 1e30))
 PERF = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
 SPEC = st.one_of(
-    st.builds(lambda p: TransformSpec(kind="cap", cap_percentile=p),
+    st.builds(lambda p: TransformSpec("cap", p),
               st.one_of(st.sampled_from([100.0, 88.0, 50.0, 1.0]),
                         st.floats(0.0, 100.0, exclude_min=True))),
-    st.builds(lambda a: TransformSpec(kind="power", power_exponent=a),
+    st.builds(lambda a: TransformSpec("power", a),
               st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.0, 1.0, exclude_min=True))),
     st.just(TransformSpec(kind="log")),
 )
@@ -409,14 +415,14 @@ def oracle_pairs(snapshots, spec):
 SUBNORMAL_WHALE = [snapshot(0, [("w000", Role.VALIDATOR, 5e-324, 0.0, 0.0)])]
 SUBNORMAL_AND_EMPTY = [snapshot(0, [("w000", Role.VALIDATOR, 0.0, 0.0, 0.0),
                                     ("w001", Role.VALIDATOR, 5e-324, 0.0, 0.0)])]
-ROOT_32 = TransformSpec(kind="power", power_exponent=0.03125)
+ROOT_32 = TransformSpec("power", 0.03125)
 
 
 class TestKernelsMatchPublicFunctions:
     @ORACLE_SETTINGS
     @given(snaps=drawn_snapshots(), specs=SPECS, threshold=THRESHOLD)
     @example(snaps=SUBNORMAL_WHALE, specs=(ROOT_32,), threshold=0.51)
-    @example(snaps=SUBNORMAL_AND_EMPTY, specs=(ROOT_32, TransformSpec(kind="cap", cap_percentile=1.0)),
+    @example(snaps=SUBNORMAL_AND_EMPTY, specs=(ROOT_32, TransformSpec("cap", 1.0)),
              threshold=0.51)
     def test_tradeoff_frontier(self, snaps, specs, threshold):
         expected = {}
