@@ -1,8 +1,11 @@
-"""Small shared helpers: timestamp parsing, formatting and epoch microseconds."""
+"""Small shared helpers: timestamp parsing, formatting, epoch microseconds
+and the `NAME[:ARGS]` splitter of law and transform specs."""
 
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
+
+from yumalab.model import ValidationError
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
@@ -43,3 +46,16 @@ def to_epoch_us(dt: datetime) -> int:
 def from_epoch_us(us: int) -> datetime:
     """The aware UTC datetime `us` microseconds after the Unix epoch."""
     return EPOCH + timedelta(microseconds=int(us))
+
+
+def name_args(text: str, what: str) -> tuple[str, list[float]]:
+    """Split a `NAME[:ARG,...]` spec into its lower-cased name and its args
+    as floats; `what` names the spec in the error for a non-numeric arg."""
+    name, _, arg_text = text.partition(":")
+    args: list[float] = []
+    if arg_text:
+        try:
+            args = [float(a) for a in arg_text.split(",")]
+        except ValueError:
+            raise ValidationError(f"invalid {what} parameters in {text!r}") from None
+    return name.strip().lower(), args

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -29,54 +30,11 @@ from yumalab.model import BondState, EmissionParams, Role, ValidationError, Weig
 # `tempo` loads consensus alone, and `--help` no analysis module at all.
 if TYPE_CHECKING:
     from yumalab.ingest import Dataset
-    from yumalab.interventions import TransformSpec
 
 DEFAULT_CUTOFF_TEXT = "2025-02-13T00:00:00Z"
 
-# The columns of each report table, in file order. Each names an attribute
-# of the object a row or JSON object is read from.
-CONCENTRATION_COLUMNS = (
-    "netuid",
-    "role_filter",
-    "n_wallets",
-    "gini_stake",
-    "gini_reward",
-    "hhi_stake",
-    "hhi_reward",
-    "top1_stake_share",
-    "top1_reward_share",
-)
-CORRELATION_COLUMNS = ("netuid", "role", "n_wallets", "r_sr", "r_sp", "r_pr")
-SWEEP_COLUMNS = ("scheme", "param", "netuid", "role", "r_sr", "r_pr", "d_r_sr", "d_r_pr")
-SWEEP_AGGREGATE_COLUMNS = (
-    "param",
-    "role",
-    "n_subnets",
-    "excluded",
-    "mean_d_r_sr",
-    "median_d_r_sr",
-    "mean_d_r_pr",
-    "median_d_r_pr",
-)
-FRONTIER_COLUMNS = (
-    "label",
-    "kind",
-    "param",
-    "n_subnets",
-    "median_coalition_fraction",
-    "median_whale_penalty",
-    "pareto",
-)
-WINDOW_COLUMNS = (
-    "window_start",
-    "n_subnets",
-    "median",
-    "p10",
-    "p90",
-    "baseline_median",
-    "baseline_p10",
-    "baseline_p90",
-)
+# The outcome mappings that emission.json holds, in file order. The other
+# reports' columns are the fields of their result types (see _columns).
 EMISSION_COLUMNS = (
     "block_emission",
     "owner_amount",
@@ -123,6 +81,11 @@ def _round9(value):
     if isinstance(value, (list, tuple)):
         return [_round9(item) for item in value]
     return value
+
+
+def _columns(result_type) -> tuple[str, ...]:
+    """The columns of a report on `result_type`: its fields, in order."""
+    return tuple(field.name for field in dataclasses.fields(result_type))
 
 
 def _row(item, columns: Sequence[str]) -> tuple:
@@ -262,7 +225,13 @@ def _summary_rows(variant: str, reports) -> list[tuple]:
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
     from yumalab.ingest import history_snapshots, resample
-    from yumalab.metrics import ROLE_FILTERS, concentration_report, correlation_profile
+    from yumalab.metrics import (
+        ROLE_FILTERS,
+        ConcentrationReport,
+        CorrelationProfile,
+        concentration_report,
+        correlation_profile,
+    )
 
     out_dir = _out_dir(args)
     dataset = _load_dataset(args)
@@ -273,7 +242,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         for snap in history
         for role_filter in ROLE_FILTERS
     ]
-    _write_table(os.path.join(out_dir, "concentration.csv"), CONCENTRATION_COLUMNS, history_reports)
+    columns = _columns(ConcentrationReport)
+    _write_table(os.path.join(out_dir, "concentration.csv"), columns, history_reports)
 
     # Per-window reports averaged per (netuid, role_filter) at the chosen
     # frequency; windows where a metric is undefined are skipped.
@@ -283,7 +253,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             window_reports.setdefault((snap.netuid, role_filter), []).append(
                 concentration_report(snap, role_filter)
             )
-    metric_columns = CONCENTRATION_COLUMNS[3:]
+    metric_columns = columns[3:]
     mean_rows = []
     for key in sorted(window_reports):
         group = window_reports[key]
@@ -313,7 +283,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         for role in (Role.MINER, Role.VALIDATOR)
         if snap.count(role) >= 2
     ]
-    _write_table(os.path.join(out_dir, "correlations.csv"), CORRELATION_COLUMNS, profiles)
+    _write_table(os.path.join(out_dir, "correlations.csv"), _columns(CorrelationProfile), profiles)
     return 0
 
 
@@ -408,7 +378,7 @@ def _cmd_tempo(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from yumalab.ingest import history_snapshots
-    from yumalab.sweep import _check_grid, sweep_scheme
+    from yumalab.sweep import SweepAggregate, SweepPoint, _check_grid, sweep_scheme
 
     out_dir = _out_dir(args)
     grid = None
@@ -420,42 +390,38 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = _check_grid(args.scheme, grid)
     dataset = _load_dataset(args)
     result = sweep_scheme(history_snapshots(dataset), args.scheme, grid=grid)
-    _write_table(os.path.join(out_dir, "sweep.csv"), SWEEP_COLUMNS, result.per_point)
+    _write_table(os.path.join(out_dir, "sweep.csv"), _columns(SweepPoint), result.per_point)
+    aggregate_columns = _columns(SweepAggregate)
     summary = {
         "scheme": result.scheme,
         "grid": list(result.grid),
-        "aggregates": [_object(agg, SWEEP_AGGREGATE_COLUMNS) for agg in result.aggregates],
+        "aggregates": [_object(agg, aggregate_columns) for agg in result.aggregates],
     }
     _write_json(os.path.join(out_dir, "sweep_summary.json"), summary)
     return 0
-
-
-def _transform_from_args(args: argparse.Namespace) -> TransformSpec:
-    from yumalab.interventions import TransformSpec
-
-    return TransformSpec(args.transform, None if args.transform == "log" else args.param)
 
 
 def _cmd_frontier(args: argparse.Namespace) -> int:
     from yumalab.ingest import history_snapshots
     from yumalab.interventions import TransformSpec
     from yumalab.metrics import _check_threshold
-    from yumalab.sweep import default_frontier_specs, tradeoff_frontier
+    from yumalab.sweep import FrontierPoint, default_frontier_specs, tradeoff_frontier
 
     out_dir = _out_dir(args)
     if args.transform is None:
         specs = default_frontier_specs()
     else:
-        chosen = _transform_from_args(args)
+        chosen = TransformSpec.parse(args.transform)
         identity = TransformSpec("cap", 100.0)
         specs = (identity, chosen) if chosen != identity else (identity,)
     _check_threshold(args.threshold)
     dataset = _load_dataset(args)
     points = tradeoff_frontier(history_snapshots(dataset), specs, threshold=args.threshold)
-    _write_table(os.path.join(out_dir, "frontier.csv"), FRONTIER_COLUMNS, points)
+    columns = _columns(FrontierPoint)
+    _write_table(os.path.join(out_dir, "frontier.csv"), columns, points)
     payload = {
         "threshold": args.threshold,
-        "points": [_object(point, FRONTIER_COLUMNS) for point in points],
+        "points": [_object(point, columns) for point in points],
     }
     _write_json(os.path.join(out_dir, "frontier.json"), payload)
     return 0
@@ -463,25 +429,27 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
     from yumalab.ingest import FREQUENCIES
+    from yumalab.interventions import TransformSpec
     from yumalab.metrics import _check_threshold
-    from yumalab.sweep import temporal_robustness
+    from yumalab.sweep import RobustnessWindow, temporal_robustness
 
     out_dir = _out_dir(args)
-    spec = _transform_from_args(args)
+    spec = TransformSpec.parse(args.transform)
     _check_threshold(args.threshold)
     dataset = _load_dataset(args)
     freqs = (args.freq,) if args.freq else FREQUENCIES
     series = temporal_robustness(dataset, spec, freqs=freqs, threshold=args.threshold)
+    columns = _columns(RobustnessWindow)
     _write_csv(
         os.path.join(out_dir, "robustness.csv"),
-        ("freq",) + WINDOW_COLUMNS,
-        ((entry.freq,) + _row(window, WINDOW_COLUMNS) for entry in series for window in entry.windows),
+        ("freq",) + columns,
+        ((entry.freq,) + _row(window, columns) for entry in series for window in entry.windows),
     )
     payload = {
         "transform": spec.label,
         "threshold": args.threshold,
         "series": [
-            {"freq": entry.freq, "windows": [_object(window, WINDOW_COLUMNS) for window in entry.windows]}
+            {"freq": entry.freq, "windows": [_object(window, columns) for window in entry.windows]}
             for entry in series
         ],
     }
@@ -592,16 +560,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     _add_cutoff_flag(p)
     _add_threshold_flag(p)
-    p.add_argument("--transform", choices=("cap", "power", "log"), help="score a single transform instead of the default ladder")
-    p.add_argument("--param", type=float, help="transform parameter (cap percentile or power exponent)")
+    p.add_argument("--transform", metavar="KIND[:PARAM]", help="score one transform (cap:88, power:0.5 or log) instead of the default ladder")
     p.set_defaults(handler=_cmd_frontier)
 
     p = sub.add_parser("robustness", help="coalition-fraction time series under a transform")
     _add_io_flags(p)
     _add_cutoff_flag(p)
     _add_threshold_flag(p)
-    p.add_argument("--transform", choices=("cap", "power", "log"), default="cap")
-    p.add_argument("--param", type=float, default=88.0, help="transform parameter (default: 88th-percentile cap)")
+    p.add_argument("--transform", metavar="KIND[:PARAM]", default="cap:88", help="transform (default: cap:88, the 88th-percentile cap)")
     p.add_argument("--freq", choices=("daily", "weekly", "monthly"), help="restrict to one frequency (default: all three)")
     p.set_defaults(handler=_cmd_robustness)
 

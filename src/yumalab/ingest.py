@@ -778,11 +778,14 @@ def _aggregate(
     perf = np.where(miner, dataset.trust[last], dataset.validator_trust[last])
     perf[np.isnan(perf)] = 0.0
     rewards = dataset.reward[order].tolist()
-    spans = list(zip(starts.tolist(), ends.tolist()))
     try:
-        reward = np.array([math.fsum(rewards[start:end]) for start, end in spans], dtype=np.float64)
+        reward = np.array(
+            [math.fsum(rewards[start:end]) for start, end in zip(starts.tolist(), ends.tolist())],
+            dtype=np.float64,
+        )
     except OverflowError:
-        start = next(start for start, end in spans if _overflows(rewards[start:end]))
+        start = next(start for start, end in zip(starts.tolist(), ends.tolist())
+                     if _overflows(rewards[start:end]))
         row = int(order[start])
         raise ValidationError(
             f"rewards of wallet {dataset.wallet_names[dataset.wallet[row]]!r} in netuid "

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from yumalab._util import name_args
 from yumalab.model import ValidationError, _require_unit
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
 
 # The (low, high] range of each transform kind's param; None: no param.
 _PARAM_RANGES = {"cap": (0.0, 100.0), "power": (0.0, 1.0), "log": None}
-TRANSFORM_KINDS = tuple(_PARAM_RANGES)
 
 # The validator share of the performance-weighted split (see
 # perf_weighted_rewards); a miner's is 1 minus it.
@@ -68,9 +68,22 @@ class TransformSpec:
             low, high = bounds
             raise ValidationError(f"{self.kind} param must lie in ({low:g}, {high:g}], got {self.param}")
 
+    @classmethod
+    def parse(cls, text: str) -> TransformSpec:
+        """The spec written `KIND[:PARAM]`, as `label` writes it."""
+        kind, args = name_args(text, "transform")
+        if len(args) > 1:
+            raise ValidationError(f"a transform takes at most one param, got {text!r}")
+        return cls(kind, *args)
+
     @property
     def label(self) -> str:
-        return self.kind if self.param is None else f"{self.kind}:{self.param:g}"
+        """`KIND[:PARAM]`, with the param in `:g` form where that reads back
+        as the same float, and in its shortest round-trip form otherwise."""
+        if self.param is None:
+            return self.kind
+        text = f"{self.param:g}"
+        return f"{self.kind}:{text if float(text) == self.param else repr(self.param)}"
 
 
 def _as_vector(values, name: str) -> np.ndarray:

@@ -125,9 +125,9 @@ class FrontierPoint:
     label: str
     kind: str
     param: Optional[float]
+    n_subnets: int
     median_coalition_fraction: float
     median_whale_penalty: float
-    n_subnets: int
     pareto: bool = False
 
     def __post_init__(self) -> None:
@@ -227,6 +227,8 @@ def _check_grid(scheme: str, grid: Optional[Sequence[float]]) -> tuple[float, ..
         )
     distinct: set[float] = set()
     for value in grid_values:
+        if not math.isfinite(value):
+            raise ValidationError(f"grid values must be finite, got {value}")
         if scheme == "composite" and not 0.0 <= value <= 1.0:
             raise ValidationError(f"composite grid values must lie in [0, 1], got {value}")
         if scheme in ("split", "bonus") and value < 0.0:

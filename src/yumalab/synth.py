@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from yumalab._util import parse_timestamp, to_epoch_us
+from yumalab._util import name_args, parse_timestamp, to_epoch_us
 from yumalab.ingest import _DAY_US, Dataset, _sorted_dataset
 from yumalab.model import EmissionParams, ValidationError, WeightMatrix, _freeze
 
@@ -84,20 +84,8 @@ class SynthConfig:
                                   "ends after year 9999") from None
 
 
-def _law_args(law: str, expected: str) -> tuple[str, list[float]]:
-    name, _, arg_text = law.partition(":")
-    name = name.strip().lower()
-    args: list[float] = []
-    if arg_text:
-        try:
-            args = [float(a) for a in arg_text.split(",")]
-        except ValueError:
-            raise ValidationError(f"invalid {expected} law parameters in {law!r}") from None
-    return name, args
-
-
 def _stake_sampler(law: str) -> Callable[[np.random.Generator, int], np.ndarray]:
-    name, args = _law_args(law, "stake")
+    name, args = name_args(law, "stake law")
     if name == "pareto":
         if len(args) != 1 or args[0] <= 0.0:
             raise ValidationError(f"pareto law needs one positive shape parameter, got {law!r}")
@@ -116,7 +104,7 @@ def _stake_sampler(law: str) -> Callable[[np.random.Generator, int], np.ndarray]
 
 
 def _perf_sampler(law: str) -> Callable[[np.random.Generator, int], np.ndarray]:
-    name, args = _law_args(law, "perf")
+    name, args = name_args(law, "perf law")
     if name == "beta":
         if len(args) != 2 or args[0] <= 0.0 or args[1] <= 0.0:
             raise ValidationError(f"beta law needs two positive parameters, got {law!r}")

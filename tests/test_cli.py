@@ -4,13 +4,15 @@ import argparse
 import csv
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from yumalab import ingest, interventions, model, sweep, synth
+from yumalab import ingest, model, sweep, synth
 from yumalab._util import parse_timestamp
 from yumalab.cli import DEFAULT_CUTOFF_TEXT, build_parser, run
 from yumalab.ingest import history_snapshots, load_events
@@ -69,17 +71,29 @@ class TestExitCodes:
          "invalid grid 'abc'; expected comma-separated numbers"),
         (("sweep", "--scheme", "split", "--grid", "0,0.5,0"),
          "grid values must be distinct; 0.0 appears more than once"),
+        (("sweep", "--scheme", "split", "--grid", "0,nan"), "grid values must be finite, got nan"),
+        (("sweep", "--scheme", "split", "--grid", "0,nan,nan"), "grid values must be finite, got nan"),
+        (("sweep", "--scheme", "bonus", "--grid", "0,inf"), "grid values must be finite, got inf"),
         (("attack", "--cutoff", "garbage"), "invalid timestamp 'garbage'"),
         (("attack", "--threshold", "1.5"), "threshold must lie in (0, 1], got 1.5"),
         (("frontier", "--transform", "cap"), "cap transform requires a param"),
+        (("frontier", "--transform", "foo"), "unknown transform kind 'foo'"),
         (("frontier", "--threshold", "0"), "threshold must lie in (0, 1], got 0.0"),
         (("robustness", "--threshold", "1.5"), "threshold must lie in (0, 1], got 1.5"),
-        (("robustness", "--param", "101"), "cap param must lie in (0, 100], got 101.0"),
-    ], ids=["grid", "grid-repeat", "cutoff", "threshold", "frontier-transform",
-            "frontier-threshold", "robustness-threshold", "robustness-param"])
+        (("robustness", "--transform", "cap:101"), "cap param must lie in (0, 100], got 101.0"),
+        (("robustness", "--transform", "log:5"), "log transform takes no param, got 5.0"),
+    ], ids=["grid", "grid-repeat", "grid-nan", "grid-nan-repeat", "grid-inf", "cutoff",
+            "threshold", "frontier-transform", "frontier-kind", "frontier-threshold",
+            "robustness-threshold", "robustness-param", "robustness-log-param"])
     def test_bad_flag_is_named_before_inputs(self, tmp_path, capsys, args, message):
         assert run_cli(*args, "--input", "/no/such.jsonl", "--out", str(tmp_path)) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["frontier", "robustness"])
+    def test_param_flag_is_gone(self, tmp_path, capsys, command):
+        assert run_cli(command, "--param", "50", "--input", "/no/such.jsonl", "--out", str(tmp_path)) == 2
+        assert "unrecognized arguments: --param 50" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     def test_output_directory_is_checked_before_the_grid(self, tmp_path, capsys):
@@ -334,7 +348,7 @@ class TestFrontier:
 
     def test_single_transform(self, tmp_path, fixture_path):
         assert run_cli("frontier", "--input", fixture_path, "--out", str(tmp_path),
-                       "--transform", "power", "--param", "0.5") == 0
+                       "--transform", "power:0.5") == 0
         labels = [r[0] for r in read_csv(tmp_path / "frontier.csv")[1:]]
         assert labels in (["cap:100", "power:0.5"], ["power:0.5", "cap:100"])
 
@@ -351,7 +365,7 @@ class TestFrontier:
             for wallet, stake in (("w1", 0.5), ("w2", 0.25), ("w3", 0.125))
         ))
         assert run_cli("frontier", "--input", str(path), "--out", str(tmp_path),
-                       "--transform", "power", "--param", "0.9") == 0
+                       "--transform", "power:0.9") == 0
         penalties = {r[0]: r[5] for r in read_csv(tmp_path / "frontier.csv")[1:]}
         assert penalties["power:0.9"] == "-0.0717734625"
 
@@ -372,8 +386,7 @@ class TestRobustness:
         freqs = {r[0] for r in read_csv(tmp_path / "robustness.csv")[1:]}
         assert freqs == {"weekly"}
 
-    def test_log_transform_ignores_the_default_param(self, tmp_path, fixture_path):
-        # --param keeps its default of 88, which the log transform does not take.
+    def test_log_transform(self, tmp_path, fixture_path):
         assert run_cli("robustness", "--input", fixture_path, "--out", str(tmp_path),
                        "--transform", "log", "--freq", "monthly") == 0
         with open(tmp_path / "robustness.json") as handle:
@@ -743,8 +756,6 @@ class TestModulesLoaded:
             ("metrics", "freq"): ingest.FREQUENCIES,
             ("robustness", "freq"): ingest.FREQUENCIES,
             ("sweep", "scheme"): sweep.SCHEMES,
-            ("frontier", "transform"): interventions.TRANSFORM_KINDS,
-            ("robustness", "transform"): interventions.TRANSFORM_KINDS,
             ("synth", "reward_rule"): synth.REWARD_RULES,
         }
 
@@ -800,3 +811,28 @@ class TestWalletRelabelling:
             assert run_cli(*args, "--input", str(path), "--out", str(tmp_path / name)) == 0
             outputs.append(output_files(tmp_path / name))
         assert outputs[0] == outputs[1]
+
+
+README = os.path.join(os.path.dirname(SRC_DIR), "README.md")
+
+
+def readme_commands() -> list[str]:
+    """Each `yumalab ...` line of README's sh blocks, continuations joined."""
+    with open(README, encoding="utf-8") as handle:
+        blocks = re.findall(r"^```sh\n(.*?)^```", handle.read(), flags=re.M | re.S)
+    return [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("yumalab ")]
+
+
+class TestReadme:
+    def test_commands_are_found(self):
+        commands = readme_commands()
+        assert len(commands) >= 10
+        assert any("--reward-rule yuma_replay" in command for command in commands)
+
+    @pytest.mark.parametrize("command", readme_commands())
+    def test_command_parses(self, command):
+        try:
+            build_parser().parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit as exc:
+            pytest.fail(f"exit {exc.code}: {command}")

@@ -58,12 +58,12 @@ INVOCATIONS = {
     "sweep_bonus_grid": ["sweep", "--input", FIXTURE, "--scheme", "bonus", "--grid", "0,0.05,0.1"],
     "sweep_split": ["sweep", "--input", FIXTURE, "--scheme", "split"],
     "frontier": ["frontier", "--input", FIXTURE],
-    "frontier_cap": ["frontier", "--input", FIXTURE, "--transform", "cap", "--param", "88"],
+    "frontier_cap": ["frontier", "--input", FIXTURE, "--transform", "cap:88"],
     "frontier_log": ["frontier", "--input", FIXTURE, "--transform", "log"],
-    "frontier_power": ["frontier", "--input", FIXTURE, "--transform", "power", "--param", "0.5"],
+    "frontier_power": ["frontier", "--input", FIXTURE, "--transform", "power:0.5"],
     "robustness": ["robustness", "--input", FIXTURE],
     "robustness_weekly_power": ["robustness", "--input", FIXTURE, "--freq", "weekly",
-                                "--transform", "power", "--param", "0.5"],
+                                "--transform", "power:0.5"],
     "metrics_wide": ["metrics", "--input", WIDE],
     "attack_wide": ["attack", "--input", WIDE],
     "frontier_wide": ["frontier", "--input", WIDE],

@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from yumalab.interventions import (
     BASE_VALIDATOR_SHARE,
@@ -55,6 +57,42 @@ class TestTransformSpec:
     def test_range_ends(self):
         assert TransformSpec("cap", 100).label == "cap:100"
         assert TransformSpec("power", 1).label == "power:1"
+
+    @pytest.mark.parametrize("text, spec", [
+        ("cap:88", TransformSpec("cap", 88.0)),
+        ("power:0.5", TransformSpec("power", 0.5)),
+        ("log", TransformSpec("log")),
+        ("CAP:88", TransformSpec("cap", 88.0)),
+        ("cap:1e2", TransformSpec("cap", 100.0)),
+    ])
+    def test_parse(self, text, spec):
+        assert TransformSpec.parse(text) == spec
+
+    @pytest.mark.parametrize("text, message", [
+        ("cap:", "cap transform requires a param"),
+        ("cap:abc", "invalid transform parameters in 'cap:abc'"),
+        ("cap:nan", "cap param must lie in (0, 100], got nan"),
+        ("power:inf", "power param must lie in (0, 1], got inf"),
+        ("power:0.5,0.6", "a transform takes at most one param, got 'power:0.5,0.6'"),
+    ])
+    def test_parse_rejected(self, text, message):
+        with pytest.raises(ValidationError) as excinfo:
+            TransformSpec.parse(text)
+        assert str(excinfo.value) == message
+
+    def test_label_keeps_every_digit(self):
+        # :g keeps six digits, which would give these two caps one label.
+        assert TransformSpec("cap", 88.1234567).label == "cap:88.1234567"
+        assert TransformSpec("cap", 88.1234568).label == "cap:88.1234568"
+        assert TransformSpec("power", 0.123456789).label == "power:0.123456789"
+
+    @given(st.one_of(
+        st.builds(TransformSpec, st.just("cap"), st.floats(0.0, 100.0, exclude_min=True)),
+        st.builds(TransformSpec, st.just("power"), st.floats(0.0, 1.0, exclude_min=True)),
+        st.just(TransformSpec("log")),
+    ))
+    def test_parse_reads_back_the_label(self, spec):
+        assert TransformSpec.parse(spec.label) == spec
 
 
 class TestPerfWeightedRewards:
