@@ -1,5 +1,6 @@
-"""Small shared helpers: timestamp parsing, formatting, epoch microseconds
-and the `NAME[:ARGS]` splitter of law and transform specs."""
+"""Small shared helpers: timestamp parsing, formatting, epoch microseconds,
+the ASCII number rule and the `NAME[:ARGS]` splitter of law and transform
+specs."""
 
 from __future__ import annotations
 
@@ -48,6 +49,26 @@ def from_epoch_us(us: int) -> datetime:
     return EPOCH + timedelta(microseconds=int(us))
 
 
+def is_ascii_decimal(text: str) -> bool:
+    """Whether `text` may hold numbers: ASCII with no `_`. int() and float()
+    also read PEP 515 underscores (`1_0`) and the digits of other scripts
+    (`\\u0663`); a CSV cell or a CLI number may hold neither."""
+    return text.isascii() and "_" not in text
+
+
+def number(text: str, kind: type = float):
+    """`kind(text)`, for `kind` float or int, of text that is_ascii_decimal
+    admits; ValueError otherwise. argparse names it in a usage error."""
+    if not is_ascii_decimal(text):
+        raise ValueError(f"{text!r} is not ASCII decimal")
+    return kind(text)
+
+
+def integer(text: str) -> int:
+    """number(text, int), under its own name for argparse."""
+    return number(text, int)
+
+
 def name_args(text: str, what: str) -> tuple[str, list[float]]:
     """Split a `NAME[:ARG,...]` spec into its lower-cased name and its args
     as floats; `what` names the spec in the error for a non-numeric arg."""
@@ -55,7 +76,7 @@ def name_args(text: str, what: str) -> tuple[str, list[float]]:
     args: list[float] = []
     if arg_text:
         try:
-            args = [float(a) for a in arg_text.split(",")]
+            args = [number(a) for a in arg_text.split(",")]
         except ValueError:
             raise ValidationError(f"invalid {what} parameters in {text!r}") from None
     return name.strip().lower(), args

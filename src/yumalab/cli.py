@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from yumalab._util import format_timestamp, from_epoch_us, parse_timestamp
+from yumalab._util import format_timestamp, from_epoch_us, integer, number, parse_timestamp
 from yumalab.model import BondState, EmissionParams, Role, ValidationError, WeightMatrix, _freeze
 
 # Each handler imports the modules it runs, so a run loads only those:
@@ -68,21 +68,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _round9(value):
-    """JSON payload value: floats reduced to 9 significant digits."""
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            return value
-        return float(format(value, ".9g"))
-    if isinstance(value, dict):
-        return {key: _round9(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round9(item) for item in value]
-    return value
-
-
 def _columns(result_type) -> tuple[str, ...]:
     """The columns of a report on `result_type`: its fields, in order."""
     return tuple(field.name for field in dataclasses.fields(result_type))
@@ -121,10 +106,54 @@ def _write_table(path: str, columns: Sequence[str], items) -> None:
     _write_csv(path, columns, (_row(item, columns) for item in items))
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _float_text(value: float) -> str:
+    """JSON float: the repr of its 9-significant-digit value, or NaN,
+    Infinity or -Infinity as json writes them."""
+    text = format(value, ".9g")
+    if "." in text and "e" not in text:
+        # At most 9 digits in [1e-4, 1e9): the repr of float(text).
+        return text
+    if math.isfinite(value):
+        return repr(float(text))
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """`value` as json.dump(..., indent=2) writes it, floats as _float_text
+    writes them; `indent` starts each of its lines. Dict keys must be str."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, (list, tuple)):
+        brackets, items = "[]", value
+    elif isinstance(value, dict):
+        brackets, items = "{}", value.values()
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not value:
+        return brackets
+    inner = indent + "  "
+    if set(map(type, items)) == {float}:
+        texts = map(_float_text, items)
+    else:
+        texts = [_json_text(item, inner) for item in items]
+    if brackets == "{}":
+        texts = map("{}: {}".format, map(_quote, value), texts)
+    return brackets[0] + inner + ("," + inner).join(texts) + indent + brackets[1]
+
+
 def _write_json(path: str, payload) -> None:
+    text = _json_text(payload)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_round9(payload), handle, indent=2)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def _out_dir(args: argparse.Namespace) -> str:
@@ -384,7 +413,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = None
     if args.grid:
         try:
-            grid = tuple(float(part) for part in args.grid.split(","))
+            grid = tuple(map(number, args.grid.split(",")))
         except ValueError:
             raise ValidationError(f"invalid grid {args.grid!r}; expected comma-separated numbers") from None
     grid = _check_grid(args.scheme, grid)
@@ -514,7 +543,7 @@ def _add_cutoff_flag(parser: argparse.ArgumentParser) -> None:
 def _add_threshold_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threshold",
-        type=float,
+        type=number,
         default=0.51,
         help="coalition control threshold (default 0.51)",
     )
@@ -573,15 +602,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic event dataset")
     _add_io_flags(p, with_input=False)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--subnets", type=int, default=4)
-    p.add_argument("--wallets", type=int, default=50)
-    p.add_argument("--validator-fraction", type=float, default=0.2, dest="validator_fraction")
+    p.add_argument("--seed", type=integer, default=0)
+    p.add_argument("--subnets", type=integer, default=4)
+    p.add_argument("--wallets", type=integer, default=50)
+    p.add_argument("--validator-fraction", type=number, default=0.2, dest="validator_fraction")
     p.add_argument("--stake-law", default="pareto:1.2", dest="stake_law")
     p.add_argument("--perf-law", default="beta:2,5", dest="perf_law")
-    p.add_argument("--coupling", type=float, default=0.0, help="stake-perf rank coupling in [-1, 1]")
+    p.add_argument("--coupling", type=number, default=0.0, help="stake-perf rank coupling in [-1, 1]")
     p.add_argument("--reward-rule", choices=("stake_proportional", "yuma_replay"), default="stake_proportional", dest="reward_rule")
-    p.add_argument("--days", type=int, default=90, help="span in days (daily events)")
+    p.add_argument("--days", type=integer, default=90, help="span in days (daily events)")
     p.add_argument("--start", default="2024-01-01T00:00:00Z", help="first event timestamp")
     p.set_defaults(handler=_cmd_synth)
 

@@ -22,7 +22,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Se
 
 import numpy as np
 
-from yumalab._util import EPOCH, format_timestamp, from_epoch_us, parse_timestamp, to_epoch_us
+from yumalab._util import EPOCH, format_timestamp, from_epoch_us, is_ascii_decimal, parse_timestamp, to_epoch_us
 from yumalab.model import (
     _ROLES,
     Role,
@@ -353,17 +353,22 @@ def _read_jsonl(text: Iterable[str], table: "_Table") -> None:
     add_ts, add_block, add_netuid, add_wallet, add_role, add_stake, add_reward, add_trust, add_vtrust, add_line = (
         column.append for column in table.cells.values()
     )
-    lines, loads = table.cells["line"], json.loads
+    lines = table.cells["line"]
+    # The scanner that json.loads runs, without its two whitespace passes.
+    scan = json.decoder.JSONDecoder().scan_once
     for number, line in enumerate(text, start=1):
         if line.isspace():
             continue
         try:
-            record = loads(line)
-        except (ValueError, RecursionError):
-            # Padding such as a form feed, which JSON rejects and strip()
-            # removes, or a malformed line.
+            record, end = scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end < 0 or line[end:] != "\n" and line[end:].strip(" \t\r\n"):
+            # Not one value up to JSON whitespace: padding such as a form
+            # feed, which JSON rejects and strip() removes, or a malformed
+            # line, which json.loads names.
             try:
-                record = loads(line.strip())
+                record = json.loads(line.strip())
             except json.JSONDecodeError as exc:
                 raise ParseError(number, f"invalid JSON: {exc.msg}") from None
             except (ValueError, RecursionError) as exc:
@@ -539,7 +544,7 @@ class _Table:
                 raise TypeError(f"a {name} cell has the wrong JSON type")
             return np.array(values, dtype=dtype)
         text = "".join(values)
-        if not text.isascii() or "_" in text:
+        if not is_ascii_decimal(text):
             raise ValueError(f"a {name} is not ASCII decimal")
         if name in _SCORES:
             values = [value or "nan" for value in values]

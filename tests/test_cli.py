@@ -3,6 +3,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import shlex
@@ -11,8 +12,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from yumalab import ingest, model, sweep, synth
+from yumalab import cli, ingest, model, sweep, synth
 from yumalab._util import parse_timestamp
 from yumalab.cli import DEFAULT_CUTOFF_TEXT, build_parser, run
 from yumalab.ingest import history_snapshots, load_events
@@ -64,30 +67,59 @@ class TestExitCodes:
     def test_success_is_zero(self, tmp_path, fixture_path):
         assert run_cli("attack", "--input", fixture_path, "--out", str(tmp_path)) == 0
 
-    # The output directory, --grid, --cutoff, the threshold and the
-    # transform are checked before any input file is read.
-    @pytest.mark.parametrize("args, message", [
-        (("sweep", "--scheme", "bonus", "--grid", "abc"),
+    # The output directory, --grid, --cutoff, the threshold, the transform
+    # and every number flag are checked before any input file is read:
+    # argparse's flags with exit 2, the others with exit 1.
+    @pytest.mark.parametrize("args, code, message", [
+        (("sweep", "--scheme", "bonus", "--grid", "abc"), 1,
          "invalid grid 'abc'; expected comma-separated numbers"),
-        (("sweep", "--scheme", "split", "--grid", "0,0.5,0"),
+        (("sweep", "--scheme", "split", "--grid", "0,0.5,0"), 1,
          "grid values must be distinct; 0.0 appears more than once"),
-        (("sweep", "--scheme", "split", "--grid", "0,nan"), "grid values must be finite, got nan"),
-        (("sweep", "--scheme", "split", "--grid", "0,nan,nan"), "grid values must be finite, got nan"),
-        (("sweep", "--scheme", "bonus", "--grid", "0,inf"), "grid values must be finite, got inf"),
-        (("attack", "--cutoff", "garbage"), "invalid timestamp 'garbage'"),
-        (("attack", "--threshold", "1.5"), "threshold must lie in (0, 1], got 1.5"),
-        (("frontier", "--transform", "cap"), "cap transform requires a param"),
-        (("frontier", "--transform", "foo"), "unknown transform kind 'foo'"),
-        (("frontier", "--threshold", "0"), "threshold must lie in (0, 1], got 0.0"),
-        (("robustness", "--threshold", "1.5"), "threshold must lie in (0, 1], got 1.5"),
-        (("robustness", "--transform", "cap:101"), "cap param must lie in (0, 100], got 101.0"),
-        (("robustness", "--transform", "log:5"), "log transform takes no param, got 5.0"),
+        (("sweep", "--scheme", "split", "--grid", "0,nan"), 1, "grid values must be finite, got nan"),
+        (("sweep", "--scheme", "split", "--grid", "0,nan,nan"), 1, "grid values must be finite, got nan"),
+        (("sweep", "--scheme", "bonus", "--grid", "0,inf"), 1, "grid values must be finite, got inf"),
+        (("attack", "--cutoff", "garbage"), 1, "invalid timestamp 'garbage'"),
+        (("attack", "--threshold", "1.5"), 1, "threshold must lie in (0, 1], got 1.5"),
+        (("frontier", "--transform", "cap"), 1, "cap transform requires a param"),
+        (("frontier", "--transform", "foo"), 1, "unknown transform kind 'foo'"),
+        (("frontier", "--threshold", "0"), 1, "threshold must lie in (0, 1], got 0.0"),
+        (("robustness", "--threshold", "1.5"), 1, "threshold must lie in (0, 1], got 1.5"),
+        (("robustness", "--transform", "cap:101"), 1, "cap param must lie in (0, 100], got 101.0"),
+        (("robustness", "--transform", "log:5"), 1, "log transform takes no param, got 5.0"),
+        # Numbers are ASCII decimal, as in a CSV cell: int() and float()
+        # alone read 8_8 as 88 and \u0663 as 3.
+        (("frontier", "--transform", "cap:8_8"), 1, "invalid transform parameters in 'cap:8_8'"),
+        (("robustness", "--transform", "cap:\u0668\u0668"), 1,
+         "invalid transform parameters in 'cap:\u0668\u0668'"),
+        (("sweep", "--scheme", "bonus", "--grid", "0,1_0"), 1,
+         "invalid grid '0,1_0'; expected comma-separated numbers"),
+        (("synth", "--stake-law", "pareto:1_2"), 1, "invalid stake law parameters in 'pareto:1_2'"),
+        (("attack", "--threshold", "0.5_1"), 2, "argument --threshold: invalid number value: '0.5_1'"),
+        (("frontier", "--threshold", "\uff10.5"), 2,
+         "argument --threshold: invalid number value: '\uff10.5'"),
+        (("synth", "--days", "1_0"), 2, "argument --days: invalid integer value: '1_0'"),
+        (("synth", "--seed", "\u0663"), 2, "argument --seed: invalid integer value: '\u0663'"),
+        (("synth", "--subnets", "\u0662"), 2, "argument --subnets: invalid integer value: '\u0662'"),
+        (("synth", "--wallets", "2_0"), 2, "argument --wallets: invalid integer value: '2_0'"),
+        (("synth", "--validator-fraction", "0.2_5"), 2,
+         "argument --validator-fraction: invalid number value: '0.2_5'"),
+        (("synth", "--coupling", "0_0.5"), 2, "argument --coupling: invalid number value: '0_0.5'"),
     ], ids=["grid", "grid-repeat", "grid-nan", "grid-nan-repeat", "grid-inf", "cutoff",
             "threshold", "frontier-transform", "frontier-kind", "frontier-threshold",
-            "robustness-threshold", "robustness-param", "robustness-log-param"])
-    def test_bad_flag_is_named_before_inputs(self, tmp_path, capsys, args, message):
-        assert run_cli(*args, "--input", "/no/such.jsonl", "--out", str(tmp_path)) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+            "robustness-threshold", "robustness-param", "robustness-log-param",
+            "transform-underscore", "transform-arabic-indic", "grid-underscore", "law-underscore",
+            "threshold-underscore", "threshold-fullwidth", "days", "seed", "subnets", "wallets",
+            "validator-fraction", "coupling"])
+    def test_bad_flag_is_named_before_inputs(self, tmp_path, capsys, args, code, message):
+        # synth reads no input; its --input is a usage error that argparse
+        # reports only after a bad number flag.
+        inputs = () if args[0] == "synth" and code == 1 else ("--input", "/no/such.jsonl")
+        assert run_cli(*args, *inputs, "--out", str(tmp_path)) == code
+        err = capsys.readouterr().err
+        if code == 1:
+            assert err == f"error: {message}\n"
+        else:
+            assert err.endswith(f": error: {message}\n")
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command", ["frontier", "robustness"])
@@ -836,3 +868,94 @@ class TestReadme:
             build_parser().parse_args(shlex.split(command, comments=True)[1:])
         except SystemExit as exc:
             pytest.fail(f"exit {exc.code}: {command}")
+
+
+def round9(value):
+    """The JSON reports' rounding as a pass of its own: floats reduced to 9
+    significant digits, tuples made lists and the non-finite kept."""
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            return value
+        return float(format(value, ".9g"))
+    if isinstance(value, dict):
+        return {key: round9(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [round9(item) for item in value]
+    return value
+
+
+def oracle_json(payload) -> str:
+    return json.dumps(round9(payload), indent=2) + "\n"
+
+
+# Floats at the edges of the .9g text that is already its repr: around
+# 1e-4 and 1e9, where .9g and repr switch to exponents, and 1e16, where
+# repr does; integral values, whose repr adds ".0"; and subnormals.
+EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, 1e-4, 9.99999999e-05, 9.999999995e-05, 0.000100000000049, 1e9, 999999999.0,
+    999999999.4, 999999999.5, -999999999.5, 1e16, 9999999999999998.0, 1e16 + 2, 5e-324,
+    2.2250738585072014e-308, 1.7976931348623157e308, 100.0, 1e-05, 0.1, 1 / 3,
+])
+FLOATS = (st.floats() | EDGE_FLOATS | st.floats(-2e9, 2e9) | st.floats(-1e-3, 1e-3)
+          | st.integers(-(2**60), 2**60).map(float))
+JSON_FLOATS = FLOATS | FLOATS.map(np.float64)
+# Non-ASCII text, control characters and lone surrogates.
+TEXT = st.text(st.characters(exclude_categories=()), max_size=6) | st.sampled_from(
+    ["", "\x00\x1f\x7f", "\u00e9t\u00e9", "\ud800", "a\udfffb", "\U0001f600", '"\\/\b\f\n\r\t'])
+SCALARS = JSON_FLOATS | TEXT | st.booleans() | st.none() | st.integers() | st.integers(-(2**70), 2**70)
+PAYLOADS = st.recursive(
+    SCALARS | st.lists(JSON_FLOATS, max_size=4) | st.dictionaries(TEXT, FLOATS, max_size=4),
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(TEXT, children, max_size=4)),
+    max_leaves=24,
+)
+
+
+class TestJsonReport:
+    """A JSON report holds the bytes json.dump(..., indent=2) writes for
+    the payload with its floats rounded to 9 significant digits."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(payload=PAYLOADS)
+    def test_text_is_the_rounded_json_dump(self, payload):
+        assert cli._json_text(payload) + "\n" == oracle_json(payload)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(value=FLOATS)
+    @example(value=math.nan)
+    @example(value=-math.inf)
+    def test_float_text(self, value):
+        expected = json.dumps(float(format(value, ".9g")))
+        assert cli._float_text(value) == expected
+        assert cli._float_text(np.float64(value)) == expected
+
+    # The fast path: a .9g text with a point and no exponent has at most 9
+    # significant digits and lies in [1e-4, 1e9), where repr writes the
+    # shortest round-trip digits positionally, and those are the .9g digits.
+    @settings(max_examples=3000, deadline=None)
+    @given(value=st.floats(allow_nan=False, allow_infinity=False) | st.floats(-2e9, 2e9)
+           | st.floats(-2e-4, 2e-4))
+    def test_positional_9g_text_is_its_repr(self, value):
+        text = format(value, ".9g")
+        if "." in text and "e" not in text:
+            assert repr(float(text)) == text
+
+    @pytest.mark.parametrize("payload", [
+        np.int64(3), {1, 2}, {"a": [1.0, np.int64(3)]}, [{"b": {1.5}}],
+    ], ids=["int64", "set", "nested-int64", "nested-set"])
+    def test_type_error_as_json(self, tmp_path, payload):
+        with pytest.raises(TypeError) as expected:
+            oracle_json(payload)
+        path = tmp_path / "report.json"
+        with pytest.raises(TypeError) as raised:
+            cli._write_json(str(path), payload)
+        assert str(raised.value) == str(expected.value)
+        assert not path.exists()
+
+    def test_written_file(self, tmp_path):
+        payload = {"x": [1.0, 2.5e-7, math.nan], "y": {"z": (True, None, 3)}, "w": "\u00e9"}
+        path = tmp_path / "report.json"
+        cli._write_json(str(path), payload)
+        assert path.read_bytes() == oracle_json(payload).encode()

@@ -814,6 +814,40 @@ class TestColumnarReaderAloneReadsValidFiles:
         assert parse_events(io.BytesIO(data)).events == oracle_parse(data, "jsonl").events
 
 
+def parse_outcome(parse, data):
+    """The events that `parse` reads from JSONL `data`, or its ParseError."""
+    try:
+        return parse(data).events
+    except ParseError as exc:
+        return exc.line, str(exc)
+
+
+class TestLinesTheScannerDoesNotTakeWhole:
+    """The reader scans each line with the decoder's scanner, and hands a
+    line that is not one JSON value up to JSON whitespace to json.loads.
+    Either way a line gives the per-line oracle's record or error."""
+
+    RECORD = TestColumnarReaderAloneReadsValidFiles.RECORD
+
+    @pytest.mark.parametrize("line", [
+        " " + json.dumps(RECORD),
+        "\f" + json.dumps(RECORD) + "\f",
+        json.dumps(RECORD) + "\x1c\u3000",
+        json.dumps(RECORD) + " \t\r",
+        "\ufeff" + json.dumps(RECORD),
+        '{"a":1} x',
+        json.dumps(RECORD) + "{}",
+        DEEP,
+        '{"block_number": ' + "1" * 5000 + "}",
+    ], ids=["leading-space", "form-feed-padding", "trailing-padding", "trailing-json-whitespace",
+            "mid-file-bom", "text-after-value", "two-values", "deep-nesting", "5000-digit-integer"])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", ""], ids=["lf", "crlf", "cr", "eof"])
+    def test_gives_the_oracle_outcome(self, line, ending):
+        data = (json.dumps(self.RECORD | {"wallet": "v"}) + "\n" + line + ending).encode()
+        expected = parse_outcome(lambda data: oracle_parse(data, "jsonl"), data)
+        assert parse_outcome(lambda data: parse_events(io.BytesIO(data)), data) == expected
+
+
 class CountingSource(io.BytesIO):
     """A byte stream that counts the bytes read from it and its seeks."""
 
