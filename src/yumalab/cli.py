@@ -186,7 +186,10 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
             raise ValidationError(f"input file not found: {path}")
         # Infer the input format from the extension; --format is the output
         # format and only disambiguates inputs with unrecognized suffixes.
-        parts.append(load_events(path, format=_path_format(path) or args.format))
+        try:
+            parts.append(load_events(path, format=_path_format(path) or args.format))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
     dataset = Dataset.concat(parts, cutoff=cutoff)
     if not len(dataset):
         raise ValidationError("no events remain after parsing and cutoff")
@@ -339,6 +342,14 @@ def _json_int(name: str, value) -> int:
     return value
 
 
+def _json_number(name: str, value) -> float:
+    """A JSON number from an instance file as a float; strings and booleans
+    are refused."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def _tempo_instance(path: str):
     from yumalab.consensus import Delegation
 
@@ -354,26 +365,26 @@ def _tempo_instance(path: str):
     except RecursionError as exc:
         raise ValidationError(f"invalid JSON in {path}: {exc}") from None
     try:
-        validators = tuple((str(v["id"]), float(v["stake"])) for v in payload["validators"])
+        validators = tuple((str(v["id"]), _json_number("stake", v["stake"])) for v in payload["validators"])
         miners = tuple(str(m) for m in payload["miners"])
         weights = np.asarray(payload["weights"], dtype=np.float64)
         params_obj = payload.get("params", {})
         # The instance format keeps tempo_blocks, which no computation reads.
         tempo_blocks = _json_int("tempo_blocks", params_obj.get("tempo_blocks", 360))
         params = EmissionParams(
-            alpha=float(params_obj.get("alpha", 0.1)),
-            beta=float(params_obj.get("beta", 0.5)),
-            kappa=float(params_obj.get("kappa", 0.5)),
+            alpha=_json_number("alpha", params_obj.get("alpha", 0.1)),
+            beta=_json_number("beta", params_obj.get("beta", 0.5)),
+            kappa=_json_number("kappa", params_obj.get("kappa", 0.5)),
         )
         if tempo_blocks <= 0:
             raise ValidationError(f"tempo_blocks must be positive, got {tempo_blocks}")
-        block_emission = float(payload["block_emission"])
+        block_emission = _json_number("block_emission", payload["block_emission"])
         delegations = tuple(
             Delegation(
                 validator_id=str(d["validator_id"]),
                 delegator_id=str(d["delegator_id"]),
-                amount=float(d["amount"]),
-                take=float(d["take"]),
+                amount=_json_number("amount", d["amount"]),
+                take=_json_number("take", d["take"]),
             )
             for d in payload.get("delegations", ())
         )

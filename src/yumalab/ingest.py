@@ -278,16 +278,16 @@ def _check_fields(dataset: Dataset) -> None:
         raise ValidationError("wallet_names must be strictly increasing")
     wallet = dataset.wallet
     _reject((wallet < 0) | (wallet >= len(names)), lambda i: f"wallet code {wallet[i]} is not in wallet_names")
-    _check_rows(vars(dataset), names)
+    _check_rows(vars(dataset), lambda i: names[wallet[i]])
 
 
-def _check_rows(columns: Mapping[str, np.ndarray], names: Sequence[str], reject: Callable = _reject,
+def _check_rows(columns: Mapping[str, np.ndarray], wallet_of: Callable[[int], str], reject: Callable = _reject,
                 held: Optional[Mapping[str, np.ndarray]] = None) -> None:
     """The block, netuid and score rules of SnapshotEvent, with `reject` as
-    in _check_wallet_columns. `held` marks the rows that hold each score,
-    where a NaN is a score that is not finite; by default a score is held
-    where it is not NaN."""
-    wallet, miner = columns["wallet"], columns["miner"]
+    in _check_wallet_columns; `wallet_of(i)` names row i's wallet. `held`
+    marks the rows that hold each score, where a NaN is a score that is not
+    finite; by default a score is held where it is not NaN."""
+    miner = columns["miner"]
     for name in ("block_number", "netuid"):
         column = columns[name]
         reject(column < 0, lambda i: f"{name} must be >= 0, got {column[i]}")
@@ -297,7 +297,7 @@ def _check_rows(columns: Mapping[str, np.ndarray], names: Sequence[str], reject:
     ):
         score = columns[name]
         scored = ~np.isnan(score) if held is None else held[name]
-        reject(scored & ~holder, lambda i: f"{name} set on {other} wallet {names[wallet[i]]!r}")
+        reject(scored & ~holder, lambda i: f"{name} set on {other} wallet {wallet_of(i)!r}")
         reject(scored & ~np.isfinite(score), lambda i: f"{name} must be finite, got {score[i].item()!r}")
         reject((score < 0.0) | (score > 1.0), lambda i: f"{name} must lie in [0, 1], got {score[i].item()}")
 
@@ -332,13 +332,14 @@ def _sorted_dataset(columns: dict[str, np.ndarray], wallet_names: Sequence[str],
 # Parsing
 #
 # Each format has one reader, which reads the text once. Each chunk of rows
-# is converted one whole column at a time, and the Dataset then checks the
-# value rules on whole columns. Only a column or a rule that fails is
-# searched for the first row that breaks it. A faulty cell ends the read,
-# and every later check looks only at the rows before it, so the ParseError
-# names the first faulty line in file order, and a line fault comes before
-# a duplicate key or a role conflict. Only a byte that is not UTF-8 sends
-# parse_events back to the raw bytes, to name its line.
+# is converted one whole column at a time, and the value rules are checked
+# on the chunk's columns as soon as it is converted. Only a column or a rule
+# that fails is searched for the first row that breaks it. A faulty cell
+# cuts the chunk before its row, and the rules look only at the rows before
+# it, so the ParseError names the first faulty line in file order and the
+# read ends with that chunk. The Dataset built from a clean file can then
+# fail only on a duplicate key or a role conflict. Only a byte that is not
+# UTF-8 sends parse_events back to the raw bytes, to name its line.
 # ---------------------------------------------------------------------------
 
 
@@ -432,20 +433,19 @@ _READERS = {"jsonl": _read_jsonl, "csv": _read_csv}
 
 
 class _Table:
-    """The columns of one event file, converted a chunk of rows at a time.
+    """The columns of one event file, converted and checked a chunk of rows
+    at a time.
 
     A reader appends each row's cells and its line to `cells`, and calls
-    `flush` after each chunk. `columns` and `held` (the rows that hold
-    each score) collect the converted chunks. `fault`, once set, is the
-    ParseError of the first faulty line found, and no row from that line
-    on is kept.
+    `flush` after each chunk. `columns` collects the converted chunks under
+    the Dataset's column names. `fault`, set only by `flush`, is the
+    ParseError of the first faulty line, and no chunk after its own is read.
     """
 
     def __init__(self, json: bool):
         self.json = json
         self.cells = {name: [] for name in (*EVENT_COLUMNS, "line")}
-        self.columns = {name: [] for name in (*EVENT_COLUMNS, "line")}
-        self.held = {name: [] for name in _SCORES}
+        self.columns = {name: [] for name in _COLUMN_TYPES}
         self.fault = None
         # Each distinct timestamp and role is converted once, and wallets
         # are coded in order of first appearance.
@@ -463,22 +463,36 @@ class _Table:
         except (ParseError, UnicodeDecodeError) as exc:
             error = exc
         self.flush()
-        error = self.fault or error
-        arrays = {name: np.concatenate(self.columns.pop(name)) for name in (*EVENT_COLUMNS, "line")}
-        lines = arrays.pop("line")
-        held = {name: np.concatenate(chunks) for name, chunks in self.held.items()}
+        if self.fault or error:
+            raise self.fault or error
+        arrays = {name: np.concatenate(self.columns.pop(name)) for name in _COLUMN_TYPES}
         names = sorted(self.codes)
         # The inverse of that order takes each code to its name's rank.
         arrays["wallet"] = np.argsort([self.codes[name] for name in names])[arrays["wallet"]]
-        arrays["miner"] = arrays.pop("role")
-        if error is None and all(np.array_equal(held[name], ~np.isnan(arrays[name])) for name in _SCORES):
-            # A copy: after a failure, the search below needs the file order.
+        return _sorted_dataset(arrays, names)
+
+    def flush(self) -> bool:
+        """Convert the pending rows and check their value rules; False once
+        a fault is found."""
+        cells, lines = self.cells, self.cells["line"]
+        arrays = {}
+        for name, column in zip(EVENT_COLUMNS, _COLUMN_TYPES):
             try:
-                return _sorted_dataset(dict(arrays), names)
-            except ValidationError as exc:
-                # A broken rule, a duplicate key or a role conflict.
-                error = exc
-        # The rules again, each giving the first row that breaks it.
+                arrays[column] = self._array(name, cells[name])
+            except (TypeError, ValueError, OverflowError, AttributeError):
+                row, message = self._first_bad(name, cells)
+                self.fault = ParseError(lines[row], message)
+                cells = {key: values[:row] for key, values in cells.items()}
+                arrays = {key: array[:row] for key, array in arrays.items()}
+                arrays[column] = self._array(name, cells[name])
+        held = {name: ~np.isnan(arrays[name]) for name in _SCORES}
+        for name in _SCORES:
+            values = cells[name]
+            if np.count_nonzero(held[name]) != len(values) - values.count(None) - values.count(""):
+                # The file holds a NaN as a score.
+                held[name] = np.array([value is not None and value != "" for value in values], dtype=bool)
+        # Each rule gives the first kept row that breaks it, all before a
+        # faulty cell's row.
         faults = []
 
         def keep(bad: np.ndarray, message: Callable[[int], str]) -> None:
@@ -486,38 +500,16 @@ class _Table:
                 row = int(np.argmax(bad))
                 faults.append((row, message(row)))
 
-        row_names = [names[code] for code in arrays["wallet"].tolist()]
-        _check_wallet_columns(row_names, arrays["stake"], arrays["reward"], keep)
-        _check_rows(arrays, names, keep, held)
+        wallets = cells["wallet"]
+        _check_wallet_columns(wallets, arrays["stake"], arrays["reward"], keep)
+        _check_rows(arrays, wallets.__getitem__, keep, held)
         if faults:
             row, message = min(faults, key=lambda fault: fault[0])
-            raise ParseError(int(lines[row]), message)
-        raise error
-
-    def flush(self) -> bool:
-        """Convert the pending rows; False once a fault is found."""
-        cells = self.cells
-        if self.fault is None:
-            arrays = {"line": np.array(cells["line"], dtype=np.int64)}
-            for name in EVENT_COLUMNS:
-                try:
-                    arrays[name] = self._array(name, cells[name])
-                except (TypeError, ValueError, OverflowError, AttributeError):
-                    row, message = self._first_bad(name, cells)
-                    self.fault = ParseError(cells["line"][row], message)
-                    cells = {key: values[:row] for key, values in cells.items()}
-                    arrays = {key: array[:row] for key, array in arrays.items()}
-                    arrays[name] = self._array(name, cells[name])
-            for name, array in arrays.items():
-                self.columns[name].append(array)
-            for name in _SCORES:
-                values, held = cells[name], ~np.isnan(arrays[name])
-                if np.count_nonzero(held) != len(values) - values.count(None) - values.count(""):
-                    # The file holds a NaN as a score.
-                    held = np.array([value is not None and value != "" for value in values], dtype=bool)
-                self.held[name].append(held)
-        for column in self.cells.values():
-            del column[:]
+            self.fault = ParseError(lines[row], message)
+        for name, array in arrays.items():
+            self.columns[name].append(array)
+        for pending in self.cells.values():
+            del pending[:]
         return self.fault is None
 
     def _array(self, name: str, values: Sequence) -> np.ndarray:

@@ -331,6 +331,31 @@ class TestTempo:
         err = capsys.readouterr().err
         assert err.startswith(message) and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["1_0", "٥", True], ids=["underscore", "arabic-indic", "true"])
+    @pytest.mark.parametrize("where, name", [
+        ((), "block_emission"),
+        (("validators", 1), "stake"),
+        (("params",), "alpha"),
+        (("params",), "beta"),
+        (("params",), "kappa"),
+        (("delegations", 0), "amount"),
+        (("delegations", 0), "take"),
+    ], ids=["block_emission", "stake", "alpha", "beta", "kappa", "amount", "take"])
+    def test_number_fields_need_a_json_number(self, tmp_path, capsys, tempo_instance_path, where, name, value):
+        with open(tempo_instance_path, encoding="utf-8") as handle:
+            instance = json.load(handle)
+        fields = instance
+        for key in where:
+            fields = fields[key]
+        fields[name] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(instance))
+        out = tmp_path / "out"
+        assert run_cli("tempo", "--input", str(bad), "--out", str(out)) == 1
+        error = TypeError(f"{name} must be a JSON number, got {value!r}")
+        assert capsys.readouterr().err == f"error: malformed tempo instance {bad}: {error!r}\n"
+        assert os.listdir(out) == []
+
 
 class TestSweep:
     def test_composite_default_grid_rows(self, tmp_path, fixture_path):
@@ -467,7 +492,7 @@ class TestEventEncoding:
         path.write_bytes(body.encode("utf-8", "surrogateescape"))
         assert run_cli("attack", "--input", str(path), "--out", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: line {line}: invalid UTF-8 byte 0x")
+        assert err.startswith(f"error: {path}: line {line}: invalid UTF-8 byte 0x")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["attack", "ingest"])
@@ -486,10 +511,26 @@ class TestEventEncoding:
         out = tmp_path / "out"
         assert run_cli(command, "--input", str(path), "--out", str(out), "--format", "csv") == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: line 2: {message}")
+        assert err.startswith(f"error: {path}: line 2: {message}")
         assert "Traceback" not in err
         assert os.listdir(out) == []
 
+
+    def test_load_error_names_its_file(self, tmp_path, capsys):
+        first = tmp_path / "b.csv"
+        first.write_text(",".join(ingest.EVENT_COLUMNS) + "\n" + self.CSV_ROW.format("a") + "\n")
+        second = tmp_path / "a.jsonl"
+        second.write_text("".join(self.LINE.format(wallet) + "\n" for wallet in "bcd") + "{not json}\n")
+        out = tmp_path / "out"
+        assert run_cli("attack", "--input", str(first), str(second), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {second}: line 4: invalid JSON: Expecting property name enclosed in double quotes\n"
+        assert os.listdir(out) == []
+        # A key in both files is found by the merge, which names no file.
+        second.write_text(self.LINE.format("a") + "\n")
+        assert run_cli("attack", "--input", str(first), str(second), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == "error: duplicate events for (timestamp, netuid, wallet) ('2024-01-01T00:00:00Z', 1, 'a')\n"
 
     def test_oversized_csv_field_names_its_line(self, tmp_path, capsys):
         path = tmp_path / "events.csv"
@@ -497,7 +538,7 @@ class TestEventEncoding:
                         + self.CSV_ROW.format("b" * 200_000) + "\n")
         assert run_cli("attack", "--input", str(path), "--out", str(tmp_path / "out")) == 1
         err = capsys.readouterr().err
-        assert err == "error: line 3: invalid CSV: field larger than field limit (131072)\n"
+        assert err == f"error: {path}: line 3: invalid CSV: field larger than field limit (131072)\n"
 
 
 class TestNumericOverflow:

@@ -902,6 +902,22 @@ class TestReadOnce:
         assert source.seeks == 0
         assert source.bytes_read == len(data)
 
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    def test_a_rule_fault_ends_the_read_at_its_chunk(self, format):
+        records = [{
+            "timestamp": "2024-01-01T00:00:00Z", "block_number": row, "netuid": 1,
+            "wallet": f"w{row}", "role": "miner", "stake": 1.0, "reward": 0.5,
+            "trust": 0.25, "validator_trust": None,
+        } for row in range(3 * ingest._CHUNK_ROWS + 100)]
+        # Line 5; a CSV file's line 1 is its header.
+        records[4 if format == "jsonl" else 3]["stake"] = -1.0
+        data = event_file(records, format).encode()
+        source = io.BytesIO(data)
+        with pytest.raises(ParseError, match="^line 5: stake must be >= 0, got -1.0$"):
+            parse_events(source, format)
+        # The read ends within the text decoded for the first chunk.
+        assert source.tell() < len(data) // 2
+
     def test_a_byte_that_is_not_utf8_is_read_again(self):
         data = ("\n".join(self.GOOD) + "\n").encode().replace(b'"a"', b'"a\xff"', 1)
         source = CountingSource(data)
