@@ -1,6 +1,6 @@
 """Small shared helpers: timestamp parsing, formatting, epoch microseconds,
-the ASCII number rule and the `NAME[:ARGS]` splitter of law and transform
-specs."""
+the ASCII number rule, the JSON kind rule and the `NAME[:ARGS]` splitter of
+law and transform specs."""
 
 from __future__ import annotations
 
@@ -67,6 +67,18 @@ def number(text: str, kind: type = float):
 def integer(text: str) -> int:
     """number(text, int), under its own name for argparse."""
     return number(text, int)
+
+
+# The Python types of each JSON kind; a bool is not a JSON integer or number.
+_JSON_KINDS = {"string": (str,), "integer": (int,), "number": (int, float)}
+
+
+def json_value(name: str, value, kind: str):
+    """`value`, as json.load gave it, if it is of JSON kind `kind`;
+    TypeError naming `name` otherwise."""
+    if type(value) not in _JSON_KINDS[kind]:
+        raise TypeError(f"{name} must be a JSON {kind}, got {value!r}")
+    return value
 
 
 def name_args(text: str, what: str) -> tuple[str, list[float]]:

@@ -19,12 +19,13 @@ import math
 import os
 import sys
 from datetime import datetime
+from itertools import chain
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from yumalab._util import format_timestamp, from_epoch_us, integer, number, parse_timestamp
-from yumalab.model import BondState, EmissionParams, Role, ValidationError, WeightMatrix, _freeze
+from yumalab._util import format_timestamp, from_epoch_us, integer, json_value, number, parse_timestamp
+from yumalab.model import BondState, EmissionParams, Role, ValidationError, WeightMatrix
 
 # Each handler imports the modules it runs, so a run loads only those:
 # `tempo` loads consensus alone, and `--help` no analysis module at all.
@@ -335,22 +336,17 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     return 0
 
 
-def _json_int(name: str, value) -> int:
-    """A JSON integer from an instance file; floats and booleans are refused."""
-    if type(value) is not int:
-        raise TypeError(f"{name} must be a JSON integer, got {value!r}")
-    return value
-
-
-def _json_number(name: str, value) -> float:
-    """A JSON number from an instance file as a float; strings and booleans
-    are refused."""
-    if type(value) not in (int, float):
-        raise TypeError(f"{name} must be a JSON number, got {value!r}")
-    return float(value)
+def _json_numbers(name: str, rows):
+    """`rows` if each cell of it is a JSON number; TypeError naming the first that is not."""
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        for cell in chain.from_iterable(rows):
+            json_value(name, cell, "number")
+    return rows
 
 
 def _tempo_instance(path: str):
+    """The run_tempo arguments of a JSON instance file. Each value must be
+    of its field's JSON kind, and the value types convert it."""
     from yumalab.consensus import Delegation
 
     try:
@@ -365,42 +361,43 @@ def _tempo_instance(path: str):
     except RecursionError as exc:
         raise ValidationError(f"invalid JSON in {path}: {exc}") from None
     try:
-        validators = tuple((str(v["id"]), _json_number("stake", v["stake"])) for v in payload["validators"])
-        miners = tuple(str(m) for m in payload["miners"])
-        weights = np.asarray(payload["weights"], dtype=np.float64)
+        validators = tuple((json_value("id", v["id"], "string"), json_value("stake", v["stake"], "number"))
+                           for v in payload["validators"])
+        miners = tuple(json_value("miner", m, "string") for m in payload["miners"])
+        weights = _json_numbers("weights", payload["weights"])
         params_obj = payload.get("params", {})
         # The instance format keeps tempo_blocks, which no computation reads.
-        tempo_blocks = _json_int("tempo_blocks", params_obj.get("tempo_blocks", 360))
+        tempo_blocks = json_value("tempo_blocks", params_obj.get("tempo_blocks", 360), "integer")
         params = EmissionParams(
-            alpha=_json_number("alpha", params_obj.get("alpha", 0.1)),
-            beta=_json_number("beta", params_obj.get("beta", 0.5)),
-            kappa=_json_number("kappa", params_obj.get("kappa", 0.5)),
+            alpha=json_value("alpha", params_obj.get("alpha", 0.1), "number"),
+            beta=json_value("beta", params_obj.get("beta", 0.5), "number"),
+            kappa=json_value("kappa", params_obj.get("kappa", 0.5), "number"),
         )
         if tempo_blocks <= 0:
             raise ValidationError(f"tempo_blocks must be positive, got {tempo_blocks}")
-        block_emission = _json_number("block_emission", payload["block_emission"])
+        block_emission = json_value("block_emission", payload["block_emission"], "number")
         delegations = tuple(
             Delegation(
-                validator_id=str(d["validator_id"]),
-                delegator_id=str(d["delegator_id"]),
-                amount=_json_number("amount", d["amount"]),
-                take=_json_number("take", d["take"]),
+                validator_id=json_value("validator_id", d["validator_id"], "string"),
+                delegator_id=json_value("delegator_id", d["delegator_id"], "string"),
+                amount=json_value("amount", d["amount"], "number"),
+                take=json_value("take", d["take"], "number"),
             )
             for d in payload.get("delegations", ())
         )
-        tempos = _json_int("tempos", payload.get("tempos", 1))
+        tempos = json_value("tempos", payload.get("tempos", 1), "integer")
+        wm = WeightMatrix(validators=validators, miners=miners, weights=weights)
         if "bonds" in payload:
-            bond_matrix = np.asarray(payload["bonds"], dtype=np.float64)
-            tempo_index = _json_int("tempo_index", payload.get("tempo_index", 0))
+            bonds = BondState(
+                bonds=_json_numbers("bonds", payload["bonds"]),
+                tempo_index=json_value("tempo_index", payload.get("tempo_index", 0), "integer"),
+            )
+        else:
+            bonds = BondState.initial(wm.n_validators, wm.n_miners)
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValidationError(f"malformed tempo instance {path}: {exc!r}") from None
-    wm = WeightMatrix(validators=validators, miners=miners, weights=_freeze(weights))
-    if "bonds" in payload:
-        bonds = BondState(bonds=_freeze(bond_matrix), tempo_index=tempo_index)
-    else:
-        bonds = BondState.initial(wm.n_validators, wm.n_miners)
     return wm, bonds, params, block_emission, delegations, tempos
 
 

@@ -22,7 +22,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Se
 
 import numpy as np
 
-from yumalab._util import EPOCH, format_timestamp, from_epoch_us, is_ascii_decimal, parse_timestamp, to_epoch_us
+from yumalab._util import EPOCH, format_timestamp, from_epoch_us, is_ascii_decimal, json_value, parse_timestamp, to_epoch_us
 from yumalab.model import (
     _ROLES,
     Role,
@@ -346,8 +346,6 @@ def _sorted_dataset(columns: dict[str, np.ndarray], wallet_names: Sequence[str],
 _INTEGERS = ("block_number", "netuid")
 _TEXTS = ("timestamp", "wallet", "role")
 _SCORES = ("trust", "validator_trust")
-# The Python types of each JSON kind; a bool is not a JSON integer or number.
-_KIND_TYPES = {"string": (str,), "integer": (int,), "number": (int, float)}
 
 
 def _read_jsonl(text: Iterable[str], table: "_Table") -> None:
@@ -552,10 +550,12 @@ class _Table:
                     missing = [key for key in EVENT_COLUMNS[:7] if cells[key][row] in (None, "")]
                     return row, f"missing required field(s): {', '.join(missing)}"
                 continue
-            if self.json and type(value) not in _KIND_TYPES[kind]:
-                return row, f"{name} must be a JSON {kind}, got {value!r}"
             try:
+                if self.json:
+                    json_value(name, value, kind)
                 self._array(name, (value,))
+            except TypeError as exc:
+                return row, str(exc)
             except OverflowError:
                 if kind == "integer":
                     return row, f"{name} does not fit in 64 bits: {value!r}"
@@ -732,16 +732,6 @@ def _window_keys(timestamp: np.ndarray, freq: str) -> tuple[np.ndarray, Callable
     return days, lambda key: EPOCH + timedelta(days=key)
 
 
-def _window_end(start: datetime, freq: str) -> datetime:
-    if freq == "daily":
-        return start + timedelta(days=1)
-    if freq == "weekly":
-        return start + timedelta(days=7)
-    if start.month == 12:
-        return datetime(start.year + 1, 1, 1, tzinfo=timezone.utc)
-    return datetime(start.year, start.month + 1, 1, tzinfo=timezone.utc)
-
-
 def _overflows(values: list[float]) -> bool:
     try:
         math.fsum(values)
@@ -825,12 +815,10 @@ def resample(dataset: Dataset, freq: str = "daily") -> list[SubnetSnapshot]:
     if not len(dataset):
         raise ValidationError("cannot resample an empty dataset")
     window, start_of = _window_keys(dataset.timestamp, freq)
-
-    def bounds(key: int) -> tuple[datetime, datetime]:
-        start = start_of(key)
-        return start, _window_end(start, freq)
-
-    return _aggregate(dataset, window, bounds)
+    # A window ends where the next one starts: keys count days, Mondays'
+    # days or months.
+    step = 7 if freq == "weekly" else 1
+    return _aggregate(dataset, window, lambda key: (start_of(key), start_of(key + step)))
 
 
 def history_snapshots(dataset: Dataset) -> list[SubnetSnapshot]:

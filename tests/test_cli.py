@@ -356,6 +356,63 @@ class TestTempo:
         assert capsys.readouterr().err == f"error: malformed tempo instance {bad}: {error!r}\n"
         assert os.listdir(out) == []
 
+    @staticmethod
+    def _assert_refused(tmp_path, capsys, instance, where, key, value, error):
+        fields = instance
+        for step in where:
+            fields = fields[step]
+        fields[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(instance))
+        out = tmp_path / "out"
+        assert run_cli("tempo", "--input", str(bad), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: malformed tempo instance {bad}: {error!r}\n"
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("value", [7, True, None], ids=["int", "true", "null"])
+    @pytest.mark.parametrize("where, key, name", [
+        (("validators", 0), "id", "id"),
+        (("miners",), 1, "miner"),
+        (("delegations", 0), "validator_id", "validator_id"),
+        (("delegations", 0), "delegator_id", "delegator_id"),
+    ], ids=["id", "miner", "validator_id", "delegator_id"])
+    def test_id_fields_need_a_json_string(self, tmp_path, capsys, tempo_instance_path, where, key, name, value):
+        with open(tempo_instance_path, encoding="utf-8") as handle:
+            instance = json.load(handle)
+        error = TypeError(f"{name} must be a JSON string, got {value!r}")
+        self._assert_refused(tmp_path, capsys, instance, where, key, value, error)
+
+    @pytest.mark.parametrize("value", ["0.5", "0_1", True, None], ids=["string", "underscore", "true", "null"])
+    @pytest.mark.parametrize("name", ["weights", "bonds"])
+    def test_matrix_cells_need_a_json_number(self, tmp_path, capsys, tempo_instance_path, name, value):
+        with open(tempo_instance_path, encoding="utf-8") as handle:
+            instance = {**json.load(handle), "bonds": [[0.0, 0.0], [0.0, 0.0]]}
+        error = TypeError(f"{name} must be a JSON number, got {value!r}")
+        self._assert_refused(tmp_path, capsys, instance, (name, 1), 0, value, error)
+
+    def test_integers_read_as_floats(self, tmp_path):
+        # Every number is whole, so each can be written as a JSON integer
+        # too; the report must not tell the two apart.
+        floats = {
+            "validators": [{"id": "v1", "stake": 3.0}, {"id": "v2", "stake": 1.0}],
+            "miners": ["m1", "m2"],
+            "weights": [[1.0, 1.0], [1.0, 0.0]],
+            "params": {"alpha": 0.0, "beta": 1.0, "kappa": 1.0},
+            "block_emission": 100.0,
+            "delegations": [{"validator_id": "v1", "delegator_id": "d1", "amount": 2.0, "take": 0.0}],
+            "bonds": [[1.0, 0.0], [0.0, 1.0]],
+        }
+        ints = json.loads(json.dumps(floats), parse_float=lambda text: int(float(text)))
+        assert ints["block_emission"] == 100 and type(ints["bonds"][0][0]) is int
+        reports = []
+        for name, instance in (("floats", floats), ("ints", ints)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(instance))
+            assert run_cli("tempo", "--input", str(path), "--out", str(tmp_path / name)) == 0
+            reports.append((tmp_path / name / "emission.json").read_bytes())
+        assert b'"block_emission": 100.0,' in reports[0]
+        assert reports[1] == reports[0]
+
 
 class TestSweep:
     def test_composite_default_grid_rows(self, tmp_path, fixture_path):
