@@ -70,7 +70,7 @@ def integer(text: str) -> int:
 
 
 # The Python types of each JSON kind; a bool is not a JSON integer or number.
-_JSON_KINDS = {"string": (str,), "integer": (int,), "number": (int, float)}
+_JSON_KINDS = {"string": (str,), "integer": (int,), "number": (int, float), "array": (list,)}
 
 
 def json_value(name: str, value, kind: str):

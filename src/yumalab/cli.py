@@ -337,16 +337,18 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _json_numbers(name: str, rows):
-    """`rows` if each cell of it is a JSON number; TypeError naming the first that is not."""
-    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
-        for cell in chain.from_iterable(rows):
-            json_value(name, cell, "number")
+    """`rows` if it is a JSON array of arrays of numbers; TypeError naming the first value that is not."""
+    json_value(name, rows, "array")
+    if not (set(map(type, rows)) <= {list} and set(map(type, chain.from_iterable(rows))) <= {int, float}):
+        for row in rows:
+            for cell in json_value(f"{name} row", row, "array"):
+                json_value(name, cell, "number")
     return rows
 
 
 def _tempo_instance(path: str):
     """The run_tempo arguments of a JSON instance file. Each value must be
-    of its field's JSON kind, and the value types convert it."""
+    of its field's JSON kind, and its value type (float() for block_emission) converts it."""
     from yumalab.consensus import Delegation
 
     try:
@@ -375,7 +377,7 @@ def _tempo_instance(path: str):
         )
         if tempo_blocks <= 0:
             raise ValidationError(f"tempo_blocks must be positive, got {tempo_blocks}")
-        block_emission = json_value("block_emission", payload["block_emission"], "number")
+        block_emission = float(json_value("block_emission", payload["block_emission"], "number"))
         delegations = tuple(
             Delegation(
                 validator_id=json_value("validator_id", d["validator_id"], "string"),

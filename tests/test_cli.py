@@ -317,10 +317,13 @@ class TestTempo:
         ({"delegations": [{"validator_id": "v1", "delegator_id": "d1", "amount": -1.0,
                            "take": 0.18}]}, None, "error: amount must be >= 0, got -1.0\n"),
         ({}, b"[" * 100_000 + b"]" * 100_000, "error: invalid JSON in"),
+        ({"block_emission": 10**400}, None, "error: malformed tempo instance"),
+        ({"validators": [{"id": "v1", "stake": 10**400}, {"id": "v2", "stake": 1.0}]}, None,
+         "error: malformed tempo instance"),
     ], ids=["ragged-bonds", "tempo-index", "params-not-object", "infinite-tempos", "non-utf8",
             "float-tempos", "bool-tempos", "float-tempo-index", "float-tempo-blocks",
             "zero-tempo-blocks", "negative-tempo-blocks",
-            "params-invalid", "delegation-invalid", "deep-nesting"])
+            "params-invalid", "delegation-invalid", "deep-nesting", "huge-block-emission", "huge-stake"])
     def test_bad_instance_is_an_error_line(self, tmp_path, capsys, tempo_instance_path,
                                           fields, raw, message):
         with open(tempo_instance_path, encoding="utf-8") as handle:
@@ -330,6 +333,22 @@ class TestTempo:
         assert run_cli("tempo", "--input", str(bad), "--out", str(tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith(message) and "Traceback" not in err
+
+    @staticmethod
+    def _assert_refused(tmp_path, capsys, instance, where, key, value, name, kind):
+        """Set `key` under the `where` path of `instance` to `value`: tempo
+        must refuse the file with `name must be a JSON kind` and write nothing."""
+        fields = instance
+        for step in where:
+            fields = fields[step]
+        fields[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(instance))
+        out = tmp_path / "out"
+        assert run_cli("tempo", "--input", str(bad), "--out", str(out)) == 1
+        error = TypeError(f"{name} must be a JSON {kind}, got {value!r}")
+        assert capsys.readouterr().err == f"error: malformed tempo instance {bad}: {error!r}\n"
+        assert os.listdir(out) == []
 
     @pytest.mark.parametrize("value", ["1_0", "٥", True], ids=["underscore", "arabic-indic", "true"])
     @pytest.mark.parametrize("where, name", [
@@ -344,30 +363,7 @@ class TestTempo:
     def test_number_fields_need_a_json_number(self, tmp_path, capsys, tempo_instance_path, where, name, value):
         with open(tempo_instance_path, encoding="utf-8") as handle:
             instance = json.load(handle)
-        fields = instance
-        for key in where:
-            fields = fields[key]
-        fields[name] = value
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(instance))
-        out = tmp_path / "out"
-        assert run_cli("tempo", "--input", str(bad), "--out", str(out)) == 1
-        error = TypeError(f"{name} must be a JSON number, got {value!r}")
-        assert capsys.readouterr().err == f"error: malformed tempo instance {bad}: {error!r}\n"
-        assert os.listdir(out) == []
-
-    @staticmethod
-    def _assert_refused(tmp_path, capsys, instance, where, key, value, error):
-        fields = instance
-        for step in where:
-            fields = fields[step]
-        fields[key] = value
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(instance))
-        out = tmp_path / "out"
-        assert run_cli("tempo", "--input", str(bad), "--out", str(out)) == 1
-        assert capsys.readouterr().err == f"error: malformed tempo instance {bad}: {error!r}\n"
-        assert os.listdir(out) == []
+        self._assert_refused(tmp_path, capsys, instance, where, name, value, name, "number")
 
     @pytest.mark.parametrize("value", [7, True, None], ids=["int", "true", "null"])
     @pytest.mark.parametrize("where, key, name", [
@@ -379,16 +375,27 @@ class TestTempo:
     def test_id_fields_need_a_json_string(self, tmp_path, capsys, tempo_instance_path, where, key, name, value):
         with open(tempo_instance_path, encoding="utf-8") as handle:
             instance = json.load(handle)
-        error = TypeError(f"{name} must be a JSON string, got {value!r}")
-        self._assert_refused(tmp_path, capsys, instance, where, key, value, error)
+        self._assert_refused(tmp_path, capsys, instance, where, key, value, name, "string")
 
     @pytest.mark.parametrize("value", ["0.5", "0_1", True, None], ids=["string", "underscore", "true", "null"])
-    @pytest.mark.parametrize("name", ["weights", "bonds"])
-    def test_matrix_cells_need_a_json_number(self, tmp_path, capsys, tempo_instance_path, name, value):
+    @pytest.mark.parametrize("matrix", ["weights", "bonds"])
+    def test_matrix_cells_need_a_json_number(self, tmp_path, capsys, tempo_instance_path, matrix, value):
         with open(tempo_instance_path, encoding="utf-8") as handle:
             instance = {**json.load(handle), "bonds": [[0.0, 0.0], [0.0, 0.0]]}
-        error = TypeError(f"{name} must be a JSON number, got {value!r}")
-        self._assert_refused(tmp_path, capsys, instance, (name, 1), 0, value, error)
+        self._assert_refused(tmp_path, capsys, instance, (matrix, 1), 0, value, matrix, "number")
+
+    @pytest.mark.parametrize("row, value", [
+        (False, "ab"), (False, {"v1": [0.5, 0.5]}), (False, 0.5),
+        (True, "0.5"), (True, {"m1": 0.5}), (True, 0.5),
+    ], ids=["string", "object", "number", "string-row", "object-row", "number-row"])
+    @pytest.mark.parametrize("matrix", ["weights", "bonds"])
+    def test_matrices_need_json_arrays(self, tmp_path, capsys, tempo_instance_path, matrix, row, value):
+        with open(tempo_instance_path, encoding="utf-8") as handle:
+            instance = {**json.load(handle), "bonds": [[0.0, 0.0], [0.0, 0.0]]}
+        if row:
+            self._assert_refused(tmp_path, capsys, instance, (matrix,), 1, value, f"{matrix} row", "array")
+        else:
+            self._assert_refused(tmp_path, capsys, instance, (), matrix, value, matrix, "array")
 
     def test_integers_read_as_floats(self, tmp_path):
         # Every number is whole, so each can be written as a JSON integer
