@@ -1,15 +1,18 @@
-"""Small shared helpers: timestamp parsing, formatting, epoch microseconds,
-the ASCII number rule, the JSON kind rule and the `NAME[:ARGS]` splitter of
-law and transform specs."""
+"""Small shared helpers: the ValidationError class, timestamp parsing,
+formatting, epoch microseconds, the ASCII number rule, the JSON kind rule
+and the `NAME[:ARGS]` splitter of law and transform specs. The module loads
+no NumPy, so the CLI can parse its command line with it alone."""
 
 from __future__ import annotations
 
 from datetime import datetime, timedelta, timezone
 
-from yumalab.model import ValidationError
-
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
+
+
+class ValidationError(ValueError):
+    """A value violated one of the domain invariants."""
 
 
 def parse_timestamp(text: str) -> datetime:

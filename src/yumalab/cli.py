@@ -12,9 +12,7 @@ Exit codes: 0 on success, 1 on validation errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
-import json
+import errno
 import math
 import os
 import sys
@@ -22,13 +20,12 @@ from datetime import datetime
 from itertools import chain
 from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
-from yumalab._util import format_timestamp, from_epoch_us, integer, json_value, number, parse_timestamp
-from yumalab.model import BondState, EmissionParams, Role, ValidationError, WeightMatrix
+from yumalab._util import ValidationError, format_timestamp, from_epoch_us, integer, json_value, number, parse_timestamp
 
 # Each handler imports the modules it runs, so a run loads only those:
-# `tempo` loads consensus alone, and `--help` no analysis module at all.
+# `tempo` loads consensus alone. Parsing the command line needs only this
+# module and _util, so `--help` and usage errors load no NumPy; run()
+# loads it once argparse has accepted the arguments.
 if TYPE_CHECKING:
     from yumalab.ingest import Dataset
 
@@ -71,12 +68,18 @@ def _fmt(value) -> str:
 
 def _columns(result_type) -> tuple[str, ...]:
     """The columns of a report on `result_type`: its fields, in order."""
+    import dataclasses
+
     return tuple(field.name for field in dataclasses.fields(result_type))
 
 
 def _row(item, columns: Sequence[str]) -> tuple:
     """The `columns` attributes of `item`, with a role as its name, an
     instant in ISO-8601 UTC and an array as nested lists."""
+    import numpy as np
+
+    from yumalab.model import Role
+
     row = []
     for name in columns:
         value = getattr(item, name)
@@ -95,6 +98,8 @@ def _object(item, columns: Sequence[str]) -> dict:
 
 
 def _write_csv(path: str, header: Sequence[str], rows) -> None:
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -105,9 +110,6 @@ def _write_csv(path: str, header: Sequence[str], rows) -> None:
 def _write_table(path: str, columns: Sequence[str], items) -> None:
     """A CSV report with one row of `columns` per item."""
     _write_csv(path, columns, (_row(item, columns) for item in items))
-
-
-_quote = json.encoder.encode_basestring_ascii
 
 
 def _float_text(value: float) -> str:
@@ -125,8 +127,10 @@ def _float_text(value: float) -> str:
 def _json_text(value, indent: str = "\n") -> str:
     """`value` as json.dump(..., indent=2) writes it, floats as _float_text
     writes them; `indent` starts each of its lines. Dict keys must be str."""
+    from json.encoder import encode_basestring_ascii as quote
+
     if isinstance(value, str):
-        return _quote(value)
+        return quote(value)
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
@@ -147,7 +151,7 @@ def _json_text(value, indent: str = "\n") -> str:
     else:
         texts = [_json_text(item, inner) for item in items]
     if brackets == "{}":
-        texts = map("{}: {}".format, map(_quote, value), texts)
+        texts = map("{}: {}".format, map(quote, value), texts)
     return brackets[0] + inner + ("," + inner).join(texts) + indent + brackets[1]
 
 
@@ -158,12 +162,25 @@ def _write_json(path: str, payload) -> None:
 
 
 def _out_dir(args: argparse.Namespace) -> str:
-    """The output directory, created if missing; an empty --out means '.'."""
+    """The output directory, judged but not made: an empty --out means '.',
+    and it or its nearest existing ancestor must be a writable directory.
+    _out_path makes it before the first file is written, so a run that
+    fails earlier leaves no directory behind."""
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
-    if not os.access(out_dir, os.W_OK):
+    existing = out_dir
+    while not os.path.lexists(existing) and existing != ".":
+        existing = os.path.dirname(existing) or "."
+    if not os.path.isdir(existing):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), existing)
+    if not os.access(existing, os.W_OK):
         raise ValidationError(f"output directory {out_dir!r} is not writable")
     return out_dir
+
+
+def _out_path(out_dir: str, name: str) -> str:
+    """The path of report `name` in `out_dir`, which is made if missing."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
 
 
 def _parse_cutoff(text: str) -> Optional[datetime]:
@@ -208,7 +225,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     out_dir = _out_dir(args)
     dataset = _load_dataset(args)
     out_format = args.format or "jsonl"
-    events_path = os.path.join(out_dir, f"events.{out_format}")
+    events_path = _out_path(out_dir, f"events.{out_format}")
     save_events(dataset, events_path, format=out_format)
     pairs = set(zip(dataset.wallet.tolist(), dataset.netuid.tolist()))
     summary = {
@@ -220,7 +237,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         "cutoff": format_timestamp(dataset.cutoff) if dataset.cutoff else None,
         "events_file": os.path.basename(events_path),
     }
-    _write_json(os.path.join(out_dir, "ingest_summary.json"), summary)
+    _write_json(_out_path(out_dir, "ingest_summary.json"), summary)
     return 0
 
 
@@ -230,6 +247,8 @@ def _metric_value(report, metric: str, resource: str) -> Optional[float]:
 
 
 def _summary_rows(variant: str, reports) -> list[tuple]:
+    import numpy as np
+
     from yumalab.metrics import ROLE_FILTERS
 
     rows = []
@@ -257,6 +276,8 @@ def _summary_rows(variant: str, reports) -> list[tuple]:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from yumalab.ingest import history_snapshots, resample
     from yumalab.metrics import (
         ROLE_FILTERS,
@@ -265,6 +286,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         concentration_report,
         correlation_profile,
     )
+    from yumalab.model import Role
 
     out_dir = _out_dir(args)
     dataset = _load_dataset(args)
@@ -276,7 +298,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         for role_filter in ROLE_FILTERS
     ]
     columns = _columns(ConcentrationReport)
-    _write_table(os.path.join(out_dir, "concentration.csv"), columns, history_reports)
+    _write_table(_out_path(out_dir, "concentration.csv"), columns, history_reports)
 
     # Per-window reports averaged per (netuid, role_filter) at the chosen
     # frequency; windows where a metric is undefined are skipped.
@@ -296,7 +318,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             means.append(float(np.mean(values)) if values else None)
         mean_rows.append((*key, len(group), *means))
     _write_csv(
-        os.path.join(out_dir, "concentration_snapshot_mean.csv"),
+        _out_path(out_dir, "concentration_snapshot_mean.csv"),
         ("netuid", "role_filter", "n_windows") + metric_columns,
         mean_rows,
     )
@@ -305,7 +327,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     snapshot_reports = [report for group in window_reports.values() for report in group]
     summary_rows.extend(_summary_rows(f"snapshot_{args.freq}", snapshot_reports))
     _write_csv(
-        os.path.join(out_dir, "concentration_summary.csv"),
+        _out_path(out_dir, "concentration_summary.csv"),
         ("variant", "role_filter", "resource", "metric", "mean", "median", "min", "max"),
         summary_rows,
     )
@@ -316,11 +338,13 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         for role in (Role.MINER, Role.VALIDATOR)
         if snap.count(role) >= 2
     ]
-    _write_table(os.path.join(out_dir, "correlations.csv"), _columns(CorrelationProfile), profiles)
+    _write_table(_out_path(out_dir, "correlations.csv"), _columns(CorrelationProfile), profiles)
     return 0
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from yumalab.ingest import history_snapshots
     from yumalab.metrics import _check_threshold, _coalition_sorted
 
@@ -332,7 +356,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         if float(np.sum(snap.stake)) <= 0.0:
             continue
         rows.append((snap.netuid, snap.count(), _coalition_sorted(np.sort(snap.stake), threshold)))
-    _write_csv(os.path.join(out_dir, "coalition.csv"), ("netuid", "n_wallets", "coalition_fraction"), rows)
+    _write_csv(_out_path(out_dir, "coalition.csv"), ("netuid", "n_wallets", "coalition_fraction"), rows)
     return 0
 
 
@@ -349,7 +373,10 @@ def _json_numbers(name: str, rows):
 def _tempo_instance(path: str):
     """The run_tempo arguments of a JSON instance file. Each value must be
     of its field's JSON kind, and its value type (float() for block_emission) converts it."""
+    import json
+
     from yumalab.consensus import Delegation
+    from yumalab.model import BondState, EmissionParams, WeightMatrix
 
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -411,7 +438,7 @@ def _cmd_tempo(args: argparse.Namespace) -> int:
         raise ValidationError("tempo expects exactly one --input instance file")
     wm, bonds, params, block_emission, delegations, tempos = _tempo_instance(args.input[0])
     outcome = run_tempo(wm, bonds, params, block_emission, delegations, tempos=tempos)
-    _write_json(os.path.join(out_dir, "emission.json"), _object(outcome, EMISSION_COLUMNS))
+    _write_json(_out_path(out_dir, "emission.json"), _object(outcome, EMISSION_COLUMNS))
     return 0
 
 
@@ -429,14 +456,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = _check_grid(args.scheme, grid)
     dataset = _load_dataset(args)
     result = sweep_scheme(history_snapshots(dataset), args.scheme, grid=grid)
-    _write_table(os.path.join(out_dir, "sweep.csv"), _columns(SweepPoint), result.per_point)
+    _write_table(_out_path(out_dir, "sweep.csv"), _columns(SweepPoint), result.per_point)
     aggregate_columns = _columns(SweepAggregate)
     summary = {
         "scheme": result.scheme,
         "grid": list(result.grid),
         "aggregates": [_object(agg, aggregate_columns) for agg in result.aggregates],
     }
-    _write_json(os.path.join(out_dir, "sweep_summary.json"), summary)
+    _write_json(_out_path(out_dir, "sweep_summary.json"), summary)
     return 0
 
 
@@ -457,12 +484,12 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args)
     points = tradeoff_frontier(history_snapshots(dataset), specs, threshold=args.threshold)
     columns = _columns(FrontierPoint)
-    _write_table(os.path.join(out_dir, "frontier.csv"), columns, points)
+    _write_table(_out_path(out_dir, "frontier.csv"), columns, points)
     payload = {
         "threshold": args.threshold,
         "points": [_object(point, columns) for point in points],
     }
-    _write_json(os.path.join(out_dir, "frontier.json"), payload)
+    _write_json(_out_path(out_dir, "frontier.json"), payload)
     return 0
 
 
@@ -480,7 +507,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
     series = temporal_robustness(dataset, spec, freqs=freqs, threshold=args.threshold)
     columns = _columns(RobustnessWindow)
     _write_csv(
-        os.path.join(out_dir, "robustness.csv"),
+        _out_path(out_dir, "robustness.csv"),
         ("freq",) + columns,
         ((entry.freq,) + _row(window, columns) for entry in series for window in entry.windows),
     )
@@ -492,7 +519,7 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
             for entry in series
         ],
     }
-    _write_json(os.path.join(out_dir, "robustness.json"), payload)
+    _write_json(_out_path(out_dir, "robustness.json"), payload)
     return 0
 
 
@@ -515,7 +542,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     )
     dataset = generate(cfg)
     out_format = args.format or "jsonl"
-    save_events(dataset, os.path.join(out_dir, f"synth.{out_format}"), format=out_format)
+    save_events(dataset, _out_path(out_dir, f"synth.{out_format}"), format=out_format)
     return 0
 
 
@@ -633,6 +660,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    import numpy as np
+
     try:
         # A float that overflows, or a NaN that arithmetic makes, is an
         # error, not a number to write into a report.

@@ -17,6 +17,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from yumalab._util import ValidationError
+
 __all__ = [
     "ValidationError",
     "Role",
@@ -28,10 +30,6 @@ __all__ = [
     "EmissionParams",
     "EmissionOutcome",
 ]
-
-
-class ValidationError(ValueError):
-    """A value violated one of the domain invariants."""
 
 
 class Role(str, Enum):

@@ -136,6 +136,35 @@ class TestExitCodes:
         assert code == 1
         assert "File exists" in capsys.readouterr().err
 
+    def test_output_directory_under_a_file_is_refused_before_inputs(self, tmp_path, capsys):
+        taken = tmp_path / "file"
+        taken.write_text("")
+        code = run_cli("attack", "--input", "/no/such.jsonl", "--out", str(taken / "sub"))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: {str(taken)!r}\n"
+
+    # Each run fails after --out is judged, with a new --out: none of them
+    # may leave the directory behind.
+    @pytest.mark.parametrize("args", [
+        ("attack", "--threshold", "2"),
+        ("robustness", "--transform", "bogus"),
+        ("metrics", "--cutoff", "garbage"),
+        ("sweep", "--scheme", "split", "--grid", "0,0.5,0"),
+        ("synth", "--stake-law", "bogus"),
+        ("tempo", "--input", "/missing.json"),
+    ], ids=lambda args: args[0])
+    def test_failing_run_makes_no_output_directory(self, tmp_path, capsys, fixture_path, args):
+        inputs = () if args[0] in ("synth", "tempo") else ("--input", fixture_path)
+        out = tmp_path / "new" / "out"
+        assert run_cli(*args, *inputs, "--out", str(out)) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "new").exists()
+
+    def test_output_directory_is_made_with_its_parents(self, tmp_path, fixture_path):
+        out = tmp_path / "a" / "b"
+        assert run_cli("attack", "--input", fixture_path, "--out", str(out)) == 0
+        assert os.listdir(out) == ["coalition.csv"]
+
     def test_empty_out_is_the_working_directory(self, tmp_path, monkeypatch, fixture_path):
         monkeypatch.chdir(tmp_path)
         assert run_cli("attack", "--input", fixture_path, "--out", "") == 0
@@ -252,7 +281,7 @@ class TestAttack:
         out = tmp_path / "out"
         assert run_cli(command, "--input", str(path), "--threshold", "1.5", "--out", str(out)) == 1
         assert capsys.readouterr().err == "error: threshold must lie in (0, 1], got 1.5\n"
-        assert os.listdir(out) == []
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("first", ["a", "b"])
@@ -348,7 +377,7 @@ class TestTempo:
         assert run_cli("tempo", "--input", str(bad), "--out", str(out)) == 1
         error = TypeError(f"{name} must be a JSON {kind}, got {value!r}")
         assert capsys.readouterr().err == f"error: malformed tempo instance {bad}: {error!r}\n"
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["1_0", "٥", True], ids=["underscore", "arabic-indic", "true"])
     @pytest.mark.parametrize("where, name", [
@@ -577,7 +606,7 @@ class TestEventEncoding:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: line 2: {message}")
         assert "Traceback" not in err
-        assert os.listdir(out) == []
+        assert not out.exists()
 
 
     def test_load_error_names_its_file(self, tmp_path, capsys):
@@ -589,7 +618,7 @@ class TestEventEncoding:
         assert run_cli("attack", "--input", str(first), str(second), "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err == f"error: {second}: line 4: invalid JSON: Expecting property name enclosed in double quotes\n"
-        assert os.listdir(out) == []
+        assert not out.exists()
         # A key in both files is found by the merge, which names no file.
         second.write_text(self.LINE.format("a") + "\n")
         assert run_cli("attack", "--input", str(first), str(second), "--out", str(out)) == 1
@@ -618,14 +647,14 @@ class TestNumericOverflow:
         out = tmp_path / "out"
         extra = {"sweep": ["--scheme", "split"], "robustness": ["--freq", "daily"]}.get(command, [])
         code = run_cli(command, "--input", str(path), *extra, "--out", str(out))
-        return code, os.listdir(out)
+        return code, out.exists()
 
     @pytest.mark.parametrize("command", ["attack", "metrics", "frontier", "robustness", "sweep"])
     def test_reward_sum_names_wallet_and_netuid(self, tmp_path, capsys, command):
         rows = [dict(day=day, hour=hour, wallet=wallet, stake=1.0, reward=reward)
                 for day in (1, 2)
                 for wallet, hour, reward in (("w1", "00", 1e308), ("w1", "12", 1e308), ("w2", "00", 1.0))]
-        assert self.run(tmp_path, command, rows) == (1, [])
+        assert self.run(tmp_path, command, rows) == (1, False)
         err = capsys.readouterr().err
         assert err == "error: rewards of wallet 'w1' in netuid 3 sum beyond the float64 range\n"
 
@@ -639,7 +668,7 @@ class TestNumericOverflow:
     def test_stake_sum_is_an_error_line(self, tmp_path, capsys, command, operation):
         rows = [dict(day=day, hour="00", wallet=wallet, stake=1e308, reward=1.0)
                 for day in (1, 2) for wallet in ("w1", "w2")]
-        assert self.run(tmp_path, command, rows) == (1, [])
+        assert self.run(tmp_path, command, rows) == (1, False)
         err = capsys.readouterr().err
         assert err == f"error: floating-point overflow encountered in {operation}\n"
 
@@ -843,18 +872,20 @@ class TestPearsonRange:
 
 SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 WIDE = os.path.join(DATA_DIR, "wide.jsonl")
-LOADED_BY_CLI = {"yumalab", "yumalab._util", "yumalab.cli", "yumalab.model"}
+LOADED_BY_PARSER = {"yumalab", "yumalab._util", "yumalab.cli"}
+LOADED_BY_CLI = LOADED_BY_PARSER | {"yumalab.model"}
 REPORT_MODULES = {"yumalab.ingest", "yumalab.interventions", "yumalab.metrics", "yumalab.sweep"}
 
 
 class TestModulesLoaded:
-    """Each subcommand imports only the modules it runs."""
+    """Each subcommand imports only the modules it runs; parsing the command
+    line alone (`--help`, a usage error) loads neither yumalab.model nor NumPy."""
 
     SCRIPT = ("import json, sys\n"
               "from yumalab.cli import run\n"
               "code = run(sys.argv[1:])\n"
               "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'yumalab')\n"
-              "print(json.dumps([code, loaded]))\n")
+              "print(json.dumps([code, loaded, 'numpy' in sys.modules]))\n")
 
     @pytest.mark.parametrize("args, code, extra", [
         (["ingest", "--input", WIDE], 0, {"yumalab.ingest"}),
@@ -868,17 +899,19 @@ class TestModulesLoaded:
          0, {"yumalab.ingest", "yumalab.synth"}),
         (["synth", "--reward-rule", "yuma_replay", "--subnets", "1", "--wallets", "6", "--days", "2"],
          0, {"yumalab.consensus", "yumalab.ingest", "yumalab.synth"}),
-        (["--help"], 0, set()),
-        (["tempo", "--help"], 0, set()),
-        (["metrics", "--freq", "hourly"], 2, set()),
+        (["--help"], 0, None),
+        (["tempo", "--help"], 0, None),
+        (["metrics", "--freq", "hourly"], 2, None),
     ], ids=["ingest", "metrics", "attack", "tempo", "sweep", "frontier", "robustness", "synth",
             "synth-replay", "help", "tempo-help", "usage-error"])
     def test_loaded_modules(self, tmp_path, args, code, extra):
+        """`extra` is None for a run that stops in argparse."""
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, (SRC_DIR, os.environ.get("PYTHONPATH")))))
         done = subprocess.run([sys.executable, "-c", self.SCRIPT, *args, "--out", str(tmp_path)],
                               capture_output=True, text=True, env=env, check=False)
-        assert json.loads(done.stdout.splitlines()[-1]) == [code, sorted(LOADED_BY_CLI | extra)]
+        loaded = LOADED_BY_PARSER if extra is None else LOADED_BY_CLI | extra
+        assert json.loads(done.stdout.splitlines()[-1]) == [code, sorted(loaded), extra is not None]
 
     def test_parser_choices_are_the_library_constants(self):
         parser = build_parser()

@@ -1064,7 +1064,8 @@ class TestInputOrder:
                     out = os.path.join(root, f"{command}-{os.path.basename(order[0])}")
                     code = run_cli([command, "--input", *order, "--cutoff", "none", "--out", out])
                     files = {}
-                    for name in sorted(os.listdir(out)):
+                    # A failing run makes no output directory.
+                    for name in sorted(os.listdir(out) if os.path.exists(out) else ()):
                         with open(os.path.join(out, name), "rb") as handle:
                             files[name] = handle.read()
                     outputs.append((code, files))

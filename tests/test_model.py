@@ -2,11 +2,16 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
+import yumalab
+from yumalab import _util, model
 from yumalab.ingest import Dataset
 from yumalab.model import (
     MINER_SHARE,
@@ -428,3 +433,37 @@ class TestCallerArrays:
         bonds = BondState(base[:1]).bonds
         base[0, 0] = 0.5
         assert bonds[0, 0] == 0.0
+
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh_interpreter(script: str) -> str:
+    """The last stdout line of `script` run in a new interpreter on src/."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC_DIR, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    return done.stdout.splitlines()[-1]
+
+
+class TestPackageNamespace:
+    """`yumalab` resolves its public names from yumalab.model on first use."""
+
+    @pytest.mark.parametrize("name", [name for name in yumalab.__all__ if name != "__version__"])
+    def test_public_name_is_the_model_object(self, name):
+        assert getattr(yumalab, name) is getattr(model, name)
+
+    def test_validation_error_is_one_class(self):
+        assert yumalab.ValidationError is model.ValidationError is _util.ValidationError
+        with pytest.raises(model.ValidationError, match="invalid law parameters"):
+            _util.name_args("pareto:x", "law")
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="module 'yumalab' has no attribute 'nosuch'"):
+            yumalab.nosuch  # noqa: B018
+
+    def test_from_import_still_loads_a_submodule(self):
+        assert fresh_interpreter("from yumalab import cli\nprint(cli.__name__)") == "yumalab.cli"
+
+    def test_import_alone_loads_no_numpy(self):
+        script = "import sys, yumalab\nprint(yumalab.__version__, 'numpy' in sys.modules)"
+        assert fresh_interpreter(script) == f"{yumalab.__version__} False"
