@@ -18,7 +18,7 @@ import os
 import sys
 from datetime import datetime
 from itertools import chain
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
 from yumalab._util import ValidationError, format_timestamp, from_epoch_us, integer, json_value, number, parse_timestamp
 
@@ -675,8 +675,21 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 1
 
 
-def main() -> None:
-    sys.exit(run())
+def main() -> NoReturn:
+    """The process entry: run, flush the standard streams and end the
+    process without the interpreter's teardown, which would only collect
+    and free the objects of a finished run. Every report file is closed
+    when run() returns. A stream that fails to flush (a closed pipe) leaves
+    the exit to the interpreter, which reports the failure and exits 120."""
+    code = run()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            # A stream is None when its file descriptor was closed at start.
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

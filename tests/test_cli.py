@@ -8,7 +8,6 @@ import os
 import re
 import shlex
 import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -904,12 +903,9 @@ class TestModulesLoaded:
         (["metrics", "--freq", "hourly"], 2, None),
     ], ids=["ingest", "metrics", "attack", "tempo", "sweep", "frontier", "robustness", "synth",
             "synth-replay", "help", "tempo-help", "usage-error"])
-    def test_loaded_modules(self, tmp_path, args, code, extra):
+    def test_loaded_modules(self, tmp_path, python_child, args, code, extra):
         """`extra` is None for a run that stops in argparse."""
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (SRC_DIR, os.environ.get("PYTHONPATH")))))
-        done = subprocess.run([sys.executable, "-c", self.SCRIPT, *args, "--out", str(tmp_path)],
-                              capture_output=True, text=True, env=env, check=False)
+        done = python_child("-c", self.SCRIPT, *args, "--out", str(tmp_path), capture_output=True, text=True)
         loaded = LOADED_BY_PARSER if extra is None else LOADED_BY_CLI | extra
         assert json.loads(done.stdout.splitlines()[-1]) == [code, sorted(loaded), extra is not None]
 
@@ -933,6 +929,53 @@ class TestModulesLoaded:
     def test_default_cutoff_is_the_dtao_cutoff(self):
         # The dTAO instant is written in cli and in ingest; the two must agree.
         assert parse_timestamp(DEFAULT_CUTOFF_TEXT) == ingest.DTAO_CUTOFF
+
+
+class TestProcessEntry:
+    """`python -m yumalab.cli` runs `cli.main`, as the console script does.
+    It ends the process without the interpreter's teardown; its exit status
+    and the bytes it writes are those of a normal exit."""
+
+    CLI = ("-m", "yumalab.cli")
+
+    def test_help(self, python_child, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        done = python_child(*self.CLI, "--help", capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, build_parser().format_help(), "")
+
+    def test_usage_error(self, python_child):
+        done = python_child(*self.CLI, "metrics", "--freq", "hourly", capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("usage: yumalab metrics ")
+        assert done.stderr.splitlines()[-1].startswith("yumalab metrics: error: argument --freq: invalid choice")
+
+    def test_missing_input(self, python_child, tmp_path):
+        done = python_child(*self.CLI, "attack", "--input", "missing.jsonl", "--out", "x",
+                            capture_output=True, text=True, cwd=tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: input file not found: missing.jsonl\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_closed_stdout(self, python_child, tmp_path):
+        # With fd 1 closed, sys.stdout is None and only stderr is flushed.
+        done = python_child(*self.CLI, "tempo", "--input", TEMPO_CHAIN_INSTANCE, "--out", str(tmp_path / "child"),
+                            stderr=subprocess.PIPE, text=True, preexec_fn=lambda: os.close(1))
+        assert (done.returncode, done.stderr) == (0, "")
+        assert run_cli("tempo", "--input", TEMPO_CHAIN_INSTANCE, "--out", str(tmp_path / "parent")) == 0
+        assert output_files(tmp_path / "child") == output_files(tmp_path / "parent")
+
+    def test_failed_stdout_flush_exits_120(self, python_child):
+        # The interpreter's own status when stdout cannot be flushed at exit,
+        # reported as an ignored exception, not a traceback.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = python_child(*self.CLI, "--help", stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 120
+        assert "Traceback" not in done.stderr
+        assert done.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+
 
 def relabel(source, target, rename) -> None:
     """Copy a JSONL event file with every wallet name passed through `rename`."""

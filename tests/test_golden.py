@@ -81,6 +81,10 @@ def output_digests(name: str, out_dir) -> dict[str, str]:
     """Run one invocation into out_dir and hash every file it writes."""
     code = run_cli(INVOCATIONS[name] + ["--out", str(out_dir)])
     assert code == 0, f"{name} exited with {code}"
+    return file_digests(out_dir)
+
+
+def file_digests(out_dir) -> dict[str, str]:
     digests = {}
     for file_name in sorted(os.listdir(out_dir)):
         with open(os.path.join(out_dir, file_name), "rb") as handle:
@@ -100,6 +104,22 @@ def test_every_invocation_has_digests():
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))
 def test_output_bytes_match_golden_digests(name, tmp_path):
     assert output_digests(name, tmp_path / name) == _expected()[name]
+
+
+# The process entry, cli.main, ends the process with os._exit, so the
+# interpreter closes and flushes nothing after it. An atexit hook that
+# never prints shows that the child skipped the teardown.
+MAIN_SCRIPT = ("import atexit\n"
+               "from yumalab.cli import main\n"
+               "atexit.register(print, 'teardown')\n"
+               "main()\n")
+
+
+@pytest.mark.parametrize("name", ["tempo_chain", "attack", "ingest_csv"])
+def test_output_bytes_through_main(name, tmp_path, python_child):
+    done = python_child("-c", MAIN_SCRIPT, *INVOCATIONS[name], "--out", str(tmp_path), capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert file_digests(tmp_path) == _expected()[name]
 
 
 if __name__ == "__main__":

@@ -2,9 +2,6 @@
 
 import dataclasses
 import math
-import os
-import subprocess
-import sys
 from datetime import datetime, timezone
 
 import numpy as np
@@ -435,13 +432,9 @@ class TestCallerArrays:
         assert bonds[0, 0] == 0.0
 
 
-SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
-
-def fresh_interpreter(script: str) -> str:
+def fresh_interpreter(python_child, script: str) -> str:
     """The last stdout line of `script` run in a new interpreter on src/."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC_DIR, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    done = python_child("-c", script, capture_output=True, text=True, check=True)
     return done.stdout.splitlines()[-1]
 
 
@@ -461,9 +454,9 @@ class TestPackageNamespace:
         with pytest.raises(AttributeError, match="module 'yumalab' has no attribute 'nosuch'"):
             yumalab.nosuch  # noqa: B018
 
-    def test_from_import_still_loads_a_submodule(self):
-        assert fresh_interpreter("from yumalab import cli\nprint(cli.__name__)") == "yumalab.cli"
+    def test_from_import_still_loads_a_submodule(self, python_child):
+        assert fresh_interpreter(python_child, "from yumalab import cli\nprint(cli.__name__)") == "yumalab.cli"
 
-    def test_import_alone_loads_no_numpy(self):
+    def test_import_alone_loads_no_numpy(self, python_child):
         script = "import sys, yumalab\nprint(yumalab.__version__, 'numpy' in sys.modules)"
-        assert fresh_interpreter(script) == f"{yumalab.__version__} False"
+        assert fresh_interpreter(python_child, script) == f"{yumalab.__version__} False"
