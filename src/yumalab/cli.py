@@ -17,7 +17,6 @@ import math
 import os
 import sys
 from datetime import datetime
-from itertools import chain
 from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
 
 from yumalab._util import ValidationError, format_timestamp, from_epoch_us, integer, json_value, number, parse_timestamp
@@ -360,19 +359,10 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     return 0
 
 
-def _json_numbers(name: str, rows):
-    """`rows` if it is a JSON array of arrays of numbers; TypeError naming the first value that is not."""
-    json_value(name, rows, "array")
-    if not (set(map(type, rows)) <= {list} and set(map(type, chain.from_iterable(rows))) <= {int, float}):
-        for row in rows:
-            for cell in json_value(f"{name} row", row, "array"):
-                json_value(name, cell, "number")
-    return rows
-
-
 def _tempo_instance(path: str):
-    """The run_tempo arguments of a JSON instance file. Each value must be
-    of its field's JSON kind, and its value type (float() for block_emission) converts it."""
+    """The run_tempo arguments of a JSON instance file. The reader only
+    picks each value out of the payload; the value types and run_tempo
+    judge its kind and range."""
     import json
 
     from yumalab.consensus import Delegation
@@ -390,39 +380,23 @@ def _tempo_instance(path: str):
     except RecursionError as exc:
         raise ValidationError(f"invalid JSON in {path}: {exc}") from None
     try:
-        validators = tuple((json_value("id", v["id"], "string"), json_value("stake", v["stake"], "number"))
-                           for v in payload["validators"])
-        miners = tuple(json_value("miner", m, "string") for m in payload["miners"])
-        weights = _json_numbers("weights", payload["weights"])
         params_obj = payload.get("params", {})
         # The instance format keeps tempo_blocks, which no computation reads.
         tempo_blocks = json_value("tempo_blocks", params_obj.get("tempo_blocks", 360), "integer")
-        params = EmissionParams(
-            alpha=json_value("alpha", params_obj.get("alpha", 0.1), "number"),
-            beta=json_value("beta", params_obj.get("beta", 0.5), "number"),
-            kappa=json_value("kappa", params_obj.get("kappa", 0.5), "number"),
-        )
         if tempo_blocks <= 0:
             raise ValidationError(f"tempo_blocks must be positive, got {tempo_blocks}")
-        block_emission = float(json_value("block_emission", payload["block_emission"], "number"))
+        params = EmissionParams(params_obj.get("alpha", 0.1), params_obj.get("beta", 0.5), params_obj.get("kappa", 0.5))
         delegations = tuple(
-            Delegation(
-                validator_id=json_value("validator_id", d["validator_id"], "string"),
-                delegator_id=json_value("delegator_id", d["delegator_id"], "string"),
-                amount=json_value("amount", d["amount"], "number"),
-                take=json_value("take", d["take"], "number"),
-            )
+            Delegation(d["validator_id"], d["delegator_id"], d["amount"], d["take"])
             for d in payload.get("delegations", ())
         )
-        tempos = json_value("tempos", payload.get("tempos", 1), "integer")
-        wm = WeightMatrix(validators=validators, miners=miners, weights=weights)
+        validators = tuple((v["id"], v["stake"]) for v in payload["validators"])
+        wm = WeightMatrix(validators, payload["miners"], payload["weights"])
         if "bonds" in payload:
-            bonds = BondState(
-                bonds=_json_numbers("bonds", payload["bonds"]),
-                tempo_index=json_value("tempo_index", payload.get("tempo_index", 0), "integer"),
-            )
+            bonds = BondState(bonds=payload["bonds"], tempo_index=payload.get("tempo_index", 0))
         else:
             bonds = BondState.initial(wm.n_validators, wm.n_miners)
+        block_emission, tempos = payload["block_emission"], payload.get("tempos", 1)
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
@@ -586,8 +560,18 @@ def _add_threshold_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its sub-parsers, that lets an
+    OSError from writing help or usage through to run(); argparse drops it."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        file = file or sys.stderr
+        if message and file is not None:  # None: a stream closed at start
+            file.write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="yumalab",
         description="Pre-dTAO Bittensor emission simulation and decentralization analysis.",
     )
@@ -655,18 +639,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    import numpy as np
+        args = build_parser().parse_args(argv)
+        import numpy as np
 
-    try:
         # A float that overflows, or a NaN that arithmetic makes, is an
         # error, not a number to write into a report.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return args.handler(args)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

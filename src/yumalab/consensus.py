@@ -29,8 +29,13 @@ from yumalab.model import (
     ValidationError,
     WeightMatrix,
     _freeze,
+    _require_finite,
+    _require_id,
+    _require_int,
     _require_nonneg,
+    _require_real,
     _require_unit,
+    _require_upto,
 )
 
 __all__ = [
@@ -61,8 +66,8 @@ class Delegation:
     take: float
 
     def __post_init__(self) -> None:
-        if not self.validator_id or not self.delegator_id:
-            raise ValidationError("validator_id and delegator_id must be non-empty")
+        _require_id("validator_id", self.validator_id)
+        _require_id("delegator_id", self.delegator_id)
         object.__setattr__(self, "amount", _require_nonneg("amount", self.amount))
         object.__setattr__(self, "take", _require_unit("take", self.take))
 
@@ -70,8 +75,8 @@ class Delegation:
 def split_block_emission(total: float) -> tuple[float, float, float]:
     """Split one block's emission into (owner, miner pool, validator pool)
     at the protocol's fixed shares."""
-    total = float(total)
-    if not math.isfinite(total) or total < 0.0:
+    total = _require_real("block emission", total)
+    if not 0.0 <= total < math.inf:
         raise ValidationError(f"block emission must be >= 0, got {total}")
     return OWNER_SHARE * total, MINER_SHARE * total, VALIDATOR_SHARE * total
 
@@ -110,9 +115,7 @@ def consensus_clip(wm: WeightMatrix, kappa: float = 0.5) -> tuple[np.ndarray, np
     zero-stake validators contribute candidate values but no backing.
     Returns (benchmarks, clipped matrix).
     """
-    kappa = float(kappa)
-    if not 0.0 < kappa <= 1.0:
-        raise ValidationError(f"kappa must lie in (0, 1], got {kappa}")
+    kappa = _require_upto("kappa", kappa)
     stakes = wm.stakes
     if float(np.sum(stakes)) <= 0.0:
         raise ValidationError("benchmark undefined: all validator stakes are zero")
@@ -198,7 +201,7 @@ def validator_emission_shares(bonds: BondState, miner_shares: np.ndarray) -> np.
 
 def _payout_coefficients(delegations: Sequence[Delegation], validator_total_stake: float) -> list[float]:
     """Each delegation's fraction of its validator's reward after commission."""
-    stake = float(validator_total_stake)
+    stake = _require_finite("validator_total_stake", validator_total_stake)
     if stake <= 0.0:
         raise ValidationError("validator_total_stake must be positive")
     delegated = math.fsum(d.amount for d in delegations)
@@ -267,7 +270,7 @@ class _Chain:
         # Every outcome shares the arrays built here; frozen, they are not copied.
         self.miner_share_vec = _freeze(miner_share_vec)
         self.miner_tao = _freeze(miner_pool * miner_share_vec)
-        self.block_emission = float(block_emission)
+        self.block_emission = block_emission
         self.wm = wm
 
     def step(self, bonds: np.ndarray) -> np.ndarray:
@@ -344,9 +347,7 @@ def run_tempo(
     and return the last outcome: the `tempos`-th outcome of `run_tempos`
     with the same arguments, bit for bit. Only that outcome is built; the
     tempos before it move the bond matrix and nothing else."""
-    if isinstance(tempos, bool) or not isinstance(tempos, int):
-        raise ValidationError(f"tempos must be an int, got {tempos!r}")
-    if tempos < 1:
+    if _require_int("tempos", tempos) < 1:
         raise ValidationError("tempos must be >= 1")
     chain = _Chain(wm, prev, params, block_emission, delegations)
     bonds = prev.bonds

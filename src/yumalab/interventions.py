@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from yumalab._util import name_args
-from yumalab.model import ValidationError, _require_unit
+from yumalab.model import ValidationError, _require_nonneg, _require_unit, _require_upto
 
 __all__ = [
     "TransformSpec",
@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 
-# The (low, high] range of each transform kind's param; None: no param.
-_PARAM_RANGES = {"cap": (0.0, 100.0), "power": (0.0, 1.0), "log": None}
+# Each transform kind's param lies in (0, high]; None: the kind takes no param.
+_PARAM_HIGHS = {"cap": 100.0, "power": 1.0, "log": None}
 
 # The validator share of the performance-weighted split (see
 # perf_weighted_rewards); a miner's is 1 minus it.
@@ -54,19 +54,16 @@ class TransformSpec:
     param: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _PARAM_RANGES:
+        if self.kind not in _PARAM_HIGHS:
             raise ValidationError(f"unknown transform kind {self.kind!r}")
-        if self.param is not None:
-            object.__setattr__(self, "param", float(self.param))
-        bounds = _PARAM_RANGES[self.kind]
-        if bounds is None:
+        high = _PARAM_HIGHS[self.kind]
+        if high is None:
             if self.param is not None:
                 raise ValidationError(f"{self.kind} transform takes no param, got {self.param}")
         elif self.param is None:
             raise ValidationError(f"{self.kind} transform requires a param")
-        elif not bounds[0] < self.param <= bounds[1]:
-            low, high = bounds
-            raise ValidationError(f"{self.kind} param must lie in ({low:g}, {high:g}], got {self.param}")
+        else:
+            object.__setattr__(self, "param", _require_upto(f"{self.kind} param", self.param, high))
 
     @classmethod
     def parse(cls, text: str) -> TransformSpec:
@@ -116,9 +113,7 @@ def perf_weighted_rewards(rewards, perfs, miners, sensitivity: float = 0.0) -> n
     perf), where base is BASE_VALIDATOR_SHARE. At sensitivity 0 this is a
     uniform within-role rescaling, leaving correlations unchanged.
     """
-    sensitivity = float(sensitivity)
-    if not math.isfinite(sensitivity) or sensitivity < 0.0:
-        raise ValidationError(f"sensitivity must be >= 0, got {sensitivity}")
+    sensitivity = _require_nonneg("sensitivity", sensitivity)
     reward_vec, perf_vec = _reward_perf_vectors(rewards, perfs)
     miner_vec = np.asarray(miners, dtype=bool)
     if miner_vec.shape != reward_vec.shape:
@@ -151,9 +146,7 @@ def composite_ranks(base_ranks, perfs, rank_weight: float) -> np.ndarray:
 
 def bonus_rewards(rewards, perfs, bonus_rate: float) -> np.ndarray:
     """Multiplicative trust bonus: reward * (1 + rate * perf)."""
-    rate = float(bonus_rate)
-    if not math.isfinite(rate) or rate < 0.0:
-        raise ValidationError(f"bonus_rate must be >= 0, got {rate}")
+    rate = _require_nonneg("bonus_rate", bonus_rate)
     reward_vec, perf_vec = _reward_perf_vectors(rewards, perfs)
     if rate == 0.0:
         return reward_vec.copy()
@@ -183,10 +176,7 @@ def nearest_rank_percentile(values, percentile: float) -> float:
     x = _as_vector(values, "values")
     if x.shape[0] == 0:
         raise ValidationError("percentile of an empty vector is undefined")
-    pct = float(percentile)
-    if not 0.0 < pct <= 100.0:
-        raise ValidationError(f"percentile must lie in (0, 100], got {pct}")
-    return _nearest_rank(np.sort(x), pct)
+    return _nearest_rank(np.sort(x), _require_upto("percentile", percentile, 100.0))
 
 
 def _transform(x: np.ndarray, spec: TransformSpec, cap: Optional[float]) -> np.ndarray:

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from yumalab.model import Role, SubnetSnapshot, ValidationError
+from yumalab.model import Role, SubnetSnapshot, ValidationError, _require_upto
 
 __all__ = [
     "ROLE_FILTERS",
@@ -111,10 +111,7 @@ def _pearson_centred(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -
 
 
 def _check_threshold(threshold: float) -> float:
-    threshold = float(threshold)
-    if not 0.0 < threshold <= 1.0:
-        raise ValidationError(f"threshold must lie in (0, 1], got {threshold}")
-    return threshold
+    return _require_upto("threshold", threshold)
 
 
 def gini(values) -> float:
@@ -139,9 +136,7 @@ def hhi(values) -> float:
 def top_share(values, fraction: float = 0.01) -> float:
     """Share of the total held by the top ceil(fraction * n) holders."""
     x = _as_nonneg_vector(values, "values")
-    fraction = float(fraction)
-    if not 0.0 < fraction <= 1.0:
-        raise ValidationError(f"fraction must lie in (0, 1], got {fraction}")
+    fraction = _require_upto("fraction", fraction)
     total = float(np.sum(x))
     if total <= 0.0:
         raise ValidationError("top_share is undefined for a zero-sum vector")

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from itertools import compress
+from itertools import chain, compress
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -49,8 +49,19 @@ class Role(str, Enum):
 _ROLES = (Role.VALIDATOR, Role.MINER)  # indexed by a miner flag
 
 
+def _require_real(name: str, value) -> float:
+    """`value` as a float if it is an int, a float or a NumPy real scalar but
+    not a bool (np.bool_ is no np.integer); float() would read True and "1_0"."""
+    if type(value) is bool or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must be within float64 range, got {value!r}") from None
+
+
 def _require_finite(name: str, value: float) -> float:
-    value = float(value)
+    value = _require_real(name, value)
     if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     return value
@@ -68,6 +79,45 @@ def _require_unit(name: str, value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValidationError(f"{name} must lie in [0, 1], got {value}")
     return value
+
+
+def _require_upto(name: str, value: float, high: float = 1.0) -> float:
+    value = _require_real(name, value)
+    if not 0.0 < value <= high:  # NaN fails too
+        raise ValidationError(f"{name} must lie in (0, {high:g}], got {value}")
+    return value
+
+
+def _require_int(name: str, value: int) -> int:
+    if type(value) is bool or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an int, got {value!r}")
+    return value
+
+
+def _require_id(name: str, value: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValidationError(f"{name} must be a non-empty string, got {value!r}")
+    return value
+
+
+def _require_matrix(name: str, value) -> np.ndarray:
+    """`value` as a float64 array of real numbers (np.asarray would read True
+    and "0.5"); a matrix or row that is not a list, a tuple or an array is a
+    shape fault, a TypeError. The caller checks the shape."""
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iuf":
+            raise ValidationError(f"{name} must hold real numbers, got dtype {value.dtype}")
+        return np.asarray(value, dtype=np.float64)
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{name} must be a list, a tuple or an array, got {value!r}")
+    for row in value:
+        if not isinstance(row, (list, tuple, np.ndarray)):
+            raise TypeError(f"{name} row must be a list, a tuple or an array, got {row!r}")
+    # One set test passes the common case; the loop names the first bad cell.
+    if not set(map(type, chain.from_iterable(value))) <= {int, float}:
+        for cell in chain.from_iterable(value):
+            _require_real(name, cell)
+    return np.asarray(value, dtype=np.float64)
 
 
 def _require_utc(name: str, value: datetime) -> datetime:
@@ -315,8 +365,9 @@ class WeightMatrix:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        validators = tuple((str(v), _require_nonneg(f"stake of {v!r}", s)) for v, s in self.validators)
-        miners = tuple(str(m) for m in self.miners)
+        validators = tuple((_require_id("validator id", v), _require_nonneg(f"stake of {v!r}", s))
+                           for v, s in self.validators)
+        miners = tuple(_require_id("miner id", m) for m in self.miners)
         if not validators:
             raise ValidationError("at least one validator is required")
         if not miners:
@@ -325,7 +376,7 @@ class WeightMatrix:
             raise ValidationError("validator ids must be unique")
         if len(set(miners)) != len(miners):
             raise ValidationError("miner ids must be unique")
-        weights = np.asarray(self.weights, dtype=np.float64)
+        weights = _require_matrix("weights", self.weights)
         if weights.shape != (len(validators), len(miners)):
             raise ValidationError(
                 f"weights shape {weights.shape} does not match "
@@ -376,10 +427,7 @@ class EmissionParams:
     kappa: float = 0.5
 
     def __post_init__(self) -> None:
-        kappa = _require_finite("kappa", self.kappa)
-        if not 0.0 < kappa <= 1.0:
-            raise ValidationError(f"kappa must lie in (0, 1], got {kappa}")
-        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "kappa", _require_upto("kappa", self.kappa))
         object.__setattr__(self, "alpha", _require_unit("alpha", self.alpha))
         object.__setattr__(self, "beta", _require_unit("beta", self.beta))
 
@@ -392,16 +440,15 @@ class BondState:
     tempo_index: int = 0
 
     def __post_init__(self) -> None:
-        bonds = np.asarray(self.bonds, dtype=np.float64)
+        bonds = _require_matrix("bonds", self.bonds)
         if bonds.ndim != 2:
             raise ValidationError("bonds must be a 2-d matrix")
         # One pass: NaN and +-inf fail a comparison too.
         if not ((bonds >= 0.0) & (bonds <= 1.0)).all():
             raise ValidationError("bond entries must lie in [0, 1]")
         object.__setattr__(self, "bonds", _frozen(np.ascontiguousarray(bonds), self.bonds))
-        if int(self.tempo_index) < 0:
+        if _require_int("tempo_index", self.tempo_index) < 0:
             raise ValidationError("tempo_index must be >= 0")
-        object.__setattr__(self, "tempo_index", int(self.tempo_index))
 
     @classmethod
     def initial(cls, n_validators: int, n_miners: int) -> "BondState":

@@ -30,7 +30,7 @@ from yumalab.interventions import (
     unit_rescale,
 )
 from yumalab.metrics import _centred, _check_threshold, _coalition_sorted, _pearson_centred
-from yumalab.model import Role, SubnetSnapshot, ValidationError
+from yumalab.model import Role, SubnetSnapshot, ValidationError, _require_upto
 
 __all__ = [
     "SCHEMES",
@@ -131,10 +131,7 @@ class FrontierPoint:
     pareto: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.median_coalition_fraction <= 1.0:
-            raise ValidationError(
-                f"median coalition fraction must lie in (0, 1], got {self.median_coalition_fraction}"
-            )
+        _require_upto("median coalition fraction", self.median_coalition_fraction)
         # A transform that raises stakes gives a negative penalty.
         if not (math.isfinite(self.median_whale_penalty) and self.median_whale_penalty <= 1.0):
             raise ValidationError(

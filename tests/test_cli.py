@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import errno
 import json
 import math
 import os
@@ -326,14 +327,14 @@ class TestTempo:
     @pytest.mark.parametrize("fields, raw, message", [
         ({"bonds": [[0.0, 0.0], [0.0]]}, None, "error: malformed tempo instance"),
         ({"bonds": [[0.0, 0.0], [0.0, 0.0]], "tempo_index": "x"}, None,
-         "error: malformed tempo instance"),
+         "error: tempo_index must be an int, got 'x'\n"),
         ({"params": [0.1]}, None, "error: malformed tempo instance"),
-        ({"tempos": float("inf")}, None, "error: malformed tempo instance"),
+        ({"tempos": float("inf")}, None, "error: tempos must be an int, got inf\n"),
         ({}, b'{"miners": ["m\xff"]}', "error: invalid UTF-8 in"),
-        ({"tempos": 2.7}, None, "error: malformed tempo instance"),
-        ({"tempos": True}, None, "error: malformed tempo instance"),
+        ({"tempos": 2.7}, None, "error: tempos must be an int, got 2.7\n"),
+        ({"tempos": True}, None, "error: tempos must be an int, got True\n"),
         ({"bonds": [[0.0, 0.0], [0.0, 0.0]], "tempo_index": 3.9}, None,
-         "error: malformed tempo instance"),
+         "error: tempo_index must be an int, got 3.9\n"),
         ({"params": {"alpha": 0.1, "beta": 0.5, "kappa": 0.5, "tempo_blocks": 360.9}}, None,
          "error: malformed tempo instance"),
         ({"params": {"alpha": 0.1, "beta": 0.5, "kappa": 0.5, "tempo_blocks": 0}}, None,
@@ -345,9 +346,10 @@ class TestTempo:
         ({"delegations": [{"validator_id": "v1", "delegator_id": "d1", "amount": -1.0,
                            "take": 0.18}]}, None, "error: amount must be >= 0, got -1.0\n"),
         ({}, b"[" * 100_000 + b"]" * 100_000, "error: invalid JSON in"),
-        ({"block_emission": 10**400}, None, "error: malformed tempo instance"),
+        ({"block_emission": 10**400}, None,
+         f"error: block emission must be within float64 range, got {10**400}\n"),
         ({"validators": [{"id": "v1", "stake": 10**400}, {"id": "v2", "stake": 1.0}]}, None,
-         "error: malformed tempo instance"),
+         f"error: stake of 'v1' must be within float64 range, got {10**400}\n"),
     ], ids=["ragged-bonds", "tempo-index", "params-not-object", "infinite-tempos", "non-utf8",
             "float-tempos", "bool-tempos", "float-tempo-index", "float-tempo-blocks",
             "zero-tempo-blocks", "negative-tempo-blocks",
@@ -363,9 +365,11 @@ class TestTempo:
         assert err.startswith(message) and "Traceback" not in err
 
     @staticmethod
-    def _assert_refused(tmp_path, capsys, instance, where, key, value, name, kind):
+    def _assert_refused(tmp_path, capsys, instance, where, key, value, error):
         """Set `key` under the `where` path of `instance` to `value`: tempo
-        must refuse the file with `name must be a JSON kind` and write nothing."""
+        must refuse the file with one error line and write nothing. A kind
+        fault (`error` a str) is the value type's own line; a shape fault
+        (`error` an exception) is wrapped as a malformed instance."""
         fields = instance
         for step in where:
             fields = fields[step]
@@ -374,43 +378,47 @@ class TestTempo:
         bad.write_text(json.dumps(instance))
         out = tmp_path / "out"
         assert run_cli("tempo", "--input", str(bad), "--out", str(out)) == 1
-        error = TypeError(f"{name} must be a JSON {kind}, got {value!r}")
-        assert capsys.readouterr().err == f"error: malformed tempo instance {bad}: {error!r}\n"
+        if isinstance(error, Exception):
+            error = f"malformed tempo instance {bad}: {error!r}"
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["1_0", "٥", True], ids=["underscore", "arabic-indic", "true"])
-    @pytest.mark.parametrize("where, name", [
-        ((), "block_emission"),
-        (("validators", 1), "stake"),
-        (("params",), "alpha"),
-        (("params",), "beta"),
-        (("params",), "kappa"),
-        (("delegations", 0), "amount"),
-        (("delegations", 0), "take"),
+    @pytest.mark.parametrize("where, key, name", [
+        ((), "block_emission", "block emission"),
+        (("validators", 1), "stake", "stake of 'v2'"),
+        (("params",), "alpha", "alpha"),
+        (("params",), "beta", "beta"),
+        (("params",), "kappa", "kappa"),
+        (("delegations", 0), "amount", "amount"),
+        (("delegations", 0), "take", "take"),
     ], ids=["block_emission", "stake", "alpha", "beta", "kappa", "amount", "take"])
-    def test_number_fields_need_a_json_number(self, tmp_path, capsys, tempo_instance_path, where, name, value):
+    def test_number_fields_need_a_json_number(self, tmp_path, capsys, tempo_instance_path, where, key, name, value):
         with open(tempo_instance_path, encoding="utf-8") as handle:
             instance = json.load(handle)
-        self._assert_refused(tmp_path, capsys, instance, where, name, value, name, "number")
+        self._assert_refused(tmp_path, capsys, instance, where, key, value,
+                             f"{name} must be a real number, got {value!r}")
 
     @pytest.mark.parametrize("value", [7, True, None], ids=["int", "true", "null"])
     @pytest.mark.parametrize("where, key, name", [
-        (("validators", 0), "id", "id"),
-        (("miners",), 1, "miner"),
+        (("validators", 0), "id", "validator id"),
+        (("miners",), 1, "miner id"),
         (("delegations", 0), "validator_id", "validator_id"),
         (("delegations", 0), "delegator_id", "delegator_id"),
     ], ids=["id", "miner", "validator_id", "delegator_id"])
     def test_id_fields_need_a_json_string(self, tmp_path, capsys, tempo_instance_path, where, key, name, value):
         with open(tempo_instance_path, encoding="utf-8") as handle:
             instance = json.load(handle)
-        self._assert_refused(tmp_path, capsys, instance, where, key, value, name, "string")
+        self._assert_refused(tmp_path, capsys, instance, where, key, value,
+                             f"{name} must be a non-empty string, got {value!r}")
 
     @pytest.mark.parametrize("value", ["0.5", "0_1", True, None], ids=["string", "underscore", "true", "null"])
     @pytest.mark.parametrize("matrix", ["weights", "bonds"])
     def test_matrix_cells_need_a_json_number(self, tmp_path, capsys, tempo_instance_path, matrix, value):
         with open(tempo_instance_path, encoding="utf-8") as handle:
             instance = {**json.load(handle), "bonds": [[0.0, 0.0], [0.0, 0.0]]}
-        self._assert_refused(tmp_path, capsys, instance, (matrix, 1), 0, value, matrix, "number")
+        self._assert_refused(tmp_path, capsys, instance, (matrix, 1), 0, value,
+                             f"{matrix} must be a real number, got {value!r}")
 
     @pytest.mark.parametrize("row, value", [
         (False, "ab"), (False, {"v1": [0.5, 0.5]}), (False, 0.5),
@@ -420,10 +428,9 @@ class TestTempo:
     def test_matrices_need_json_arrays(self, tmp_path, capsys, tempo_instance_path, matrix, row, value):
         with open(tempo_instance_path, encoding="utf-8") as handle:
             instance = {**json.load(handle), "bonds": [[0.0, 0.0], [0.0, 0.0]]}
-        if row:
-            self._assert_refused(tmp_path, capsys, instance, (matrix,), 1, value, f"{matrix} row", "array")
-        else:
-            self._assert_refused(tmp_path, capsys, instance, (), matrix, value, matrix, "array")
+        name, where, key = (f"{matrix} row", (matrix,), 1) if row else (matrix, (), matrix)
+        error = TypeError(f"{name} must be a list, a tuple or an array, got {value!r}")
+        self._assert_refused(tmp_path, capsys, instance, where, key, value, error)
 
     def test_integers_read_as_floats(self, tmp_path):
         # Every number is whole, so each can be written as a JSON integer
@@ -975,6 +982,36 @@ class TestProcessEntry:
         assert done.returncode == 120
         assert "Traceback" not in done.stderr
         assert done.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+
+    HELP = pytest.mark.parametrize("args", [("--help",), ("metrics", "--help")], ids=["help", "metrics-help"])
+
+    @HELP
+    def test_failed_help_write_is_an_error_line(self, python_child, args):
+        # With stdout unbuffered (-u) the help text reaches the device inside
+        # run(), which names the failure.
+        with open("/dev/full", "w") as full:
+            done = python_child("-u", *self.CLI, *args, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert (done.returncode, done.stderr) == (1, "error: [Errno 28] No space left on device\n")
+
+    @HELP
+    def test_failed_buffered_help_write_exits_120(self, python_child, args):
+        # Block buffered, the help text waits in the buffer until the exit
+        # flush, which fails as into a closed pipe: the interpreter's status.
+        with open("/dev/full", "w") as full:
+            done = python_child(*self.CLI, *args, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert done.returncode == 120
+        assert "Traceback" not in done.stderr
+        assert done.stderr.endswith("OSError: [Errno 28] No space left on device\n")
+
+    @HELP
+    def test_run_reports_a_failed_help_write(self, capsys, monkeypatch, args):
+        class FullStream:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr("sys.stdout", FullStream())
+        assert run_cli(*args) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
 
 
 def relabel(source, target, rename) -> None:

@@ -526,3 +526,150 @@ class TestDelegatorRewardsOrder:
             expected[delegation.delegator_id] = expected.get(delegation.delegator_id, 0.0) + payout
         got = delegator_rewards(delegations, reward, stake)
         assert repr(list(got.items())) == repr(list(expected.items()))
+
+
+def _weight_matrix(stake=1.0, validator="v1", miner="m1", weights=((0.5, 0.5), (0.5, 0.5))):
+    return WeightMatrix(validators=((validator, stake), ("v2", 1.0)), miners=(miner, "m2"), weights=weights)
+
+
+# Every field of the consensus value types: (kind, build, read, bounds).
+# `build` puts a value into that one field of an otherwise valid instance,
+# `read` takes the field back out, and `bounds` is the range of numbers the
+# field accepts.
+KIND_FIELDS = {
+    "WeightMatrix.validator_id": ("id", lambda v: _weight_matrix(validator=v), None, None),
+    "WeightMatrix.stake": ("number", lambda v: _weight_matrix(stake=v), lambda o: o.stakes[0], (0, 10**6)),
+    "WeightMatrix.miner": ("id", lambda v: _weight_matrix(miner=v), None, None),
+    "WeightMatrix.weights": ("matrix", lambda v: _weight_matrix(weights=v), lambda o: o.weights, (0, 1)),
+    "EmissionParams.alpha": ("number", lambda v: EmissionParams(alpha=v, beta=0.5), lambda o: o.alpha, (0, 1)),
+    "EmissionParams.beta": ("number", lambda v: EmissionParams(alpha=0.1, beta=v), lambda o: o.beta, (0, 1)),
+    "EmissionParams.kappa": ("number", lambda v: EmissionParams(alpha=0.1, beta=0.5, kappa=v),
+                             lambda o: o.kappa, (0.5, 1)),
+    "BondState.bonds": ("matrix", lambda v: BondState(v), lambda o: o.bonds, (0, 1)),
+    "BondState.tempo_index": ("int", lambda v: BondState(np.zeros((2, 2)), tempo_index=v), None, None),
+    "Delegation.validator_id": ("id", lambda v: Delegation(v, "d1", 1.0, 0.1), None, None),
+    "Delegation.delegator_id": ("id", lambda v: Delegation("v1", v, 1.0, 0.1), None, None),
+    "Delegation.amount": ("number", lambda v: Delegation("v1", "d1", v, 0.1), lambda o: o.amount, (0, 10**6)),
+    "Delegation.take": ("number", lambda v: Delegation("v1", "d1", 1.0, v), lambda o: o.take, (0, 1)),
+    "split_block_emission": ("number", split_block_emission, lambda o: o, (0, 10**6)),
+}
+
+
+@st.composite
+def non_real_matrices(draw):
+    """A 2x2 matrix of numbers in [0, 1] made an object, string or bool
+    array, or a nested list with one cell that is not a real number."""
+    cells = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+    rows = [cells[:2], cells[2:]]
+    form = draw(st.sampled_from(["object", "str", "bool", "cell"]))
+    if form == "object":
+        return np.array(rows, dtype=object)
+    if form == "str":
+        return np.array(rows).astype(str)
+    if form == "bool":
+        return np.array(rows) > 0.5
+    rows[draw(st.integers(0, 1))][draw(st.integers(0, 1))] = draw(
+        st.one_of(st.booleans(), st.sampled_from([np.True_, "0.5", "1_0", None])))
+    return rows
+
+
+NUMERIC_TEXT = st.one_of(st.sampled_from(["0.5", "1_0", "1", "٥"]), st.floats(0.0, 1.0).map(str))
+# For each kind, values that a field of that kind must refuse.
+NOT_OF_KIND = {
+    "number": st.one_of(st.booleans(), st.sampled_from([np.True_, np.False_, None, [0.5]]), NUMERIC_TEXT),
+    "id": st.one_of(st.integers(), st.booleans(), st.floats(allow_nan=False),
+                    st.sampled_from([None, "", b"v1", np.int64(7)])),
+    "int": st.one_of(st.booleans(), st.floats(0.0, 10.0), NUMERIC_TEXT, st.sampled_from([np.int64(3), None])),
+    "matrix": non_real_matrices(),
+}
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+class TestKindRule:
+    """The value types own the rule for what a value may be: an id is a
+    non-empty str, a number an int, a float or a NumPy real scalar but not a
+    bool or a str, and a matrix holds only such numbers. Nothing is converted
+    into the kind it should have had."""
+
+    @pytest.mark.parametrize("field", sorted(KIND_FIELDS))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_each_field_refuses_a_value_of_another_kind(self, field, data):
+        kind, build, _, _ = KIND_FIELDS[field]
+        value = data.draw(NOT_OF_KIND[kind], label="value")
+        with pytest.raises(ValidationError):
+            build(value)
+
+    @pytest.mark.parametrize("field", sorted(name for name, spec in KIND_FIELDS.items() if spec[0] == "number"))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_numbers_give_the_bits_of_their_float(self, field, data):
+        _, build, read, (low, high) = KIND_FIELDS[field]
+        number = data.draw(st.one_of(st.integers(math.ceil(low), high), st.floats(low, high)), label="number")
+        variants = [number, float(number), np.float64(number)]
+        if isinstance(number, int):
+            variants.append(np.int64(number))
+        expected = _bits(read(build(float(number))))
+        for variant in variants:
+            assert _bits(read(build(variant))) == expected, repr(variant)
+
+    @pytest.mark.parametrize("field", ["WeightMatrix.weights", "BondState.bonds"])
+    @settings(max_examples=40, deadline=None)
+    @given(cells=st.lists(st.one_of(st.integers(0, 1), st.floats(0.0, 1.0)), min_size=4, max_size=4))
+    def test_matrices_give_the_bits_of_their_floats(self, field, cells):
+        _, build, read, _ = KIND_FIELDS[field]
+        rows = [cells[:2], cells[2:]]
+        expected = _bits(read(build(np.array(rows, dtype=np.float64))))
+        variants = [rows, tuple(map(tuple, rows)), [list(map(np.float64, row)) for row in rows]]
+        if all(isinstance(cell, int) for cell in cells):
+            variants.append(np.array(rows, dtype=np.int64))
+        for variant in variants:
+            matrix = read(build(variant))
+            assert matrix.dtype == np.float64 and matrix.tobytes() == expected, repr(variant)
+
+    @pytest.mark.parametrize("field", ["WeightMatrix.weights", "BondState.bonds"])
+    def test_a_bool_cell_is_refused(self, field):
+        # NumPy alone would read the row as [0.5, 1.0].
+        assert np.asarray([[0.5, True]]).dtype == np.float64
+        name = field.split(".")[1]
+        with pytest.raises(ValidationError) as excinfo:
+            KIND_FIELDS[field][1]([[0.5, True]])
+        assert str(excinfo.value) == f"{name} must be a real number, got True"
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: WeightMatrix(validators=((7, "1_0"),), miners=(True,), weights=[["0.5"]]),
+         "validator id must be a non-empty string, got 7"),
+        (lambda: WeightMatrix(validators=(("v1", "1_0"),), miners=("m1",), weights=[[0.5]]),
+         "stake of 'v1' must be a real number, got '1_0'"),
+        (lambda: WeightMatrix(validators=(("v1", 1.0),), miners=(True,), weights=[[0.5]]),
+         "miner id must be a non-empty string, got True"),
+        (lambda: WeightMatrix(validators=(("v1", 1.0),), miners=("m1",), weights=[["0.5"]]),
+         "weights must be a real number, got '0.5'"),
+        (lambda: EmissionParams(alpha=True, beta="0.1"), "alpha must be a real number, got True"),
+        (lambda: EmissionParams(alpha=0.1, beta="0.1"), "beta must be a real number, got '0.1'"),
+        (lambda: BondState([[True]], tempo_index=3.9), "bonds must be a real number, got True"),
+        (lambda: BondState([[1.0]], tempo_index=3.9), "tempo_index must be an int, got 3.9"),
+        (lambda: Delegation(7, 3, "1", False), "validator_id must be a non-empty string, got 7"),
+        (lambda: Delegation("v1", 3, "1", False), "delegator_id must be a non-empty string, got 3"),
+        (lambda: Delegation("v1", "d1", "1", False), "amount must be a real number, got '1'"),
+        (lambda: Delegation("v1", "d1", 1, False), "take must be a real number, got False"),
+        (lambda: split_block_emission("1_0"), "block emission must be a real number, got '1_0'"),
+        (lambda: split_block_emission(10**400), f"block emission must be within float64 range, got {10**400}"),
+    ], ids=["weight-matrix", "stake", "miner", "weight", "alpha", "beta", "bonds", "tempo-index",
+            "validator-id", "delegator-id", "amount", "take", "block-emission", "huge-block-emission"])
+    def test_former_coercions_are_refused(self, build, message):
+        with pytest.raises(ValidationError) as excinfo:
+            build()
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("matrix, message", [
+        ("ab", "weights must be a list, a tuple or an array, got 'ab'"),
+        ([[0.5, 0.5], 0.5], "weights row must be a list, a tuple or an array, got 0.5"),
+    ], ids=["matrix", "row"])
+    def test_a_matrix_that_is_not_rows_is_a_shape_fault(self, matrix, message):
+        with pytest.raises(TypeError) as excinfo:
+            _weight_matrix(weights=matrix)
+        assert str(excinfo.value) == message
