@@ -560,13 +560,24 @@ def _add_threshold_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _write_stderr(text: str) -> None:
+    """Write `text` to stderr. A stderr that cannot be written loses the
+    text, not the exit status that run() returns."""
+    if sys.stderr is not None:  # None: a stream closed at start
+        try:
+            sys.stderr.write(text)
+        except OSError:
+            pass
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and the class of its sub-parsers, that lets an
-    OSError from writing help or usage through to run(); argparse drops it."""
+    OSError from writing help through to run(); argparse drops it."""
 
     def _print_message(self, message: str, file=None) -> None:
-        file = file or sys.stderr
-        if message and file is not None:  # None: a stream closed at start
+        if file is None or file is sys.stderr:
+            _write_stderr(message)
+        elif message:
             file.write(message)
 
 
@@ -650,25 +661,25 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     except (ValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write_stderr(f"error: {exc}\n")
         return 1
     except FloatingPointError as exc:
-        print(f"error: floating-point {exc}", file=sys.stderr)
+        _write_stderr(f"error: floating-point {exc}\n")
         return 1
 
 
 def main() -> NoReturn:
-    """The process entry: run, flush the standard streams and end the
-    process without the interpreter's teardown, which would only collect
-    and free the objects of a finished run. Every report file is closed
-    when run() returns. A stream that fails to flush (a closed pipe) leaves
-    the exit to the interpreter, which reports the failure and exits 120."""
+    """The process entry: run, flush stdout and end the process without the
+    interpreter's teardown, which would only collect and free the objects
+    of a finished run. Every report file is closed when run() returns, and
+    stderr, line buffered, holds only whole lines. A stdout that fails to
+    flush (a closed pipe) leaves the exit to the interpreter, which reports
+    the failure and exits 120."""
     code = run()
     try:
-        for stream in (sys.stdout, sys.stderr):
-            # A stream is None when its file descriptor was closed at start.
-            if stream is not None:
-                stream.flush()
+        # sys.stdout is None when its file descriptor was closed at start.
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except OSError:
         sys.exit(code)
     os._exit(code)

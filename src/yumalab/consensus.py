@@ -29,6 +29,7 @@ from yumalab.model import (
     ValidationError,
     WeightMatrix,
     _freeze,
+    _require_array,
     _require_finite,
     _require_id,
     _require_int,
@@ -97,8 +98,8 @@ def clip_benchmarks(weights: np.ndarray, stakes: np.ndarray, kappa: float) -> np
     weight. A column whose full backing falls a rounding error short of
     the target gets its smallest weight.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    s = np.asarray(stakes, dtype=np.float64)
+    w = _require_array("weights", weights, 2)
+    s = _require_array("stakes", stakes, 1)
     target = kappa * float(np.sum(s))
     order = np.argsort(-w, axis=0, kind="stable")
     sorted_w = np.take_along_axis(w, order, axis=0)
@@ -130,8 +131,8 @@ def miner_emission_shares(clipped: np.ndarray, stakes: np.ndarray) -> tuple[np.n
     Returns (shares, no_ranking_mass). When every miner's ranking is zero
     the shares are all zero and the flag is set instead of raising.
     """
-    clipped = np.asarray(clipped, dtype=np.float64)
-    stakes = np.asarray(stakes, dtype=np.float64)
+    clipped = _require_array("clipped", clipped, 2)
+    stakes = _require_array("stakes", stakes, 1)
     if clipped.ndim != 2 or stakes.shape != (clipped.shape[0],):
         raise ValidationError("clipped matrix and stake vector dimensions do not match")
     if np.any(stakes < 0.0):
@@ -185,7 +186,7 @@ def validator_bonds(
     """
     beta = _require_unit("beta", beta)
     alpha = _require_unit("alpha", alpha)
-    clipped = np.asarray(clipped, dtype=np.float64)
+    clipped = _require_array("clipped", clipped, 2)
     _check_bond_shapes(wm, clipped, prev)
     smoothed = _bond_step(_bond_target(wm, clipped, beta), alpha, prev.bonds)
     return BondState(bonds=_freeze(smoothed), tempo_index=prev.tempo_index + 1)
@@ -193,7 +194,7 @@ def validator_bonds(
 
 def validator_emission_shares(bonds: BondState, miner_shares: np.ndarray) -> np.ndarray:
     """Validator shares: bond-weighted sums of miner shares."""
-    miner_shares = np.asarray(miner_shares, dtype=np.float64)
+    miner_shares = _require_array("miner_shares", miner_shares, 1)
     if miner_shares.shape != (bonds.bonds.shape[1],):
         raise ValidationError("miner share vector does not match bond matrix width")
     return bonds.bonds @ miner_shares

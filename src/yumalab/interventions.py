@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from yumalab._util import name_args
-from yumalab.model import ValidationError, _require_nonneg, _require_unit, _require_upto
+from yumalab.model import ValidationError, _require_array, _require_nonneg, _require_unit, _require_upto
 
 __all__ = [
     "TransformSpec",
@@ -83,26 +83,17 @@ class TransformSpec:
         return f"{self.kind}:{text if float(text) == self.param else repr(self.param)}"
 
 
-def _as_vector(values, name: str) -> np.ndarray:
-    x = np.asarray(values, dtype=np.float64)
+def _vector(name: str, values, high: Optional[float] = None) -> np.ndarray:
+    """`values` as a finite float64 vector by the kind rule of
+    `_require_array`; with `high` (inf or 1), each value must lie in [0, high]."""
+    x = _require_array(name, values, 1)
     if x.ndim != 1:
         raise ValidationError(f"{name} must be a 1-d vector")
     if not np.all(np.isfinite(x)):
         raise ValidationError(f"{name} must be finite")
+    if high is not None and (np.any(x < 0.0) or np.any(x > high)):
+        raise ValidationError(f"{name} must be nonnegative" if high == math.inf else f"{name} must lie in [0, 1]")
     return x
-
-
-def _reward_perf_vectors(rewards, perfs) -> tuple[np.ndarray, np.ndarray]:
-    """Rewards (>= 0) and perf scores (in [0, 1]) as vectors of equal length."""
-    reward_vec = _as_vector(rewards, "rewards")
-    perf_vec = _as_vector(perfs, "perfs")
-    if reward_vec.shape != perf_vec.shape:
-        raise ValidationError("rewards and perfs must have equal length")
-    if np.any(reward_vec < 0.0):
-        raise ValidationError("rewards must be nonnegative")
-    if np.any(perf_vec < 0.0) or np.any(perf_vec > 1.0):
-        raise ValidationError("perfs must lie in [0, 1]")
-    return reward_vec, perf_vec
 
 
 def perf_weighted_rewards(rewards, perfs, miners, sensitivity: float = 0.0) -> np.ndarray:
@@ -114,8 +105,10 @@ def perf_weighted_rewards(rewards, perfs, miners, sensitivity: float = 0.0) -> n
     uniform within-role rescaling, leaving correlations unchanged.
     """
     sensitivity = _require_nonneg("sensitivity", sensitivity)
-    reward_vec, perf_vec = _reward_perf_vectors(rewards, perfs)
-    miner_vec = np.asarray(miners, dtype=bool)
+    reward_vec, perf_vec = _vector("rewards", rewards, math.inf), _vector("perfs", perfs, 1.0)
+    if reward_vec.shape != perf_vec.shape:
+        raise ValidationError("rewards and perfs must have equal length")
+    miner_vec = _require_array("miners", miners, 1, np.bool_)
     if miner_vec.shape != reward_vec.shape:
         raise ValidationError("rewards and miners must have equal length")
     base = np.where(miner_vec, 1.0 - BASE_VALIDATOR_SHARE, BASE_VALIDATOR_SHARE)
@@ -130,13 +123,10 @@ def composite_ranks(base_ranks, perfs, rank_weight: float) -> np.ndarray:
     the performance scores.
     """
     weight = _require_unit("rank_weight", rank_weight)
-    ranks = _as_vector(base_ranks, "base_ranks")
-    perf = _as_vector(perfs, "perfs")
+    ranks = _vector("base_ranks", base_ranks, 1.0)
+    perf = _vector("perfs", perfs, 1.0)
     if ranks.shape != perf.shape:
         raise ValidationError("base_ranks and perfs must have equal length")
-    for name, vec in (("base_ranks", ranks), ("perfs", perf)):
-        if np.any(vec < 0.0) or np.any(vec > 1.0):
-            raise ValidationError(f"{name} must lie in [0, 1]")
     if weight == 1.0:
         return ranks.copy()
     if weight == 0.0:
@@ -147,7 +137,9 @@ def composite_ranks(base_ranks, perfs, rank_weight: float) -> np.ndarray:
 def bonus_rewards(rewards, perfs, bonus_rate: float) -> np.ndarray:
     """Multiplicative trust bonus: reward * (1 + rate * perf)."""
     rate = _require_nonneg("bonus_rate", bonus_rate)
-    reward_vec, perf_vec = _reward_perf_vectors(rewards, perfs)
+    reward_vec, perf_vec = _vector("rewards", rewards, math.inf), _vector("perfs", perfs, 1.0)
+    if reward_vec.shape != perf_vec.shape:
+        raise ValidationError("rewards and perfs must have equal length")
     if rate == 0.0:
         return reward_vec.copy()
     return reward_vec * (1.0 + rate * perf_vec)
@@ -155,7 +147,7 @@ def bonus_rewards(rewards, perfs, bonus_rate: float) -> np.ndarray:
 
 def unit_rescale(values) -> np.ndarray:
     """Min-max rescale to [0, 1]; a constant vector maps to all 0.5."""
-    x = _as_vector(values, "values")
+    x = _vector("values", values)
     if x.shape[0] == 0:
         return x.copy()
     lo = float(np.min(x))
@@ -173,7 +165,7 @@ def _nearest_rank(ascending: np.ndarray, percentile: float) -> float:
 
 def nearest_rank_percentile(values, percentile: float) -> float:
     """Nearest-rank percentile: element ceil(p/100 * n) of the ascending sort."""
-    x = _as_vector(values, "values")
+    x = _vector("values", values)
     if x.shape[0] == 0:
         raise ValidationError("percentile of an empty vector is undefined")
     return _nearest_rank(np.sort(x), _require_upto("percentile", percentile, 100.0))
@@ -191,9 +183,7 @@ def _transform(x: np.ndarray, spec: TransformSpec, cap: Optional[float]) -> np.n
 
 def apply_stake_transform(stakes, spec: TransformSpec) -> np.ndarray:
     """Reshape a stake vector according to the transform spec."""
-    x = _as_vector(stakes, "stakes")
-    if np.any(x < 0.0):
-        raise ValidationError("stakes must be nonnegative")
+    x = _vector("stakes", stakes, math.inf)
     cap = nearest_rank_percentile(x, spec.param) if spec.kind == "cap" else None
     return _transform(x, spec, cap)
 
@@ -221,8 +211,8 @@ def whale_penalty(original, transformed) -> float:
     The penalty is at most 1, but a transform can also raise stakes: a
     power below 1 lifts stakes below 1, and their penalty is negative.
     """
-    before = _as_vector(original, "original")
-    after = _as_vector(transformed, "transformed")
+    before = _vector("original", original)
+    after = _vector("transformed", transformed)
     if before.shape != after.shape:
         raise ValidationError("original and transformed must have equal length")
     top_idx, top_before = _whale_top(before)

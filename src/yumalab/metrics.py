@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from yumalab.model import Role, SubnetSnapshot, ValidationError, _require_upto
+from yumalab.model import Role, SubnetSnapshot, ValidationError, _require_array, _require_upto
 
 __all__ = [
     "ROLE_FILTERS",
@@ -37,8 +37,9 @@ __all__ = [
 ROLE_FILTERS = ("all", "miner", "validator")
 
 
-def _as_nonneg_vector(values, name: str) -> np.ndarray:
-    x = np.asarray(values, dtype=np.float64)
+def _nonneg_vector(name: str, values) -> np.ndarray:
+    """`values` as a non-empty, finite and nonnegative float64 vector."""
+    x = _require_array(name, values, 1)
     if x.ndim != 1 or x.shape[0] == 0:
         raise ValidationError(f"{name} must be a non-empty 1-d vector")
     if not np.all(np.isfinite(x)):
@@ -117,7 +118,7 @@ def _check_threshold(threshold: float) -> float:
 def gini(values) -> float:
     """Discrete Gini coefficient (mean absolute pairwise difference form),
     computed via the sorted-rank identity in O(n log n)."""
-    x = np.sort(_as_nonneg_vector(values, "values"))
+    x = np.sort(_nonneg_vector("values", values))
     total = float(np.sum(x))
     if total <= 0.0:
         raise ValidationError("gini is undefined for an all-zero vector")
@@ -126,7 +127,7 @@ def gini(values) -> float:
 
 def hhi(values) -> float:
     """Herfindahl-Hirschman index: sum of squared shares."""
-    x = _as_nonneg_vector(values, "values")
+    x = _nonneg_vector("values", values)
     total = float(np.sum(x))
     if total <= 0.0:
         raise ValidationError("hhi is undefined for a zero-sum vector")
@@ -135,7 +136,7 @@ def hhi(values) -> float:
 
 def top_share(values, fraction: float = 0.01) -> float:
     """Share of the total held by the top ceil(fraction * n) holders."""
-    x = _as_nonneg_vector(values, "values")
+    x = _nonneg_vector("values", values)
     fraction = _require_upto("fraction", fraction)
     total = float(np.sum(x))
     if total <= 0.0:
@@ -150,7 +151,7 @@ def coalition_fraction(stakes, threshold: float = 0.51) -> float:
     cumulative stake reaches threshold * total. Tie order among equal
     stakes cannot change m.
     """
-    x = _as_nonneg_vector(stakes, "stakes")
+    x = _nonneg_vector("stakes", stakes)
     threshold = _check_threshold(threshold)
     if float(np.sum(x)) <= 0.0:
         raise ValidationError("coalition_fraction is undefined for a zero-sum vector")
@@ -159,8 +160,8 @@ def coalition_fraction(stakes, threshold: float = 0.51) -> float:
 
 def pearson(x, y) -> Optional[float]:
     """Sample Pearson correlation; None when either variance is zero."""
-    xa = np.asarray(x, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.float64)
+    xa = _require_array("x", x, 1)
+    ya = _require_array("y", y, 1)
     if xa.ndim != 1 or ya.ndim != 1 or xa.shape != ya.shape:
         raise ValidationError("pearson requires two vectors of equal length")
     if xa.shape[0] < 2:

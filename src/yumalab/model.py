@@ -100,24 +100,53 @@ def _require_id(name: str, value: str) -> str:
     return value
 
 
-def _require_matrix(name: str, value) -> np.ndarray:
-    """`value` as a float64 array of real numbers (np.asarray would read True
-    and "0.5"); a matrix or row that is not a list, a tuple or an array is a
-    shape fault, a TypeError. The caller checks the shape."""
+def _require_bool(name: str, value: bool) -> bool:
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{name} must be a bool, got {value!r}")
+    return value
+
+
+# The array kind rule, per dtype: the NumPy array kinds it takes, what they
+# hold, the cell types that need no further test, and the rule of the others.
+_ARRAY_KINDS = {
+    np.float64: ("iuf", "real numbers", {int, float}, _require_real),
+    np.int64: ("iu", "ints", {int}, _require_int),
+    np.bool_: ("b", "bools", {bool}, _require_bool),
+}
+
+
+def _require_array(name: str, value, ndim: int, dtype: type = np.float64) -> np.ndarray:
+    """`value` as an array of `dtype`, where np.asarray would also read True,
+    "0.5" and None: a NumPy array of a fitting kind, or `ndim` levels of lists
+    or tuples whose cells pass the dtype's scalar rule. A level that is not a
+    list, a tuple or an array is a shape fault, a TypeError. The caller
+    checks the shape."""
+    kinds, held, plain, require = _ARRAY_KINDS[dtype]
     if isinstance(value, np.ndarray):
-        if value.dtype.kind not in "iuf":
-            raise ValidationError(f"{name} must hold real numbers, got dtype {value.dtype}")
-        return np.asarray(value, dtype=np.float64)
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(f"{name} must be a list, a tuple or an array, got {value!r}")
-    for row in value:
-        if not isinstance(row, (list, tuple, np.ndarray)):
-            raise TypeError(f"{name} row must be a list, a tuple or an array, got {row!r}")
+        if value.dtype.kind not in kinds:
+            raise ValidationError(f"{name} must hold {held}, got dtype {value.dtype}")
+        if value.dtype == np.uint64 and dtype is np.int64:  # the one kind that can exceed its target
+            _reject(value.ravel() > np.iinfo(dtype).max, lambda i: f"{name} must be within int64 range, got {value.flat[i]}")
+        return np.asarray(value, dtype=dtype)
+    cells = [value]
+    for level in range(ndim):
+        for row in cells:
+            if not isinstance(row, (list, tuple, np.ndarray)):
+                raise TypeError(f"{name}{' row' if level else ''} must be a list, a tuple or an array, got {row!r}")
+        cells = list(chain.from_iterable(cells))
     # One set test passes the common case; the loop names the first bad cell.
-    if not set(map(type, chain.from_iterable(value))) <= {int, float}:
-        for cell in chain.from_iterable(value):
-            _require_real(name, cell)
-    return np.asarray(value, dtype=np.float64)
+    if not set(map(type, cells)) <= plain:
+        for cell in cells:
+            if isinstance(cell, (list, tuple, np.ndarray)):
+                _require_array(name, cell, 1, dtype)  # a level too many: the caller's shape check names it
+            else:
+                require(name, cell)
+    try:
+        return np.asarray(value, dtype=dtype)
+    except OverflowError:  # a Python int beyond the dtype's range
+        info = np.iinfo(dtype) if dtype is np.int64 else np.finfo(dtype)
+        cell = next(cell for cell in cells if type(cell) is int and not int(info.min) <= cell <= int(info.max))
+        raise ValidationError(f"{name} must be within {info.dtype} range, got {cell!r}") from None
 
 
 def _require_utc(name: str, value: datetime) -> datetime:
@@ -150,10 +179,6 @@ def _frozen(array: np.ndarray, source) -> np.ndarray:
     return array
 
 
-def _readonly(array) -> np.ndarray:
-    return _frozen(np.ascontiguousarray(array, dtype=np.float64), array)
-
-
 def _freeze(array: np.ndarray) -> np.ndarray:
     """Make a fresh array that no caller holds read-only, so that the value
     objects built from it share it instead of copying it."""
@@ -173,7 +198,7 @@ def _set_columns(obj, dtypes: Mapping[str, type]) -> None:
     A writable array of the caller's is copied, a read-only one shared."""
     for name, dtype in dtypes.items():
         source = getattr(obj, name)
-        column = np.asarray(source, dtype=dtype)
+        column = _require_array(name, source, 1, dtype)
         if column.ndim != 1:
             raise ValidationError(f"{name} must be a one-dimensional column")
         object.__setattr__(obj, name, _frozen(column, source))
@@ -300,9 +325,8 @@ class SubnetSnapshot:
     perf: np.ndarray
 
     def __post_init__(self) -> None:
-        if int(self.netuid) < 0:
+        if _require_int("netuid", self.netuid) < 0:
             raise ValidationError(f"netuid must be >= 0, got {self.netuid}")
-        object.__setattr__(self, "netuid", int(self.netuid))
         start = _require_utc("window_start", self.window_start)
         end = _require_utc("window_end", self.window_end)
         if start >= end:
@@ -376,7 +400,7 @@ class WeightMatrix:
             raise ValidationError("validator ids must be unique")
         if len(set(miners)) != len(miners):
             raise ValidationError("miner ids must be unique")
-        weights = _require_matrix("weights", self.weights)
+        weights = _require_array("weights", self.weights, 2)
         if weights.shape != (len(validators), len(miners)):
             raise ValidationError(
                 f"weights shape {weights.shape} does not match "
@@ -387,7 +411,7 @@ class WeightMatrix:
         object.__setattr__(self, "validators", validators)
         object.__setattr__(self, "miners", miners)
         object.__setattr__(self, "weights", _frozen(np.ascontiguousarray(weights), self.weights))
-        object.__setattr__(self, "_stakes", _readonly([s for _, s in validators]))
+        object.__setattr__(self, "_stakes", _freeze(np.array([s for _, s in validators])))
 
     @property
     def stakes(self) -> np.ndarray:
@@ -440,7 +464,7 @@ class BondState:
     tempo_index: int = 0
 
     def __post_init__(self) -> None:
-        bonds = _require_matrix("bonds", self.bonds)
+        bonds = _require_array("bonds", self.bonds, 2)
         if bonds.ndim != 2:
             raise ValidationError("bonds must be a 2-d matrix")
         # One pass: NaN and +-inf fail a comparison too.
@@ -517,7 +541,8 @@ class EmissionOutcome:
                 raise ValidationError(f"ids in {name} must be unique")
             object.__setattr__(self, name, ids)
         for view in self._views:
-            values = _readonly(getattr(self, view.values))
+            source = getattr(self, view.values)
+            values = _frozen(np.ascontiguousarray(_require_array(view.values, source, 1)), source)
             if values.shape != (len(getattr(self, view.ids)),):
                 raise ValidationError(f"{view.values} must hold one value per id of {view.ids}")
             object.__setattr__(self, view.values, values)

@@ -17,7 +17,7 @@ import numpy as np
 
 from yumalab._util import name_args, parse_timestamp, to_epoch_us
 from yumalab.ingest import _DAY_US, Dataset, _sorted_dataset
-from yumalab.model import EmissionParams, ValidationError, WeightMatrix, _freeze
+from yumalab.model import EmissionParams, ValidationError, WeightMatrix, _freeze, _require_int, _require_real
 
 __all__ = ["SynthConfig", "generate"]
 
@@ -56,19 +56,19 @@ class SynthConfig:
     start: str = "2024-01-01T00:00:00Z"
 
     def __post_init__(self) -> None:
-        if int(self.n_subnets) < 1:
+        if _require_int("n_subnets", self.n_subnets) < 1:
             raise ValidationError("n_subnets must be >= 1")
-        if int(self.wallets_per_subnet) < 2:
+        if _require_int("wallets_per_subnet", self.wallets_per_subnet) < 2:
             raise ValidationError("wallets_per_subnet must be >= 2")
-        if not 0.0 < float(self.validator_fraction) < 1.0:
+        if not 0.0 < _require_real("validator_fraction", self.validator_fraction) < 1.0:
             raise ValidationError("validator_fraction must lie in (0, 1)")
-        if not -1.0 <= float(self.stake_perf_coupling) <= 1.0:
+        if not -1.0 <= _require_real("stake_perf_coupling", self.stake_perf_coupling) <= 1.0:
             raise ValidationError("stake_perf_coupling must lie in [-1, 1]")
         if self.reward_rule not in REWARD_RULES:
             raise ValidationError(f"unknown reward_rule {self.reward_rule!r}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= _require_int("seed", self.seed) < 2**64:
             raise ValidationError("seed must be a 64-bit unsigned integer")
-        if int(self.span_days) < 1:
+        if _require_int("span_days", self.span_days) < 1:
             raise ValidationError("span_days must be >= 1")
         # Fail fast on malformed law strings and start timestamps.
         _stake_sampler(self.stake_law)
@@ -78,7 +78,7 @@ class SynthConfig:
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
         try:
-            start + timedelta(days=int(self.span_days) - 1)
+            start + timedelta(days=self.span_days - 1)
         except OverflowError:
             raise ValidationError(f"a span of {self.span_days} days from {self.start!r} "
                                   "ends after year 9999") from None

@@ -350,10 +350,15 @@ class TestTempo:
          f"error: block emission must be within float64 range, got {10**400}\n"),
         ({"validators": [{"id": "v1", "stake": 10**400}, {"id": "v2", "stake": 1.0}]}, None,
          f"error: stake of 'v1' must be within float64 range, got {10**400}\n"),
+        ({"weights": [[0.5, 0.5], [10**400, 0.1]]}, None,
+         f"error: weights must be within float64 range, got {10**400}\n"),
+        ({"bonds": [[0.0, 0.0], [0.0, 10**400]]}, None,
+         f"error: bonds must be within float64 range, got {10**400}\n"),
     ], ids=["ragged-bonds", "tempo-index", "params-not-object", "infinite-tempos", "non-utf8",
             "float-tempos", "bool-tempos", "float-tempo-index", "float-tempo-blocks",
             "zero-tempo-blocks", "negative-tempo-blocks",
-            "params-invalid", "delegation-invalid", "deep-nesting", "huge-block-emission", "huge-stake"])
+            "params-invalid", "delegation-invalid", "deep-nesting", "huge-block-emission", "huge-stake",
+            "huge-weight", "huge-bond"])
     def test_bad_instance_is_an_error_line(self, tmp_path, capsys, tempo_instance_path,
                                           fields, raw, message):
         with open(tempo_instance_path, encoding="utf-8") as handle:
@@ -1005,13 +1010,35 @@ class TestProcessEntry:
 
     @HELP
     def test_run_reports_a_failed_help_write(self, capsys, monkeypatch, args):
-        class FullStream:
-            def write(self, text):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
         monkeypatch.setattr("sys.stdout", FullStream())
         assert run_cli(*args) == 1
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+    FAULTS = pytest.mark.parametrize("args, code", [
+        (("metrics", "--freq", "hourly"), 2),
+        (("attack", "--input", "missing.jsonl", "--out", "x"), 1),
+    ], ids=["usage-error", "missing-input"])
+
+    @FAULTS
+    def test_run_keeps_its_status_when_stderr_is_full(self, monkeypatch, tmp_path, args, code):
+        # The error line is lost; the status still tells the fault.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.stderr", FullStream())
+        assert run_cli(*args) == code
+        assert os.listdir(tmp_path) == []
+
+    @FAULTS
+    def test_full_stderr_keeps_the_exit_status(self, python_child, tmp_path, args, code):
+        with open("/dev/full", "w") as full:
+            done = python_child(*self.CLI, *args, stdout=subprocess.PIPE, stderr=full, text=True, cwd=tmp_path)
+        assert (done.returncode, done.stdout) == (code, "")
+
+
+class FullStream:
+    """A stream on a full device: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 def relabel(source, target, rename) -> None:

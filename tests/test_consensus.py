@@ -658,8 +658,14 @@ class TestKindRule:
         (lambda: Delegation("v1", "d1", 1, False), "take must be a real number, got False"),
         (lambda: split_block_emission("1_0"), "block emission must be a real number, got '1_0'"),
         (lambda: split_block_emission(10**400), f"block emission must be within float64 range, got {10**400}"),
+        (lambda: _weight_matrix(weights=[[10**400, 0.5], [0.5, 0.5]]),
+         f"weights must be within float64 range, got {10**400}"),
+        (lambda: miner_emission_shares([["0.5", True]], ["1"]), "clipped must be a real number, got '0.5'"),
+        (lambda: miner_emission_shares([[0.5, True]], [1.0]), "clipped must be a real number, got True"),
+        (lambda: validator_emission_shares(BondState([[1.0]]), [True]), "miner_shares must be a real number, got True"),
     ], ids=["weight-matrix", "stake", "miner", "weight", "alpha", "beta", "bonds", "tempo-index",
-            "validator-id", "delegator-id", "amount", "take", "block-emission", "huge-block-emission"])
+            "validator-id", "delegator-id", "amount", "take", "block-emission", "huge-block-emission",
+            "huge-weight", "clipped-string", "clipped-bool", "miner-shares-bool"])
     def test_former_coercions_are_refused(self, build, message):
         with pytest.raises(ValidationError) as excinfo:
             build()

@@ -160,6 +160,12 @@ class TestSubnetSnapshot:
         with pytest.raises(ValidationError, match="duplicate wallet 'a' in snapshot for netuid 7"):
             make_snapshot(rows)
 
+    @pytest.mark.parametrize("netuid", [1.7, "3", True, np.int64(3)])
+    def test_netuid_must_be_an_int(self, netuid):
+        with pytest.raises(ValidationError) as excinfo:
+            make_snapshot(netuid=netuid)
+        assert str(excinfo.value) == f"netuid must be an int, got {netuid!r}"
+
     def test_window_must_be_ordered(self):
         with pytest.raises(ValidationError):
             SubnetSnapshot(netuid=1, window_start=T1, window_end=T0, wallet_names=(),

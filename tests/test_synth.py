@@ -225,6 +225,14 @@ class TestConfigValidation:
         dict(seed=-1),
         dict(start="not-a-date"),
         dict(start="9999-12-30T00:00:00Z", span_days=3),
+        # Each number field takes its own kind only.
+        dict(n_subnets=2.7),
+        dict(n_subnets="2"),
+        dict(wallets_per_subnet=2.5),
+        dict(validator_fraction="0.2"),
+        dict(stake_perf_coupling=True),
+        dict(seed=1.5),
+        dict(span_days=2.5),
     ])
     def test_rejected_configs(self, kwargs):
         with pytest.raises(ValidationError):
