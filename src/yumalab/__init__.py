@@ -20,6 +20,7 @@ __all__ = [
     "SnapshotEvent",
     "SubnetSnapshot",
     "ValidationError",
+    "WalletNames",
     "WeightMatrix",
     "__version__",
 ]

@@ -192,7 +192,7 @@ def _parse_cutoff(text: str) -> Optional[datetime]:
 
 
 def _load_dataset(args: argparse.Namespace) -> Dataset:
-    from yumalab.ingest import Dataset, _path_format, load_events
+    from yumalab.ingest import Dataset, load_events
 
     cutoff = _parse_cutoff(args.cutoff)
     if not args.input:
@@ -201,10 +201,8 @@ def _load_dataset(args: argparse.Namespace) -> Dataset:
     for path in args.input:
         if not os.path.exists(path):
             raise ValidationError(f"input file not found: {path}")
-        # Infer the input format from the extension; --format is the output
-        # format and only disambiguates inputs with unrecognized suffixes.
         try:
-            parts.append(load_events(path, format=_path_format(path) or args.format))
+            parts.append(load_events(path))
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from None
     dataset = Dataset.concat(parts, cutoff=cutoff)
@@ -525,17 +523,15 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_io_flags(parser: argparse.ArgumentParser, with_input: bool = True) -> None:
-    if with_input:
-        parser.add_argument(
-            "--input",
-            action="extend",
-            nargs="+",
-            metavar="PATH",
-            help="input event file(s); format inferred from the extension unless --format is given",
-        )
+def _add_io_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--input",
+        action="extend",
+        nargs="+",
+        metavar="PATH",
+        help="input event file(s); format inferred from the suffix (.csv or .jsonl), else JSONL",
+    )
     _add_out_flag(parser)
-    parser.add_argument("--format", choices=("jsonl", "csv"), help="event file format")
 
 
 def _add_out_flag(parser: argparse.ArgumentParser) -> None:
@@ -590,6 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="parse, validate, and re-serialize event files")
     _add_io_flags(p)
+    p.add_argument("--format", choices=("jsonl", "csv"), help="format of the event file written (default jsonl)")
     _add_cutoff_flag(p)
     p.set_defaults(handler=_cmd_ingest)
 
@@ -633,7 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_robustness)
 
     p = sub.add_parser("synth", help="generate a synthetic event dataset")
-    _add_io_flags(p, with_input=False)
+    _add_out_flag(p)
+    p.add_argument("--format", choices=("jsonl", "csv"), help="format of the event file written (default jsonl)")
     p.add_argument("--seed", type=integer, default=0)
     p.add_argument("--subnets", type=integer, default=4)
     p.add_argument("--wallets", type=integer, default=50)

@@ -29,7 +29,9 @@ from yumalab.model import (
     SnapshotEvent,
     SubnetSnapshot,
     ValidationError,
-    _check_wallet_columns,
+    WalletNames,
+    _check_amounts,
+    _check_codes,
     _freeze,
     _reject,
     _set_columns,
@@ -122,8 +124,8 @@ class Dataset:
 
     Rows are sorted by (timestamp, netuid, wallet), with at most one row
     per key. `timestamp` holds int64 microseconds since the Unix epoch
-    (UTC). `wallet` holds int64 codes into `wallet_names`, a strictly
-    increasing tuple of names, so code order is name order. `miner` is
+    (UTC). `wallet` holds int64 codes into `wallet_names`, a WalletNames
+    in strictly increasing order, so code order is name order. `miner` is
     True where the role is miner. An absent score is NaN. Construction
     makes the column arrays read-only. `cutoff` records the exclusion
     bound applied to the data; None means no cutoff has been applied yet.
@@ -138,12 +140,12 @@ class Dataset:
     reward: np.ndarray
     trust: np.ndarray
     validator_trust: np.ndarray
-    wallet_names: tuple[str, ...]
+    wallet_names: WalletNames
     cutoff: Optional[datetime] = None
 
     def __post_init__(self) -> None:
         _set_columns(self, _COLUMN_TYPES)
-        object.__setattr__(self, "wallet_names", tuple(self.wallet_names))
+        object.__setattr__(self, "wallet_names", WalletNames(self.wallet_names))
         _check_fields(self)
         ts, netuid, wallet = self.timestamp, self.netuid, self.wallet
         same_ts, same_netuid = ts[1:] == ts[:-1], netuid[1:] == netuid[:-1]
@@ -272,19 +274,18 @@ class Dataset:
 
 def _check_fields(dataset: Dataset) -> None:
     """The per-event rules of SnapshotEvent, checked on whole columns."""
-    names = dataset.wallet_names
-    _check_wallet_columns(names, dataset.stake, dataset.reward)
+    names, wallet = dataset.wallet_names, dataset.wallet
+    _check_amounts(dataset.stake, dataset.reward)
     if any(a >= b for a, b in zip(names, names[1:])):
         raise ValidationError("wallet_names must be strictly increasing")
-    wallet = dataset.wallet
-    _reject((wallet < 0) | (wallet >= len(names)), lambda i: f"wallet code {wallet[i]} is not in wallet_names")
+    _check_codes(wallet, names)
     _check_rows(vars(dataset), lambda i: names[wallet[i]])
 
 
 def _check_rows(columns: Mapping[str, np.ndarray], wallet_of: Callable[[int], str], reject: Callable = _reject,
                 held: Optional[Mapping[str, np.ndarray]] = None) -> None:
     """The block, netuid and score rules of SnapshotEvent, with `reject` as
-    in _check_wallet_columns; `wallet_of(i)` names row i's wallet. `held`
+    in _check_amounts; `wallet_of(i)` names row i's wallet. `held`
     marks the rows that hold each score, where a NaN is a score that is not
     finite; by default a score is held where it is not NaN."""
     miner = columns["miner"]
@@ -323,7 +324,7 @@ def _sorted_dataset(columns: dict[str, np.ndarray], wallet_names: Sequence[str],
     order = np.lexsort((columns["wallet"], columns["netuid"], columns["timestamp"]))
     return Dataset(
         **{name: _freeze(columns.pop(name)[order]) for name in _COLUMN_TYPES},
-        wallet_names=tuple(wallet_names),
+        wallet_names=wallet_names,
         cutoff=cutoff,
     )
 
@@ -498,9 +499,8 @@ class _Table:
                 row = int(np.argmax(bad))
                 faults.append((row, message(row)))
 
-        wallets = cells["wallet"]
-        _check_wallet_columns(wallets, arrays["stake"], arrays["reward"], keep)
-        _check_rows(arrays, wallets.__getitem__, keep, held)
+        _check_amounts(arrays["stake"], arrays["reward"], keep)
+        _check_rows(arrays, cells["wallet"].__getitem__, keep, held)
         if faults:
             row, message = min(faults, key=lambda fault: fault[0])
             self.fault = ParseError(lines[row], message)
@@ -518,8 +518,7 @@ class _Table:
         if name == "role":
             return np.fromiter(map(self.roles.__getitem__, values), np.bool_, count)
         if name == "wallet":
-            if not all(type(wallet) is str and wallet for wallet in set(values)):
-                raise TypeError("a wallet is not a non-empty string")
+            WalletNames(set(values).difference(self.codes))
             return np.fromiter(map(self.codes.__getitem__, values), np.int64, count)
         dtype = np.int64 if name in _INTEGERS else np.float64
         if self.json:
@@ -778,10 +777,9 @@ def _aggregate(
             f"rewards of wallet {dataset.wallet_names[dataset.wallet[row]]!r} in netuid "
             f"{dataset.netuid[row]} sum beyond the float64 range"
         ) from None
-    names = dataset.wallet_names
-    wallet_names = [names[code] for code in dataset.wallet[last].tolist()]
+    codes = dataset.wallet[last]
     # Frozen, the columns are shared by the snapshots' slices, not copied.
-    for column in (miner, stake, reward, perf):
+    for column in (codes, miner, stake, reward, perf):
         _freeze(column)
     firsts = np.flatnonzero(new_snapshot[starts]).tolist()
     snapshots = []
@@ -793,11 +791,12 @@ def _aggregate(
                 netuid=int(netuid[row]),
                 window_start=window_start,
                 window_end=window_end,
-                wallet_names=tuple(wallet_names[first:stop]),
+                wallet=codes[first:stop],
                 miner=miner[first:stop],
                 stake=stake[first:stop],
                 reward=reward[first:stop],
                 perf=perf[first:stop],
+                wallet_names=dataset.wallet_names,
             )
         )
     return snapshots

@@ -140,8 +140,6 @@ def bonus_rewards(rewards, perfs, bonus_rate: float) -> np.ndarray:
     reward_vec, perf_vec = _vector("rewards", rewards, math.inf), _vector("perfs", perfs, 1.0)
     if reward_vec.shape != perf_vec.shape:
         raise ValidationError("rewards and perfs must have equal length")
-    if rate == 0.0:
-        return reward_vec.copy()
     return reward_vec * (1.0 + rate * perf_vec)
 
 

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from itertools import chain, compress
-from typing import Callable, Mapping, Optional, Sequence
+from itertools import chain
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "SnapshotEvent",
     "SnapshotEntry",
     "SubnetSnapshot",
+    "WalletNames",
     "WeightMatrix",
     "BondState",
     "EmissionParams",
@@ -155,13 +156,26 @@ def _require_utc(name: str, value: datetime) -> datetime:
     return value.astimezone(timezone.utc)
 
 
-def _require_text(name: str, value: str) -> None:
-    """Reject a string that UTF-8 cannot encode: one holding a lone
-    surrogate, which a JSON escape such as \\ud800 yields."""
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ValidationError(f"{name} must be valid Unicode text, got {value!r}") from None
+class WalletNames(tuple):
+    """A table of wallet names, indexed by wallet code: each a non-empty str
+    that UTF-8 can encode, none twice. Only this constructor, which checks
+    the rule, makes one, and it returns a WalletNames unchanged."""
+
+    __slots__ = ()
+
+    def __new__(cls, names):
+        if type(names) is cls:
+            return names
+        names = super().__new__(cls, names)
+        for name in names:
+            try:
+                _require_id("wallet", name).encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate, which a JSON escape such as \ud800 yields
+                raise ValidationError(f"wallet must be valid Unicode text, got {name!r}") from None
+        if len(set(names)) != len(names):
+            duplicate = next(name for i, name in enumerate(names) if name in names[:i])
+            raise ValidationError(f"duplicate wallet {duplicate!r} in wallet_names")
+        return names
 
 
 def _frozen(array: np.ndarray, source) -> np.ndarray:
@@ -206,25 +220,18 @@ def _set_columns(obj, dtypes: Mapping[str, type]) -> None:
         raise ValidationError("columns must have equal lengths")
 
 
-def _check_wallet_columns(wallet_names: Sequence[str], stake: np.ndarray, reward: np.ndarray,
-                          reject: Callable = _reject) -> None:
-    """The wallet, stake and reward rules of SnapshotEvent and SnapshotEntry,
+def _check_amounts(stake: np.ndarray, reward: np.ndarray, reject: Callable = _reject) -> None:
+    """The stake and reward rules of SnapshotEvent and SnapshotEntry,
     checked on whole columns: `reject(bad, message)` is called with each
-    rule's mask, over the names or over the rows, and raises by default."""
-    if not all(type(name) is str and name for name in wallet_names):
-        reject(np.array([not (type(name) is str and name) for name in wallet_names]),
-               lambda i: "wallet must be a non-empty string")
-    else:
-        # One encode covers every name; the mask is only built to name one.
-        # It fails only on a lone surrogate.
-        try:
-            "".join(wallet_names).encode("utf-8")
-        except UnicodeEncodeError:
-            reject(np.array([any("\ud800" <= char <= "\udfff" for char in name) for name in wallet_names]),
-                   lambda i: f"wallet must be valid Unicode text, got {wallet_names[i]!r}")
+    rule's mask over the rows, and raises by default."""
     for name, column in (("stake", stake), ("reward", reward)):
         reject(~np.isfinite(column), lambda i: f"{name} must be finite, got {column[i].item()!r}")
         reject(column < 0.0, lambda i: f"{name} must be >= 0, got {column[i].item()}")
+
+
+def _check_codes(wallet: np.ndarray, wallet_names: WalletNames) -> None:
+    """Each wallet code must index `wallet_names`."""
+    _reject((wallet < 0) | (wallet >= len(wallet_names)), lambda i: f"wallet code {wallet[i]} is not in wallet_names")
 
 
 @dataclass(frozen=True, slots=True)
@@ -255,9 +262,7 @@ class SnapshotEvent:
         if int(self.netuid) < 0:
             raise ValidationError(f"netuid must be >= 0, got {self.netuid}")
         object.__setattr__(self, "netuid", int(self.netuid))
-        if not self.wallet:
-            raise ValidationError("wallet must be a non-empty string")
-        _require_text("wallet", self.wallet)
+        WalletNames((self.wallet,))
         if not isinstance(self.role, Role):
             object.__setattr__(self, "role", Role.parse(str(self.role)))
         object.__setattr__(self, "stake", _require_nonneg("stake", self.stake))
@@ -293,9 +298,7 @@ class SnapshotEntry:
     perf: float
 
     def __post_init__(self) -> None:
-        if not self.wallet:
-            raise ValidationError("wallet must be a non-empty string")
-        _require_text("wallet", self.wallet)
+        WalletNames((self.wallet,))
         if not isinstance(self.role, Role):
             object.__setattr__(self, "role", Role.parse(str(self.role)))
         object.__setattr__(self, "stake", _require_nonneg("stake", self.stake))
@@ -303,26 +306,28 @@ class SnapshotEntry:
         object.__setattr__(self, "perf", _require_unit("perf", self.perf))
 
 
-_SNAPSHOT_COLUMNS = {"miner": np.bool_, "stake": np.float64, "reward": np.float64, "perf": np.float64}
+_SNAPSHOT_COLUMNS = {"wallet": np.int64, "miner": np.bool_, "stake": np.float64, "reward": np.float64, "perf": np.float64}
 
 
 @dataclass(frozen=True, eq=False)
 class SubnetSnapshot:
     """All wallets of one subnet aggregated over one time window, as columns.
 
-    Row i is the wallet `wallet_names[i]`: `miner[i]` is True where its
-    role is miner, and `stake`, `reward` and `perf` hold its aggregated
-    values. Construction makes the arrays read-only.
+    Row i is the wallet `wallet_names[wallet[i]]`, where a snapshot cut
+    from a Dataset shares the Dataset's name table. `miner[i]` is True
+    where the row's role is miner, and `stake`, `reward` and `perf` hold
+    its aggregated values. Construction makes the arrays read-only.
     """
 
     netuid: int
     window_start: datetime
     window_end: datetime
-    wallet_names: tuple[str, ...]
+    wallet: np.ndarray
     miner: np.ndarray
     stake: np.ndarray
     reward: np.ndarray
     perf: np.ndarray
+    wallet_names: WalletNames
 
     def __post_init__(self) -> None:
         if _require_int("netuid", self.netuid) < 0:
@@ -333,34 +338,33 @@ class SubnetSnapshot:
             raise ValidationError("window_start must precede window_end")
         object.__setattr__(self, "window_start", start)
         object.__setattr__(self, "window_end", end)
-        names = tuple(self.wallet_names)
-        object.__setattr__(self, "wallet_names", names)
         _set_columns(self, _SNAPSHOT_COLUMNS)
-        if len(names) != len(self.miner):
-            raise ValidationError("columns must have equal lengths")
-        _check_wallet_columns(names, self.stake, self.reward)
+        wallet, names = self.wallet, WalletNames(self.wallet_names)
+        object.__setattr__(self, "wallet_names", names)
+        _check_codes(wallet, names)
+        _check_amounts(self.stake, self.reward)
         perf = self.perf
         _reject(~np.isfinite(perf), lambda i: f"perf must be finite, got {perf[i].item()!r}")
         _reject((perf < 0.0) | (perf > 1.0), lambda i: f"perf must lie in [0, 1], got {perf[i].item()}")
-        if len(set(names)) != len(names):
-            duplicate = next(name for i, name in enumerate(names) if name in names[:i])
-            raise ValidationError(f"duplicate wallet {duplicate!r} in snapshot for netuid {self.netuid}")
+        if (np.diff(np.sort(wallet)) == 0).any():
+            duplicate = next(code for i, code in enumerate(wallet.tolist()) if code in wallet[:i])
+            raise ValidationError(f"duplicate wallet {names[duplicate]!r} in snapshot for netuid {self.netuid}")
 
     @property
     def entries(self) -> tuple[SnapshotEntry, ...]:
         """The rows as SnapshotEntry objects, built anew on each access."""
         roles = [_ROLES[miner] for miner in self.miner.tolist()]
         values = (self.stake.tolist(), self.reward.tolist(), self.perf.tolist())
-        return tuple(map(SnapshotEntry, self.wallet_names, roles, *values))
+        return tuple(map(SnapshotEntry, self.wallets(), roles, *values))
 
     def _rows(self, role: Optional[Role]) -> np.ndarray:
         """Mask of the wallets holding `role`; every wallet when None."""
         if role is None:
-            return np.ones(len(self.wallet_names), dtype=bool)
+            return np.ones(len(self.wallet), dtype=bool)
         return self.miner == (Role(role) is Role.MINER)
 
     def wallets(self, role: Optional[Role] = None) -> list[str]:
-        return list(compress(self.wallet_names, self._rows(role)))
+        return list(map(self.wallet_names.__getitem__, self.wallet[self._rows(role)].tolist()))
 
     def stakes(self, role: Optional[Role] = None) -> np.ndarray:
         return self.stake[self._rows(role)]

@@ -17,7 +17,7 @@ import numpy as np
 
 from yumalab._util import name_args, parse_timestamp, to_epoch_us
 from yumalab.ingest import _DAY_US, Dataset, _sorted_dataset
-from yumalab.model import EmissionParams, ValidationError, WeightMatrix, _freeze, _require_int, _require_real
+from yumalab.model import EmissionParams, ValidationError, WeightMatrix, _freeze, _require_id, _require_int, _require_real
 
 __all__ = ["SynthConfig", "generate"]
 
@@ -71,10 +71,10 @@ class SynthConfig:
         if _require_int("span_days", self.span_days) < 1:
             raise ValidationError("span_days must be >= 1")
         # Fail fast on malformed law strings and start timestamps.
-        _stake_sampler(self.stake_law)
-        _perf_sampler(self.perf_law)
+        _stake_sampler(_require_id("stake_law", self.stake_law))
+        _perf_sampler(_require_id("perf_law", self.perf_law))
         try:
-            start = parse_timestamp(self.start)
+            start = parse_timestamp(_require_id("start", self.start))
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
         try:

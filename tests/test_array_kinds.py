@@ -41,7 +41,7 @@ def _wm(weights=((1, 0), (0, 1))):
 
 
 def _snapshot(**columns):
-    fields = dict(miner=[True, False, True], stake=[1, 2, 4], reward=[0, 1, 3], perf=[0, 1, 1])
+    fields = dict(wallet=[0, 1, 2], miner=[True, False, True], stake=[1, 2, 4], reward=[0, 1, 3], perf=[0, 1, 1])
     return SubnetSnapshot(netuid=1, window_start=T0, window_end=T1, wallet_names=("a", "b", "c"),
                           **{**fields, **columns})
 
@@ -98,8 +98,9 @@ SLOTS = {
     "WeightMatrix.weights": ("number", [[1, 0], [0, 1]], lambda v: _wm(v).weights),
     "BondState.bonds": ("number", [[1, 0], [0, 1]], lambda v: BondState(v).bonds),
     **{f"SubnetSnapshot.{name}": (kind, value, lambda v, name=name: getattr(_snapshot(**{name: v}), name))
-       for name, kind, value in (("miner", "bool", [True, False, True]), ("stake", "number", [1, 2, 4]),
-                                 ("reward", "number", [0, 1, 3]), ("perf", "number", [0, 1, 1]))},
+       for name, kind, value in (("wallet", "int", [0, 1, 2]), ("miner", "bool", [True, False, True]),
+                                 ("stake", "number", [1, 2, 4]), ("reward", "number", [0, 1, 3]),
+                                 ("perf", "number", [0, 1, 1]))},
     **{f"Dataset.{name}": (kind, value, lambda v, name=name: getattr(_dataset(**{name: v}), name))
        for name, kind, value in (("timestamp", "int", [0, 1]), ("block_number", "int", [0, 7]),
                                  ("netuid", "int", [1, 1]), ("wallet", "int", [0, 1]),

@@ -174,10 +174,17 @@ class TestExitCodes:
         assert run_cli("tempo", "--out", str(tmp_path)) == 1
         assert capsys.readouterr().err == "error: tempo expects exactly one --input instance file\n"
 
-    def test_tempo_has_no_format_flag(self, tmp_path):
-        assert run_cli("tempo", "--input", TEMPO_CHAIN_INSTANCE, "--out", str(tmp_path),
-                       "--format", "csv") == 2
-        assert os.listdir(tmp_path) == []
+    # Only ingest and synth write an event file, so only they take --format.
+    @pytest.mark.parametrize("args", [
+        ["tempo", "--input", TEMPO_CHAIN_INSTANCE],
+        ["metrics"], ["attack"], ["sweep", "--scheme", "split"], ["frontier"], ["robustness"],
+    ], ids=lambda args: args[0])
+    def test_tempo_has_no_format_flag(self, tmp_path, capsys, fixture_path, args):
+        inputs = () if args[0] == "tempo" else ("--input", fixture_path)
+        out = tmp_path / "out"
+        assert run_cli(*args, *inputs, "--out", str(out), "--format", "csv") == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestIngest:
@@ -613,7 +620,8 @@ class TestEventEncoding:
         path = tmp_path / "events.jsonl"
         path.write_text(self.LINE.format("a") + "\n" + self.LINE.format("b").replace(old, new) + "\n")
         out = tmp_path / "out"
-        assert run_cli(command, "--input", str(path), "--out", str(out), "--format", "csv") == 1
+        written = ("--format", "csv") if command == "ingest" else ()
+        assert run_cli(command, "--input", str(path), "--out", str(out), *written) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: line 2: {message}")
         assert "Traceback" not in err

@@ -1046,6 +1046,32 @@ class TestAggregationAgainstGroupingOracle:
         assert_matches_grouping_oracle(parse_events(io.BytesIO(data)))
 
 
+def assert_snapshots_share_the_table(ds):
+    """Every snapshot of `ds` holds the Dataset's own name table, and names
+    its rows as the grouping oracle does: each window's wallets in name
+    order."""
+    events = ds.events
+    first = oracle_window(events[0].timestamp, "daily")[0]
+    end = oracle_window(max(e.timestamp for e in events), "daily")[1]
+    cases = [(resample(ds, freq), lambda stamp, freq=freq: oracle_window(stamp, freq)) for freq in ingest.FREQUENCIES]
+    cases.append((history_snapshots(ds), lambda stamp: (first, end)))
+    for snapshots, window_of in cases:
+        expected = [[row[0] for row in rows] for _, _, _, rows in grouped(events, window_of)]
+        assert [snap.wallets() for snap in snapshots] == expected
+        assert [[entry.wallet for entry in snap.entries] for snap in snapshots] == expected
+        assert all(snap.wallet_names is ds.wallet_names for snap in snapshots)
+
+
+class TestSnapshotsShareTheWalletTable:
+    def test_fixture(self, fixture_path):
+        assert_snapshots_share_the_table(load_events(fixture_path))
+
+    @settings(max_examples=40, deadline=None)
+    @given(records=event_records(max_size=40))
+    def test_drawn_corpus(self, records):
+        assert_snapshots_share_the_table(parse_events(io.BytesIO(event_file(records, "jsonl").encode())))
+
+
 class TestInputOrder:
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

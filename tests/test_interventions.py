@@ -1,5 +1,6 @@
 """Reward schemes and stake transforms."""
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -18,6 +19,7 @@ from yumalab.interventions import (
     unit_rescale,
     whale_penalty,
 )
+from yumalab.metrics import coalition_fraction, gini
 from yumalab.model import ValidationError
 
 
@@ -153,9 +155,12 @@ class TestCompositeRanks:
 
 class TestBonusRewards:
     def test_zero_rate_is_exact_copy(self):
-        rewards = np.array([3.0, 5.0])
-        out = bonus_rewards(rewards, np.array([0.5, 0.9]), 0.0)
-        np.testing.assert_array_equal(out, rewards)
+        rewards = np.array([3.0, 5.0, 0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1e300,
+                            np.finfo(np.float64).max])
+        perfs = np.array([0.5, 0.9, 1.0, 1.0, 1.0, 0.3, 0.0, -0.0, 1.0])
+        out = bonus_rewards(rewards, perfs, 0.0)
+        assert out.dtype == np.float64 and out.tobytes() == rewards.tobytes()
+        assert not np.shares_memory(out, rewards)
 
     def test_formula(self):
         out = bonus_rewards(np.array([100.0]), np.array([0.5]), 0.2)
@@ -219,6 +224,33 @@ class TestStakeTransforms:
                 powered = apply_stake_transform(stakes, TransformSpec("power", exponent))
                 penalties.append(whale_penalty(stakes, powered))
             assert all(b >= a - 1e-12 for a, b in zip(penalties, penalties[1:]))
+
+
+# Closed forms of the transforms that carry the paper's security claim, on
+# 200,000 draws. `power:0.5` turns Pareto I(3) stakes, 1 + rng.pareto(3),
+# into Pareto I(6): Gini 1/11 and 51% coalition fraction 0.51^1.2. `cap:88`
+# on uniform [0.5, 1.5] stakes sets the top 12% to c = 1.38 and keeps the
+# rest, so the fraction t solves 0.12 c + (c^2 - t^2) / 2 = 0.51 E[stake]:
+# 0.12 + 1.38 - sqrt(1.22294) (uncapped, 1.5 - sqrt(1.23) = 0.391). Each
+# tolerance is four standard deviations of (measured - closed form) over
+# seeds 0-29, where the mean deviation of each lies within 1.2 standard
+# errors of zero: neither transform misses its closed form.
+SECURITY_DRAWS = 200_000
+
+
+class TestSecurityKnownAnswers:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_power_on_pareto(self, seed):
+        stakes = 1.0 + np.random.default_rng(seed).pareto(3.0, SECURITY_DRAWS)
+        powered = apply_stake_transform(stakes, TransformSpec("power", 0.5))
+        assert coalition_fraction(powered) == pytest.approx(0.51 ** 1.2, abs=0.00076)
+        assert gini(powered) == pytest.approx(1 / 11, abs=0.0011)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cap_on_uniform(self, seed):
+        stakes = np.random.default_rng(seed).uniform(0.5, 1.5, SECURITY_DRAWS)
+        capped = apply_stake_transform(stakes, TransformSpec("cap", 88.0))
+        assert coalition_fraction(capped) == pytest.approx(0.12 + 1.38 - math.sqrt(1.22294), abs=0.00072)
 
 
 class TestWhalePenalty:

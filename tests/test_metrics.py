@@ -39,6 +39,7 @@ def snapshot(rows):
         netuid=1,
         window_start=datetime(2024, 1, 1, tzinfo=UTC),
         window_end=datetime(2024, 1, 2, tzinfo=UTC),
+        wallet=np.arange(len(wallets)),
         wallet_names=wallets,
         miner=[role is Role.MINER for role in roles],
         stake=stakes,
@@ -333,6 +334,7 @@ def drawn_snapshots(draw, max_wallets=300):
         netuid=1,
         window_start=datetime(2024, 1, 1, tzinfo=UTC),
         window_end=datetime(2024, 1, 2, tzinfo=UTC),
+        wallet=np.arange(n),
         wallet_names=tuple(f"w{i:03d}" for i in range(n)),
         miner=draw(arrays(np.bool_, n)),
         stake=draw(mass_columns(n)),

@@ -137,7 +137,9 @@ def make_snapshot(rows=None, netuid=7):
             ("c", Role.VALIDATOR, 20.0, 2.0, 0.8),
         )
     wallets, roles, stakes, rewards, perfs = zip(*rows) if rows else ((),) * 5
-    return SubnetSnapshot(netuid=netuid, window_start=T0, window_end=T1, wallet_names=wallets,
+    names = tuple(dict.fromkeys(wallets))
+    return SubnetSnapshot(netuid=netuid, window_start=T0, window_end=T1,
+                          wallet=[names.index(wallet) for wallet in wallets], wallet_names=names,
                           miner=[role is Role.MINER for role in roles],
                           stake=stakes, reward=rewards, perf=perfs)
 
@@ -168,7 +170,7 @@ class TestSubnetSnapshot:
 
     def test_window_must_be_ordered(self):
         with pytest.raises(ValidationError):
-            SubnetSnapshot(netuid=1, window_start=T1, window_end=T0, wallet_names=(),
+            SubnetSnapshot(netuid=1, window_start=T1, window_end=T0, wallet=[], wallet_names=(),
                            miner=[], stake=[], reward=[], perf=[])
 
     def test_empty_snapshot(self):
@@ -209,16 +211,78 @@ class TestSubnetSnapshot:
 
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValidationError, match="equal lengths"):
-            SubnetSnapshot(netuid=1, window_start=T0, window_end=T1, wallet_names=("a", "b"),
+            SubnetSnapshot(netuid=1, window_start=T0, window_end=T1, wallet=[0, 1], wallet_names=("a", "b"),
                            miner=[True], stake=[1.0], reward=[1.0], perf=[0.5])
         with pytest.raises(ValidationError, match="equal lengths"):
-            SubnetSnapshot(netuid=1, window_start=T0, window_end=T1, wallet_names=("a",),
+            SubnetSnapshot(netuid=1, window_start=T0, window_end=T1, wallet=[0], wallet_names=("a",),
                            miner=[True], stake=[1.0, 2.0], reward=[1.0], perf=[0.5])
 
     def test_two_dimensional_column_rejected(self):
         with pytest.raises(ValidationError, match="one-dimensional"):
-            SubnetSnapshot(netuid=1, window_start=T0, window_end=T1, wallet_names=("a",),
+            SubnetSnapshot(netuid=1, window_start=T0, window_end=T1, wallet=[0], wallet_names=("a",),
                            miner=[True], stake=[[1.0]], reward=[1.0], perf=[0.5])
+
+
+def _snapshot_of_table(names, wallet=(0,)):
+    n = len(wallet)
+    return SubnetSnapshot(netuid=7, window_start=T0, window_end=T1, wallet=list(wallet), wallet_names=names,
+                          miner=[True] * n, stake=[1.0] * n, reward=[1.0] * n, perf=[0.5] * n)
+
+
+def _dataset_of_table(names):
+    return Dataset(timestamp=[0], block_number=[0], netuid=[1], wallet=[0], miner=[True], stake=[1.0],
+                   reward=[0.0], trust=[math.nan], validator_trust=[math.nan], wallet_names=names)
+
+
+class TestWalletNames:
+    """The wallet-name rule, stated once by model.WalletNames, for every
+    table and row view that holds a wallet name."""
+
+    def test_a_table_passes_through_unchanged(self):
+        table = model.WalletNames(["a", "b"])
+        assert isinstance(table, tuple) and table == ("a", "b")
+        assert model.WalletNames(table) is table
+        assert _snapshot_of_table(table).wallet_names is table
+        assert _dataset_of_table(table).wallet_names is table
+
+    @pytest.mark.parametrize("names, message", [
+        (("a", 7), "wallet must be a non-empty string, got 7"),
+        (("a", ""), "wallet must be a non-empty string, got ''"),
+        (("a", "x\udfff"), "wallet must be valid Unicode text, got 'x\\udfff'"),
+        (("a", "b", "a"), "duplicate wallet 'a' in wallet_names"),
+    ], ids=["int", "empty", "lone-surrogate", "duplicate"])
+    def test_every_table_refuses_a_bad_name(self, names, message):
+        for make in (model.WalletNames, _snapshot_of_table, _dataset_of_table):
+            with pytest.raises(ValidationError) as excinfo:
+                make(names)
+            assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("wallet", [7, b"w1", None])
+    def test_row_views_refuse_a_wallet_of_another_kind(self, wallet):
+        message = f"wallet must be a non-empty string, got {wallet!r}"
+        with pytest.raises(ValidationError) as excinfo:
+            make_event(wallet=wallet)
+        assert str(excinfo.value) == message
+        with pytest.raises(ValidationError) as excinfo:
+            SnapshotEntry(wallet, Role.MINER, 1.0, 1.0, 0.5)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("code", [-1, 2])
+    def test_snapshot_code_out_of_range_is_refused(self, code):
+        with pytest.raises(ValidationError) as excinfo:
+            _snapshot_of_table(("a", "b"), wallet=(0, code))
+        assert str(excinfo.value) == f"wallet code {code} is not in wallet_names"
+
+    def test_snapshot_repeated_code_is_refused(self):
+        with pytest.raises(ValidationError) as excinfo:
+            _snapshot_of_table(("a", "b", "c"), wallet=(1, 0, 2, 0, 1))
+        assert str(excinfo.value) == "duplicate wallet 'a' in snapshot for netuid 7"
+
+    def test_snapshot_rows_name_their_wallets(self):
+        snap = _snapshot_of_table(("a", "b", "c"), wallet=(2, 0))
+        assert snap.wallets() == ["c", "a"]
+        assert [entry.wallet for entry in snap.entries] == ["c", "a"]
+        assert snap.wallet.dtype == np.int64 and not snap.wallet.flags.writeable
 
 
 class TestWeightMatrix:
@@ -393,8 +457,8 @@ def _dataset_with_stake(stake):
 
 def _snapshot_with(**columns):
     fields = dict(miner=[True, False], stake=[1.0, 2.0], reward=[0.5, 0.5], perf=[0.1, 0.2])
-    return SubnetSnapshot(netuid=1, window_start=T0, window_end=T1, wallet_names=("a", "b"),
-                          **{**fields, **columns})
+    return SubnetSnapshot(netuid=1, window_start=T0, window_end=T1, wallet=[0, 1],
+                          wallet_names=("a", "b"), **{**fields, **columns})
 
 
 # name -> (the caller's array, the column built from it)

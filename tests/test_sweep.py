@@ -40,7 +40,8 @@ def snapshot(netuid, rows):
     """rows: (wallet, role, stake, reward, perf)."""
     wallets, roles, stakes, rewards, perfs = zip(*rows)
     return SubnetSnapshot(netuid=netuid, window_start=T0, window_end=T0 + timedelta(days=1),
-                          wallet_names=wallets, miner=[role is Role.MINER for role in roles],
+                          wallet=np.arange(len(wallets)), wallet_names=wallets,
+                          miner=[role is Role.MINER for role in roles],
                           stake=stakes, reward=rewards, perf=perfs)
 
 
@@ -390,7 +391,7 @@ def drawn_snapshots(draw, max_subnets=3, max_wallets=300):
         n = draw(st.integers(1, max_wallets))
         snaps.append(SubnetSnapshot(
             netuid=netuid, window_start=T0, window_end=T0 + timedelta(days=1),
-            wallet_names=tuple(f"w{i:03d}" for i in range(n)),
+            wallet=np.arange(n), wallet_names=tuple(f"w{i:03d}" for i in range(n)),
             miner=draw(arrays(np.bool_, n)), stake=draw(mass_columns(n)),
             reward=draw(mass_columns(n)), perf=draw(arrays(np.float64, n, elements=PERF)),
         ))

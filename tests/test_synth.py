@@ -233,10 +233,23 @@ class TestConfigValidation:
         dict(stake_perf_coupling=True),
         dict(seed=1.5),
         dict(span_days=2.5),
+        # Each text field takes a str only.
+        dict(stake_law=1.2),
+        dict(perf_law=None),
+        dict(start=5),
+        dict(start=b"2024-01-01T00:00:00Z"),
     ])
     def test_rejected_configs(self, kwargs):
         with pytest.raises(ValidationError):
             config(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("stake_law", 1.2), ("perf_law", None), ("start", 5), ("start", b"2024-01-01T00:00:00Z"),
+    ])
+    def test_text_field_of_another_kind_is_named(self, field, value):
+        with pytest.raises(ValidationError) as excinfo:
+            config(**{field: value})
+        assert str(excinfo.value) == f"{field} must be a non-empty string, got {value!r}"
 
 
 def oracle_generate(cfg):
