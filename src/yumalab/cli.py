@@ -246,7 +246,7 @@ def _metric_value(report, metric: str, resource: str) -> Optional[float]:
 def _summary_rows(variant: str, reports) -> list[tuple]:
     import numpy as np
 
-    from yumalab.metrics import ROLE_FILTERS
+    from yumalab.metrics import ROLE_FILTERS, _median
 
     rows = []
     for role_filter in ROLE_FILTERS:
@@ -262,7 +262,7 @@ def _summary_rows(variant: str, reports) -> list[tuple]:
                     arr = np.asarray(values, dtype=np.float64)
                     stats = (
                         float(np.mean(arr)),
-                        float(np.median(arr)),
+                        _median(arr),
                         float(np.min(arr)),
                         float(np.max(arr)),
                     )
@@ -275,12 +275,12 @@ def _summary_rows(variant: str, reports) -> list[tuple]:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from yumalab.ingest import history_snapshots, resample
+    from yumalab.ingest import _window_table, history_snapshots
     from yumalab.metrics import (
         ROLE_FILTERS,
         ConcentrationReport,
         CorrelationProfile,
-        concentration_report,
+        _concentration_reports,
         correlation_profile,
     )
     from yumalab.model import Role
@@ -289,22 +289,27 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args)
     history = history_snapshots(dataset)
 
-    history_reports = [
-        concentration_report(snap, role_filter)
-        for snap in history
+    # The history reports as one batch over the snapshots' columns, in
+    # (netuid, role_filter) order.
+    offsets = np.cumsum([0] + [len(snap.wallet) for snap in history])
+    miner, stake, reward = (np.concatenate([getattr(snap, name) for snap in history])
+                            for name in ("miner", "stake", "reward"))
+    by_filter = [
+        _concentration_reports([snap.netuid for snap in history], offsets, miner, stake, reward, role_filter)
         for role_filter in ROLE_FILTERS
     ]
+    history_reports = [report for reports in zip(*by_filter) for report in reports]
     columns = _columns(ConcentrationReport)
     _write_table(_out_path(out_dir, "concentration.csv"), columns, history_reports)
 
-    # Per-window reports averaged per (netuid, role_filter) at the chosen
-    # frequency; windows where a metric is undefined are skipped.
+    # Per-window reports, computed on the aggregation table at the chosen
+    # frequency and averaged per (netuid, role_filter); windows where a
+    # metric is undefined are skipped.
+    (netuids, _, offsets, _, miner, stake, reward, _), _ = _window_table(dataset, args.freq)
     window_reports: dict[tuple[int, str], list] = {}
-    for snap in resample(dataset, args.freq):
-        for role_filter in ROLE_FILTERS:
-            window_reports.setdefault((snap.netuid, role_filter), []).append(
-                concentration_report(snap, role_filter)
-            )
+    for role_filter in ROLE_FILTERS:
+        for report in _concentration_reports(netuids.tolist(), offsets, miner, stake, reward, role_filter):
+            window_reports.setdefault((report.netuid, role_filter), []).append(report)
     metric_columns = columns[3:]
     mean_rows = []
     for key in sorted(window_reports):
@@ -343,7 +348,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     import numpy as np
 
     from yumalab.ingest import history_snapshots
-    from yumalab.metrics import _check_threshold, _coalition_sorted
+    from yumalab.metrics import _check_threshold, _coalition_rows
 
     out_dir = _out_dir(args)
     threshold = _check_threshold(args.threshold)
@@ -352,7 +357,8 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     for snap in history_snapshots(dataset):
         if float(np.sum(snap.stake)) <= 0.0:
             continue
-        rows.append((snap.netuid, snap.count(), _coalition_sorted(np.sort(snap.stake), threshold)))
+        fraction = float(_coalition_rows(np.sort(snap.stake)[None, :], threshold)[0])
+        rows.append((snap.netuid, snap.count(), fraction))
     _write_csv(_out_path(out_dir, "coalition.csv"), ("netuid", "n_wallets", "coalition_fraction"), rows)
     return 0
 

@@ -213,6 +213,8 @@ class Dataset:
         from different datasets may interleave; a key present in two of
         them is a duplicate and rejected.
         """
+        if not datasets:
+            raise ValidationError("at least one dataset is required")
         names = sorted(set().union(*(dataset.wallet_names for dataset in datasets)))
         code = {name: i for i, name in enumerate(names)}
         columns = {
@@ -236,7 +238,8 @@ class Dataset:
         return len(self.timestamp)
 
     def netuids(self) -> list[int]:
-        return np.unique(self.netuid).tolist()
+        # Not np.unique, which would import numpy.ma.
+        return sorted(set(self.netuid.tolist()))
 
     @property
     def events(self) -> tuple[SnapshotEvent, ...]:
@@ -731,24 +734,16 @@ def _window_keys(timestamp: np.ndarray, freq: str) -> tuple[np.ndarray, Callable
     return days, lambda key: EPOCH + timedelta(days=key)
 
 
-def _overflows(values: list[float]) -> bool:
-    try:
-        math.fsum(values)
-    except OverflowError:
-        return True
-    return False
-
-
-def _aggregate(
-    dataset: Dataset,
-    window: np.ndarray,
-    bounds: Callable[[int], tuple[datetime, datetime]],
-) -> list[SubnetSnapshot]:
-    """One snapshot per (netuid, window) with one row per wallet.
+def _aggregate(dataset: Dataset, window: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The aggregation table of `dataset` under the row window keys `window`:
+    (netuid, key, offsets, wallet, miner, stake, reward, perf).
 
     A stable lexsort groups rows by (netuid, window, wallet) and keeps each
-    group's rows in time order, so a group's last row gives stake and perf.
-    `bounds(key)` is the (start, end) of window `key`.
+    group's rows in time order, so a group's last row gives stake and perf,
+    and its rewards sum to its reward. The last five columns hold one entry
+    per group. Segment s, one (netuid, window), holds entries
+    offsets[s]:offsets[s + 1], in wallet-code order; netuid[s] and key[s]
+    name it.
     """
     order = np.lexsort((dataset.wallet, window, dataset.netuid))
     netuid, window, wallet = dataset.netuid[order], window[order], dataset.wallet[order]
@@ -763,32 +758,56 @@ def _aggregate(
     stake = dataset.stake[last]
     perf = np.where(miner, dataset.trust[last], dataset.validator_trust[last])
     perf[np.isnan(perf)] = 0.0
-    rewards = dataset.reward[order].tolist()
-    try:
-        reward = np.array(
-            [math.fsum(rewards[start:end]) for start, end in zip(starts.tolist(), ends.tolist())],
-            dtype=np.float64,
-        )
-    except OverflowError:
-        start = next(start for start, end in zip(starts.tolist(), ends.tolist())
-                     if _overflows(rewards[start:end]))
-        row = int(order[start])
+    reward = _group_sums(dataset.reward[order], starts, ends)
+    overflowed = np.isinf(reward)
+    if overflowed.any():
+        row = int(order[starts[np.argmax(overflowed)]])
         raise ValidationError(
             f"rewards of wallet {dataset.wallet_names[dataset.wallet[row]]!r} in netuid "
             f"{dataset.netuid[row]} sum beyond the float64 range"
-        ) from None
-    codes = dataset.wallet[last]
+        )
+    firsts = np.flatnonzero(new_snapshot[starts])
+    segment_rows = starts[firsts]
+    offsets = np.append(firsts, len(starts))
+    return netuid[segment_rows], window[segment_rows], offsets, dataset.wallet[last], miner, stake, reward, perf
+
+
+def _group_sums(rewards: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """math.fsum of each group rewards[starts[g]:ends[g]] of finite values,
+    and inf for a group whose sum overflows. For one or two values fsum is
+    the float sum, except that it turns -0.0 into 0.0, as adding 0.0 does;
+    a pair overflows in both. Larger groups go through fsum itself."""
+    sizes = ends - starts
+    second = np.zeros(len(starts))
+    pairs = sizes == 2
+    second[pairs] = rewards[starts[pairs] + 1]
+    with np.errstate(over="ignore"):
+        sums = rewards[starts] + second + 0.0
+    for group in np.flatnonzero(sizes > 2).tolist():
+        try:
+            sums[group] = math.fsum(rewards[starts[group]:ends[group]].tolist())
+        except OverflowError:
+            sums[group] = math.inf
+    return sums
+
+
+def _snapshots(
+    dataset: Dataset,
+    table: tuple[np.ndarray, ...],
+    bounds: Callable[[int], tuple[datetime, datetime]],
+) -> list[SubnetSnapshot]:
+    """One snapshot per segment of an aggregation table of `dataset`;
+    `bounds(key)` is the (start, end) of window `key`."""
+    netuid, key, offsets, codes, miner, stake, reward, perf = table
     # Frozen, the columns are shared by the snapshots' slices, not copied.
     for column in (codes, miner, stake, reward, perf):
         _freeze(column)
-    firsts = np.flatnonzero(new_snapshot[starts]).tolist()
     snapshots = []
-    for first, stop in zip(firsts, firsts[1:] + [len(starts)]):
-        row = starts[first]
-        window_start, window_end = bounds(int(window[row]))
+    for segment, (first, stop) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist())):
+        window_start, window_end = bounds(int(key[segment]))
         snapshots.append(
             SubnetSnapshot(
-                netuid=int(netuid[row]),
+                netuid=int(netuid[segment]),
                 window_start=window_start,
                 window_end=window_end,
                 wallet=codes[first:stop],
@@ -802,6 +821,17 @@ def _aggregate(
     return snapshots
 
 
+def _window_table(dataset: Dataset, freq: str) -> tuple[tuple[np.ndarray, ...], Callable[[int], datetime]]:
+    """The aggregation table of resample(dataset, freq) (see _aggregate),
+    and the start of the window of a key."""
+    if freq not in FREQUENCIES:
+        raise ValidationError(f"unknown frequency {freq!r} (expected one of {FREQUENCIES})")
+    if not len(dataset):
+        raise ValidationError("cannot resample an empty dataset")
+    window, start_of = _window_keys(dataset.timestamp, freq)
+    return _aggregate(dataset, window), start_of
+
+
 def resample(dataset: Dataset, freq: str = "daily") -> list[SubnetSnapshot]:
     """Aggregate events into per-(netuid, window) snapshots.
 
@@ -809,15 +839,11 @@ def resample(dataset: Dataset, freq: str = "daily") -> list[SubnetSnapshot]:
     months at the 1st. Within a window, stake and perf come from the
     wallet's last event and reward is the sum of its rewards.
     """
-    if freq not in FREQUENCIES:
-        raise ValidationError(f"unknown frequency {freq!r} (expected one of {FREQUENCIES})")
-    if not len(dataset):
-        raise ValidationError("cannot resample an empty dataset")
-    window, start_of = _window_keys(dataset.timestamp, freq)
+    table, start_of = _window_table(dataset, freq)
     # A window ends where the next one starts: keys count days, Mondays'
     # days or months.
     step = 7 if freq == "weekly" else 1
-    return _aggregate(dataset, window, lambda key: (start_of(key), start_of(key + step)))
+    return _snapshots(dataset, table, lambda key: (start_of(key), start_of(key + step)))
 
 
 def history_snapshots(dataset: Dataset) -> list[SubnetSnapshot]:
@@ -831,4 +857,5 @@ def history_snapshots(dataset: Dataset) -> list[SubnetSnapshot]:
         raise ValidationError("cannot aggregate an empty dataset")
     first, last = int(dataset.timestamp[0]), int(dataset.timestamp[-1])
     span = (from_epoch_us(first - first % _DAY_US), from_epoch_us(last - last % _DAY_US + _DAY_US))
-    return _aggregate(dataset, np.zeros(len(dataset), dtype=np.int64), lambda _: span)
+    table = _aggregate(dataset, np.zeros(len(dataset), dtype=np.int64))
+    return _snapshots(dataset, table, lambda _: span)

@@ -111,8 +111,28 @@ def perf_weighted_rewards(rewards, perfs, miners, sensitivity: float = 0.0) -> n
     miner_vec = _require_array("miners", miners, 1, np.bool_)
     if miner_vec.shape != reward_vec.shape:
         raise ValidationError("rewards and miners must have equal length")
-    base = np.where(miner_vec, 1.0 - BASE_VALIDATOR_SHARE, BASE_VALIDATOR_SHARE)
-    return reward_vec * (base + sensitivity * perf_vec)
+    return _split(reward_vec, perf_vec, miner_vec, sensitivity)
+
+
+# The scheme kernels below take checked vectors and a parameter that is a
+# number, or a column of numbers for one row of results each; each element
+# gets the same arithmetic either way.
+
+
+def _split(rewards: np.ndarray, perfs: np.ndarray, miners: np.ndarray, sensitivity) -> np.ndarray:
+    base = np.where(miners, 1.0 - BASE_VALIDATOR_SHARE, BASE_VALIDATOR_SHARE)
+    return rewards * (base + sensitivity * perfs)
+
+
+def _mix(ranks: np.ndarray, perfs: np.ndarray, weight) -> np.ndarray:
+    """The ranks where the weight is 1, the perfs where it is 0, else their
+    convex mix."""
+    mixed = weight * ranks + (1.0 - weight) * perfs
+    return np.where(weight == 1.0, ranks, np.where(weight == 0.0, perfs, mixed))
+
+
+def _bonus(rewards: np.ndarray, perfs: np.ndarray, rate) -> np.ndarray:
+    return rewards * (1.0 + rate * perfs)
 
 
 def composite_ranks(base_ranks, perfs, rank_weight: float) -> np.ndarray:
@@ -127,11 +147,7 @@ def composite_ranks(base_ranks, perfs, rank_weight: float) -> np.ndarray:
     perf = _vector("perfs", perfs, 1.0)
     if ranks.shape != perf.shape:
         raise ValidationError("base_ranks and perfs must have equal length")
-    if weight == 1.0:
-        return ranks.copy()
-    if weight == 0.0:
-        return perf.copy()
-    return weight * ranks + (1.0 - weight) * perf
+    return _mix(ranks, perf, weight)
 
 
 def bonus_rewards(rewards, perfs, bonus_rate: float) -> np.ndarray:
@@ -140,7 +156,7 @@ def bonus_rewards(rewards, perfs, bonus_rate: float) -> np.ndarray:
     reward_vec, perf_vec = _vector("rewards", rewards, math.inf), _vector("perfs", perfs, 1.0)
     if reward_vec.shape != perf_vec.shape:
         raise ValidationError("rewards and perfs must have equal length")
-    return reward_vec * (1.0 + rate * perf_vec)
+    return _bonus(reward_vec, perf_vec, rate)
 
 
 def unit_rescale(values) -> np.ndarray:
@@ -155,10 +171,11 @@ def unit_rescale(values) -> np.ndarray:
     return (x - lo) / (hi - lo)
 
 
-def _nearest_rank(ascending: np.ndarray, percentile: float) -> float:
-    """Nearest-rank percentile of a non-empty ascending vector."""
-    rank = math.ceil(percentile / 100.0 * ascending.shape[0])
-    return float(ascending[max(rank, 1) - 1])
+def _nearest_rank(ascending: np.ndarray, percentile: float) -> np.ndarray:
+    """Nearest-rank percentile of each non-empty ascending row of a block,
+    or of an ascending vector."""
+    rank = math.ceil(percentile / 100.0 * ascending.shape[-1])
+    return ascending[..., max(rank, 1) - 1]
 
 
 def nearest_rank_percentile(values, percentile: float) -> float:
@@ -166,12 +183,13 @@ def nearest_rank_percentile(values, percentile: float) -> float:
     x = _vector("values", values)
     if x.shape[0] == 0:
         raise ValidationError("percentile of an empty vector is undefined")
-    return _nearest_rank(np.sort(x), _require_upto("percentile", percentile, 100.0))
+    return float(_nearest_rank(np.sort(x), _require_upto("percentile", percentile, 100.0)))
 
 
-def _transform(x: np.ndarray, spec: TransformSpec, cap: Optional[float]) -> np.ndarray:
-    """`spec` applied to a checked stake vector; `cap`, the nearest-rank cap
-    of the stakes, is read by the cap kind only."""
+def _transform(x: np.ndarray, spec: TransformSpec, cap: Optional[float | np.ndarray]) -> np.ndarray:
+    """`spec` applied to a checked stake vector or block; `cap`, the
+    nearest-rank cap of the stakes (a column for a block), is read by the
+    cap kind only."""
     if spec.kind == "cap":
         return np.minimum(x, cap)
     if spec.kind == "power":
@@ -186,17 +204,22 @@ def apply_stake_transform(stakes, spec: TransformSpec) -> np.ndarray:
     return _transform(x, spec, cap)
 
 
-def _whale_top(before: np.ndarray) -> tuple[np.ndarray, float]:
-    """The indices of the top 1% of `before` (ceil rule, stable sort) and
-    their combined stake."""
-    k = math.ceil(0.01 * before.shape[0])
-    top_idx = np.argsort(-before, kind="stable")[:k]
-    return top_idx, float(np.sum(before[top_idx]))
+def _whale_top(before: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the top 1% of each row of a (k, n) block of stakes
+    (ceil rule, stable sort) and each row's combined stake there."""
+    k = math.ceil(0.01 * before.shape[1])
+    top_idx = np.argsort(-before, axis=1, kind="stable")[:, :k]
+    return top_idx, np.sum(np.take_along_axis(before, top_idx, axis=1), axis=1)
 
 
-def _penalty(top_before: float, top_after: np.ndarray) -> float:
-    """Relative reduction from `top_before` > 0 to the sum of `top_after`."""
-    return (top_before - float(np.sum(top_after))) / top_before
+def _penalty(top_before: np.ndarray, after: np.ndarray, top_idx: np.ndarray) -> np.ndarray:
+    """Relative reduction of each row's top-1% stake from `top_before` > 0
+    to the sum of the row of `after` at `top_idx`. A quotient beyond the
+    float range is -inf, as in float arithmetic, not an error; the frontier
+    rejects it."""
+    top_after = np.sum(np.take_along_axis(after, top_idx, axis=1), axis=1)
+    with np.errstate(over="ignore", under="ignore"):
+        return (top_before - top_after) / top_before
 
 
 def whale_penalty(original, transformed) -> float:
@@ -213,7 +236,7 @@ def whale_penalty(original, transformed) -> float:
     after = _vector("transformed", transformed)
     if before.shape != after.shape:
         raise ValidationError("original and transformed must have equal length")
-    top_idx, top_before = _whale_top(before)
-    if top_before <= 0.0:
+    top_idx, top_before = _whale_top(before[None, :])
+    if top_before[0] <= 0.0:
         raise ValidationError("whale_penalty is undefined: top-1% stake mass is zero")
-    return _penalty(top_before, after[top_idx])
+    return float(_penalty(top_before, after[None, :], top_idx)[0])

@@ -1,9 +1,10 @@
 """Concentration, correlation, and attack-resilience metrics.
 
 Validating NumPy metric functions, plus snapshot-level report builders.
-Both call the same private kernels: the functions after checking their
-arguments, the reports directly on snapshot columns, which the snapshot
-checked when it was built. Degenerate inputs split two ways:
+Both call the same private kernels, which compute a batch of equal-length
+rows at once: the functions pass their checked argument as a batch of one,
+and the reports pass snapshot or aggregation-table columns, which were
+checked when they were built. Degenerate inputs split two ways:
 concentration metrics on zero-mass vectors raise ValidationError, while a
 Pearson coefficient with a zero-variance input is a legitimate "undefined"
 outcome and comes back as None so callers can render gaps instead of
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -49,99 +50,170 @@ def _nonneg_vector(name: str, values) -> np.ndarray:
     return x
 
 
-# The kernels below hold each formula once. They take float64 vectors that
-# are already known to be finite and nonnegative (the public functions check
-# their arguments; snapshot columns are checked on construction). Callers
-# that share a sort or a sum between kernels must pass exactly the array or
-# the value the public function would compute, so that a report stays bit
-# for bit what the public functions return on the same columns.
+# The kernels below hold each formula once. Each takes a C-contiguous
+# (k, n) block of float64 rows that are already known to be finite, and
+# nonnegative but for Pearson's (the public functions check their
+# arguments; snapshot and table columns are checked when they are built),
+# and returns one value per row. The public functions and the per-snapshot reports pass a batch of
+# one row; the table paths pass every segment of one length at once (see
+# _blocks). On such a block, NumPy gives each row of these axis=1
+# operations, and each batch of the vector-vector np.matmul, the bits it
+# gives that row alone, so a value never depends on its batch; in another
+# memory order it may sum in another order. Callers that share a sort or a
+# sum between kernels must pass exactly the array the public function
+# would compute.
 
 
-def _gini_sorted(ascending: np.ndarray, total: float) -> float:
-    """Gini of an ascending vector whose own np.sum is `total` > 0."""
-    n = ascending.shape[0]
-    ranks = np.arange(1.0, n + 1.0)
-    return (2.0 * float(np.dot(ranks, ascending)) - (n + 1.0) * total) / (n * total)
+def _blocks(values: np.ndarray, offsets: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(segments, block) for each distinct positive length n among the
+    segments `values[offsets[s]:offsets[s + 1]]`: the indices of the
+    segments of length n, and their values as a (k, n) block, one row per
+    segment in row order."""
+    lengths = np.diff(offsets)
+    for n in sorted(set(lengths.tolist()) - {0}):
+        segments = np.flatnonzero(lengths == n)
+        yield segments, values[offsets[segments, None] + np.arange(n)]
 
 
-def _hhi(x: np.ndarray, total: float) -> float:
-    """HHI of a vector whose np.sum is `total` > 0."""
-    shares = x / total
-    return float(np.dot(shares, shares))
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot of each row of `a` with the same row of `b`, or with `b` when
+    it is one vector. np.einsum and a matrix-vector np.matmul sum in
+    another order; a batch of vector-vector products does not."""
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
 
 
-def _top_sum(x: np.ndarray, k: int) -> float:
-    """Sum of the k largest values of x."""
-    n = x.shape[0]
+def _gini_rows(ascending: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """Gini of each ascending row whose own np.sum is `total` > 0."""
+    n = ascending.shape[1]
+    return (2.0 * _dot_rows(ascending, np.arange(1.0, n + 1.0)) - (n + 1.0) * total) / (n * total)
+
+
+def _hhi_rows(x: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """HHI of each row whose np.sum is `total` > 0."""
+    shares = x / total[:, None]
+    return _dot_rows(shares, shares)
+
+
+def _top_rows(x: np.ndarray, k: int) -> np.ndarray:
+    """Sum of the k largest values of each row."""
+    n = x.shape[1]
     if k >= n:
-        return float(np.sum(x))
+        return np.sum(x, axis=1)
     if k == 1:
-        return float(np.max(x))  # the one value np.partition would keep
-    return float(np.sum(np.partition(x, n - k)[n - k:]))
+        return np.max(x, axis=1)  # the one value np.partition would keep
+    return np.sum(np.partition(x, n - k, axis=1)[:, n - k:], axis=1)
 
 
-def _coalition_sorted(ascending: np.ndarray, threshold: float) -> float:
-    """Coalition fraction of an ascending vector with positive mass."""
-    cumulative = np.cumsum(ascending[::-1])
-    target = threshold * float(cumulative[-1])
-    m = int(np.searchsorted(cumulative, target, side="left")) + 1
-    n = ascending.shape[0]
-    return min(m, n) / n
+def _coalition_rows(ascending: np.ndarray, threshold: float) -> np.ndarray:
+    """Coalition fraction of each ascending row with positive mass. The
+    cumulative sums of a row never decrease, so the number of them below
+    the target is the index np.searchsorted(side="left") gives."""
+    cumulative = np.cumsum(ascending[:, ::-1], axis=1)
+    target = threshold * cumulative[:, -1]
+    n = ascending.shape[1]
+    return np.minimum(np.count_nonzero(cumulative < target[:, None], axis=1) + 1, n) / n
 
 
-def _centred(x: np.ndarray) -> tuple[np.ndarray, float]:
-    """Deviations of x from its mean, and their sum of squares."""
-    deviation = x - float(np.mean(x))
-    return deviation, float(np.dot(deviation, deviation))
+def _centred_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deviations of each row from its mean, and their sums of squares."""
+    deviation = x - np.mean(x, axis=1)[:, None]
+    return deviation, _dot_rows(deviation, deviation)
 
 
-def _pearson_centred(x: tuple[np.ndarray, float], y: tuple[np.ndarray, float]) -> Optional[float]:
-    """Pearson correlation of two `_centred` vectors; None on zero variance."""
+def _pearson_rows(x: tuple[np.ndarray, np.ndarray], y: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Pearson correlation of each row pair of two `_centred_rows` blocks;
+    NaN where either variance is zero, or where sums of squares beyond the
+    float range leave no number."""
     (dx, sxx), (dy, syy) = x, y
-    if sxx == 0.0 or syy == 0.0:
-        return None
-    product = sxx * syy
-    if sys.float_info.min <= product < math.inf:
-        scale = math.sqrt(product)
-    else:
-        # The product left the normal float range; the roots of the two
-        # sums of squares stay in it.
-        scale = math.sqrt(sxx) * math.sqrt(syy)
-    r = float(np.dot(dx, dy)) / scale
-    return min(1.0, max(-1.0, r))
+    r = np.full(sxx.shape, np.nan)
+    rows = (sxx != 0.0) & (syy != 0.0)
+    sxx, syy = sxx[rows], syy[rows]
+    with np.errstate(over="ignore", under="ignore"):
+        product = sxx * syy
+    # Where the product left the normal float range, the roots of the two
+    # sums of squares stay in it.
+    normal = (product >= sys.float_info.min) & (product < math.inf)
+    scale = np.where(normal, np.sqrt(product), np.sqrt(sxx) * np.sqrt(syy))
+    r[rows] = np.clip(_dot_rows(dx[rows], dy[rows]) / scale, -1.0, 1.0)
+    return r
+
+
+# np.median and np.percentile import numpy.ma on first use, which no other
+# step of a run needs. These two give their values bit for bit; `values`
+# must be non-empty and hold no NaN.
+
+
+def _median(values) -> float:
+    """np.median(values): np.mean of the middle value, or of the middle two.
+    A sort gives the order statistics np.median's partition gives; among
+    zeros of both signs it may pick another zero, but np.mean of zeros is
+    0.0 either way."""
+    ascending = np.sort(np.asarray(values, dtype=np.float64))
+    n = ascending.shape[0]
+    return float(np.mean(ascending[(n - 1) // 2:n // 2 + 1]))
+
+
+def _percentiles(values, percentiles: Sequence[float]) -> list[float]:
+    """np.percentile(values, percentiles) by its default linear method:
+    virtual index (n - 1) * q, and NumPy's interpolation between the values
+    a and b around it, b - (b - a) * (1 - t) where t >= 0.5. An index at or
+    past the last value reads the last value, and NumPy takes its t from the
+    stand-in index -1. The values come from the np.partition np.percentile
+    makes: a sort gives the same order statistics, but not always the same
+    sign of a zero among zeros of both signs, which b keeps."""
+    x = np.asarray(values, dtype=np.float64)
+    n = x.shape[0]
+    virtual = (n - 1) * np.true_divide(percentiles, 100)
+    below = np.floor(virtual)
+    above = below + 1
+    top = virtual >= n - 1
+    below[top] = above[top] = -1
+    lo, hi = below.astype(np.intp), above.astype(np.intp)
+    part = np.partition(x, sorted({0, -1, *lo.tolist(), *hi.tolist()}))
+    a, b = part[lo], part[hi]
+    t = virtual - lo
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    return out.tolist()
 
 
 def _check_threshold(threshold: float) -> float:
     return _require_upto("threshold", threshold)
 
 
+def _optional(value: float) -> Optional[float]:
+    """A kernel value as a float, or None for NaN."""
+    return None if value != value else float(value)
+
+
 def gini(values) -> float:
     """Discrete Gini coefficient (mean absolute pairwise difference form),
     computed via the sorted-rank identity in O(n log n)."""
-    x = np.sort(_nonneg_vector("values", values))
-    total = float(np.sum(x))
-    if total <= 0.0:
+    x = np.sort(_nonneg_vector("values", values))[None, :]
+    total = np.sum(x, axis=1)
+    if total[0] <= 0.0:
         raise ValidationError("gini is undefined for an all-zero vector")
-    return _gini_sorted(x, total)
+    return float(_gini_rows(x, total)[0])
 
 
 def hhi(values) -> float:
     """Herfindahl-Hirschman index: sum of squared shares."""
-    x = _nonneg_vector("values", values)
-    total = float(np.sum(x))
-    if total <= 0.0:
+    x = _nonneg_vector("values", values)[None, :]
+    total = np.sum(x, axis=1)
+    if total[0] <= 0.0:
         raise ValidationError("hhi is undefined for a zero-sum vector")
-    return _hhi(x, total)
+    return float(_hhi_rows(x, total)[0])
 
 
 def top_share(values, fraction: float = 0.01) -> float:
     """Share of the total held by the top ceil(fraction * n) holders."""
-    x = _nonneg_vector("values", values)
+    x = _nonneg_vector("values", values)[None, :]
     fraction = _require_upto("fraction", fraction)
-    total = float(np.sum(x))
-    if total <= 0.0:
+    total = np.sum(x, axis=1)
+    if total[0] <= 0.0:
         raise ValidationError("top_share is undefined for a zero-sum vector")
-    return _top_sum(x, math.ceil(fraction * x.shape[0])) / total
+    return float(_top_rows(x, math.ceil(fraction * x.shape[1]))[0] / total[0])
 
 
 def coalition_fraction(stakes, threshold: float = 0.51) -> float:
@@ -155,11 +227,12 @@ def coalition_fraction(stakes, threshold: float = 0.51) -> float:
     threshold = _check_threshold(threshold)
     if float(np.sum(x)) <= 0.0:
         raise ValidationError("coalition_fraction is undefined for a zero-sum vector")
-    return _coalition_sorted(np.sort(x), threshold)
+    return float(_coalition_rows(np.sort(x)[None, :], threshold)[0])
 
 
 def pearson(x, y) -> Optional[float]:
-    """Sample Pearson correlation; None when either variance is zero."""
+    """Sample Pearson correlation; None when either variance is zero, or
+    when sums of squares beyond the float range leave no number."""
     xa = _require_array("x", x, 1)
     ya = _require_array("y", y, 1)
     if xa.ndim != 1 or ya.ndim != 1 or xa.shape != ya.shape:
@@ -168,7 +241,7 @@ def pearson(x, y) -> Optional[float]:
         raise ValidationError("pearson requires at least 2 observations")
     if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
         raise ValidationError("pearson inputs must be finite")
-    return _pearson_centred(_centred(xa), _centred(ya))
+    return _optional(_pearson_rows(_centred_rows(xa[None, :]), _centred_rows(ya[None, :]))[0])
 
 
 @dataclass(frozen=True)
@@ -195,14 +268,14 @@ def correlation_profile(snap: SubnetSnapshot, role: Role) -> CorrelationProfile:
             f"need at least 2 wallets with role {role.value} in netuid {snap.netuid}, "
             f"got {stakes.shape[0]}"
         )
-    stake, reward, perf = map(_centred, (stakes, snap.rewards(role), snap.perfs(role)))
+    stake, reward, perf = (_centred_rows(x[None, :]) for x in (stakes, snap.rewards(role), snap.perfs(role)))
     return CorrelationProfile(
         netuid=snap.netuid,
         role=role,
         n_wallets=stakes.shape[0],
-        r_sr=_pearson_centred(stake, reward),
-        r_sp=_pearson_centred(stake, perf),
-        r_pr=_pearson_centred(perf, reward),
+        r_sr=_optional(_pearson_rows(stake, reward)[0]),
+        r_sp=_optional(_pearson_rows(stake, perf)[0]),
+        r_pr=_optional(_pearson_rows(perf, reward)[0]),
     )
 
 
@@ -225,37 +298,52 @@ class ConcentrationReport:
     top1_reward_share: Optional[float]
 
 
-def _column_metrics(x: np.ndarray) -> tuple[Optional[float], Optional[float], Optional[float]]:
-    """(gini, hhi, top-1% share) of a snapshot column; all None when it is
-    empty or holds no mass. One sum of x serves the guard, hhi and the top
-    share; gini takes the sum of the sorted copy, as `gini` does."""
-    total = float(np.sum(x))
-    if total <= 0.0:
-        return None, None, None
-    ascending = np.sort(x)
-    return (
-        _gini_sorted(ascending, float(np.sum(ascending))),
-        _hhi(x, total),
-        _top_sum(x, math.ceil(0.01 * x.shape[0])) / total,
-    )
+def _concentration(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """(gini, hhi, top-1% share) of each segment of `values` (see _blocks)
+    as the rows of a (3, segments) array; NaN where a segment is empty or
+    holds no mass. One sum of a row serves the guard, hhi and the top
+    share; gini takes the sum of the sorted row, as `gini` does."""
+    out = np.full((3, len(offsets) - 1), np.nan)
+    for segments, x in _blocks(values, offsets):
+        total = np.sum(x, axis=1)
+        mass = total > 0.0
+        segments, x, total = segments[mass], x[mass], total[mass]
+        ascending = np.sort(x, axis=1)
+        out[:, segments] = (
+            _gini_rows(ascending, np.sum(ascending, axis=1)),
+            _hhi_rows(x, total),
+            _top_rows(x, math.ceil(0.01 * x.shape[1])) / total,
+        )
+    return out
+
+
+def _concentration_reports(
+    netuids: Sequence[int],
+    offsets: np.ndarray,
+    miner: np.ndarray,
+    stake: np.ndarray,
+    reward: np.ndarray,
+    role_filter: str,
+) -> list[ConcentrationReport]:
+    """concentration_report of each segment of the wallet columns `miner`,
+    `stake` and `reward`, whose segment s holds rows offsets[s]:offsets[s + 1]
+    of netuid netuids[s]; the segments are computed as one batch."""
+    if role_filter not in ROLE_FILTERS:
+        raise ValidationError(f"unknown role filter {role_filter!r}")
+    if role_filter != "all":
+        rows = miner == (role_filter == Role.MINER.value)
+        offsets = np.append(0, np.cumsum(rows))[offsets]
+        stake, reward = stake[rows], reward[rows]
+    # Rows (gini, hhi, top) of stake and of reward, interleaved in the
+    # report's field order.
+    metrics = np.stack((_concentration(stake, offsets), _concentration(reward, offsets)), axis=1)
+    return [
+        ConcentrationReport(netuid, role_filter, n, *map(_optional, values))
+        for netuid, n, values in zip(netuids, np.diff(offsets).tolist(), metrics.reshape(6, -1).T.tolist())
+    ]
 
 
 def concentration_report(snap: SubnetSnapshot, role_filter: str = "all") -> ConcentrationReport:
     """Table-style concentration metrics for one snapshot and role filter."""
-    if role_filter not in ROLE_FILTERS:
-        raise ValidationError(f"unknown role filter {role_filter!r}")
-    role = None if role_filter == "all" else Role(role_filter)
-    stakes = snap.stakes(role)
-    gini_stake, hhi_stake, top_stake = _column_metrics(stakes)
-    gini_reward, hhi_reward, top_reward = _column_metrics(snap.rewards(role))
-    return ConcentrationReport(
-        netuid=snap.netuid,
-        role_filter=role_filter,
-        n_wallets=stakes.shape[0],
-        gini_stake=gini_stake,
-        gini_reward=gini_reward,
-        hhi_stake=hhi_stake,
-        hhi_reward=hhi_reward,
-        top1_stake_share=top_stake,
-        top1_reward_share=top_reward,
-    )
+    offsets = np.array([0, len(snap.wallet)])
+    return _concentration_reports([snap.netuid], offsets, snap.miner, snap.stake, snap.reward, role_filter)[0]

@@ -17,19 +17,28 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from yumalab.ingest import FREQUENCIES, Dataset, resample
+from yumalab.ingest import FREQUENCIES, Dataset, _window_table
 from yumalab.interventions import (
     TransformSpec,
+    _bonus,
+    _mix,
     _nearest_rank,
     _penalty,
+    _split,
     _transform,
     _whale_top,
-    bonus_rewards,
-    composite_ranks,
-    perf_weighted_rewards,
     unit_rescale,
 )
-from yumalab.metrics import _centred, _check_threshold, _coalition_sorted, _pearson_centred
+from yumalab.metrics import (
+    _blocks,
+    _centred_rows,
+    _check_threshold,
+    _coalition_rows,
+    _median,
+    _optional,
+    _pearson_rows,
+    _percentiles,
+)
 from yumalab.model import Role, SubnetSnapshot, ValidationError, _require_upto
 
 __all__ = [
@@ -162,51 +171,48 @@ class RobustnessSeries:
 # ---------------------------------------------------------------------------
 
 
-def _scheme_rewards(snap: SubnetSnapshot, scheme: str, value: float) -> np.ndarray:
+def _scheme_rewards(snap: SubnetSnapshot, scheme: str, grid: Sequence[float]) -> np.ndarray:
+    """The snapshot's rewards under `scheme` at each checked grid value, one
+    row per value, as the scheme's public functions give them."""
+    values = np.array(grid)[:, None]
     if scheme == "split":
-        return perf_weighted_rewards(snap.reward, snap.perf, snap.miner, sensitivity=value)
+        return _split(snap.reward, snap.perf, snap.miner, values)
     if scheme == "bonus":
-        return bonus_rewards(snap.reward, snap.perf, value)
+        return _bonus(snap.reward, snap.perf, values)
     # composite: re-allocate the miner reward pool along mixed ranks;
     # validator rewards stay untouched.
-    adjusted = snap.reward.copy()
+    adjusted = np.tile(snap.reward, (len(grid), 1))
     miners = snap.miner
     if miners.any():
         miner_rewards = snap.reward[miners]
         pool = float(np.sum(miner_rewards))
-        mixed = composite_ranks(unit_rescale(miner_rewards), snap.perf[miners], value)
-        mass = float(np.sum(mixed))
-        if mass > 0.0:
-            adjusted[miners] = pool * (mixed / mass)
-        else:
-            adjusted[miners] = 0.0
+        mixed = _mix(unit_rescale(miner_rewards), snap.perf[miners], values)
+        mass = np.sum(mixed, axis=1)
+        positive = mass > 0.0
+        shares = np.zeros_like(mixed)
+        shares[positive] = pool * (mixed[positive] / mass[positive, None])
+        adjusted[:, miners] = shares
     return adjusted
 
 
-# (role, row mask, centred stakes, centred perfs) of each role of a snapshot.
-_RoleColumns = list[tuple[Role, np.ndarray, tuple[np.ndarray, float], tuple[np.ndarray, float]]]
-
-
-def _role_columns(snap: SubnetSnapshot) -> _RoleColumns:
-    """(role, row mask, centred stakes, centred perfs) of each role with at
-    least 2 wallets; these columns are the same at every grid point."""
-    columns = []
-    for role, rows in ((Role.MINER, snap.miner), (Role.VALIDATOR, ~snap.miner)):
-        if np.count_nonzero(rows) >= 2:
-            columns.append((role, rows, _centred(snap.stake[rows]), _centred(snap.perf[rows])))
-    return columns
-
-
-def _point_correlations(
-    role_columns: _RoleColumns, adjusted: np.ndarray
-) -> dict[Role, tuple[Optional[float], Optional[float]]]:
+def _role_correlations(
+    snap: SubnetSnapshot, adjusted: np.ndarray
+) -> dict[Role, tuple[np.ndarray, np.ndarray]]:
+    """The stake/reward and perf/reward correlations of each role with at
+    least 2 wallets, one per row of `adjusted`, the snapshot's rewards at
+    each grid value; NaN where a correlation is undefined."""
     out = {}
-    for role, rows, stake, perf in role_columns:
-        rewards = adjusted[rows]
+    for role, rows in ((Role.MINER, snap.miner), (Role.VALIDATOR, ~snap.miner)):
+        if np.count_nonzero(rows) < 2:
+            continue
+        # The kernels take C-contiguous blocks; adjusted[:, rows] is not one.
+        rewards = np.ascontiguousarray(adjusted[:, rows])
         if not np.all(np.isfinite(rewards)):
             raise ValidationError("pearson inputs must be finite")
-        reward = _centred(rewards)
-        out[role] = (_pearson_centred(stake, reward), _pearson_centred(perf, reward))
+        reward = _centred_rows(rewards)
+        stake, perf = (_centred_rows(np.tile(column[rows], (len(rewards), 1)))
+                       for column in (snap.stake, snap.perf))
+        out[role] = (_pearson_rows(stake, reward), _pearson_rows(perf, reward))
     return out
 
 
@@ -259,25 +265,27 @@ def sweep_scheme(
         seen.add(snap.netuid)
 
     ordered = sorted(snapshots, key=lambda s: s.netuid)
-    role_columns = [_role_columns(snap) for snap in ordered]
-    by_value = [
-        [_point_correlations(columns, _scheme_rewards(snap, scheme, value))
-         for snap, columns in zip(ordered, role_columns)]
-        for value in grid_values
-    ]
-    baseline = by_value[grid_values.index(NULL_PARAMS[scheme])]
+    base = grid_values.index(NULL_PARAMS[scheme])
+    # Per snapshot and role: (r_sr, r_pr, d_r_sr, d_r_pr) at each grid
+    # value, None where undefined. Each role's grid values are one batch.
+    columns = []
+    for snap in ordered:
+        adjusted = _scheme_rewards(snap, scheme, grid_values)
+        roles = {}
+        for role, (r_sr, r_pr) in _role_correlations(snap, adjusted).items():
+            values = (r_sr, r_pr, r_sr - r_sr[base], r_pr - r_pr[base])
+            roles[role] = list(zip(*(map(_optional, column.tolist()) for column in values)))
+        columns.append(roles)
 
     # One pass in (grid order, netuid, role) order. Each role's deltas,
     # in netuid order, feed its aggregate at the grid value.
     points: list[SweepPoint] = []
     aggregates: list[SweepAggregate] = []
-    for value, per_snap in zip(grid_values, by_value):
+    for i, value in enumerate(grid_values):
         deltas: dict[Role, list[tuple]] = {Role.MINER: [], Role.VALIDATOR: []}
-        for snap, corr, base in zip(ordered, per_snap, baseline):
-            for role, (r_sr, r_pr) in corr.items():
-                base_sr, base_pr = base[role]
-                d_sr = None if r_sr is None or base_sr is None else r_sr - base_sr
-                d_pr = None if r_pr is None or base_pr is None else r_pr - base_pr
+        for snap, roles in zip(ordered, columns):
+            for role, rows in roles.items():
+                r_sr, r_pr, d_sr, d_pr = rows[i]
                 points.append(SweepPoint(scheme=scheme, param=value, netuid=snap.netuid, role=role,
                                          r_sr=r_sr, r_pr=r_pr, d_r_sr=d_sr, d_r_pr=d_pr))
                 deltas[role].append((d_sr, d_pr))
@@ -292,9 +300,9 @@ def sweep_scheme(
                     n_subnets=len(defined),
                     excluded=len(pairs) - len(defined),
                     mean_d_r_sr=float(np.mean(deltas_sr)) if defined else None,
-                    median_d_r_sr=float(np.median(deltas_sr)) if defined else None,
+                    median_d_r_sr=_median(deltas_sr) if defined else None,
                     mean_d_r_pr=float(np.mean(deltas_pr)) if defined else None,
-                    median_d_r_pr=float(np.median(deltas_pr)) if defined else None,
+                    median_d_r_pr=_median(deltas_pr) if defined else None,
                 )
             )
     return SweepResult(
@@ -310,28 +318,35 @@ def sweep_scheme(
 # ---------------------------------------------------------------------------
 
 
-def _sorted_stakes(snapshots: Sequence[SubnetSnapshot]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(stakes, their ascending sort) of each snapshot with positive stake
-    mass. The columns are checked, so the mass is positive exactly when the
-    largest stake is."""
-    pairs = []
+def _stake_blocks(snapshots: Sequence[SubnetSnapshot]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The stakes of the snapshots with positive stake mass, as one (k, n)
+    block per number n of wallets, and their ascending row sorts. The
+    columns are checked, so the mass is positive exactly when the largest
+    stake is."""
+    by_length: dict[int, list[np.ndarray]] = {}
     for snap in snapshots:
-        ascending = np.sort(snap.stake)
-        if ascending.shape[0] and ascending[-1] > 0.0:
-            pairs.append((snap.stake, ascending))
-    return pairs
+        if snap.stake.shape[0]:
+            by_length.setdefault(snap.stake.shape[0], []).append(snap.stake)
+    blocks = []
+    for rows in by_length.values():
+        stakes = np.array(rows)
+        ascending = np.sort(stakes, axis=1)
+        mass = ascending[:, -1] > 0.0
+        blocks.append((stakes[mass], ascending[mass]))
+    return blocks
 
 
 def _sorted_transform(
     stakes: np.ndarray, ascending: np.ndarray, spec: TransformSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The transformed stakes, as `apply_stake_transform` gives them, and
-    their ascending sort. A cap keeps the order of the stakes, so capping
+    """The transformed rows of a (k, n) block of stakes, as
+    `apply_stake_transform` gives each, and their ascending sorts, given the
+    sorts of the stakes. A cap keeps the order of the stakes, so capping
     their sort gives the sort of the capped stakes, value for value."""
-    cap = _nearest_rank(ascending, spec.param) if spec.kind == "cap" else None
+    cap = _nearest_rank(ascending, spec.param)[:, None] if spec.kind == "cap" else None
     transformed = _transform(stakes, spec, cap)
     if cap is None:
-        return transformed, np.sort(transformed)
+        return transformed, np.sort(transformed, axis=1)
     return transformed, _transform(ascending, spec, cap)
 
 
@@ -351,19 +366,21 @@ def tradeoff_frontier(
     if not interventions:
         raise ValidationError("at least one transform spec is required")
     threshold = _check_threshold(threshold)
-    # Each snapshot's sort and top-1% wallets serve every transform.
-    subnets = [
-        (stakes, ascending, *_whale_top(stakes)) for stakes, ascending in _sorted_stakes(snapshots)
+    # Each block's sorts and top-1% wallets serve every transform. A median
+    # does not depend on the order of its values, so the subnets may come
+    # block by block.
+    blocks = [
+        (stakes, ascending, *_whale_top(stakes)) for stakes, ascending in _stake_blocks(snapshots)
     ]
     points: list[FrontierPoint] = []
     for spec in interventions:
         fractions: list[float] = []
         penalties: list[float] = []
-        for stakes, ascending, top_idx, top_before in subnets:
+        for stakes, ascending, top_idx, top_before in blocks:
             transformed, ordered = _sorted_transform(stakes, ascending, spec)
-            if ordered[-1] > 0.0:  # the transform left some stake mass
-                fractions.append(_coalition_sorted(ordered, threshold))
-                penalties.append(_penalty(top_before, transformed[top_idx]))
+            kept = ordered[:, -1] > 0.0  # the transform left some stake mass
+            fractions.extend(_coalition_rows(ordered[kept], threshold).tolist())
+            penalties.extend(_penalty(top_before[kept], transformed[kept], top_idx[kept]).tolist())
         if not fractions:
             raise ValidationError(
                 f"no subnet with positive stake mass for transform {spec.label}"
@@ -373,8 +390,8 @@ def tradeoff_frontier(
                 label=spec.label,
                 kind=spec.kind,
                 param=spec.param,
-                median_coalition_fraction=float(np.median(fractions)),
-                median_whale_penalty=float(np.median(penalties)),
+                median_coalition_fraction=_median(fractions),
+                median_whale_penalty=_median(penalties),
                 n_subnets=len(fractions),
             )
         )
@@ -390,11 +407,6 @@ def tradeoff_frontier(
     return tuple(replace(p, pareto=not dominated(p)) for p in points)
 
 
-def _percentiles(values: list[float]) -> tuple[float, float, float]:
-    p10, p50, p90 = np.percentile(np.asarray(values, dtype=np.float64), [10.0, 50.0, 90.0])
-    return float(p10), float(p50), float(p90)
-
-
 def temporal_robustness(
     dataset: Dataset,
     spec: TransformSpec,
@@ -405,32 +417,42 @@ def temporal_robustness(
 
     For every window: resample, apply the transform per subnet, and record
     the median and 10th/90th percentiles of the coalition fraction across
-    subnets, alongside the untransformed baseline. Requires at least two
+    subnets, alongside the untransformed baseline. Subnets with zero stake
+    mass (before or after the transform) are skipped. Requires at least two
     windows per frequency.
     """
     threshold = _check_threshold(threshold)
     series: list[RobustnessSeries] = []
     for freq in freqs:
-        snapshots = resample(dataset, freq)
-        windows: dict[datetime, list[SubnetSnapshot]] = {}
-        for snap in snapshots:
-            windows.setdefault(snap.window_start, []).append(snap)
+        # The subnets of a window are segments of the resample table, so
+        # no snapshot is built.
+        (_, keys, offsets, _, _, stake, _, _), start_of = _window_table(dataset, freq)
+        windows = sorted(set(keys.tolist()))
         if len(windows) < 2:
             raise ValidationError(
                 f"dataset spans {len(windows)} {freq} window(s); need at least 2"
             )
+        # Each segment's coalition fraction after and before the transform;
+        # NaN where either leaves no stake mass.
+        fractions = np.full((2, len(keys)), np.nan)
+        for segments, block in _blocks(stake, offsets):
+            ascending = np.sort(block, axis=1)
+            mass = ascending[:, -1] > 0.0
+            segments, ascending = segments[mass], ascending[mass]
+            ordered = _sorted_transform(ascending, ascending, spec)[1]
+            kept = ordered[:, -1] > 0.0
+            fractions[:, segments[kept]] = (
+                _coalition_rows(ordered[kept], threshold),
+                _coalition_rows(ascending[kept], threshold),
+            )
         rows: list[RobustnessWindow] = []
-        for start in sorted(windows):
-            pairs = []
-            for stakes, ascending in _sorted_stakes(windows[start]):
-                _, ordered = _sorted_transform(stakes, ascending, spec)
-                if ordered[-1] > 0.0:
-                    pairs.append((ascending, ordered))
+        for key in windows:
+            transformed, baseline = fractions[:, (keys == key) & ~np.isnan(fractions[0])]
             stats = (None,) * 6
-            if pairs:
-                p10, p50, p90 = _percentiles([_coalition_sorted(t, threshold) for _, t in pairs])
-                b10, b50, b90 = _percentiles([_coalition_sorted(s, threshold) for s, _ in pairs])
+            if transformed.shape[0]:
+                p10, p50, p90 = _percentiles(transformed, (10.0, 50.0, 90.0))
+                b10, b50, b90 = _percentiles(baseline, (10.0, 50.0, 90.0))
                 stats = (p50, p10, p90, b50, b10, b90)
-            rows.append(RobustnessWindow(start, len(pairs), *stats))
+            rows.append(RobustnessWindow(start_of(key), transformed.shape[0], *stats))
         series.append(RobustnessSeries(freq=freq, windows=tuple(rows)))
     return tuple(series)

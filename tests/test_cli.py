@@ -897,14 +897,15 @@ REPORT_MODULES = {"yumalab.ingest", "yumalab.interventions", "yumalab.metrics", 
 
 
 class TestModulesLoaded:
-    """Each subcommand imports only the modules it runs; parsing the command
-    line alone (`--help`, a usage error) loads neither yumalab.model nor NumPy."""
+    """Each subcommand imports only the modules it runs, and none of them
+    loads numpy.ma; parsing the command line alone (`--help`, a usage
+    error) loads neither yumalab.model nor NumPy."""
 
     SCRIPT = ("import json, sys\n"
               "from yumalab.cli import run\n"
               "code = run(sys.argv[1:])\n"
               "loaded = sorted(name for name in sys.modules if name.split('.')[0] == 'yumalab')\n"
-              "print(json.dumps([code, loaded, 'numpy' in sys.modules]))\n")
+              "print(json.dumps([code, loaded, 'numpy' in sys.modules, 'numpy.ma' in sys.modules]))\n")
 
     @pytest.mark.parametrize("args, code, extra", [
         (["ingest", "--input", WIDE], 0, {"yumalab.ingest"}),
@@ -927,7 +928,7 @@ class TestModulesLoaded:
         """`extra` is None for a run that stops in argparse."""
         done = python_child("-c", self.SCRIPT, *args, "--out", str(tmp_path), capture_output=True, text=True)
         loaded = LOADED_BY_PARSER if extra is None else LOADED_BY_CLI | extra
-        assert json.loads(done.stdout.splitlines()[-1]) == [code, sorted(loaded), extra is not None]
+        assert json.loads(done.stdout.splitlines()[-1]) == [code, sorted(loaded), extra is not None, False]
 
     def test_parser_choices_are_the_library_constants(self):
         parser = build_parser()

@@ -11,7 +11,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from yumalab import ingest
@@ -294,6 +294,10 @@ class TestDataset:
         merged = Dataset.concat([first, second], cutoff=ts(10))
         assert [(e.timestamp.day, e.wallet) for e in merged.events] == [(1, "a"), (2, "b"), (3, "c")]
         assert merged.cutoff == ts(10)
+
+    def test_concat_needs_a_dataset(self):
+        with pytest.raises(ValidationError, match="^at least one dataset is required$"):
+            Dataset.concat([])
 
     def test_netuids_sorted_unique(self):
         events = [event(netuid=5, wallet="a"), event(netuid=2, wallet="b"), event(netuid=5, wallet="c")]
@@ -1044,6 +1048,65 @@ class TestAggregationAgainstGroupingOracle:
     def test_resample_and_history(self, records):
         data = event_file(records, "jsonl").encode()
         assert_matches_grouping_oracle(parse_events(io.BytesIO(data)))
+
+
+# Reward sums: groups of one or two rows are summed in NumPy and larger ones
+# by math.fsum. Each must give the bits of fsum, which turns -0.0 into 0.0,
+# and the first group, in (netuid, window, wallet) order, whose sum
+# overflows must be named by its wallet and netuid.
+MAX = 1.7976931348623157e308
+REWARDS = st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e308, MAX]) | st.floats(0.0, 1e300)
+
+
+@st.composite
+def reward_events(draw):
+    """Events of three wallets in two subnets over nine days, up to three a
+    day each: daily groups of one to three rows, larger weekly ones."""
+    keys = draw(st.lists(st.tuples(st.integers(1, 9), st.integers(0, 2), st.integers(0, 1), st.sampled_from("abc")),
+                         min_size=1, max_size=40, unique=True))
+    return [event(day=day, hour=hour, netuid=netuid, wallet=wallet, reward=draw(REWARDS))
+            for day, hour, netuid, wallet in keys]
+
+
+def oracle_reward_sums(events, window_of):
+    """((netuid, window, wallet), fsum of the group's rewards or None where
+    it overflows) per group, in (netuid, window, wallet) order."""
+    groups = {}
+    for ev in events:
+        groups.setdefault((ev.netuid, window_of(ev.timestamp), ev.wallet), []).append(ev.reward)
+    sums = []
+    for key in sorted(groups):
+        try:
+            sums.append((key, math.fsum(groups[key])))
+        except OverflowError:
+            sums.append((key, None))
+    return sums
+
+
+class TestGroupedRewardSums:
+    @settings(max_examples=150, deadline=None)
+    @given(events=reward_events())
+    @example(events=[event(hour=0, wallet="b", reward=1e308), event(hour=1, wallet="b", reward=1e308),
+                     event(hour=0, wallet="a", reward=MAX), event(day=2, wallet="a", reward=MAX)])
+    @example(events=[event(hour=0, reward=-0.0), event(hour=1, reward=-0.0), event(day=2, reward=-0.0)])
+    @example(events=[event(hour=0, reward=5e-324), event(hour=1, reward=1e-310), event(hour=2, reward=-0.0)])
+    def test_table_rewards_are_fsums(self, events):
+        ds = Dataset.from_events(events)
+        first = oracle_window(min(e.timestamp for e in events), "daily")[0]
+        cases = [(lambda freq=freq: ingest._window_table(ds, freq)[0],
+                  lambda stamp, freq=freq: oracle_window(stamp, freq)[0]) for freq in ingest.FREQUENCIES]
+        cases.append((lambda: ingest._aggregate(ds, np.zeros(len(ds), dtype=np.int64)), lambda stamp: first))
+        for table, window_of in cases:
+            expected = oracle_reward_sums(events, window_of)
+            overflowing = [key for key, total in expected if total is None]
+            if overflowing:
+                netuid, _, wallet = overflowing[0]
+                with pytest.raises(ValidationError) as info:
+                    table()
+                assert str(info.value) == f"rewards of wallet {wallet!r} in netuid {netuid} sum beyond the float64 range"
+            else:
+                reward = table()[6]
+                assert [total.hex() for total in reward.tolist()] == [total.hex() for _, total in expected]
 
 
 def assert_snapshots_share_the_table(ds):

@@ -1,13 +1,29 @@
-"""Numeric kernels: correctness of each metric primitive and the clip kernel."""
+"""Numeric kernels: correctness of each metric primitive, its batched form, the
+quantile helpers and the clip kernel."""
+
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from yumalab.consensus import clip_benchmarks
-from yumalab.metrics import coalition_fraction, gini, hhi, pearson, top_share
+from yumalab.metrics import (
+    _blocks,
+    _centred_rows,
+    _coalition_rows,
+    _concentration,
+    _median,
+    _pearson_rows,
+    _percentiles,
+    coalition_fraction,
+    gini,
+    hhi,
+    pearson,
+    top_share,
+)
 
 
 @pytest.fixture(scope="module", autouse=True, params=["pure"])
@@ -185,3 +201,170 @@ class TestClipBenchmarks:
         weights, stakes, kappa = case
         expected = per_column_clip(weights, stakes, kappa)
         assert clip_benchmarks(weights, stakes, kappa).tobytes() == expected.tobytes()
+
+
+# The concentration, coalition and correlation kernels compute a batch of
+# equal-length rows at once; the public functions pass a batch of one. A
+# batch must give each row the bits that row gives alone, and those must be
+# the bits of the per-vector NumPy formulas below (np.dot, np.sum,
+# np.partition, np.searchsorted on one vector), which the reports were
+# computed with before they were batched. The drawn batches mix lengths at
+# the edges of NumPy's pairwise-summation blocks (8, 128) and beyond, and
+# hold ties, zeros of both signs, subnormals and values up to the float64
+# maximum, whose sums overflow; the overflows are compared as values, so
+# they run with NumPy's errors ignored.
+
+
+def vector_concentration(x):
+    """(gini, hhi, top-1% share) of a vector with positive mass."""
+    n = x.shape[0]
+    ascending = np.sort(x)
+    total, sorted_total = float(np.sum(x)), float(np.sum(ascending))
+    gini_value = (2.0 * float(np.dot(np.arange(1.0, n + 1.0), ascending)) - (n + 1.0) * sorted_total) / (
+        n * sorted_total)
+    shares = x / total
+    k = math.ceil(0.01 * n)
+    top = float(np.sum(x)) if k >= n else float(np.max(x)) if k == 1 else float(np.sum(np.partition(x, n - k)[n - k:]))
+    return gini_value, float(np.dot(shares, shares)), top / total
+
+
+def vector_coalition(x, threshold):
+    cumulative = np.cumsum(np.sort(x)[::-1])
+    m = int(np.searchsorted(cumulative, threshold * float(cumulative[-1]), side="left")) + 1
+    return min(m, x.shape[0]) / x.shape[0]
+
+
+def vector_pearson(x, y):
+    """NaN on zero variance, and where the quotient is NaN (sums of squares
+    beyond the float range), which min and max would turn into -1.0."""
+    dx, dy = x - float(np.mean(x)), y - float(np.mean(y))
+    sxx, syy = float(np.dot(dx, dx)), float(np.dot(dy, dy))
+    if sxx == 0.0 or syy == 0.0:
+        return math.nan
+    product = sxx * syy
+    scale = math.sqrt(product) if 2.2250738585072014e-308 <= product < math.inf else math.sqrt(sxx) * math.sqrt(syy)
+    r = float(np.dot(dx, dy)) / scale
+    return r if r != r else min(1.0, max(-1.0, r))
+EDGE_LENGTHS = (1, 7, 8, 9, 128, 129, 1025)
+SPECIALS = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.0, 3.0, 1.7976931348623157e308])
+
+
+@st.composite
+def batches(draw, signed=False):
+    """(values, offsets): segments values[offsets[s]:offsets[s + 1]] of
+    mixed lengths, some empty, most sharing a length with another."""
+    lengths = draw(st.lists(st.sampled_from(EDGE_LENGTHS) | st.integers(0, 12), min_size=1, max_size=8))
+    lengths += draw(st.permutations(lengths))[:draw(st.integers(0, len(lengths)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(lengths)
+    # Binary exponents up to `top`, over a range narrow enough that the
+    # order of a sum shows in its last bits, or over the whole float range.
+    top = draw(st.sampled_from([0, 64, 1000, 1024]))
+    spread = draw(st.sampled_from([1, 8, 2098]))
+    values = np.ldexp(rng.random(n), rng.integers(max(top - spread, -1074), top + 1, n))
+    specials = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    values[specials] = rng.choice(SPECIALS, np.count_nonzero(specials))
+    ties = rng.random(n) < 0.2
+    values[ties] = rng.choice(values, np.count_nonzero(ties))
+    if signed:
+        values[rng.random(n) < 0.5] *= -1.0
+    return values, np.append(0, np.cumsum(lengths))
+
+
+def segment_values(values, offsets):
+    return [values[start:stop] for start, stop in zip(offsets[:-1], offsets[1:])]
+
+
+def hexes(values):
+    return [float(value).hex() for value in values]
+
+
+BATCH_SETTINGS = settings(max_examples=120, deadline=None)
+
+
+class TestBatchedKernelsMatchPublicFunctions:
+    @BATCH_SETTINGS
+    @given(batch=batches())
+    def test_concentration(self, batch):
+        values, offsets = batch
+        with np.errstate(all="ignore"):
+            batched = _concentration(values, offsets)
+            for s, x in enumerate(segment_values(values, offsets)):
+                if x.shape[0] and np.sum(x) > 0.0:
+                    alone, vector = (gini(x), hhi(x), top_share(x)), vector_concentration(x)
+                else:
+                    alone = vector = (math.nan,) * 3
+                assert hexes(batched[:, s]) == hexes(alone) == hexes(vector)
+
+    @BATCH_SETTINGS
+    @given(batch=batches(), threshold=st.sampled_from([0.51, 1.0 / 3.0, 1.0, 5e-324]))
+    def test_coalition_fraction(self, batch, threshold):
+        values, offsets = batch
+        with np.errstate(all="ignore"):
+            for segments, block in _blocks(values, offsets):
+                mass = np.sum(block, axis=1) > 0.0
+                batched = _coalition_rows(np.sort(block[mass], axis=1), threshold)
+                rows = [values[offsets[s]:offsets[s + 1]] for s in segments[mass]]
+                alone = [coalition_fraction(x, threshold) for x in rows]
+                assert hexes(batched) == hexes(alone) == hexes(vector_coalition(x, threshold) for x in rows)
+
+    @BATCH_SETTINGS
+    @given(x=batches(signed=True), data=st.data())
+    def test_pearson(self, x, data):
+        values, offsets = x
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        others = np.where(rng.random(values.shape[0]) < 0.5, values[rng.permutation(values.shape[0])], values * 0.5)
+        with np.errstate(all="ignore"):
+            for segments, block in _blocks(values, offsets):
+                if block.shape[1] < 2:
+                    continue
+                other = others[offsets[segments, None] + np.arange(block.shape[1])]
+                batched = _pearson_rows(_centred_rows(block), _centred_rows(other))
+                pairs = [(values[offsets[s]:offsets[s + 1]], others[offsets[s]:offsets[s + 1]]) for s in segments]
+                alone = [pearson(x, y) for x, y in pairs]
+                assert (hexes(batched) == hexes(math.nan if r is None else r for r in alone)
+                        == hexes(vector_pearson(x, y) for x, y in pairs))
+
+
+# _median and _percentiles stand in for np.median and np.percentile, which
+# import numpy.ma; they must give NumPy's bits, and under the CLI's errstate
+# the same FloatingPointError where a middle pair overflows.
+MAX = 1.7976931348623157e308
+QUANTILE_VALUES = st.lists(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, 1.0, 0.5, MAX, -MAX])
+    | st.floats(allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=40,
+)
+
+
+def quantile_outcome(compute, errors):
+    with np.errstate(**errors):
+        try:
+            return hexes(compute())
+        except FloatingPointError as exc:
+            return str(exc)
+
+
+class TestQuantilesMatchNumPy:
+    @pytest.mark.parametrize("errors", [{"all": "ignore"}, {"over": "raise", "divide": "raise", "invalid": "raise"}],
+                             ids=["ignored", "cli"])
+    @settings(max_examples=300, deadline=None)
+    @given(values=QUANTILE_VALUES)
+    @example(values=[MAX, MAX])
+    @example(values=[-MAX, MAX])
+    @example(values=[1.0, -MAX, MAX, 2.0])
+    @example(values=[-0.0])
+    @example(values=[-0.0, -0.0])
+    @example(values=[0.0] * 8 + [-0.0])
+    @example(values=[0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 1.0])
+    def test_median_and_percentiles(self, errors, values):
+        assert (quantile_outcome(lambda: [_median(values)], errors)
+                == quantile_outcome(lambda: [np.median(values)], errors))
+        assert (quantile_outcome(lambda: _percentiles(values, (10.0, 50.0, 90.0)), errors)
+                == quantile_outcome(lambda: np.percentile(values, [10.0, 50.0, 90.0]), errors))
+
+    def test_an_overflowing_middle_pair_raises_as_numpy_does(self):
+        errors = {"over": "raise", "divide": "raise", "invalid": "raise"}
+        assert quantile_outcome(lambda: [_median([MAX, MAX])], errors) == "overflow encountered in reduce"
+        assert (quantile_outcome(lambda: _percentiles([-MAX, MAX], (10.0, 50.0, 90.0)), errors)
+                == "overflow encountered in subtract")

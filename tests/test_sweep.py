@@ -14,7 +14,10 @@ from yumalab.interventions import (
     BASE_VALIDATOR_SHARE,
     TransformSpec,
     apply_stake_transform,
+    bonus_rewards,
+    composite_ranks,
     perf_weighted_rewards,
+    unit_rescale,
     whale_penalty,
 )
 from yumalab.metrics import coalition_fraction, pearson
@@ -165,9 +168,10 @@ class TestSweepScheme:
     def test_split_uses_a_quarter_base_validator_share(self):
         assert BASE_VALIDATOR_SHARE == 0.25
         snap = seeded_snapshots(n_subnets=1)[0]
-        for value in default_grid("split"):
+        grid = default_grid("split")
+        for value, rewards in zip(grid, _scheme_rewards(snap, "split", grid)):
             expected = perf_weighted_rewards(snap.reward, snap.perf, snap.miner, sensitivity=value)
-            np.testing.assert_array_equal(_scheme_rewards(snap, "split", value), expected)
+            np.testing.assert_array_equal(rewards, expected)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValidationError):
@@ -357,9 +361,29 @@ class TestTemporalRobustness:
 # The frontier, robustness and sweep paths call private kernels on sorted
 # or centred snapshot columns. Each must give, bit for bit, what the checked
 # public functions give when composed as the reports composed them before:
-# apply_stake_transform, then coalition_fraction and whale_penalty, and
-# pearson at every grid point. Columns hold ties, zeros of both signs and
-# values over sixty orders of magnitude, or no mass at all.
+# apply_stake_transform, then coalition_fraction and whale_penalty, and the
+# scheme's rewards and pearson at every grid point. Columns hold ties, zeros
+# of both signs and values over sixty orders of magnitude, or no mass at all.
+
+
+def scheme_rewards(snap, scheme, value):
+    """A snapshot's rewards under `scheme` at one grid value, from the public
+    functions: the composite scheme re-allocates the miner pool along the
+    mixed ranks and leaves validator rewards untouched."""
+    if scheme == "split":
+        return perf_weighted_rewards(snap.reward, snap.perf, snap.miner, sensitivity=value)
+    if scheme == "bonus":
+        return bonus_rewards(snap.reward, snap.perf, value)
+    adjusted = snap.reward.copy()
+    miners = snap.miner
+    if miners.any():
+        miner_rewards = snap.reward[miners]
+        mixed = composite_ranks(unit_rescale(miner_rewards), snap.perf[miners], value)
+        mass = float(np.sum(mixed))
+        adjusted[miners] = float(np.sum(miner_rewards)) * (mixed / mass) if mass > 0.0 else 0.0
+    return adjusted
+
+
 VALUE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 3.0]), st.floats(0.0, 1e30))
 PERF = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
 SPEC = st.one_of(
@@ -489,11 +513,21 @@ class TestKernelsMatchPublicFunctions:
     @pytest.mark.parametrize("scheme", SCHEMES)
     @ORACLE_SETTINGS
     @given(snaps=drawn_snapshots())
+    def test_scheme_rewards(self, scheme, snaps):
+        grid = default_grid(scheme)
+        for snap in snaps:
+            batched = _scheme_rewards(snap, scheme, grid)
+            for value, rewards in zip(grid, batched):
+                assert rewards.tobytes() == scheme_rewards(snap, scheme, value).tobytes()
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @ORACLE_SETTINGS
+    @given(snaps=drawn_snapshots())
     def test_sweep_points(self, scheme, snaps):
         expected = {}
         for value in default_grid(scheme):
             for snap in snaps:
-                adjusted = _scheme_rewards(snap, scheme, value)
+                adjusted = scheme_rewards(snap, scheme, value)
                 for role, rows in ((Role.MINER, snap.miner), (Role.VALIDATOR, ~snap.miner)):
                     if np.count_nonzero(rows) >= 2:
                         expected[(value, snap.netuid, role)] = repr((
