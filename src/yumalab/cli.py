@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from datetime import datetime
-from typing import TYPE_CHECKING, NoReturn, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, NoReturn, Optional, Sequence
 
 from yumalab._util import ValidationError, format_timestamp, from_epoch_us, integer, json_value, number, parse_timestamp
 
@@ -44,9 +44,6 @@ EMISSION_COLUMNS = (
     "delegator_rewards",
     "bonds",
 )
-
-_METRIC_FIELDS = ("gini", "hhi", "top1")
-_RESOURCES = ("stake", "reward")
 
 
 # ---------------------------------------------------------------------------
@@ -238,38 +235,28 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _metric_value(report, metric: str, resource: str) -> Optional[float]:
-    suffix = "_share" if metric == "top1" else ""
-    return getattr(report, f"{metric}_{resource}{suffix}")
-
-
-def _summary_rows(variant: str, reports) -> list[tuple]:
+def _stats(values, *functions) -> tuple:
+    """Each of `functions` of the values of a metric row that are not NaN,
+    taken in row order; None for each when no value is."""
     import numpy as np
 
-    from yumalab.metrics import ROLE_FILTERS, _median
+    values = values[~np.isnan(values)]
+    return tuple(float(function(values)) if values.shape[0] else None for function in functions)
 
-    rows = []
-    for role_filter in ROLE_FILTERS:
-        for resource in _RESOURCES:
-            for metric in _METRIC_FIELDS:
-                values = [
-                    value
-                    for report in reports
-                    if report.role_filter == role_filter
-                    and (value := _metric_value(report, metric, resource)) is not None
-                ]
-                if values:
-                    arr = np.asarray(values, dtype=np.float64)
-                    stats = (
-                        float(np.mean(arr)),
-                        _median(arr),
-                        float(np.min(arr)),
-                        float(np.max(arr)),
-                    )
-                else:
-                    stats = (None, None, None, None)
-                rows.append((variant, role_filter, resource, metric) + stats)
-    return rows
+
+def _summary_rows(variant: str, tables: dict) -> Iterator[tuple]:
+    """Per role filter, resource and metric, the mean, median, min and max
+    of the defined values of the metric tables of `tables`, which maps each
+    role filter to its metrics._concentration_table."""
+    import numpy as np
+
+    from yumalab.metrics import _median
+
+    for role_filter, (_, table) in tables.items():
+        # The table's rows interleave stake and reward for each metric.
+        for resource, first in (("stake", 0), ("reward", 1)):
+            for metric, values in zip(("gini", "hhi", "top1"), table[first::2]):
+                yield (variant, role_filter, resource, metric, *_stats(values, np.mean, _median, np.min, np.max))
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
@@ -280,7 +267,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         ROLE_FILTERS,
         ConcentrationReport,
         CorrelationProfile,
-        _concentration_reports,
+        _concentration_rows,
+        _concentration_table,
         correlation_profile,
     )
     from yumalab.model import Role
@@ -289,49 +277,39 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     dataset = _load_dataset(args)
     history = history_snapshots(dataset)
 
-    # The history reports as one batch over the snapshots' columns, in
-    # (netuid, role_filter) order.
+    # The history metrics of each role filter as one batch over the
+    # snapshots' columns, written in (netuid, role_filter) order.
     offsets = np.cumsum([0] + [len(snap.wallet) for snap in history])
     miner, stake, reward = (np.concatenate([getattr(snap, name) for snap in history])
                             for name in ("miner", "stake", "reward"))
-    by_filter = [
-        _concentration_reports([snap.netuid for snap in history], offsets, miner, stake, reward, role_filter)
-        for role_filter in ROLE_FILTERS
-    ]
-    history_reports = [report for reports in zip(*by_filter) for report in reports]
+    tables = {role_filter: _concentration_table(offsets, miner, stake, reward, role_filter)
+              for role_filter in ROLE_FILTERS}
     columns = _columns(ConcentrationReport)
-    _write_table(_out_path(out_dir, "concentration.csv"), columns, history_reports)
+    _write_csv(_out_path(out_dir, "concentration.csv"), columns,
+               _concentration_rows([snap.netuid for snap in history], tables))
 
-    # Per-window reports, computed on the aggregation table at the chosen
-    # frequency and averaged per (netuid, role_filter); windows where a
-    # metric is undefined are skipped.
+    # Per-window metrics on the aggregation table at the chosen frequency,
+    # averaged per (netuid, role_filter) over the windows that define them.
+    # A netuid's windows are one run of segments.
     (netuids, _, offsets, _, miner, stake, reward, _), _ = _window_table(dataset, args.freq)
-    window_reports: dict[tuple[int, str], list] = {}
-    for role_filter in ROLE_FILTERS:
-        for report in _concentration_reports(netuids.tolist(), offsets, miner, stake, reward, role_filter):
-            window_reports.setdefault((report.netuid, role_filter), []).append(report)
-    metric_columns = columns[3:]
+    window_tables = {role_filter: _concentration_table(offsets, miner, stake, reward, role_filter)
+                     for role_filter in ROLE_FILTERS}
+    starts = np.flatnonzero(np.concatenate(([True], netuids[1:] != netuids[:-1])))
+    bounds = np.append(starts, len(netuids)).tolist()
     mean_rows = []
-    for key in sorted(window_reports):
-        group = window_reports[key]
-        means = []
-        for name in metric_columns:
-            values = [value for report in group if (value := getattr(report, name)) is not None]
-            means.append(float(np.mean(values)) if values else None)
-        mean_rows.append((*key, len(group), *means))
+    for netuid, first, stop in zip(netuids[starts].tolist(), bounds[:-1], bounds[1:]):
+        for role_filter, (_, table) in window_tables.items():
+            means = (_stats(values, np.mean)[0] for values in table[:, first:stop])
+            mean_rows.append((netuid, role_filter, stop - first, *means))
     _write_csv(
         _out_path(out_dir, "concentration_snapshot_mean.csv"),
-        ("netuid", "role_filter", "n_windows") + metric_columns,
+        ("netuid", "role_filter", "n_windows") + columns[3:],
         mean_rows,
     )
-
-    summary_rows = _summary_rows("history", history_reports)
-    snapshot_reports = [report for group in window_reports.values() for report in group]
-    summary_rows.extend(_summary_rows(f"snapshot_{args.freq}", snapshot_reports))
     _write_csv(
         _out_path(out_dir, "concentration_summary.csv"),
         ("variant", "role_filter", "resource", "metric", "mean", "median", "min", "max"),
-        summary_rows,
+        (*_summary_rows("history", tables), *_summary_rows(f"snapshot_{args.freq}", window_tables)),
     )
 
     profiles = [

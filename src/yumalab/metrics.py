@@ -317,33 +317,37 @@ def _concentration(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _concentration_reports(
-    netuids: Sequence[int],
-    offsets: np.ndarray,
-    miner: np.ndarray,
-    stake: np.ndarray,
-    reward: np.ndarray,
-    role_filter: str,
-) -> list[ConcentrationReport]:
-    """concentration_report of each segment of the wallet columns `miner`,
-    `stake` and `reward`, whose segment s holds rows offsets[s]:offsets[s + 1]
-    of netuid netuids[s]; the segments are computed as one batch."""
+def _concentration_table(
+    offsets: np.ndarray, miner: np.ndarray, stake: np.ndarray, reward: np.ndarray, role_filter: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The wallet count of each segment of the wallet columns `miner`,
+    `stake` and `reward` under `role_filter`, where segment s holds rows
+    offsets[s]:offsets[s + 1], and its six metrics as the columns of a
+    (6, segments) array in ConcentrationReport field order, NaN where a
+    metric is undefined; the segments are computed as one batch."""
     if role_filter not in ROLE_FILTERS:
         raise ValidationError(f"unknown role filter {role_filter!r}")
     if role_filter != "all":
         rows = miner == (role_filter == Role.MINER.value)
         offsets = np.append(0, np.cumsum(rows))[offsets]
         stake, reward = stake[rows], reward[rows]
-    # Rows (gini, hhi, top) of stake and of reward, interleaved in the
-    # report's field order.
+    # Rows (gini, hhi, top) of stake and of reward, interleaved.
     metrics = np.stack((_concentration(stake, offsets), _concentration(reward, offsets)), axis=1)
-    return [
-        ConcentrationReport(netuid, role_filter, n, *map(_optional, values))
-        for netuid, n, values in zip(netuids, np.diff(offsets).tolist(), metrics.reshape(6, -1).T.tolist())
-    ]
+    return np.diff(offsets), metrics.reshape(6, -1)
+
+
+def _concentration_rows(netuids: Sequence[int], tables: dict) -> Iterator[tuple]:
+    """The ConcentrationReport field values of each segment under each role
+    filter, in (segment, role filter) order, from the _concentration_table
+    of each role filter in `tables`; segment s is of netuid netuids[s], and
+    None stands where a metric is undefined."""
+    for s, netuid in enumerate(netuids):
+        for role_filter, (counts, metrics) in tables.items():
+            yield (netuid, role_filter, int(counts[s]), *map(_optional, metrics[:, s].tolist()))
 
 
 def concentration_report(snap: SubnetSnapshot, role_filter: str = "all") -> ConcentrationReport:
     """Table-style concentration metrics for one snapshot and role filter."""
     offsets = np.array([0, len(snap.wallet)])
-    return _concentration_reports([snap.netuid], offsets, snap.miner, snap.stake, snap.reward, role_filter)[0]
+    table = _concentration_table(offsets, snap.miner, snap.stake, snap.reward, role_filter)
+    return ConcentrationReport(*next(_concentration_rows([snap.netuid], {role_filter: table})))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from datetime import datetime
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -318,22 +318,15 @@ def sweep_scheme(
 # ---------------------------------------------------------------------------
 
 
-def _stake_blocks(snapshots: Sequence[SubnetSnapshot]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The stakes of the snapshots with positive stake mass, as one (k, n)
-    block per number n of wallets, and their ascending row sorts. The
-    columns are checked, so the mass is positive exactly when the largest
-    stake is."""
-    by_length: dict[int, list[np.ndarray]] = {}
-    for snap in snapshots:
-        if snap.stake.shape[0]:
-            by_length.setdefault(snap.stake.shape[0], []).append(snap.stake)
-    blocks = []
-    for rows in by_length.values():
-        stakes = np.array(rows)
+def _stake_blocks(stake: np.ndarray, offsets: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """(segments, stakes, ascending) for each block of the segments of
+    `stake` (see _blocks) that hold positive stake mass: their indices, their
+    stakes and their ascending row sorts. The columns are checked, so the
+    mass is positive exactly when the largest stake is."""
+    for segments, stakes in _blocks(stake, offsets):
         ascending = np.sort(stakes, axis=1)
         mass = ascending[:, -1] > 0.0
-        blocks.append((stakes[mass], ascending[mass]))
-    return blocks
+        yield segments[mass], stakes[mass], ascending[mass]
 
 
 def _sorted_transform(
@@ -368,9 +361,11 @@ def tradeoff_frontier(
     threshold = _check_threshold(threshold)
     # Each block's sorts and top-1% wallets serve every transform. A median
     # does not depend on the order of its values, so the subnets may come
-    # block by block.
+    # block by block; with no snapshots, the empty head gives no block.
+    offsets = np.cumsum([0] + [snap.stake.shape[0] for snap in snapshots])
+    stake = np.concatenate([np.empty(0)] + [snap.stake for snap in snapshots])
     blocks = [
-        (stakes, ascending, *_whale_top(stakes)) for stakes, ascending in _stake_blocks(snapshots)
+        (stakes, ascending, *_whale_top(stakes)) for _, stakes, ascending in _stake_blocks(stake, offsets)
     ]
     points: list[FrontierPoint] = []
     for spec in interventions:
@@ -435,10 +430,7 @@ def temporal_robustness(
         # Each segment's coalition fraction after and before the transform;
         # NaN where either leaves no stake mass.
         fractions = np.full((2, len(keys)), np.nan)
-        for segments, block in _blocks(stake, offsets):
-            ascending = np.sort(block, axis=1)
-            mass = ascending[:, -1] > 0.0
-            segments, ascending = segments[mass], ascending[mass]
+        for segments, _, ascending in _stake_blocks(stake, offsets):
             ordered = _sorted_transform(ascending, ascending, spec)[1]
             kept = ordered[:, -1] > 0.0
             fractions[:, segments[kept]] = (

@@ -9,6 +9,7 @@ import os
 import re
 import shlex
 import subprocess
+import tempfile
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from hypothesis import strategies as st
 from yumalab import cli, ingest, model, sweep, synth
 from yumalab._util import parse_timestamp
 from yumalab.cli import DEFAULT_CUTOFF_TEXT, build_parser, run
-from yumalab.ingest import history_snapshots, load_events
-from yumalab.metrics import ROLE_FILTERS, concentration_report
+from yumalab.ingest import history_snapshots, load_events, resample
+from yumalab.metrics import ROLE_FILTERS, ConcentrationReport, concentration_report
 from yumalab.consensus import BondState, run_tempo
 from yumalab.model import (
     EmissionParams,
@@ -28,6 +29,7 @@ from yumalab.model import (
     WeightMatrix,
     _MappingView,
 )
+from test_ingest import event_file, event_records
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 TEMPO_CHAIN_INSTANCE = os.path.join(DATA_DIR, "tempo_chain_instance.json")
@@ -254,6 +256,84 @@ class TestMetrics:
                 if cell:
                     mantissa = cell.lstrip("-0.").replace(".", "").lstrip("0")
                     assert len(mantissa) <= 9
+
+
+def metrics_oracle(ds, freq) -> dict[str, list[list[str]]]:
+    """The rows, header first, of the concentration reports of `metrics
+    --freq freq` on `ds`, from the public concentration_report of each
+    history and resample snapshot. A mean, median, min or max is taken of
+    the defined values, in snapshot order."""
+    columns = cli._columns(ConcentrationReport)
+    history = [concentration_report(snap, role_filter)
+               for snap in history_snapshots(ds) for role_filter in ROLE_FILTERS]
+    windows = resample(ds, freq)
+    window_reports = [concentration_report(snap, role_filter)
+                      for snap in windows for role_filter in ROLE_FILTERS]
+
+    def defined(reports, role_filter, name):
+        return [value for report in reports
+                if report.role_filter == role_filter and (value := getattr(report, name)) is not None]
+
+    means = []
+    for netuid in sorted({snap.netuid for snap in windows}):
+        group = [report for report in window_reports if report.netuid == netuid]
+        n_windows = sum(snap.netuid == netuid for snap in windows)
+        for role_filter in ROLE_FILTERS:
+            means.append([str(netuid), role_filter, str(n_windows)] + [
+                cli._fmt(float(np.mean(values))) if (values := defined(group, role_filter, name)) else ""
+                for name in columns[3:]
+            ])
+    summary = []
+    for variant, reports in (("history", history), (f"snapshot_{freq}", window_reports)):
+        for role_filter in ROLE_FILTERS:
+            for resource in ("stake", "reward"):
+                for metric in ("gini", "hhi", "top1"):
+                    name = f"{metric}_{resource}" + ("_share" if metric == "top1" else "")
+                    values = defined(reports, role_filter, name)
+                    stats = ((float(np.mean(values)), float(np.median(values)), min(values), max(values))
+                             if values else (None,) * 4)
+                    summary.append([variant, role_filter, resource, metric, *map(cli._fmt, stats)])
+    return {
+        "concentration.csv": [list(columns)] + [[cli._fmt(getattr(report, name)) for name in columns]
+                                                for report in history],
+        "concentration_snapshot_mean.csv": [["netuid", "role_filter", "n_windows", *columns[3:]]] + means,
+        "concentration_summary.csv": [["variant", "role_filter", "resource", "metric",
+                                       "mean", "median", "min", "max"]] + summary,
+    }
+
+
+def event(day, netuid, wallet, role, stake, reward):
+    """One event record at 00:00 UTC of 2024-01-`day`, as event_records draws them."""
+    return {"timestamp": f"2024-01-{day:02d}T00:00:00Z", "block_number": day, "netuid": netuid,
+            "wallet": wallet, "role": role, "stake": stake, "reward": reward,
+            "trust": 0.5 if role == "miner" else None, "validator_trust": None if role == "miner" else 0.5}
+
+
+class TestMetricsOracle:
+    """The per-window means and the summary of `metrics` are the statistics
+    of the public concentration_report of each snapshot."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(records=event_records(max_size=40), freq=st.sampled_from(ingest.FREQUENCIES))
+    # Day 1 of netuid 0 holds no validator, and netuid 1 none at all.
+    @example(records=[event(1, 0, "a", "miner", 1.0, 1.0), event(1, 0, "b", "miner", 3.0, 0.0),
+                      event(2, 0, "a", "miner", 2.0, 0.5), event(2, 0, "c", "validator", 2.0, 1.0),
+                      event(1, 1, "a", "miner", 5.0, 2.0), event(9, 1, "d", "miner", 1.0, 1.0)],
+             freq="daily").via("a role filter without a wallet")
+    # Netuid 2 holds no stake, and netuid 3 no reward on day 1.
+    @example(records=[event(1, 2, "a", "miner", 0.0, 2.0), event(1, 2, "b", "validator", -0.0, 1.0),
+                      event(2, 2, "a", "miner", 0.0, 0.0), event(1, 3, "a", "miner", 4.0, 0.0),
+                      event(2, 3, "a", "miner", 4.0, 3.0), event(2, 3, "c", "validator", 1.0, 1.0)],
+             freq="weekly").via("a zero-stake subnet")
+    def test_reports_match_the_library(self, records, freq):
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "events.jsonl")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(event_file(records, "jsonl"))
+            out = os.path.join(root, "out")
+            assert run_cli("metrics", "--input", path, "--freq", freq, "--cutoff", "none", "--out", out) == 0
+            expected = metrics_oracle(load_events(path), freq)
+            assert {name: read_csv(os.path.join(out, name)) for name in expected} == expected
 
 
 class TestAttack:
@@ -707,6 +787,19 @@ class TestNoPerEntryObjects:
 
         monkeypatch.setattr(SnapshotEntry, "__post_init__", forbidden)
         assert run_cli(*args, "--input", fixture_path, "--out", str(tmp_path)) == 0
+
+
+class TestNoConcentrationReports:
+    """metrics writes its concentration reports from the metric arrays; it
+    builds no ConcentrationReport."""
+
+    @pytest.mark.parametrize("freq", ["daily", "weekly"])
+    def test_metrics_builds_none(self, tmp_path, fixture_path, monkeypatch, freq):
+        def forbidden(self, *args, **kwargs):
+            raise AssertionError("a ConcentrationReport was built")
+
+        monkeypatch.setattr(ConcentrationReport, "__init__", forbidden)
+        assert run_cli("metrics", "--freq", freq, "--input", fixture_path, "--out", str(tmp_path)) == 0
 
 
 class TestNoPerEventObjects:

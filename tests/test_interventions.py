@@ -1,5 +1,6 @@
 """Reward schemes and stake transforms."""
 
+import csv
 import math
 from dataclasses import fields
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from yumalab.cli import run as run_cli
 from yumalab.interventions import (
     BASE_VALIDATOR_SHARE,
     TransformSpec,
@@ -251,6 +253,44 @@ class TestSecurityKnownAnswers:
         stakes = np.random.default_rng(seed).uniform(0.5, 1.5, SECURITY_DRAWS)
         capped = apply_stake_transform(stakes, TransformSpec("cap", 88.0))
         assert coalition_fraction(capped) == pytest.approx(0.12 + 1.38 - math.sqrt(1.22294), abs=0.00072)
+
+
+# The same claim end to end: `synth --stake-law uniform --subnets 8
+# --wallets 2000 --days 2`, then the `cap:88` row of `frontier --transform
+# cap:88` and each daily median of `robustness`. The top 1% of a subnet, its
+# 20 largest stakes, average about 1.495, and the cap takes them to 1.38, so
+# the whale penalty is (1.495 - 1.38) / 1.495. Each tolerance is four
+# standard deviations of (median - closed form) over seeds 0-29: 0.00067
+# for the fraction and 0.0017 for the penalty. The fraction's mean
+# deviation, +0.00042, is about 0.8 / 2000: a coalition is a whole number
+# of wallets, which reads a subnet of n wallets about 0.7 / n high. The
+# penalty's is -0.00036. Seeds 0-2 read fractions 0.394, 0.395 and 0.39425,
+# and penalties 0.0792, 0.0733 and 0.0735.
+SECURITY_FRACTION_TOLERANCE = 0.0027
+SECURITY_PENALTY_TOLERANCE = 0.007
+
+
+class TestSecurityKnownAnswersEndToEnd:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cap_on_uniform(self, tmp_path, seed):
+        out = ["--out", str(tmp_path)]
+        assert run_cli(["synth", "--seed", str(seed), "--stake-law", "uniform", "--subnets", "8",
+                        "--wallets", "2000", "--days", "2", *out]) == 0
+        out += ["--input", str(tmp_path / "synth.jsonl")]
+        assert run_cli(["frontier", "--transform", "cap:88", *out]) == 0
+        assert run_cli(["robustness", "--freq", "daily", *out]) == 0
+        with open(tmp_path / "frontier.csv", newline="", encoding="utf-8") as handle:
+            (point,) = (row for row in csv.DictReader(handle) if row["label"] == "cap:88")
+        with open(tmp_path / "robustness.csv", newline="", encoding="utf-8") as handle:
+            windows = list(csv.DictReader(handle))
+        fraction = 0.12 + 1.38 - math.sqrt(1.22294)
+        assert point["n_subnets"] == "8"
+        assert float(point["median_coalition_fraction"]) == pytest.approx(fraction, abs=SECURITY_FRACTION_TOLERANCE)
+        assert float(point["median_whale_penalty"]) == pytest.approx((1.495 - 1.38) / 1.495,
+                                                                     abs=SECURITY_PENALTY_TOLERANCE)
+        assert [window["n_subnets"] for window in windows] == ["8", "8"]
+        for window in windows:
+            assert float(window["median"]) == pytest.approx(fraction, abs=SECURITY_FRACTION_TOLERANCE)
 
 
 class TestWhalePenalty:

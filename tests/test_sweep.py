@@ -271,6 +271,10 @@ class TestTradeoffFrontier:
         with pytest.raises(ValidationError):
             tradeoff_frontier(seeded_snapshots(), ())
 
+    def test_no_snapshots_rejected(self):
+        with pytest.raises(ValidationError, match="no subnet with positive stake mass for transform cap:100"):
+            tradeoff_frontier([], (TransformSpec("cap", 100.0),))
+
     @pytest.mark.parametrize("threshold", [0.0, 1.5, math.nan])
     def test_threshold_range_checked(self, threshold):
         with pytest.raises(ValidationError, match=r"threshold must lie in \(0, 1\], got"):
