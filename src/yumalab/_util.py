@@ -1,7 +1,8 @@
-"""Small shared helpers: the ValidationError class, timestamp parsing,
-formatting, epoch microseconds, the ASCII number rule, the JSON kind rule
-and the `NAME[:ARGS]` splitter of law and transform specs. The module loads
-no NumPy, so the CLI can parse its command line with it alone."""
+"""Small shared helpers: the ValidationError class, the dTAO instant,
+timestamp parsing, formatting, epoch microseconds, the ASCII number rule,
+the JSON kind rule and the `NAME[:ARGS]` splitter of law and transform
+specs. The module loads no NumPy, so the CLI can parse its command line
+with it alone."""
 
 from __future__ import annotations
 
@@ -9,6 +10,9 @@ from datetime import datetime, timedelta, timezone
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
+
+# The dTAO upgrade instant; analyses default to data strictly before it.
+DTAO_CUTOFF = datetime(2025, 2, 13, tzinfo=timezone.utc)
 
 
 class ValidationError(ValueError):

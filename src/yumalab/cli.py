@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import math
 import os
 import sys
 from datetime import datetime
 from typing import TYPE_CHECKING, Iterator, NoReturn, Optional, Sequence
 
-from yumalab._util import ValidationError, format_timestamp, from_epoch_us, integer, json_value, number, parse_timestamp
+from yumalab._util import DTAO_CUTOFF, ValidationError, format_timestamp, from_epoch_us, integer, json_value, number, parse_timestamp
 
 # Each handler imports the modules it runs, so a run loads only those:
 # `tempo` loads consensus alone. Parsing the command line needs only this
@@ -28,7 +29,7 @@ from yumalab._util import ValidationError, format_timestamp, from_epoch_us, inte
 if TYPE_CHECKING:
     from yumalab.ingest import Dataset
 
-DEFAULT_CUTOFF_TEXT = "2025-02-13T00:00:00Z"
+DEFAULT_CUTOFF_TEXT = format_timestamp(DTAO_CUTOFF)
 
 # The outcome mappings that emission.json holds, in file order. The other
 # reports' columns are the fields of their result types (see _columns).
@@ -63,7 +64,8 @@ def _fmt(value) -> str:
 
 
 def _columns(result_type) -> tuple[str, ...]:
-    """The columns of a report on `result_type`: its fields, in order."""
+    """The field names of the dataclass `result_type`, in order: the
+    columns of a report on it, or the settings of a SynthConfig."""
     import dataclasses
 
     return tuple(field.name for field in dataclasses.fields(result_type))
@@ -180,7 +182,7 @@ def _out_path(out_dir: str, name: str) -> str:
 
 
 def _parse_cutoff(text: str) -> Optional[datetime]:
-    if text.strip().lower() in ("none", "off"):
+    if text.strip().lower() == "none":
         return None
     try:
         return parse_timestamp(text)
@@ -218,9 +220,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
     out_dir = _out_dir(args)
     dataset = _load_dataset(args)
-    out_format = args.format or "jsonl"
-    events_path = _out_path(out_dir, f"events.{out_format}")
-    save_events(dataset, events_path, format=out_format)
+    events_path = _out_path(out_dir, f"events.{args.format}")
+    save_events(dataset, events_path)
     pairs = set(zip(dataset.wallet.tolist(), dataset.netuid.tolist()))
     summary = {
         "events": len(dataset),
@@ -484,21 +485,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     from yumalab.synth import SynthConfig, generate
 
     out_dir = _out_dir(args)
-    cfg = SynthConfig(
-        n_subnets=args.subnets,
-        wallets_per_subnet=args.wallets,
-        validator_fraction=args.validator_fraction,
-        stake_law=args.stake_law,
-        perf_law=args.perf_law,
-        stake_perf_coupling=args.coupling,
-        reward_rule=args.reward_rule,
-        seed=args.seed,
-        span_days=args.days,
-        start=args.start,
-    )
-    dataset = generate(cfg)
-    out_format = args.format or "jsonl"
-    save_events(dataset, _out_path(out_dir, f"synth.{out_format}"), format=out_format)
+    # The parser holds only the config flags that were given (see build_parser).
+    fields = _columns(SynthConfig)
+    dataset = generate(SynthConfig(**{name: value for name, value in vars(args).items() if name in fields}))
+    save_events(dataset, _out_path(out_dir, f"synth.{args.format}"))
     return 0
 
 
@@ -520,6 +510,11 @@ def _add_io_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_out_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="DIR", default=".", help="output directory (default: .)")
+
+
+def _add_format_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--format", choices=("jsonl", "csv"), default="jsonl",
+                        help="format of the event file written (default jsonl)")
 
 
 def _add_cutoff_flag(parser: argparse.ArgumentParser) -> None:
@@ -570,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="parse, validate, and re-serialize event files")
     _add_io_flags(p)
-    p.add_argument("--format", choices=("jsonl", "csv"), help="format of the event file written (default jsonl)")
+    _add_format_flag(p)
     _add_cutoff_flag(p)
     p.set_defaults(handler=_cmd_ingest)
 
@@ -615,17 +610,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic event dataset")
     _add_out_flag(p)
-    p.add_argument("--format", choices=("jsonl", "csv"), help="format of the event file written (default jsonl)")
-    p.add_argument("--seed", type=integer, default=0)
-    p.add_argument("--subnets", type=integer, default=4)
-    p.add_argument("--wallets", type=integer, default=50)
-    p.add_argument("--validator-fraction", type=number, default=0.2, dest="validator_fraction")
-    p.add_argument("--stake-law", default="pareto:1.2", dest="stake_law")
-    p.add_argument("--perf-law", default="beta:2,5", dest="perf_law")
-    p.add_argument("--coupling", type=number, default=0.0, help="stake-perf rank coupling in [-1, 1]")
-    p.add_argument("--reward-rule", choices=("stake_proportional", "yuma_replay"), default="stake_proportional", dest="reward_rule")
-    p.add_argument("--days", type=integer, default=90, help="span in days (daily events)")
-    p.add_argument("--start", default="2024-01-01T00:00:00Z", help="first event timestamp")
+    _add_format_flag(p)
+    # Each config flag's dest is the SynthConfig field it sets. It has no
+    # default, so an absent flag leaves the field at the config's own.
+    config_flag = functools.partial(p.add_argument, default=argparse.SUPPRESS)
+    config_flag("--seed", type=integer)
+    config_flag("--subnets", type=integer, dest="n_subnets", metavar="SUBNETS")
+    config_flag("--wallets", type=integer, dest="wallets_per_subnet", metavar="WALLETS")
+    config_flag("--validator-fraction", type=number)
+    config_flag("--stake-law")
+    config_flag("--perf-law")
+    config_flag("--coupling", type=number, dest="stake_perf_coupling", metavar="COUPLING",
+                help="stake-perf rank coupling in [-1, 1]")
+    config_flag("--reward-rule", choices=("stake_proportional", "yuma_replay"))
+    config_flag("--days", type=integer, dest="span_days", metavar="DAYS", help="span in days (daily events)")
+    config_flag("--start", help="first event timestamp")
     p.set_defaults(handler=_cmd_synth)
 
     return parser

@@ -16,13 +16,14 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from yumalab._util import EPOCH, format_timestamp, from_epoch_us, is_ascii_decimal, json_value, parse_timestamp, to_epoch_us
+from yumalab._util import DTAO_CUTOFF, EPOCH, format_timestamp, from_epoch_us, is_ascii_decimal, json_value, parse_timestamp, to_epoch_us
 from yumalab.model import (
     _ROLES,
     Role,
@@ -65,9 +66,6 @@ EVENT_COLUMNS = (
     "trust",
     "validator_trust",
 )
-
-# The dTAO upgrade instant; analyses default to data strictly before it.
-DTAO_CUTOFF = datetime(2025, 2, 13, tzinfo=timezone.utc)
 
 FREQUENCIES = ("daily", "weekly", "monthly")
 
@@ -615,16 +613,16 @@ def _then_raise(lines: Iterable[str], error: Exception) -> Iterator[str]:
     raise error
 
 
-def _path_format(path) -> Optional[str]:
-    """The format a path's suffix names, in any letter case, or None."""
-    name = str(path).lower()
-    return "csv" if name.endswith(".csv") else "jsonl" if name.endswith(".jsonl") else None
+def _path_format(path) -> str:
+    """CSV for a path (str, bytes or os.PathLike) whose suffix is `.csv`, in
+    any letter case; JSONL for any other."""
+    return "csv" if os.fsdecode(path).lower().endswith(".csv") else "jsonl"
 
 
-def load_events(path, format: Optional[str] = None) -> Dataset:
-    """Parse a file path, inferring the format from the suffix by default."""
+def load_events(path) -> Dataset:
+    """Parse an event file, in the format its path names (see _path_format)."""
     with open(path, "rb") as handle:
-        return parse_events(handle, format=format or _path_format(path) or "jsonl")
+        return parse_events(handle, _path_format(path))
 
 
 # ---------------------------------------------------------------------------
@@ -706,11 +704,11 @@ def write_events(dataset: Dataset, sink: BinaryIO, format: str = "jsonl") -> Non
         sink.write("".join(lines).encode("utf-8"))
 
 
-def save_events(dataset: Dataset, path, format: Optional[str] = None) -> None:
-    """Write a Dataset to a file path, inferring the format from the suffix
-    by default."""
+def save_events(dataset: Dataset, path) -> None:
+    """Write a Dataset to an event file, in the format its path names (see
+    _path_format)."""
     with open(path, "wb") as handle:
-        write_events(dataset, handle, format=format or _path_format(path) or "jsonl")
+        write_events(dataset, handle, _path_format(path))
 
 
 # ---------------------------------------------------------------------------

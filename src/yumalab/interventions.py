@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from yumalab._util import name_args
-from yumalab.model import ValidationError, _require_array, _require_nonneg, _require_unit, _require_upto
+from yumalab.model import ValidationError, _require_array, _require_nonneg, _require_unit, _require_upto, _require_vector
 
 __all__ = [
     "TransformSpec",
@@ -83,19 +83,6 @@ class TransformSpec:
         return f"{self.kind}:{text if float(text) == self.param else repr(self.param)}"
 
 
-def _vector(name: str, values, high: Optional[float] = None) -> np.ndarray:
-    """`values` as a finite float64 vector by the kind rule of
-    `_require_array`; with `high` (inf or 1), each value must lie in [0, high]."""
-    x = _require_array(name, values, 1)
-    if x.ndim != 1:
-        raise ValidationError(f"{name} must be a 1-d vector")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError(f"{name} must be finite")
-    if high is not None and (np.any(x < 0.0) or np.any(x > high)):
-        raise ValidationError(f"{name} must be nonnegative" if high == math.inf else f"{name} must lie in [0, 1]")
-    return x
-
-
 def perf_weighted_rewards(rewards, perfs, miners, sensitivity: float = 0.0) -> np.ndarray:
     """Performance-weighted split of each wallet's reward.
 
@@ -105,7 +92,7 @@ def perf_weighted_rewards(rewards, perfs, miners, sensitivity: float = 0.0) -> n
     uniform within-role rescaling, leaving correlations unchanged.
     """
     sensitivity = _require_nonneg("sensitivity", sensitivity)
-    reward_vec, perf_vec = _vector("rewards", rewards, math.inf), _vector("perfs", perfs, 1.0)
+    reward_vec, perf_vec = _require_vector("rewards", rewards, math.inf), _require_vector("perfs", perfs, 1.0)
     if reward_vec.shape != perf_vec.shape:
         raise ValidationError("rewards and perfs must have equal length")
     miner_vec = _require_array("miners", miners, 1, np.bool_)
@@ -143,8 +130,8 @@ def composite_ranks(base_ranks, perfs, rank_weight: float) -> np.ndarray:
     the performance scores.
     """
     weight = _require_unit("rank_weight", rank_weight)
-    ranks = _vector("base_ranks", base_ranks, 1.0)
-    perf = _vector("perfs", perfs, 1.0)
+    ranks = _require_vector("base_ranks", base_ranks, 1.0)
+    perf = _require_vector("perfs", perfs, 1.0)
     if ranks.shape != perf.shape:
         raise ValidationError("base_ranks and perfs must have equal length")
     return _mix(ranks, perf, weight)
@@ -153,7 +140,7 @@ def composite_ranks(base_ranks, perfs, rank_weight: float) -> np.ndarray:
 def bonus_rewards(rewards, perfs, bonus_rate: float) -> np.ndarray:
     """Multiplicative trust bonus: reward * (1 + rate * perf)."""
     rate = _require_nonneg("bonus_rate", bonus_rate)
-    reward_vec, perf_vec = _vector("rewards", rewards, math.inf), _vector("perfs", perfs, 1.0)
+    reward_vec, perf_vec = _require_vector("rewards", rewards, math.inf), _require_vector("perfs", perfs, 1.0)
     if reward_vec.shape != perf_vec.shape:
         raise ValidationError("rewards and perfs must have equal length")
     return _bonus(reward_vec, perf_vec, rate)
@@ -161,7 +148,7 @@ def bonus_rewards(rewards, perfs, bonus_rate: float) -> np.ndarray:
 
 def unit_rescale(values) -> np.ndarray:
     """Min-max rescale to [0, 1]; a constant vector maps to all 0.5."""
-    x = _vector("values", values)
+    x = _require_vector("values", values)
     if x.shape[0] == 0:
         return x.copy()
     lo = float(np.min(x))
@@ -180,7 +167,7 @@ def _nearest_rank(ascending: np.ndarray, percentile: float) -> np.ndarray:
 
 def nearest_rank_percentile(values, percentile: float) -> float:
     """Nearest-rank percentile: element ceil(p/100 * n) of the ascending sort."""
-    x = _vector("values", values)
+    x = _require_vector("values", values)
     if x.shape[0] == 0:
         raise ValidationError("percentile of an empty vector is undefined")
     return float(_nearest_rank(np.sort(x), _require_upto("percentile", percentile, 100.0)))
@@ -199,7 +186,7 @@ def _transform(x: np.ndarray, spec: TransformSpec, cap: Optional[float | np.ndar
 
 def apply_stake_transform(stakes, spec: TransformSpec) -> np.ndarray:
     """Reshape a stake vector according to the transform spec."""
-    x = _vector("stakes", stakes, math.inf)
+    x = _require_vector("stakes", stakes, math.inf)
     cap = nearest_rank_percentile(x, spec.param) if spec.kind == "cap" else None
     return _transform(x, spec, cap)
 
@@ -232,8 +219,8 @@ def whale_penalty(original, transformed) -> float:
     The penalty is at most 1, but a transform can also raise stakes: a
     power below 1 lifts stakes below 1, and their penalty is negative.
     """
-    before = _vector("original", original)
-    after = _vector("transformed", transformed)
+    before = _require_vector("original", original)
+    after = _require_vector("transformed", transformed)
     if before.shape != after.shape:
         raise ValidationError("original and transformed must have equal length")
     top_idx, top_before = _whale_top(before[None, :])

@@ -20,7 +20,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from yumalab.model import Role, SubnetSnapshot, ValidationError, _require_array, _require_upto
+from yumalab.model import Role, SubnetSnapshot, ValidationError, _require_array, _require_upto, _require_vector
 
 __all__ = [
     "ROLE_FILTERS",
@@ -36,18 +36,6 @@ __all__ = [
 ]
 
 ROLE_FILTERS = ("all", "miner", "validator")
-
-
-def _nonneg_vector(name: str, values) -> np.ndarray:
-    """`values` as a non-empty, finite and nonnegative float64 vector."""
-    x = _require_array(name, values, 1)
-    if x.ndim != 1 or x.shape[0] == 0:
-        raise ValidationError(f"{name} must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError(f"{name} must be finite")
-    if np.any(x < 0.0):
-        raise ValidationError(f"{name} must be nonnegative")
-    return x
 
 
 # The kernels below hold each formula once. Each takes a C-contiguous
@@ -190,7 +178,7 @@ def _optional(value: float) -> Optional[float]:
 def gini(values) -> float:
     """Discrete Gini coefficient (mean absolute pairwise difference form),
     computed via the sorted-rank identity in O(n log n)."""
-    x = np.sort(_nonneg_vector("values", values))[None, :]
+    x = np.sort(_require_vector("values", values, math.inf, nonempty=True))[None, :]
     total = np.sum(x, axis=1)
     if total[0] <= 0.0:
         raise ValidationError("gini is undefined for an all-zero vector")
@@ -199,7 +187,7 @@ def gini(values) -> float:
 
 def hhi(values) -> float:
     """Herfindahl-Hirschman index: sum of squared shares."""
-    x = _nonneg_vector("values", values)[None, :]
+    x = _require_vector("values", values, math.inf, nonempty=True)[None, :]
     total = np.sum(x, axis=1)
     if total[0] <= 0.0:
         raise ValidationError("hhi is undefined for a zero-sum vector")
@@ -208,7 +196,7 @@ def hhi(values) -> float:
 
 def top_share(values, fraction: float = 0.01) -> float:
     """Share of the total held by the top ceil(fraction * n) holders."""
-    x = _nonneg_vector("values", values)[None, :]
+    x = _require_vector("values", values, math.inf, nonempty=True)[None, :]
     fraction = _require_upto("fraction", fraction)
     total = np.sum(x, axis=1)
     if total[0] <= 0.0:
@@ -223,7 +211,7 @@ def coalition_fraction(stakes, threshold: float = 0.51) -> float:
     cumulative stake reaches threshold * total. Tie order among equal
     stakes cannot change m.
     """
-    x = _nonneg_vector("stakes", stakes)
+    x = _require_vector("stakes", stakes, math.inf, nonempty=True)
     threshold = _check_threshold(threshold)
     if float(np.sum(x)) <= 0.0:
         raise ValidationError("coalition_fraction is undefined for a zero-sum vector")

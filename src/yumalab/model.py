@@ -150,6 +150,20 @@ def _require_array(name: str, value, ndim: int, dtype: type = np.float64) -> np.
         raise ValidationError(f"{name} must be within {info.dtype} range, got {cell!r}") from None
 
 
+def _require_vector(name: str, values, high: Optional[float] = None, nonempty: bool = False) -> np.ndarray:
+    """`values` as a finite float64 vector by the kind rule of
+    `_require_array`, non-empty if `nonempty`; with `high` (inf or 1), each
+    value must lie in [0, high]."""
+    x = _require_array(name, values, 1)
+    if x.ndim != 1 or nonempty and x.shape[0] == 0:
+        raise ValidationError(f"{name} must be a {'non-empty ' if nonempty else ''}1-d vector")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError(f"{name} must be finite")
+    if high is not None and (np.any(x < 0.0) or np.any(x > high)):
+        raise ValidationError(f"{name} must be nonnegative" if high == math.inf else f"{name} must lie in [0, 1]")
+    return x
+
+
 def _require_utc(name: str, value: datetime) -> datetime:
     if not isinstance(value, datetime) or value.tzinfo is None:
         raise ValidationError(f"{name} must be a timezone-aware datetime")

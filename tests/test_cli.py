@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import errno
 import json
 import math
@@ -81,6 +82,8 @@ class TestExitCodes:
         (("sweep", "--scheme", "split", "--grid", "0,nan,nan"), 1, "grid values must be finite, got nan"),
         (("sweep", "--scheme", "bonus", "--grid", "0,inf"), 1, "grid values must be finite, got inf"),
         (("attack", "--cutoff", "garbage"), 1, "invalid timestamp 'garbage'"),
+        # `none` is the one spelling that turns the cutoff off.
+        (("attack", "--cutoff", "off"), 1, "invalid timestamp 'off'"),
         (("attack", "--threshold", "1.5"), 1, "threshold must lie in (0, 1], got 1.5"),
         (("frontier", "--transform", "cap"), 1, "cap transform requires a param"),
         (("frontier", "--transform", "foo"), 1, "unknown transform kind 'foo'"),
@@ -106,7 +109,7 @@ class TestExitCodes:
         (("synth", "--validator-fraction", "0.2_5"), 2,
          "argument --validator-fraction: invalid number value: '0.2_5'"),
         (("synth", "--coupling", "0_0.5"), 2, "argument --coupling: invalid number value: '0_0.5'"),
-    ], ids=["grid", "grid-repeat", "grid-nan", "grid-nan-repeat", "grid-inf", "cutoff",
+    ], ids=["grid", "grid-repeat", "grid-nan", "grid-nan-repeat", "grid-inf", "cutoff", "cutoff-off",
             "threshold", "frontier-transform", "frontier-kind", "frontier-threshold",
             "robustness-threshold", "robustness-param", "robustness-log-param",
             "transform-underscore", "transform-arabic-indic", "grid-underscore", "law-underscore",
@@ -205,6 +208,20 @@ class TestIngest:
         with open(tmp_path / "ingest_summary.json") as handle:
             summary = json.load(handle)
         assert summary["events"] == 2 * 3 * 40  # two days survive
+
+    @pytest.mark.parametrize("text", ["none", "NONE", " None "])
+    def test_none_turns_the_cutoff_off(self, tmp_path, text):
+        # One event on the day before the dTAO instant and one at it.
+        path = tmp_path / "events.csv"
+        path.write_text(",".join(ingest.EVENT_COLUMNS) + "\n"
+                        + "2025-02-12T00:00:00Z,1,1,w,miner,1.0,1.0,,\n"
+                        + f"{DEFAULT_CUTOFF_TEXT},2,1,w,miner,1.0,1.0,,\n")
+        counts = []
+        for name, flags in (("all", ("--cutoff", text)), ("before", ())):
+            assert run_cli("ingest", "--input", str(path), "--out", str(tmp_path / name), *flags) == 0
+            with open(tmp_path / name / "ingest_summary.json") as handle:
+                counts.append(json.load(handle)["events"])
+        assert counts == [2, 1]
 
     def test_csv_output_reparses(self, tmp_path, fixture_path):
         assert run_cli("ingest", "--input", fixture_path, "--out", str(tmp_path),
@@ -665,6 +682,40 @@ class TestSynth:
         assert run_cli("metrics", "--input", str(tmp_path / "synth.jsonl"),
                        "--out", str(tmp_path / "m"), "--cutoff", "none") == 0
 
+    def test_config_flags_are_the_config_fields(self):
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = [a for a in subparsers.choices["synth"]._actions if a.dest not in ("help", "out", "format")]
+        assert sorted(a.dest for a in flags) == sorted(field.name for field in dataclasses.fields(synth.SynthConfig))
+        assert {a.default for a in flags} == {argparse.SUPPRESS}
+
+    @pytest.mark.parametrize("flag, text, field, value", [
+        ("--seed", "7", "seed", 7),
+        ("--subnets", "2", "n_subnets", 2),
+        ("--wallets", "9", "wallets_per_subnet", 9),
+        ("--validator-fraction", "0.5", "validator_fraction", 0.5),
+        ("--stake-law", "lognormal:0,1", "stake_law", "lognormal:0,1"),
+        ("--perf-law", "uniform", "perf_law", "uniform"),
+        ("--coupling", "-0.5", "stake_perf_coupling", -0.5),
+        ("--reward-rule", "yuma_replay", "reward_rule", "yuma_replay"),
+        ("--days", "3", "span_days", 3),
+        ("--start", "2024-03-31T00:00:00Z", "start", "2024-03-31T00:00:00Z"),
+    ])
+    def test_each_flag_sets_its_field_alone(self, tmp_path, monkeypatch, flag, text, field, value):
+        configs, generate = [], synth.generate
+        small = {"n_subnets": 1, "wallets_per_subnet": 3, "span_days": 1}
+        monkeypatch.setattr(synth, "generate", lambda cfg: configs.append(cfg) or generate(dataclasses.replace(cfg, **small)))
+        assert run_cli("synth", flag, text, "--out", str(tmp_path)) == 0
+        assert configs == [synth.SynthConfig(**{field: value})]
+
+    def test_absent_flag_keeps_the_config_default(self, tmp_path, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class ShortConfig(synth.SynthConfig):
+            span_days: int = 2
+
+        monkeypatch.setattr(synth, "SynthConfig", ShortConfig)
+        assert run_cli("synth", "--subnets", "1", "--wallets", "3", "--out", str(tmp_path)) == 0
+        assert len(set(load_events(tmp_path / "synth.jsonl").timestamp.tolist())) == 2
+
 
 class TestEventEncoding:
     LINE = ('{{"timestamp": "2024-01-01T00:00:00Z", "block_number": 1, "netuid": 1, '
@@ -1041,7 +1092,7 @@ class TestModulesLoaded:
 
 
     def test_default_cutoff_is_the_dtao_cutoff(self):
-        # The dTAO instant is written in cli and in ingest; the two must agree.
+        # The CLI's default text is formatted from the one dTAO instant.
         assert parse_timestamp(DEFAULT_CUTOFF_TEXT) == ingest.DTAO_CUTOFF
 
 

@@ -243,6 +243,16 @@ class TestRoundTrip:
         assert path.read_bytes().startswith(b"timestamp," if name.lower().endswith(".csv") else b"{")
         assert load_events(path).events == dataset.events
 
+    # A `.csv` suffix means CSV in a str, bytes or PathLike path; any other means JSONL.
+    @pytest.mark.parametrize("name, head", [("events.csv", b"timestamp,"), ("events.txt", b"{")])
+    @pytest.mark.parametrize("kind", [os.fspath, os.fsencode], ids=["str", "bytes"])
+    def test_path_names_the_format(self, tmp_path, name, head, kind):
+        dataset = Dataset.from_events([event(day=d, wallet=f"w{d}") for d in range(1, 4)])
+        path = tmp_path / name
+        save_events(dataset, kind(path))
+        assert path.read_bytes().startswith(head)
+        assert load_events(kind(path)).events == dataset.events
+
     def test_output_ends_with_newline(self):
         for format in ("jsonl", "csv"):
             buffer = io.BytesIO()

@@ -233,11 +233,35 @@ class TestStakeTransforms:
 # into Pareto I(6): Gini 1/11 and 51% coalition fraction 0.51^1.2. `cap:88`
 # on uniform [0.5, 1.5] stakes sets the top 12% to c = 1.38 and keeps the
 # rest, so the fraction t solves 0.12 c + (c^2 - t^2) / 2 = 0.51 E[stake]:
-# 0.12 + 1.38 - sqrt(1.22294) (uncapped, 1.5 - sqrt(1.23) = 0.391). Each
-# tolerance is four standard deviations of (measured - closed form) over
-# seeds 0-29, where the mean deviation of each lies within 1.2 standard
-# errors of zero: neither transform misses its closed form.
+# 0.12 + 1.38 - sqrt(1.22294) (uncapped, 1.5 - sqrt(1.23) = 0.391).
+#
+# `cap:88` on Pareto I(3) stakes sets the top 12% to c = 0.12^(-1/3), and
+# the stake of the wallet with a share u of the wallets above it is
+# u^(-1/3), so the fraction 0.12 + g solves
+# 0.12 c + 1.5 ((0.12 + g)^(2/3) - 0.12^(2/3)) = 0.51 (1 + (1 - c^-2) / 2),
+# the right side being 0.51 E[min(stake, c)]. The top 1% hold 1.5 * 0.01^(2/3)
+# per unit of wallets before the cap and 0.01 c after it. `log` on uniform
+# stakes maps each to ln(1 + s), whose integral is G(s) = (1 + s) ln(1 + s) - s:
+# the fraction f solves G(1.5) - G(1.5 - f) = 0.51 (G(1.5) - G(0.5)), and the
+# top 1%, on [1.49, 1.5], keep (G(1.5) - G(1.49)) / ((1.5^2 - 1.49^2) / 2)
+# of their stake.
+#
+# Each tolerance is four standard deviations of (measured - closed form)
+# over seeds 0-29, where the mean deviation of each lies within 1.2
+# standard errors of zero, save `log`'s whale penalty at -2.0 (+0.4 over
+# seeds 30-229): no transform misses its closed form.
 SECURITY_DRAWS = 200_000
+PARETO_CAP = 0.12 ** (-1 / 3)
+PARETO_CAP_FRACTION = 0.4075984
+PARETO_CAP_PENALTY = 1.0 - 0.01 * PARETO_CAP / (1.5 * 0.01 ** (2 / 3))
+
+
+def log_integral(x: float) -> float:
+    return (1.0 + x) * math.log1p(x) - x
+
+
+LOG_FRACTION = 0.4209401
+LOG_PENALTY = 1.0 - (log_integral(1.5) - log_integral(1.49)) / ((1.5 ** 2 - 1.49 ** 2) / 2)
 
 
 class TestSecurityKnownAnswers:
@@ -254,19 +278,44 @@ class TestSecurityKnownAnswers:
         capped = apply_stake_transform(stakes, TransformSpec("cap", 88.0))
         assert coalition_fraction(capped) == pytest.approx(0.12 + 1.38 - math.sqrt(1.22294), abs=0.00072)
 
+    def test_closed_form_roots(self):
+        fraction_mass = 0.12 * PARETO_CAP + 1.5 * (PARETO_CAP_FRACTION ** (2 / 3) - 0.12 ** (2 / 3))
+        assert fraction_mass == pytest.approx(0.51 * (1.0 + (1.0 - PARETO_CAP ** -2) / 2), abs=1e-7)
+        log_mass = log_integral(1.5) - log_integral(1.5 - LOG_FRACTION)
+        assert log_mass == pytest.approx(0.51 * (log_integral(1.5) - log_integral(0.5)), abs=1e-7)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cap_on_pareto(self, seed):
+        stakes = 1.0 + np.random.default_rng(seed).pareto(3.0, SECURITY_DRAWS)
+        capped = apply_stake_transform(stakes, TransformSpec("cap", 88.0))
+        assert coalition_fraction(capped) == pytest.approx(PARETO_CAP_FRACTION, abs=0.0011)
+        assert whale_penalty(stakes, capped) == pytest.approx(PARETO_CAP_PENALTY, abs=0.02)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_log_on_uniform(self, seed):
+        stakes = np.random.default_rng(seed).uniform(0.5, 1.5, SECURITY_DRAWS)
+        logged = apply_stake_transform(stakes, TransformSpec("log"))
+        assert coalition_fraction(logged) == pytest.approx(LOG_FRACTION, abs=0.00056)
+        assert whale_penalty(stakes, logged) == pytest.approx(LOG_PENALTY, abs=0.000066)
+
 
 # The same claim end to end: `synth --stake-law uniform --subnets 8
-# --wallets 2000 --days 2`, then the `cap:88` row of `frontier --transform
-# cap:88` and each daily median of `robustness`. The top 1% of a subnet, its
+# --wallets 2000 --days 2 --start 2024-03-31T00:00:00Z`, then the `cap:88`
+# row of `frontier --transform cap:88` and the medians of a default
+# `robustness` run. 2024-03-31 is a Sunday and the last day of a month, so
+# each frequency has two windows, one day each. The top 1% of a subnet, its
 # 20 largest stakes, average about 1.495, and the cap takes them to 1.38, so
 # the whale penalty is (1.495 - 1.38) / 1.495. Each tolerance is four
-# standard deviations of (median - closed form) over seeds 0-29: 0.00067
-# for the fraction and 0.0017 for the penalty. The fraction's mean
-# deviation, +0.00042, is about 0.8 / 2000: a coalition is a whole number
-# of wallets, which reads a subnet of n wallets about 0.7 / n high. The
-# penalty's is -0.00036. Seeds 0-2 read fractions 0.394, 0.395 and 0.39425,
-# and penalties 0.0792, 0.0733 and 0.0735.
+# standard deviations of (median - closed form) over seeds 0-29, whose
+# standard deviations are 0.00067 for the capped fraction, 0.00064 for the
+# baseline one and 0.0017 for the penalty. The fractions' mean deviations,
+# +0.00042 and +0.00043, are about 0.8 / 2000: a coalition is a whole
+# number of wallets, which reads a subnet of n wallets about 0.7 / n high.
+# The penalty's is -0.00036. Seeds 0-2 read capped fractions 0.394, 0.395
+# and 0.39425, baseline ones 0.3905, 0.39175 and 0.39125, and penalties
+# 0.0792, 0.0733 and 0.0735.
 SECURITY_FRACTION_TOLERANCE = 0.0027
+SECURITY_BASELINE_TOLERANCE = 0.0026
 SECURITY_PENALTY_TOLERANCE = 0.007
 
 
@@ -275,10 +324,10 @@ class TestSecurityKnownAnswersEndToEnd:
     def test_cap_on_uniform(self, tmp_path, seed):
         out = ["--out", str(tmp_path)]
         assert run_cli(["synth", "--seed", str(seed), "--stake-law", "uniform", "--subnets", "8",
-                        "--wallets", "2000", "--days", "2", *out]) == 0
+                        "--wallets", "2000", "--days", "2", "--start", "2024-03-31T00:00:00Z", *out]) == 0
         out += ["--input", str(tmp_path / "synth.jsonl")]
         assert run_cli(["frontier", "--transform", "cap:88", *out]) == 0
-        assert run_cli(["robustness", "--freq", "daily", *out]) == 0
+        assert run_cli(["robustness", *out]) == 0
         with open(tmp_path / "frontier.csv", newline="", encoding="utf-8") as handle:
             (point,) = (row for row in csv.DictReader(handle) if row["label"] == "cap:88")
         with open(tmp_path / "robustness.csv", newline="", encoding="utf-8") as handle:
@@ -288,9 +337,15 @@ class TestSecurityKnownAnswersEndToEnd:
         assert float(point["median_coalition_fraction"]) == pytest.approx(fraction, abs=SECURITY_FRACTION_TOLERANCE)
         assert float(point["median_whale_penalty"]) == pytest.approx((1.495 - 1.38) / 1.495,
                                                                      abs=SECURITY_PENALTY_TOLERANCE)
-        assert [window["n_subnets"] for window in windows] == ["8", "8"]
+        assert [(window["freq"], window["window_start"][:10], window["n_subnets"]) for window in windows] == [
+            ("daily", "2024-03-31", "8"), ("daily", "2024-04-01", "8"),
+            ("weekly", "2024-03-25", "8"), ("weekly", "2024-04-01", "8"),
+            ("monthly", "2024-03-01", "8"), ("monthly", "2024-04-01", "8"),
+        ]
         for window in windows:
             assert float(window["median"]) == pytest.approx(fraction, abs=SECURITY_FRACTION_TOLERANCE)
+            assert float(window["baseline_median"]) == pytest.approx(1.5 - math.sqrt(1.23),
+                                                                     abs=SECURITY_BASELINE_TOLERANCE)
 
 
 class TestWhalePenalty:
