@@ -1,10 +1,11 @@
 """Snapshot-event ingestion: parsing, validation, cutoff, resampling.
 
 Event files are JSON Lines (one object per line) or CSV with a fixed
-header, in UTF-8 with an optional byte-order mark. A Dataset is a table of
-NumPy columns with one row per event, sorted by (timestamp, netuid,
-wallet), holding at most one row per such key, and it enforces that every
-(wallet, netuid) pair holds a single role across the whole table.
+header, in UTF-8 with an optional byte-order mark. Each is read once, front
+to back, and a byte that is not UTF-8 is a fault of its line. A Dataset is
+a table of NumPy columns with one row per event, sorted by (timestamp,
+netuid, wallet), holding at most one row per such key, and it enforces that
+every (wallet, netuid) pair holds a single role across the whole table.
 Resampling aggregates rows into calendar-aligned UTC windows where stake
 and perf are the last observation in the window and reward is the sum
 over the window.
@@ -85,6 +86,7 @@ _COLUMN_TYPES = {
 
 _DAY_US = 86_400_000_000
 _CHUNK_ROWS = 4096
+_BLOCK_BYTES = 1 << 16
 
 
 class ParseError(ValidationError):
@@ -333,15 +335,14 @@ def _sorted_dataset(columns: dict[str, np.ndarray], wallet_names: Sequence[str],
 # ---------------------------------------------------------------------------
 # Parsing
 #
-# Each format has one reader, which reads the text once. Each chunk of rows
-# is converted one whole column at a time, and the value rules are checked
-# on the chunk's columns as soon as it is converted. Only a column or a rule
-# that fails is searched for the first row that breaks it. A faulty cell
-# cuts the chunk before its row, and the rules look only at the rows before
-# it, so the ParseError names the first faulty line in file order and the
-# read ends with that chunk. The Dataset built from a clean file can then
-# fail only on a duplicate key or a role conflict. Only a byte that is not
-# UTF-8 sends parse_events back to the raw bytes, to name its line.
+# Each format has one reader of the lines that _lines cuts. Each chunk of
+# rows is converted one whole column at a time, and the value rules are
+# checked on the chunk's columns as soon as it is converted. Only a column or
+# a rule that fails is searched for the first row that breaks it. A faulty
+# cell cuts the chunk before its row, and the rules look only at the rows
+# before it, so the ParseError names the first faulty line in file order and
+# the read ends with that chunk. The Dataset built from a clean file can then
+# fail only on a duplicate key or a role conflict.
 # ---------------------------------------------------------------------------
 
 
@@ -457,14 +458,13 @@ class _Table:
         """The Dataset of the rows that `reader` reads from `text`. A
         ParseError that the reader raises ends the read; a faulty line
         before the one it names is reported in its place."""
-        error = None
         try:
             reader(text, self)
-        except (ParseError, UnicodeDecodeError) as exc:
-            error = exc
-        self.flush()
-        if self.fault or error:
-            raise self.fault or error
+        except ParseError as error:
+            self.flush()
+            raise (self.fault or error) from None
+        if not self.flush():
+            raise self.fault
         arrays = {name: np.concatenate(self.columns.pop(name)) for name in _COLUMN_TYPES}
         names = sorted(self.codes)
         # The inverse of that order takes each code to its name's rank.
@@ -566,7 +566,7 @@ class _Table:
 
 
 def parse_events(source: BinaryIO, format: str = "jsonl") -> Dataset:
-    """Parse a seekable event stream into a validated Dataset.
+    """Parse a binary event stream, read once front to back, into a Dataset.
 
     Raises ParseError (with the 1-based number of the first faulty line)
     on malformed input, RoleConsistencyError when a (wallet, netuid) pair
@@ -575,42 +575,39 @@ def parse_events(source: BinaryIO, format: str = "jsonl") -> Dataset:
     """
     if format not in _READERS:
         raise ValidationError(f"unknown format {format!r} (expected jsonl or csv)")
-    start = source.tell()
-    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="")
-    try:
-        return _Table(json=format == "jsonl").read(_READERS[format], text)
-    except UnicodeDecodeError:
-        source.seek(start)
-    finally:
-        text.detach()
-    data = source.read()
-    error, end = _utf8_error(data)
-    # The read stopped at the bad byte's block of text, short of the lines
-    # before it in the block. The lines before its own are read again and
-    # end with the error, as if decoded one by one: a faulty line among them
-    # is named first (a duplicate key or role conflict is not checked), and a
-    # CSV record that holds the bad byte is never returned cut short.
-    lines = io.StringIO(data[:end].decode("utf-8-sig"), newline="")
-    return _Table(json=format == "jsonl").read(_READERS[format], _then_raise(lines, error))
+    return _Table(json=format == "jsonl").read(_READERS[format], _lines(source))
 
 
-def _utf8_error(data: bytes) -> tuple[ParseError, int]:
-    """The ParseError for the first byte of `data` that is not UTF-8, on
-    its line as the readers split lines: after each LF, CR or CR LF; and
-    the offset at which that line starts."""
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        before = data[:exc.start]
-        line = 1 + before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
-        end = 1 + max(before.rfind(b"\n"), before.rfind(b"\r"))
-        return ParseError(line, f"invalid UTF-8 byte {data[exc.start]:#04x}"), end
-    raise AssertionError("a reader failed to decode valid UTF-8")
-
-
-def _then_raise(lines: Iterable[str], error: Exception) -> Iterator[str]:
-    yield from lines
-    raise error
+def _lines(source: BinaryIO) -> Iterator[str]:
+    """The lines of `source`, read once in blocks, each decoded as strict
+    UTF-8 with its line ending and without a leading byte-order mark. A line
+    ends after each LF, CR or CR LF, as in universal newlines mode. The first
+    line that holds a byte that is not UTF-8 raises a ParseError that names
+    the byte, after every line before it."""
+    parts, number, head = [], 0, True
+    while True:
+        block = source.read(_BLOCK_BYTES)
+        parts.append(block)
+        # Lines are cut only at a line break or at the end, so a line that
+        # spans many blocks is joined once.
+        if block and b"\n" not in block and b"\r" not in block:
+            continue
+        data = b"".join(parts)
+        if head:
+            data, head = data.removeprefix(b"\xef\xbb\xbf"), False
+        lines = data.splitlines(keepends=True)
+        # The last line goes on unless it ends in LF or the file ends: one
+        # that ends in CR may end in CR LF.
+        parts = [lines.pop()] if block and not lines[-1].endswith(b"\n") else []
+        try:
+            yield from map(bytes.decode, lines)
+        except UnicodeDecodeError as exc:
+            # An equal line before the failing one would have failed first.
+            number += lines.index(exc.object)
+            raise ParseError(number + 1, f"invalid UTF-8 byte {exc.object[exc.start]:#04x}") from None
+        number += len(lines)
+        if not block:
+            return
 
 
 def _path_format(path) -> str:

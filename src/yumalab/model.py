@@ -187,9 +187,17 @@ class WalletNames(tuple):
             except UnicodeEncodeError:  # a lone surrogate, which a JSON escape such as \ud800 yields
                 raise ValidationError(f"wallet must be valid Unicode text, got {name!r}") from None
         if len(set(names)) != len(names):
-            duplicate = next(name for i, name in enumerate(names) if name in names[:i])
-            raise ValidationError(f"duplicate wallet {duplicate!r} in wallet_names")
+            raise ValidationError(f"duplicate wallet {_first_repeat(names)!r} in wallet_names")
         return names
+
+
+def _first_repeat(values):
+    """The first of `values` that an earlier one equals; None when none does."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            return value
+        seen.add(value)
 
 
 def _frozen(array: np.ndarray, source) -> np.ndarray:
@@ -361,8 +369,7 @@ class SubnetSnapshot:
         _reject(~np.isfinite(perf), lambda i: f"perf must be finite, got {perf[i].item()!r}")
         _reject((perf < 0.0) | (perf > 1.0), lambda i: f"perf must lie in [0, 1], got {perf[i].item()}")
         if (np.diff(np.sort(wallet)) == 0).any():
-            duplicate = next(code for i, code in enumerate(wallet.tolist()) if code in wallet[:i])
-            raise ValidationError(f"duplicate wallet {names[duplicate]!r} in snapshot for netuid {self.netuid}")
+            raise ValidationError(f"duplicate wallet {names[_first_repeat(wallet.tolist())]!r} in snapshot for netuid {self.netuid}")
 
     @property
     def entries(self) -> tuple[SnapshotEntry, ...]:

@@ -39,7 +39,7 @@ from yumalab.metrics import (
     _pearson_rows,
     _percentiles,
 )
-from yumalab.model import Role, SubnetSnapshot, ValidationError, _require_upto
+from yumalab.model import Role, SubnetSnapshot, ValidationError, _first_repeat, _require_upto
 
 __all__ = [
     "SCHEMES",
@@ -256,13 +256,9 @@ def sweep_scheme(
     exactly zero. Roles with fewer than 2 wallets in a subnet are skipped.
     """
     grid_values = _check_grid(scheme, grid)
-    seen: set[int] = set()
-    for snap in snapshots:
-        if snap.netuid in seen:
-            raise ValidationError(
-                f"multiple snapshots for netuid {snap.netuid}; pass one snapshot per subnet"
-            )
-        seen.add(snap.netuid)
+    repeat = _first_repeat(snap.netuid for snap in snapshots)
+    if repeat is not None:
+        raise ValidationError(f"multiple snapshots for netuid {repeat}; pass one snapshot per subnet")
 
     ordered = sorted(snapshots, key=lambda s: s.netuid)
     base = grid_values.index(NULL_PARAMS[scheme])

@@ -929,22 +929,37 @@ class TestReadOnce:
         source = io.BytesIO(data)
         with pytest.raises(ParseError, match="^line 5: stake must be >= 0, got -1.0$"):
             parse_events(source, format)
-        # The read ends within the text decoded for the first chunk.
+        # The read ends within the blocks that hold the first chunk.
         assert source.tell() < len(data) // 2
 
-    def test_a_byte_that_is_not_utf8_is_read_again(self):
+    def test_a_byte_that_is_not_utf8_ends_the_read(self):
         data = ("\n".join(self.GOOD) + "\n").encode().replace(b'"a"', b'"a\xff"', 1)
         source = CountingSource(data)
         with pytest.raises(ParseError, match="^line 1: invalid UTF-8 byte 0xff$"):
             parse_events(source)
-        assert source.seeks == 1
-        assert source.bytes_read == 2 * len(data)
+        assert source.seeks == 0
+        assert source.bytes_read == len(data)
+
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    def test_a_byte_that_is_not_utf8_on_the_last_line_is_named(self, format):
+        records = [{
+            "timestamp": "2024-01-01T00:00:00Z", "block_number": row, "netuid": 1,
+            "wallet": f"w{row}", "role": "miner", "stake": 1.0, "reward": 0.5,
+            "trust": 0.25, "validator_trust": None,
+        } for row in range(3 * ingest._CHUNK_ROWS)]
+        records[-1]["wallet"] = "bad"
+        data = event_file(records, format).encode().replace(b"bad", b"b\xff")
+        source = CountingSource(data)
+        with pytest.raises(ParseError) as excinfo:
+            parse_events(source, format)
+        assert str(excinfo.value) == f"line {line_of(records, len(records) - 1, format)}: invalid UTF-8 byte 0xff"
+        assert source.seeks == 0
+        assert source.bytes_read == len(data)
 
     HEADER = ",".join(ingest.EVENT_COLUMNS)
     CSV_ROW = "2024-01-0{}T00:00:00Z,1,1,a,miner,{},0.0,,"
 
-    # The bad byte's block is decoded before the lines that precede it in
-    # the block reach the reader; they are read again from the bytes.
+    # The lines before the bad byte's line reach the reader before its fault.
     @pytest.mark.parametrize("format, data, message", [
         ("jsonl", "\n".join([GOOD[0], GOOD[1].replace("2.0", "-1.0"), GOOD[1].replace("01-02", "01-03"),
                              '{"wallet": "\udcff"}']),
@@ -968,8 +983,121 @@ class TestReadOnce:
         with pytest.raises(ParseError) as excinfo:
             parse_events(source, format)
         assert str(excinfo.value) == message
-        assert source.seeks == 1
-        assert source.bytes_read == 2 * len(data)
+        assert source.seeks == 0
+        assert source.bytes_read == len(data)
+
+
+class Unseekable(io.BytesIO):
+    """A byte stream that, like a pipe, can be read but not sought."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+
+class ShortReads(io.BytesIO):
+    """A byte stream whose i-th read returns at most sizes[i] bytes,
+    cycling through `sizes`, as a raw stream may."""
+
+    def __init__(self, data, sizes):
+        super().__init__(data)
+        self.sizes = itertools.cycle(sizes)
+
+    def read(self, size=-1):
+        return super().read(min(size, next(self.sizes)))
+
+
+def oracle_lines(data):
+    """The lines of `data` as a text stream in universal newlines mode
+    reads them, and the ParseError of its first byte that is not UTF-8, or
+    None. With such a byte, the lines are those before its line."""
+    message = None
+    try:
+        data.decode()
+    except UnicodeDecodeError as exc:
+        message = f"invalid UTF-8 byte {data[exc.start]:#04x}"
+        before = data[:exc.start]
+        data = data[:1 + max(before.rfind(b"\n"), before.rfind(b"\r"))]
+    lines = list(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline=""))
+    return lines, message and (len(lines) + 1, message)
+
+
+def line_source_outcome(source):
+    """The lines that ingest._lines reads from `source`, and the line and
+    message of its ParseError, or None."""
+    lines = []
+    try:
+        for line in ingest._lines(source):
+            lines.append(line)
+    except ParseError as exc:
+        return lines, (exc.line, str(exc).partition(": ")[2])
+    return lines, None
+
+
+BOM = "\ufeff".encode()
+LINE_PIECES = st.sampled_from([b"a", b" ", b"\r", b"\n", b"\r\n", BOM, "\u00e9".encode(),
+                               "\u2028".encode(), b"\x85", b"\xff", b"\xc3"])
+
+
+class TestLineSource:
+    """parse_events reads its source in blocks and cuts its own lines."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pieces=st.lists(LINE_PIECES, max_size=40), sizes=st.lists(st.integers(1, 7), min_size=1, max_size=5))
+    def test_lines_are_those_of_universal_newlines(self, pieces, sizes):
+        data = b"".join(pieces)
+        assert line_source_outcome(ShortReads(data, sizes)) == oracle_lines(data)
+
+    def test_a_stream_that_cannot_seek_is_read(self, fixture_path):
+        with open(fixture_path, "rb") as handle:
+            data = handle.read()
+        assert written(parse_events(Unseekable(data)), "jsonl") == written(load_events(fixture_path), "jsonl")
+
+    def test_a_pipe_is_read(self, fixture_path, python_child):
+        with open(fixture_path, "rb") as handle:
+            data = handle.read()
+        # `input` reaches the child's stdin through a pipe.
+        child = python_child(
+            "-c", "import sys; from yumalab.ingest import parse_events; print(len(parse_events(sys.stdin.buffer)))",
+            input=data, capture_output=True,
+        )
+        assert (child.returncode, child.stdout, child.stderr) == (0, b"4200\n", b"")
+
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    def test_a_file_holding_only_a_byte_order_mark_is_empty(self, format):
+        assert len(parse_events(io.BytesIO(BOM), format)) == 0
+
+    # The first line ends in CR LF, with the CR the last byte of the first
+    # block, so the faulty line is line 3 of a JSONL file and line 4 of a
+    # CSV file, not one line further.
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    def test_a_cr_lf_across_blocks_is_one_line_ending(self, format):
+        head = "" if format == "jsonl" else TestReadOnce.HEADER + "\r\n"
+        first = TestReadOnce.GOOD[0] if format == "jsonl" else TestReadOnce.CSV_ROW.format(1, "1.0")
+        second = TestReadOnce.GOOD[1] if format == "jsonl" else TestReadOnce.CSV_ROW.format(2, "1.0")
+        # JSONL pads the first record with JSON whitespace, CSV its wallet.
+        pad = ingest._BLOCK_BYTES - 1 - len(head) - len(first)
+        first = first + " " * pad if format == "jsonl" else first.replace(",a,", "," + "a" * (1 + pad) + ",")
+        data = (head + first + "\r\n" + second + "\r\n").encode()
+        assert data[ingest._BLOCK_BYTES - 1:ingest._BLOCK_BYTES + 1] == b"\r\n"
+        assert len(parse_events(io.BytesIO(data), format)) == 2
+        bad, message = ("{not json}", "line 3: invalid JSON") if format == "jsonl" else (
+            TestReadOnce.CSV_ROW.format(3, "-1.0"), "line 4: stake must be >= 0, got -1.0")
+        with pytest.raises(ParseError) as excinfo:
+            parse_events(io.BytesIO(data + (bad + "\r\n").encode()), format)
+        assert str(excinfo.value).startswith(message)
+
+    def test_a_line_of_many_blocks(self):
+        record, other = TestReadOnce.GOOD
+        long_line = record[:-1] + " " * (32 << 20) + "}"
+        data = (long_line + "\n" + other + "\n").encode()
+        expected = written(parse_events(io.BytesIO((record + "\n" + other + "\n").encode())), "jsonl")
+        assert written(parse_events(io.BytesIO(data)), "jsonl") == expected
 
 
 def oracle_write(dataset, format) -> bytes:

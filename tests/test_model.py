@@ -278,6 +278,29 @@ class TestWalletNames:
             _snapshot_of_table(("a", "b", "c"), wallet=(1, 0, 2, 0, 1))
         assert str(excinfo.value) == "duplicate wallet 'a' in snapshot for netuid 7"
 
+    # The first name or code seen twice is named, wherever it falls; each
+    # search is one pass over the table.
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_duplicate_name_is_named_wherever_it_falls(self, where):
+        names = [f"w{i}" for i in range(1000)]
+        at = {"first": 1, "middle": 500, "last": 999}[where]
+        duplicate = names[at - 1 if where == "first" else 0]
+        names[at] = duplicate
+        for make in (model.WalletNames, _snapshot_of_table, _dataset_of_table):
+            with pytest.raises(ValidationError) as excinfo:
+                make(names)
+            assert str(excinfo.value) == f"duplicate wallet {duplicate!r} in wallet_names"
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_repeated_code_is_named_wherever_it_falls(self, where):
+        names = tuple(f"w{i}" for i in range(1000))
+        wallet = list(range(1000))
+        at = {"first": 1, "middle": 500, "last": 999}[where]
+        wallet[at] = wallet[at - 1 if where == "first" else 3]
+        with pytest.raises(ValidationError) as excinfo:
+            _snapshot_of_table(names, wallet=wallet)
+        assert str(excinfo.value) == f"duplicate wallet {names[wallet[at]]!r} in snapshot for netuid 7"
+
     def test_snapshot_rows_name_their_wallets(self):
         snap = _snapshot_of_table(("a", "b", "c"), wallet=(2, 0))
         assert snap.wallets() == ["c", "a"]

@@ -1,6 +1,9 @@
 """Scheme sweeps, the security/penalty frontier, and temporal robustness."""
 
+import dataclasses
+import functools
 import math
+import statistics
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from yumalab.ingest import Dataset, resample
+from yumalab.ingest import Dataset, history_snapshots, resample
 from yumalab.interventions import (
     BASE_VALIDATOR_SHARE,
     TransformSpec,
@@ -34,6 +37,7 @@ from yumalab.sweep import (
     temporal_robustness,
     tradeoff_frontier,
 )
+from yumalab.synth import SynthConfig, generate
 
 UTC = timezone.utc
 T0 = datetime(2024, 1, 1, tzinfo=UTC)
@@ -411,16 +415,16 @@ def mass_columns(n):
 
 
 @st.composite
-def drawn_snapshots(draw, max_subnets=3, max_wallets=300):
-    """1 to max_subnets snapshots of 1 to max_wallets wallets each; either
-    role may be empty or hold one wallet."""
+def drawn_snapshots(draw, max_subnets=3, max_wallets=300, stakes=mass_columns):
+    """1 to max_subnets snapshots of 1 to max_wallets wallets each, with
+    stakes drawn by stakes(n); either role may be empty or hold one wallet."""
     snaps = []
     for netuid in range(draw(st.integers(1, max_subnets))):
         n = draw(st.integers(1, max_wallets))
         snaps.append(SubnetSnapshot(
             netuid=netuid, window_start=T0, window_end=T0 + timedelta(days=1),
             wallet=np.arange(n), wallet_names=tuple(f"w{i:03d}" for i in range(n)),
-            miner=draw(arrays(np.bool_, n)), stake=draw(mass_columns(n)),
+            miner=draw(arrays(np.bool_, n)), stake=draw(stakes(n)),
             reward=draw(mass_columns(n)), perf=draw(arrays(np.float64, n, elements=PERF)),
         ))
     return snaps
@@ -542,3 +546,153 @@ class TestKernelsMatchPublicFunctions:
         assert {(p.param, p.netuid, p.role): repr((p.r_sr, p.r_pr))
                 for p in result.per_point} == expected
 
+
+
+# ---------------------------------------------------------------------------
+# Known answers for the reward schemes
+# ---------------------------------------------------------------------------
+
+# Independent stakes s ~ U(0.5, 1.5) and perfs p ~ U(0, 1) with
+# stake-proportional rewards, one day of 8 subnets of 2,000 wallets (1,600
+# miners and 400 validators each); each figure is a role's median over the
+# 8 subnets. `bonus` at rate b pays X = s (1 + b p), so with
+# V = (13/12)(1 + b + b^2/3) - (1 + b/2)^2, corr(s, X) = (1 + b/2)/sqrt(12 V)
+# and corr(p, X) = b/sqrt(12 V). Within a role `split`'s base share beta is a
+# constant (0.75 for miners, 0.25 for validators), so `split` at sensitivity
+# sigma is `bonus` at b = sigma/beta. `composite` at weight w shares the
+# miner pool along w u + (1 - w) p, where u, the unit rescale of the
+# rewards, is linear in s: corr(s, X) = w/sqrt(w^2 + (1 - w)^2) and
+# corr(p, X) = (1 - w)/sqrt(w^2 + (1 - w)^2). It leaves validator rewards
+# as they are, so their stake correlation is 1 and their deltas are 0.
+#
+# Each tolerance is four standard deviations of (median - closed form) over
+# seeds 0-29. The mean deviations lie within 1.3 standard errors of zero,
+# so no scheme misses its closed form. Seed 0 reads 0.98283/0.17625 for
+# `bonus:0.2` miners and 0.70066/0.70230 for `split:0.5` validators.
+SCHEME_CORPUS = dict(stake_law="uniform", perf_law="uniform", n_subnets=8, wallets_per_subnet=2000, span_days=1)
+
+
+@functools.lru_cache(maxsize=3)
+def scheme_snapshots(seed):
+    return history_snapshots(generate(SynthConfig(**SCHEME_CORPUS, seed=seed)))
+
+
+def bonus_correlations(b):
+    v = 13 / 12 * (1 + b + b * b / 3) - (1 + b / 2) ** 2
+    return (1 + b / 2) / math.sqrt(12 * v), b / math.sqrt(12 * v)
+
+
+def composite_correlations(w):
+    return w / math.hypot(w, 1 - w), (1 - w) / math.hypot(w, 1 - w)
+
+
+# (scheme, value, role, closed-form (r_sr, r_pr), tolerances)
+SCHEME_KNOWN_ANSWERS = [
+    ("bonus", 0.2, Role.MINER, bonus_correlations(0.2), (0.0012, 0.036)),
+    ("bonus", 0.2, Role.VALIDATOR, bonus_correlations(0.2), (0.0021, 0.088)),
+    ("split", 0.5, Role.MINER, bonus_correlations(0.5 / 0.75), (0.0073, 0.029)),
+    ("split", 0.5, Role.VALIDATOR, bonus_correlations(0.5 / 0.25), (0.035, 0.039)),
+    ("composite", 0.2, Role.MINER, composite_correlations(0.2), (0.039, 0.0016)),
+    ("composite", 0.5, Role.MINER, composite_correlations(0.5), (0.018, 0.017)),
+    ("composite", 0.8, Role.MINER, composite_correlations(0.8), (0.0018, 0.035)),
+]
+
+
+def role_points(seed, scheme, value, role):
+    result = sweep_scheme(scheme_snapshots(seed), scheme, (NULL_PARAMS[scheme], value))
+    points = [p for p in result.per_point if p.param == value and p.role is role]
+    assert len(points) == 8
+    return points
+
+
+class TestSchemeKnownAnswers:
+    def test_closed_forms(self):
+        assert bonus_correlations(0.2) == pytest.approx((0.98256, 0.17865), abs=5e-6)
+        assert bonus_correlations(0.5 / 0.75) == pytest.approx((0.88707, 0.44353), abs=5e-6)
+        assert bonus_correlations(0.5 / 0.25) == pytest.approx((0.69282, 0.69282), abs=5e-6)
+        assert composite_correlations(0.2) == pytest.approx((0.24254, 0.97014), abs=5e-6)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("scheme, value, role, expected, tolerance", SCHEME_KNOWN_ANSWERS,
+                             ids=[f"{case[0]}:{case[1]}-{case[2].value}" for case in SCHEME_KNOWN_ANSWERS])
+    def test_role_medians(self, seed, scheme, value, role, expected, tolerance):
+        points = role_points(seed, scheme, value, role)
+        assert statistics.median(p.r_sr for p in points) == pytest.approx(expected[0], abs=tolerance[0])
+        assert statistics.median(p.r_pr for p in points) == pytest.approx(expected[1], abs=tolerance[1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_composite_leaves_validators_alone(self, seed):
+        result = sweep_scheme(scheme_snapshots(seed), "composite")
+        validators = [p for p in result.per_point if p.role is Role.VALIDATOR]
+        assert len(validators) == 8 * len(default_grid("composite"))
+        assert all(p.r_sr == pytest.approx(1.0, abs=1e-12) for p in validators)
+        assert {(p.d_r_sr, p.d_r_pr) for p in validators} == {(0.0, 0.0)}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_every_delta_is_zero_at_the_null_value(self, seed, scheme):
+        result = sweep_scheme(scheme_snapshots(seed), scheme)
+        null = NULL_PARAMS[scheme]
+        points = [p for p in result.per_point if p.param == null]
+        aggregates = [a for a in result.aggregates if a.param == null]
+        assert len(points) == 16 and len(aggregates) == 2
+        assert {(p.d_r_sr, p.d_r_pr) for p in points} == {(0.0, 0.0)}
+        assert {(a.n_subnets, a.mean_d_r_sr, a.median_d_r_sr, a.mean_d_r_pr, a.median_d_r_pr)
+                for a in aggregates} == {(8, 0.0, 0.0, 0.0, 0.0)}
+
+
+# ---------------------------------------------------------------------------
+# The stake unit
+# ---------------------------------------------------------------------------
+
+# A cap commutes with scaling, and the whale penalty compares the top 1%'s
+# stake before and after the transform, so the `cap` rows do not depend on
+# the unit of the stakes. Multiplying by 2^k is exact for stakes that stay
+# normal floats, so the rows are equal to the last bit. `power` and `log`
+# rows do depend on the unit, and so may every Pareto flag.
+def normal_stakes(n):
+    return arrays(np.float64, n, elements=st.one_of(st.just(0.0), st.floats(2.0 ** -900, 1e30)))
+
+
+CAP_SPEC = st.builds(lambda p: TransformSpec("cap", p),
+                     st.one_of(st.sampled_from([100.0, 88.0, 50.0, 1.0]), st.floats(0.0, 100.0, exclude_min=True)))
+UNIT_SETTINGS = settings(max_examples=60, deadline=None,
+                         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+@st.composite
+def two_day_datasets(draw, max_subnets=3, max_wallets=40):
+    """Events of 1 to max_subnets subnets on 2024-03-31 and 2024-04-01: a
+    Sunday that ends a month, then a Monday, so each frequency has two
+    windows."""
+    n_subnets, n_wallets = draw(st.integers(1, max_subnets)), draw(st.integers(1, max_wallets))
+    day, netuid, wallet = (column.ravel() for column in np.indices((2, n_subnets, n_wallets)))
+    start = int(datetime(2024, 3, 31, tzinfo=UTC).timestamp()) * 1_000_000
+    return Dataset(timestamp=start + day * 86_400_000_000, block_number=day, netuid=netuid, wallet=wallet,
+                   miner=np.ones(len(day), dtype=bool), stake=draw(normal_stakes(len(day))),
+                   reward=np.zeros(len(day)), trust=np.full(len(day), np.nan),
+                   validator_trust=np.full(len(day), np.nan),
+                   wallet_names=tuple(f"w{i:03d}" for i in range(n_wallets)))
+
+
+class TestStakeUnit:
+    @UNIT_SETTINGS
+    @given(snaps=drawn_snapshots(stakes=normal_stakes), specs=SPECS, k=st.integers(-20, 20))
+    def test_frontier_cap_rows(self, snaps, specs, k):
+        scaled = [dataclasses.replace(snap, stake=snap.stake * 2.0 ** k) for snap in snaps]
+
+        def cap_rows(snapshots):
+            try:
+                points = tradeoff_frontier(snapshots, specs)
+            except ValidationError as exc:
+                return str(exc)
+            return [(p.label, p.median_coalition_fraction, p.median_whale_penalty, p.n_subnets)
+                    for p in sorted(points, key=lambda p: p.label) if p.kind == "cap"]
+
+        assert repr(cap_rows(scaled)) == repr(cap_rows(snaps))
+
+    @UNIT_SETTINGS
+    @given(dataset=two_day_datasets(), spec=CAP_SPEC, k=st.integers(-20, 20))
+    def test_robustness_under_a_cap(self, dataset, spec, k):
+        scaled = dataclasses.replace(dataset, stake=dataset.stake * 2.0 ** k)
+        assert repr(temporal_robustness(scaled, spec)) == repr(temporal_robustness(dataset, spec))
