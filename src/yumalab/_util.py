@@ -1,4 +1,5 @@
-"""Small shared helpers: the ValidationError class, the dTAO instant,
+"""Small shared helpers: the ValidationError class, the dTAO instant, the
+vocabularies of the CLI's choices and the coalition threshold default,
 timestamp parsing, formatting, epoch microseconds, the ASCII number rule,
 the JSON kind rule and the `NAME[:ARGS]` splitter of law and transform
 specs. The module loads no NumPy, so the CLI can parse its command line
@@ -13,6 +14,16 @@ _MICROSECOND = timedelta(microseconds=1)
 
 # The dTAO upgrade instant; analyses default to data strictly before it.
 DTAO_CUTOFF = datetime(2025, 2, 13, tzinfo=timezone.utc)
+
+# Resampling frequencies, reward schemes, event file formats and synth
+# reward rules; the library modules check their arguments against these.
+FREQUENCIES = ("daily", "weekly", "monthly")
+SCHEMES = ("split", "composite", "bonus")
+EVENT_FORMATS = ("jsonl", "csv")
+REWARD_RULES = ("stake_proportional", "yuma_replay")
+
+# The share of stake that a coalition must control.
+DEFAULT_THRESHOLD = 0.51
 
 
 class ValidationError(ValueError):

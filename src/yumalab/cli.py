@@ -20,7 +20,9 @@ import sys
 from datetime import datetime
 from typing import TYPE_CHECKING, Iterator, NoReturn, Optional, Sequence
 
-from yumalab._util import DTAO_CUTOFF, ValidationError, format_timestamp, from_epoch_us, integer, json_value, number, parse_timestamp
+from yumalab._util import (DEFAULT_THRESHOLD, DTAO_CUTOFF, EVENT_FORMATS, FREQUENCIES, REWARD_RULES, SCHEMES,
+                           ValidationError, format_timestamp, from_epoch_us, integer, json_value, number,
+                           parse_timestamp)
 
 # Each handler imports the modules it runs, so a run loads only those:
 # `tempo` loads consensus alone. Parsing the command line needs only this
@@ -220,6 +222,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
     out_dir = _out_dir(args)
     dataset = _load_dataset(args)
+    cutoff = _parse_cutoff(args.cutoff)
     events_path = _out_path(out_dir, f"events.{args.format}")
     save_events(dataset, events_path)
     pairs = set(zip(dataset.wallet.tolist(), dataset.netuid.tolist()))
@@ -229,7 +232,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         "netuids": dataset.netuids(),
         "first_event": format_timestamp(from_epoch_us(dataset.timestamp[0])),
         "last_event": format_timestamp(from_epoch_us(dataset.timestamp[-1])),
-        "cutoff": format_timestamp(dataset.cutoff) if dataset.cutoff else None,
+        "cutoff": None if cutoff is None else format_timestamp(cutoff),
         "events_file": os.path.basename(events_path),
     }
     _write_json(_out_path(out_dir, "ingest_summary.json"), summary)
@@ -451,7 +454,6 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
 
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
-    from yumalab.ingest import FREQUENCIES
     from yumalab.interventions import TransformSpec
     from yumalab.metrics import _check_threshold
     from yumalab.sweep import RobustnessWindow, temporal_robustness
@@ -513,7 +515,7 @@ def _add_out_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_format_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("jsonl", "csv"), default="jsonl",
+    parser.add_argument("--format", choices=EVENT_FORMATS, default="jsonl",
                         help="format of the event file written (default jsonl)")
 
 
@@ -530,8 +532,8 @@ def _add_threshold_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threshold",
         type=number,
-        default=0.51,
-        help="coalition control threshold (default 0.51)",
+        default=DEFAULT_THRESHOLD,
+        help=f"coalition control threshold (default {DEFAULT_THRESHOLD})",
     )
 
 
@@ -572,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="concentration and correlation reports")
     _add_io_flags(p)
     _add_cutoff_flag(p)
-    p.add_argument("--freq", choices=("daily", "weekly", "monthly"), default="daily", help="snapshot frequency for the per-window variant")
+    p.add_argument("--freq", choices=FREQUENCIES, default="daily", help="snapshot frequency for the per-window variant")
     p.set_defaults(handler=_cmd_metrics)
 
     p = sub.add_parser("attack", help="51%%-coalition fractions per subnet")
@@ -589,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="reward-scheme correlation sweeps")
     _add_io_flags(p)
     _add_cutoff_flag(p)
-    p.add_argument("--scheme", choices=("split", "composite", "bonus"), required=True)
+    p.add_argument("--scheme", choices=SCHEMES, required=True)
     p.add_argument("--grid", metavar="LIST", help="comma-separated parameter grid (must include the null value)")
     p.set_defaults(handler=_cmd_sweep)
 
@@ -605,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cutoff_flag(p)
     _add_threshold_flag(p)
     p.add_argument("--transform", metavar="KIND[:PARAM]", default="cap:88", help="transform (default: cap:88, the 88th-percentile cap)")
-    p.add_argument("--freq", choices=("daily", "weekly", "monthly"), help="restrict to one frequency (default: all three)")
+    p.add_argument("--freq", choices=FREQUENCIES, help="restrict to one frequency (default: all three)")
     p.set_defaults(handler=_cmd_robustness)
 
     p = sub.add_parser("synth", help="generate a synthetic event dataset")
@@ -622,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     config_flag("--perf-law")
     config_flag("--coupling", type=number, dest="stake_perf_coupling", metavar="COUPLING",
                 help="stake-perf rank coupling in [-1, 1]")
-    config_flag("--reward-rule", choices=("stake_proportional", "yuma_replay"))
+    config_flag("--reward-rule", choices=REWARD_RULES)
     config_flag("--days", type=integer, dest="span_days", metavar="DAYS", help="span in days (daily events)")
     config_flag("--start", help="first event timestamp")
     p.set_defaults(handler=_cmd_synth)

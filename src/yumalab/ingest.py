@@ -24,7 +24,8 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Optional, Se
 
 import numpy as np
 
-from yumalab._util import DTAO_CUTOFF, EPOCH, format_timestamp, from_epoch_us, is_ascii_decimal, json_value, parse_timestamp, to_epoch_us
+from yumalab._util import (DTAO_CUTOFF, EPOCH, EVENT_FORMATS, FREQUENCIES, format_timestamp, from_epoch_us,
+                           is_ascii_decimal, json_value, parse_timestamp, to_epoch_us)
 from yumalab.model import (
     _ROLES,
     Role,
@@ -36,6 +37,7 @@ from yumalab.model import (
     _check_codes,
     _freeze,
     _reject,
+    _require_utc,
     _set_columns,
 )
 
@@ -67,8 +69,6 @@ EVENT_COLUMNS = (
     "trust",
     "validator_trust",
 )
-
-FREQUENCIES = ("daily", "weekly", "monthly")
 
 # Row columns of a Dataset and their dtypes, in EVENT_COLUMNS order; the
 # `miner` column stands for `role`.
@@ -127,8 +127,7 @@ class Dataset:
     (UTC). `wallet` holds int64 codes into `wallet_names`, a WalletNames
     in strictly increasing order, so code order is name order. `miner` is
     True where the role is miner. An absent score is NaN. Construction
-    makes the column arrays read-only. `cutoff` records the exclusion
-    bound applied to the data; None means no cutoff has been applied yet.
+    makes the column arrays read-only.
     """
 
     timestamp: np.ndarray
@@ -141,7 +140,6 @@ class Dataset:
     trust: np.ndarray
     validator_trust: np.ndarray
     wallet_names: WalletNames
-    cutoff: Optional[datetime] = None
 
     def __post_init__(self) -> None:
         _set_columns(self, _COLUMN_TYPES)
@@ -161,20 +159,10 @@ class Dataset:
             same_ts & same_netuid & (wallet[1:] == wallet[:-1]),
             lambda i: f"duplicate events for (timestamp, netuid, wallet) {self._key(i)}",
         )
-        if self.cutoff is not None:
-            if self.cutoff.tzinfo is None:
-                raise ValidationError("cutoff must be timezone-aware")
-            cutoff = self.cutoff.astimezone(timezone.utc)
-            object.__setattr__(self, "cutoff", cutoff)
-            _reject(
-                ts >= to_epoch_us(cutoff),
-                lambda i: f"event at {format_timestamp(from_epoch_us(ts[i]))} is not before "
-                f"the cutoff {format_timestamp(cutoff)}",
-            )
         _check_role_consistency(self)
 
     @classmethod
-    def from_events(cls, events: Iterable[SnapshotEvent], cutoff: Optional[datetime] = None) -> "Dataset":
+    def from_events(cls, events: Iterable[SnapshotEvent]) -> "Dataset":
         """Sort events into canonical order and validate."""
         events = list(events)
         if not all(isinstance(event, SnapshotEvent) for event in events):
@@ -202,12 +190,12 @@ class Dataset:
             }
         except OverflowError:
             raise ValidationError("block_number and netuid must fit in int64") from None
-        return _sorted_dataset(columns, names, cutoff)
+        return _sorted_dataset(columns, names)
 
     @classmethod
     def concat(cls, datasets: Sequence["Dataset"], cutoff: Optional[datetime] = None) -> "Dataset":
         """Merge one or more datasets into one, keeping only rows strictly
-        before `cutoff` when it is given.
+        before `cutoff`, a timezone-aware datetime, when it is given.
 
         The wallet tables are merged and the rows sorted again, so rows
         from different datasets may interleave; a key present in two of
@@ -227,12 +215,9 @@ class Dataset:
             for dataset in datasets
         ])
         if cutoff is not None:
-            if cutoff.tzinfo is None:
-                raise ValidationError("cutoff must be timezone-aware")
-            cutoff = cutoff.astimezone(timezone.utc)
-            keep = columns["timestamp"] < to_epoch_us(cutoff)
+            keep = columns["timestamp"] < to_epoch_us(_require_utc("cutoff", cutoff))
             columns = {name: column[keep] for name, column in columns.items()}
-        return _sorted_dataset(columns, names, cutoff)
+        return _sorted_dataset(columns, names)
 
     def __len__(self) -> int:
         return len(self.timestamp)
@@ -317,8 +302,7 @@ def _check_role_consistency(dataset: Dataset) -> None:
         )
 
 
-def _sorted_dataset(columns: dict[str, np.ndarray], wallet_names: Sequence[str],
-                    cutoff: Optional[datetime] = None) -> Dataset:
+def _sorted_dataset(columns: dict[str, np.ndarray], wallet_names: Sequence[str]) -> Dataset:
     """A validated Dataset of `columns` in canonical row order.
 
     Empties `columns`: each unsorted column is released once its sorted
@@ -328,7 +312,6 @@ def _sorted_dataset(columns: dict[str, np.ndarray], wallet_names: Sequence[str],
     return Dataset(
         **{name: _freeze(columns.pop(name)[order]) for name in _COLUMN_TYPES},
         wallet_names=wallet_names,
-        cutoff=cutoff,
     )
 
 
@@ -390,8 +373,8 @@ def _read_jsonl(text: Iterable[str], table: "_Table") -> None:
         add_trust(get("trust"))
         add_vtrust(get("validator_trust"))
         add_line(number)
-        if len(lines) == _CHUNK_ROWS and not table.flush():
-            return
+        if len(lines) == _CHUNK_ROWS:
+            table.flush()
 
 
 def _read_csv(text: Iterable[str], table: "_Table") -> None:
@@ -422,15 +405,12 @@ def _read_csv(text: Iterable[str], table: "_Table") -> None:
                 add_trust(trust)
                 add_vtrust(vtrust)
                 add_line(line)
-                if len(lines) == _CHUNK_ROWS and not table.flush():
-                    return
+                if len(lines) == _CHUNK_ROWS:
+                    table.flush()
             line = reader.line_num + 1
     except csv.Error as exc:
         # Such as a field longer than csv.field_size_limit().
         raise ParseError(line, f"invalid CSV: {exc}") from None
-
-
-_READERS = {"jsonl": _read_jsonl, "csv": _read_csv}
 
 
 class _Table:
@@ -439,15 +419,14 @@ class _Table:
 
     A reader appends each row's cells and its line to `cells`, and calls
     `flush` after each chunk. `columns` collects the converted chunks under
-    the Dataset's column names. `fault`, set only by `flush`, is the
-    ParseError of the first faulty line, and no chunk after its own is read.
+    the Dataset's column names. `flush` raises the ParseError of the first
+    faulty line, so no chunk after its own is read.
     """
 
     def __init__(self, json: bool):
         self.json = json
         self.cells = {name: [] for name in (*EVENT_COLUMNS, "line")}
         self.columns = {name: [] for name in _COLUMN_TYPES}
-        self.fault = None
         # Each distinct timestamp and role is converted once, and wallets
         # are coded in order of first appearance.
         self.times = _Memo(lambda raw: to_epoch_us(parse_timestamp(raw)))
@@ -460,28 +439,28 @@ class _Table:
         before the one it names is reported in its place."""
         try:
             reader(text, self)
-        except ParseError as error:
+        except ParseError:
             self.flush()
-            raise (self.fault or error) from None
-        if not self.flush():
-            raise self.fault
+            raise
+        self.flush()
         arrays = {name: np.concatenate(self.columns.pop(name)) for name in _COLUMN_TYPES}
         names = sorted(self.codes)
         # The inverse of that order takes each code to its name's rank.
         arrays["wallet"] = np.argsort([self.codes[name] for name in names])[arrays["wallet"]]
         return _sorted_dataset(arrays, names)
 
-    def flush(self) -> bool:
-        """Convert the pending rows and check their value rules; False once
-        a fault is found."""
-        cells, lines = self.cells, self.cells["line"]
-        arrays = {}
+    def flush(self) -> None:
+        """Convert the pending rows and check their value rules, then clear
+        them; raises the ParseError of the first faulty line among them."""
+        # A copy of the lines, which outlives the pending cells.
+        cells, lines = self.cells, self.cells["line"][:]
+        arrays, faults = {}, []
         for name, column in zip(EVENT_COLUMNS, _COLUMN_TYPES):
             try:
                 arrays[column] = self._array(name, cells[name])
             except (TypeError, ValueError, OverflowError, AttributeError):
                 row, message = self._first_bad(name, cells)
-                self.fault = ParseError(lines[row], message)
+                faults.append((row, message))
                 cells = {key: values[:row] for key, values in cells.items()}
                 arrays = {key: array[:row] for key, array in arrays.items()}
                 arrays[column] = self._array(name, cells[name])
@@ -491,10 +470,9 @@ class _Table:
             if np.count_nonzero(held[name]) != len(values) - values.count(None) - values.count(""):
                 # The file holds a NaN as a score.
                 held[name] = np.array([value is not None and value != "" for value in values], dtype=bool)
+
         # Each rule gives the first kept row that breaks it, all before a
         # faulty cell's row.
-        faults = []
-
         def keep(bad: np.ndarray, message: Callable[[int], str]) -> None:
             if bad.any():
                 row = int(np.argmax(bad))
@@ -502,14 +480,13 @@ class _Table:
 
         _check_amounts(arrays["stake"], arrays["reward"], keep)
         _check_rows(arrays, cells["wallet"].__getitem__, keep, held)
-        if faults:
-            row, message = min(faults, key=lambda fault: fault[0])
-            self.fault = ParseError(lines[row], message)
-        for name, array in arrays.items():
-            self.columns[name].append(array)
         for pending in self.cells.values():
             del pending[:]
-        return self.fault is None
+        if faults:
+            row, message = min(faults, key=lambda fault: fault[0])
+            raise ParseError(lines[row], message)
+        for name, array in arrays.items():
+            self.columns[name].append(array)
 
     def _array(self, name: str, values: Sequence) -> np.ndarray:
         """One column of a chunk as an array; raises for a faulty cell."""
@@ -573,9 +550,9 @@ def parse_events(source: BinaryIO, format: str = "jsonl") -> Dataset:
     appears under both roles and ValidationError when a (timestamp,
     netuid, wallet) key appears twice.
     """
-    if format not in _READERS:
-        raise ValidationError(f"unknown format {format!r} (expected jsonl or csv)")
-    return _Table(json=format == "jsonl").read(_READERS[format], _lines(source))
+    _check_format(format)
+    table = _Table(json=format == "jsonl")
+    return table.read(_read_jsonl if table.json else _read_csv, _lines(source))
 
 
 def _lines(source: BinaryIO) -> Iterator[str]:
@@ -608,6 +585,11 @@ def _lines(source: BinaryIO) -> Iterator[str]:
         number += len(lines)
         if not block:
             return
+
+
+def _check_format(format: str) -> None:
+    if format not in EVENT_FORMATS:
+        raise ValidationError(f"unknown format {format!r} (expected {' or '.join(EVENT_FORMATS)})")
 
 
 def _path_format(path) -> str:
@@ -671,8 +653,7 @@ def write_events(dataset: Dataset, sink: BinaryIO, format: str = "jsonl") -> Non
     Floats are written with full round-trip precision (repr), so a
     write/parse cycle reproduces the exact same values.
     """
-    if format not in _READERS:
-        raise ValidationError(f"unknown format {format!r} (expected jsonl or csv)")
+    _check_format(format)
     if format == "jsonl":
         templates, quote = _JSONL_LINES, json.dumps
     else:

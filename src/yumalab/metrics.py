@@ -20,6 +20,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from yumalab._util import DEFAULT_THRESHOLD
 from yumalab.model import Role, SubnetSnapshot, ValidationError, _require_array, _require_upto, _require_vector
 
 __all__ = [
@@ -204,7 +205,7 @@ def top_share(values, fraction: float = 0.01) -> float:
     return float(_top_rows(x, math.ceil(fraction * x.shape[1]))[0] / total[0])
 
 
-def coalition_fraction(stakes, threshold: float = 0.51) -> float:
+def coalition_fraction(stakes, threshold: float = DEFAULT_THRESHOLD) -> float:
     """Fraction of wallets needed to control `threshold` of total stake.
 
     Sorts stakes descending and returns m/n for the smallest m whose

@@ -167,7 +167,10 @@ def _require_vector(name: str, values, high: Optional[float] = None, nonempty: b
 def _require_utc(name: str, value: datetime) -> datetime:
     if not isinstance(value, datetime) or value.tzinfo is None:
         raise ValidationError(f"{name} must be a timezone-aware datetime")
-    return value.astimezone(timezone.utc)
+    try:
+        return value.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValidationError(f"{name} is out of range in UTC") from None
 
 
 class WalletNames(tuple):

@@ -17,7 +17,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from yumalab.ingest import FREQUENCIES, Dataset, _window_table
+from yumalab._util import DEFAULT_THRESHOLD, FREQUENCIES, SCHEMES
+from yumalab.ingest import Dataset, _window_table
 from yumalab.interventions import (
     TransformSpec,
     _bonus,
@@ -56,8 +57,6 @@ __all__ = [
     "tradeoff_frontier",
     "temporal_robustness",
 ]
-
-SCHEMES = ("split", "composite", "bonus")
 
 # Parameter value at which each scheme is the identity (baseline) case.
 NULL_PARAMS = {"split": 0.0, "composite": 1.0, "bonus": 0.0}
@@ -342,7 +341,7 @@ def _sorted_transform(
 def tradeoff_frontier(
     snapshots: Sequence[SubnetSnapshot],
     interventions: Sequence[TransformSpec],
-    threshold: float = 0.51,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> tuple[FrontierPoint, ...]:
     """Median security vs whale-penalty for each transform.
 
@@ -402,7 +401,7 @@ def temporal_robustness(
     dataset: Dataset,
     spec: TransformSpec,
     freqs: Sequence[str] = FREQUENCIES,
-    threshold: float = 0.51,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> tuple[RobustnessSeries, ...]:
     """Coalition-fraction time series for a transform at each frequency.
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from yumalab._util import name_args, parse_timestamp, to_epoch_us
+from yumalab._util import REWARD_RULES, name_args, parse_timestamp, to_epoch_us
 from yumalab.ingest import _DAY_US, Dataset, _sorted_dataset
 from yumalab.model import EmissionParams, ValidationError, WeightMatrix, _freeze, _require_id, _require_int, _require_real
 
@@ -23,7 +23,6 @@ __all__ = ["SynthConfig", "generate"]
 
 STAKE_LAWS = ("pareto", "lognormal", "uniform")
 PERF_LAWS = ("beta", "uniform")
-REWARD_RULES = ("stake_proportional", "yuma_replay")
 
 # Blocks per day on Bittensor (12-second blocks).
 BLOCKS_PER_DAY = 7200

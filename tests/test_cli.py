@@ -202,12 +202,14 @@ class TestIngest:
         assert summary["first_event"] == "2024-01-01T00:00:00Z"
         assert (tmp_path / "events.jsonl").exists()
 
-    def test_cutoff_filters_events(self, tmp_path, fixture_path):
-        assert run_cli("ingest", "--input", fixture_path, "--out", str(tmp_path),
-                       "--cutoff", "2024-01-03T00:00:00Z") == 0
+    # An offset names the same instant, which the summary writes in UTC.
+    @pytest.mark.parametrize("cutoff", ["2024-01-03T00:00:00Z", "2024-01-03T02:00:00+02:00"])
+    def test_cutoff_filters_events(self, tmp_path, fixture_path, cutoff):
+        assert run_cli("ingest", "--input", fixture_path, "--out", str(tmp_path), "--cutoff", cutoff) == 0
         with open(tmp_path / "ingest_summary.json") as handle:
             summary = json.load(handle)
         assert summary["events"] == 2 * 3 * 40  # two days survive
+        assert summary["cutoff"] == "2024-01-03T00:00:00Z"
 
     @pytest.mark.parametrize("text", ["none", "NONE", " None "])
     def test_none_turns_the_cutoff_off(self, tmp_path, text):

@@ -303,7 +303,8 @@ class TestDataset:
         second = Dataset.from_events([event(day=1, wallet="a"), event(day=3, wallet="c")])
         merged = Dataset.concat([first, second], cutoff=ts(10))
         assert [(e.timestamp.day, e.wallet) for e in merged.events] == [(1, "a"), (2, "b"), (3, "c")]
-        assert merged.cutoff == ts(10)
+        # The cutoff is applied, not stored: a Dataset is its columns and names.
+        assert list(vars(merged)) == [*ingest._COLUMN_TYPES, "wallet_names"]
 
     def test_concat_needs_a_dataset(self):
         with pytest.raises(ValidationError, match="^at least one dataset is required$"):
@@ -327,6 +328,25 @@ class TestCutoff:
         ]
         ds = apply_cutoff(Dataset.from_events(events))
         assert [e.wallet for e in ds.events] == ["before"]
+
+    @pytest.mark.parametrize("cutoff, message", [
+        ("2024-01-01", "cutoff must be a timezone-aware datetime"),
+        (datetime(2024, 1, 1), "cutoff must be a timezone-aware datetime"),
+        (1_704_067_200, "cutoff must be a timezone-aware datetime"),
+        (datetime.min.replace(tzinfo=timezone(timedelta(hours=1))), "cutoff is out of range in UTC"),
+    ], ids=["text", "naive", "number", "before-year-1-in-utc"])
+    def test_cutoff_must_be_an_aware_datetime(self, cutoff, message):
+        ds = Dataset.from_events([event()])
+        message = f"^{message}$"
+        with pytest.raises(ValidationError, match=message):
+            Dataset.concat([ds], cutoff=cutoff)
+        with pytest.raises(ValidationError, match=message):
+            apply_cutoff(ds, cutoff)
+
+    def test_cutoff_with_an_offset_is_its_instant(self):
+        ds = Dataset.from_events([event(day=1, hour=23, wallet="a"), event(day=2, wallet="b")])
+        kept = apply_cutoff(ds, datetime(2024, 1, 2, 1, tzinfo=timezone(timedelta(hours=1))))
+        assert [e.wallet for e in kept.events] == ["a"]
 
     def test_default_cutoff_constant(self):
         assert DTAO_CUTOFF == datetime(2025, 2, 13, tzinfo=UTC)

@@ -23,6 +23,7 @@ from yumalab.interventions import (
 )
 from yumalab.metrics import coalition_fraction, gini
 from yumalab.model import ValidationError
+from yumalab.sweep import DEFAULT_CAP_PERCENTILES
 
 
 class TestTransformSpec:
@@ -264,6 +265,33 @@ LOG_FRACTION = 0.4209401
 LOG_PENALTY = 1.0 - (log_integral(1.5) - log_integral(1.49)) / ((1.5 ** 2 - 1.49 ** 2) / 2)
 
 
+def cap_on_uniform(percentile: float) -> tuple[float, float]:
+    """The coalition fraction and whale penalty of `cap:percentile` on
+    uniform [0.5, 1.5] stakes. The cap is c = 0.5 + q and the top 1 - q of
+    the wallets hold c each, where q = percentile / 100, so a wallet holds
+    T = (c^2 - 0.25) / 2 + (1 - q) c on average. If the capped wallets alone
+    reach 0.51 T the fraction is 0.51 T / c; otherwise the uncapped wallets
+    just below c make up the rest, as for `cap:88` above. The top 1%, on
+    [1.49, 1.5], average 1.495 and are cut to c."""
+    q = percentile / 100
+    c = 0.5 + q
+    need, capped = 0.51 * ((c * c - 0.25) / 2 + (1 - q) * c), (1 - q) * c
+    fraction = need / c if capped >= need else 1 - q + c - math.sqrt(c * c - 2 * (need - capped))
+    return fraction, (1.495 - c) / 1.495
+
+
+# Tolerances of each rung of the default `cap` ladder (fraction, penalty):
+# four standard deviations over seeds 0-29, where every mean deviation lies
+# within 1.6 standard errors of zero. `cap:88`'s fraction keeps the 0.00072
+# it had before the ladder was pinned (four standard deviations: 0.000715).
+CAP_TOLERANCES = {
+    50: (0.00060, 0.0034), 55: (0.00054, 0.0032), 60: (0.00062, 0.0035), 65: (0.00068, 0.0033),
+    70: (0.00066, 0.0029), 75: (0.00073, 0.0025), 80: (0.00072, 0.0021), 85: (0.00072, 0.0020),
+    88: (0.00072, 0.0017), 90: (0.00072, 0.0017), 95: (0.00073, 0.0011), 96: (0.00073, 0.0011),
+    97: (0.00073, 0.00088), 98: (0.00073, 0.00057), 99: (0.00073, 0.00036),
+}
+
+
 class TestSecurityKnownAnswers:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_power_on_pareto(self, seed):
@@ -272,11 +300,15 @@ class TestSecurityKnownAnswers:
         assert coalition_fraction(powered) == pytest.approx(0.51 ** 1.2, abs=0.00076)
         assert gini(powered) == pytest.approx(1 / 11, abs=0.0011)
 
+    @pytest.mark.parametrize("percentile", DEFAULT_CAP_PERCENTILES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_cap_on_uniform(self, seed):
+    def test_cap_on_uniform(self, seed, percentile):
         stakes = np.random.default_rng(seed).uniform(0.5, 1.5, SECURITY_DRAWS)
-        capped = apply_stake_transform(stakes, TransformSpec("cap", 88.0))
-        assert coalition_fraction(capped) == pytest.approx(0.12 + 1.38 - math.sqrt(1.22294), abs=0.00072)
+        capped = apply_stake_transform(stakes, TransformSpec("cap", float(percentile)))
+        fraction, penalty = cap_on_uniform(percentile)
+        fraction_tolerance, penalty_tolerance = CAP_TOLERANCES[percentile]
+        assert coalition_fraction(capped) == pytest.approx(fraction, abs=fraction_tolerance)
+        assert whale_penalty(stakes, capped) == pytest.approx(penalty, abs=penalty_tolerance)
 
     def test_closed_form_roots(self):
         fraction_mass = 0.12 * PARETO_CAP + 1.5 * (PARETO_CAP_FRACTION ** (2 / 3) - 0.12 ** (2 / 3))
