@@ -326,6 +326,12 @@ def _sorted_dataset(columns: dict[str, np.ndarray], wallet_names: Sequence[str])
 # before it, so the ParseError names the first faulty line in file order and
 # the read ends with that chunk. The Dataset built from a clean file can then
 # fail only on a duplicate key or a role conflict.
+#
+# orjson decodes a JSONL line, and json.loads each line that orjson rejects
+# or that may nest. orjson reads a line as json does, except an integer
+# beyond 64 bits, which it reads as the float nearest to it: the columns are
+# the same, but a message could name the float. So a chunk with a fault is
+# decoded again by json before its fault is named.
 # ---------------------------------------------------------------------------
 
 
@@ -335,33 +341,27 @@ _SCORES = ("trust", "validator_trust")
 
 
 def _read_jsonl(text: Iterable[str], table: "_Table") -> None:
+    # orjson loads zoneinfo, a few milliseconds that only a JSONL read pays.
+    import orjson
+
     add_ts, add_block, add_netuid, add_wallet, add_role, add_stake, add_reward, add_trust, add_vtrust, add_line = (
         column.append for column in table.cells.values()
     )
-    lines = table.cells["line"]
-    # The scanner that json.loads runs, without its two whitespace passes.
-    scan = json.decoder.JSONDecoder().scan_once
+    add_text, loads, lines = table.texts.append, orjson.loads, table.cells["line"]
     for number, line in enumerate(text, start=1):
         if line.isspace():
             continue
-        try:
-            record, end = scan(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end < 0 or line[end:] != "\n" and line[end:].strip(" \t\r\n"):
-            # Not one value up to JSON whitespace: padding such as a form
-            # feed, which JSON rejects and strip() removes, or a malformed
-            # line, which json.loads names.
+        record = None
+        # A line that may nest, one with a "[" or a "{" after its first
+        # character, goes to json, which stops at the recursion limit where
+        # orjson has no depth limit.
+        if "[" not in line and "{" not in line[1:]:
             try:
-                record = json.loads(line.strip())
-            except json.JSONDecodeError as exc:
-                raise ParseError(number, f"invalid JSON: {exc.msg}") from None
-            except (ValueError, RecursionError) as exc:
-                # An integer with more digits than int() converts, or
-                # nesting deeper than the recursion limit.
-                raise ParseError(number, f"invalid JSON: {exc}") from None
+                record = loads(line)
+            except orjson.JSONDecodeError:
+                pass
         if type(record) is not dict:
-            raise ParseError(number, "expected a JSON object")
+            record = _json_object(line, number)
         get = record.get
         add_ts(get("timestamp"))
         add_block(get("block_number"))
@@ -373,8 +373,43 @@ def _read_jsonl(text: Iterable[str], table: "_Table") -> None:
         add_trust(get("trust"))
         add_vtrust(get("validator_trust"))
         add_line(number)
+        add_text(line)
         if len(lines) == _CHUNK_ROWS:
             table.flush()
+
+
+def _json_object(line: str, number: int) -> dict:
+    """The JSON object on `line`, as json.loads reads it without the line's
+    leading and trailing whitespace; raises the line's ParseError when it
+    holds no object. strip() also removes padding that JSON rejects, such
+    as a form feed."""
+    try:
+        record = json.loads(line.strip())
+    except json.JSONDecodeError as exc:
+        raise ParseError(number, f"invalid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # An integer with more digits than int() converts, or nesting
+        # deeper than the recursion limit.
+        raise ParseError(number, f"invalid JSON: {exc}") from None
+    if type(record) is not dict:
+        raise ParseError(number, "expected a JSON object")
+    return record
+
+
+def _json_cells(lines: Sequence[int], texts: Sequence[str]) -> tuple[dict[str, list], Optional[ParseError]]:
+    """The cells of the JSONL lines `texts`, numbered `lines`, as json reads
+    them up to the first line that holds no JSON object, and that line's
+    ParseError, or None."""
+    cells = {name: [] for name in (*EVENT_COLUMNS, "line")}
+    for number, line in zip(lines, texts):
+        try:
+            record = _json_object(line, number)
+        except ParseError as exc:
+            return cells, exc
+        for name in EVENT_COLUMNS:
+            cells[name].append(record.get(name))
+        cells["line"].append(number)
+    return cells, None
 
 
 def _read_csv(text: Iterable[str], table: "_Table") -> None:
@@ -417,15 +452,17 @@ class _Table:
     """The columns of one event file, converted and checked a chunk of rows
     at a time.
 
-    A reader appends each row's cells and its line to `cells`, and calls
-    `flush` after each chunk. `columns` collects the converted chunks under
-    the Dataset's column names. `flush` raises the ParseError of the first
-    faulty line, so no chunk after its own is read.
+    A reader appends each row's cells and its line to `cells`, and the
+    JSONL reader each row's text to `texts`; it calls `flush` after each
+    chunk. `columns` collects the converted chunks under the Dataset's
+    column names. `flush` raises the ParseError of the first faulty line,
+    so no chunk after its own is read.
     """
 
     def __init__(self, json: bool):
         self.json = json
         self.cells = {name: [] for name in (*EVENT_COLUMNS, "line")}
+        self.texts = []
         self.columns = {name: [] for name in _COLUMN_TYPES}
         # Each distinct timestamp and role is converted once, and wallets
         # are coded in order of first appearance.
@@ -452,8 +489,25 @@ class _Table:
     def flush(self) -> None:
         """Convert the pending rows and check their value rules, then clear
         them; raises the ParseError of the first faulty line among them."""
-        # A copy of the lines, which outlives the pending cells.
-        cells, lines = self.cells, self.cells["line"][:]
+        # Copies, which outlive the pending cells.
+        lines, texts = self.cells["line"][:], self.texts[:]
+        arrays, fault = self._convert(self.cells)
+        for pending in (*self.cells.values(), self.texts):
+            del pending[:]
+        if fault is not None and texts:
+            # The fault is named from json's cells (see Parsing above).
+            cells, stop = _json_cells(lines, texts)
+            arrays, fault = self._convert(cells)
+            fault = fault or stop
+        if fault is not None:
+            raise fault
+        for name, array in arrays.items():
+            self.columns[name].append(array)
+
+    def _convert(self, cells: Mapping[str, list]) -> tuple[dict[str, np.ndarray], Optional[ParseError]]:
+        """The columns of the rows in `cells` with the ParseError of the
+        first faulty line among them, or None."""
+        lines = cells["line"]
         arrays, faults = {}, []
         for name, column in zip(EVENT_COLUMNS, _COLUMN_TYPES):
             try:
@@ -480,13 +534,10 @@ class _Table:
 
         _check_amounts(arrays["stake"], arrays["reward"], keep)
         _check_rows(arrays, cells["wallet"].__getitem__, keep, held)
-        for pending in self.cells.values():
-            del pending[:]
-        if faults:
-            row, message = min(faults, key=lambda fault: fault[0])
-            raise ParseError(lines[row], message)
-        for name, array in arrays.items():
-            self.columns[name].append(array)
+        if not faults:
+            return arrays, None
+        row, message = min(faults, key=lambda fault: fault[0])
+        return arrays, ParseError(lines[row], message)
 
     def _array(self, name: str, values: Sequence) -> np.ndarray:
         """One column of a chunk as an array; raises for a faulty cell."""
@@ -515,7 +566,10 @@ class _Table:
             raise ValueError(f"a {name} is not ASCII decimal")
         if name in _SCORES:
             values = [value or "nan" for value in values]
-        return np.fromiter(map(int if name in _INTEGERS else float, values), dtype, count)
+        if name in _INTEGERS:
+            return np.fromiter(map(int, values), dtype, count)
+        # NumPy converts each str with float().
+        return np.array(values, dtype)
 
     def _first_bad(self, name: str, cells: Mapping[str, Sequence]) -> tuple[int, str]:
         """The first faulty row of column `name` of a chunk, with its

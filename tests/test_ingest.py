@@ -6,10 +6,13 @@ import itertools
 import json
 import math
 import os
+import struct
 import tempfile
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -528,16 +531,30 @@ def event_records(draw, min_size=1, max_size=30):
     return records
 
 
-class _Deep(str):
-    """A JSON array nested deeper than json.loads decodes, with a short
-    repr. JSONL lines hold it as raw JSON, CSV rows as text."""
+class Raw(str):
+    """JSON text, with a short repr. JSONL lines hold it as it is, CSV rows
+    as a cell."""
+
+    def __new__(cls, text, name):
+        raw = super().__new__(cls, text)
+        raw.name = name
+        return raw
 
     def __repr__(self):
-        return "DEEP"
+        return self.name
 
 
-DEEP = _Deep("[" * 100_000 + "]" * 100_000)
-DEEP_JSON = json.dumps(DEEP)
+# A JSON array nested deeper than json.loads decodes.
+DEEP = Raw("[" * 100_000 + "]" * 100_000, "DEEP")
+
+
+def jsonl_line(record):
+    """The record as one JSON object, its Raw values as they are."""
+    line = json.dumps({k: v for k, v in record.items() if v is not None})
+    for value in record.values():
+        if isinstance(value, Raw):
+            line = line.replace(json.dumps(value), value)
+    return line
 
 
 def event_file(records, format, bom=False, pads=None):
@@ -546,9 +563,7 @@ def event_file(records, format, bom=False, pads=None):
     if format == "jsonl":
         pads = pads or [("", "")] * len(records)
         text = "".join(
-            before + json.dumps({k: v for k, v in record.items() if v is not None}).replace(
-                DEEP_JSON, DEEP) + after + "\n"
-            for record, (before, after) in zip(records, pads)
+            before + jsonl_line(record) + after + "\n" for record, (before, after) in zip(records, pads)
         )
     else:
         buffer = io.StringIO()
@@ -706,6 +721,22 @@ CORRUPTIONS = (
     {"stake": 10**400},
     {"trust": 10**400},
     {"stake": DEEP},
+    # Integers beyond 64 bits, which orjson reads as floats, and at 2**63.
+    {"timestamp": 2**63},
+    {"block_number": 2**63},
+    {"block_number": -2**63 - 1},
+    {"netuid": 2**64},
+    {"netuid": -2**63 - 1},
+    {"role": -2**63 - 1},
+    {"stake": -2**63 - 1},
+    {"reward": -2**63 - 1},
+    {"trust": 2**64},
+    {"validator_trust": 2**63},
+    # Values that json reads and orjson rejects.
+    {"reward": math.nan},
+    {"validator_trust": -math.inf},
+    {"stake": Raw("1e400", "1e400")},
+    {"role": Raw('"\\ud800"', "lone-surrogate")},
     # Numbers that int() and float() read but a CSV cell may not hold:
     # Unicode digits and PEP 515 underscores.
     {"block_number": "\u0661\u0662"},
@@ -856,10 +887,16 @@ def parse_outcome(parse, data):
         return exc.line, str(exc)
 
 
+def nested_under_unknown_key(record, depth):
+    """The record as a JSON object that also holds an array nested `depth`
+    deep under a key the reader does not read."""
+    return '{"x": ' + "[" * depth + "]" * depth + ", " + json.dumps(record)[1:]
+
+
 class TestLinesTheScannerDoesNotTakeWhole:
-    """The reader scans each line with the decoder's scanner, and hands a
-    line that is not one JSON value up to JSON whitespace to json.loads.
-    Either way a line gives the per-line oracle's record or error."""
+    """The reader decodes each line with orjson, and hands a line that
+    orjson rejects or that may nest to json.loads. Either way a line gives
+    the per-line oracle's record or error."""
 
     RECORD = TestColumnarReaderAloneReadsValidFiles.RECORD
 
@@ -873,13 +910,107 @@ class TestLinesTheScannerDoesNotTakeWhole:
         json.dumps(RECORD) + "{}",
         DEEP,
         '{"block_number": ' + "1" * 5000 + "}",
+        nested_under_unknown_key(RECORD, 900),
+        nested_under_unknown_key(RECORD, 1_100),
+        nested_under_unknown_key(RECORD, 100_000),
+        '{"stake": -1.0, ' + json.dumps(RECORD)[1:],
+        json.dumps(RECORD)[:-1] + ', "stake": -1.0}',
+        json.dumps(RECORD | {"stake": 2**64, "reward": 10**308}),
+        json.dumps(RECORD | {"block_number": 2**63 - 1, "netuid": 2**63}),
+        json.dumps(RECORD | {"block_number": 2**64}),
+        # A CSV cell of digits is a valid wallet name.
+        json.dumps(RECORD | {"wallet": 2**64}),
+        json.dumps(RECORD | {"x": 2**64, "y": -2**63 - 1}),
     ], ids=["leading-space", "form-feed-padding", "trailing-padding", "trailing-json-whitespace",
-            "mid-file-bom", "text-after-value", "two-values", "deep-nesting", "5000-digit-integer"])
+            "mid-file-bom", "text-after-value", "two-values", "deep-nesting", "5000-digit-integer",
+            "nested-900-deep", "nested-1100-deep", "nested-100000-deep", "duplicate-key-last-valid",
+            "duplicate-key-last-negative", "amounts-beyond-64-bits", "integers-at-the-int64-edge",
+            "block-number-2**64", "wallet-2**64", "unknown-keys-beyond-64-bits"])
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r", ""], ids=["lf", "crlf", "cr", "eof"])
     def test_gives_the_oracle_outcome(self, line, ending):
         data = (json.dumps(self.RECORD | {"wallet": "v"}) + "\n" + line + ending).encode()
         expected = parse_outcome(lambda data: oracle_parse(data, "jsonl"), data)
         assert parse_outcome(lambda data: parse_events(io.BytesIO(data)), data) == expected
+
+
+# Every finite float64, drawn by its bit pattern.
+FINITE_FLOATS = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]).filter(math.isfinite)
+
+
+def float_bits(values):
+    return [struct.unpack("<q", struct.pack("<d", value))[0] for value in values]
+
+
+def column_bits(dataset):
+    """Each column of `dataset` as a list of its values' bit patterns, and
+    its wallet names."""
+    return {name: column.view(np.int64 if column.dtype == np.float64 else column.dtype).tolist()
+            for name, column in vars(dataset).items() if name != "wallet_names"}, list(dataset.wallet_names)
+
+
+@st.composite
+def flat_records(draw):
+    """Valid records of one flat JSON object each: stake and reward of
+    every finite non-negative float bit pattern or integers up to 10**308,
+    and, under keys the reader does not read, every finite float and
+    integers in [-2**63, 2**64)."""
+    records = []
+    for row in range(draw(st.integers(1, 6))):
+        miner = draw(st.booleans())
+        score = draw(SCORES)
+        records.append({
+            "timestamp": "2024-01-01T00:00:00Z",
+            "block_number": draw(st.integers(0, 2**63 - 1)),
+            "netuid": draw(st.integers(0, 2**63 - 1)),
+            "wallet": f"w{row}",
+            "role": "miner" if miner else "validator",
+            "stake": draw(FINITE_FLOATS.map(abs) | st.integers(0, 10**308)),
+            "reward": draw(FINITE_FLOATS.map(abs) | st.integers(0, 10**308)),
+            "trust": score if miner else None,
+            "validator_trust": None if miner else score,
+            "float": draw(FINITE_FLOATS),
+            "integer": draw(st.integers(-2**63, 2**64 - 1)),
+        })
+    return records
+
+
+def stdlib_parse(data):
+    """parse_events on JSONL `data` with every line left to json.loads."""
+    def reject(line):
+        raise orjson.JSONDecodeError("rejected", line, 0)
+
+    with mock.patch.object(orjson, "loads", reject):
+        return parse_events(io.BytesIO(data))
+
+
+class TestJsonlDecodesAsJson:
+    """Whichever decoder reads a flat JSONL line, parse_events gives the
+    columns of a stdlib-only decode, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=flat_records())
+    @example(records=[{**TestColumnarReaderAloneReadsValidFiles.RECORD, "stake": 2**64, "reward": 10**308}])
+    @example(records=[{**TestColumnarReaderAloneReadsValidFiles.RECORD, "stake": 4.9e-324, "reward": -0.0}])
+    def test_columns_match_a_stdlib_decode(self, records):
+        data = event_file(records, "jsonl").encode()
+        assert column_bits(parse_events(io.BytesIO(data))) == column_bits(stdlib_parse(data))
+
+
+class TestCsvNumbersReadAsFloat:
+    """A CSV stake or reward cell holds the bits float() reads from it,
+    and an absent score the bits of float("nan")."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(texts=st.lists(FINITE_FLOATS.map(abs).map(repr), min_size=1, max_size=20))
+    @example(texts=["1e5", ".5", "5.", "-0.0", "1E-400", "4.9e-324"])
+    def test_cells_read_as_float(self, texts):
+        rows = "".join(f"2024-01-01T00:00:00Z,1,1,w{row:03},miner,{text},{text},,\n"
+                       for row, text in enumerate(texts))
+        dataset = parse_events(io.BytesIO((",".join(ingest.EVENT_COLUMNS) + "\n" + rows).encode()), "csv")
+        expected = float_bits(map(float, texts))
+        assert dataset.stake.view(np.int64).tolist() == dataset.reward.view(np.int64).tolist() == expected
+        assert dataset.trust.view(np.int64).tolist() == float_bits([float("nan")] * len(texts))
 
 
 class CountingSource(io.BytesIO):
