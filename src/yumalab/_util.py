@@ -7,6 +7,7 @@ with it alone."""
 
 from __future__ import annotations
 
+import re
 from datetime import datetime, timedelta, timezone
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -30,17 +31,29 @@ class ValidationError(ValueError):
     """A value violated one of the domain invariants."""
 
 
+# The grammar of datetime.fromisoformat on Python 3.10:
+# YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]][+HH:MM[:SS[.ffffff]]]], where * is any
+# one character. Later versions read more spellings, such as `20240101T00Z`
+# or a fraction of any length, which a timestamp may not hold.
+_ISO_TIMESTAMP = re.compile(
+    r"\d{4}-\d\d-\d\d(.\d\d(:\d\d(:\d\d(\.\d{3}(\d{3})?)?)?)?([+-]\d\d:\d\d(:\d\d(\.\d{6})?)?)?)?",
+    re.ASCII | re.DOTALL,
+)
+
+
 def parse_timestamp(text: str) -> datetime:
     """Parse an ISO-8601 timestamp into an aware UTC datetime.
 
-    Accepts a trailing 'Z' (which datetime.fromisoformat rejects on
-    Python 3.10) and any explicit offset; naive timestamps are taken
-    as UTC.
+    Accepts the grammar of datetime.fromisoformat on Python 3.10 (see
+    _ISO_TIMESTAMP) on every Python version, with a trailing 'Z' (which
+    3.10 rejects) for +00:00; naive timestamps are taken as UTC.
     """
     raw = text.strip()
     if raw.endswith(("Z", "z")):
         raw = raw[:-1] + "+00:00"
     try:
+        if not _ISO_TIMESTAMP.fullmatch(raw):
+            raise ValueError
         dt = datetime.fromisoformat(raw)
     except ValueError:
         raise ValueError(f"invalid timestamp {text!r}") from None

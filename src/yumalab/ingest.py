@@ -270,25 +270,25 @@ def _check_fields(dataset: Dataset) -> None:
     _check_rows(vars(dataset), lambda i: names[wallet[i]])
 
 
-def _check_rows(columns: Mapping[str, np.ndarray], wallet_of: Callable[[int], str], reject: Callable = _reject,
+def _check_rows(columns: Mapping[str, np.ndarray], wallet_of: Callable[[int], str],
                 held: Optional[Mapping[str, np.ndarray]] = None) -> None:
-    """The block, netuid and score rules of SnapshotEvent, with `reject` as
-    in _check_amounts; `wallet_of(i)` names row i's wallet. `held`
-    marks the rows that hold each score, where a NaN is a score that is not
-    finite; by default a score is held where it is not NaN."""
+    """The block, netuid and score rules of SnapshotEvent, checked on whole
+    columns; `wallet_of(i)` names row i's wallet. `held` marks the rows
+    that hold each score, where a NaN is a score that is not finite; by
+    default a score is held where it is not NaN."""
     miner = columns["miner"]
     for name in ("block_number", "netuid"):
         column = columns[name]
-        reject(column < 0, lambda i: f"{name} must be >= 0, got {column[i]}")
+        _reject(column < 0, lambda i: f"{name} must be >= 0, got {column[i]}")
     for name, holder, other in (
         ("trust", miner, "non-miner"),
         ("validator_trust", ~miner, "non-validator"),
     ):
         score = columns[name]
         scored = ~np.isnan(score) if held is None else held[name]
-        reject(scored & ~holder, lambda i: f"{name} set on {other} wallet {wallet_of(i)!r}")
-        reject(scored & ~np.isfinite(score), lambda i: f"{name} must be finite, got {score[i].item()!r}")
-        reject((score < 0.0) | (score > 1.0), lambda i: f"{name} must lie in [0, 1], got {score[i].item()}")
+        _reject(scored & ~holder, lambda i: f"{name} set on {other} wallet {wallet_of(i)!r}")
+        _reject(scored & ~np.isfinite(score), lambda i: f"{name} must be finite, got {score[i].item()!r}")
+        _reject((score < 0.0) | (score > 1.0), lambda i: f"{name} must lie in [0, 1], got {score[i].item()}")
 
 
 def _check_role_consistency(dataset: Dataset) -> None:
@@ -320,18 +320,21 @@ def _sorted_dataset(columns: dict[str, np.ndarray], wallet_names: Sequence[str])
 #
 # Each format has one reader of the lines that _lines cuts. Each chunk of
 # rows is converted one whole column at a time, and the value rules are
-# checked on the chunk's columns as soon as it is converted. Only a column or
-# a rule that fails is searched for the first row that breaks it. A faulty
-# cell cuts the chunk before its row, and the rules look only at the rows
-# before it, so the ParseError names the first faulty line in file order and
-# the read ends with that chunk. The Dataset built from a clean file can then
-# fail only on a duplicate key or a role conflict.
+# checked on the chunk's columns as soon as it is converted. Every rule holds
+# row by row, so the first faulty line of a chunk that fails is the first
+# whose prefix fails. A bisection finds it, converting only the rows between
+# the longest clean prefix and the shortest failing one, and that line alone
+# is converted again to name its fault. The ParseError thus names the first
+# faulty line in file order, and the read ends with its chunk. The Dataset
+# built from a clean file can then fail only on a duplicate key or a role
+# conflict.
 #
 # orjson decodes a JSONL line, and json.loads each line that orjson rejects
 # or that may nest. orjson reads a line as json does, except an integer
 # beyond 64 bits, which it reads as the float nearest to it: the columns are
-# the same, but a message could name the float. So a chunk with a fault is
-# decoded again by json before its fault is named.
+# the same and the same rows fail, but a message could name the float. So
+# the faulty line, not its chunk, is decoded again by json before its fault
+# is named.
 # ---------------------------------------------------------------------------
 
 
@@ -394,22 +397,6 @@ def _json_object(line: str, number: int) -> dict:
     if type(record) is not dict:
         raise ParseError(number, "expected a JSON object")
     return record
-
-
-def _json_cells(lines: Sequence[int], texts: Sequence[str]) -> tuple[dict[str, list], Optional[ParseError]]:
-    """The cells of the JSONL lines `texts`, numbered `lines`, as json reads
-    them up to the first line that holds no JSON object, and that line's
-    ParseError, or None."""
-    cells = {name: [] for name in (*EVENT_COLUMNS, "line")}
-    for number, line in zip(lines, texts):
-        try:
-            record = _json_object(line, number)
-        except ParseError as exc:
-            return cells, exc
-        for name in EVENT_COLUMNS:
-            cells[name].append(record.get(name))
-        cells["line"].append(number)
-    return cells, None
 
 
 def _read_csv(text: Iterable[str], table: "_Table") -> None:
@@ -489,55 +476,60 @@ class _Table:
     def flush(self) -> None:
         """Convert the pending rows and check their value rules, then clear
         them; raises the ParseError of the first faulty line among them."""
-        # Copies, which outlive the pending cells.
-        lines, texts = self.cells["line"][:], self.texts[:]
-        arrays, fault = self._convert(self.cells)
-        for pending in (*self.cells.values(), self.texts):
-            del pending[:]
-        if fault is not None and texts:
-            # The fault is named from json's cells (see Parsing above).
-            cells, stop = _json_cells(lines, texts)
-            arrays, fault = self._convert(cells)
-            fault = fault or stop
-        if fault is not None:
-            raise fault
+        try:
+            arrays = self._convert(self.cells)
+        except ValidationError:
+            raise self._first_fault() from None
+        finally:
+            for pending in (*self.cells.values(), self.texts):
+                del pending[:]
         for name, array in arrays.items():
             self.columns[name].append(array)
 
-    def _convert(self, cells: Mapping[str, list]) -> tuple[dict[str, np.ndarray], Optional[ParseError]]:
-        """The columns of the rows in `cells` with the ParseError of the
-        first faulty line among them, or None."""
-        lines = cells["line"]
-        arrays, faults = {}, []
+    def _first_fault(self) -> ParseError:
+        """The ParseError of the first faulty pending line (see Parsing
+        above)."""
+        cells, lines = self.cells, self.cells["line"]
+        # The rows before `good` are clean, and the rows before `bad` are not.
+        good, bad = 0, len(lines)
+        while bad - good > 1:
+            middle = (good + bad) // 2
+            try:
+                self._convert({name: cells[name][good:middle] for name in EVENT_COLUMNS})
+                good = middle
+            except ValidationError:
+                bad = middle
+        row, line = bad - 1, lines[bad - 1]
+        if self.json:
+            record = _json_object(self.texts[row], line)
+            alone = {name: [record.get(name)] for name in EVENT_COLUMNS}
+        else:
+            alone = {name: cells[name][row:bad] for name in EVENT_COLUMNS}
+        try:
+            self._convert(alone)
+        except ValidationError as exc:
+            return ParseError(line, str(exc))
+        raise AssertionError(f"line {line} converts alone")
+
+    def _convert(self, cells: Mapping[str, list]) -> dict[str, np.ndarray]:
+        """The columns of the rows in `cells`; raises a ValidationError with
+        the message of the first failing column or, failing none, of the
+        first failing rule."""
+        arrays = {}
         for name, column in zip(EVENT_COLUMNS, _COLUMN_TYPES):
             try:
                 arrays[column] = self._array(name, cells[name])
             except (TypeError, ValueError, OverflowError, AttributeError):
-                row, message = self._first_bad(name, cells)
-                faults.append((row, message))
-                cells = {key: values[:row] for key, values in cells.items()}
-                arrays = {key: array[:row] for key, array in arrays.items()}
-                arrays[column] = self._array(name, cells[name])
+                raise ValidationError(self._first_bad(name, cells)) from None
         held = {name: ~np.isnan(arrays[name]) for name in _SCORES}
         for name in _SCORES:
             values = cells[name]
             if np.count_nonzero(held[name]) != len(values) - values.count(None) - values.count(""):
                 # The file holds a NaN as a score.
                 held[name] = np.array([value is not None and value != "" for value in values], dtype=bool)
-
-        # Each rule gives the first kept row that breaks it, all before a
-        # faulty cell's row.
-        def keep(bad: np.ndarray, message: Callable[[int], str]) -> None:
-            if bad.any():
-                row = int(np.argmax(bad))
-                faults.append((row, message(row)))
-
-        _check_amounts(arrays["stake"], arrays["reward"], keep)
-        _check_rows(arrays, cells["wallet"].__getitem__, keep, held)
-        if not faults:
-            return arrays, None
-        row, message = min(faults, key=lambda fault: fault[0])
-        return arrays, ParseError(lines[row], message)
+        _check_amounts(arrays["stake"], arrays["reward"])
+        _check_rows(arrays, cells["wallet"].__getitem__, held)
+        return arrays
 
     def _array(self, name: str, values: Sequence) -> np.ndarray:
         """One column of a chunk as an array; raises for a faulty cell."""
@@ -571,28 +563,28 @@ class _Table:
         # NumPy converts each str with float().
         return np.array(values, dtype)
 
-    def _first_bad(self, name: str, cells: Mapping[str, Sequence]) -> tuple[int, str]:
-        """The first faulty row of column `name` of a chunk, with its
-        message. A missing field is named with the others its row lacks."""
+    def _first_bad(self, name: str, cells: Mapping[str, Sequence]) -> str:
+        """The message of the first faulty cell of column `name` of a chunk.
+        A missing field is named with the others its row lacks."""
         kind = "string" if name in _TEXTS else "integer" if name in _INTEGERS else "number"
         for row, value in enumerate(cells[name]):
             if value is None or value == "":
                 if name not in _SCORES:
                     missing = [key for key in EVENT_COLUMNS[:7] if cells[key][row] in (None, "")]
-                    return row, f"missing required field(s): {', '.join(missing)}"
+                    return f"missing required field(s): {', '.join(missing)}"
                 continue
             try:
                 if self.json:
                     json_value(name, value, kind)
                 self._array(name, (value,))
             except TypeError as exc:
-                return row, str(exc)
+                return str(exc)
             except OverflowError:
                 if kind == "integer":
-                    return row, f"{name} does not fit in 64 bits: {value!r}"
-                return row, f"invalid {name}: {value!r}"
+                    return f"{name} does not fit in 64 bits: {value!r}"
+                return f"invalid {name}: {value!r}"
             except ValueError as exc:
-                return row, str(exc) if kind == "string" else f"invalid {name}: {value!r}"
+                return str(exc) if kind == "string" else f"invalid {name}: {value!r}"
         raise AssertionError(f"no faulty {name} cell")
 
 

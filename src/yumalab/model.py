@@ -245,13 +245,12 @@ def _set_columns(obj, dtypes: Mapping[str, type]) -> None:
         raise ValidationError("columns must have equal lengths")
 
 
-def _check_amounts(stake: np.ndarray, reward: np.ndarray, reject: Callable = _reject) -> None:
+def _check_amounts(stake: np.ndarray, reward: np.ndarray) -> None:
     """The stake and reward rules of SnapshotEvent and SnapshotEntry,
-    checked on whole columns: `reject(bad, message)` is called with each
-    rule's mask over the rows, and raises by default."""
+    checked on whole columns."""
     for name, column in (("stake", stake), ("reward", reward)):
-        reject(~np.isfinite(column), lambda i: f"{name} must be finite, got {column[i].item()!r}")
-        reject(column < 0.0, lambda i: f"{name} must be >= 0, got {column[i].item()}")
+        _reject(~np.isfinite(column), lambda i: f"{name} must be finite, got {column[i].item()!r}")
+        _reject(column < 0.0, lambda i: f"{name} must be >= 0, got {column[i].item()}")
 
 
 def _check_codes(wallet: np.ndarray, wallet_names: WalletNames) -> None:

@@ -215,6 +215,50 @@ class TestParsing:
                 parse_events(io.BytesIO((header + good.replace(",w,", ",v,") + row).encode()), format="csv")
 
 
+class TestTimestampGrammar:
+    """A timestamp follows the grammar of datetime.fromisoformat on Python
+    3.10 on every supported Python, with a trailing Z for +00:00."""
+
+    # Spellings that fromisoformat reads on Python 3.11 and later but not
+    # on 3.10: the basic format, a week date, a decimal comma, hours and
+    # minutes without a colon, and fractions of other than 3 or 6 digits.
+    @pytest.mark.parametrize("text", [
+        "20240101T000000Z",
+        "2024-W01-1T00:00Z",
+        "2024-01-01T00:00:00,5Z",
+        "2024-01-01T0000Z",
+        "2024-01-01T00:00:00.1Z",
+        "2024-01-01T00:00:00.12Z",
+        "2024-01-01T00:00:00.1234Z",
+        "2024-01-01T00:00:00.12345Z",
+        "2024-01-01T00:00:00.1234567Z",
+        "2024-01-01T00:00:00.123456789+00:00",
+        "2024-01-01T00:00:00+05:30:15.123",
+    ])
+    def test_spellings_outside_the_grammar_are_rejected(self, text):
+        with pytest.raises(ValueError) as raised:
+            parse_timestamp(text)
+        assert str(raised.value) == f"invalid timestamp {text!r}"
+        record = {"timestamp": text, "block_number": 1, "netuid": 1, "wallet": "w", "role": "miner",
+                  "stake": 1.0, "reward": 0.0}
+        with pytest.raises(ParseError) as raised:
+            parse_events(io.BytesIO((json.dumps(record) + "\n").encode()))
+        assert str(raised.value) == f"line 1: invalid timestamp {text!r}"
+
+    @pytest.mark.parametrize("text, expected", [
+        ("2024-01-01", datetime(2024, 1, 1, tzinfo=UTC)),
+        ("2024-01-01T12", datetime(2024, 1, 1, 12, tzinfo=UTC)),
+        ("2024-01-01 12:30", datetime(2024, 1, 1, 12, 30, tzinfo=UTC)),
+        (" 2024-01-01T12:30:15z ", datetime(2024, 1, 1, 12, 30, 15, tzinfo=UTC)),
+        ("2024-01-01T12:30:15.123Z", datetime(2024, 1, 1, 12, 30, 15, 123000, tzinfo=UTC)),
+        ("2024-01-01T12:30:15.123456-08:00", datetime(2024, 1, 1, 20, 30, 15, 123456, tzinfo=UTC)),
+        ("2024-01-01T12+05:30", datetime(2024, 1, 1, 6, 30, tzinfo=UTC)),
+        ("2024-01-01T12:30:15+05:30:15.000001", datetime(2024, 1, 1, 6, 59, 59, 999999, tzinfo=UTC)),
+    ])
+    def test_spellings_of_the_grammar_are_read(self, text, expected):
+        assert parse_timestamp(text) == expected
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("format", ["jsonl", "csv"])
     def test_write_read_identity(self, format):
@@ -856,6 +900,27 @@ class TestColumnarAgainstPerLineOracle:
         assert expected.line == line_of(records, 10, format)
         assert (parsed.line, str(parsed)) == (expected.line, str(expected))
 
+    # A chunk that fails is bisected for its first faulty row: faults at the
+    # edges of a chunk and of its halves, and in the next chunk. A stake of
+    # 2**64 on the row before, which orjson reads as a float and json as an
+    # int, is clean.
+    @pytest.mark.parametrize("row", [0, 1, 2047, 2048, 4095, 4096])
+    @pytest.mark.parametrize("fault", [{"netuid": 2**64}, {"stake": -1.5}], ids=corruption_id)
+    @pytest.mark.parametrize("format", ["jsonl", "csv"])
+    def test_fault_at_a_bisection_edge(self, row, fault, format):
+        assert ingest._CHUNK_ROWS == 4096
+        records = [{
+            "timestamp": "2024-01-01T00:00:00Z", "block_number": row, "netuid": 1,
+            "wallet": f"w{row}", "role": "miner", "stake": 1.0, "reward": 0.5,
+            "trust": 0.25, "validator_trust": None,
+        } for row in range(ingest._CHUNK_ROWS + 10)]
+        if row:
+            records[row - 1]["stake"] = 2**64
+        records[row].update(fault)
+        parsed, expected = parse_errors(event_file(records, format).encode(), format)
+        assert expected.line == line_of(records, row, format)
+        assert (parsed.line, str(parsed)) == (expected.line, str(expected))
+
 
 class TestColumnarReaderAloneReadsValidFiles:
     """Valid inputs that only the per-line reader once read: "" for a
@@ -995,6 +1060,21 @@ class TestJsonlDecodesAsJson:
     def test_columns_match_a_stdlib_decode(self, records):
         data = event_file(records, "jsonl").encode()
         assert column_bits(parse_events(io.BytesIO(data))) == column_bits(stdlib_parse(data))
+
+
+class TestOnlyTheFaultyLineIsDecodedAgain:
+    def test_one_json_decode_names_the_fault(self):
+        records = [{
+            "timestamp": "2024-01-01T00:00:00Z", "block_number": row, "netuid": 1,
+            "wallet": f"w{row}", "role": "miner", "stake": 1.0, "reward": 0.5,
+        } for row in range(ingest._CHUNK_ROWS)]
+        records[-1]["netuid"] = 2**64
+        data = event_file(records, "jsonl").encode()
+        with mock.patch.object(ingest.json, "loads", wraps=json.loads) as loads:
+            with pytest.raises(ParseError) as raised:
+                parse_events(io.BytesIO(data))
+        assert str(raised.value) == "line 4096: netuid does not fit in 64 bits: 18446744073709551616"
+        assert loads.call_count == 1
 
 
 class TestCsvNumbersReadAsFloat:
