@@ -32,12 +32,14 @@ class ValidationError(ValueError):
 
 
 # The grammar of datetime.fromisoformat on Python 3.10:
-# YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]][+HH:MM[:SS[.ffffff]]]], where * is any
-# one character. Later versions read more spellings, such as `20240101T00Z`
-# or a fraction of any length, which a timestamp may not hold.
+# YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]][+HH:MM[:SS[.ffffff]]]], where * is `T`,
+# `t` or a space. 3.10 takes any one character there, so it reads the
+# offset of `2024-01-01+05:00` as a time of day. Later versions read more
+# spellings, such as `20240101T00Z` or a fraction of any length, which a
+# timestamp may not hold.
 _ISO_TIMESTAMP = re.compile(
-    r"\d{4}-\d\d-\d\d(.\d\d(:\d\d(:\d\d(\.\d{3}(\d{3})?)?)?)?([+-]\d\d:\d\d(:\d\d(\.\d{6})?)?)?)?",
-    re.ASCII | re.DOTALL,
+    r"\d{4}-\d\d-\d\d([Tt ]\d\d(:\d\d(:\d\d(\.\d{3}(\d{3})?)?)?)?([+-]\d\d:\d\d(:\d\d(\.\d{6})?)?)?)?",
+    re.ASCII,
 )
 
 

@@ -668,28 +668,42 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()[:-2]
 
 
-def _float_texts(column: np.ndarray) -> list[str]:
-    """The repr of each value, worked out once per distinct bit pattern,
-    so -0.0 and 0.0 keep their own texts."""
-    bits, index = np.unique(column.view(np.int64), return_inverse=True)
-    return list(map(list(map(repr, bits.view(np.float64).tolist())).__getitem__, index.tolist()))
+def _float_texts(column: np.ndarray) -> Iterator[list[str]]:
+    """The repr of each value, chunk by chunk, worked out once per distinct
+    bit pattern, so -0.0 and 0.0 keep their own texts. A column with at most
+    _CHUNK_ROWS distinct values formats each once for the whole column, any
+    other once per chunk, so at most _CHUNK_ROWS texts are alive at once."""
+    bits = column.view(np.int64)
+    # Sorted, the bits change value one time fewer than there are distinct
+    # values (a wrapped difference is 0 only between equal ones).
+    few = np.count_nonzero(np.diff(np.sort(bits))) < _CHUNK_ROWS
+    span = max(len(bits), 1) if few else _CHUNK_ROWS
+    for start in range(0, len(bits), span):
+        distinct, index = np.unique(bits[start:start + span], return_inverse=True)
+        texts = list(map(repr, distinct.view(np.float64).tolist()))
+        # A span has at most _CHUNK_ROWS distinct values; 2 bytes a row
+        # keep a whole column's inverse small.
+        index = index.astype(np.uint16)
+        for first in range(0, len(index), _CHUNK_ROWS):
+            yield list(map(texts.__getitem__, index[first:first + _CHUNK_ROWS].tolist()))
 
 
 # Row templates indexed by 2 * miner + (score present). Each holds its role
-# and takes the other fields in EVENT_COLUMNS order, then the role's score.
-# JSONL lines are the bytes json.dump(..., separators=(",", ":")) writes.
-_JSONL_HEAD = '{{"timestamp":{},"block_number":{},"netuid":{},"wallet":{},"role":"%s","stake":{},"reward":{}'
+# and takes the other fields in EVENT_COLUMNS order, then the role's score,
+# which a template without one reads and drops (%.0s). JSONL lines are the
+# bytes json.dump(..., separators=(",", ":")) writes.
+_JSONL_HEAD = '{"timestamp":%%s,"block_number":%%s,"netuid":%%s,"wallet":%%s,"role":"%s","stake":%%s,"reward":%%s'
 _JSONL_LINES = (
-    _JSONL_HEAD % "validator" + "}}\n",
-    _JSONL_HEAD % "validator" + ',"validator_trust":{}}}\n',
-    _JSONL_HEAD % "miner" + "}}\n",
-    _JSONL_HEAD % "miner" + ',"trust":{}}}\n',
+    _JSONL_HEAD % "validator" + "}%.0s\n",
+    _JSONL_HEAD % "validator" + ',"validator_trust":%s}\n',
+    _JSONL_HEAD % "miner" + "}%.0s\n",
+    _JSONL_HEAD % "miner" + ',"trust":%s}\n',
 )
 _CSV_LINES = (
-    "{},{},{},{},validator,{},{},,\n",
-    "{},{},{},{},validator,{},{},,{}\n",
-    "{},{},{},{},miner,{},{},,\n",
-    "{},{},{},{},miner,{},{},{},\n",
+    "%s,%s,%s,%s,validator,%s,%s,,%.0s\n",
+    "%s,%s,%s,%s,validator,%s,%s,,%s\n",
+    "%s,%s,%s,%s,miner,%s,%s,,%.0s\n",
+    "%s,%s,%s,%s,miner,%s,%s,%s,\n",
 )
 
 
@@ -705,26 +719,25 @@ def write_events(dataset: Dataset, sink: BinaryIO, format: str = "jsonl") -> Non
     else:
         templates, quote = _CSV_LINES, _csv_field
         sink.write((",".join(EVENT_COLUMNS) + "\n").encode("utf-8"))
-    # Each wallet name and timestamp is quoted once, and each distinct float
-    # of a chunk formatted once; no other field can need CSV quoting.
+    # Each wallet name and timestamp is quoted once, and each float
+    # formatted as _float_texts says; no other field can need CSV quoting.
     wallets = [quote(name) for name in dataset.wallet_names]
     stamps = _Memo(lambda us: quote(_format_epoch_us(us)))
-    for first in range(0, len(dataset), _CHUNK_ROWS):
+    score = np.where(dataset.miner, dataset.trust, dataset.validator_trust)
+    floats = zip(_float_texts(dataset.stake), _float_texts(dataset.reward), _float_texts(score))
+    for first, (stakes, rewards, scores) in zip(range(0, len(dataset), _CHUNK_ROWS), floats):
         rows = slice(first, first + _CHUNK_ROWS)
-        miner = dataset.miner[rows]
-        score = np.where(miner, dataset.trust[rows], dataset.validator_trust[rows])
-        kind = 2 * miner.astype(np.intp) + ~np.isnan(score)
-        lines = map(
-            str.format,
-            map(templates.__getitem__, kind.tolist()),
+        kind = 2 * dataset.miner[rows].astype(np.intp) + ~np.isnan(score[rows])
+        fields = zip(
             map(stamps.__getitem__, dataset.timestamp[rows].tolist()),
             dataset.block_number[rows].tolist(),
             dataset.netuid[rows].tolist(),
             map(wallets.__getitem__, dataset.wallet[rows].tolist()),
-            _float_texts(dataset.stake[rows]),
-            _float_texts(dataset.reward[rows]),
-            _float_texts(score),
+            stakes,
+            rewards,
+            scores,
         )
+        lines = map(str.__mod__, map(templates.__getitem__, kind.tolist()), fields)
         sink.write("".join(lines).encode("utf-8"))
 
 

@@ -217,7 +217,8 @@ class TestParsing:
 
 class TestTimestampGrammar:
     """A timestamp follows the grammar of datetime.fromisoformat on Python
-    3.10 on every supported Python, with a trailing Z for +00:00."""
+    3.10 on every supported Python, with a trailing Z for +00:00 and `T`,
+    `t` or a space between the date and the time."""
 
     # Spellings that fromisoformat reads on Python 3.11 and later but not
     # on 3.10: the basic format, a week date, a decimal comma, hours and
@@ -234,6 +235,10 @@ class TestTimestampGrammar:
         "2024-01-01T00:00:00.1234567Z",
         "2024-01-01T00:00:00.123456789+00:00",
         "2024-01-01T00:00:00+05:30:15.123",
+        # 3.10 reads any one character as the date-time separator, so the
+        # offset would be read as the time of day.
+        "2024-01-01+05:00",
+        "2024-01-01-05:00",
     ])
     def test_spellings_outside_the_grammar_are_rejected(self, text):
         with pytest.raises(ValueError) as raised:
@@ -1388,25 +1393,43 @@ class TestWriterAgainstRowOracle:
             assert data == oracle_write(dataset, format)
             assert parse_events(io.BytesIO(data), format).events == dataset.events
 
-    def test_more_rows_than_one_chunk(self):
-        rows = 2 * ingest._CHUNK_ROWS + 123
+    # Each float column holds `distinct` bit patterns, 0.0 and -0.0 among
+    # them (and NaN, an absent score, in the score column), spread over
+    # three chunks and more. A column with at most _CHUNK_ROWS formats each
+    # once per file, and one with more, once per chunk. Wallet names that
+    # hold `%` are written as they are.
+    @pytest.mark.parametrize("distinct", [ingest._CHUNK_ROWS, ingest._CHUNK_ROWS + 1])
+    def test_more_rows_than_one_chunk(self, distinct, monkeypatch):
+        rows = 3 * ingest._CHUNK_ROWS + 123
         rng = np.random.default_rng(7)
-        wallet = np.arange(rows) % len(WALLETS)
+        names = sorted(WALLETS + ("100%", "%s", "%(x)s"))
+        wallet = np.arange(rows) % len(names)
         miner = wallet % 3 != 0
-        score = np.where(rng.random(rows) < 0.2, np.nan, rng.random(rows))
-        score[::97] = -0.0
-        stake = rng.pareto(1.2, rows) * 1e3
-        stake[::89] = 0.0
-        stake[1::89] = -0.0
+
+        def column(*values, draw):
+            pool = np.concatenate((values, draw(distinct - len(values))))
+            assert len(np.unique(pool.view(np.int64))) == distinct
+            return pool[rng.permutation(np.arange(rows) % distinct)]
+
+        stake = column(0.0, -0.0, draw=lambda n: rng.pareto(1.2, n) * 1e3)
+        reward = column(0.0, -0.0, draw=lambda n: rng.random(n) * 10.0 ** rng.integers(-20, 20, n))
+        score = column(0.0, -0.0, np.nan, draw=rng.random)
         dataset = Dataset(
-            timestamp=-86_400_000_000 + 1_000_003 * (np.arange(rows) // len(WALLETS)),
+            timestamp=-86_400_000_000 + 1_000_003 * (np.arange(rows) // len(names)),
             block_number=np.arange(rows) * 3, netuid=np.full(rows, 2), wallet=wallet, miner=miner,
-            stake=stake, reward=rng.random(rows) * 10.0 ** rng.integers(-20, 20, rows),
+            stake=stake, reward=reward,
             trust=np.where(miner, score, np.nan), validator_trust=np.where(miner, np.nan, score),
-            wallet_names=sorted(WALLETS),
+            wallet_names=names,
         )
         for format in ("jsonl", "csv"):
+            formatted = []
+            monkeypatch.setattr(ingest, "repr", lambda value: formatted.append(value) or repr(value), raising=False)
             data = written(dataset, format)
+            monkeypatch.undo()
+            if distinct <= ingest._CHUNK_ROWS:
+                assert len(formatted) == 3 * distinct
+            else:
+                assert len(formatted) > 3 * distinct
             assert data == oracle_write(dataset, format)
             assert parse_events(io.BytesIO(data), format).events == dataset.events
 
