@@ -266,31 +266,27 @@ def _summary_rows(variant: str, tables: dict) -> Iterator[tuple]:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from yumalab.ingest import _window_table, history_snapshots
+    from yumalab.ingest import _history_table, _window_table
     from yumalab.metrics import (
         ROLE_FILTERS,
         ConcentrationReport,
         CorrelationProfile,
         _concentration_rows,
         _concentration_table,
-        correlation_profile,
+        _correlation_rows,
     )
-    from yumalab.model import Role
 
     out_dir = _out_dir(args)
     dataset = _load_dataset(args)
-    history = history_snapshots(dataset)
 
-    # The history metrics of each role filter as one batch over the
-    # snapshots' columns, written in (netuid, role_filter) order.
-    offsets = np.cumsum([0] + [len(snap.wallet) for snap in history])
-    miner, stake, reward = (np.concatenate([getattr(snap, name) for snap in history])
-                            for name in ("miner", "stake", "reward"))
+    # The history metrics of each role filter as one batch over the history
+    # table, one segment per netuid, written in (netuid, role_filter) order.
+    netuids, _, offsets, _, miner, stake, reward, perf = _history_table(dataset)
+    history = (netuids.tolist(), offsets, miner, stake, reward, perf)
     tables = {role_filter: _concentration_table(offsets, miner, stake, reward, role_filter)
               for role_filter in ROLE_FILTERS}
     columns = _columns(ConcentrationReport)
-    _write_csv(_out_path(out_dir, "concentration.csv"), columns,
-               _concentration_rows([snap.netuid for snap in history], tables))
+    _write_csv(_out_path(out_dir, "concentration.csv"), columns, _concentration_rows(history[0], tables))
 
     # Per-window metrics on the aggregation table at the chosen frequency,
     # averaged per (netuid, role_filter) over the windows that define them.
@@ -316,31 +312,27 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         (*_summary_rows("history", tables), *_summary_rows(f"snapshot_{args.freq}", window_tables)),
     )
 
-    profiles = [
-        correlation_profile(snap, role)
-        for snap in history
-        for role in (Role.MINER, Role.VALIDATOR)
-        if snap.count(role) >= 2
-    ]
-    _write_table(_out_path(out_dir, "correlations.csv"), _columns(CorrelationProfile), profiles)
+    correlations = [(netuid, role.value, *values) for netuid, role, *values in _correlation_rows(*history)]
+    _write_csv(_out_path(out_dir, "correlations.csv"), _columns(CorrelationProfile), correlations)
     return 0
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from yumalab.ingest import history_snapshots
-    from yumalab.metrics import _check_threshold, _coalition_rows
+    from yumalab.ingest import _history_table
+    from yumalab.metrics import _check_threshold, _coalition_rows, _stake_blocks
 
     out_dir = _out_dir(args)
     threshold = _check_threshold(args.threshold)
     dataset = _load_dataset(args)
-    rows = []
-    for snap in history_snapshots(dataset):
-        if float(np.sum(snap.stake)) <= 0.0:
-            continue
-        fraction = float(_coalition_rows(np.sort(snap.stake)[None, :], threshold)[0])
-        rows.append((snap.netuid, snap.count(), fraction))
+    # The coalition fraction of each subnet with stake mass, NaN for the others.
+    netuid, _, offsets, _, _, stake, _, _ = _history_table(dataset)
+    fractions = np.full(len(netuid), np.nan)
+    for segments, _, ascending in _stake_blocks(stake, offsets):
+        fractions[segments] = _coalition_rows(ascending, threshold)
+    kept = ~np.isnan(fractions)
+    rows = zip(netuid[kept].tolist(), np.diff(offsets)[kept].tolist(), fractions[kept].tolist())
     _write_csv(_out_path(out_dir, "coalition.csv"), ("netuid", "n_wallets", "coalition_fraction"), rows)
     return 0
 
@@ -403,7 +395,6 @@ def _cmd_tempo(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from yumalab.ingest import history_snapshots
     from yumalab.sweep import SweepAggregate, SweepPoint, _check_grid, sweep_scheme
 
     out_dir = _out_dir(args)
@@ -415,7 +406,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ValidationError(f"invalid grid {args.grid!r}; expected comma-separated numbers") from None
     grid = _check_grid(args.scheme, grid)
     dataset = _load_dataset(args)
-    result = sweep_scheme(history_snapshots(dataset), args.scheme, grid=grid)
+    result = sweep_scheme(dataset, args.scheme, grid=grid)
     _write_table(_out_path(out_dir, "sweep.csv"), _columns(SweepPoint), result.per_point)
     aggregate_columns = _columns(SweepAggregate)
     summary = {
@@ -428,7 +419,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_frontier(args: argparse.Namespace) -> int:
-    from yumalab.ingest import history_snapshots
     from yumalab.interventions import TransformSpec
     from yumalab.metrics import _check_threshold
     from yumalab.sweep import FrontierPoint, default_frontier_specs, tradeoff_frontier
@@ -442,7 +432,7 @@ def _cmd_frontier(args: argparse.Namespace) -> int:
         specs = (identity, chosen) if chosen != identity else (identity,)
     _check_threshold(args.threshold)
     dataset = _load_dataset(args)
-    points = tradeoff_frontier(history_snapshots(dataset), specs, threshold=args.threshold)
+    points = tradeoff_frontier(dataset, specs, threshold=args.threshold)
     columns = _columns(FrontierPoint)
     _write_table(_out_path(out_dir, "frontier.csv"), columns, points)
     payload = {

@@ -881,6 +881,14 @@ def resample(dataset: Dataset, freq: str = "daily") -> list[SubnetSnapshot]:
     return _snapshots(dataset, table, lambda key: (start_of(key), start_of(key + step)))
 
 
+def _history_table(dataset: Dataset) -> tuple[np.ndarray, ...]:
+    """The aggregation table of history_snapshots(dataset) (see _aggregate):
+    the whole dataset as one window, so one segment per netuid."""
+    if not len(dataset):
+        raise ValidationError("cannot aggregate an empty dataset")
+    return _aggregate(dataset, np.zeros(len(dataset), dtype=np.int64))
+
+
 def history_snapshots(dataset: Dataset) -> list[SubnetSnapshot]:
     """Collapse the whole dataset into one snapshot per netuid.
 
@@ -888,9 +896,7 @@ def history_snapshots(dataset: Dataset) -> list[SubnetSnapshot]:
     event's day, shared by all subnets; aggregation follows the resample
     rules (last stake/perf, summed reward).
     """
-    if not len(dataset):
-        raise ValidationError("cannot aggregate an empty dataset")
+    table = _history_table(dataset)
     first, last = int(dataset.timestamp[0]), int(dataset.timestamp[-1])
     span = (from_epoch_us(first - first % _DAY_US), from_epoch_us(last - last % _DAY_US + _DAY_US))
-    table = _aggregate(dataset, np.zeros(len(dataset), dtype=np.int64))
     return _snapshots(dataset, table, lambda _: span)

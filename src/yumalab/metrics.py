@@ -64,6 +64,24 @@ def _blocks(values: np.ndarray, offsets: np.ndarray) -> Iterator[tuple[np.ndarra
         yield segments, values[offsets[segments, None] + np.arange(n)]
 
 
+def _stake_blocks(stake: np.ndarray, offsets: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """(segments, stakes, ascending) for each block of the segments of
+    `stake` (see _blocks) that hold positive stake mass: their indices, their
+    stakes and their ascending row sorts. The columns are checked, so the
+    mass is positive exactly when the largest stake is."""
+    for segments, stakes in _blocks(stake, offsets):
+        ascending = np.sort(stakes, axis=1)
+        mass = ascending[:, -1] > 0.0
+        yield segments[mass], stakes[mass], ascending[mass]
+
+
+def _role_segments(offsets: np.ndarray, miner: np.ndarray, role: Role, *columns: np.ndarray) -> tuple:
+    """The offsets and `columns` of the segments of the wallet columns
+    `miner` and `columns` (see _blocks), kept to the wallets holding `role`."""
+    rows = miner == (role is Role.MINER)
+    return (np.append(0, np.cumsum(rows))[offsets], *(column[rows] for column in columns))
+
+
 def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.dot of each row of `a` with the same row of `b`, or with `b` when
     it is one vector. np.einsum and a matrix-vector np.matmul sum in
@@ -249,23 +267,35 @@ class CorrelationProfile:
     r_pr: Optional[float]
 
 
+def _correlation_rows(netuids: Sequence[int], offsets: np.ndarray, miner: np.ndarray, stake: np.ndarray,
+                      reward: np.ndarray, perf: np.ndarray) -> Iterator[tuple]:
+    """The CorrelationProfile field values of each role with at least 2
+    wallets in each segment of the wallet columns (see _blocks), segment s
+    being of netuid netuids[s], in (segment, role) order, miners first;
+    None stands where a correlation is undefined. The segments of one role
+    and length are one batch."""
+    tables = {}
+    for role in (Role.MINER, Role.VALIDATOR):
+        role_offsets, *columns = _role_segments(offsets, miner, role, stake, reward, perf)
+        table = np.full((3, len(netuids)), np.nan)
+        for (segments, x), (_, y), (_, z) in zip(*(_blocks(column, role_offsets) for column in columns)):
+            x, y, z = map(_centred_rows, (x, y, z))  # stake, reward, perf
+            table[:, segments] = (_pearson_rows(x, y), _pearson_rows(x, z), _pearson_rows(z, y))
+        tables[role] = (np.diff(role_offsets).tolist(), table)
+    for s, netuid in enumerate(netuids):
+        for role, (counts, table) in tables.items():
+            if counts[s] >= 2:
+                yield (netuid, role, counts[s], *map(_optional, table[:, s].tolist()))
+
+
 def correlation_profile(snap: SubnetSnapshot, role: Role) -> CorrelationProfile:
     """Stake/reward/perf correlations for one role within a snapshot."""
-    stakes = snap.stakes(role)
-    if stakes.shape[0] < 2:
-        raise ValidationError(
-            f"need at least 2 wallets with role {role.value} in netuid {snap.netuid}, "
-            f"got {stakes.shape[0]}"
-        )
-    stake, reward, perf = (_centred_rows(x[None, :]) for x in (stakes, snap.rewards(role), snap.perfs(role)))
-    return CorrelationProfile(
-        netuid=snap.netuid,
-        role=role,
-        n_wallets=stakes.shape[0],
-        r_sr=_optional(_pearson_rows(stake, reward)[0]),
-        r_sp=_optional(_pearson_rows(stake, perf)[0]),
-        r_pr=_optional(_pearson_rows(perf, reward)[0]),
-    )
+    count = snap.count(role)
+    if count < 2:
+        raise ValidationError(f"need at least 2 wallets with role {role.value} in netuid {snap.netuid}, got {count}")
+    offsets = np.array([0, len(snap.wallet)])
+    rows = _correlation_rows([snap.netuid], offsets, snap.miner, snap.stake, snap.reward, snap.perf)
+    return CorrelationProfile(*next(row for row in rows if row[1] == role))
 
 
 @dataclass(frozen=True)
@@ -317,9 +347,7 @@ def _concentration_table(
     if role_filter not in ROLE_FILTERS:
         raise ValidationError(f"unknown role filter {role_filter!r}")
     if role_filter != "all":
-        rows = miner == (role_filter == Role.MINER.value)
-        offsets = np.append(0, np.cumsum(rows))[offsets]
-        stake, reward = stake[rows], reward[rows]
+        offsets, stake, reward = _role_segments(offsets, miner, Role(role_filter), stake, reward)
     # Rows (gini, hhi, top) of stake and of reward, interleaved.
     metrics = np.stack((_concentration(stake, offsets), _concentration(reward, offsets)), axis=1)
     return np.diff(offsets), metrics.reshape(6, -1)

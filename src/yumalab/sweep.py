@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from datetime import datetime
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from yumalab._util import DEFAULT_THRESHOLD, FREQUENCIES, SCHEMES
-from yumalab.ingest import Dataset, _window_table
+from yumalab.ingest import Dataset, _history_table, _window_table
 from yumalab.interventions import (
     TransformSpec,
     _bonus,
@@ -31,7 +31,6 @@ from yumalab.interventions import (
     unit_rescale,
 )
 from yumalab.metrics import (
-    _blocks,
     _centred_rows,
     _check_threshold,
     _coalition_rows,
@@ -39,8 +38,9 @@ from yumalab.metrics import (
     _optional,
     _pearson_rows,
     _percentiles,
+    _stake_blocks,
 )
-from yumalab.model import Role, SubnetSnapshot, ValidationError, _first_repeat, _require_upto
+from yumalab.model import Role, ValidationError, _require_upto
 
 __all__ = [
     "SCHEMES",
@@ -170,38 +170,39 @@ class RobustnessSeries:
 # ---------------------------------------------------------------------------
 
 
-def _scheme_rewards(snap: SubnetSnapshot, scheme: str, grid: Sequence[float]) -> np.ndarray:
-    """The snapshot's rewards under `scheme` at each checked grid value, one
+def _scheme_rewards(
+    miner: np.ndarray, reward: np.ndarray, perf: np.ndarray, scheme: str, grid: Sequence[float]
+) -> np.ndarray:
+    """One subnet's rewards under `scheme` at each checked grid value, one
     row per value, as the scheme's public functions give them."""
     values = np.array(grid)[:, None]
     if scheme == "split":
-        return _split(snap.reward, snap.perf, snap.miner, values)
+        return _split(reward, perf, miner, values)
     if scheme == "bonus":
-        return _bonus(snap.reward, snap.perf, values)
+        return _bonus(reward, perf, values)
     # composite: re-allocate the miner reward pool along mixed ranks;
     # validator rewards stay untouched.
-    adjusted = np.tile(snap.reward, (len(grid), 1))
-    miners = snap.miner
-    if miners.any():
-        miner_rewards = snap.reward[miners]
+    adjusted = np.tile(reward, (len(grid), 1))
+    if miner.any():
+        miner_rewards = reward[miner]
         pool = float(np.sum(miner_rewards))
-        mixed = _mix(unit_rescale(miner_rewards), snap.perf[miners], values)
+        mixed = _mix(unit_rescale(miner_rewards), perf[miner], values)
         mass = np.sum(mixed, axis=1)
         positive = mass > 0.0
         shares = np.zeros_like(mixed)
         shares[positive] = pool * (mixed[positive] / mass[positive, None])
-        adjusted[:, miners] = shares
+        adjusted[:, miner] = shares
     return adjusted
 
 
 def _role_correlations(
-    snap: SubnetSnapshot, adjusted: np.ndarray
+    miner: np.ndarray, stake: np.ndarray, perf: np.ndarray, adjusted: np.ndarray
 ) -> dict[Role, tuple[np.ndarray, np.ndarray]]:
     """The stake/reward and perf/reward correlations of each role with at
-    least 2 wallets, one per row of `adjusted`, the snapshot's rewards at
+    least 2 wallets of one subnet, one per row of `adjusted`, its rewards at
     each grid value; NaN where a correlation is undefined."""
     out = {}
-    for role, rows in ((Role.MINER, snap.miner), (Role.VALIDATOR, ~snap.miner)):
+    for role, rows in ((Role.MINER, miner), (Role.VALIDATOR, ~miner)):
         if np.count_nonzero(rows) < 2:
             continue
         # The kernels take C-contiguous blocks; adjusted[:, rows] is not one.
@@ -209,9 +210,8 @@ def _role_correlations(
         if not np.all(np.isfinite(rewards)):
             raise ValidationError("pearson inputs must be finite")
         reward = _centred_rows(rewards)
-        stake, perf = (_centred_rows(np.tile(column[rows], (len(rewards), 1)))
-                       for column in (snap.stake, snap.perf))
-        out[role] = (_pearson_rows(stake, reward), _pearson_rows(perf, reward))
+        centred = [_centred_rows(np.tile(column[rows], (len(rewards), 1))) for column in (stake, perf)]
+        out[role] = tuple(_pearson_rows(x, reward) for x in centred)
     return out
 
 
@@ -242,32 +242,27 @@ def _check_grid(scheme: str, grid: Optional[Sequence[float]]) -> tuple[float, ..
     return grid_values
 
 
-def sweep_scheme(
-    snapshots: Sequence[SubnetSnapshot],
-    scheme: str,
-    grid: Optional[Sequence[float]] = None,
-) -> SweepResult:
-    """Sweep one reward scheme over a parameter grid.
+def sweep_scheme(dataset: Dataset, scheme: str, grid: Optional[Sequence[float]] = None) -> SweepResult:
+    """Sweep one reward scheme over a parameter grid, on each subnet of
+    `dataset` as history_snapshots aggregates it.
 
-    Expects one snapshot per netuid. The grid must hold distinct values,
-    the scheme's null parameter among them; deltas are taken against the
-    correlations computed at that grid point, so the baseline rows are
-    exactly zero. Roles with fewer than 2 wallets in a subnet are skipped.
+    The grid must hold distinct values, the scheme's null parameter among
+    them; deltas are taken against the correlations computed at that grid
+    point, so the baseline rows are exactly zero. Roles with fewer than 2
+    wallets in a subnet are skipped.
     """
     grid_values = _check_grid(scheme, grid)
-    repeat = _first_repeat(snap.netuid for snap in snapshots)
-    if repeat is not None:
-        raise ValidationError(f"multiple snapshots for netuid {repeat}; pass one snapshot per subnet")
-
-    ordered = sorted(snapshots, key=lambda s: s.netuid)
+    netuids, _, offsets, _, miner, stake, reward, perf = _history_table(dataset)
     base = grid_values.index(NULL_PARAMS[scheme])
-    # Per snapshot and role: (r_sr, r_pr, d_r_sr, d_r_pr) at each grid
-    # value, None where undefined. Each role's grid values are one batch.
+    # Per subnet, a segment of the table, and role: (r_sr, r_pr, d_r_sr,
+    # d_r_pr) at each grid value, None where undefined. Each role's grid
+    # values are one batch.
     columns = []
-    for snap in ordered:
-        adjusted = _scheme_rewards(snap, scheme, grid_values)
+    for first, stop in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+        subnet = slice(first, stop)
+        adjusted = _scheme_rewards(miner[subnet], reward[subnet], perf[subnet], scheme, grid_values)
         roles = {}
-        for role, (r_sr, r_pr) in _role_correlations(snap, adjusted).items():
+        for role, (r_sr, r_pr) in _role_correlations(miner[subnet], stake[subnet], perf[subnet], adjusted).items():
             values = (r_sr, r_pr, r_sr - r_sr[base], r_pr - r_pr[base])
             roles[role] = list(zip(*(map(_optional, column.tolist()) for column in values)))
         columns.append(roles)
@@ -278,28 +273,20 @@ def sweep_scheme(
     aggregates: list[SweepAggregate] = []
     for i, value in enumerate(grid_values):
         deltas: dict[Role, list[tuple]] = {Role.MINER: [], Role.VALIDATOR: []}
-        for snap, roles in zip(ordered, columns):
+        for netuid, roles in zip(netuids.tolist(), columns):
             for role, rows in roles.items():
                 r_sr, r_pr, d_sr, d_pr = rows[i]
-                points.append(SweepPoint(scheme=scheme, param=value, netuid=snap.netuid, role=role,
+                points.append(SweepPoint(scheme=scheme, param=value, netuid=netuid, role=role,
                                          r_sr=r_sr, r_pr=r_pr, d_r_sr=d_sr, d_r_pr=d_pr))
                 deltas[role].append((d_sr, d_pr))
         for role, pairs in deltas.items():
             defined = [pair for pair in pairs if None not in pair]
             deltas_sr = [d_sr for d_sr, _ in defined]
             deltas_pr = [d_pr for _, d_pr in defined]
-            aggregates.append(
-                SweepAggregate(
-                    param=value,
-                    role=role,
-                    n_subnets=len(defined),
-                    excluded=len(pairs) - len(defined),
-                    mean_d_r_sr=float(np.mean(deltas_sr)) if defined else None,
-                    median_d_r_sr=_median(deltas_sr) if defined else None,
-                    mean_d_r_pr=float(np.mean(deltas_pr)) if defined else None,
-                    median_d_r_pr=_median(deltas_pr) if defined else None,
-                )
-            )
+            stats = (None,) * 4
+            if defined:
+                stats = (float(np.mean(deltas_sr)), _median(deltas_sr), float(np.mean(deltas_pr)), _median(deltas_pr))
+            aggregates.append(SweepAggregate(value, role, len(defined), len(pairs) - len(defined), *stats))
     return SweepResult(
         scheme=scheme,
         grid=grid_values,
@@ -311,17 +298,6 @@ def sweep_scheme(
 # ---------------------------------------------------------------------------
 # Frontier and robustness
 # ---------------------------------------------------------------------------
-
-
-def _stake_blocks(stake: np.ndarray, offsets: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
-    """(segments, stakes, ascending) for each block of the segments of
-    `stake` (see _blocks) that hold positive stake mass: their indices, their
-    stakes and their ascending row sorts. The columns are checked, so the
-    mass is positive exactly when the largest stake is."""
-    for segments, stakes in _blocks(stake, offsets):
-        ascending = np.sort(stakes, axis=1)
-        mass = ascending[:, -1] > 0.0
-        yield segments[mass], stakes[mass], ascending[mass]
 
 
 def _sorted_transform(
@@ -339,11 +315,10 @@ def _sorted_transform(
 
 
 def tradeoff_frontier(
-    snapshots: Sequence[SubnetSnapshot],
-    interventions: Sequence[TransformSpec],
-    threshold: float = DEFAULT_THRESHOLD,
+    dataset: Dataset, interventions: Sequence[TransformSpec], threshold: float = DEFAULT_THRESHOLD
 ) -> tuple[FrontierPoint, ...]:
-    """Median security vs whale-penalty for each transform.
+    """Median security vs whale-penalty for each transform, over the
+    subnets of `dataset` as history_snapshots aggregates them.
 
     Subnets with zero stake mass (before or after the transform) are
     skipped. Points come back sorted by penalty ascending (label breaking
@@ -356,9 +331,8 @@ def tradeoff_frontier(
     threshold = _check_threshold(threshold)
     # Each block's sorts and top-1% wallets serve every transform. A median
     # does not depend on the order of its values, so the subnets may come
-    # block by block; with no snapshots, the empty head gives no block.
-    offsets = np.cumsum([0] + [snap.stake.shape[0] for snap in snapshots])
-    stake = np.concatenate([np.empty(0)] + [snap.stake for snap in snapshots])
+    # block by block.
+    _, _, offsets, _, _, stake, _, _ = _history_table(dataset)
     blocks = [
         (stakes, ascending, *_whale_top(stakes)) for _, stakes, ascending in _stake_blocks(stake, offsets)
     ]

@@ -45,7 +45,7 @@ def corpus_a():
         stake_perf_coupling=0.0, reward_rule="stake_proportional",
         seed=2024, span_days=1,
     )
-    return history_snapshots(generate(cfg))
+    return generate(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -144,10 +144,11 @@ def test_criterion_03_clipping_futility():
 
 def test_criterion_04_scheme_endpoints(fixture_path):
     """Null parameters reproduce the baseline profile; lambda=0 gives r_pr = 1."""
-    snaps = history_snapshots(load_events(fixture_path))
+    dataset = load_events(fixture_path)
+    snaps = history_snapshots(dataset)
     ok = True
     for scheme in ("split", "composite", "bonus"):
-        result = sweep_scheme(snaps, scheme)
+        result = sweep_scheme(dataset, scheme)
         null = NULL_PARAMS[scheme]
         for point in result.per_point:
             if point.param != null:
@@ -158,7 +159,7 @@ def test_criterion_04_scheme_endpoints(fixture_path):
             raw_pr = pearson(snap.perfs(point.role), snap.rewards(point.role))
             ok &= abs(point.r_sr - raw_sr) <= 1e-12
             ok &= abs(point.r_pr - raw_pr) <= 1e-12
-    composite = sweep_scheme(snaps, "composite")
+    composite = sweep_scheme(dataset, "composite")
     for point in composite.per_point:
         if point.param == 0.0 and point.role is Role.MINER:
             ok &= point.r_pr is not None and abs(point.r_pr - 1.0) <= 1e-9
@@ -249,7 +250,7 @@ def test_criterion_08_frontier_ordering(corpus_a):
     points = tradeoff_frontier(corpus_a, default_frontier_specs())
     by_label = {p.label: p for p in points}
     identity = by_label["cap:100"]
-    baseline = float(np.median([coalition_fraction(s.stakes()) for s in corpus_a]))
+    baseline = float(np.median([coalition_fraction(s.stakes()) for s in history_snapshots(corpus_a)]))
     identity_ok = (identity.median_whale_penalty == 0.0
                    and identity.median_coalition_fraction == baseline)
     power_penalties = [p.median_whale_penalty for p in points

@@ -20,17 +20,19 @@ from hypothesis import strategies as st
 from yumalab import cli, ingest, model, sweep, synth
 from yumalab._util import parse_timestamp
 from yumalab.cli import DEFAULT_CUTOFF_TEXT, build_parser, run
-from yumalab.ingest import history_snapshots, load_events, resample
-from yumalab.metrics import ROLE_FILTERS, ConcentrationReport, concentration_report
+from yumalab.ingest import history_snapshots, load_events, resample, save_events
+from yumalab.metrics import ROLE_FILTERS, ConcentrationReport, coalition_fraction, concentration_report
 from yumalab.consensus import BondState, run_tempo
 from yumalab.model import (
     EmissionParams,
     SnapshotEntry,
     SnapshotEvent,
+    SubnetSnapshot,
     WeightMatrix,
     _MappingView,
 )
 from test_ingest import event_file, event_records
+from test_sweep import THRESHOLD, drawn_datasets
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 TEMPO_CHAIN_INSTANCE = os.path.join(DATA_DIR, "tempo_chain_instance.json")
@@ -373,6 +375,20 @@ class TestAttack:
         low = [float(r[2]) for r in read_csv(out_a / "coalition.csv")[1:]]
         high = [float(r[2]) for r in read_csv(out_b / "coalition.csv")[1:]]
         assert all(h >= l for l, h in zip(low, high))
+
+    # Subnets of equal and unequal sizes share or split the table's blocks;
+    # a subnet without stake mass has no row.
+    @settings(max_examples=60, deadline=None)
+    @given(dataset=drawn_datasets(max_subnets=4, max_wallets=40), threshold=THRESHOLD)
+    def test_rows_match_coalition_fraction(self, dataset, threshold):
+        expected = [[str(snap.netuid), str(len(snap.wallet)), format(coalition_fraction(snap.stake, threshold), ".9g")]
+                    for snap in history_snapshots(dataset) if float(np.sum(snap.stake)) > 0.0]
+        with tempfile.TemporaryDirectory() as root:
+            path = os.path.join(root, "events.jsonl")
+            save_events(dataset, path)
+            assert run_cli("attack", "--input", path, "--threshold", repr(threshold), "--out", root) == 0
+            assert read_csv(os.path.join(root, "coalition.csv")) == [
+                ["netuid", "n_wallets", "coalition_fraction"], *expected]
 
     @pytest.mark.parametrize("command", ["attack", "frontier", "robustness"])
     def test_threshold_out_of_range_without_stake(self, tmp_path, capsys, command):
@@ -811,7 +827,7 @@ class TestNumericOverflow:
         assert err == "error: rewards of wallet 'w1' in netuid 3 sum beyond the float64 range\n"
 
     @pytest.mark.parametrize("command, operation", [
-        ("attack", "reduce"),
+        ("attack", "accumulate"),
         ("metrics", "reduce"),
         ("frontier", "accumulate"),
         ("robustness", "accumulate"),
@@ -826,20 +842,29 @@ class TestNumericOverflow:
 
 
 class TestNoPerEntryObjects:
-    """Every snapshot-based subcommand reads the snapshot columns; none of
-    them builds a SnapshotEntry."""
+    """Every analysis subcommand computes from the aggregation table's
+    columns; none of them builds a SnapshotEntry or a SubnetSnapshot."""
 
-    @pytest.mark.parametrize("args", [
+    INVOCATIONS = pytest.mark.parametrize("args", [
         ["attack"], ["metrics"], ["metrics", "--freq", "weekly"], ["robustness"], ["frontier"],
         ["sweep", "--scheme", "split"], ["sweep", "--scheme", "bonus"],
         ["sweep", "--scheme", "composite"],
     ], ids=" ".join)
-    def test_runs_with_entries_forbidden(self, tmp_path, fixture_path, monkeypatch, args):
-        def forbidden(self):
-            raise AssertionError("a SnapshotEntry was built")
 
-        monkeypatch.setattr(SnapshotEntry, "__post_init__", forbidden)
+    def run_forbidding(self, tmp_path, fixture_path, monkeypatch, args, row_type):
+        def forbidden(self):
+            raise AssertionError(f"a {row_type.__name__} was built")
+
+        monkeypatch.setattr(row_type, "__post_init__", forbidden)
         assert run_cli(*args, "--input", fixture_path, "--out", str(tmp_path)) == 0
+
+    @INVOCATIONS
+    def test_runs_with_entries_forbidden(self, tmp_path, fixture_path, monkeypatch, args):
+        self.run_forbidding(tmp_path, fixture_path, monkeypatch, args, SnapshotEntry)
+
+    @INVOCATIONS
+    def test_runs_with_snapshots_forbidden(self, tmp_path, fixture_path, monkeypatch, args):
+        self.run_forbidding(tmp_path, fixture_path, monkeypatch, args, SubnetSnapshot)
 
 
 class TestNoConcentrationReports:

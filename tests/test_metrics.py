@@ -9,8 +9,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from yumalab.ingest import _history_table, history_snapshots
 from yumalab.metrics import (
     ROLE_FILTERS,
+    _correlation_rows,
     concentration_report,
     correlation_profile,
     coalition_fraction,
@@ -20,6 +22,8 @@ from yumalab.metrics import (
     top_share,
 )
 from yumalab.model import Role, SubnetSnapshot, ValidationError
+
+from test_sweep import drawn_datasets
 
 UTC = timezone.utc
 
@@ -397,3 +401,19 @@ class TestReportKernelsMatchPublicFunctions:
         expected = (pearson(stakes, rewards), pearson(stakes, perfs), pearson(perfs, rewards))
         assert repr((profile.r_sr, profile.r_sp, profile.r_pr)) == repr(expected)
 
+
+    # The table path batches every segment of one role and length: subnets
+    # of equal and unequal sizes, roles of 0, 1 and more wallets, constant
+    # columns and subnets without stake mass.
+    @ORACLE_SETTINGS
+    @given(dataset=drawn_datasets(max_subnets=5, max_wallets=40))
+    def test_correlation_rows(self, dataset):
+        expected = [
+            (snap.netuid, role, snap.count(role), pearson(snap.stakes(role), snap.rewards(role)),
+             pearson(snap.stakes(role), snap.perfs(role)), pearson(snap.perfs(role), snap.rewards(role)))
+            for snap in history_snapshots(dataset)
+            for role in (Role.MINER, Role.VALIDATOR)
+            if snap.count(role) >= 2
+        ]
+        netuids, _, offsets, _, miner, stake, reward, perf = _history_table(dataset)
+        assert repr(list(_correlation_rows(netuids.tolist(), offsets, miner, stake, reward, perf))) == repr(expected)

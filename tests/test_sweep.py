@@ -24,7 +24,7 @@ from yumalab.interventions import (
     whale_penalty,
 )
 from yumalab.metrics import coalition_fraction, pearson
-from yumalab.model import Role, SnapshotEvent, SubnetSnapshot, ValidationError
+from yumalab.model import Role, SnapshotEvent, ValidationError
 from yumalab.sweep import (
     DEFAULT_CAP_PERCENTILES,
     NULL_PARAMS,
@@ -41,20 +41,30 @@ from yumalab.synth import SynthConfig, generate
 
 UTC = timezone.utc
 T0 = datetime(2024, 1, 1, tzinfo=UTC)
+T0_US = int(T0.timestamp()) * 1_000_000
+COLUMN_DTYPES = (np.int64, np.int64, bool, np.float64, np.float64, np.float64)
 
 
-def snapshot(netuid, rows):
-    """rows: (wallet, role, stake, reward, perf)."""
-    wallets, roles, stakes, rewards, perfs = zip(*rows)
-    return SubnetSnapshot(netuid=netuid, window_start=T0, window_end=T0 + timedelta(days=1),
-                          wallet=np.arange(len(wallets)), wallet_names=wallets,
-                          miner=[role is Role.MINER for role in roles],
-                          stake=stakes, reward=rewards, perf=perfs)
+def history_dataset(subnets):
+    """A Dataset of one event per wallet, all at T0, from per-subnet rows:
+    (netuid, rows) pairs of distinct netuids, each row (wallet, role,
+    stake, reward, perf). Its history table holds one segment per subnet,
+    the rows in wallet-name order and a -0.0 reward summed to 0.0."""
+    names = sorted({row[0] for _, rows in subnets for row in rows})
+    code = {name: i for i, name in enumerate(names)}
+    events = sorted((netuid, code[wallet], role is Role.MINER, stake, reward, perf)
+                    for netuid, rows in subnets for wallet, role, stake, reward, perf in rows)
+    netuid, wallet, miner, stake, reward, perf = (np.array(column, dtype=dtype)
+                                                  for column, dtype in zip(zip(*events), COLUMN_DTYPES))
+    return Dataset(timestamp=np.full(len(events), T0_US), block_number=np.zeros(len(events), dtype=np.int64),
+                   netuid=netuid, wallet=wallet, miner=miner, stake=stake, reward=reward,
+                   trust=np.where(miner, perf, np.nan), validator_trust=np.where(miner, np.nan, perf),
+                   wallet_names=tuple(names))
 
 
-def seeded_snapshots(n_subnets=4, n_wallets=40, seed=5):
+def seeded_dataset(n_subnets=4, n_wallets=40, seed=5):
     rng = np.random.default_rng(seed)
-    snaps = []
+    subnets = []
     for netuid in range(n_subnets):
         rows = []
         n_validators = max(2, n_wallets // 5)
@@ -64,8 +74,8 @@ def seeded_snapshots(n_subnets=4, n_wallets=40, seed=5):
             reward = float(stake * rng.uniform(0.5, 1.5))
             perf = float(rng.random())
             rows.append((f"w{i}", role, stake, reward, perf))
-        snaps.append(snapshot(netuid, rows))
-    return snaps
+        subnets.append((netuid, rows))
+    return history_dataset(subnets)
 
 
 class TestGrids:
@@ -87,9 +97,9 @@ class TestGrids:
 
 class TestSweepScheme:
     def test_null_point_deltas_are_exact_zeros(self):
-        snaps = seeded_snapshots()
+        dataset = seeded_dataset()
         for scheme in ("split", "composite", "bonus"):
-            result = sweep_scheme(snaps, scheme)
+            result = sweep_scheme(dataset, scheme)
             null = NULL_PARAMS[scheme]
             null_points = [p for p in result.per_point if p.param == null]
             assert null_points
@@ -100,9 +110,10 @@ class TestSweepScheme:
     def test_null_point_reproduces_raw_profile(self):
         # The null parameter must leave correlations at the unmodified
         # values (composite rescales affinely, which Pearson ignores).
-        snaps = seeded_snapshots(n_subnets=2)
+        dataset = seeded_dataset(n_subnets=2)
+        snaps = history_snapshots(dataset)
         for scheme in ("split", "composite", "bonus"):
-            result = sweep_scheme(snaps, scheme)
+            result = sweep_scheme(dataset, scheme)
             null = NULL_PARAMS[scheme]
             for point in (p for p in result.per_point if p.param == null):
                 snap = next(s for s in snaps if s.netuid == point.netuid)
@@ -119,8 +130,7 @@ class TestSweepScheme:
             ("v1", Role.VALIDATOR, 9.0, 3.0, 0.8),
             ("v2", Role.VALIDATOR, 3.0, 1.0, 0.2),
         ]
-        snaps = [snapshot(0, rows)]
-        result = sweep_scheme(snaps, "bonus", grid=(0.0, 0.5))
+        result = sweep_scheme(history_dataset([(0, rows)]), "bonus", grid=(0.0, 0.5))
         point = next(p for p in result.per_point
                      if p.param == 0.5 and p.role is Role.MINER)
         adjusted = [8.0 * 1.45, 5.0 * 1.05, 2.0 * 1.3]
@@ -128,8 +138,7 @@ class TestSweepScheme:
         assert point.r_sr == pytest.approx(pearson([4.0, 2.0, 1.0], adjusted), abs=1e-12)
 
     def test_composite_reallocates_only_miners(self):
-        snaps = seeded_snapshots(n_subnets=1)
-        result = sweep_scheme(snaps, "composite", grid=(1.0, 0.0))
+        result = sweep_scheme(seeded_dataset(n_subnets=1), "composite", grid=(1.0, 0.0))
         null_v = next(p for p in result.per_point
                       if p.param == 1.0 and p.role is Role.VALIDATOR)
         full_v = next(p for p in result.per_point
@@ -138,15 +147,13 @@ class TestSweepScheme:
         assert full_v.r_pr == null_v.r_pr
 
     def test_composite_pure_perf_endpoint(self):
-        snaps = seeded_snapshots(n_subnets=3)
-        result = sweep_scheme(snaps, "composite")
+        result = sweep_scheme(seeded_dataset(n_subnets=3), "composite")
         for point in result.per_point:
             if point.param == 0.0 and point.role is Role.MINER:
                 assert point.r_pr == pytest.approx(1.0, abs=1e-9)
 
     def test_default_composite_grid_row_count(self):
-        snaps = seeded_snapshots(n_subnets=3)
-        result = sweep_scheme(snaps, "composite")
+        result = sweep_scheme(seeded_dataset(n_subnets=3), "composite")
         for netuid in (0, 1, 2):
             for role in (Role.MINER, Role.VALIDATOR):
                 rows = [p for p in result.per_point
@@ -155,36 +162,31 @@ class TestSweepScheme:
 
     def test_grid_must_include_null(self):
         with pytest.raises(ValidationError):
-            sweep_scheme(seeded_snapshots(1), "split", grid=(0.5, 1.0))
+            sweep_scheme(seeded_dataset(1), "split", grid=(0.5, 1.0))
 
     def test_composite_grid_range_checked(self):
         with pytest.raises(ValidationError):
-            sweep_scheme(seeded_snapshots(1), "composite", grid=(1.0, 1.5))
+            sweep_scheme(seeded_dataset(1), "composite", grid=(1.0, 1.5))
 
     # A repeated value once interleaved its rows; -0.0 and 0.0 are one value.
     @pytest.mark.parametrize("grid, value", [((0.0, 0.5, 0.0), "0.0"), ((0.0, 0.5, -0.0), "-0.0"),
                                              ((0.1, 0.0, 0.1), "0.1")])
     def test_grid_values_must_be_distinct(self, grid, value):
         with pytest.raises(ValidationError) as excinfo:
-            sweep_scheme(seeded_snapshots(1), "split", grid=grid)
+            sweep_scheme(seeded_dataset(1), "split", grid=grid)
         assert str(excinfo.value) == f"grid values must be distinct; {value} appears more than once"
 
     def test_split_uses_a_quarter_base_validator_share(self):
         assert BASE_VALIDATOR_SHARE == 0.25
-        snap = seeded_snapshots(n_subnets=1)[0]
+        (snap,) = history_snapshots(seeded_dataset(n_subnets=1))
         grid = default_grid("split")
-        for value, rewards in zip(grid, _scheme_rewards(snap, "split", grid)):
+        for value, rewards in zip(grid, _scheme_rewards(snap.miner, snap.reward, snap.perf, "split", grid)):
             expected = perf_weighted_rewards(snap.reward, snap.perf, snap.miner, sensitivity=value)
             np.testing.assert_array_equal(rewards, expected)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValidationError):
-            sweep_scheme(seeded_snapshots(1), "demurrage")
-
-    def test_duplicate_netuids_rejected(self):
-        snaps = seeded_snapshots(1) + seeded_snapshots(1)
-        with pytest.raises(ValidationError):
-            sweep_scheme(snaps, "split")
+            sweep_scheme(seeded_dataset(1), "demurrage")
 
     def test_degenerate_role_is_skipped_not_fatal(self):
         rows = [
@@ -193,7 +195,7 @@ class TestSweepScheme:
             ("m3", Role.MINER, 3.0, 2.0, 0.2),
             ("v1", Role.VALIDATOR, 5.0, 1.0, 0.9),
         ]
-        result = sweep_scheme([snapshot(0, rows)], "bonus", grid=(0.0, 0.1))
+        result = sweep_scheme(history_dataset([(0, rows)]), "bonus", grid=(0.0, 0.1))
         assert all(p.role is Role.MINER for p in result.per_point)
 
     def test_constant_stake_subnet_counts_as_excluded(self):
@@ -202,7 +204,7 @@ class TestSweepScheme:
             ("m2", Role.MINER, 1.0, 3.0, 0.7),
             ("m3", Role.MINER, 1.0, 2.0, 0.2),
         ]
-        result = sweep_scheme([snapshot(0, rows)], "bonus", grid=(0.0, 0.1))
+        result = sweep_scheme(history_dataset([(0, rows)]), "bonus", grid=(0.0, 0.1))
         aggregate = next(a for a in result.aggregates
                          if a.param == 0.1 and a.role is Role.MINER)
         assert aggregate.excluded == 1
@@ -210,7 +212,7 @@ class TestSweepScheme:
         assert aggregate.median_d_r_sr is None
 
     def test_points_sorted_by_grid_then_netuid(self):
-        result = sweep_scheme(seeded_snapshots(n_subnets=3), "split", grid=(0.0, 1.0, 0.5))
+        result = sweep_scheme(seeded_dataset(n_subnets=3), "split", grid=(0.0, 1.0, 0.5))
         keys = [((0.0, 1.0, 0.5).index(p.param), p.netuid, p.role.value)
                 for p in result.per_point]
         assert keys == sorted(keys)
@@ -218,17 +220,15 @@ class TestSweepScheme:
 
 class TestTradeoffFrontier:
     def test_identity_point_is_baseline(self):
-        snaps = seeded_snapshots()
         specs = (TransformSpec("cap", 100.0),
                  TransformSpec("cap", 50.0))
-        points = tradeoff_frontier(snaps, specs)
+        points = tradeoff_frontier(seeded_dataset(), specs)
         identity = next(p for p in points if p.label == "cap:100")
         assert identity.median_whale_penalty == 0.0
-        assert identity.n_subnets == len(snaps)
+        assert identity.n_subnets == 4
 
     def test_cap_lowers_whale_share_and_raises_fraction(self):
-        snaps = seeded_snapshots(n_subnets=6, n_wallets=120)
-        points = tradeoff_frontier(snaps, (
+        points = tradeoff_frontier(seeded_dataset(n_subnets=6, n_wallets=120), (
             TransformSpec("cap", 100.0),
             TransformSpec("cap", 60.0),
         ))
@@ -238,7 +238,7 @@ class TestTradeoffFrontier:
                 >= by_label["cap:100"].median_coalition_fraction)
 
     def test_points_sorted_by_penalty(self):
-        points = tradeoff_frontier(seeded_snapshots(), default_frontier_specs())
+        points = tradeoff_frontier(seeded_dataset(), default_frontier_specs())
         penalties = [p.median_whale_penalty for p in points]
         assert penalties == sorted(penalties)
 
@@ -248,21 +248,19 @@ class TestTradeoffFrontier:
         rows = [("w0", Role.MINER, 100.0, 1.0, 0.5)] + [
             (f"w{i}", Role.MINER, 1.0, 1.0, 0.5) for i in range(1, 10)
         ]
-        snaps = [snapshot(0, rows)]
         specs = (
             TransformSpec("cap", 100.0),
             TransformSpec("cap", 90.0),
             TransformSpec("cap", 50.0),
         )
-        points = tradeoff_frontier(snaps, specs)
+        points = tradeoff_frontier(history_dataset([(0, rows)]), specs)
         by_label = {p.label: p for p in points}
         # both caps clamp the whale to 1.0: identical security, different cost
         assert by_label["cap:90"].median_coalition_fraction == by_label["cap:50"].median_coalition_fraction
         assert by_label["cap:90"].pareto and by_label["cap:50"].pareto
 
     def test_strictly_dominated_flag(self):
-        snaps = seeded_snapshots(n_subnets=6, n_wallets=120)
-        points = tradeoff_frontier(snaps, default_frontier_specs())
+        points = tradeoff_frontier(seeded_dataset(n_subnets=6, n_wallets=120), default_frontier_specs())
         for p in points:
             dominated = any(
                 q.median_coalition_fraction > p.median_coalition_fraction
@@ -273,16 +271,18 @@ class TestTradeoffFrontier:
 
     def test_empty_specs_rejected(self):
         with pytest.raises(ValidationError):
-            tradeoff_frontier(seeded_snapshots(), ())
+            tradeoff_frontier(seeded_dataset(), ())
 
-    def test_no_snapshots_rejected(self):
+    def test_no_stake_mass_rejected(self):
+        dataset = history_dataset([(netuid, [("w0", Role.MINER, 0.0, 1.0, 0.5), ("w1", Role.VALIDATOR, -0.0, 0.0, 0.5)])
+                                   for netuid in (0, 3)])
         with pytest.raises(ValidationError, match="no subnet with positive stake mass for transform cap:100"):
-            tradeoff_frontier([], (TransformSpec("cap", 100.0),))
+            tradeoff_frontier(dataset, (TransformSpec("cap", 100.0),))
 
     @pytest.mark.parametrize("threshold", [0.0, 1.5, math.nan])
     def test_threshold_range_checked(self, threshold):
         with pytest.raises(ValidationError, match=r"threshold must lie in \(0, 1\], got"):
-            tradeoff_frontier(seeded_snapshots(), default_frontier_specs(), threshold)
+            tradeoff_frontier(seeded_dataset(), default_frontier_specs(), threshold)
 
 
 def frontier_point(penalty):
@@ -411,23 +411,36 @@ ORACLE_SETTINGS = settings(max_examples=100, deadline=None,
 
 def mass_columns(n):
     return st.one_of(arrays(np.float64, n, elements=VALUE),
-                     arrays(np.float64, n, elements=st.sampled_from([0.0, -0.0])))
+                     arrays(np.float64, n, elements=st.sampled_from([0.0, -0.0])),
+                     VALUE.map(lambda value: np.full(n, value)))
+
+
+def perf_columns(n):
+    return st.one_of(arrays(np.float64, n, elements=PERF), PERF.map(lambda value: np.full(n, value)))
+
+
+def miner_columns(n):
+    """Miner flags at random, or with 0, 1 or 2 wallets of one role."""
+    few = st.tuples(st.integers(0, min(n, 2)), st.booleans())
+    return st.one_of(arrays(np.bool_, n), few.map(lambda pick: (np.arange(n) < pick[0]) == pick[1]))
 
 
 @st.composite
-def drawn_snapshots(draw, max_subnets=3, max_wallets=300, stakes=mass_columns):
-    """1 to max_subnets snapshots of 1 to max_wallets wallets each, with
-    stakes drawn by stakes(n); either role may be empty or hold one wallet."""
-    snaps = []
-    for netuid in range(draw(st.integers(1, max_subnets))):
-        n = draw(st.integers(1, max_wallets))
-        snaps.append(SubnetSnapshot(
-            netuid=netuid, window_start=T0, window_end=T0 + timedelta(days=1),
-            wallet=np.arange(n), wallet_names=tuple(f"w{i:03d}" for i in range(n)),
-            miner=draw(arrays(np.bool_, n)), stake=draw(stakes(n)),
-            reward=draw(mass_columns(n)), perf=draw(arrays(np.float64, n, elements=PERF)),
-        ))
-    return snaps
+def drawn_datasets(draw, max_subnets=3, max_wallets=300, stakes=mass_columns):
+    """The history_dataset of 1 to max_subnets subnets of 1 to max_wallets
+    wallets each, all of one size or each of its own, with stakes drawn by
+    stakes(n); either role may be empty or hold one wallet, and a column
+    may be constant or hold no mass."""
+    n_subnets = draw(st.integers(1, max_subnets))
+    size = st.integers(1, max_wallets)
+    sizes = draw(st.one_of(size.map(lambda n: [n] * n_subnets),
+                           st.lists(size, min_size=n_subnets, max_size=n_subnets)))
+    subnets = []
+    for netuid, n in enumerate(sizes):
+        roles = [Role.MINER if miner else Role.VALIDATOR for miner in draw(miner_columns(n)).tolist()]
+        columns = (draw(stakes(n)).tolist(), draw(mass_columns(n)).tolist(), draw(perf_columns(n)).tolist())
+        subnets.append((netuid, [(f"w{i:03d}", *row) for i, row in enumerate(zip(roles, *columns))]))
+    return history_dataset(subnets)
 
 
 def oracle_pairs(snapshots, spec):
@@ -445,39 +458,40 @@ def oracle_pairs(snapshots, spec):
 
 # A subnormal stake of a whale, which a power below 1 raises so far that its
 # penalty overflows to -inf.
-SUBNORMAL_WHALE = [snapshot(0, [("w000", Role.VALIDATOR, 5e-324, 0.0, 0.0)])]
-SUBNORMAL_AND_EMPTY = [snapshot(0, [("w000", Role.VALIDATOR, 0.0, 0.0, 0.0),
-                                    ("w001", Role.VALIDATOR, 5e-324, 0.0, 0.0)])]
+SUBNORMAL_WHALE = history_dataset([(0, [("w000", Role.VALIDATOR, 5e-324, 0.0, 0.0)])])
+SUBNORMAL_AND_EMPTY = history_dataset([(0, [("w000", Role.VALIDATOR, 0.0, 0.0, 0.0),
+                                            ("w001", Role.VALIDATOR, 5e-324, 0.0, 0.0)])])
 ROOT_32 = TransformSpec("power", 0.03125)
 
 
 class TestKernelsMatchPublicFunctions:
     @ORACLE_SETTINGS
-    @given(snaps=drawn_snapshots(), specs=SPECS, threshold=THRESHOLD)
-    @example(snaps=SUBNORMAL_WHALE, specs=(ROOT_32,), threshold=0.51)
-    @example(snaps=SUBNORMAL_AND_EMPTY, specs=(ROOT_32, TransformSpec("cap", 1.0)),
+    @given(dataset=drawn_datasets(), specs=SPECS, threshold=THRESHOLD)
+    @example(dataset=SUBNORMAL_WHALE, specs=(ROOT_32,), threshold=0.51)
+    @example(dataset=SUBNORMAL_AND_EMPTY, specs=(ROOT_32, TransformSpec("cap", 1.0)),
              threshold=0.51)
-    def test_tradeoff_frontier(self, snaps, specs, threshold):
+    def test_tradeoff_frontier(self, dataset, specs, threshold):
+        snaps = history_snapshots(dataset)
         expected = {}
         for spec in specs:
             pairs = oracle_pairs(snaps, spec)
             if not pairs:
                 with pytest.raises(ValidationError, match="no subnet with positive stake mass"):
-                    tradeoff_frontier(snaps, specs, threshold)
+                    tradeoff_frontier(dataset, specs, threshold)
                 return
             # A power below 1 raises stakes below 1: the penalty can be negative,
             # and beyond the float range, which the frontier rejects.
             penalty = float(np.median([whale_penalty(s, t) for s, t in pairs]))
             if not math.isfinite(penalty):
                 with pytest.raises(ValidationError, match="median whale penalty must be finite and at most 1"):
-                    tradeoff_frontier(snaps, specs, threshold)
+                    tradeoff_frontier(dataset, specs, threshold)
                 return
             expected[spec.label] = repr((
                 len(pairs),
                 float(np.median([coalition_fraction(t, threshold) for _, t in pairs])),
                 penalty,
             ))
-        points = tradeoff_frontier(snaps, specs, threshold)
+        points = tradeoff_frontier(dataset, specs, threshold)
         assert {p.label: repr((p.n_subnets, p.median_coalition_fraction, p.median_whale_penalty))
                 for p in points} == expected
 
@@ -520,21 +534,21 @@ class TestKernelsMatchPublicFunctions:
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @ORACLE_SETTINGS
-    @given(snaps=drawn_snapshots())
-    def test_scheme_rewards(self, scheme, snaps):
+    @given(dataset=drawn_datasets())
+    def test_scheme_rewards(self, scheme, dataset):
         grid = default_grid(scheme)
-        for snap in snaps:
-            batched = _scheme_rewards(snap, scheme, grid)
+        for snap in history_snapshots(dataset):
+            batched = _scheme_rewards(snap.miner, snap.reward, snap.perf, scheme, grid)
             for value, rewards in zip(grid, batched):
                 assert rewards.tobytes() == scheme_rewards(snap, scheme, value).tobytes()
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @ORACLE_SETTINGS
-    @given(snaps=drawn_snapshots())
-    def test_sweep_points(self, scheme, snaps):
+    @given(dataset=drawn_datasets())
+    def test_sweep_points(self, scheme, dataset):
         expected = {}
         for value in default_grid(scheme):
-            for snap in snaps:
+            for snap in history_snapshots(dataset):
                 adjusted = scheme_rewards(snap, scheme, value)
                 for role, rows in ((Role.MINER, snap.miner), (Role.VALIDATOR, ~snap.miner)):
                     if np.count_nonzero(rows) >= 2:
@@ -542,7 +556,7 @@ class TestKernelsMatchPublicFunctions:
                             pearson(snap.stake[rows], adjusted[rows]),
                             pearson(snap.perf[rows], adjusted[rows]),
                         ))
-        result = sweep_scheme(snaps, scheme)
+        result = sweep_scheme(dataset, scheme)
         assert {(p.param, p.netuid, p.role): repr((p.r_sr, p.r_pr))
                 for p in result.per_point} == expected
 
@@ -573,8 +587,8 @@ SCHEME_CORPUS = dict(stake_law="uniform", perf_law="uniform", n_subnets=8, walle
 
 
 @functools.lru_cache(maxsize=3)
-def scheme_snapshots(seed):
-    return history_snapshots(generate(SynthConfig(**SCHEME_CORPUS, seed=seed)))
+def scheme_dataset(seed):
+    return generate(SynthConfig(**SCHEME_CORPUS, seed=seed))
 
 
 def bonus_correlations(b):
@@ -599,7 +613,7 @@ SCHEME_KNOWN_ANSWERS = [
 
 
 def role_points(seed, scheme, value, role):
-    result = sweep_scheme(scheme_snapshots(seed), scheme, (NULL_PARAMS[scheme], value))
+    result = sweep_scheme(scheme_dataset(seed), scheme, (NULL_PARAMS[scheme], value))
     points = [p for p in result.per_point if p.param == value and p.role is role]
     assert len(points) == 8
     return points
@@ -622,7 +636,7 @@ class TestSchemeKnownAnswers:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_composite_leaves_validators_alone(self, seed):
-        result = sweep_scheme(scheme_snapshots(seed), "composite")
+        result = sweep_scheme(scheme_dataset(seed), "composite")
         validators = [p for p in result.per_point if p.role is Role.VALIDATOR]
         assert len(validators) == 8 * len(default_grid("composite"))
         assert all(p.r_sr == pytest.approx(1.0, abs=1e-12) for p in validators)
@@ -631,7 +645,7 @@ class TestSchemeKnownAnswers:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_every_delta_is_zero_at_the_null_value(self, seed, scheme):
-        result = sweep_scheme(scheme_snapshots(seed), scheme)
+        result = sweep_scheme(scheme_dataset(seed), scheme)
         null = NULL_PARAMS[scheme]
         points = [p for p in result.per_point if p.param == null]
         aggregates = [a for a in result.aggregates if a.param == null]
@@ -677,19 +691,19 @@ def two_day_datasets(draw, max_subnets=3, max_wallets=40):
 
 class TestStakeUnit:
     @UNIT_SETTINGS
-    @given(snaps=drawn_snapshots(stakes=normal_stakes), specs=SPECS, k=st.integers(-20, 20))
-    def test_frontier_cap_rows(self, snaps, specs, k):
-        scaled = [dataclasses.replace(snap, stake=snap.stake * 2.0 ** k) for snap in snaps]
+    @given(dataset=drawn_datasets(stakes=normal_stakes), specs=SPECS, k=st.integers(-20, 20))
+    def test_frontier_cap_rows(self, dataset, specs, k):
+        scaled = dataclasses.replace(dataset, stake=dataset.stake * 2.0 ** k)
 
-        def cap_rows(snapshots):
+        def cap_rows(dataset):
             try:
-                points = tradeoff_frontier(snapshots, specs)
+                points = tradeoff_frontier(dataset, specs)
             except ValidationError as exc:
                 return str(exc)
             return [(p.label, p.median_coalition_fraction, p.median_whale_penalty, p.n_subnets)
                     for p in sorted(points, key=lambda p: p.label) if p.kind == "cap"]
 
-        assert repr(cap_rows(scaled)) == repr(cap_rows(snaps))
+        assert repr(cap_rows(scaled)) == repr(cap_rows(dataset))
 
     @UNIT_SETTINGS
     @given(dataset=two_day_datasets(), spec=CAP_SPEC, k=st.integers(-20, 20))
