@@ -290,6 +290,7 @@ def _correlation_rows(netuids: Sequence[int], offsets: np.ndarray, miner: np.nda
 
 def correlation_profile(snap: SubnetSnapshot, role: Role) -> CorrelationProfile:
     """Stake/reward/perf correlations for one role within a snapshot."""
+    role = Role.parse(role)
     count = snap.count(role)
     if count < 2:
         raise ValidationError(f"need at least 2 wallets with role {role.value} in netuid {snap.netuid}, got {count}")

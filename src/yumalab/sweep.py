@@ -31,12 +31,10 @@ from yumalab.interventions import (
     unit_rescale,
 )
 from yumalab.metrics import (
-    _centred_rows,
     _check_threshold,
     _coalition_rows,
+    _correlation_rows,
     _median,
-    _optional,
-    _pearson_rows,
     _percentiles,
     _stake_blocks,
 )
@@ -195,26 +193,6 @@ def _scheme_rewards(
     return adjusted
 
 
-def _role_correlations(
-    miner: np.ndarray, stake: np.ndarray, perf: np.ndarray, adjusted: np.ndarray
-) -> dict[Role, tuple[np.ndarray, np.ndarray]]:
-    """The stake/reward and perf/reward correlations of each role with at
-    least 2 wallets of one subnet, one per row of `adjusted`, its rewards at
-    each grid value; NaN where a correlation is undefined."""
-    out = {}
-    for role, rows in ((Role.MINER, miner), (Role.VALIDATOR, ~miner)):
-        if np.count_nonzero(rows) < 2:
-            continue
-        # The kernels take C-contiguous blocks; adjusted[:, rows] is not one.
-        rewards = np.ascontiguousarray(adjusted[:, rows])
-        if not np.all(np.isfinite(rewards)):
-            raise ValidationError("pearson inputs must be finite")
-        reward = _centred_rows(rewards)
-        centred = [_centred_rows(np.tile(column[rows], (len(rewards), 1))) for column in (stake, perf)]
-        out[role] = tuple(_pearson_rows(x, reward) for x in centred)
-    return out
-
-
 def _check_grid(scheme: str, grid: Optional[Sequence[float]]) -> tuple[float, ...]:
     """The checked grid of a `scheme` sweep as floats; None gives the default grid."""
     if scheme not in SCHEMES:
@@ -249,42 +227,41 @@ def sweep_scheme(dataset: Dataset, scheme: str, grid: Optional[Sequence[float]] 
     The grid must hold distinct values, the scheme's null parameter among
     them; deltas are taken against the correlations computed at that grid
     point, so the baseline rows are exactly zero. Roles with fewer than 2
-    wallets in a subnet are skipped.
+    wallets in a subnet are skipped; a scheme reward beyond the float range
+    in any wallet is an error.
     """
     grid_values = _check_grid(scheme, grid)
     netuids, _, offsets, _, miner, stake, reward, perf = _history_table(dataset)
-    base = grid_values.index(NULL_PARAMS[scheme])
-    # Per subnet, a segment of the table, and role: (r_sr, r_pr, d_r_sr,
-    # d_r_pr) at each grid value, None where undefined. Each role's grid
-    # values are one batch.
-    columns = []
+    # The rewards of every entry at each grid value, one row per value.
+    rewards = np.empty((len(grid_values), len(reward)))
     for first, stop in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
-        subnet = slice(first, stop)
-        adjusted = _scheme_rewards(miner[subnet], reward[subnet], perf[subnet], scheme, grid_values)
-        roles = {}
-        for role, (r_sr, r_pr) in _role_correlations(miner[subnet], stake[subnet], perf[subnet], adjusted).items():
-            values = (r_sr, r_pr, r_sr - r_sr[base], r_pr - r_pr[base])
-            roles[role] = list(zip(*(map(_optional, column.tolist()) for column in values)))
-        columns.append(roles)
+        rewards[:, first:stop] = _scheme_rewards(miner[first:stop], reward[first:stop], perf[first:stop], scheme, grid_values)
+    if not np.all(np.isfinite(rewards)):
+        raise ValidationError("pearson inputs must be finite")
+    # The correlation rows of each grid value, in (netuid, role) order: the
+    # skipped roles hang on wallet counts alone, so every value has the
+    # same (netuid, role)s as the null value.
+    netuids = netuids.tolist()
+    rows = [list(_correlation_rows(netuids, offsets, miner, stake, row, perf)) for row in rewards]
+    base = rows[grid_values.index(NULL_PARAMS[scheme])]
 
     # One pass in (grid order, netuid, role) order. Each role's deltas,
     # in netuid order, feed its aggregate at the grid value.
     points: list[SweepPoint] = []
     aggregates: list[SweepAggregate] = []
-    for i, value in enumerate(grid_values):
+    for value, value_rows in zip(grid_values, rows):
         deltas: dict[Role, list[tuple]] = {Role.MINER: [], Role.VALIDATOR: []}
-        for netuid, roles in zip(netuids.tolist(), columns):
-            for role, rows in roles.items():
-                r_sr, r_pr, d_sr, d_pr = rows[i]
-                points.append(SweepPoint(scheme=scheme, param=value, netuid=netuid, role=role,
-                                         r_sr=r_sr, r_pr=r_pr, d_r_sr=d_sr, d_r_pr=d_pr))
-                deltas[role].append((d_sr, d_pr))
+        for (netuid, role, _, r_sr, _, r_pr), (*_, b_sr, _, b_pr) in zip(value_rows, base):
+            d_sr = None if None in (r_sr, b_sr) else r_sr - b_sr
+            d_pr = None if None in (r_pr, b_pr) else r_pr - b_pr
+            points.append(SweepPoint(scheme=scheme, param=value, netuid=netuid, role=role,
+                                     r_sr=r_sr, r_pr=r_pr, d_r_sr=d_sr, d_r_pr=d_pr))
+            deltas[role].append((d_sr, d_pr))
         for role, pairs in deltas.items():
             defined = [pair for pair in pairs if None not in pair]
-            deltas_sr = [d_sr for d_sr, _ in defined]
-            deltas_pr = [d_pr for _, d_pr in defined]
             stats = (None,) * 4
             if defined:
+                deltas_sr, deltas_pr = zip(*defined)
                 stats = (float(np.mean(deltas_sr)), _median(deltas_sr), float(np.mean(deltas_pr)), _median(deltas_pr))
             aggregates.append(SweepAggregate(value, role, len(defined), len(pairs) - len(defined), *stats))
     return SweepResult(

@@ -616,6 +616,22 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: grid values must be distinct; {value} appears more than once\n"
         assert os.listdir(tmp_path) == []
 
+    # A bonus at rate 0 leaves every reward as it is, so the sweep's rows
+    # at 0 are the stake/reward and perf/reward cells of correlations.csv,
+    # for the same (netuid, role)s.
+    @pytest.mark.parametrize("source", ["fixture.jsonl", "wide.jsonl"])
+    def test_null_rows_are_the_metrics_correlations(self, tmp_path, source):
+        path = os.path.join(DATA_DIR, source)
+        assert run_cli("metrics", "--input", path, "--out", str(tmp_path / "m")) == 0
+        assert run_cli("sweep", "--input", path, "--scheme", "bonus", "--out", str(tmp_path / "s")) == 0
+        correlations = {(netuid, role): (r_sr, r_pr)
+                        for netuid, role, _, r_sr, _, r_pr in read_csv(tmp_path / "m" / "correlations.csv")[1:]}
+        null_rows = {(netuid, role): (r_sr, r_pr)
+                     for _, param, netuid, role, r_sr, r_pr, _, _ in read_csv(tmp_path / "s" / "sweep.csv")[1:]
+                     if param == "0"}
+        assert len(correlations) >= 4
+        assert null_rows == correlations
+
 
 class TestFrontier:
     def test_default_ladder(self, tmp_path, fixture_path):

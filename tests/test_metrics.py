@@ -222,6 +222,22 @@ class TestCorrelationProfile:
         with pytest.raises(ValidationError):
             correlation_profile(snap, Role.MINER)
 
+    # A role given as its text is read with Role.parse, so a lone miner is
+    # the same ValidationError, not an AttributeError from building the
+    # message, and an unknown role is a ValidationError too.
+    @pytest.mark.parametrize("role", [Role.MINER, "miner"], ids=["member", "text"])
+    def test_requires_two_wallets_of_a_role_member_or_text(self, role):
+        snap = snapshot([
+            entry("m1", Role.MINER, 1.0, 1.0, 0.1),
+            entry("v1", Role.VALIDATOR, 2.0, 1.0, 0.5),
+            entry("v2", Role.VALIDATOR, 3.0, 2.0, 0.7),
+        ])
+        with pytest.raises(ValidationError) as excinfo:
+            correlation_profile(snap, role)
+        assert str(excinfo.value) == "need at least 2 wallets with role miner in netuid 1, got 1"
+        with pytest.raises(ValidationError, match="^unknown role 'owner'$"):
+            correlation_profile(snap, "owner")
+
     def test_degenerate_axis_is_none(self):
         snap = snapshot([
             entry("m1", Role.MINER, 5.0, 1.0, 0.5),

@@ -197,6 +197,28 @@ class TestSweepScheme:
         ]
         result = sweep_scheme(history_dataset([(0, rows)]), "bonus", grid=(0.0, 0.1))
         assert all(p.role is Role.MINER for p in result.per_point)
+        # A lone wallet gives no rows at all, and each (grid value, role)
+        # still has its aggregate, with nothing defined or excluded.
+        lone = history_dataset([(0, [("v1", Role.VALIDATOR, 5.0, 1.0, 0.9)])])
+        for scheme in ("split", "composite", "bonus"):
+            result = sweep_scheme(lone, scheme)
+            assert result.per_point == ()
+            assert [(a.param, a.role) for a in result.aggregates] == [
+                (value, role) for value in result.grid for role in (Role.MINER, Role.VALIDATOR)]
+            for aggregate in result.aggregates:
+                assert (aggregate.n_subnets, aggregate.excluded) == (0, 0)
+                assert (aggregate.mean_d_r_sr, aggregate.median_d_r_sr,
+                        aggregate.mean_d_r_pr, aggregate.median_d_r_pr) == (None,) * 4
+
+    # Every scheme reward must be finite, also that of a role too small to
+    # correlate: a lone validator whose bonus leaves the float range fails
+    # as two validators do.
+    @pytest.mark.parametrize("validators", [1, 2])
+    def test_reward_beyond_float_range_is_an_error(self, validators):
+        rows = [("m1", Role.MINER, 1.0, 1.0, 0.5), ("m2", Role.MINER, 2.0, 3.0, 0.7)]
+        rows += [(f"v{i}", Role.VALIDATOR, 5.0 + i, 1e308, 1.0) for i in range(validators)]
+        with np.errstate(over="ignore"), pytest.raises(ValidationError, match="^pearson inputs must be finite$"):
+            sweep_scheme(history_dataset([(0, rows)]), "bonus", grid=(0.0, 1.0))
 
     def test_constant_stake_subnet_counts_as_excluded(self):
         rows = [
