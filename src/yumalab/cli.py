@@ -321,16 +321,14 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     import numpy as np
 
     from yumalab.ingest import _history_table
-    from yumalab.metrics import _check_threshold, _coalition_rows, _stake_blocks
+    from yumalab.metrics import _check_threshold, _coalition_column
 
     out_dir = _out_dir(args)
     threshold = _check_threshold(args.threshold)
     dataset = _load_dataset(args)
     # The coalition fraction of each subnet with stake mass, NaN for the others.
     netuid, _, offsets, _, _, stake, _, _ = _history_table(dataset)
-    fractions = np.full(len(netuid), np.nan)
-    for segments, _, ascending in _stake_blocks(stake, offsets):
-        fractions[segments] = _coalition_rows(ascending, threshold)
+    fractions = _coalition_column(stake, offsets, threshold)
     kept = ~np.isnan(fractions)
     rows = zip(netuid[kept].tolist(), np.diff(offsets)[kept].tolist(), fractions[kept].tolist())
     _write_csv(_out_path(out_dir, "coalition.csv"), ("netuid", "n_wallets", "coalition_fraction"), rows)

@@ -199,12 +199,12 @@ def _whale_top(before: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return top_idx, np.sum(np.take_along_axis(before, top_idx, axis=1), axis=1)
 
 
-def _penalty(top_before: np.ndarray, after: np.ndarray, top_idx: np.ndarray) -> np.ndarray:
+def _penalty(top_before: np.ndarray, after_top: np.ndarray) -> np.ndarray:
     """Relative reduction of each row's top-1% stake from `top_before` > 0
-    to the sum of the row of `after` at `top_idx`. A quotient beyond the
-    float range is -inf, as in float arithmetic, not an error; the frontier
-    rejects it."""
-    top_after = np.sum(np.take_along_axis(after, top_idx, axis=1), axis=1)
+    to the sum of the same row of `after_top`, the transformed stakes of
+    those wallets. A quotient beyond the float range is -inf, as in float
+    arithmetic, not an error; the frontier rejects it."""
+    top_after = np.sum(after_top, axis=1)
     with np.errstate(over="ignore", under="ignore"):
         return (top_before - top_after) / top_before
 
@@ -226,4 +226,4 @@ def whale_penalty(original, transformed) -> float:
     top_idx, top_before = _whale_top(before[None, :])
     if top_before[0] <= 0.0:
         raise ValidationError("whale_penalty is undefined: top-1% stake mass is zero")
-    return float(_penalty(top_before, after[None, :], top_idx)[0])
+    return float(_penalty(top_before, np.take_along_axis(after[None, :], top_idx, axis=1))[0])

@@ -64,15 +64,15 @@ def _blocks(values: np.ndarray, offsets: np.ndarray) -> Iterator[tuple[np.ndarra
         yield segments, values[offsets[segments, None] + np.arange(n)]
 
 
-def _stake_blocks(stake: np.ndarray, offsets: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
-    """(segments, stakes, ascending) for each block of the segments of
-    `stake` (see _blocks) that hold positive stake mass: their indices, their
-    stakes and their ascending row sorts. The columns are checked, so the
-    mass is positive exactly when the largest stake is."""
-    for segments, stakes in _blocks(stake, offsets):
-        ascending = np.sort(stakes, axis=1)
+def _mass_blocks(values: np.ndarray, offsets: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """(segments, block, ascending) for each block of the segments of
+    `values` (see _blocks) that hold positive mass: their indices, their
+    values and their ascending row sorts. The columns are checked, so the
+    mass is positive exactly when the largest value is."""
+    for segments, block in _blocks(values, offsets):
+        ascending = np.sort(block, axis=1)
         mass = ascending[:, -1] > 0.0
-        yield segments[mass], stakes[mass], ascending[mass]
+        yield segments[mass], block[mass], ascending[mass]
 
 
 def _role_segments(offsets: np.ndarray, miner: np.ndarray, role: Role, *columns: np.ndarray) -> tuple:
@@ -119,6 +119,16 @@ def _coalition_rows(ascending: np.ndarray, threshold: float) -> np.ndarray:
     target = threshold * cumulative[:, -1]
     n = ascending.shape[1]
     return np.minimum(np.count_nonzero(cumulative < target[:, None], axis=1) + 1, n) / n
+
+
+def _coalition_column(stake: np.ndarray, offsets: np.ndarray, threshold: float) -> np.ndarray:
+    """Coalition fraction of each segment of the column `stake` (see
+    _blocks) at a checked `threshold`; NaN where a segment holds no stake
+    mass."""
+    fractions = np.full(len(offsets) - 1, np.nan)
+    for segments, _, ascending in _mass_blocks(stake, offsets):
+        fractions[segments] = _coalition_rows(ascending, threshold)
+    return fractions
 
 
 def _centred_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,10 +241,10 @@ def coalition_fraction(stakes, threshold: float = DEFAULT_THRESHOLD) -> float:
     stakes cannot change m.
     """
     x = _require_vector("stakes", stakes, math.inf, nonempty=True)
-    threshold = _check_threshold(threshold)
-    if float(np.sum(x)) <= 0.0:
+    fraction = _coalition_column(x, np.array([0, len(x)]), _check_threshold(threshold))[0]
+    if fraction != fraction:
         raise ValidationError("coalition_fraction is undefined for a zero-sum vector")
-    return float(_coalition_rows(np.sort(x)[None, :], threshold)[0])
+    return float(fraction)
 
 
 def pearson(x, y) -> Optional[float]:
@@ -321,14 +331,11 @@ class ConcentrationReport:
 def _concentration(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """(gini, hhi, top-1% share) of each segment of `values` (see _blocks)
     as the rows of a (3, segments) array; NaN where a segment is empty or
-    holds no mass. One sum of a row serves the guard, hhi and the top
-    share; gini takes the sum of the sorted row, as `gini` does."""
+    holds no mass. One sum of a row serves hhi and the top share; gini
+    takes the sum of the sorted row, as `gini` does."""
     out = np.full((3, len(offsets) - 1), np.nan)
-    for segments, x in _blocks(values, offsets):
+    for segments, x, ascending in _mass_blocks(values, offsets):
         total = np.sum(x, axis=1)
-        mass = total > 0.0
-        segments, x, total = segments[mass], x[mass], total[mass]
-        ascending = np.sort(x, axis=1)
         out[:, segments] = (
             _gini_rows(ascending, np.sum(ascending, axis=1)),
             _hhi_rows(x, total),

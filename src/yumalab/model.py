@@ -384,7 +384,7 @@ class SubnetSnapshot:
         """Mask of the wallets holding `role`; every wallet when None."""
         if role is None:
             return np.ones(len(self.wallet), dtype=bool)
-        return self.miner == (Role(role) is Role.MINER)
+        return self.miner == (Role.parse(role) is Role.MINER)
 
     def wallets(self, role: Optional[Role] = None) -> list[str]:
         return list(map(self.wallet_names.__getitem__, self.wallet[self._rows(role)].tolist()))

@@ -31,12 +31,13 @@ from yumalab.interventions import (
     unit_rescale,
 )
 from yumalab.metrics import (
+    _blocks,
     _check_threshold,
-    _coalition_rows,
+    _coalition_column,
     _correlation_rows,
+    _mass_blocks,
     _median,
     _percentiles,
-    _stake_blocks,
 )
 from yumalab.model import Role, ValidationError, _require_upto
 
@@ -277,18 +278,17 @@ def sweep_scheme(dataset: Dataset, scheme: str, grid: Optional[Sequence[float]] 
 # ---------------------------------------------------------------------------
 
 
-def _sorted_transform(
-    stakes: np.ndarray, ascending: np.ndarray, spec: TransformSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """The transformed rows of a (k, n) block of stakes, as
-    `apply_stake_transform` gives each, and their ascending sorts, given the
-    sorts of the stakes. A cap keeps the order of the stakes, so capping
-    their sort gives the sort of the capped stakes, value for value."""
-    cap = _nearest_rank(ascending, spec.param)[:, None] if spec.kind == "cap" else None
-    transformed = _transform(stakes, spec, cap)
-    if cap is None:
-        return transformed, np.sort(transformed, axis=1)
-    return transformed, _transform(ascending, spec, cap)
+def _transformed(stake: np.ndarray, offsets: np.ndarray, spec: TransformSpec) -> np.ndarray:
+    """The column `stake` with `spec` applied to each segment (see
+    metrics._blocks) as `apply_stake_transform` applies it: a cap takes
+    each segment's own nearest-rank percentile."""
+    cap = None
+    if spec.kind == "cap":
+        caps = np.zeros(len(offsets) - 1)
+        for segments, stakes in _blocks(stake, offsets):
+            caps[segments] = _nearest_rank(np.sort(stakes, axis=1), spec.param)
+        cap = np.repeat(caps, np.diff(offsets))
+    return _transform(stake, spec, cap)
 
 
 def tradeoff_frontier(
@@ -306,23 +306,22 @@ def tradeoff_frontier(
     if not interventions:
         raise ValidationError("at least one transform spec is required")
     threshold = _check_threshold(threshold)
-    # Each block's sorts and top-1% wallets serve every transform. A median
-    # does not depend on the order of its values, so the subnets may come
-    # block by block.
+    # The top-1% wallets of each subnet with stake mass, as entry indices,
+    # and their stake serve every transform.
     _, _, offsets, _, _, stake, _, _ = _history_table(dataset)
-    blocks = [
-        (stakes, ascending, *_whale_top(stakes)) for _, stakes, ascending in _stake_blocks(stake, offsets)
-    ]
+    tops = []
+    for segments, stakes, _ in _mass_blocks(stake, offsets):
+        top_idx, top_before = _whale_top(stakes)
+        tops.append((segments, offsets[segments, None] + top_idx, top_before))
     points: list[FrontierPoint] = []
     for spec in interventions:
-        fractions: list[float] = []
-        penalties: list[float] = []
-        for stakes, ascending, top_idx, top_before in blocks:
-            transformed, ordered = _sorted_transform(stakes, ascending, spec)
-            kept = ordered[:, -1] > 0.0  # the transform left some stake mass
-            fractions.extend(_coalition_rows(ordered[kept], threshold).tolist())
-            penalties.extend(_penalty(top_before[kept], transformed[kept], top_idx[kept]).tolist())
-        if not fractions:
+        transformed = _transformed(stake, offsets, spec)
+        fractions = _coalition_column(transformed, offsets, threshold)
+        penalties = np.full(len(fractions), np.nan)
+        for segments, entries, top_before in tops:
+            penalties[segments] = _penalty(top_before, transformed[entries])
+        kept = ~np.isnan(fractions)  # the transform left some stake mass
+        if not kept.any():
             raise ValidationError(
                 f"no subnet with positive stake mass for transform {spec.label}"
             )
@@ -331,9 +330,9 @@ def tradeoff_frontier(
                 label=spec.label,
                 kind=spec.kind,
                 param=spec.param,
-                median_coalition_fraction=_median(fractions),
-                median_whale_penalty=_median(penalties),
-                n_subnets=len(fractions),
+                median_coalition_fraction=_median(fractions[kept]),
+                median_whale_penalty=_median(penalties[kept]),
+                n_subnets=int(np.count_nonzero(kept)),
             )
         )
     points.sort(key=lambda p: (p.median_whale_penalty, p.label))
@@ -374,15 +373,9 @@ def temporal_robustness(
                 f"dataset spans {len(windows)} {freq} window(s); need at least 2"
             )
         # Each segment's coalition fraction after and before the transform;
-        # NaN where either leaves no stake mass.
-        fractions = np.full((2, len(keys)), np.nan)
-        for segments, _, ascending in _stake_blocks(stake, offsets):
-            ordered = _sorted_transform(ascending, ascending, spec)[1]
-            kept = ordered[:, -1] > 0.0
-            fractions[:, segments[kept]] = (
-                _coalition_rows(ordered[kept], threshold),
-                _coalition_rows(ascending[kept], threshold),
-            )
+        # NaN where it leaves no stake mass, as it does where there was none.
+        fractions = np.stack((_coalition_column(_transformed(stake, offsets, spec), offsets, threshold),
+                              _coalition_column(stake, offsets, threshold)))
         rows: list[RobustnessWindow] = []
         for key in windows:
             transformed, baseline = fractions[:, (keys == key) & ~np.isnan(fractions[0])]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from yumalab import cli, ingest, model, sweep, synth
+from yumalab import cli, ingest, metrics, model, sweep, synth
 from yumalab._util import parse_timestamp
 from yumalab.cli import DEFAULT_CUTOFF_TEXT, build_parser, run
 from yumalab.ingest import history_snapshots, load_events, resample, save_events
@@ -693,6 +693,30 @@ class TestRobustness:
         assert payload["transform"] == "log"
         assert [entry["freq"] for entry in payload["series"]] == ["monthly"]
         assert len(read_csv(tmp_path / "robustness.csv")) == 1 + len(payload["series"][0]["windows"])
+
+
+# attack, the frontier and robustness read one measure: the coalition
+# fraction of each subnet's stake column. The identity cap leaves every
+# column as it is, so its frontier row is the median of the attack rows, and
+# its robustness windows are their own baselines.
+class TestOneCoalitionMeasure:
+    @pytest.mark.parametrize("source, median, windows",
+                             [("fixture.jsonl", "0.25", 35), ("wide.jsonl", "0.125", 3)])
+    def test_identity_cap_reads_the_attack_fractions(self, tmp_path, source, median, windows):
+        path = os.path.join(DATA_DIR, source)
+        assert run_cli("attack", "--input", path, "--out", str(tmp_path / "a")) == 0
+        assert run_cli("frontier", "--input", path, "--out", str(tmp_path / "f")) == 0
+        assert run_cli("robustness", "--input", path, "--transform", "cap:100", "--freq", "daily",
+                       "--out", str(tmp_path / "r")) == 0
+        fractions = [float(row[2]) for row in read_csv(tmp_path / "a" / "coalition.csv")[1:]]
+        (identity,) = (row for row in read_csv(tmp_path / "f" / "frontier.csv")[1:] if row[0] == "cap:100")
+        assert identity[3:5] == [str(len(fractions)), format(metrics._median(fractions), ".9g")]
+        assert identity[4] == median
+        rows = read_csv(tmp_path / "r" / "robustness.csv")
+        assert rows[0][3:] == ["median", "p10", "p90", "baseline_median", "baseline_p10", "baseline_p90"]
+        assert len(rows) - 1 == windows
+        for row in rows[1:]:
+            assert row[3:6] == row[6:9]
 
 
 class TestSynth:

@@ -9,7 +9,7 @@ import pytest
 
 import yumalab
 from yumalab import _util, model
-from yumalab.ingest import Dataset
+from yumalab.ingest import Dataset, history_snapshots, load_events
 from yumalab.model import (
     MINER_SHARE,
     OWNER_SHARE,
@@ -153,6 +153,17 @@ class TestSubnetSnapshot:
         np.testing.assert_array_equal(snap.stakes(Role.MINER), [5.0, 3.0])
         np.testing.assert_array_equal(snap.rewards(), [1.0, 0.5, 2.0])
         np.testing.assert_array_equal(snap.perfs(Role.MINER), [0.2, 0.9])
+
+    # A role is read as Role.parse reads it, as correlation_profile and the
+    # event readers do: any case, and an unknown one is a ValidationError.
+    def test_role_read_as_role_parse_reads_it(self, fixture_path):
+        snap = history_snapshots(load_events(fixture_path))[0]
+        assert snap.count("Miner") == snap.count("miner") == 32
+
+    def test_unknown_role_is_a_validation_error(self, fixture_path):
+        snap = history_snapshots(load_events(fixture_path))[0]
+        with pytest.raises(ValidationError, match="^unknown role 'owner'$"):
+            snap.count("owner")
 
     def test_duplicate_wallets_rejected(self):
         rows = (

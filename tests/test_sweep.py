@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from yumalab.ingest import Dataset, history_snapshots, resample
+from yumalab.ingest import Dataset, _history_table, history_snapshots, resample
 from yumalab.interventions import (
     BASE_VALIDATOR_SHARE,
     TransformSpec,
@@ -23,7 +23,7 @@ from yumalab.interventions import (
     unit_rescale,
     whale_penalty,
 )
-from yumalab.metrics import coalition_fraction, pearson
+from yumalab.metrics import _coalition_column, coalition_fraction, pearson
 from yumalab.model import Role, SnapshotEvent, ValidationError
 from yumalab.sweep import (
     DEFAULT_CAP_PERCENTILES,
@@ -31,6 +31,7 @@ from yumalab.sweep import (
     SCHEMES,
     FrontierPoint,
     _scheme_rewards,
+    _transformed,
     default_frontier_specs,
     default_grid,
     sweep_scheme,
@@ -582,6 +583,49 @@ class TestKernelsMatchPublicFunctions:
         assert {(p.param, p.netuid, p.role): repr((p.r_sr, p.r_pr))
                 for p in result.per_point} == expected
 
+
+
+# attack, the frontier and robustness read stake columns: each segment of a
+# column must get what the public function gives that segment alone.
+# COLUMN_EDGES holds a one-wallet subnet, an all-zero subnet with -0.0
+# stakes, and a subnet of tied stakes.
+COLUMN_EDGES = history_dataset([
+    (0, [("w000", Role.VALIDATOR, 3.0, 0.0, 0.0)]),
+    (1, [("w000", Role.MINER, 0.0, 0.0, 0.0), ("w001", Role.VALIDATOR, -0.0, 0.0, 0.0),
+         ("w002", Role.MINER, -0.0, 0.0, 0.0)]),
+    (2, [("w000", Role.MINER, 2.0, 0.0, 0.0), ("w001", Role.MINER, 2.0, 0.0, 0.0),
+         ("w002", Role.VALIDATOR, 1.0, 0.0, 0.0), ("w003", Role.MINER, 2.0, 0.0, 0.0)]),
+])
+
+
+def history_segments(dataset):
+    """The history table's stake column, its offsets, and its segments."""
+    _, _, offsets, _, _, stake, _, _ = _history_table(dataset)
+    return stake, offsets, [stake[first:stop] for first, stop in zip(offsets[:-1], offsets[1:])]
+
+
+class TestColumnFunctions:
+    @ORACLE_SETTINGS
+    @given(dataset=drawn_datasets(), threshold=THRESHOLD)
+    @example(dataset=COLUMN_EDGES, threshold=0.51)
+    def test_coalition_column(self, dataset, threshold):
+        stake, offsets, segments = history_segments(dataset)
+        fractions = _coalition_column(stake, offsets, threshold).tolist()
+        for fraction, segment in zip(fractions, segments, strict=True):
+            if float(np.sum(segment)) > 0.0:
+                assert repr(fraction) == repr(coalition_fraction(segment, threshold))
+            else:
+                assert math.isnan(fraction)
+
+    @ORACLE_SETTINGS
+    @given(dataset=drawn_datasets())
+    @example(dataset=COLUMN_EDGES)
+    def test_transformed(self, dataset):
+        stake, offsets, segments = history_segments(dataset)
+        for spec in default_frontier_specs():
+            transformed = _transformed(stake, offsets, spec)
+            assert transformed.tobytes() == b"".join(
+                apply_stake_transform(segment, spec).tobytes() for segment in segments), spec.label
 
 
 # ---------------------------------------------------------------------------
